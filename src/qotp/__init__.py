@@ -48,7 +48,6 @@ from .keystore import (
 from .protocol import (
     ErrorReport,
     ModifiedMessage,
-    PhotonRecord,
     SessionConfig,
     SessionTranscript,
     alice_encode,
@@ -73,6 +72,6 @@ from .quantum import (
     states_equal_up_to_phase,
     utb_apply,
 )
-from .rng import derive_subseed, make_rng, splitmix64
+from .rng import derive_subseed, make_rng, role_seed, splitmix64
 
 __version__ = "0.1.0"

@@ -1,19 +1,28 @@
-"""Eavesdropping strategies applied photon by photon on the quantum channel.
+"""Eavesdropping strategies on the quantum channel.
 
 Attacks never see basis keys, pad bits, sample positions, or message bits;
 their only input is the travelling state (the known-plaintext wrapper declares
 the message it assumes, and uses it at inference time only).  Every attacked
 photon leaves an evidence record that the analysis module turns into empirical
 information estimates.
+
+Sessions and sweeps run each attack through the batch kernel, as described by
+its ``channel_spec``; known-plaintext inference is a lookup in the exact
+likelihood table of ``record_likelihoods``.  The per-photon functions below
+(``attack_photon`` and the record-based ``known_plaintext_infer``) act on
+``quantum`` state vectors and are the reference the tests check the batch
+path against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
+from . import kernels
 from .quantum import (
     Basis,
     EncodingOp,
@@ -34,14 +43,39 @@ class IRStrategy(Enum):
     FIXED_CROSS = "cross"
 
 
+class ChannelSpec(NamedTuple):
+    """An attack as the batch kernel runs it, plus its transcript description."""
+
+    kind: int
+    ir_strategy: int
+    theta: float
+    attack_basis: int
+    description: dict
+
+
+_IR_KERNEL_STRATEGY = {
+    IRStrategy.RANDOM: kernels.IR_RANDOM,
+    IRStrategy.FIXED_PLUS: kernels.IR_FIXED_PLUS,
+    IRStrategy.FIXED_CROSS: kernels.IR_FIXED_CROSS,
+}
+
+
 @dataclass(frozen=True)
 class NoAttack:
-    pass
+    def channel_spec(self) -> ChannelSpec:
+        return ChannelSpec(kernels.ATTACK_NONE, kernels.IR_RANDOM, 0.0, kernels.BASIS_PLUS,
+                           {"kind": "none"})
 
 
 @dataclass(frozen=True)
 class InterceptResend:
     basis_strategy: IRStrategy = IRStrategy.RANDOM
+
+    def channel_spec(self) -> ChannelSpec:
+        return ChannelSpec(
+            kernels.ATTACK_IR, _IR_KERNEL_STRATEGY[self.basis_strategy], 0.0, kernels.BASIS_PLUS,
+            {"kind": "intercept_resend", "ir_basis": self.basis_strategy.value},
+        )
 
 
 @dataclass(frozen=True)
@@ -55,6 +89,13 @@ class IndividualUTB:
         if not 0.0 <= self.theta <= np.pi / 4:
             raise ValueError(f"theta must lie in [0, pi/4], got {self.theta}")
 
+    def channel_spec(self) -> ChannelSpec:
+        theta = float(self.theta)
+        return ChannelSpec(
+            kernels.ATTACK_UTB, kernels.IR_RANDOM, theta, self.attack_basis.index,
+            {"kind": "utb", "theta": theta, "utb_basis": self.attack_basis.value},
+        )
+
 
 @dataclass(frozen=True)
 class KnownPlaintext:
@@ -62,6 +103,14 @@ class KnownPlaintext:
 
     inner: "AttackModel"
     known_message: tuple[int, ...]
+
+    def __post_init__(self):
+        if any(b not in (0, 1) for b in self.known_message):
+            raise ValueError("the known message must be 0/1 bits")
+
+    def channel_spec(self) -> ChannelSpec:
+        spec = self.inner.channel_spec()
+        return spec._replace(description={**spec.description, "known_plaintext": True})
 
 
 AttackModel = NoAttack | InterceptResend | IndividualUTB | KnownPlaintext
@@ -75,13 +124,38 @@ class EveRecord:
     kind: str
     eve_basis: Basis | None = None
     eve_outcome: int | None = None
-    probe_state: StateVector | None = None
     probe_outcome: int | None = None
     theta: float | None = None
     attack_basis: Basis | None = None
-    inferred_bit_guess: int | None = None
     inferred_basis_guess: Basis | None = None
     posterior_plus: float | None = None
+
+
+def record_likelihoods(spec: ChannelSpec) -> np.ndarray:
+    """Exact table L[state, encoding, record] = P(Eve's record | the channel
+    carried that state with that encoding bit).
+
+    Records are coded ``2 * eve_basis + eve_outcome`` for intercept-resend and
+    as the probe outcome for the probe attack.
+    """
+    if spec.kind == kernels.ATTACK_IR:
+        amps = np.einsum("sec,bkc->sebk", kernels.ENC_TABLE, kernels.EIG_TABLE)
+        return (amps * amps).reshape(4, 2, 4)
+    if spec.kind == kernels.ATTACK_UTB:
+        xibar = kernels.EIG_TABLE[spec.attack_basis, 1]
+        p_flip = np.sin(spec.theta) ** 2 * (kernels.ENC_TABLE @ xibar) ** 2
+        return np.stack([1.0 - p_flip, p_flip], axis=-1)
+    raise ValueError("this attack leaves no records")
+
+
+def posterior_plus_table(spec: ChannelSpec) -> np.ndarray:
+    """P(plus basis | record) per [known bit, record], where known bit 2 means
+    the photon carries a bit the plaintext does not cover (both encodings
+    equally likely).  The four basis keys are equiprobable a priori."""
+    by_basis = record_likelihoods(spec).reshape(2, 2, 2, -1).sum(axis=1)  # [basis, bit, record]
+    by_basis = np.concatenate([by_basis, by_basis.mean(axis=1, keepdims=True)], axis=1)
+    total = by_basis.sum(axis=0)
+    return np.divide(by_basis[0], total, out=np.full_like(total, 0.5), where=total > 0)
 
 
 def intercept_resend(
@@ -115,8 +189,7 @@ def utb_intercept(
     """Entangle the photon with a probe and forward the joint state.
 
     The photon factor travels on to the receiver; once the receiver has
-    measured, the conditional probe state is stored on the record and the
-    probe is read out (see eve_measure_probe).
+    measured, the conditional probe state is read out (see eve_measure_probe).
     """
     joint = utb_apply(s, theta, attack_basis)
     record = EveRecord(
@@ -128,11 +201,10 @@ def utb_intercept(
     return joint, record
 
 
-def eve_measure_probe(record: EveRecord, rng: RandomStream) -> int:
-    """Read the stored conditional probe state in the computational basis."""
-    if record.probe_state is None:
-        raise ValueError("no probe state stored on this record")
-    outcome, _ = measure(record.probe_state, Basis.PLUS, rng)
+def eve_measure_probe(record: EveRecord, probe: StateVector, rng: RandomStream) -> int:
+    """Read the conditional probe state in the computational basis and store
+    the outcome on the record."""
+    outcome, _ = measure(probe, Basis.PLUS, rng)
     record.probe_outcome = outcome
     return outcome
 
@@ -204,7 +276,5 @@ def known_plaintext_infer(
         guess = Basis.PLUS if posterior_plus >= 0.5 else Basis.CROSS
         record.posterior_plus = posterior_plus
         record.inferred_basis_guess = guess
-        if i in bit_at:
-            record.inferred_bit_guess = bit_at[i]
         guesses[i] = guess
     return guesses

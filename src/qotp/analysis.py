@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from . import kernels
-from .adversary import AttackModel, IndividualUTB, InterceptResend, IRStrategy, KnownPlaintext, NoAttack
+from .adversary import AttackModel, IndividualUTB
 from .errors import PoleError
 from .quantum import Basis
 from .rng import RandomStream
@@ -41,7 +41,7 @@ _POLE_DM = 1.0 / (8.0 * np.sqrt(2.0))
 def _eval(x, domain_lo, domain_hi, func, name):
     scalar = np.isscalar(x) or np.asarray(x).ndim == 0
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if np.any(arr < domain_lo) or np.any(arr > domain_hi):
+    if not np.all((arr >= domain_lo) & (arr <= domain_hi)):  # NaN fails too
         raise ValueError(f"{name} domain is [{domain_lo:g}, {domain_hi:g}], got {x!r}")
     out = func(arr)
     return float(out[0]) if scalar else out
@@ -157,14 +157,6 @@ class ErrorSubset(Enum):
     ALL = "all"
 
 
-def _attack_basis_of(attack: AttackModel) -> Basis | None:
-    if isinstance(attack, IndividualUTB):
-        return attack.attack_basis
-    if isinstance(attack, KnownPlaintext):
-        return _attack_basis_of(attack.inner)
-    return None
-
-
 def empirical_error_rate(transcript, subset: ErrorSubset) -> float:
     """Fraction of decode errors over a chosen photon subset of a transcript.
 
@@ -181,12 +173,10 @@ def empirical_error_rate(transcript, subset: ErrorSubset) -> float:
         mask = np.zeros(n, dtype=bool)
         mask[transcript.mm.sample_positions] = True
     else:
-        attack_basis = _attack_basis_of(transcript.attack)
-        if attack_basis is None:
+        spec = transcript.attack.channel_spec()
+        if spec.kind != kernels.ATTACK_UTB:
             raise ValueError("matched-basis subset needs a probe attack with a basis")
-        mask = np.array(
-            [pair.basis is attack_basis for pair in transcript.keys.pairs], dtype=bool
-        )
+        mask = kernels.PREP_BASIS_OF_STATE[transcript.keys.state_idx] == spec.attack_basis
     if not mask.any():
         raise ValueError(f"error rate undefined over empty subset {subset}")
     return float(np.mean(decoded[mask] != truth[mask]))
@@ -246,23 +236,6 @@ class PhotonBatch:
         return kernels.PREP_LABEL_OF_STATE[self.state_idx] ^ self.enc_bits.astype(np.int64)
 
 
-def _kernel_attack_params(attack: AttackModel) -> tuple[int, int, float, int]:
-    if isinstance(attack, KnownPlaintext):
-        return _kernel_attack_params(attack.inner)
-    if isinstance(attack, NoAttack):
-        return kernels.ATTACK_NONE, kernels.IR_RANDOM, 0.0, kernels.BASIS_PLUS
-    if isinstance(attack, InterceptResend):
-        strategy = {
-            IRStrategy.RANDOM: kernels.IR_RANDOM,
-            IRStrategy.FIXED_PLUS: kernels.IR_FIXED_PLUS,
-            IRStrategy.FIXED_CROSS: kernels.IR_FIXED_CROSS,
-        }[attack.basis_strategy]
-        return kernels.ATTACK_IR, strategy, 0.0, kernels.BASIS_PLUS
-    if isinstance(attack, IndividualUTB):
-        return kernels.ATTACK_UTB, kernels.IR_RANDOM, attack.theta, attack.attack_basis.index
-    raise TypeError(f"unknown attack model {attack!r}")
-
-
 def run_photon_batch(
     n: int,
     attack: AttackModel,
@@ -297,9 +270,10 @@ def run_photon_batch(
             raise ValueError(f"unknown measurement-basis selector {meas_basis!r}")
     else:
         mb = np.broadcast_to(np.asarray(meas_basis, dtype=np.int64), (n,)).copy()
-    kind, strategy, theta, attack_basis = _kernel_attack_params(attack)
+    spec = attack.channel_spec()
     bob, eve_basis, eve_out = kernels.simulate_photons(
-        state_idx, enc_bits, mb, kind, strategy, theta, attack_basis, rng=rng
+        state_idx, enc_bits, mb, spec.kind, spec.ir_strategy, spec.theta, spec.attack_basis,
+        rng=rng,
     )
     return PhotonBatch(
         state_idx=state_idx,

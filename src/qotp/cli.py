@@ -4,7 +4,8 @@ tables, and multi-session pad-reuse demonstrations.
 Exit codes: 0 success/accepted, 2 session rejected by the eavesdropping
 check, 1 configuration or runtime error.  Every run is fully determined by
 its flags and seed (``--seed``, defaulting to the QOTP_SEED environment
-variable, then 0).
+variable, then 0).  Each stream a command creates (pad, message, session) is
+seeded from the top-level seed by its own role label.
 """
 
 from __future__ import annotations
@@ -29,15 +30,23 @@ from .adversary import (
 from .errors import PadExhaustedError, PoleError, ProtocolViolationError
 from .protocol import SessionConfig, message_digest, run_session
 from .quantum import Basis
-from .rng import derive_subseed, make_rng
+from .rng import make_rng, role_seed
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_REJECTED = 2
 
+# stream roles under the top-level seed
+ROLE_SESSION, ROLE_PAD, ROLE_MESSAGE = 0, 1, 2
+SEED_HELP = "top-level seed (default: the QOTP_SEED environment variable, then 0)"
 
-def _default_seed() -> int:
-    return int(os.environ.get("QOTP_SEED", "0"))
+
+def _env_seed() -> int:
+    text = os.environ.get("QOTP_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"QOTP_SEED must be an integer, got {text!r}") from None
 
 
 def _add_attack_args(p: argparse.ArgumentParser) -> None:
@@ -86,14 +95,15 @@ def _build_attack(args, message) -> AttackModel:
             attack_basis=Basis.PLUS if args.utb_basis == "plus" else Basis.CROSS,
         )
     if getattr(args, "known_plaintext", False):
-        attack = KnownPlaintext(inner=attack, known_message=tuple(int(b) for b in message))
+        attack = KnownPlaintext(inner=attack, known_message=tuple(message.tolist()))
     return attack
 
 
 def _parse_bits(text: str) -> np.ndarray:
-    if not all(c in "01" for c in text):
+    bits = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8) - ord("0")
+    if np.any(bits > 1):  # every other character wraps past 1
         raise ValueError(f"message must be a 0/1 string, got {text!r}")
-    return np.array([int(c) for c in text], dtype=np.uint8)
+    return bits
 
 
 def _session_message(args) -> np.ndarray:
@@ -102,14 +112,14 @@ def _session_message(args) -> np.ndarray:
     if args.message is not None:
         return _parse_bits(args.message)
     n = args.message_bits if args.message_bits is not None else 128
-    rng = make_rng(derive_subseed(args.seed, 2))
+    rng = make_rng(role_seed(args.seed, ROLE_MESSAGE))
     return rng.integers(0, 2, size=n, dtype=np.uint8)
 
 
 def _session_pad(args, n_bits_needed: int) -> keystore.PadKey:
     if args.pad_file:
         return keystore.load_pad(args.pad_file)
-    rng = make_rng(derive_subseed(args.seed, 1))
+    rng = make_rng(role_seed(args.seed, ROLE_PAD))
     return keystore.generate_pad(n_bits_needed, rng)
 
 
@@ -120,7 +130,7 @@ def cmd_run(args) -> int:
         n_message=int(message.size),
         n_sample=int(n_sample),
         abort_threshold=args.threshold,
-        seed=derive_subseed(args.seed, 0),
+        seed=role_seed(args.seed, ROLE_SESSION),
         allow_insecure_demo=args.insecure_demo,
     )
     attack = _build_attack(args, message)
@@ -174,41 +184,39 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_recycle_demo(args) -> int:
+    if args.attack_session is not None and not 1 <= args.attack_session <= args.sessions:
+        raise ValueError(
+            f"--attack-session {args.attack_session} is outside sessions 1..{args.sessions}"
+        )
     n_message = args.message_bits if args.message_bits is not None else 64
     n_sample = args.samples if args.samples is not None else 16
     per_session = 2 * (n_message + n_sample)
     pad_bits = args.pad_bits or per_session + 2 * n_sample * (args.sessions - 1)
-    pad = keystore.generate_pad(pad_bits, make_rng(derive_subseed(args.seed, 1)))
+    pad = keystore.generate_pad(pad_bits, make_rng(role_seed(args.seed, ROLE_PAD)))
 
     sessions = []
-    drawn_origins: list[set[int]] = []
-    announced_origins: list[set[int]] = []
+    # times each generation-0 pad bit has been announced so far
+    announced_count = np.zeros(len(pad), dtype=np.int64)
     halted_at = None
     reused = 0
     for k in range(args.sessions):
-        message = make_rng(derive_subseed(args.seed, 1000 + k)).integers(
+        message = make_rng(role_seed(args.seed, ROLE_MESSAGE, k)).integers(
             0, 2, size=n_message, dtype=np.uint8
         )
-        attacked = args.attack_session is not None and args.attack_session == k + 1
+        attacked = args.attack_session == k + 1
         attack = _build_attack(args, message) if attacked else NoAttack()
         config = SessionConfig(
             n_message=n_message,
             n_sample=n_sample,
             abort_threshold=args.threshold,
-            seed=derive_subseed(args.seed, k),
+            seed=role_seed(args.seed, ROLE_SESSION, k),
             allow_insecure_demo=args.insecure_demo,
         )
         before = len(pad)
         transcript = run_session(config, pad, message, attack)
-        drawn = set(
-            int(pad.origin_indices[src])
-            for pair in transcript.keys.source_indices
-            for src in pair
-        )
-        for earlier in announced_origins:
-            reused += len(earlier & drawn)
-        drawn_origins.append(drawn)
-        announced_origins.append(set(transcript.announced_origin_bits))
+        drawn = pad.origin_indices[transcript.keys.sources]
+        reused += int(announced_count[drawn].sum())
+        np.add.at(announced_count, transcript.announced_origin_bits, 1)
         accepted = transcript.error_report.accepted
         exact = bool(
             accepted
@@ -269,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="required to run with a nonzero threshold (no privacy amplification here)",
     )
-    p_run.add_argument("--seed", type=int, default=_default_seed())
+    p_run.add_argument("--seed", type=int, help=SEED_HELP)
     p_run.add_argument("--pad-file", help="load the pad from a pad file instead of generating one")
     p_run.add_argument("--out", help="write the transcript JSON here")
     p_run.add_argument("--reveal", action="store_true", help="print message bits, not just the digest")
@@ -281,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--points", type=int, default=5, help="grid size over [0, pi/4]")
     p_sweep.add_argument("--photons", type=int, default=10_000, help="photons per grid point")
     p_sweep.add_argument("--utb-basis", choices=["plus", "cross"], default="plus")
-    p_sweep.add_argument("--seed", type=int, default=_default_seed())
+    p_sweep.add_argument("--seed", type=int, help=SEED_HELP)
     p_sweep.add_argument("--out", help="CSV output path (stdout if omitted)")
     p_sweep.set_defaults(func=cmd_sweep_theta)
 
@@ -305,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help="1-based session index to run under the configured attack",
     )
-    p_demo.add_argument("--seed", type=int, default=_default_seed())
+    p_demo.add_argument("--seed", type=int, help=SEED_HELP)
     p_demo.add_argument("--out", help="JSON report path")
     _add_attack_args(p_demo)
     p_demo.set_defaults(func=cmd_recycle_demo)
@@ -314,9 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        env_seed = _env_seed()
+        if getattr(args, "seed", 0) is None:
+            args.seed = env_seed
         return args.func(args)
     except (ValueError, PoleError, PadExhaustedError, ProtocolViolationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

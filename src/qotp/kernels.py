@@ -1,26 +1,17 @@
 """Batched Monte-Carlo photon pipeline.
 
 The per-photon channel simulation (prepare, encode, optional attack, measure)
-is the hot loop behind sweeps and the large-sample statistical checks.  All
-states reachable in this protocol have real amplitudes, so the batch kernels
-work on signed float64 amplitude tables; the object-level complex simulator in
-``quantum`` stays the reference implementation.
+runs here for sessions, sweeps and the large-sample statistical checks.  All
+states reachable in this protocol have real amplitudes, so the kernel works on
+signed float64 amplitude tables; the object-level complex simulator in
+``quantum`` is the reference the tests check it against.
 
-Two interchangeable backends compute identical results from identical inputs:
-a numba ``@njit`` loop (default) and a vectorized pure-numpy path.  Set
-``QOTP_NO_NUMBA=1`` to force the numpy path; it is also used automatically
-when numba is not importable.  ``benchmarks/bench_kernels.py`` compares the
-two.
-
-Randomness enters only through a caller-supplied ``uniforms`` array of shape
-(n, 3) with fixed column roles (0: adversary basis choice, 1: adversary
-outcome/probe draw, 2: receiver outcome draw), which is what makes the two
-backends bit-identical.
+Randomness enters only through a ``uniforms`` array of shape (n, 3) with
+fixed column roles (0: adversary basis choice, 1: adversary outcome/probe
+draw, 2: receiver outcome draw), supplied by the caller or drawn from its rng.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -56,33 +47,54 @@ ENC_TABLE = np.stack([_STATES, _STATES @ _U1.T], axis=1)
 PREP_BASIS_OF_STATE = np.array([0, 0, 1, 1], dtype=np.int64)
 PREP_LABEL_OF_STATE = np.array([0, 1, 0, 1], dtype=np.int64)
 
-_env = os.environ.get("QOTP_NO_NUMBA", "").strip().lower()
-_want_numba = _env not in ("1", "true", "yes")
-HAVE_NUMBA = False
-if _want_numba:
-    try:
-        from numba import njit
 
-        HAVE_NUMBA = True
-    except ImportError:
-        HAVE_NUMBA = False
+def simulate_photons(
+    state_idx: np.ndarray,
+    enc_bits: np.ndarray,
+    meas_basis: np.ndarray,
+    attack_kind: int = ATTACK_NONE,
+    ir_strategy: int = IR_RANDOM,
+    theta: float = 0.0,
+    attack_basis: int = BASIS_PLUS,
+    uniforms: np.ndarray | None = None,
+    rng=None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Simulate n independent photons through the channel.
 
+    Args:
+        state_idx: (n,) prepared-state indices, 0..3 = H, V, u, d.
+        enc_bits: (n,) modified-message bits written with the swap encoding.
+        meas_basis: (n,) receiver measurement basis (0 plus, 1 cross).
+        attack_kind / ir_strategy / theta / attack_basis: channel adversary.
+        uniforms: (n, 3) uniform draws; supplied either directly or via rng.
 
-def backend_name() -> str:
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-def simulate_photons_numpy(
-    state_idx, enc_bits, meas_basis, attack_kind, ir_strategy, ct, st, attack_basis, uniforms
-):
-    """Vectorized reference path; see simulate_photons for the contract."""
+    Returns:
+        (bob_outcome uint8, eve_basis int8, eve_outcome int8); the adversary
+        columns hold -1 where the attack records nothing.
+    """
+    state_idx = np.ascontiguousarray(state_idx, dtype=np.int64)
+    enc_bits = np.ascontiguousarray(enc_bits, dtype=np.int64)
+    meas_basis = np.ascontiguousarray(meas_basis, dtype=np.int64)
+    n = state_idx.shape[0]
+    if enc_bits.shape[0] != n or meas_basis.shape[0] != n:
+        raise ValueError("state_idx, enc_bits and meas_basis must have equal length")
+    if uniforms is None:
+        if rng is None:
+            raise ValueError("pass uniforms or an rng to draw them from")
+        uniforms = rng.random((n, 3))
+    uniforms = np.ascontiguousarray(uniforms, dtype=np.float64)
+    if uniforms.shape != (n, 3):
+        raise ValueError(f"uniforms must have shape ({n}, 3)")
+    if not 0.0 <= theta <= np.pi / 4:
+        raise ValueError(f"theta must lie in [0, pi/4], got {theta}")
+    ct = float(np.cos(theta))
+    st = float(np.sin(theta))
     v = ENC_TABLE[state_idx, enc_bits]
     v0 = v[:, 0]
     v1 = v[:, 1]
     u0 = uniforms[:, 0]
     u1 = uniforms[:, 1]
     u2 = uniforms[:, 2]
-    n = state_idx.shape[0]
     eve_basis = np.full(n, -1, dtype=np.int8)
     eve_out = np.full(n, -1, dtype=np.int8)
     e1 = EIG_TABLE[meas_basis, 1]
@@ -131,156 +143,3 @@ def simulate_photons_numpy(
     else:
         raise ValueError(f"unknown attack kind {attack_kind}")
     return bob, eve_basis, eve_out
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _simulate_loop(
-        state_idx,
-        enc_bits,
-        meas_basis,
-        attack_kind,
-        ir_strategy,
-        ct,
-        st,
-        attack_basis,
-        uniforms,
-        enc_table,
-        eig_table,
-        bob,
-        eve_basis,
-        eve_out,
-    ):
-        n = state_idx.shape[0]
-        for i in range(n):
-            v0 = enc_table[state_idx[i], enc_bits[i], 0]
-            v1 = enc_table[state_idx[i], enc_bits[i], 1]
-            mb = meas_basis[i]
-            u0 = uniforms[i, 0]
-            u1 = uniforms[i, 1]
-            u2 = uniforms[i, 2]
-            if attack_kind == ATTACK_NONE:
-                amp1 = eig_table[mb, 1, 0] * v0 + eig_table[mb, 1, 1] * v1
-                p1 = amp1 * amp1
-                bob[i] = 1 if u2 < p1 else 0
-            elif attack_kind == ATTACK_IR:
-                if ir_strategy == IR_RANDOM:
-                    eb = 0 if u0 < 0.5 else 1
-                else:
-                    eb = ir_strategy - 1
-                amp = eig_table[eb, 1, 0] * v0 + eig_table[eb, 1, 1] * v1
-                p1e = amp * amp
-                eo = 1 if u1 < p1e else 0
-                fwd0 = eig_table[eb, eo, 0]
-                fwd1 = eig_table[eb, eo, 1]
-                amp1 = eig_table[mb, 1, 0] * fwd0 + eig_table[mb, 1, 1] * fwd1
-                p1 = amp1 * amp1
-                bob[i] = 1 if u2 < p1 else 0
-                eve_basis[i] = eb
-                eve_out[i] = eo
-            else:
-                x0 = eig_table[attack_basis, 0, 0]
-                x1 = eig_table[attack_basis, 0, 1]
-                y0 = eig_table[attack_basis, 1, 0]
-                y1 = eig_table[attack_basis, 1, 1]
-                a = x0 * v0 + x1 * v1
-                b = y0 * v0 + y1 * v1
-                xi_m0 = eig_table[mb, 0, 0] * x0 + eig_table[mb, 0, 1] * x1
-                xi_m1 = eig_table[mb, 1, 0] * x0 + eig_table[mb, 1, 1] * x1
-                xb_m0 = eig_table[mb, 0, 0] * y0 + eig_table[mb, 0, 1] * y1
-                xb_m1 = eig_table[mb, 1, 0] * y0 + eig_table[mb, 1, 1] * y1
-                a00 = a * xi_m0 + b * ct * xb_m0
-                a01 = b * st * xi_m0
-                a10 = a * xi_m1 + b * ct * xb_m1
-                a11 = b * st * xi_m1
-                p1 = a10 * a10 + a11 * a11
-                sel = u2 < p1
-                bob[i] = 1 if sel else 0
-                if sel:
-                    as0 = a10
-                    as1 = a11
-                else:
-                    as0 = a00
-                    as1 = a01
-                pp1 = (as1 * as1) / (as0 * as0 + as1 * as1)
-                eve_out[i] = 1 if u1 < pp1 else 0
-
-    def simulate_photons_numba(
-        state_idx, enc_bits, meas_basis, attack_kind, ir_strategy, ct, st, attack_basis, uniforms
-    ):
-        """Jitted path; see simulate_photons for the contract."""
-        n = state_idx.shape[0]
-        bob = np.zeros(n, dtype=np.uint8)
-        eve_basis = np.full(n, -1, dtype=np.int8)
-        eve_out = np.full(n, -1, dtype=np.int8)
-        if attack_kind not in (ATTACK_NONE, ATTACK_IR, ATTACK_UTB):
-            raise ValueError(f"unknown attack kind {attack_kind}")
-        _simulate_loop(
-            state_idx,
-            enc_bits,
-            meas_basis,
-            attack_kind,
-            ir_strategy,
-            ct,
-            st,
-            attack_basis,
-            uniforms,
-            ENC_TABLE,
-            EIG_TABLE,
-            bob,
-            eve_basis,
-            eve_out,
-        )
-        return bob, eve_basis, eve_out
-
-else:
-    simulate_photons_numba = None
-
-
-def simulate_photons(
-    state_idx: np.ndarray,
-    enc_bits: np.ndarray,
-    meas_basis: np.ndarray,
-    attack_kind: int = ATTACK_NONE,
-    ir_strategy: int = IR_RANDOM,
-    theta: float = 0.0,
-    attack_basis: int = BASIS_PLUS,
-    uniforms: np.ndarray | None = None,
-    rng=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Simulate n independent photons through the channel.
-
-    Args:
-        state_idx: (n,) prepared-state indices, 0..3 = H, V, u, d.
-        enc_bits: (n,) modified-message bits written with the swap encoding.
-        meas_basis: (n,) receiver measurement basis (0 plus, 1 cross).
-        attack_kind / ir_strategy / theta / attack_basis: channel adversary.
-        uniforms: (n, 3) uniform draws; supplied either directly or via rng.
-
-    Returns:
-        (bob_outcome uint8, eve_basis int8, eve_outcome int8); the adversary
-        columns hold -1 where the attack records nothing.
-    """
-    state_idx = np.ascontiguousarray(state_idx, dtype=np.int64)
-    enc_bits = np.ascontiguousarray(enc_bits, dtype=np.int64)
-    meas_basis = np.ascontiguousarray(meas_basis, dtype=np.int64)
-    n = state_idx.shape[0]
-    if enc_bits.shape[0] != n or meas_basis.shape[0] != n:
-        raise ValueError("state_idx, enc_bits and meas_basis must have equal length")
-    if uniforms is None:
-        if rng is None:
-            raise ValueError("pass uniforms or an rng to draw them from")
-        uniforms = rng.random((n, 3))
-    uniforms = np.ascontiguousarray(uniforms, dtype=np.float64)
-    if uniforms.shape != (n, 3):
-        raise ValueError(f"uniforms must have shape ({n}, 3)")
-    if not 0.0 <= theta <= np.pi / 4:
-        raise ValueError(f"theta must lie in [0, pi/4], got {theta}")
-    ct = float(np.cos(theta))
-    st = float(np.sin(theta))
-    impl = simulate_photons_numba if HAVE_NUMBA else simulate_photons_numpy
-    return impl(
-        state_idx, enc_bits, meas_basis, int(attack_kind), int(ir_strategy), ct, st,
-        int(attack_basis), uniforms,
-    )

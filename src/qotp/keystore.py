@@ -14,7 +14,9 @@ that are not multiples of 4).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -54,20 +56,39 @@ class PadKey:
 
 @dataclass(frozen=True)
 class BasisKeySequence:
-    """Basis-key pairs for one photon sequence plus the pad bits they consumed."""
+    """Basis keys for one photon sequence, held as the pad bits they consumed:
+    photon i is keyed by pad bits 2i and 2i+1."""
 
-    pairs: tuple[BasisKeyPair, ...]
-    source_indices: tuple[tuple[int, int], ...]
+    bits: np.ndarray
 
     def __post_init__(self):
-        if len(self.pairs) != len(self.source_indices):
-            raise ValueError("pairs and source_indices must align")
-        flat = [i for pair in self.source_indices for i in pair]
-        if flat != sorted(set(flat)):
-            raise ValueError("source indices must be disjoint and strictly increasing")
+        bits = np.asarray(self.bits, dtype=np.uint8).reshape(-1)
+        if bits.size % 2:
+            raise ValueError("basis keys take pad bits in pairs")
+        object.__setattr__(self, "bits", bits)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return self.bits.size // 2
+
+    @property
+    def state_idx(self) -> np.ndarray:
+        """Prepared state per photon: 00 -> 0 (H), 11 -> 1 (V), 01 -> 2 (u), 10 -> 3 (d)."""
+        b0 = self.bits[0::2].astype(np.int64)
+        return np.where(b0 == self.bits[1::2], b0, 2 + b0)
+
+    @property
+    def sources(self) -> np.ndarray:
+        """(n, 2) pad bit indices keying each photon."""
+        return np.arange(self.bits.size).reshape(-1, 2)
+
+    @cached_property
+    def pairs(self) -> tuple[BasisKeyPair, ...]:
+        b = self.bits.tolist()
+        return tuple(BasisKeyPair(b0, b1) for b0, b1 in zip(b[0::2], b[1::2]))
+
+    @cached_property
+    def source_indices(self) -> tuple[tuple[int, int], ...]:
+        return tuple(map(tuple, self.sources.tolist()))
 
 
 def generate_pad(length: int, rng: RandomStream) -> PadKey:
@@ -93,17 +114,12 @@ def draw_basis_keys(pad: PadKey, n_photons: int) -> BasisKeySequence:
         raise PadExhaustedError(
             f"pad exhausted: need {needed} bits for {n_photons} photons, have {len(pad)}"
         )
-    pairs = tuple(
-        BasisKeyPair(int(pad.bits[2 * i]), int(pad.bits[2 * i + 1]))
-        for i in range(n_photons)
-    )
-    sources = tuple((2 * i, 2 * i + 1) for i in range(n_photons))
-    return BasisKeySequence(pairs=pairs, source_indices=sources)
+    return BasisKeySequence(bits=pad.bits[:needed])
 
 
 def recycle_pad(
     pad: PadKey,
-    announced_pair_indices: set[int],
+    announced_pair_indices,
     keys: BasisKeySequence,
     check=None,
 ) -> PadKey:
@@ -119,13 +135,14 @@ def recycle_pad(
     """
     if check is not None and not check.accepted:
         raise ProtocolViolationError("cannot recycle a pad after a failed check")
-    bad = set(announced_pair_indices) - set(range(len(keys)))
-    if bad:
-        raise ValueError(f"announced photon indices {sorted(bad)} outside the key sequence")
-    removed = set()
-    for photon in announced_pair_indices:
-        removed.update(keys.source_indices[photon])
-    keep = np.array([i for i in range(len(pad)) if i not in removed], dtype=np.int64)
+    announced = np.fromiter(announced_pair_indices, dtype=np.int64)
+    bad = announced[(announced < 0) | (announced >= len(keys))]
+    if bad.size:
+        raise ValueError(
+            f"announced photon indices {sorted(set(bad.tolist()))} outside the key sequence"
+        )
+    keep = np.ones(len(pad), dtype=bool)
+    keep[keys.sources[announced]] = False
     return PadKey(
         bits=pad.bits[keep],
         published=frozenset(),
@@ -147,15 +164,9 @@ def mark_published(pad: PadKey, bit_indices: set[int]) -> PadKey:
 
 def pad_to_text(pad: PadKey) -> str:
     """Serialize a pad to the exchange format (generation, hex bits, bit count)."""
-    nibbles = []
-    bits = pad.bits
-    for i in range(0, len(bits), 4):
-        chunk = bits[i : i + 4]
-        val = 0
-        for j, b in enumerate(chunk):
-            val |= int(b) << (3 - j)
-        nibbles.append(f"{val:X}")
-    return f"generation={pad.generation}\n{''.join(nibbles)}\nbits={len(bits)}\n"
+    n_digits = -(-len(pad) // 4)
+    digits = np.packbits(pad.bits).tobytes().hex().upper()[:n_digits]
+    return f"generation={pad.generation}\n{digits}\nbits={len(pad)}\n"
 
 
 def pad_from_text(text: str) -> PadKey:
@@ -165,16 +176,18 @@ def pad_from_text(text: str) -> PadKey:
     if len(lines) < 2 or not lines[0].startswith("generation="):
         raise ValueError("pad file must start with 'generation=<int>' then hex bits")
     generation = int(lines[0].split("=", 1)[1])
+    if generation < 0:
+        raise ValueError(f"pad generation must be nonnegative, got {generation}")
     hexdigits = lines[1]
+    if not re.fullmatch(r"[0-9A-Fa-f]+", hexdigits):
+        raise ValueError(f"pad bits must be hex digits, got {hexdigits[:20]!r}")
     n_bits = 4 * len(hexdigits)
     if len(lines) >= 3 and lines[2].startswith("bits="):
         n_bits = int(lines[2].split("=", 1)[1])
         if not 4 * len(hexdigits) - 3 <= n_bits <= 4 * len(hexdigits):
             raise ValueError(f"bit count {n_bits} inconsistent with {len(hexdigits)} hex digits")
-    bits = np.zeros(n_bits, dtype=np.uint8)
-    for i in range(n_bits):
-        val = int(hexdigits[i // 4], 16)
-        bits[i] = (val >> (3 - i % 4)) & 1
+    packed = bytes.fromhex(hexdigits + "0" * (len(hexdigits) % 2))
+    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))[:n_bits]
     return PadKey(bits=bits, generation=generation)
 
 

@@ -1,26 +1,32 @@
 """The six-step crypto session as an executable state machine.
 
 One session: build the modified message (payload plus hidden sampling bits),
-draw basis keys from the pad, prepare and encode photons, pass each photon
-through the (possibly attacked) channel, decode with the shared keys, compare
-the announced sampling bits, and either recycle the pad and release the
-message or halt.  The transcript keeps the full secret view for analysis; the
-``public_view`` projection is exactly what an eavesdropper may read.
+draw basis keys from the pad, prepare and encode photons, pass them through
+the (possibly attacked) channel, decode with the shared keys, compare the
+announced sampling bits, and either recycle the pad and release the message
+or halt.  The photons run as columns through one batch-kernel call.  The
+transcript keeps the full secret view for analysis; the ``public_view``
+projection is exactly what an eavesdropper may read.
+
+``alice_encode`` and ``bob_decode`` are the object-level encode and decode on
+``quantum`` state vectors, kept as the reference for tests.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
-from . import keystore
-from .adversary import AttackModel, EveRecord, KnownPlaintext, NoAttack, attack_photon, eve_measure_probe, known_plaintext_infer
+from . import kernels, keystore
+from .adversary import AttackModel, EveRecord, KnownPlaintext, NoAttack, posterior_plus_table
 from .keystore import BasisKeySequence, PadKey
 from .quantum import (
-    BasisKeyPair,
+    Basis,
     EncodingOp,
     StateVector,
     apply_encoding,
@@ -48,9 +54,9 @@ class ModifiedMessage:
             raise ValueError("sample positions must be distinct")
         if positions.size and (positions.min() < 0 or positions.max() >= bits.size):
             raise ValueError("sample positions out of range")
-        for p in positions:
-            if self.sample_values[int(p)] != int(bits[p]):
-                raise ValueError("sample_values must match the stored bits")
+        stored = zip(positions.tolist(), bits[positions].tolist())
+        if any(self.sample_values[p] != b for p, b in stored):
+            raise ValueError("sample_values must match the stored bits")
 
     @property
     def n_sample(self) -> int:
@@ -58,9 +64,7 @@ class ModifiedMessage:
 
     def message_bits(self) -> np.ndarray:
         """The original message: all non-sample bits in order."""
-        mask = np.ones(self.bits.size, dtype=bool)
-        mask[self.sample_positions] = False
-        return self.bits[mask]
+        return np.delete(self.bits, self.sample_positions)
 
 
 @dataclass(frozen=True)
@@ -94,146 +98,172 @@ class ErrorReport:
     accepted: bool
 
 
-@dataclass(frozen=True)
-class PhotonRecord:
-    index: int
-    basis_key: BasisKeyPair
-    prepared: StateVector
-    encoding: EncodingOp
-    received_outcome: int
-    decoded_bit: int
+_BASES = (Basis.PLUS, Basis.CROSS)
+_KEY_BITS = ([0, 0], [1, 1], [0, 1], [1, 0])  # basis-key bits selecting H, V, u, d
+_dumps = partial(json.dumps, sort_keys=True, separators=(",", ":"))
+
+# Transcript photon fields but the index, per cell 4 * state + 2 * encoding +
+# outcome (state order H, V, u, d).
+_PHOTON_CELLS = [
+    {
+        "basis_key": _KEY_BITS[s],
+        "prepared": [{"re": float(a), "im": 0.0} for a in kernels.ENC_TABLE[s, 0]],
+        "encoding": EncodingOp(m).name,
+        "received_outcome": o,
+        "decoded_bit": int(o != kernels.PREP_LABEL_OF_STATE[s]),
+    }
+    for s in range(4)
+    for m in (0, 1)
+    for o in (0, 1)
+]
+
+
+def _expand_cells(index_key: str, templates: list[dict], cells: np.ndarray) -> list[dict]:
+    return [{index_key: i, **templates[c]} for i, c in enumerate(cells.tolist())]
+
+
+def _join_cells(index_key: str, templates: list[dict], cells: np.ndarray) -> str:
+    """JSON text of ``_expand_cells``: each template is encoded once around a
+    marker index, and each photon's index is written into its cell's text."""
+    marker = f'"{index_key}":-1'
+    halves = [_dumps({index_key: -1, **t}).split(marker) for t in templates]
+    items = [f'{halves[c][0]}"{index_key}":{i}{halves[c][1]}' for i, c in enumerate(cells.tolist())]
+    return "[" + ",".join(items) + "]"
 
 
 @dataclass
 class SessionTranscript:
-    """Full audit record of one session (secret view plus public projection)."""
+    """Full audit record of one session (secret view plus public projection).
+
+    Per-photon data is held as columns indexed by photon: the receiver's
+    outcome label and decoded bit, the kernel's adversary columns (basis and
+    outcome, -1 where the attack records nothing) and, under known-plaintext
+    inference, the plaintext bit assumed for each photon (2 where none is).
+    ``attack_events`` builds record objects from them on first read.
+    """
 
     config: SessionConfig
     attack: AttackModel
     mm: ModifiedMessage
     keys: BasisKeySequence
-    photons: list[PhotonRecord]
-    attack_events: list[EveRecord]
-    decoded: list[int]
+    received: np.ndarray
+    decoded: np.ndarray
+    eve_basis: np.ndarray
+    eve_outcome: np.ndarray
     error_report: ErrorReport
+    announced_origin_bits: np.ndarray
+    known_bits: np.ndarray | None = None
     recycled_pad: PadKey | None = None
     extracted_message: np.ndarray | None = None
-    announced_origin_bits: list[int] = field(default_factory=list)
+
+    @cached_property
+    def attack_events(self) -> list[EveRecord]:
+        templates, cells = self._event_cells()
+        return [EveRecord(**fields) for fields in _expand_cells("photon_index", templates, cells)]
+
+    def _event_cells(self) -> tuple[list[dict], np.ndarray]:
+        """The adversary's record fields but photon_index, per cell
+        3 * record + known bit, and each photon's cell.  Records are coded as
+        in ``record_likelihoods``."""
+        spec = self.attack.channel_spec()
+        if spec.kind == kernels.ATTACK_NONE:
+            return [], np.zeros(0, dtype=np.int64)
+        ir = spec.kind == kernels.ATTACK_IR
+        eve_outcome = self.eve_outcome.astype(np.int64)
+        record = 2 * self.eve_basis.astype(np.int64) + eve_outcome if ir else eve_outcome
+        posterior = None if self.known_bits is None else posterior_plus_table(spec)
+        templates = []
+        for r in range(4 if ir else 2):
+            if ir:
+                fields = {"kind": "intercept_resend", "eve_basis": _BASES[r // 2],
+                          "eve_outcome": r % 2, "probe_outcome": None, "theta": None,
+                          "attack_basis": None}
+            else:
+                fields = {"kind": "utb", "eve_basis": None, "eve_outcome": None,
+                          "probe_outcome": r, "theta": spec.theta,
+                          "attack_basis": _BASES[spec.attack_basis]}
+            for known in range(3):
+                p = None if posterior is None else float(posterior[known, r])
+                # ties break toward the plus basis
+                guess = None if p is None else _BASES[p < 0.5]
+                templates.append({**fields, "posterior_plus": p, "inferred_basis_guess": guess})
+        known = 0 if self.known_bits is None else self.known_bits
+        return templates, 3 * record + known
 
     def public_view(self) -> dict:
         """Everything an eavesdropper may read: the sampling positions Alice
         announces, the sampling values Bob announces, and the verdict."""
-        positions = [int(p) for p in self.mm.sample_positions]
+        positions = self.mm.sample_positions
         return {
-            "sample_positions": positions,
-            "announced_sample_values": [int(self.decoded[p]) for p in positions],
-            "error_report": {
-                "n_checked": self.error_report.n_checked,
-                "n_errors": self.error_report.n_errors,
-                "rate": self.error_report.rate,
-                "accepted": self.error_report.accepted,
-            },
+            "sample_positions": positions.tolist(),
+            "announced_sample_values": self.decoded[positions].tolist(),
+            "error_report": dataclasses.asdict(self.error_report),
         }
 
     def to_json_dict(self) -> dict:
         """Structured-text form (schema: docs/transcript_schema.json)."""
+        return self._document(_expand_cells)
+
+    def to_json(self) -> str:
+        """``to_json_dict`` as compact, key-sorted JSON text.
+
+        The per-photon arrays are joined from each cell's encoded text rather
+        than encoded photon by photon; the result is byte-identical.
+        """
+        arrays = {}
+
+        def placeholder(index_key, templates, cells):
+            mark = f"\0{len(arrays)}"
+            arrays[_dumps(mark)] = _join_cells(index_key, templates, cells)
+            return mark
+
+        text = _dumps(self._document(placeholder))
+        for mark, array in arrays.items():
+            text = text.replace(mark, array, 1)
+        return text + "\n"
+
+    def _document(self, per_photon) -> dict:
+        """The v1 document, with each per-photon array given by
+        ``per_photon(index key, cell templates, cell of each photon)``."""
+        mm, pad, message = self.mm, self.recycled_pad, self.extracted_message
+        positions = mm.sample_positions.tolist()
+        photon_cells = 4 * self.keys.state_idx + 2 * mm.bits + self.received
+        templates, event_cells = self._event_cells()
+        event_templates = [
+            {k: v.value if isinstance(v, Basis) else v for k, v in t.items()} for t in templates
+        ]
         return {
             "schema": "qotp-transcript-v1",
-            "config": {
-                "n_message": self.config.n_message,
-                "n_sample": self.config.n_sample,
-                "abort_threshold": self.config.abort_threshold,
-                "seed": self.config.seed,
-                "allow_insecure_demo": self.config.allow_insecure_demo,
-            },
-            "attack": describe_attack(self.attack),
+            "config": dataclasses.asdict(self.config),
+            "attack": self.attack.channel_spec().description,
             "secret_view": {
-                "modified_bits": [int(b) for b in self.mm.bits],
+                "modified_bits": mm.bits.tolist(),
                 "sample_values": [
-                    {"position": int(p), "value": int(self.mm.sample_values[int(p)])}
-                    for p in self.mm.sample_positions
+                    {"position": p, "value": v}
+                    for p, v in zip(positions, mm.bits[positions].tolist())
                 ],
-                "photons": [_photon_to_json(ph) for ph in self.photons],
-                "attack_events": [_event_to_json(ev) for ev in self.attack_events],
-                "decoded_bits": [int(b) for b in self.decoded],
-                "extracted_message": None
-                if self.extracted_message is None
-                else [int(b) for b in self.extracted_message],
-                "extracted_message_digest": None
-                if self.extracted_message is None
-                else message_digest(self.extracted_message),
+                "photons": per_photon("index", _PHOTON_CELLS, photon_cells),
+                "attack_events": per_photon("photon_index", event_templates, event_cells),
+                "decoded_bits": self.decoded.tolist(),
+                "extracted_message": None if message is None else message.tolist(),
+                "extracted_message_digest": None if message is None else message_digest(message),
                 "recycled_pad": None
-                if self.recycled_pad is None
+                if pad is None
                 else {
-                    "generation": self.recycled_pad.generation,
-                    "hex": keystore.pad_to_text(self.recycled_pad).splitlines()[1],
-                    "bits": len(self.recycled_pad),
+                    "generation": pad.generation,
+                    "hex": keystore.pad_to_text(pad).splitlines()[1],
+                    "bits": len(pad),
                 },
             },
             "public_view": self.public_view(),
-            "error_report": {
-                "n_checked": self.error_report.n_checked,
-                "n_errors": self.error_report.n_errors,
-                "rate": self.error_report.rate,
-                "accepted": self.error_report.accepted,
-            },
+            "error_report": dataclasses.asdict(self.error_report),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
-
-
-def describe_attack(attack: AttackModel) -> dict:
-    from .adversary import IndividualUTB, InterceptResend
-
-    if isinstance(attack, NoAttack):
-        return {"kind": "none"}
-    if isinstance(attack, InterceptResend):
-        return {"kind": "intercept_resend", "ir_basis": attack.basis_strategy.value}
-    if isinstance(attack, IndividualUTB):
-        return {
-            "kind": "utb",
-            "theta": float(attack.theta),
-            "utb_basis": attack.attack_basis.value,
-        }
-    if isinstance(attack, KnownPlaintext):
-        inner = describe_attack(attack.inner)
-        inner["known_plaintext"] = True
-        return inner
-    raise TypeError(f"unknown attack {attack!r}")
-
-
-def _photon_to_json(ph: PhotonRecord) -> dict:
-    return {
-        "index": ph.index,
-        "basis_key": [ph.basis_key.b0, ph.basis_key.b1],
-        "prepared": [{"re": float(a.real), "im": float(a.imag)} for a in ph.prepared.amps],
-        "encoding": ph.encoding.name,
-        "received_outcome": ph.received_outcome,
-        "decoded_bit": ph.decoded_bit,
-    }
-
-
-def _event_to_json(ev: EveRecord) -> dict:
-    return {
-        "photon_index": ev.photon_index,
-        "kind": ev.kind,
-        "eve_basis": None if ev.eve_basis is None else ev.eve_basis.value,
-        "eve_outcome": ev.eve_outcome,
-        "probe_outcome": ev.probe_outcome,
-        "theta": ev.theta,
-        "attack_basis": None if ev.attack_basis is None else ev.attack_basis.value,
-        "inferred_basis_guess": None
-        if ev.inferred_basis_guess is None
-        else ev.inferred_basis_guess.value,
-        "posterior_plus": ev.posterior_plus,
-    }
 
 
 def message_digest(bits: np.ndarray) -> str:
     """SHA-256 of the bit string, so logs never carry plaintext by default."""
-    text = "".join(str(int(b)) for b in np.asarray(bits).reshape(-1))
-    return hashlib.sha256(text.encode("ascii")).hexdigest()
+    text = np.asarray(bits, dtype=np.uint8).reshape(-1) + ord("0")
+    return hashlib.sha256(text.tobytes()).hexdigest()
 
 
 def build_modified_message(
@@ -256,7 +286,7 @@ def build_modified_message(
     mask[positions] = False
     bits[mask] = message
     bits[positions] = sample_bits
-    values = {int(p): int(v) for p, v in zip(positions, sample_bits)}
+    values = dict(zip(positions.tolist(), sample_bits.tolist()))
     return ModifiedMessage(bits=bits, sample_positions=positions, sample_values=values)
 
 
@@ -273,48 +303,52 @@ def alice_encode(keys: BasisKeySequence, mm: ModifiedMessage) -> list[StateVecto
     ]
 
 
-def _decode_photon(
-    photon: StateVector, pair: BasisKeyPair, rng: RandomStream
-) -> tuple[int, int, StateVector | None]:
-    """Measure one received photon in its preparation basis.
-
-    Returns (outcome label, decoded bit, conditional probe state or None).
-    The decoded bit is 0 when the outcome reproduces the prepared eigenstate
-    and 1 when it lands on the in-basis image of the swap encoding.
-    """
-    probe = None
-    if photon.dim == 4:
-        outcome, probe = measure_photon_of_joint(photon, pair.basis, rng)
-    else:
-        outcome, _ = measure(photon, pair.basis, rng)
-    decoded = 0 if outcome == pair.eigenstate_label else 1
-    return outcome, decoded, probe
-
-
 def bob_decode(
     photons: list[StateVector], keys: BasisKeySequence, rng: RandomStream
 ) -> list[int]:
-    """Decode a photon sequence with the shared basis keys."""
+    """Decode a photon sequence with the shared basis keys.
+
+    Each photon (or the photon factor of a photon-probe state) is measured in
+    its preparation basis; the decoded bit is 0 when the outcome reproduces
+    the prepared eigenstate and 1 when it lands on the swap encoding's image.
+    """
     if len(photons) != len(keys):
         raise ValueError(f"{len(photons)} photons for {len(keys)} basis keys")
-    return [
-        _decode_photon(photon, pair, rng)[1]
-        for photon, pair in zip(photons, keys.pairs)
-    ]
+    decoded = []
+    for photon, pair in zip(photons, keys.pairs):
+        measure_fn = measure_photon_of_joint if photon.dim == 4 else measure
+        outcome, _ = measure_fn(photon, pair.basis, rng)
+        decoded.append(0 if outcome == pair.eigenstate_label else 1)
+    return decoded
 
 
-def eavesdrop_check(mm: ModifiedMessage, decoded: list[int], threshold: float) -> ErrorReport:
+def eavesdrop_check(mm: ModifiedMessage, decoded, threshold: float) -> ErrorReport:
     """Compare announced sampling values against the sender's record."""
-    if len(decoded) != mm.bits.size:
+    decoded = np.asarray(decoded)
+    if decoded.size != mm.bits.size:
         raise ValueError("decoded sequence length mismatch")
+    positions = mm.sample_positions
     n_checked = mm.n_sample
-    n_errors = sum(
-        1 for p in mm.sample_positions if decoded[int(p)] != mm.sample_values[int(p)]
-    )
+    n_errors = int(np.count_nonzero(decoded[positions] != mm.bits[positions]))
     rate = n_errors / n_checked if n_checked else 0.0
     return ErrorReport(
         n_checked=n_checked, n_errors=n_errors, rate=rate, accepted=rate <= threshold
     )
+
+
+def _known_bit_codes(known_message, mm: ModifiedMessage) -> np.ndarray:
+    """Per photon, the plaintext bit the adversary assumes it carries, or 2
+    where the plaintext does not cover it (announced sampling positions).
+
+    The plaintext is laid over the non-sample slots of len(known) + n_sample
+    photons, so a plaintext of the wrong length still lines up from the start.
+    """
+    known = np.asarray(known_message, dtype=np.int64).reshape(-1)
+    slots = np.setdiff1d(np.arange(known.size + mm.n_sample), mm.sample_positions)
+    slots = slots[slots < mm.bits.size][: known.size]
+    codes = np.full(mm.bits.size, 2, dtype=np.int64)
+    codes[slots] = known[: slots.size]
+    return codes
 
 
 def run_session(
@@ -334,57 +368,33 @@ def run_session(
     rng = make_rng(config.seed)
     mm = build_modified_message(message, config.n_sample, rng)
     keys = keystore.draw_basis_keys(pad, int(mm.bits.size))
-    ciphertext = alice_encode(keys, mm)
-
-    photons: list[PhotonRecord] = []
-    events: list[EveRecord] = []
-    decoded: list[int] = []
-    for i, sent in enumerate(ciphertext):
-        travelling, record = attack_photon(attack, sent, rng, i)
-        outcome, bit, probe = _decode_photon(travelling, keys.pairs[i], rng)
-        if record is not None:
-            if probe is not None:
-                record.probe_state = probe
-                eve_measure_probe(record, rng)
-            events.append(record)
-        decoded.append(bit)
-        photons.append(
-            PhotonRecord(
-                index=i,
-                basis_key=keys.pairs[i],
-                prepared=state_from_basis_key(keys.pairs[i]),
-                encoding=EncodingOp(int(mm.bits[i])),
-                received_outcome=outcome,
-                decoded_bit=bit,
-            )
-        )
-
-    if isinstance(attack, KnownPlaintext):
-        known_plaintext_infer(events, attack.known_message, set(int(p) for p in mm.sample_positions))
+    state_idx = keys.state_idx
+    spec = attack.channel_spec()
+    # every photon is measured in its preparation basis
+    received, eve_basis, eve_outcome = kernels.simulate_photons(
+        state_idx, mm.bits, kernels.PREP_BASIS_OF_STATE[state_idx],
+        spec.kind, spec.ir_strategy, spec.theta, spec.attack_basis, rng=rng,
+    )
+    decoded = (received != kernels.PREP_LABEL_OF_STATE[state_idx]).astype(np.uint8)
 
     report = eavesdrop_check(mm, decoded, config.abort_threshold)
-
-    announced_origins = [
-        int(pad.origin_indices[src])
-        for p in mm.sample_positions
-        for src in keys.source_indices[int(p)]
-    ]
-
+    announced = mm.sample_positions
     transcript = SessionTranscript(
         config=config,
         attack=attack,
         mm=mm,
         keys=keys,
-        photons=photons,
-        attack_events=events,
+        received=received,
         decoded=decoded,
+        eve_basis=eve_basis,
+        eve_outcome=eve_outcome,
         error_report=report,
-        announced_origin_bits=announced_origins,
+        announced_origin_bits=pad.origin_indices[keys.sources[announced].ravel()],
+        known_bits=_known_bit_codes(attack.known_message, mm)
+        if isinstance(attack, KnownPlaintext)
+        else None,
     )
     if report.accepted:
-        announced = set(int(p) for p in mm.sample_positions)
         transcript.recycled_pad = keystore.recycle_pad(pad, announced, keys, check=report)
-        mask = np.ones(mm.bits.size, dtype=bool)
-        mask[mm.sample_positions] = False
-        transcript.extracted_message = np.array(decoded, dtype=np.uint8)[mask]
+        transcript.extracted_message = np.delete(decoded, announced)
     return transcript

@@ -3,7 +3,8 @@
 Every stochastic operation in this package takes an explicit numpy
 ``Generator`` (the "random stream"), so a run is fully determined by its
 seeds.  Sweeps over a parameter grid give each grid point an independent
-stream derived as ``splitmix64(seed XOR index)``.
+stream derived as ``splitmix64(seed XOR index)``; the CLI derives the seed of
+each stream it creates from a (role, index) label with ``role_seed``.
 """
 
 from __future__ import annotations
@@ -35,3 +36,14 @@ def derive_subseed(seed: int, index: int) -> int:
     top-level seed.
     """
     return splitmix64((seed & _MASK64) ^ (index & _MASK64))
+
+
+def role_seed(seed: int, role: int, index: int = 0) -> int:
+    """Seed of stream ``index`` of ``role`` under a top-level seed.
+
+    Derived as ``SeedSequence(seed, spawn_key=(role, index))``, so streams of
+    different roles or indices are independent, and no role can land on
+    another role's stream.
+    """
+    sequence = np.random.SeedSequence(seed & _MASK64, spawn_key=(role, index))
+    return int(sequence.generate_state(1, np.uint64)[0])

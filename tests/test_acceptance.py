@@ -12,8 +12,19 @@ import time
 import numpy as np
 import pytest
 
-from qotp import cli
-from qotp.adversary import IndividualUTB, InterceptResend, NoAttack
+from qotp import cli, kernels
+from qotp.adversary import (
+    EveRecord,
+    IndividualUTB,
+    InterceptResend,
+    IRStrategy,
+    KnownPlaintext,
+    NoAttack,
+    _record_likelihood,
+    known_plaintext_infer,
+    posterior_plus_table,
+    record_likelihoods,
+)
 from qotp.analysis import (
     MI_ESTIMATOR_SLACK,
     empirical_mutual_information,
@@ -27,7 +38,15 @@ from qotp.analysis import (
 from qotp.errors import PoleError
 from qotp.keystore import generate_pad
 from qotp.protocol import SessionConfig, run_session
-from qotp.quantum import Basis, EncodingOp, PREP_STATES, apply_encoding, utb_apply
+from qotp.quantum import (
+    PREP_BASIS,
+    PREP_LABEL,
+    Basis,
+    EncodingOp,
+    PREP_STATES,
+    apply_encoding,
+    utb_apply,
+)
 from qotp.rng import make_rng
 
 
@@ -289,4 +308,132 @@ def test_criterion_10_born_rule_oracle_equivalence():
         "24 state/basis/attack cells match exact projection probabilities (3 sigma)",
         ok,
         f"cells {case}, worst margin {worst:+.2e}",
+    )
+
+
+def oracle_error_probability(state_idx: int, enc: int, attack) -> float:
+    """Exact P(decode error) for one photon from explicit state vectors."""
+    if isinstance(attack, KnownPlaintext):
+        attack = attack.inner
+    s = apply_encoding(EncodingOp(enc), PREP_STATES[state_idx])
+    prep = PREP_BASIS[state_idx]
+    wrong_label = 1 - (PREP_LABEL[state_idx] ^ enc)
+    wrong = prep.eigenstates()[wrong_label]
+    if isinstance(attack, NoAttack):
+        return abs(np.vdot(wrong, s.amps)) ** 2
+    if isinstance(attack, InterceptResend):
+        if attack.basis_strategy is IRStrategy.RANDOM:
+            bases = [(Basis.PLUS, 0.5), (Basis.CROSS, 0.5)]
+        else:
+            bases = [(Basis(attack.basis_strategy.value), 1.0)]
+        total = 0.0
+        for eve_basis, weight in bases:
+            for eig in eve_basis.eigenstates():
+                total += weight * abs(np.vdot(eig, s.amps)) ** 2 * abs(np.vdot(wrong, eig)) ** 2
+        return total
+    joint = utb_apply(s, attack.theta, attack.attack_basis)
+    amps = prep.eigenstates().conj() @ joint.amps.reshape(2, 2)
+    return float(np.sum(np.abs(amps[wrong_label]) ** 2))
+
+
+def test_criterion_11_session_oracle_equivalence():
+    n = 20_000
+    attacks = [
+        NoAttack(),
+        InterceptResend(),
+        InterceptResend(IRStrategy.FIXED_PLUS),
+        InterceptResend(IRStrategy.FIXED_CROSS),
+        IndividualUTB(theta=np.pi / 8, attack_basis=Basis.PLUS),
+        IndividualUTB(theta=np.pi / 4, attack_basis=Basis.CROSS),
+        KnownPlaintext(inner=IndividualUTB(theta=3 * np.pi / 16), known_message=()),
+    ]
+    ok = True
+    worst = -np.inf
+    cells = 0
+    for k, attack in enumerate(attacks):
+        pad = generate_pad(2 * n, make_rng(110 + k))
+        cfg = SessionConfig(n_message=0, n_sample=n, seed=120 + k,
+                            abort_threshold=1.0, allow_insecure_demo=True)
+        t = run_session(cfg, pad, [], attack)
+        errors = t.decoded != t.mm.bits
+        state_idx = np.array([p.state_index for p in t.keys.pairs])
+        for idx in range(4):
+            sel = state_idx == idx
+            # exact expectation and variance given the photons' encodings
+            p = np.array([oracle_error_probability(idx, int(m), attack) for m in (0, 1)])
+            p_photon = p[t.mm.bits[sel]]
+            expected = p_photon.mean()
+            sigma = np.sqrt(np.sum(p_photon * (1 - p_photon))) / sel.sum()
+            margin = abs(errors[sel].mean() - expected) - (3 * sigma + 1e-12)
+            ok = ok and margin <= 0
+            worst = max(worst, margin)
+            cells += 1
+    report(
+        11,
+        "columnar sessions: decode errors per (state, attack) cell within 3 sigma of the oracle",
+        ok,
+        f"cells {cells}, {n} photons per attack, worst margin {worst:+.2e}",
+    )
+
+
+def test_criterion_12_known_plaintext_posteriors_match_oracle():
+    # table level: every record kind, adversary basis/outcome or probe outcome,
+    # state and encoding; posteriors for known bit 0, 1 and unknown
+    specs = [InterceptResend().channel_spec()] + [
+        IndividualUTB(theta=theta, attack_basis=basis).channel_spec()
+        for basis in Basis
+        for theta in (0.0, np.pi / 16, np.pi / 8, np.pi / 4)
+    ]
+    worst = 0.0
+    for spec in specs:
+        table = record_likelihoods(spec)
+        posterior = posterior_plus_table(spec)
+        for r in range(table.shape[2]):
+            if spec.kind == kernels.ATTACK_IR:
+                fields = {"kind": "intercept_resend",
+                          "eve_basis": (Basis.PLUS, Basis.CROSS)[r // 2], "eve_outcome": r % 2}
+            else:
+                fields = {"kind": "utb", "probe_outcome": r, "theta": spec.theta,
+                          "attack_basis": (Basis.PLUS, Basis.CROSS)[spec.attack_basis]}
+            for idx in range(4):
+                for m in (0, 1):
+                    encoded = apply_encoding(EncodingOp(m), PREP_STATES[idx])
+                    oracle = _record_likelihood(EveRecord(photon_index=0, **fields), encoded.amps)
+                    worst = max(worst, abs(table[idx, m, r] - oracle))
+            # photons 0 and 1 carry known bits 0 and 1, photon 2 a sample bit
+            records = [EveRecord(photon_index=i, **fields) for i in range(3)]
+            known_plaintext_infer(records, (0, 1), {2})
+            for known, record in enumerate(records):
+                worst = max(worst, abs(posterior[known, r] - record.posterior_plus))
+
+    # session level: every event's posterior against the record-based oracle
+    message = make_rng(130).integers(0, 2, 300, dtype=np.uint8)
+    pad = generate_pad(2 * 400, make_rng(131))
+    events = 0
+    guesses_agree = True
+    for k, inner in enumerate([InterceptResend(), IndividualUTB(theta=np.pi / 8),
+                               IndividualUTB(theta=np.pi / 4, attack_basis=Basis.CROSS)]):
+        attack = KnownPlaintext(inner=inner, known_message=tuple(message.tolist()))
+        cfg = SessionConfig(n_message=300, n_sample=100, seed=132 + k,
+                            abort_threshold=1.0, allow_insecure_demo=True)
+        t = run_session(cfg, pad, message, attack)
+        oracle_records = [
+            EveRecord(photon_index=ev.photon_index, kind=ev.kind, eve_basis=ev.eve_basis,
+                      eve_outcome=ev.eve_outcome, probe_outcome=ev.probe_outcome,
+                      theta=ev.theta, attack_basis=ev.attack_basis)
+            for ev in t.attack_events
+        ]
+        known_plaintext_infer(oracle_records, attack.known_message,
+                              set(t.mm.sample_positions.tolist()))
+        for ev, oracle in zip(t.attack_events, oracle_records):
+            worst = max(worst, abs(ev.posterior_plus - oracle.posterior_plus))
+            if abs(oracle.posterior_plus - 0.5) > 1e-12:
+                same = ev.inferred_basis_guess is oracle.inferred_basis_guess
+                guesses_agree = guesses_agree and same
+            events += 1
+    report(
+        12,
+        "known-plaintext likelihood table and posteriors equal the record oracle to 1e-12",
+        worst <= 1e-12 and guesses_agree and events == 3 * 400,
+        f"{len(specs)} record kinds, {events} session events, worst {worst:.1e}",
     )

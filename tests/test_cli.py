@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qotp import cli
+from qotp import cli, protocol
 from qotp.analysis import BOUNDS_CSV_HEADER, SWEEP_CSV_HEADER
 from qotp.keystore import generate_pad, save_pad
 from qotp.rng import make_rng
@@ -213,3 +213,41 @@ class TestRecycleDemo:
         )
         assert rc == cli.EXIT_ERROR
         assert "pad exhausted" in capsys.readouterr().err
+
+
+class TestSeedRoles:
+    def test_recycle_demo_streams_are_distinct(self, monkeypatch, capsys):
+        # the pad, every message and every session get a stream of their own
+        seeds = []
+
+        def recording(seed):
+            seeds.append(seed)
+            return make_rng(seed)
+
+        monkeypatch.setattr(cli, "make_rng", recording)
+        monkeypatch.setattr(protocol, "make_rng", recording)
+        rc = cli.main(["recycle-demo", "--sessions", "5", "--seed", "1"])
+        assert rc == cli.EXIT_OK
+        assert len(seeds) == 1 + 5 + 5
+        assert len(set(seeds)) == len(seeds)
+
+
+class TestBoundaryErrors:
+    @pytest.mark.parametrize(
+        "argv,env",
+        [
+            (["bounds", "--d-grid", "nan"], {}),
+            (["bounds"], {"QOTP_SEED": "abc"}),
+            (["recycle-demo", "--sessions", "2", "--attack-session", "5",
+              "--attack", "intercept_resend"], {}),
+        ],
+        ids=["nan-grid-point", "non-integer-env-seed", "attack-session-past-the-end"],
+    )
+    def test_one_line_error_exit_1(self, argv, env, monkeypatch, capsys):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        rc = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert rc == cli.EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1

@@ -1,66 +1,151 @@
-"""Batch-kernel tests: the numba and numpy backends must agree bit for bit,
-the env flag must select the fallback, and batch statistics must match the
-exact projection probabilities of the object-level simulator."""
-
-import subprocess
-import sys
+"""Batch-kernel tests: with pinned uniforms every outcome must flip exactly at
+the projection probability of the object-level simulator, and batch
+statistics must match those probabilities."""
 
 import numpy as np
 import pytest
 
 from qotp import kernels
-from qotp.quantum import Basis, EncodingOp, PREP_STATES, apply_encoding, utb_apply
+from qotp.adversary import (
+    IndividualUTB,
+    InterceptResend,
+    IRStrategy,
+    NoAttack,
+    attack_photon,
+    eve_measure_probe,
+)
+from qotp.quantum import (
+    Basis,
+    EncodingOp,
+    PREP_STATES,
+    apply_encoding,
+    measure,
+    measure_photon_of_joint,
+    utb_apply,
+)
 from qotp.rng import make_rng
 
-needs_numba = pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba backend not active")
+# Distance of a pinned uniform from the decision threshold; the kernel's real
+# arithmetic and the oracle's complex arithmetic agree far closer than this.
+EDGE = 1e-12
 
 
-def _batch_args(n, seed):
-    rng = make_rng(seed)
-    state = rng.integers(0, 4, n)
-    enc = rng.integers(0, 2, n)
-    mb = rng.integers(0, 2, n)
-    u = rng.random((n, 3))
-    return state, enc, mb, u
+class PinnedStream:
+    """A random stream that hands out fixed uniforms in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
 
 
-@needs_numba
-class TestBackendEquivalence:
-    @pytest.mark.parametrize(
-        "kind,strategy,theta,basis",
-        [
-            (kernels.ATTACK_NONE, 0, 0.0, 0),
-            (kernels.ATTACK_IR, kernels.IR_RANDOM, 0.0, 0),
-            (kernels.ATTACK_IR, kernels.IR_FIXED_PLUS, 0.0, 0),
-            (kernels.ATTACK_IR, kernels.IR_FIXED_CROSS, 0.0, 0),
-            (kernels.ATTACK_UTB, 0, np.pi / 4, 0),
-            (kernels.ATTACK_UTB, 0, np.pi / 8, 1),
-            (kernels.ATTACK_UTB, 0, 0.0, 1),
-        ],
+def either_side(p):
+    """Uniforms just below and just above p that lie in [0, 1)."""
+    return [u for u in (p - EDGE, p + EDGE) if 0.0 <= u < 1.0]
+
+
+def oracle_photon(state_idx, enc, meas, model, u):
+    """One photon through the object-level chain, which draws the pinned
+    uniforms in the kernel's column roles (0 adversary basis, 1 adversary
+    outcome or probe, 2 receiver).  Returns (receiver outcome, record)."""
+    u0, u1, u2 = u
+    if isinstance(model, InterceptResend):
+        order = [u0, u1, u2] if model.basis_strategy is IRStrategy.RANDOM else [u1, u2]
+    elif isinstance(model, IndividualUTB):
+        order = [u2, u1]
+    else:
+        order = [u2]
+    rng = PinnedStream(order)
+    s = apply_encoding(EncodingOp(enc), PREP_STATES[state_idx])
+    travelling, record = attack_photon(model, s, rng)
+    if travelling.dim == 4:
+        outcome, probe = measure_photon_of_joint(travelling, meas, rng)
+        eve_measure_probe(record, probe, rng)
+    else:
+        outcome, _ = measure(travelling, meas, rng)
+    assert rng.values == []
+    return outcome, record
+
+
+def kernel_photon(state_idx, enc, meas, model, u):
+    spec = model.channel_spec()
+    bob, eve_basis, eve_out = kernels.simulate_photons(
+        [state_idx], [enc], [meas.index], spec.kind, spec.ir_strategy, spec.theta,
+        spec.attack_basis, uniforms=np.array([u]),
     )
-    def test_bit_identical(self, kind, strategy, theta, basis):
-        state, enc, mb, u = _batch_args(30_000, seed=kind * 100 + strategy * 10 + basis)
-        ct, st_ = float(np.cos(theta)), float(np.sin(theta))
-        out_nb = kernels.simulate_photons_numba(state, enc, mb, kind, strategy, ct, st_, basis, u)
-        out_np = kernels.simulate_photons_numpy(state, enc, mb, kind, strategy, ct, st_, basis, u)
-        for a, b in zip(out_nb, out_np):
-            assert np.array_equal(a, b)
+    return int(bob[0]), int(eve_basis[0]), int(eve_out[0])
 
 
-class TestEnvFlag:
-    def test_no_numba_env_selects_numpy(self):
-        code = (
-            "import os; os.environ['QOTP_NO_NUMBA']='1'; "
-            "from qotp import kernels; "
-            "print(kernels.backend_name(), kernels.simulate_photons_numba is None)"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
-        )
-        assert out.stdout.split() == ["numpy", "True"]
+def pinned_cells(model, s, meas):
+    """(uniforms, expected kernel output) on both sides of every decision the
+    oracle's projection probabilities define for one encoded state."""
+    e1 = meas.eigenstates()[1]
+    if isinstance(model, NoAttack):
+        p_bob = abs(np.vdot(e1, s.amps)) ** 2
+        return [((0.5, 0.5, u2), (int(u2 < p_bob), -1, -1)) for u2 in either_side(p_bob)]
+    cells = []
+    if isinstance(model, InterceptResend):
+        if model.basis_strategy is IRStrategy.RANDOM:
+            choices = [(Basis.PLUS, 0.5 - EDGE), (Basis.CROSS, 0.5 + EDGE)]
+        else:
+            choices = [(Basis(model.basis_strategy.value), 0.5)]
+        for eve_basis, u0 in choices:
+            eig = eve_basis.eigenstates()
+            p_eve = abs(np.vdot(eig[1], s.amps)) ** 2
+            for u1 in either_side(p_eve):
+                eo = int(u1 < p_eve)
+                p_bob = abs(np.vdot(e1, eig[eo])) ** 2
+                for u2 in either_side(p_bob):
+                    cells.append(((u0, u1, u2), (int(u2 < p_bob), eve_basis.index, eo)))
+        return cells
+    joint = utb_apply(s, model.theta, model.attack_basis)
+    amps = meas.eigenstates().conj() @ joint.amps.reshape(2, 2)
+    p_bob = float(np.sum(np.abs(amps[1]) ** 2))
+    for u2 in either_side(p_bob):
+        bob = int(u2 < p_bob)
+        p_probe = float(abs(amps[bob, 1]) ** 2 / np.sum(np.abs(amps[bob]) ** 2))
+        for u1 in either_side(p_probe):
+            cells.append(((0.5, u1, u2), (bob, -1, int(u1 < p_probe))))
+    return cells
 
-    def test_default_backend_reported(self):
-        assert kernels.backend_name() in ("numba", "numpy")
+
+CHANNELS = [NoAttack()] + [InterceptResend(strategy) for strategy in IRStrategy] + [
+    IndividualUTB(theta=theta, attack_basis=basis)
+    for basis in Basis
+    for theta in (0.0, np.pi / 16, np.pi / 8, 3 * np.pi / 16, np.pi / 4)
+]
+
+
+def channel_id(model):
+    if isinstance(model, InterceptResend):
+        return f"ir-{model.basis_strategy.value}"
+    if isinstance(model, IndividualUTB):
+        return f"utb-{model.attack_basis.value}-{model.theta:.4f}"
+    return "none"
+
+
+@pytest.mark.parametrize("model", CHANNELS, ids=channel_id)
+def test_pinned_uniforms_flip_at_oracle_probabilities(model):
+    # every cell: 4 states x 2 encodings x 2 receiver bases, each adversary
+    # basis and outcome; a uniform just below an oracle probability must give
+    # outcome 1 and one just above it outcome 0, in the kernel and the oracle
+    checked = 0
+    for state_idx in range(4):
+        for enc in (0, 1):
+            s = apply_encoding(EncodingOp(enc), PREP_STATES[state_idx])
+            for meas in Basis:
+                for u, expected in pinned_cells(model, s, meas):
+                    got = kernel_photon(state_idx, enc, meas, model, u)
+                    assert got == expected, (state_idx, enc, meas, u)
+                    bob, record = oracle_photon(state_idx, enc, meas, model, u)
+                    assert bob == expected[0]
+                    if isinstance(model, InterceptResend):
+                        assert (record.eve_basis.index, record.eve_outcome) == expected[1:]
+                    elif isinstance(model, IndividualUTB):
+                        assert record.probe_outcome == expected[2]
+                    checked += 1
+    assert checked >= 16
 
 
 class TestAgainstExactProjections:

@@ -200,3 +200,30 @@ class TestPadFiles:
         pad = generate_pad(length, make_rng(seed))
         back = pad_from_text(pad_to_text(pad))
         assert np.array_equal(back.bits, pad.bits)
+
+    def test_negative_generation_rejected(self):
+        with pytest.raises(ValueError, match="generation"):
+            pad_from_text("generation=-3\nF0\nbits=8\n")
+
+    def test_non_hex_digits_rejected(self):
+        with pytest.raises(ValueError):
+            pad_from_text("generation=0\nF G0\n")
+
+    @given(
+        st.integers(min_value=1, max_value=4096),
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=0, max_value=2**40),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_round_trip_matches_nibble_reference(self, length, seed, generation):
+        pad = PadKey(bits=generate_pad(length, make_rng(seed)).bits, generation=generation)
+        text = pad_to_text(pad)
+        # reference encoder: one hex digit per 4 bits, MSB first, zero-filled
+        nibbles = "".join(
+            f"{int(''.join(map(str, pad.bits[i:i + 4])).ljust(4, '0'), 2):X}"
+            for i in range(0, length, 4)
+        )
+        assert text == f"generation={generation}\n{nibbles}\nbits={length}\n"
+        back = pad_from_text(text)
+        assert np.array_equal(back.bits, pad.bits)
+        assert back.generation == generation

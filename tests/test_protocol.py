@@ -22,7 +22,7 @@ from qotp.protocol import (
     eavesdrop_check,
     run_session,
 )
-from qotp.quantum import BasisKeyPair, KET_U
+from qotp.quantum import Basis, BasisKeyPair, KET_U, state_from_basis_key
 from qotp.rng import make_rng
 
 SCHEMA = json.loads(
@@ -275,6 +275,59 @@ class TestTranscriptExport:
         doc = t.to_json_dict()
         assert doc["attack"]["known_plaintext"] is True
         jsonschema.validate(doc, SCHEMA)
+
+    @pytest.mark.parametrize(
+        "inner", [NoAttack(), InterceptResend(), IndividualUTB(theta=np.pi / 8)]
+    )
+    @pytest.mark.parametrize("known_plaintext", [False, True])
+    def test_json_text_is_the_compact_sorted_dict(self, inner, known_plaintext):
+        from qotp.adversary import KnownPlaintext
+
+        message = make_rng(56).integers(0, 2, 40, dtype=np.uint8)
+        pad = generate_pad(2 * 60, make_rng(57))
+        attack = inner
+        if known_plaintext:
+            attack = KnownPlaintext(inner=inner, known_message=tuple(message.tolist()))
+        cfg = SessionConfig(n_message=40, n_sample=20, seed=58,
+                            abort_threshold=1.0, allow_insecure_demo=True)
+        t = run_session(cfg, pad, message, attack)
+        text = t.to_json()
+        assert text == json.dumps(t.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        assert "\n" not in text[:-1]
+
+    @pytest.mark.parametrize(
+        "attack", [InterceptResend(), IndividualUTB(theta=np.pi / 4, attack_basis=Basis.CROSS)]
+    )
+    def test_json_records_match_the_session(self, attack):
+        message = make_rng(59).integers(0, 2, 40, dtype=np.uint8)
+        pad = generate_pad(2 * 60, make_rng(60))
+        cfg = SessionConfig(n_message=40, n_sample=20, seed=61,
+                            abort_threshold=1.0, allow_insecure_demo=True)
+        t = run_session(cfg, pad, message, attack)
+        view = t.to_json_dict()["secret_view"]
+        assert len(view["photons"]) == len(view["attack_events"]) == 60
+        rows = zip(view["photons"], view["attack_events"], t.keys.pairs)
+        for i, (ph, ev, pair) in enumerate(rows):
+            assert ph["index"] == ev["photon_index"] == i
+            assert ph["basis_key"] == [pair.b0, pair.b1]
+            amps = state_from_basis_key(pair).amps
+            assert [(a["re"], a["im"]) for a in ph["prepared"]] == [(a.real, a.imag) for a in amps]
+            assert ph["encoding"] == f"U{t.mm.bits[i]}"
+            assert ph["decoded_bit"] == view["decoded_bits"][i] == t.decoded[i]
+            # the decoded bit is 1 exactly when the outcome is not the prepared eigenstate
+            assert ph["decoded_bit"] == int(ph["received_outcome"] != pair.eigenstate_label)
+            record = t.attack_events[i]
+            basis = record.eve_basis
+            assert ev["eve_basis"] == (None if basis is None else basis.value)
+            assert ev["eve_outcome"] == record.eve_outcome
+            assert ev["probe_outcome"] == record.probe_outcome
+        if isinstance(attack, InterceptResend):
+            assert [ev.eve_basis.index for ev in t.attack_events] == t.eve_basis.tolist()
+            assert [ev.eve_outcome for ev in t.attack_events] == t.eve_outcome.tolist()
+        else:
+            assert [ev.probe_outcome for ev in t.attack_events] == t.eve_outcome.tolist()
+            probes = {(ev.theta, ev.attack_basis) for ev in t.attack_events}
+            assert probes == {(np.pi / 4, Basis.CROSS)}
 
     def test_json_deterministic(self):
         def once():
