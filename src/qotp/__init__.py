@@ -19,10 +19,7 @@ from .adversary import (
     utb_intercept,
 )
 from .analysis import (
-    BoundKind,
-    BoundPoint,
     ErrorSubset,
-    bound_curve,
     d_of_theta,
     empirical_error_rate,
     empirical_mutual_information,
@@ -72,6 +69,6 @@ from .quantum import (
     states_equal_up_to_phase,
     utb_apply,
 )
-from .rng import derive_subseed, make_rng, role_seed, splitmix64
+from .rng import make_rng, role_seed
 
 __version__ = "0.1.0"

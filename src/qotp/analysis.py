@@ -19,6 +19,7 @@ session transcripts or from batched kernel runs with uniformly random pads.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,7 +29,7 @@ from . import kernels
 from .adversary import AttackModel, IndividualUTB
 from .errors import PoleError
 from .quantum import Basis
-from .rng import RandomStream
+from .rng import ROLE_SWEEP, RandomStream, make_rng, role_seed
 
 # Plug-in MI estimator slack for seeded bound comparisons at n = 1e5
 # (estimator bias is O(cells/n); at most 8 cells here).
@@ -38,11 +39,18 @@ _LN2 = np.log(2.0)
 _POLE_DM = 1.0 / (8.0 * np.sqrt(2.0))
 
 
+def _listed(values: np.ndarray) -> str:
+    return ", ".join(f"{v:.12g}" for v in values)
+
+
 def _eval(x, domain_lo, domain_hi, func, name):
     scalar = np.isscalar(x) or np.asarray(x).ndim == 0
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if not np.all((arr >= domain_lo) & (arr <= domain_hi)):  # NaN fails too
-        raise ValueError(f"{name} domain is [{domain_lo:g}, {domain_hi:g}], got {x!r}")
+    outside = ~((arr >= domain_lo) & (arr <= domain_hi))  # NaN is outside too
+    if np.any(outside):
+        raise ValueError(
+            f"{name} domain is [{domain_lo:g}, {domain_hi:g}], got {_listed(arr[outside])}"
+        )
     out = func(arr)
     return float(out[0]) if scalar else out
 
@@ -92,9 +100,9 @@ def epsilon_tilde_min(d_m, pole_tol: float = 1e-9):
         den = 1.0 - 8.0 * np.sqrt(2.0) * arr
         near = np.abs(den) < pole_tol
         if np.any(near):
-            offending = ", ".join(f"{v:.12g}" for v in arr[near])
             raise PoleError(
-                f"epsilon_tilde_min has a pole at d_m = {_POLE_DM:.12g}; got {offending}"
+                f"epsilon_tilde_min has a pole at d_m = {_POLE_DM:.12g}; "
+                f"got {_listed(arr[near])}"
             )
         num = 1.0 - 4.0 * np.sqrt(np.sqrt(2.0 - 8.0 * arr) * arr)
         return (num / den) ** 2
@@ -120,35 +128,6 @@ def small_dm_linear_bound(d_m):
     """Small-d_m linear ceiling (4 sqrt(2) / ln 2) d_m on [0, 1/4]."""
     slope = 4.0 * np.sqrt(2.0) / _LN2
     return _eval(d_m, 0.0, 0.25, lambda arr: slope * arr, "small_dm_linear_bound")
-
-
-class BoundKind(Enum):
-    I0 = "i0"
-    I1 = "i1"
-    SMALL_DM_LINEAR = "linear"
-    EPSILON_TILDE = "eps_tilde"
-
-
-@dataclass(frozen=True)
-class BoundPoint:
-    """One evaluated point of a bound curve."""
-
-    d: float
-    value: float
-    kind: BoundKind
-
-
-_BOUND_FUNCS = {
-    BoundKind.I0: i0_bound,
-    BoundKind.I1: i1_bound,
-    BoundKind.SMALL_DM_LINEAR: small_dm_linear_bound,
-    BoundKind.EPSILON_TILDE: epsilon_tilde_min,
-}
-
-
-def bound_curve(kind: BoundKind, d_grid) -> list[BoundPoint]:
-    func = _BOUND_FUNCS[kind]
-    return [BoundPoint(d=float(d), value=float(func(float(d))), kind=kind) for d in d_grid]
 
 
 class ErrorSubset(Enum):
@@ -312,20 +291,23 @@ def sweep_theta(
     seed: int,
     attack_basis: Basis = Basis.PLUS,
 ) -> list[SweepPoint]:
-    """One Monte-Carlo batch per theta with independent derived sub-seeds."""
-    from .rng import derive_subseed, make_rng
-
+    """One Monte-Carlo batch per theta; grid point i runs on the stream
+    seeded by ``role_seed(seed, ROLE_SWEEP, i)``."""
+    if n_photons < 1:
+        raise ValueError(f"a sweep needs at least 1 photon per grid point, got {n_photons}")
     points = []
     for i, theta in enumerate(thetas):
-        rng = make_rng(derive_subseed(seed, i))
+        rng = make_rng(role_seed(seed, ROLE_SWEEP, i))
         batch = run_photon_batch(
             n_photons, IndividualUTB(theta=float(theta), attack_basis=attack_basis), rng
         )
         matched = batch.prep_basis == attack_basis.index
+        if not matched.any():
+            raise ValueError(
+                f"sweep point theta={float(theta):.10g} drew no attacked-basis photon "
+                f"among {n_photons}"
+            )
         errors = batch.errors
-        counts = joint_counts(
-            batch.encoded_label[matched], batch.eve_outcome[matched], 2, 2
-        )
         d_theory = d_of_theta(float(theta))
         points.append(
             SweepPoint(
@@ -333,37 +315,31 @@ def sweep_theta(
                 d_theory=d_theory,
                 d_matched_empirical=float(errors[matched].mean()),
                 d_overall_empirical=float(errors.mean()),
-                mi_empirical=empirical_mutual_information(counts),
+                mi_empirical=probe_information_estimate(batch, attack_basis),
                 i0_at_d=i0_bound(d_theory),
             )
         )
     return points
 
 
-SWEEP_CSV_HEADER = "theta,d_theory,d_matched_empirical,d_overall_empirical,mi_empirical,i0_at_d"
+SWEEP_CSV_HEADER = ",".join(f.name for f in dataclasses.fields(SweepPoint))
 BOUNDS_CSV_HEADER = "d,i0,i1,linear,eps_tilde"
 
 
-def sweep_csv(points: list[SweepPoint]) -> str:
-    lines = [SWEEP_CSV_HEADER]
-    for p in points:
-        lines.append(
-            f"{p.theta:.10g},{p.d_theory:.10g},{p.d_matched_empirical:.10g},"
-            f"{p.d_overall_empirical:.10g},{p.mi_empirical:.10g},{p.i0_at_d:.10g}"
-        )
+def _csv(header: str, rows) -> str:
+    lines = [header, *(",".join(f"{v:.10g}" for v in row) for row in rows)]
     return "\n".join(lines) + "\n"
+
+
+def sweep_csv(points: list[SweepPoint]) -> str:
+    return _csv(SWEEP_CSV_HEADER, map(dataclasses.astuple, points))
 
 
 def bounds_csv(d_grid) -> str:
     """Bound curves over a d_m grid in [0, 1/4]; the pole must not be in the
     grid (PoleError names the offending point)."""
-    curves = {kind: bound_curve(kind, d_grid) for kind in BoundKind}
-    lines = [BOUNDS_CSV_HEADER]
-    for i, d in enumerate(np.asarray(d_grid, dtype=np.float64)):
-        lines.append(
-            f"{float(d):.10g},{curves[BoundKind.I0][i].value:.10g},"
-            f"{curves[BoundKind.I1][i].value:.10g},"
-            f"{curves[BoundKind.SMALL_DM_LINEAR][i].value:.10g},"
-            f"{curves[BoundKind.EPSILON_TILDE][i].value:.10g}"
-        )
-    return "\n".join(lines) + "\n"
+    d = np.atleast_1d(np.asarray(d_grid, dtype=np.float64))
+    if d.size == 0:
+        raise ValueError("a bound table needs at least 1 grid point")
+    columns = [d, i0_bound(d), i1_bound(d), small_dm_linear_bound(d), epsilon_tilde_min(d)]
+    return _csv(BOUNDS_CSV_HEADER, zip(*(c.tolist() for c in columns)))

@@ -2,10 +2,11 @@
 tables, and multi-session pad-reuse demonstrations.
 
 Exit codes: 0 success/accepted, 2 session rejected by the eavesdropping
-check, 1 configuration or runtime error.  Every run is fully determined by
-its flags and seed (``--seed``, defaulting to the QOTP_SEED environment
-variable, then 0).  Each stream a command creates (pad, message, session) is
-seeded from the top-level seed by its own role label.
+check, 1 usage, configuration or runtime error.  Every run is fully
+determined by its flags and seed (``--seed``, defaulting to the QOTP_SEED
+environment variable, then 0).  Each stream a command creates (pad, message,
+session, sweep grid point) is seeded from the top-level seed by its own role
+label.
 """
 
 from __future__ import annotations
@@ -30,15 +31,21 @@ from .adversary import (
 from .errors import PadExhaustedError, PoleError, ProtocolViolationError
 from .protocol import SessionConfig, message_digest, run_session
 from .quantum import Basis
-from .rng import make_rng, role_seed
+from .rng import ROLE_MESSAGE, ROLE_PAD, ROLE_SESSION, make_rng, role_seed
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_REJECTED = 2
 
-# stream roles under the top-level seed
-ROLE_SESSION, ROLE_PAD, ROLE_MESSAGE = 0, 1, 2
 SEED_HELP = "top-level seed (default: the QOTP_SEED environment variable, then 0)"
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ValueError, so ``main`` reports them as one
+    ``error:`` line with exit code 1 (exit code 2 means a rejected session)."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _env_seed() -> int:
@@ -92,7 +99,7 @@ def _build_attack(args, message) -> AttackModel:
     else:
         attack = IndividualUTB(
             theta=_resolve_theta(args),
-            attack_basis=Basis.PLUS if args.utb_basis == "plus" else Basis.CROSS,
+            attack_basis=Basis(args.utb_basis),
         )
     if getattr(args, "known_plaintext", False):
         attack = KnownPlaintext(inner=attack, known_message=tuple(message.tolist()))
@@ -149,6 +156,14 @@ def cmd_run(args) -> int:
     return EXIT_OK if report.accepted else EXIT_REJECTED
 
 
+def _write_table(text: str, out: str | None) -> int:
+    if out:
+        Path(out).write_text(text)
+    else:
+        sys.stdout.write(text)
+    return EXIT_OK
+
+
 def cmd_sweep_theta(args) -> int:
     if args.thetas:
         thetas = [float(t) for t in args.thetas.split(",")]
@@ -160,14 +175,9 @@ def cmd_sweep_theta(args) -> int:
         thetas,
         n_photons=args.photons,
         seed=args.seed,
-        attack_basis=Basis.PLUS if args.utb_basis == "plus" else Basis.CROSS,
+        attack_basis=Basis(args.utb_basis),
     )
-    text = analysis.sweep_csv(points)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _write_table(analysis.sweep_csv(points), args.out)
 
 
 def cmd_bounds(args) -> int:
@@ -175,15 +185,12 @@ def cmd_bounds(args) -> int:
         grid = [float(d) for d in args.d_grid.split(",")]
     else:
         grid = list(np.linspace(args.d_min, args.d_max, args.points))
-    text = analysis.bounds_csv(grid)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _write_table(analysis.bounds_csv(grid), args.out)
 
 
 def cmd_recycle_demo(args) -> int:
+    if args.sessions < 1:
+        raise ValueError(f"recycle-demo needs at least 1 session, got {args.sessions}")
     if args.attack_session is not None and not 1 <= args.attack_session <= args.sessions:
         raise ValueError(
             f"--attack-session {args.attack_session} is outside sessions 1..{args.sessions}"
@@ -261,7 +268,7 @@ def cmd_recycle_demo(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qotp",
         description="Repeatable one-time-pad over simulated polarization qubits",
     )
@@ -322,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         env_seed = _env_seed()
         if getattr(args, "seed", 0) is None:
             args.seed = env_seed

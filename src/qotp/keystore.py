@@ -28,10 +28,9 @@ from .rng import RandomStream
 
 @dataclass(frozen=True)
 class PadKey:
-    """A one-time-pad bit string with its publication and lineage ledgers."""
+    """A one-time-pad bit string with its generation and lineage ledger."""
 
     bits: np.ndarray
-    published: frozenset[int] = frozenset()
     generation: int = 0
     origin_indices: np.ndarray = field(default=None)  # type: ignore[assignment]
 
@@ -47,8 +46,6 @@ class PadKey:
         if origins.size != bits.size:
             raise ValueError("origin ledger length must match the bit string")
         object.__setattr__(self, "origin_indices", origins)
-        if any(i < 0 or i >= bits.size for i in self.published):
-            raise ValueError("published indices out of range")
 
     def __len__(self) -> int:
         return int(self.bits.size)
@@ -85,10 +82,6 @@ class BasisKeySequence:
     def pairs(self) -> tuple[BasisKeyPair, ...]:
         b = self.bits.tolist()
         return tuple(BasisKeyPair(b0, b1) for b0, b1 in zip(b[0::2], b[1::2]))
-
-    @cached_property
-    def source_indices(self) -> tuple[tuple[int, int], ...]:
-        return tuple(map(tuple, self.sources.tolist()))
 
 
 def generate_pad(length: int, rng: RandomStream) -> PadKey:
@@ -127,8 +120,8 @@ def recycle_pad(
 
     ``announced_pair_indices`` are photon indices whose positions and encoding
     bits went public during the check; both pad bits sourcing each such photon
-    are removed.  Survivor order is preserved, the publication ledger is
-    cleared, and the generation counter is incremented.
+    are removed.  Survivor order is preserved and the generation counter is
+    incremented.
 
     ``check`` may carry the session's error report; recycling after a failed
     check raises ProtocolViolationError (the protocol halts on eavesdropping).
@@ -145,20 +138,8 @@ def recycle_pad(
     keep[keys.sources[announced]] = False
     return PadKey(
         bits=pad.bits[keep],
-        published=frozenset(),
         generation=pad.generation + 1,
         origin_indices=pad.origin_indices[keep],
-    )
-
-
-def mark_published(pad: PadKey, bit_indices: set[int]) -> PadKey:
-    """Record pad bit indices whose correlated data went public (used when a
-    session is rejected and the pad lineage must be retired)."""
-    return PadKey(
-        bits=pad.bits,
-        published=pad.published | set(bit_indices),
-        generation=pad.generation,
-        origin_indices=pad.origin_indices,
     )
 
 

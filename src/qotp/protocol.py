@@ -43,7 +43,6 @@ class ModifiedMessage:
 
     bits: np.ndarray
     sample_positions: np.ndarray
-    sample_values: dict[int, int]
 
     def __post_init__(self):
         bits = np.asarray(self.bits, dtype=np.uint8).reshape(-1)
@@ -54,9 +53,6 @@ class ModifiedMessage:
             raise ValueError("sample positions must be distinct")
         if positions.size and (positions.min() < 0 or positions.max() >= bits.size):
             raise ValueError("sample positions out of range")
-        stored = zip(positions.tolist(), bits[positions].tolist())
-        if any(self.sample_values[p] != b for p, b in stored):
-            raise ValueError("sample_values must match the stored bits")
 
     @property
     def n_sample(self) -> int:
@@ -286,8 +282,7 @@ def build_modified_message(
     mask[positions] = False
     bits[mask] = message
     bits[positions] = sample_bits
-    values = dict(zip(positions.tolist(), sample_bits.tolist()))
-    return ModifiedMessage(bits=bits, sample_positions=positions, sample_values=values)
+    return ModifiedMessage(bits=bits, sample_positions=positions)
 
 
 def alice_encode(keys: BasisKeySequence, mm: ModifiedMessage) -> list[StateVector]:

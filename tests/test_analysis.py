@@ -4,13 +4,12 @@ their shape properties, and the empirical estimators."""
 import numpy as np
 import pytest
 
-from qotp.adversary import IndividualUTB, InterceptResend
+from qotp import kernels
+from qotp.adversary import IndividualUTB, InterceptResend, record_likelihoods
 from qotp.analysis import (
     BOUNDS_CSV_HEADER,
-    BoundKind,
     ErrorSubset,
     MI_ESTIMATOR_SLACK,
-    bound_curve,
     bounds_csv,
     d_of_theta,
     empirical_error_rate,
@@ -223,6 +222,28 @@ class TestMutualInformation:
         assert mi > 0.25
 
 
+def exact_probe_information(theta: float, basis: Basis) -> float:
+    """Exact I(encoded label; probe outcome) in bits over attacked-basis
+    photons, whose two states and two encodings are equiprobable."""
+    likelihoods = record_likelihoods(IndividualUTB(theta, basis).channel_spec())
+    joint = np.zeros((2, 2))
+    for state in np.flatnonzero(kernels.PREP_BASIS_OF_STATE == basis.index):
+        for enc in (0, 1):
+            joint[kernels.PREP_LABEL_OF_STATE[state] ^ enc] += likelihoods[state, enc] / 4
+    return empirical_mutual_information(joint)
+
+
+class TestExactProbeInformation:
+    @pytest.mark.parametrize("basis", list(Basis))
+    def test_below_i0_with_no_slack(self, basis):
+        for theta in np.linspace(0.0, np.pi / 4, 201):
+            assert exact_probe_information(theta, basis) <= i0_bound(d_of_theta(theta)), theta
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    def test_value_at_full_strength(self, basis):
+        assert exact_probe_information(np.pi / 4, basis) == pytest.approx(0.3112781, abs=1e-7)
+
+
 class TestPerStateOracleEquivalence:
     """Transcript error rates per prepared state against exact projection
     probabilities (1000-photon sessions, 3 sigma per cell)."""
@@ -257,23 +278,6 @@ class TestPerStateOracleEquivalence:
             assert abs(rate - p_err) <= 3 * sigma, f"state {idx}"
 
 
-class TestBoundCurve:
-    def test_points_match_scalar_functions(self):
-        grid = [0.0, 0.02, 0.05]
-        for kind, func in [
-            (BoundKind.I0, i0_bound),
-            (BoundKind.I1, i1_bound),
-            (BoundKind.SMALL_DM_LINEAR, small_dm_linear_bound),
-            (BoundKind.EPSILON_TILDE, epsilon_tilde_min),
-        ]:
-            points = bound_curve(kind, grid)
-            assert [p.d for p in points] == grid
-            assert all(p.kind is kind for p in points)
-            for p in points:
-                assert p.value == func(p.d)
-                assert np.isfinite(p.value)
-
-
 class TestBoundsCsv:
     def test_golden_rows(self):
         text = bounds_csv([0.0, 0.05])
@@ -285,6 +289,16 @@ class TestBoundsCsv:
         assert float(i1v) == pytest.approx(I1_AT_005, rel=1e-9)
         assert float(lin) == pytest.approx(LIN_AT_005, rel=1e-9)
         assert float(eps) == pytest.approx(EPS_AT_005, rel=1e-6)
+
+    def test_columns_match_scalar_functions(self):
+        grid = [0.0, 0.02, 0.05, 0.1, 0.25]
+        funcs = [i0_bound, i1_bound, small_dm_linear_bound, epsilon_tilde_min]
+        rows = [line.split(",") for line in bounds_csv(grid).splitlines()[1:]]
+        assert len(rows) == len(grid)
+        for d, row in zip(grid, rows):
+            values = [d] + [func(d) for func in funcs]
+            assert all(np.isfinite(values))
+            assert row == [f"{v:.10g}" for v in values]
 
     def test_pole_in_grid_rejected(self):
         with pytest.raises(PoleError):

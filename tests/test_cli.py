@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from qotp import cli, protocol
+from qotp import analysis, cli, protocol
 from qotp.analysis import BOUNDS_CSV_HEADER, SWEEP_CSV_HEADER
 from qotp.keystore import generate_pad, save_pad
-from qotp.rng import make_rng
+from qotp.rng import ROLE_MESSAGE, ROLE_PAD, ROLE_SESSION, make_rng, role_seed
 
 BOUNDS_GOLDEN = """d,i0,i1,linear,eps_tilde
 0,0,0,0,1
@@ -232,6 +232,25 @@ class TestSeedRoles:
         assert len(set(seeds)) == len(seeds)
 
 
+    def test_sweep_streams_are_distinct(self, monkeypatch):
+        # every grid point of every seed gets a stream of its own, apart
+        # from the session, pad and message streams of the same seed
+        seeds = []
+
+        def recording(seed):
+            seeds.append(seed)
+            return make_rng(seed)
+
+        monkeypatch.setattr(analysis, "make_rng", recording)
+        for seed in (0, 1):
+            analysis.sweep_theta([0.0, np.pi / 4], n_photons=100, seed=seed)
+        assert len(seeds) == 4
+        assert len(set(seeds)) == len(seeds)
+        others = {role_seed(s, role) for s in (0, 1)
+                  for role in (ROLE_SESSION, ROLE_PAD, ROLE_MESSAGE)}
+        assert others.isdisjoint(seeds)
+
+
 class TestBoundaryErrors:
     @pytest.mark.parametrize(
         "argv,env",
@@ -240,8 +259,17 @@ class TestBoundaryErrors:
             (["bounds"], {"QOTP_SEED": "abc"}),
             (["recycle-demo", "--sessions", "2", "--attack-session", "5",
               "--attack", "intercept_resend"], {}),
+            (["run", "--bogus"], {}),
+            (["run", "--message-bits", "abc"], {}),
+            (["recycle-demo", "--sessions", "0"], {}),
+            (["recycle-demo", "--sessions", "-3"], {}),
+            (["bounds", "--points", "0"], {}),
+            (["sweep-theta", "--photons", "0"], {}),
+            (["sweep-theta", "--photons", "1"], {}),
         ],
-        ids=["nan-grid-point", "non-integer-env-seed", "attack-session-past-the-end"],
+        ids=["nan-grid-point", "non-integer-env-seed", "attack-session-past-the-end",
+             "unknown-flag", "non-integer-flag", "zero-sessions", "negative-sessions",
+             "zero-bound-points", "zero-photons", "one-photon"],
     )
     def test_one_line_error_exit_1(self, argv, env, monkeypatch, capsys):
         for name, value in env.items():

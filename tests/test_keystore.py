@@ -11,7 +11,6 @@ from qotp.keystore import (
     draw_basis_keys,
     generate_pad,
     load_pad,
-    mark_published,
     pad_from_text,
     pad_to_text,
     recycle_pad,
@@ -31,7 +30,7 @@ class TestGenerate:
         a = generate_pad(8, make_rng(42))
         b = generate_pad(8, make_rng(42))
         assert np.array_equal(a.bits, b.bits)
-        assert a.generation == 0 and a.published == frozenset()
+        assert a.generation == 0
 
     def test_single_bit_pad(self):
         p = generate_pad(1, make_rng(0))
@@ -59,10 +58,9 @@ class TestDraw:
         assert np.allclose(state_from_basis_key(keys.pairs[0]).amps, KET_U.amps)
         assert np.allclose(state_from_basis_key(keys.pairs[1]).amps, KET_D.amps)
 
-    def test_source_indices_disjoint_increasing(self):
+    def test_sources_disjoint_increasing(self):
         keys = draw_basis_keys(generate_pad(20, make_rng(0)), 10)
-        flat = [i for pair in keys.source_indices for i in pair]
-        assert flat == list(range(20))
+        assert keys.sources.ravel().tolist() == list(range(20))
 
     def test_exhaustion(self):
         with pytest.raises(PadExhaustedError):
@@ -83,7 +81,6 @@ class TestRecycle:
         out = recycle_pad(pad, {1}, keys)
         assert "".join(map(str, out.bits)) == "0010"
         assert out.generation == 1
-        assert out.published == frozenset()
 
     def test_no_announcement(self):
         pad = pad_of("0011")
@@ -126,19 +123,6 @@ class TestRecycle:
         assert len(pad2) == len(pad) - 2 * len(a) - 2 * len(b)
         assert pad2.generation == 2
 
-    def test_publication_ledger(self):
-        pad = pad_of("001110")
-        marked = mark_published(pad, {2, 3})
-        assert marked.published == frozenset({2, 3})
-        assert np.array_equal(marked.bits, pad.bits)
-        keys = draw_basis_keys(marked, 3)
-        recycled = recycle_pad(marked, {1}, keys)
-        assert recycled.published == frozenset()
-
-    def test_published_indices_must_be_in_range(self):
-        with pytest.raises(ValueError):
-            PadKey(bits=np.array([0, 1], dtype=np.uint8), published=frozenset({5}))
-
     def test_reuse_soundness_ledger(self):
         # bits announced in session 1 never reappear among session 2's sources
         pad = generate_pad(40, make_rng(3))
@@ -147,13 +131,13 @@ class TestRecycle:
         announced_origins = {
             int(pad.origin_indices[src])
             for p in announced
-            for src in keys1.source_indices[p]
+            for src in keys1.sources[p]
         }
         pad2 = recycle_pad(pad, announced, keys1)
         keys2 = draw_basis_keys(pad2, 7)
         drawn_origins = {
             int(pad2.origin_indices[src])
-            for pair in keys2.source_indices
+            for pair in keys2.sources
             for src in pair
         }
         assert announced_origins.isdisjoint(drawn_origins)

@@ -55,8 +55,8 @@ class TestModifiedMessage:
         mm = build_modified_message(message, n_sample, make_rng(seed))
         assert mm.bits.size == len(message) + n_sample
         assert np.array_equal(mm.message_bits(), np.array(message, dtype=np.uint8))
-        for p in mm.sample_positions:
-            assert mm.bits[p] == mm.sample_values[int(p)]
+        assert mm.n_sample == n_sample
+        assert np.all(np.diff(mm.sample_positions) > 0)
 
     def test_position_distribution_uniform(self):
         # |M| = 2, one sample: each of the 3 slots should get ~1/3
@@ -75,7 +75,6 @@ class TestEncodeDecode:
         mm = ModifiedMessage(
             bits=bits("101"),
             sample_positions=np.array([], dtype=np.int64),
-            sample_values={},
         )
         # 00, 01, 10 -> H, u, d
         keys = draw_basis_keys(PadKey(bits=bits("000110")), 3)
@@ -97,7 +96,6 @@ class TestEncodeDecode:
         mm = ModifiedMessage(
             bits=bits("10"),
             sample_positions=np.array([], dtype=np.int64),
-            sample_values={},
         )
         photons = alice_encode(keys, mm)  # -V, u
         decoded = bob_decode(photons, keys, rng)
