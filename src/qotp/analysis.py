@@ -285,6 +285,13 @@ class SweepPoint:
     i0_at_d: float
 
 
+# Coordinates of the sweep histogram cells [state, encoding, receiver outcome,
+# probe outcome], and what each cell decodes to.
+_STATE, _ENC, _BOB, _PROBE = np.indices((4, 2, 2, 2))
+_ERROR = (_BOB != kernels.PREP_LABEL_OF_STATE[_STATE]) != _ENC
+_ENCODED_LABEL = kernels.PREP_LABEL_OF_STATE[_STATE] ^ _ENC
+
+
 def sweep_theta(
     thetas,
     n_photons: int,
@@ -292,30 +299,37 @@ def sweep_theta(
     attack_basis: Basis = Basis.PLUS,
 ) -> list[SweepPoint]:
     """One Monte-Carlo batch per theta; grid point i runs on the stream
-    seeded by ``role_seed(seed, ROLE_SWEEP, i)``."""
+    seeded by ``role_seed(seed, ROLE_SWEEP, i)``.  Each point's statistics
+    come from one histogram over (state, encoding, receiver outcome, probe
+    outcome)."""
     if n_photons < 1:
         raise ValueError(f"a sweep needs at least 1 photon per grid point, got {n_photons}")
+    matched = kernels.PREP_BASIS_OF_STATE[_STATE] == attack_basis.index
     points = []
     for i, theta in enumerate(thetas):
         rng = make_rng(role_seed(seed, ROLE_SWEEP, i))
         batch = run_photon_batch(
             n_photons, IndividualUTB(theta=float(theta), attack_basis=attack_basis), rng
         )
-        matched = batch.prep_basis == attack_basis.index
-        if not matched.any():
+        cell = 8 * batch.state_idx + 4 * batch.enc_bits + 2 * batch.bob_outcome + batch.eve_outcome
+        counts = np.bincount(cell, minlength=32).reshape(_STATE.shape)
+        n_matched = counts[matched].sum()
+        if n_matched == 0:
             raise ValueError(
                 f"sweep point theta={float(theta):.10g} drew no attacked-basis photon "
                 f"among {n_photons}"
             )
-        errors = batch.errors
+        joint = np.bincount(
+            2 * _ENCODED_LABEL[matched] + _PROBE[matched], weights=counts[matched], minlength=4
+        )
         d_theory = d_of_theta(float(theta))
         points.append(
             SweepPoint(
                 theta=float(theta),
                 d_theory=d_theory,
-                d_matched_empirical=float(errors[matched].mean()),
-                d_overall_empirical=float(errors.mean()),
-                mi_empirical=probe_information_estimate(batch, attack_basis),
+                d_matched_empirical=float(counts[matched & _ERROR].sum() / n_matched),
+                d_overall_empirical=float(counts[_ERROR].sum() / n_photons),
+                mi_empirical=empirical_mutual_information(joint.reshape(2, 2)),
                 i0_at_d=i0_bound(d_theory),
             )
         )

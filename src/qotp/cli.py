@@ -198,7 +198,9 @@ def cmd_recycle_demo(args) -> int:
     n_message = args.message_bits if args.message_bits is not None else 64
     n_sample = args.samples if args.samples is not None else 16
     per_session = 2 * (n_message + n_sample)
-    pad_bits = args.pad_bits or per_session + 2 * n_sample * (args.sessions - 1)
+    pad_bits = args.pad_bits
+    if pad_bits is None:
+        pad_bits = per_session + 2 * n_sample * (args.sessions - 1)
     pad = keystore.generate_pad(pad_bits, make_rng(role_seed(args.seed, ROLE_PAD)))
 
     sessions = []

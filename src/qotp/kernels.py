@@ -1,10 +1,14 @@
 """Batched Monte-Carlo photon pipeline.
 
 The per-photon channel simulation (prepare, encode, optional attack, measure)
-runs here for sessions, sweeps and the large-sample statistical checks.  All
-states reachable in this protocol have real amplitudes, so the kernel works on
-signed float64 amplitude tables; the object-level complex simulator in
-``quantum`` is the reference the tests check it against.
+runs here for sessions, sweeps and the large-sample statistical checks.  Every
+photon is one of 4 prepared states, carries one of 2 encodings and is measured
+in one of 2 bases, so every probability the channel needs is an entry of a
+small exact table indexed by the cell ``4 * state + 2 * encoding + basis``;
+simulating a photon is a gather and a compare.  All states reachable in this
+protocol have real amplitudes, so the tables are built from signed float64
+amplitudes; the object-level complex simulator in ``quantum`` is the oracle
+the tests check every table entry against.
 
 Randomness enters only through a ``uniforms`` array of shape (n, 3) with
 fixed column roles (0: adversary basis choice, 1: adversary outcome/probe
@@ -48,6 +52,69 @@ PREP_BASIS_OF_STATE = np.array([0, 0, 1, 1], dtype=np.int64)
 PREP_LABEL_OF_STATE = np.array([0, 1, 0, 1], dtype=np.int64)
 
 
+def _overlap(u, v):
+    """Real inner product over the last (component) axis, broadcasting the rest."""
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
+
+
+def _outcome_one_prob(vec):
+    """P(outcome 1)[..., basis] of real amplitude vectors ``vec[..., component]``
+    measured in each basis."""
+    amp1 = _overlap(EIG_TABLE[:, 1], vec[..., None, :])
+    return amp1 * amp1
+
+
+# CLEAN_P1[cell]: P(outcome 1) of each encoded state measured in each basis,
+# cell = 4 * state + 2 * encoding + basis.  Indexed by the adversary's basis
+# instead of the receiver's, it is the intercept-resend outcome table too.
+CLEAN_P1 = _outcome_one_prob(ENC_TABLE).reshape(16)
+
+# FORWARD_P1[4 * eve_basis + 2 * eve_outcome + basis]: P(outcome 1) of the
+# eigenstate intercept-resend forwards, measured in the receiver's basis.
+FORWARD_P1 = _outcome_one_prob(EIG_TABLE).reshape(8)
+
+
+def probe_tables(theta: float, attack_basis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact tables of the probe attack at angle ``theta`` in ``attack_basis``.
+
+    Returns ``(p1, pp1)``: ``p1[cell]`` is P(receiver outcome 1) and
+    ``pp1[2 * cell + outcome]`` is P(probe outcome 1 | receiver outcome).  An
+    outcome of probability 0 gets probe probability 0.
+    """
+    if attack_basis not in (BASIS_PLUS, BASIS_CROSS):
+        raise ValueError(f"unknown attack basis {attack_basis}")
+    ct = float(np.cos(theta))
+    st = float(np.sin(theta))
+    xi, xibar = EIG_TABLE[attack_basis]
+    # components of the encoded state along xi and xibar, [state, encoding, 1]
+    v = ENC_TABLE[:, :, None, :]
+    a = _overlap(xi, v)
+    b = _overlap(xibar, v)
+    # overlaps of each receiver eigenstate with xi and xibar, [receiver basis]
+    e0 = EIG_TABLE[:, 0]
+    e1 = EIG_TABLE[:, 1]
+    xi_m0, xi_m1 = _overlap(e0, xi), _overlap(e1, xi)
+    xb_m0, xb_m1 = _overlap(e0, xibar), _overlap(e1, xibar)
+    # joint amplitudes [receiver outcome, probe outcome]
+    a00 = a * xi_m0 + b * ct * xb_m0
+    a01 = b * st * xi_m0
+    a10 = a * xi_m1 + b * ct * xb_m1
+    a11 = b * st * xi_m1
+    p1 = a10 * a10 + a11 * a11
+    num = np.stack([a01 * a01, a11 * a11], axis=-1)
+    den = np.stack([a00 * a00 + a01 * a01, p1], axis=-1)
+    pp1 = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    return p1.reshape(16), pp1.reshape(32)
+
+
+def _check_range(name: str, column: np.ndarray, hi: int) -> None:
+    # a negative int64 reads as a huge uint64, so one max checks both ends
+    if column.size and column.view(np.uint64).max() > hi:
+        raise ValueError(
+            f"{name} must lie in 0..{hi}, got values in {column.min()}..{column.max()}"
+        )
+
+
 def simulate_photons(
     state_idx: np.ndarray,
     enc_bits: np.ndarray,
@@ -78,6 +145,9 @@ def simulate_photons(
     n = state_idx.shape[0]
     if enc_bits.shape[0] != n or meas_basis.shape[0] != n:
         raise ValueError("state_idx, enc_bits and meas_basis must have equal length")
+    _check_range("state_idx", state_idx, 3)
+    _check_range("enc_bits", enc_bits, 1)
+    _check_range("meas_basis", meas_basis, 1)
     if uniforms is None:
         if rng is None:
             raise ValueError("pass uniforms or an rng to draw them from")
@@ -87,59 +157,38 @@ def simulate_photons(
         raise ValueError(f"uniforms must have shape ({n}, 3)")
     if not 0.0 <= theta <= np.pi / 4:
         raise ValueError(f"theta must lie in [0, pi/4], got {theta}")
-    ct = float(np.cos(theta))
-    st = float(np.sin(theta))
-    v = ENC_TABLE[state_idx, enc_bits]
-    v0 = v[:, 0]
-    v1 = v[:, 1]
     u0 = uniforms[:, 0]
     u1 = uniforms[:, 1]
     u2 = uniforms[:, 2]
-    eve_basis = np.full(n, -1, dtype=np.int8)
-    eve_out = np.full(n, -1, dtype=np.int8)
-    e1 = EIG_TABLE[meas_basis, 1]
+    no_record = np.full(n, -1, dtype=np.int8)
+    # cell = 4 * state + 2 * encoding, then + basis; built in place, because
+    # every (n,) temporary is a fresh allocation that costs as much as its use
+    cell = 2 * state_idx
+    cell += enc_bits
+    cell *= 2
 
     if attack_kind == ATTACK_NONE:
-        amp1 = e1[:, 0] * v0 + e1[:, 1] * v1
-        p1 = amp1 * amp1
-        bob = (u2 < p1).astype(np.uint8)
+        cell += meas_basis
+        bob = u2 < CLEAN_P1.take(cell)
+        eve_basis, eve_out = no_record, no_record.copy()
     elif attack_kind == ATTACK_IR:
         if ir_strategy == IR_RANDOM:
-            eb = (u0 >= 0.5).astype(np.int64)
+            eb = (u0 >= 0.5).astype(np.int8)
+        elif ir_strategy not in (IR_FIXED_PLUS, IR_FIXED_CROSS):
+            raise ValueError(f"unknown intercept-resend strategy {ir_strategy}")
         else:
-            eb = np.full(n, ir_strategy - 1, dtype=np.int64)
-        f1 = EIG_TABLE[eb, 1]
-        amp = f1[:, 0] * v0 + f1[:, 1] * v1
-        p1e = amp * amp
-        eo = (u1 < p1e).astype(np.int64)
-        fwd = EIG_TABLE[eb, eo]
-        amp1 = e1[:, 0] * fwd[:, 0] + e1[:, 1] * fwd[:, 1]
-        p1 = amp1 * amp1
-        bob = (u2 < p1).astype(np.uint8)
-        eve_basis[:] = eb
-        eve_out[:] = eo
+            eb = np.full(n, ir_strategy - 1, dtype=np.int8)
+        cell += eb
+        eo = (u1 < CLEAN_P1.take(cell)).astype(np.int8)
+        bob = u2 < FORWARD_P1.take(4 * eb + 2 * eo + meas_basis)
+        eve_basis, eve_out = eb, eo
     elif attack_kind == ATTACK_UTB:
-        x0, x1 = EIG_TABLE[attack_basis, 0]
-        y0, y1 = EIG_TABLE[attack_basis, 1]
-        a = x0 * v0 + x1 * v1
-        b = y0 * v0 + y1 * v1
-        e0 = EIG_TABLE[meas_basis, 0]
-        xi_m0 = e0[:, 0] * x0 + e0[:, 1] * x1
-        xi_m1 = e1[:, 0] * x0 + e1[:, 1] * x1
-        xb_m0 = e0[:, 0] * y0 + e0[:, 1] * y1
-        xb_m1 = e1[:, 0] * y0 + e1[:, 1] * y1
-        a00 = a * xi_m0 + b * ct * xb_m0
-        a01 = b * st * xi_m0
-        a10 = a * xi_m1 + b * ct * xb_m1
-        a11 = b * st * xi_m1
-        p1 = a10 * a10 + a11 * a11
-        sel = u2 < p1
-        bob = sel.astype(np.uint8)
-        as0 = np.where(sel, a10, a00)
-        as1 = np.where(sel, a11, a01)
-        # the selected outcome always has positive probability
-        pp1 = (as1 * as1) / (as0 * as0 + as1 * as1)
-        eve_out[:] = u1 < pp1
+        p1, pp1 = probe_tables(theta, attack_basis)
+        cell += meas_basis
+        bob = u2 < p1.take(cell)
+        cell *= 2
+        cell += bob
+        eve_basis, eve_out = no_record, (u1 < pp1.take(cell)).astype(np.int8)
     else:
         raise ValueError(f"unknown attack kind {attack_kind}")
-    return bob, eve_basis, eve_out
+    return bob.astype(np.uint8), eve_basis, eve_out

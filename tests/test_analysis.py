@@ -22,12 +22,13 @@ from qotp.analysis import (
     probe_information_estimate,
     run_photon_batch,
     small_dm_linear_bound,
+    sweep_theta,
 )
 from qotp.errors import PoleError
 from qotp.keystore import generate_pad
 from qotp.protocol import SessionConfig, run_session
 from qotp.quantum import Basis
-from qotp.rng import make_rng
+from qotp.rng import ROLE_SWEEP, make_rng, role_seed
 
 # frozen oracle values (30-digit evaluation, rounded to double)
 PHI_HALF = 0.37744375108173434
@@ -242,6 +243,25 @@ class TestExactProbeInformation:
     @pytest.mark.parametrize("basis", list(Basis))
     def test_value_at_full_strength(self, basis):
         assert exact_probe_information(np.pi / 4, basis) == pytest.approx(0.3112781, abs=1e-7)
+
+
+class TestSweepHistogram:
+    """Each sweep row's statistics come from one histogram; they must equal
+    the direct reductions over the same batch exactly."""
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    @pytest.mark.parametrize("seed", [0, 11, 2024])
+    def test_rows_equal_direct_reductions(self, basis, seed):
+        thetas = [0.0, np.pi / 8, np.pi / 4]
+        n = 20_000
+        points = sweep_theta(thetas, n, seed, basis)
+        for i, (theta, point) in enumerate(zip(thetas, points)):
+            rng = make_rng(role_seed(seed, ROLE_SWEEP, i))
+            batch = run_photon_batch(n, IndividualUTB(theta=theta, attack_basis=basis), rng)
+            matched = batch.prep_basis == basis.index
+            assert point.d_matched_empirical == float(batch.errors[matched].mean())
+            assert point.d_overall_empirical == float(batch.errors.mean())
+            assert point.mi_empirical == probe_information_estimate(batch, basis)
 
 
 class TestPerStateOracleEquivalence:

@@ -266,10 +266,11 @@ class TestBoundaryErrors:
             (["bounds", "--points", "0"], {}),
             (["sweep-theta", "--photons", "0"], {}),
             (["sweep-theta", "--photons", "1"], {}),
+            (["recycle-demo", "--sessions", "2", "--pad-bits", "0"], {}),
         ],
         ids=["nan-grid-point", "non-integer-env-seed", "attack-session-past-the-end",
              "unknown-flag", "non-integer-flag", "zero-sessions", "negative-sessions",
-             "zero-bound-points", "zero-photons", "one-photon"],
+             "zero-bound-points", "zero-photons", "one-photon", "zero-pad-bits"],
     )
     def test_one_line_error_exit_1(self, argv, env, monkeypatch, capsys):
         for name, value in env.items():

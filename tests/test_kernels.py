@@ -13,6 +13,7 @@ from qotp.adversary import (
     NoAttack,
     attack_photon,
     eve_measure_probe,
+    record_likelihoods,
 )
 from qotp.quantum import (
     Basis,
@@ -148,6 +149,79 @@ def test_pinned_uniforms_flip_at_oracle_probabilities(model):
     assert checked >= 16
 
 
+def oracle_p1(vec, meas: Basis) -> float:
+    """P(outcome 1) of a single-photon amplitude vector measured in ``meas``."""
+    return float(abs(np.vdot(meas.eigenstates()[1], vec)) ** 2)
+
+
+def encoded_state(state_idx, enc):
+    return apply_encoding(EncodingOp(enc), PREP_STATES[state_idx])
+
+
+CELLS = [(s, e, meas) for s in range(4) for e in (0, 1) for meas in Basis]
+
+
+def cell_index(state_idx, enc, basis: Basis) -> int:
+    return 4 * state_idx + 2 * enc + basis.index
+
+
+class TestTablesAgainstOracle:
+    # every table entry against the quantum.py projection probability
+
+    def test_clean_table(self):
+        for s, e, meas in CELLS:
+            got = kernels.CLEAN_P1[cell_index(s, e, meas)]
+            assert got == pytest.approx(oracle_p1(encoded_state(s, e).amps, meas), abs=1e-12)
+
+    def test_forward_table(self):
+        for eve_basis in Basis:
+            for eve_out, eig in enumerate(eve_basis.eigenstates()):
+                for meas in Basis:
+                    got = kernels.FORWARD_P1[4 * eve_basis.index + 2 * eve_out + meas.index]
+                    assert got == pytest.approx(oracle_p1(eig, meas), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "model", [m for m in CHANNELS if isinstance(m, IndividualUTB)], ids=channel_id
+    )
+    def test_probe_tables(self, model):
+        # theta = 0 is included in both bases: there probe outcome 1 and some
+        # receiver outcomes have probability 0, and the tables must be built
+        # without a 0/0 (pytest turns a RuntimeWarning into a failure)
+        p1, pp1 = kernels.probe_tables(model.theta, model.attack_basis.index)
+        for s, e, meas in CELLS:
+            joint = utb_apply(encoded_state(s, e), model.theta, model.attack_basis)
+            # amps[receiver outcome, probe outcome]
+            amps = meas.eigenstates().conj() @ joint.amps.reshape(2, 2)
+            probs = np.abs(amps) ** 2
+            cell = cell_index(s, e, meas)
+            assert p1[cell] == pytest.approx(probs[1].sum(), abs=1e-12)
+            for outcome in (0, 1):
+                p_outcome = probs[outcome].sum()
+                expected = probs[outcome, 1] / p_outcome if p_outcome > 1e-12 else 0.0
+                assert pp1[2 * cell + outcome] == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("model", CHANNELS[1:], ids=channel_id)
+def test_eve_outcome_tables_match_record_likelihoods(model):
+    # the kernel's adversary-outcome probabilities and the known-plaintext
+    # likelihood table state the same physics
+    likelihood = record_likelihoods(model.channel_spec())
+    for s in range(4):
+        for e in (0, 1):
+            if isinstance(model, InterceptResend):
+                for eve_basis in Basis:
+                    p_one = kernels.CLEAN_P1[cell_index(s, e, eve_basis)]
+                    got = likelihood[s, e, 2 * eve_basis.index:2 * eve_basis.index + 2]
+                    np.testing.assert_allclose(got, [1.0 - p_one, p_one], rtol=0, atol=1e-12)
+                continue
+            p1, pp1 = kernels.probe_tables(model.theta, model.attack_basis.index)
+            for meas in Basis:
+                cell = cell_index(s, e, meas)
+                # the probe outcome's marginal does not depend on the receiver basis
+                p_probe = (1.0 - p1[cell]) * pp1[2 * cell] + p1[cell] * pp1[2 * cell + 1]
+                assert p_probe == pytest.approx(likelihood[s, e, 1], abs=1e-12)
+
+
 class TestAgainstExactProjections:
     def exact_outcome_prob(self, state_idx, enc_bit, meas: Basis, attack=None):
         """Object-level oracle: P(outcome 1) from explicit amplitudes."""
@@ -252,6 +326,24 @@ class TestValidation:
                 rng=make_rng(0),
             )
 
+    @pytest.mark.parametrize(
+        "params",
+        [{"attack_kind": kernels.ATTACK_IR, "ir_strategy": 3},
+         {"attack_kind": kernels.ATTACK_IR, "ir_strategy": -1},
+         {"attack_kind": kernels.ATTACK_UTB, "attack_basis": 2},
+         {"attack_kind": kernels.ATTACK_UTB, "attack_basis": -1}],
+    )
+    def test_unknown_adversary_parameter(self, params):
+        # a strategy or basis outside the tables would select a wrong cell
+        with pytest.raises(ValueError, match="unknown"):
+            kernels.simulate_photons(
+                np.zeros(4, dtype=np.int64),
+                np.zeros(4, dtype=np.int64),
+                np.zeros(4, dtype=np.int64),
+                rng=make_rng(0),
+                **params,
+            )
+
     def test_unknown_attack_kind(self):
         with pytest.raises(ValueError):
             kernels.simulate_photons(
@@ -261,3 +353,16 @@ class TestValidation:
                 attack_kind=9,
                 rng=make_rng(0),
             )
+
+    @pytest.mark.parametrize(
+        "column,value,name",
+        [(0, -1, "state_idx"), (0, 4, "state_idx"), (1, -1, "enc_bits"), (1, 2, "enc_bits"),
+         (2, -1, "meas_basis"), (2, 2, "meas_basis")],
+    )
+    def test_out_of_range_column(self, column, value, name):
+        # numpy would wrap a negative index to a valid cell; each column is
+        # range-checked before any lookup
+        columns = [np.zeros(4, dtype=np.int64) for _ in range(3)]
+        columns[column][2] = value
+        with pytest.raises(ValueError, match=name):
+            kernels.simulate_photons(*columns, rng=make_rng(0))
