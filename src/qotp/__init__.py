@@ -47,8 +47,6 @@ from .protocol import (
     ModifiedMessage,
     SessionConfig,
     SessionTranscript,
-    alice_encode,
-    bob_decode,
     build_modified_message,
     eavesdrop_check,
     run_session,

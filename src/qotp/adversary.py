@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,38 +42,22 @@ class IRStrategy(Enum):
     FIXED_CROSS = "cross"
 
 
-class ChannelSpec(NamedTuple):
-    """An attack as the batch kernel runs it, plus its transcript description."""
-
-    kind: int
-    ir_strategy: int
-    theta: float
-    attack_basis: int
-    description: dict
-
-
-_IR_KERNEL_STRATEGY = {
-    IRStrategy.RANDOM: kernels.IR_RANDOM,
-    IRStrategy.FIXED_PLUS: kernels.IR_FIXED_PLUS,
-    IRStrategy.FIXED_CROSS: kernels.IR_FIXED_CROSS,
-}
-
-
 @dataclass(frozen=True)
 class NoAttack:
-    def channel_spec(self) -> ChannelSpec:
-        return ChannelSpec(kernels.ATTACK_NONE, kernels.IR_RANDOM, 0.0, kernels.BASIS_PLUS,
-                           {"kind": "none"})
+    def channel_spec(self) -> kernels.ChannelSpec:
+        return kernels.CLEAN
 
 
 @dataclass(frozen=True)
 class InterceptResend:
     basis_strategy: IRStrategy = IRStrategy.RANDOM
 
-    def channel_spec(self) -> ChannelSpec:
-        return ChannelSpec(
-            kernels.ATTACK_IR, _IR_KERNEL_STRATEGY[self.basis_strategy], 0.0, kernels.BASIS_PLUS,
-            {"kind": "intercept_resend", "ir_basis": self.basis_strategy.value},
+    def channel_spec(self) -> kernels.ChannelSpec:
+        strategy = self.basis_strategy
+        basis = None if strategy is IRStrategy.RANDOM else Basis(strategy.value).index
+        return kernels.ChannelSpec(
+            kernels.ATTACK_IR, basis, 0.0,
+            {"kind": "intercept_resend", "ir_basis": strategy.value},
         )
 
 
@@ -89,10 +72,10 @@ class IndividualUTB:
         if not 0.0 <= self.theta <= np.pi / 4:
             raise ValueError(f"theta must lie in [0, pi/4], got {self.theta}")
 
-    def channel_spec(self) -> ChannelSpec:
+    def channel_spec(self) -> kernels.ChannelSpec:
         theta = float(self.theta)
-        return ChannelSpec(
-            kernels.ATTACK_UTB, kernels.IR_RANDOM, theta, self.attack_basis.index,
+        return kernels.ChannelSpec(
+            kernels.ATTACK_UTB, self.attack_basis.index, theta,
             {"kind": "utb", "theta": theta, "utb_basis": self.attack_basis.value},
         )
 
@@ -108,7 +91,7 @@ class KnownPlaintext:
         if any(b not in (0, 1) for b in self.known_message):
             raise ValueError("the known message must be 0/1 bits")
 
-    def channel_spec(self) -> ChannelSpec:
+    def channel_spec(self) -> kernels.ChannelSpec:
         spec = self.inner.channel_spec()
         return spec._replace(description={**spec.description, "known_plaintext": True})
 
@@ -131,7 +114,7 @@ class EveRecord:
     posterior_plus: float | None = None
 
 
-def record_likelihoods(spec: ChannelSpec) -> np.ndarray:
+def record_likelihoods(spec: kernels.ChannelSpec) -> np.ndarray:
     """Exact table L[state, encoding, record] = P(Eve's record | the channel
     carried that state with that encoding bit).
 
@@ -148,7 +131,7 @@ def record_likelihoods(spec: ChannelSpec) -> np.ndarray:
     raise ValueError("this attack leaves no records")
 
 
-def posterior_plus_table(spec: ChannelSpec) -> np.ndarray:
+def posterior_plus_table(spec: kernels.ChannelSpec) -> np.ndarray:
     """P(plus basis | record) per [known bit, record], where known bit 2 means
     the photon carries a bit the plaintext does not cover (both encodings
     equally likely).  The four basis keys are equiprobable a priori."""
@@ -165,10 +148,8 @@ def intercept_resend(
     eigenstate."""
     if basis_strategy is IRStrategy.RANDOM:
         eve_basis = Basis.PLUS if rng.random() < 0.5 else Basis.CROSS
-    elif basis_strategy is IRStrategy.FIXED_PLUS:
-        eve_basis = Basis.PLUS
     else:
-        eve_basis = Basis.CROSS
+        eve_basis = Basis(basis_strategy.value)
     outcome, collapsed = measure(s, eve_basis, rng)
     record = EveRecord(
         photon_index=photon_index,

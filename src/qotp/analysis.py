@@ -232,27 +232,21 @@ def run_photon_batch(
     if state_idx is None:
         state_idx = rng.integers(0, 4, size=n, dtype=np.int64)
     else:
-        state_idx = np.broadcast_to(np.asarray(state_idx, dtype=np.int64), (n,)).copy()
+        state_idx = np.broadcast_to(kernels.index_column("state_idx", state_idx, 3), (n,)).copy()
     if enc_bits is None:
         enc_bits = rng.integers(0, 2, size=n, dtype=np.int64)
     else:
-        enc_bits = np.broadcast_to(np.asarray(enc_bits, dtype=np.int64), (n,)).copy()
+        enc_bits = np.broadcast_to(kernels.index_column("enc_bits", enc_bits, 1), (n,)).copy()
     prep_basis = kernels.PREP_BASIS_OF_STATE[state_idx]
     if isinstance(meas_basis, str):
         if meas_basis == "prep":
             mb = prep_basis.copy()
-        elif meas_basis == "plus":
-            mb = np.zeros(n, dtype=np.int64)
-        elif meas_basis == "cross":
-            mb = np.ones(n, dtype=np.int64)
         else:
-            raise ValueError(f"unknown measurement-basis selector {meas_basis!r}")
+            mb = np.full(n, Basis(meas_basis).index, dtype=np.int64)
     else:
-        mb = np.broadcast_to(np.asarray(meas_basis, dtype=np.int64), (n,)).copy()
-    spec = attack.channel_spec()
+        mb = np.broadcast_to(kernels.index_column("meas_basis", meas_basis, 1), (n,)).copy()
     bob, eve_basis, eve_out = kernels.simulate_photons(
-        state_idx, enc_bits, mb, spec.kind, spec.ir_strategy, spec.theta, spec.attack_basis,
-        rng=rng,
+        state_idx, enc_bits, mb, attack.channel_spec(), rng=rng
     )
     return PhotonBatch(
         state_idx=state_idx,

@@ -12,6 +12,7 @@ label.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -101,7 +102,7 @@ def _build_attack(args, message) -> AttackModel:
             theta=_resolve_theta(args),
             attack_basis=Basis(args.utb_basis),
         )
-    if getattr(args, "known_plaintext", False):
+    if args.known_plaintext:
         attack = KnownPlaintext(inner=attack, known_message=tuple(message.tolist()))
     return attack
 
@@ -165,7 +166,7 @@ def _write_table(text: str, out: str | None) -> int:
 
 
 def cmd_sweep_theta(args) -> int:
-    if args.thetas:
+    if args.thetas is not None:
         thetas = [float(t) for t in args.thetas.split(",")]
     else:
         thetas = list(np.linspace(0.0, np.pi / 4, args.points))
@@ -181,9 +182,12 @@ def cmd_sweep_theta(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    if args.d_grid:
+    if args.d_grid is not None:
         grid = [float(d) for d in args.d_grid.split(",")]
     else:
+        for flag, value in (("--d-min", args.d_min), ("--d-max", args.d_max)):
+            if not 0.0 <= value <= 0.25:
+                raise ValueError(f"{flag} must lie in [0, 0.25], got {value}")
         grid = list(np.linspace(args.d_min, args.d_max, args.points))
     return _write_table(analysis.bounds_csv(grid), args.out)
 
@@ -195,12 +199,10 @@ def cmd_recycle_demo(args) -> int:
         raise ValueError(
             f"--attack-session {args.attack_session} is outside sessions 1..{args.sessions}"
         )
-    n_message = args.message_bits if args.message_bits is not None else 64
-    n_sample = args.samples if args.samples is not None else 16
-    per_session = 2 * (n_message + n_sample)
+    per_session = 2 * (args.message_bits + args.samples)
     pad_bits = args.pad_bits
     if pad_bits is None:
-        pad_bits = per_session + 2 * n_sample * (args.sessions - 1)
+        pad_bits = per_session + 2 * args.samples * (args.sessions - 1)
     pad = keystore.generate_pad(pad_bits, make_rng(role_seed(args.seed, ROLE_PAD)))
 
     sessions = []
@@ -210,13 +212,13 @@ def cmd_recycle_demo(args) -> int:
     reused = 0
     for k in range(args.sessions):
         message = make_rng(role_seed(args.seed, ROLE_MESSAGE, k)).integers(
-            0, 2, size=n_message, dtype=np.uint8
+            0, 2, size=args.message_bits, dtype=np.uint8
         )
         attacked = args.attack_session == k + 1
         attack = _build_attack(args, message) if attacked else NoAttack()
         config = SessionConfig(
-            n_message=n_message,
-            n_sample=n_sample,
+            n_message=args.message_bits,
+            n_sample=args.samples,
             abort_threshold=args.threshold,
             seed=role_seed(args.seed, ROLE_SESSION, k),
             allow_insecure_demo=args.insecure_demo,
@@ -269,6 +271,7 @@ def cmd_recycle_demo(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="qotp",
@@ -333,6 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        empty = [name for name, value in vars(args).items() if value == []]
+        if empty:  # argparse before Python 3.13 reads the value "--" as no value: []
+            raise ValueError(f"--{empty[0].replace('_', '-')} needs a value")
         env_seed = _env_seed()
         if getattr(args, "seed", 0) is None:
             args.seed = env_seed

@@ -10,12 +10,15 @@ protocol have real amplitudes, so the tables are built from signed float64
 amplitudes; the object-level complex simulator in ``quantum`` is the oracle
 the tests check every table entry against.
 
-Randomness enters only through a ``uniforms`` array of shape (n, 3) with
-fixed column roles (0: adversary basis choice, 1: adversary outcome/probe
-draw, 2: receiver outcome draw), supplied by the caller or drawn from its rng.
+An attack reaches the kernel as one ``ChannelSpec``.  Randomness enters only
+through a ``uniforms`` array of shape (n, 3) with fixed column roles
+(0: adversary basis choice, 1: adversary outcome/probe draw, 2: receiver
+outcome draw), supplied by the caller or drawn from its rng.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,12 +26,22 @@ ATTACK_NONE = 0
 ATTACK_IR = 1
 ATTACK_UTB = 2
 
-IR_RANDOM = 0
-IR_FIXED_PLUS = 1
-IR_FIXED_CROSS = 2
-
 BASIS_PLUS = 0
 BASIS_CROSS = 1
+
+
+class ChannelSpec(NamedTuple):
+    """An attack as the kernel runs it.  ``attack_basis`` is the adversary's
+    fixed basis, or None for intercept-resend to draw it per photon from
+    uniform column 0; ``description`` is for the transcript only."""
+
+    kind: int
+    attack_basis: int | None
+    theta: float
+    description: dict
+
+
+CLEAN = ChannelSpec(ATTACK_NONE, None, 0.0, {"kind": "none"})
 
 _R = np.sqrt(0.5)
 
@@ -107,22 +120,26 @@ def probe_tables(theta: float, attack_basis: int) -> tuple[np.ndarray, np.ndarra
     return p1.reshape(16), pp1.reshape(32)
 
 
-def _check_range(name: str, column: np.ndarray, hi: int) -> None:
+def index_column(name: str, values, hi: int) -> np.ndarray:
+    """``values`` as an int64 column checked to lie in 0..hi.  Only integer or
+    boolean input is accepted: a float would be truncated to a wrong cell."""
+    column = np.asarray(values)
+    if column.dtype.kind not in "biu":
+        raise ValueError(f"{name} must hold integers, got dtype {column.dtype}")
+    column = np.ascontiguousarray(column, dtype=np.int64)
     # a negative int64 reads as a huge uint64, so one max checks both ends
     if column.size and column.view(np.uint64).max() > hi:
         raise ValueError(
             f"{name} must lie in 0..{hi}, got values in {column.min()}..{column.max()}"
         )
+    return column
 
 
 def simulate_photons(
     state_idx: np.ndarray,
     enc_bits: np.ndarray,
     meas_basis: np.ndarray,
-    attack_kind: int = ATTACK_NONE,
-    ir_strategy: int = IR_RANDOM,
-    theta: float = 0.0,
-    attack_basis: int = BASIS_PLUS,
+    spec: ChannelSpec = CLEAN,
     uniforms: np.ndarray | None = None,
     rng=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -132,22 +149,19 @@ def simulate_photons(
         state_idx: (n,) prepared-state indices, 0..3 = H, V, u, d.
         enc_bits: (n,) modified-message bits written with the swap encoding.
         meas_basis: (n,) receiver measurement basis (0 plus, 1 cross).
-        attack_kind / ir_strategy / theta / attack_basis: channel adversary.
+        spec: the channel adversary.
         uniforms: (n, 3) uniform draws; supplied either directly or via rng.
 
     Returns:
         (bob_outcome uint8, eve_basis int8, eve_outcome int8); the adversary
         columns hold -1 where the attack records nothing.
     """
-    state_idx = np.ascontiguousarray(state_idx, dtype=np.int64)
-    enc_bits = np.ascontiguousarray(enc_bits, dtype=np.int64)
-    meas_basis = np.ascontiguousarray(meas_basis, dtype=np.int64)
+    state_idx = index_column("state_idx", state_idx, 3)
+    enc_bits = index_column("enc_bits", enc_bits, 1)
+    meas_basis = index_column("meas_basis", meas_basis, 1)
     n = state_idx.shape[0]
     if enc_bits.shape[0] != n or meas_basis.shape[0] != n:
         raise ValueError("state_idx, enc_bits and meas_basis must have equal length")
-    _check_range("state_idx", state_idx, 3)
-    _check_range("enc_bits", enc_bits, 1)
-    _check_range("meas_basis", meas_basis, 1)
     if uniforms is None:
         if rng is None:
             raise ValueError("pass uniforms or an rng to draw them from")
@@ -155,8 +169,10 @@ def simulate_photons(
     uniforms = np.ascontiguousarray(uniforms, dtype=np.float64)
     if uniforms.shape != (n, 3):
         raise ValueError(f"uniforms must have shape ({n}, 3)")
-    if not 0.0 <= theta <= np.pi / 4:
-        raise ValueError(f"theta must lie in [0, pi/4], got {theta}")
+    if not 0.0 <= spec.theta <= np.pi / 4:
+        raise ValueError(f"theta must lie in [0, pi/4], got {spec.theta}")
+    if spec.attack_basis not in (None, BASIS_PLUS, BASIS_CROSS):
+        raise ValueError(f"unknown attack basis {spec.attack_basis}")
     u0 = uniforms[:, 0]
     u1 = uniforms[:, 1]
     u2 = uniforms[:, 2]
@@ -167,28 +183,26 @@ def simulate_photons(
     cell += enc_bits
     cell *= 2
 
-    if attack_kind == ATTACK_NONE:
+    if spec.kind == ATTACK_NONE:
         cell += meas_basis
         bob = u2 < CLEAN_P1.take(cell)
         eve_basis, eve_out = no_record, no_record.copy()
-    elif attack_kind == ATTACK_IR:
-        if ir_strategy == IR_RANDOM:
+    elif spec.kind == ATTACK_IR:
+        if spec.attack_basis is None:
             eb = (u0 >= 0.5).astype(np.int8)
-        elif ir_strategy not in (IR_FIXED_PLUS, IR_FIXED_CROSS):
-            raise ValueError(f"unknown intercept-resend strategy {ir_strategy}")
         else:
-            eb = np.full(n, ir_strategy - 1, dtype=np.int8)
+            eb = np.full(n, spec.attack_basis, dtype=np.int8)
         cell += eb
         eo = (u1 < CLEAN_P1.take(cell)).astype(np.int8)
         bob = u2 < FORWARD_P1.take(4 * eb + 2 * eo + meas_basis)
         eve_basis, eve_out = eb, eo
-    elif attack_kind == ATTACK_UTB:
-        p1, pp1 = probe_tables(theta, attack_basis)
+    elif spec.kind == ATTACK_UTB:
+        p1, pp1 = probe_tables(spec.theta, spec.attack_basis)
         cell += meas_basis
         bob = u2 < p1.take(cell)
         cell *= 2
         cell += bob
         eve_basis, eve_out = no_record, (u1 < pp1.take(cell)).astype(np.int8)
     else:
-        raise ValueError(f"unknown attack kind {attack_kind}")
+        raise ValueError(f"unknown attack kind {spec.kind}")
     return bob.astype(np.uint8), eve_basis, eve_out

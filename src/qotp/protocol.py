@@ -4,12 +4,13 @@ One session: build the modified message (payload plus hidden sampling bits),
 draw basis keys from the pad, prepare and encode photons, pass them through
 the (possibly attacked) channel, decode with the shared keys, compare the
 announced sampling bits, and either recycle the pad and release the message
-or halt.  The photons run as columns through one batch-kernel call.  The
+or halt.  The photons run as columns through one batch-kernel call, which
+takes the attack as its ``ChannelSpec``; this is the only session path.  The
 transcript keeps the full secret view for analysis; the ``public_view``
 projection is exactly what an eavesdropper may read.
 
-``alice_encode`` and ``bob_decode`` are the object-level encode and decode on
-``quantum`` state vectors, kept as the reference for tests.
+The object-level state-vector simulator in ``quantum`` (with the per-photon
+attacks in ``adversary``) is the oracle the tests check this path against.
 """
 
 from __future__ import annotations
@@ -25,15 +26,7 @@ import numpy as np
 from . import kernels, keystore
 from .adversary import AttackModel, EveRecord, KnownPlaintext, NoAttack, posterior_plus_table
 from .keystore import BasisKeySequence, PadKey
-from .quantum import (
-    Basis,
-    EncodingOp,
-    StateVector,
-    apply_encoding,
-    measure,
-    measure_photon_of_joint,
-    state_from_basis_key,
-)
+from .quantum import Basis, EncodingOp
 from .rng import RandomStream, make_rng
 
 
@@ -231,7 +224,7 @@ class SessionTranscript:
         return {
             "schema": "qotp-transcript-v1",
             "config": dataclasses.asdict(self.config),
-            "attack": self.attack.channel_spec().description,
+            "attack": dict(self.attack.channel_spec().description),
             "secret_view": {
                 "modified_bits": mm.bits.tolist(),
                 "sample_values": [
@@ -285,38 +278,6 @@ def build_modified_message(
     return ModifiedMessage(bits=bits, sample_positions=positions)
 
 
-def alice_encode(keys: BasisKeySequence, mm: ModifiedMessage) -> list[StateVector]:
-    """Prepare each photon from its basis key and write the corresponding
-    modified-message bit onto it.  The returned photons are the ciphertext."""
-    if len(keys) != mm.bits.size:
-        raise ValueError(
-            f"{len(keys)} basis keys for {mm.bits.size} modified-message bits"
-        )
-    return [
-        apply_encoding(EncodingOp(int(bit)), state_from_basis_key(pair))
-        for pair, bit in zip(keys.pairs, mm.bits)
-    ]
-
-
-def bob_decode(
-    photons: list[StateVector], keys: BasisKeySequence, rng: RandomStream
-) -> list[int]:
-    """Decode a photon sequence with the shared basis keys.
-
-    Each photon (or the photon factor of a photon-probe state) is measured in
-    its preparation basis; the decoded bit is 0 when the outcome reproduces
-    the prepared eigenstate and 1 when it lands on the swap encoding's image.
-    """
-    if len(photons) != len(keys):
-        raise ValueError(f"{len(photons)} photons for {len(keys)} basis keys")
-    decoded = []
-    for photon, pair in zip(photons, keys.pairs):
-        measure_fn = measure_photon_of_joint if photon.dim == 4 else measure
-        outcome, _ = measure_fn(photon, pair.basis, rng)
-        decoded.append(0 if outcome == pair.eigenstate_label else 1)
-    return decoded
-
-
 def eavesdrop_check(mm: ModifiedMessage, decoded, threshold: float) -> ErrorReport:
     """Compare announced sampling values against the sender's record."""
     decoded = np.asarray(decoded)
@@ -364,11 +325,10 @@ def run_session(
     mm = build_modified_message(message, config.n_sample, rng)
     keys = keystore.draw_basis_keys(pad, int(mm.bits.size))
     state_idx = keys.state_idx
-    spec = attack.channel_spec()
     # every photon is measured in its preparation basis
     received, eve_basis, eve_outcome = kernels.simulate_photons(
-        state_idx, mm.bits, kernels.PREP_BASIS_OF_STATE[state_idx],
-        spec.kind, spec.ir_strategy, spec.theta, spec.attack_basis, rng=rng,
+        state_idx, mm.bits, kernels.PREP_BASIS_OF_STATE[state_idx], attack.channel_spec(),
+        rng=rng,
     )
     decoded = (received != kernels.PREP_LABEL_OF_STATE[state_idx]).astype(np.uint8)
 

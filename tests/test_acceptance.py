@@ -280,24 +280,20 @@ def test_criterion_10_born_rule_oracle_equivalence():
                 s = apply_encoding(EncodingOp.U0, PREP_STATES[state_idx])
                 if attack is None:
                     p1 = abs(np.vdot(meas.eigenstates()[1], s.amps)) ** 2
-                    kind_args = {}
+                    spec = kernels.CLEAN
                 else:
                     theta, ab = attack
                     joint = utb_apply(s, theta, ab)
                     amps = meas.eigenstates().conj() @ joint.amps.reshape(2, 2)
                     p1 = float(np.sum(np.abs(amps[1]) ** 2))
-                    kind_args = {
-                        "attack_kind": 2, "theta": theta, "attack_basis": ab.index,
-                    }
+                    spec = IndividualUTB(theta=theta, attack_basis=ab).channel_spec()
                 p1 = min(max(p1, 0.0), 1.0)
-                from qotp import kernels
-
                 bob, _, _ = kernels.simulate_photons(
                     np.full(n, state_idx),
                     np.zeros(n, dtype=np.int64),
                     np.full(n, meas.index),
+                    spec,
                     rng=make_rng(90 + case),
-                    **kind_args,
                 )
                 freq = float(bob.mean())
                 sigma = np.sqrt(p1 * (1 - p1) / n)

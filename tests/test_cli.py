@@ -1,9 +1,14 @@
 """Command-line contract: exit codes, deterministic outputs, CSV schemas."""
 
+import contextlib
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qotp import analysis, cli, protocol
 from qotp.analysis import BOUNDS_CSV_HEADER, SWEEP_CSV_HEADER
@@ -267,10 +272,13 @@ class TestBoundaryErrors:
             (["sweep-theta", "--photons", "0"], {}),
             (["sweep-theta", "--photons", "1"], {}),
             (["recycle-demo", "--sessions", "2", "--pad-bits", "0"], {}),
+            (["sweep-theta", "--thetas", "", "--photons", "100"], {}),
+            (["bounds", "--d-grid", ""], {}),
         ],
         ids=["nan-grid-point", "non-integer-env-seed", "attack-session-past-the-end",
              "unknown-flag", "non-integer-flag", "zero-sessions", "negative-sessions",
-             "zero-bound-points", "zero-photons", "one-photon", "zero-pad-bits"],
+             "zero-bound-points", "zero-photons", "one-photon", "zero-pad-bits",
+             "empty-theta-grid", "empty-d-grid"],
     )
     def test_one_line_error_exit_1(self, argv, env, monkeypatch, capsys):
         for name, value in env.items():
@@ -280,3 +288,99 @@ class TestBoundaryErrors:
         assert rc == cli.EXIT_ERROR
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+# Flag values for the property test below: numbers at and past every edge
+# (0, negatives, NaN, inf, out-of-range angles) and junk text.  Sizes stay
+# small so that no drawn value makes numpy allocate a large array.
+JUNK = st.sampled_from(["", " ", "abc", "1,2", "0x10", "--", "1e", "é"]) | st.text(max_size=4)
+FLOATS = (
+    st.sampled_from(["0", "-0.0", "-1", "nan", "inf", "-inf", "1e400", "0.785", "3.2"])
+    | st.floats(-2.0, 2.0).map(repr)
+    | JUNK
+)
+DEGREES = st.floats(-100.0, 100.0).map(repr) | FLOATS
+
+
+def ints(lo, hi):
+    return st.integers(lo, hi).map(str) | JUNK
+
+
+def grid(values):
+    return st.lists(values, max_size=4).map(",".join) | JUNK
+
+
+SEEDS = st.sampled_from(["-1", str(2**70)]) | ints(0, 2**32)
+ATTACK_FLAGS = {
+    "--attack": st.sampled_from(["none", "intercept_resend", "utb"]) | JUNK,
+    "--ir-basis": st.sampled_from(["random", "plus", "cross"]) | JUNK,
+    "--theta": FLOATS,
+    "--theta-deg": DEGREES,
+    "--utb-basis": st.sampled_from(["plus", "cross"]) | JUNK,
+    "--known-plaintext": None,
+}
+SESSION_FLAGS = {
+    "--threshold": FLOATS,
+    "--insecure-demo": None,
+    "--seed": SEEDS,
+    **ATTACK_FLAGS,
+}
+FLAG_SPACE = {
+    "run": {
+        "--message": st.text("01", max_size=256) | JUNK,
+        "--message-bits": ints(-3, 256),
+        "--samples": ints(-3, 64),
+        "--reveal": None,
+        **SESSION_FLAGS,
+    },
+    "sweep-theta": {
+        "--thetas": grid(FLOATS),
+        "--points": ints(-2, 6),
+        "--photons": ints(-2, 3000),
+        "--utb-basis": st.sampled_from(["plus", "cross"]) | JUNK,
+        "--seed": SEEDS,
+    },
+    "bounds": {
+        "--d-grid": grid(FLOATS),
+        "--d-min": FLOATS,
+        "--d-max": FLOATS,
+        "--points": ints(-2, 40),
+    },
+    "recycle-demo": {
+        "--sessions": ints(-2, 4),
+        "--message-bits": ints(-3, 256),
+        "--samples": ints(-3, 64),
+        "--pad-bits": ints(-3, 2000),
+        "--attack-session": ints(-1, 5),
+        **SESSION_FLAGS,
+    },
+}
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(FLAG_SPACE)))
+    flags = FLAG_SPACE[command]
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=4, unique=True)):
+        values = flags[flag]
+        # --flag=value keeps values such as "-inf" or "--" from reading as flags
+        argv.append(flag if values is None else f"{flag}={draw(values)}")
+    return argv
+
+
+class TestFlagSpace:
+    @given(command_lines())
+    @settings(max_examples=300, deadline=None)
+    def test_any_flags_exit_cleanly(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli.main(argv)
+        assert rc in (cli.EXIT_OK, cli.EXIT_ERROR, cli.EXIT_REJECTED)
+        if rc == cli.EXIT_ERROR:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+        else:
+            assert err.getvalue() == ""

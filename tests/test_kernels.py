@@ -15,6 +15,7 @@ from qotp.adversary import (
     eve_measure_probe,
     record_likelihoods,
 )
+from qotp.analysis import run_photon_batch
 from qotp.quantum import (
     Basis,
     EncodingOp,
@@ -70,10 +71,8 @@ def oracle_photon(state_idx, enc, meas, model, u):
 
 
 def kernel_photon(state_idx, enc, meas, model, u):
-    spec = model.channel_spec()
     bob, eve_basis, eve_out = kernels.simulate_photons(
-        [state_idx], [enc], [meas.index], spec.kind, spec.ir_strategy, spec.theta,
-        spec.attack_basis, uniforms=np.array([u]),
+        [state_idx], [enc], [meas.index], model.channel_spec(), uniforms=np.array([u]),
     )
     return int(bob[0]), int(eve_basis[0]), int(eve_out[0])
 
@@ -262,9 +261,7 @@ class TestAgainstExactProjections:
             np.full(n, state_idx),
             np.zeros(n, dtype=np.int64),
             np.full(n, meas.index),
-            attack_kind=kernels.ATTACK_UTB,
-            theta=theta,
-            attack_basis=attack_basis.index,
+            IndividualUTB(theta=theta, attack_basis=attack_basis).channel_spec(),
             rng=rng,
         )
         p1 = self.exact_outcome_prob(state_idx, 0, meas, attack=(theta, attack_basis))
@@ -281,9 +278,7 @@ class TestAgainstExactProjections:
             np.full(n, state_idx),
             np.zeros(n, dtype=np.int64),
             np.ones(n, dtype=np.int64),
-            attack_kind=kernels.ATTACK_UTB,
-            theta=theta,
-            attack_basis=0,
+            IndividualUTB(theta=theta, attack_basis=Basis.PLUS).channel_spec(),
             rng=rng,
         )
         s = PREP_STATES[state_idx]
@@ -321,27 +316,24 @@ class TestValidation:
                 np.zeros(4, dtype=np.int64),
                 np.zeros(4, dtype=np.int64),
                 np.zeros(4, dtype=np.int64),
-                attack_kind=kernels.ATTACK_UTB,
-                theta=2.0,
+                kernels.ChannelSpec(kernels.ATTACK_UTB, kernels.BASIS_PLUS, 2.0, {}),
                 rng=make_rng(0),
             )
 
     @pytest.mark.parametrize(
-        "params",
-        [{"attack_kind": kernels.ATTACK_IR, "ir_strategy": 3},
-         {"attack_kind": kernels.ATTACK_IR, "ir_strategy": -1},
-         {"attack_kind": kernels.ATTACK_UTB, "attack_basis": 2},
-         {"attack_kind": kernels.ATTACK_UTB, "attack_basis": -1}],
+        "kind,attack_basis",
+        [(kernels.ATTACK_IR, 2), (kernels.ATTACK_IR, -1),
+         (kernels.ATTACK_UTB, 2), (kernels.ATTACK_UTB, -1)],
     )
-    def test_unknown_adversary_parameter(self, params):
-        # a strategy or basis outside the tables would select a wrong cell
+    def test_unknown_adversary_parameter(self, kind, attack_basis):
+        # a basis outside the tables would select a wrong cell
         with pytest.raises(ValueError, match="unknown"):
             kernels.simulate_photons(
                 np.zeros(4, dtype=np.int64),
                 np.zeros(4, dtype=np.int64),
                 np.zeros(4, dtype=np.int64),
+                kernels.ChannelSpec(kind, attack_basis, 0.0, {}),
                 rng=make_rng(0),
-                **params,
             )
 
     def test_unknown_attack_kind(self):
@@ -350,7 +342,7 @@ class TestValidation:
                 np.zeros(4, dtype=np.int64),
                 np.zeros(4, dtype=np.int64),
                 np.zeros(4, dtype=np.int64),
-                attack_kind=9,
+                kernels.ChannelSpec(9, None, 0.0, {}),
                 rng=make_rng(0),
             )
 
@@ -366,3 +358,29 @@ class TestValidation:
         columns[column][2] = value
         with pytest.raises(ValueError, match=name):
             kernels.simulate_photons(*columns, rng=make_rng(0))
+
+    @pytest.mark.parametrize(
+        "column,name", [(0, "state_idx"), (1, "enc_bits"), (2, "meas_basis")]
+    )
+    def test_float_column(self, column, name):
+        # a float would be truncated to a valid cell (2.7 runs as state 2)
+        columns = [[2], [0], [1]]
+        columns[column] = [0.9]
+        with pytest.raises(ValueError, match=name):
+            kernels.simulate_photons(*columns, rng=make_rng(0))
+
+    @pytest.mark.parametrize(
+        "pinned,name",
+        [({"state_idx": 2.7}, "state_idx"), ({"enc_bits": 0.9}, "enc_bits"),
+         ({"meas_basis": np.array([0.0, 1.0, 1.0])}, "meas_basis")],
+    )
+    def test_float_pinned_batch_column(self, pinned, name):
+        with pytest.raises(ValueError, match=name):
+            run_photon_batch(3, NoAttack(), make_rng(0), **pinned)
+
+    def test_integer_and_bool_columns_pass(self):
+        # H swapped to -V read in plus, and d kept read in cross: both give outcome 1
+        bob, _, _ = kernels.simulate_photons(
+            [0, 3], np.array([1, 0], dtype=np.uint8), np.array([False, True]), rng=make_rng(0)
+        )
+        assert bob.tolist() == [1, 1]

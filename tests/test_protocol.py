@@ -1,5 +1,5 @@
-"""Session state-machine tests: message interleaving, encode/decode round
-trips, the eavesdropping check, abort discipline, and transcript exports."""
+"""Session state-machine tests: message interleaving, session round trips,
+the eavesdropping check, abort discipline, and transcript exports."""
 
 import json
 from pathlib import Path
@@ -12,17 +12,14 @@ from hypothesis import strategies as st
 
 from qotp.adversary import IndividualUTB, InterceptResend, NoAttack
 from qotp.errors import PadExhaustedError
-from qotp.keystore import PadKey, draw_basis_keys, generate_pad
+from qotp.keystore import generate_pad
 from qotp.protocol import (
-    ModifiedMessage,
     SessionConfig,
-    alice_encode,
-    bob_decode,
     build_modified_message,
     eavesdrop_check,
     run_session,
 )
-from qotp.quantum import Basis, BasisKeyPair, KET_U, state_from_basis_key
+from qotp.quantum import Basis, BasisKeyPair, state_from_basis_key
 from qotp.rng import make_rng
 
 SCHEMA = json.loads(
@@ -68,45 +65,6 @@ class TestModifiedMessage:
             counts[int(mm.sample_positions[0])] += 1
         sigma = np.sqrt((1 / 3) * (2 / 3) / n)
         assert np.all(np.abs(counts / n - 1 / 3) < 3 * sigma)
-
-
-class TestEncodeDecode:
-    def test_encode_examples(self):
-        mm = ModifiedMessage(
-            bits=bits("101"),
-            sample_positions=np.array([], dtype=np.int64),
-        )
-        # 00, 01, 10 -> H, u, d
-        keys = draw_basis_keys(PadKey(bits=bits("000110")), 3)
-        photons = alice_encode(keys, mm)
-        assert np.allclose(photons[0].amps, [0, -1])        # U1 on H -> -V
-        assert np.allclose(photons[1].amps, KET_U.amps)     # U0 on u
-        r = np.sqrt(0.5)
-        assert np.allclose(photons[2].amps, [-r, -r])       # U1 on d -> -u
-
-    def test_length_mismatch(self):
-        mm = build_modified_message(bits("10"), 1, make_rng(0))
-        keys = draw_basis_keys(generate_pad(4, make_rng(0)), 2)
-        with pytest.raises(ValueError):
-            alice_encode(keys, mm)
-
-    def test_decode_examples(self):
-        rng = make_rng(1)
-        keys = draw_basis_keys(PadKey(bits=bits("0001")), 2)
-        mm = ModifiedMessage(
-            bits=bits("10"),
-            sample_positions=np.array([], dtype=np.int64),
-        )
-        photons = alice_encode(keys, mm)  # -V, u
-        decoded = bob_decode(photons, keys, rng)
-        assert decoded == [1, 0]
-
-    def test_round_trip_64_bits(self):
-        message = make_rng(5).integers(0, 2, 64, dtype=np.uint8)
-        mm = build_modified_message(message, 0, make_rng(6))
-        keys = draw_basis_keys(generate_pad(128, make_rng(7)), 64)
-        decoded = bob_decode(alice_encode(keys, mm), keys, make_rng(8))
-        assert np.array_equal(np.array(decoded, dtype=np.uint8), message)
 
 
 class TestEavesdropCheck:
