@@ -67,14 +67,11 @@ def _add_attack_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--ir-basis",
         choices=["random", "plus", "cross"],
-        default="random",
-        help="basis choice strategy for intercept-resend",
+        help="basis choice strategy for intercept-resend (default random)",
     )
     p.add_argument("--theta", type=float, default=None, help="probe attack strength, radians in [0, pi/4]")
     p.add_argument("--theta-deg", type=float, default=None, help="probe attack strength in degrees")
-    p.add_argument(
-        "--utb-basis", choices=["plus", "cross"], default="plus", help="probe attack basis"
-    )
+    p.add_argument("--utb-basis", choices=["plus", "cross"], help="probe attack basis (default plus)")
     p.add_argument(
         "--known-plaintext",
         action="store_true",
@@ -92,15 +89,36 @@ def _resolve_theta(args) -> float:
     return np.pi / 4
 
 
+# attack flag -> the --attack value that reads it
+_ATTACK_FLAG_OWNERS = {
+    "ir_basis": "intercept_resend",
+    "theta": "utb",
+    "theta_deg": "utb",
+    "utb_basis": "utb",
+}
+
+
+def _check_session_flags(args) -> None:
+    """Reject a negative message length, and attack flags the configured
+    attack would silently ignore."""
+    if args.message_bits is not None and args.message_bits < 0:
+        raise ValueError(f"--message-bits must be >= 0, got {args.message_bits}")
+    for name, owner in _ATTACK_FLAG_OWNERS.items():
+        if getattr(args, name) is not None and args.attack != owner:
+            raise ValueError(f"--{name.replace('_', '-')} applies only to --attack {owner}")
+    if args.known_plaintext and args.attack == "none":
+        raise ValueError("--known-plaintext needs an attack that leaves records")
+
+
 def _build_attack(args, message) -> AttackModel:
     if args.attack == "none":
         attack: AttackModel = NoAttack()
     elif args.attack == "intercept_resend":
-        attack = InterceptResend(basis_strategy=IRStrategy(args.ir_basis))
+        attack = InterceptResend(basis_strategy=IRStrategy(args.ir_basis or "random"))
     else:
         attack = IndividualUTB(
             theta=_resolve_theta(args),
-            attack_basis=Basis(args.utb_basis),
+            attack_basis=Basis(args.utb_basis or "plus"),
         )
     if args.known_plaintext:
         attack = KnownPlaintext(inner=attack, known_message=tuple(message.tolist()))
@@ -132,6 +150,7 @@ def _session_pad(args, n_bits_needed: int) -> keystore.PadKey:
 
 
 def cmd_run(args) -> int:
+    _check_session_flags(args)
     message = _session_message(args)
     n_sample = args.samples if args.samples is not None else max(32, message.size // 4)
     config = SessionConfig(
@@ -199,6 +218,9 @@ def cmd_recycle_demo(args) -> int:
         raise ValueError(
             f"--attack-session {args.attack_session} is outside sessions 1..{args.sessions}"
         )
+    _check_session_flags(args)
+    if (args.attack == "none") != (args.attack_session is None):
+        raise ValueError("--attack-session and an --attack other than none go together")
     per_session = 2 * (args.message_bits + args.samples)
     pad_bits = args.pad_bits
     if pad_bits is None:

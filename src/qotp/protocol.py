@@ -19,14 +19,12 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from functools import cached_property, partial
 
 import numpy as np
 
 from . import kernels, keystore
-from .adversary import AttackModel, EveRecord, KnownPlaintext, NoAttack, posterior_plus_table
+from .adversary import AttackModel, KnownPlaintext, NoAttack, posterior_plus_table
 from .keystore import BasisKeySequence, PadKey
-from .quantum import Basis, EncodingOp
 from .rng import RandomStream, make_rng
 
 
@@ -87,37 +85,9 @@ class ErrorReport:
     accepted: bool
 
 
-_BASES = (Basis.PLUS, Basis.CROSS)
-_KEY_BITS = ([0, 0], [1, 1], [0, 1], [1, 0])  # basis-key bits selecting H, V, u, d
-_dumps = partial(json.dumps, sort_keys=True, separators=(",", ":"))
-
-# Transcript photon fields but the index, per cell 4 * state + 2 * encoding +
-# outcome (state order H, V, u, d).
-_PHOTON_CELLS = [
-    {
-        "basis_key": _KEY_BITS[s],
-        "prepared": [{"re": float(a), "im": 0.0} for a in kernels.ENC_TABLE[s, 0]],
-        "encoding": EncodingOp(m).name,
-        "received_outcome": o,
-        "decoded_bit": int(o != kernels.PREP_LABEL_OF_STATE[s]),
-    }
-    for s in range(4)
-    for m in (0, 1)
-    for o in (0, 1)
-]
-
-
-def _expand_cells(index_key: str, templates: list[dict], cells: np.ndarray) -> list[dict]:
-    return [{index_key: i, **templates[c]} for i, c in enumerate(cells.tolist())]
-
-
-def _join_cells(index_key: str, templates: list[dict], cells: np.ndarray) -> str:
-    """JSON text of ``_expand_cells``: each template is encoded once around a
-    marker index, and each photon's index is written into its cell's text."""
-    marker = f'"{index_key}":-1'
-    halves = [_dumps({index_key: -1, **t}).split(marker) for t in templates]
-    items = [f'{halves[c][0]}"{index_key}":{i}{halves[c][1]}' for i, c in enumerate(cells.tolist())]
-    return "[" + ",".join(items) + "]"
+def _digits(values: np.ndarray) -> str:
+    """A column of small nonnegative integers as one digit per entry."""
+    return (np.asarray(values, dtype=np.uint8) + ord("0")).tobytes().decode("ascii")
 
 
 @dataclass
@@ -128,7 +98,6 @@ class SessionTranscript:
     outcome label and decoded bit, the kernel's adversary columns (basis and
     outcome, -1 where the attack records nothing) and, under known-plaintext
     inference, the plaintext bit assumed for each photon (2 where none is).
-    ``attack_events`` builds record objects from them on first read.
     """
 
     config: SessionConfig
@@ -145,40 +114,6 @@ class SessionTranscript:
     recycled_pad: PadKey | None = None
     extracted_message: np.ndarray | None = None
 
-    @cached_property
-    def attack_events(self) -> list[EveRecord]:
-        templates, cells = self._event_cells()
-        return [EveRecord(**fields) for fields in _expand_cells("photon_index", templates, cells)]
-
-    def _event_cells(self) -> tuple[list[dict], np.ndarray]:
-        """The adversary's record fields but photon_index, per cell
-        3 * record + known bit, and each photon's cell.  Records are coded as
-        in ``record_likelihoods``."""
-        spec = self.attack.channel_spec()
-        if spec.kind == kernels.ATTACK_NONE:
-            return [], np.zeros(0, dtype=np.int64)
-        ir = spec.kind == kernels.ATTACK_IR
-        eve_outcome = self.eve_outcome.astype(np.int64)
-        record = 2 * self.eve_basis.astype(np.int64) + eve_outcome if ir else eve_outcome
-        posterior = None if self.known_bits is None else posterior_plus_table(spec)
-        templates = []
-        for r in range(4 if ir else 2):
-            if ir:
-                fields = {"kind": "intercept_resend", "eve_basis": _BASES[r // 2],
-                          "eve_outcome": r % 2, "probe_outcome": None, "theta": None,
-                          "attack_basis": None}
-            else:
-                fields = {"kind": "utb", "eve_basis": None, "eve_outcome": None,
-                          "probe_outcome": r, "theta": spec.theta,
-                          "attack_basis": _BASES[spec.attack_basis]}
-            for known in range(3):
-                p = None if posterior is None else float(posterior[known, r])
-                # ties break toward the plus basis
-                guess = None if p is None else _BASES[p < 0.5]
-                templates.append({**fields, "posterior_plus": p, "inferred_basis_guess": guess})
-        known = 0 if self.known_bits is None else self.known_bits
-        return templates, 3 * record + known
-
     def public_view(self) -> dict:
         """Everything an eavesdropper may read: the sampling positions Alice
         announces, the sampling values Bob announces, and the verdict."""
@@ -189,52 +124,41 @@ class SessionTranscript:
             "error_report": dataclasses.asdict(self.error_report),
         }
 
-    def to_json_dict(self) -> dict:
-        """Structured-text form (schema: docs/transcript_schema.json)."""
-        return self._document(_expand_cells)
-
-    def to_json(self) -> str:
-        """``to_json_dict`` as compact, key-sorted JSON text.
-
-        The per-photon arrays are joined from each cell's encoded text rather
-        than encoded photon by photon; the result is byte-identical.
-        """
-        arrays = {}
-
-        def placeholder(index_key, templates, cells):
-            mark = f"\0{len(arrays)}"
-            arrays[_dumps(mark)] = _join_cells(index_key, templates, cells)
-            return mark
-
-        text = _dumps(self._document(placeholder))
-        for mark, array in arrays.items():
-            text = text.replace(mark, array, 1)
-        return text + "\n"
-
-    def _document(self, per_photon) -> dict:
-        """The v1 document, with each per-photon array given by
-        ``per_photon(index key, cell templates, cell of each photon)``."""
-        mm, pad, message = self.mm, self.recycled_pad, self.extracted_message
-        positions = mm.sample_positions.tolist()
-        photon_cells = 4 * self.keys.state_idx + 2 * mm.bits + self.received
-        templates, event_cells = self._event_cells()
-        event_templates = [
-            {k: v.value if isinstance(v, Basis) else v for k, v in t.items()} for t in templates
-        ]
+    def _adversary(self) -> dict | None:
+        """Eve's record per photon, coded as in ``record_likelihoods``, and
+        under known plaintext the assumed bits and the posterior table."""
+        spec = self.attack.channel_spec()
+        if spec.kind == kernels.ATTACK_NONE:
+            return None
+        records = self.eve_outcome
+        if spec.kind == kernels.ATTACK_IR:
+            records = 2 * self.eve_basis + records
+        known = self.known_bits
         return {
-            "schema": "qotp-transcript-v1",
+            "records": _digits(records),
+            "known_bits": None if known is None else _digits(known),
+            "posterior_plus": None if known is None else posterior_plus_table(spec).tolist(),
+        }
+
+    def to_json_dict(self) -> dict:
+        """Structured-text form (schema: docs/transcript_schema.json).
+
+        Each per-photon column is a digit string with one character per
+        photon; ``pad_bits`` has two, photon i being keyed by characters 2i
+        and 2i+1.
+        """
+        pad, message = self.recycled_pad, self.extracted_message
+        return {
+            "schema": "qotp-transcript-v2",
             "config": dataclasses.asdict(self.config),
             "attack": dict(self.attack.channel_spec().description),
             "secret_view": {
-                "modified_bits": mm.bits.tolist(),
-                "sample_values": [
-                    {"position": p, "value": v}
-                    for p, v in zip(positions, mm.bits[positions].tolist())
-                ],
-                "photons": per_photon("index", _PHOTON_CELLS, photon_cells),
-                "attack_events": per_photon("photon_index", event_templates, event_cells),
-                "decoded_bits": self.decoded.tolist(),
-                "extracted_message": None if message is None else message.tolist(),
+                "pad_bits": _digits(self.keys.bits),
+                "modified_bits": _digits(self.mm.bits),
+                "received_outcomes": _digits(self.received),
+                "decoded_bits": _digits(self.decoded),
+                "adversary": self._adversary(),
+                "extracted_message": None if message is None else _digits(message),
                 "extracted_message_digest": None if message is None else message_digest(message),
                 "recycled_pad": None
                 if pad is None
@@ -248,11 +172,14 @@ class SessionTranscript:
             "error_report": dataclasses.asdict(self.error_report),
         }
 
+    def to_json(self) -> str:
+        """``to_json_dict`` as compact, key-sorted JSON text."""
+        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+
 
 def message_digest(bits: np.ndarray) -> str:
     """SHA-256 of the bit string, so logs never carry plaintext by default."""
-    text = np.asarray(bits, dtype=np.uint8).reshape(-1) + ord("0")
-    return hashlib.sha256(text.tobytes()).hexdigest()
+    return hashlib.sha256(_digits(bits).encode("ascii")).hexdigest()
 
 
 def build_modified_message(
@@ -300,8 +227,10 @@ def _known_bit_codes(known_message, mm: ModifiedMessage) -> np.ndarray:
     photons, so a plaintext of the wrong length still lines up from the start.
     """
     known = np.asarray(known_message, dtype=np.int64).reshape(-1)
-    slots = np.setdiff1d(np.arange(known.size + mm.n_sample), mm.sample_positions)
-    slots = slots[slots < mm.bits.size][: known.size]
+    message_slot = np.ones(mm.bits.size, dtype=bool)
+    message_slot[mm.sample_positions] = False
+    # the first len(known) message slots all lie below len(known) + n_sample
+    slots = np.flatnonzero(message_slot)[: known.size]
     codes = np.full(mm.bits.size, 2, dtype=np.int64)
     codes[slots] = known[: slots.size]
     return codes

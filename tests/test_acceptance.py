@@ -48,6 +48,7 @@ from qotp.quantum import (
     utb_apply,
 )
 from qotp.rng import make_rng
+from transcript_v1 import attack_events
 
 
 def report(num: int, desc: str, passed: bool, detail: str = ""):
@@ -413,15 +414,16 @@ def test_criterion_12_known_plaintext_posteriors_match_oracle():
         cfg = SessionConfig(n_message=300, n_sample=100, seed=132 + k,
                             abort_threshold=1.0, allow_insecure_demo=True)
         t = run_session(cfg, pad, message, attack)
+        session_events = attack_events(t.to_json_dict())
         oracle_records = [
             EveRecord(photon_index=ev.photon_index, kind=ev.kind, eve_basis=ev.eve_basis,
                       eve_outcome=ev.eve_outcome, probe_outcome=ev.probe_outcome,
                       theta=ev.theta, attack_basis=ev.attack_basis)
-            for ev in t.attack_events
+            for ev in session_events
         ]
         known_plaintext_infer(oracle_records, attack.known_message,
                               set(t.mm.sample_positions.tolist()))
-        for ev, oracle in zip(t.attack_events, oracle_records):
+        for ev, oracle in zip(session_events, oracle_records):
             worst = max(worst, abs(ev.posterior_plus - oracle.posterior_plus))
             if abs(oracle.posterior_plus - 0.5) > 1e-12:
                 same = ev.inferred_basis_guess is oracle.inferred_basis_guess

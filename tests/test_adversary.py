@@ -35,6 +35,7 @@ from qotp.quantum import (
     measure_photon_of_joint,
 )
 from qotp.rng import make_rng
+from transcript_v1 import attack_events
 
 OVERALL_UTB_ERR_PI4 = 0.19822330470336313  # (sin^2 + 1 - cos)/4 at pi/4
 
@@ -157,7 +158,7 @@ class TestProbeAttack:
             IndividualUTB(theta=0.0),
         )
         assert t.error_report.rate == 0.0
-        assert all(ev.probe_outcome == 0 for ev in t.attack_events)
+        assert all(ev.probe_outcome == 0 for ev in attack_events(t.to_json_dict()))
 
     def test_tradeoff_direction_monotone(self):
         # receiver error and probe MAP accuracy both grow with theta
@@ -188,33 +189,34 @@ class TestKnownPlaintext:
 
     def test_no_inner_attack_no_records(self):
         t = self._session(NoAttack())
-        assert t.attack_events == []
+        assert attack_events(t.to_json_dict()) == []
 
     def test_intercept_resend_inference_at_chance(self):
         # single-photon data plus the plaintext still leaves the basis opaque:
         # the per-basis likelihoods are equal by completeness, so accuracy
         # stays strictly below 1 (at coin-flip level)
         t = self._session(InterceptResend())
-        assert len(t.attack_events) > 0
+        events = attack_events(t.to_json_dict())
+        assert len(events) > 0
         correct = 0
-        for ev in t.attack_events:
+        for ev in events:
             assert ev.posterior_plus == pytest.approx(0.5, abs=1e-9)
             truth = t.keys.pairs[ev.photon_index].basis
             correct += ev.inferred_basis_guess is truth
-        n = len(t.attack_events)
+        n = len(events)
         accuracy = correct / n
         assert accuracy < 1.0
         assert abs(accuracy - 0.5) < 3 * np.sqrt(0.25 / n)
 
     def test_zero_theta_probe_inference_at_chance(self):
         t = self._session(IndividualUTB(theta=0.0))
-        for ev in t.attack_events:
+        for ev in attack_events(t.to_json_dict()):
             assert ev.posterior_plus == pytest.approx(0.5, abs=1e-9)
 
     def test_strong_probe_inference_still_at_chance(self):
         # even at maximal strength the probe outcome alone is basis-blind
         t = self._session(IndividualUTB(theta=np.pi / 4))
-        for ev in t.attack_events:
+        for ev in attack_events(t.to_json_dict()):
             assert ev.posterior_plus == pytest.approx(0.5, abs=1e-9)
 
     def test_infer_without_records(self):

@@ -274,11 +274,24 @@ class TestBoundaryErrors:
             (["recycle-demo", "--sessions", "2", "--pad-bits", "0"], {}),
             (["sweep-theta", "--thetas", "", "--photons", "100"], {}),
             (["bounds", "--d-grid", ""], {}),
+            (["run", "--theta", "0.3"], {}),
+            (["run", "--attack", "intercept_resend", "--theta-deg", "10"], {}),
+            (["run", "--attack", "intercept_resend", "--utb-basis", "plus"], {}),
+            (["run", "--attack", "utb", "--ir-basis", "cross"], {}),
+            (["run", "--attack", "none", "--known-plaintext"], {}),
+            (["recycle-demo", "--attack", "intercept_resend"], {}),
+            (["recycle-demo", "--attack-session", "2"], {}),
+            (["run", "--message-bits", "-3"], {}),
+            (["recycle-demo", "--message-bits", "-1"], {}),
         ],
         ids=["nan-grid-point", "non-integer-env-seed", "attack-session-past-the-end",
              "unknown-flag", "non-integer-flag", "zero-sessions", "negative-sessions",
              "zero-bound-points", "zero-photons", "one-photon", "zero-pad-bits",
-             "empty-theta-grid", "empty-d-grid"],
+             "empty-theta-grid", "empty-d-grid", "theta-without-attack",
+             "theta-deg-without-probe", "utb-basis-without-probe",
+             "ir-basis-without-intercept-resend", "known-plaintext-without-attack",
+             "recycle-attack-without-session", "recycle-session-without-attack",
+             "run-negative-message-bits", "recycle-negative-message-bits"],
     )
     def test_one_line_error_exit_1(self, argv, env, monkeypatch, capsys):
         for name, value in env.items():
@@ -288,6 +301,11 @@ class TestBoundaryErrors:
         assert rc == cli.EXIT_ERROR
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command,value", [("run", "-3"), ("recycle-demo", "-1")])
+    def test_negative_length_names_the_flag(self, command, value, capsys):
+        assert cli.main([command, "--message-bits", value]) == cli.EXIT_ERROR
+        assert capsys.readouterr().err == f"error: --message-bits must be >= 0, got {value}\n"
 
 
 # Flag values for the property test below: numbers at and past every edge

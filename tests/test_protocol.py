@@ -14,13 +14,16 @@ from qotp.adversary import IndividualUTB, InterceptResend, NoAttack
 from qotp.errors import PadExhaustedError
 from qotp.keystore import generate_pad
 from qotp.protocol import (
+    ModifiedMessage,
     SessionConfig,
+    _known_bit_codes,
     build_modified_message,
     eavesdrop_check,
     run_session,
 )
 from qotp.quantum import Basis, BasisKeyPair, state_from_basis_key
 from qotp.rng import make_rng
+from transcript_v1 import attack_events, v1_document
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "transcript_schema.json").read_text()
@@ -65,6 +68,31 @@ class TestModifiedMessage:
             counts[int(mm.sample_positions[0])] += 1
         sigma = np.sqrt((1 / 3) * (2 / 3) / n)
         assert np.all(np.abs(counts / n - 1 / 3) < 3 * sigma)
+
+
+def _known_bit_codes_reference(known, mm):
+    """The plaintext laid over the non-sample slots of len(known) + n_sample
+    photons, via a set difference."""
+    known = np.asarray(known, dtype=np.int64)
+    slots = np.setdiff1d(np.arange(known.size + mm.n_sample), mm.sample_positions)
+    slots = slots[slots < mm.bits.size][: known.size]
+    codes = np.full(mm.bits.size, 2, dtype=np.int64)
+    codes[slots] = known[: slots.size]
+    return codes
+
+
+class TestKnownBitCodes:
+    @given(st.integers(1, 80).flatmap(lambda n: st.tuples(
+        st.just(n), st.sets(st.integers(0, n - 1), max_size=n),
+        st.lists(st.integers(0, 1), max_size=2 * n))))
+    @settings(max_examples=200, deadline=None)
+    def test_codes_equal_the_set_difference_reference(self, case):
+        # plaintexts shorter and longer than the message, any positions
+        n, positions, known = case
+        mm = ModifiedMessage(bits=np.zeros(n, dtype=np.uint8),
+                             sample_positions=np.array(sorted(positions), dtype=np.int64))
+        codes = _known_bit_codes(known, mm)
+        assert np.array_equal(codes, _known_bit_codes_reference(known, mm))
 
 
 class TestEavesdropCheck:
@@ -260,7 +288,9 @@ class TestTranscriptExport:
         cfg = SessionConfig(n_message=40, n_sample=20, seed=61,
                             abort_threshold=1.0, allow_insecure_demo=True)
         t = run_session(cfg, pad, message, attack)
-        view = t.to_json_dict()["secret_view"]
+        doc = t.to_json_dict()
+        view = v1_document(doc)["secret_view"]
+        events = attack_events(doc)
         assert len(view["photons"]) == len(view["attack_events"]) == 60
         rows = zip(view["photons"], view["attack_events"], t.keys.pairs)
         for i, (ph, ev, pair) in enumerate(rows):
@@ -272,18 +302,74 @@ class TestTranscriptExport:
             assert ph["decoded_bit"] == view["decoded_bits"][i] == t.decoded[i]
             # the decoded bit is 1 exactly when the outcome is not the prepared eigenstate
             assert ph["decoded_bit"] == int(ph["received_outcome"] != pair.eigenstate_label)
-            record = t.attack_events[i]
+            record = events[i]
             basis = record.eve_basis
             assert ev["eve_basis"] == (None if basis is None else basis.value)
             assert ev["eve_outcome"] == record.eve_outcome
             assert ev["probe_outcome"] == record.probe_outcome
         if isinstance(attack, InterceptResend):
-            assert [ev.eve_basis.index for ev in t.attack_events] == t.eve_basis.tolist()
-            assert [ev.eve_outcome for ev in t.attack_events] == t.eve_outcome.tolist()
+            assert [ev.eve_basis.index for ev in events] == t.eve_basis.tolist()
+            assert [ev.eve_outcome for ev in events] == t.eve_outcome.tolist()
         else:
-            assert [ev.probe_outcome for ev in t.attack_events] == t.eve_outcome.tolist()
-            probes = {(ev.theta, ev.attack_basis) for ev in t.attack_events}
+            assert [ev.probe_outcome for ev in events] == t.eve_outcome.tolist()
+            probes = {(ev.theta, ev.attack_basis) for ev in events}
             assert probes == {(np.pi / 4, Basis.CROSS)}
+
+    @pytest.mark.parametrize(
+        "inner,n_records",
+        [(NoAttack(), 0), (InterceptResend(), 4), (IndividualUTB(theta=np.pi / 8), 2)],
+    )
+    @pytest.mark.parametrize("known_plaintext", [False, True])
+    @pytest.mark.parametrize("threshold", [0.0, 1.0])
+    def test_columns_have_the_lengths_the_config_implies(
+        self, inner, n_records, known_plaintext, threshold
+    ):
+        # JSON Schema fixes each column's alphabet but cannot tie its length
+        # to the config
+        from qotp.adversary import KnownPlaintext
+
+        message = make_rng(63).integers(0, 2, 30, dtype=np.uint8)
+        pad = generate_pad(2 * 45, make_rng(64))
+        attack = inner
+        if known_plaintext:
+            attack = KnownPlaintext(inner=inner, known_message=tuple(message.tolist()))
+        cfg = SessionConfig(n_message=30, n_sample=15, seed=65, abort_threshold=threshold,
+                            allow_insecure_demo=True)
+        doc = run_session(cfg, pad, message, attack).to_json_dict()
+        jsonschema.validate(doc, SCHEMA)
+        n_message, n_sample = doc["config"]["n_message"], doc["config"]["n_sample"]
+        n = n_message + n_sample
+        view = doc["secret_view"]
+        assert len(view["pad_bits"]) == 2 * n
+        for column in ("modified_bits", "received_outcomes", "decoded_bits"):
+            assert len(view[column]) == n
+        if view["extracted_message"] is not None:
+            assert len(view["extracted_message"]) == n_message
+        public = doc["public_view"]
+        assert len(public["sample_positions"]) == len(public["announced_sample_values"]) == n_sample
+        adversary = view["adversary"]
+        if n_records == 0:
+            assert adversary is None
+            return
+        assert len(adversary["records"]) == n
+        assert max(map(int, adversary["records"])) < n_records
+        if known_plaintext:
+            assert len(adversary["known_bits"]) == n
+            assert [len(row) for row in adversary["posterior_plus"]] == [n_records] * 3
+        else:
+            assert adversary["known_bits"] is None and adversary["posterior_plus"] is None
+
+    def test_known_plaintext_transcript_under_12_bytes_per_photon(self):
+        from qotp.adversary import KnownPlaintext
+
+        message = make_rng(66).integers(0, 2, 1536, dtype=np.uint8)
+        pad = generate_pad(2 * 2048, make_rng(67))
+        attack = KnownPlaintext(inner=IndividualUTB(theta=np.pi / 8),
+                                known_message=tuple(message.tolist()))
+        cfg = SessionConfig(n_message=1536, n_sample=512, seed=68, abort_threshold=1.0,
+                            allow_insecure_demo=True)
+        text = run_session(cfg, pad, message, attack).to_json()
+        assert len(text.encode()) < 12 * 2048
 
     def test_json_deterministic(self):
         def once():
