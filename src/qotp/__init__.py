@@ -1,23 +1,11 @@
 """Repeatable classical one-time-pad over simulated single-photon qubits.
 
-An exact 1-2 qubit simulator, the six-step pad-reuse crypto session, pluggable
-eavesdropping attacks, and the information-theoretic bounds that limit what an
-individual attack can learn.
+A photon channel simulator built on exact probability tables, the six-step
+pad-reuse crypto session, pluggable eavesdropping attacks, and the
+information-theoretic bounds that limit what an individual attack can learn.
 """
 
-from .adversary import (
-    AttackModel,
-    EveRecord,
-    IndividualUTB,
-    InterceptResend,
-    IRStrategy,
-    KnownPlaintext,
-    NoAttack,
-    attack_photon,
-    intercept_resend,
-    known_plaintext_infer,
-    utb_intercept,
-)
+from .adversary import AttackModel, IndividualUTB, InterceptResend, KnownPlaintext, NoAttack
 from .analysis import (
     ErrorSubset,
     d_of_theta,
@@ -33,6 +21,7 @@ from .analysis import (
     sweep_theta,
 )
 from .errors import PadExhaustedError, PoleError, ProtocolViolationError
+from .kernels import Basis
 from .keystore import (
     BasisKeySequence,
     PadKey,
@@ -50,22 +39,6 @@ from .protocol import (
     build_modified_message,
     eavesdrop_check,
     run_session,
-)
-from .quantum import (
-    Basis,
-    BasisKeyPair,
-    EncodingOp,
-    KET_D,
-    KET_H,
-    KET_U,
-    KET_V,
-    StateVector,
-    apply_encoding,
-    measure,
-    measure_photon_of_joint,
-    state_from_basis_key,
-    states_equal_up_to_phase,
-    utb_apply,
 )
 from .rng import make_rng, role_seed
 

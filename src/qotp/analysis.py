@@ -28,12 +28,8 @@ import numpy as np
 from . import kernels
 from .adversary import AttackModel, IndividualUTB
 from .errors import PoleError
-from .quantum import Basis
+from .kernels import Basis
 from .rng import ROLE_SWEEP, RandomStream, make_rng, role_seed
-
-# Plug-in MI estimator slack for seeded bound comparisons at n = 1e5
-# (estimator bias is O(cells/n); at most 8 cells here).
-MI_ESTIMATOR_SLACK = 0.02
 
 _LN2 = np.log(2.0)
 _POLE_DM = 1.0 / (8.0 * np.sqrt(2.0))
@@ -256,16 +252,6 @@ def run_photon_batch(
         bob_outcome=bob,
         eve_basis=eve_basis,
         eve_outcome=eve_out,
-    )
-
-
-def probe_information_estimate(batch: PhotonBatch, attack_basis: Basis) -> float:
-    """Plug-in MI between the encoded eigenstate label and the probe outcome
-    over attacked-basis photons: what the probe learns about the encoding once
-    the basis key of each photon is handed to the adversary afterwards."""
-    matched = batch.prep_basis == attack_basis.index
-    return empirical_mutual_information(
-        joint_counts(batch.encoded_label[matched], batch.eve_outcome[matched], 2, 2)
     )
 
 

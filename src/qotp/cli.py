@@ -25,13 +25,12 @@ from .adversary import (
     AttackModel,
     IndividualUTB,
     InterceptResend,
-    IRStrategy,
     KnownPlaintext,
     NoAttack,
 )
 from .errors import PadExhaustedError, PoleError, ProtocolViolationError
+from .kernels import Basis
 from .protocol import SessionConfig, message_digest, run_session
-from .quantum import Basis
 from .rng import ROLE_MESSAGE, ROLE_PAD, ROLE_SESSION, make_rng, role_seed
 
 EXIT_OK = 0
@@ -99,10 +98,18 @@ _ATTACK_FLAG_OWNERS = {
 
 
 def _check_session_flags(args) -> None:
-    """Reject a negative message length, and attack flags the configured
-    attack would silently ignore."""
+    """Reject a negative message length, a threshold outside [0, 1] or above 0
+    without --insecure-demo, and attack flags the configured attack would
+    silently ignore."""
     if args.message_bits is not None and args.message_bits < 0:
         raise ValueError(f"--message-bits must be >= 0, got {args.message_bits}")
+    if not 0.0 <= args.threshold <= 1.0:
+        raise ValueError(f"--threshold must lie in [0, 1], got {args.threshold}")
+    if args.threshold > 0.0 and not args.insecure_demo:
+        raise ValueError(
+            "--threshold above 0 releases messages over a noisy channel without "
+            "privacy amplification; pass --insecure-demo to accept that"
+        )
     for name, owner in _ATTACK_FLAG_OWNERS.items():
         if getattr(args, name) is not None and args.attack != owner:
             raise ValueError(f"--{name.replace('_', '-')} applies only to --attack {owner}")
@@ -114,7 +121,7 @@ def _build_attack(args, message) -> AttackModel:
     if args.attack == "none":
         attack: AttackModel = NoAttack()
     elif args.attack == "intercept_resend":
-        attack = InterceptResend(basis_strategy=IRStrategy(args.ir_basis or "random"))
+        attack = InterceptResend(None if args.ir_basis in (None, "random") else Basis(args.ir_basis))
     else:
         attack = IndividualUTB(
             theta=_resolve_theta(args),

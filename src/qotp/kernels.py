@@ -7,8 +7,8 @@ in one of 2 bases, so every probability the channel needs is an entry of a
 small exact table indexed by the cell ``4 * state + 2 * encoding + basis``;
 simulating a photon is a gather and a compare.  All states reachable in this
 protocol have real amplitudes, so the tables are built from signed float64
-amplitudes; the object-level complex simulator in ``quantum`` is the oracle
-the tests check every table entry against.
+amplitudes.  The tests check every table entry against an independent complex
+state-vector oracle, which ships with the tests and not with the package.
 
 An attack reaches the kernel as one ``ChannelSpec``.  Randomness enters only
 through a ``uniforms`` array of shape (n, 3) with fixed column roles
@@ -18,6 +18,7 @@ outcome draw), supplied by the caller or drawn from its rng.
 
 from __future__ import annotations
 
+from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -28,6 +29,18 @@ ATTACK_UTB = 2
 
 BASIS_PLUS = 0
 BASIS_CROSS = 1
+
+
+class Basis(Enum):
+    """The two measuring bases for a single photon."""
+
+    PLUS = "plus"
+    CROSS = "cross"
+
+    @property
+    def index(self) -> int:
+        """The basis as the kernel codes it: BASIS_PLUS or BASIS_CROSS."""
+        return BASIS_PLUS if self is Basis.PLUS else BASIS_CROSS
 
 
 class ChannelSpec(NamedTuple):

@@ -16,13 +16,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import PadExhaustedError, ProtocolViolationError
-from .quantum import BasisKeyPair
 from .rng import RandomStream
 
 
@@ -77,11 +75,6 @@ class BasisKeySequence:
     def sources(self) -> np.ndarray:
         """(n, 2) pad bit indices keying each photon."""
         return np.arange(self.bits.size).reshape(-1, 2)
-
-    @cached_property
-    def pairs(self) -> tuple[BasisKeyPair, ...]:
-        b = self.bits.tolist()
-        return tuple(BasisKeyPair(b0, b1) for b0, b1 in zip(b[0::2], b[1::2]))
 
 
 def generate_pad(length: int, rng: RandomStream) -> PadKey:

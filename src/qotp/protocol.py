@@ -9,8 +9,8 @@ takes the attack as its ``ChannelSpec``; this is the only session path.  The
 transcript keeps the full secret view for analysis; the ``public_view``
 projection is exactly what an eavesdropper may read.
 
-The object-level state-vector simulator in ``quantum`` (with the per-photon
-attacks in ``adversary``) is the oracle the tests check this path against.
+The tests check this path against an object-level state-vector oracle with
+per-photon attacks, which ships with the tests and not with the package.
 """
 
 from __future__ import annotations

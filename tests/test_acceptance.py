@@ -14,19 +14,14 @@ import pytest
 
 from qotp import cli, kernels
 from qotp.adversary import (
-    EveRecord,
     IndividualUTB,
     InterceptResend,
-    IRStrategy,
     KnownPlaintext,
     NoAttack,
-    _record_likelihood,
-    known_plaintext_infer,
     posterior_plus_table,
     record_likelihoods,
 )
 from qotp.analysis import (
-    MI_ESTIMATOR_SLACK,
     empirical_mutual_information,
     epsilon_tilde_min,
     i0_bound,
@@ -37,17 +32,23 @@ from qotp.analysis import (
 )
 from qotp.errors import PoleError
 from qotp.keystore import generate_pad
+from qotp.kernels import Basis
 from qotp.protocol import SessionConfig, run_session
-from qotp.quantum import (
+from qotp.rng import make_rng
+from oracle import (
+    MI_ESTIMATOR_SLACK,
     PREP_BASIS,
     PREP_LABEL,
-    Basis,
-    EncodingOp,
     PREP_STATES,
+    EncodingOp,
+    EveRecord,
+    _record_likelihood,
     apply_encoding,
+    eigenstates,
+    key_pairs,
+    known_plaintext_infer,
     utb_apply,
 )
-from qotp.rng import make_rng
 from transcript_v1 import attack_events
 
 
@@ -90,9 +91,9 @@ def test_criterion_02_intercept_resend_detection():
     oracle = 0.0
     for idx, s in enumerate(PREP_STATES):
         own = Basis.PLUS if idx < 2 else Basis.CROSS
-        wrong = own.eigenstates()[1 - (idx % 2)]
+        wrong = eigenstates(own)[1 - (idx % 2)]
         for eve_basis in Basis:
-            eig = eve_basis.eigenstates()
+            eig = eigenstates(eve_basis)
             for outcome in (0, 1):
                 p_out = abs(np.vdot(eig[outcome], s.amps)) ** 2
                 oracle += 0.5 * p_out * abs(np.vdot(wrong, eig[outcome])) ** 2 / 4
@@ -280,12 +281,12 @@ def test_criterion_10_born_rule_oracle_equivalence():
                 # independent oracle: explicit complex projection algebra
                 s = apply_encoding(EncodingOp.U0, PREP_STATES[state_idx])
                 if attack is None:
-                    p1 = abs(np.vdot(meas.eigenstates()[1], s.amps)) ** 2
+                    p1 = abs(np.vdot(eigenstates(meas)[1], s.amps)) ** 2
                     spec = kernels.CLEAN
                 else:
                     theta, ab = attack
                     joint = utb_apply(s, theta, ab)
-                    amps = meas.eigenstates().conj() @ joint.amps.reshape(2, 2)
+                    amps = eigenstates(meas).conj() @ joint.amps.reshape(2, 2)
                     p1 = float(np.sum(np.abs(amps[1]) ** 2))
                     spec = IndividualUTB(theta=theta, attack_basis=ab).channel_spec()
                 p1 = min(max(p1, 0.0), 1.0)
@@ -315,21 +316,21 @@ def oracle_error_probability(state_idx: int, enc: int, attack) -> float:
     s = apply_encoding(EncodingOp(enc), PREP_STATES[state_idx])
     prep = PREP_BASIS[state_idx]
     wrong_label = 1 - (PREP_LABEL[state_idx] ^ enc)
-    wrong = prep.eigenstates()[wrong_label]
+    wrong = eigenstates(prep)[wrong_label]
     if isinstance(attack, NoAttack):
         return abs(np.vdot(wrong, s.amps)) ** 2
     if isinstance(attack, InterceptResend):
-        if attack.basis_strategy is IRStrategy.RANDOM:
+        if attack.attack_basis is None:
             bases = [(Basis.PLUS, 0.5), (Basis.CROSS, 0.5)]
         else:
-            bases = [(Basis(attack.basis_strategy.value), 1.0)]
+            bases = [(attack.attack_basis, 1.0)]
         total = 0.0
         for eve_basis, weight in bases:
-            for eig in eve_basis.eigenstates():
+            for eig in eigenstates(eve_basis):
                 total += weight * abs(np.vdot(eig, s.amps)) ** 2 * abs(np.vdot(wrong, eig)) ** 2
         return total
     joint = utb_apply(s, attack.theta, attack.attack_basis)
-    amps = prep.eigenstates().conj() @ joint.amps.reshape(2, 2)
+    amps = eigenstates(prep).conj() @ joint.amps.reshape(2, 2)
     return float(np.sum(np.abs(amps[wrong_label]) ** 2))
 
 
@@ -338,8 +339,8 @@ def test_criterion_11_session_oracle_equivalence():
     attacks = [
         NoAttack(),
         InterceptResend(),
-        InterceptResend(IRStrategy.FIXED_PLUS),
-        InterceptResend(IRStrategy.FIXED_CROSS),
+        InterceptResend(Basis.PLUS),
+        InterceptResend(Basis.CROSS),
         IndividualUTB(theta=np.pi / 8, attack_basis=Basis.PLUS),
         IndividualUTB(theta=np.pi / 4, attack_basis=Basis.CROSS),
         KnownPlaintext(inner=IndividualUTB(theta=3 * np.pi / 16), known_message=()),
@@ -353,7 +354,7 @@ def test_criterion_11_session_oracle_equivalence():
                             abort_threshold=1.0, allow_insecure_demo=True)
         t = run_session(cfg, pad, [], attack)
         errors = t.decoded != t.mm.bits
-        state_idx = np.array([p.state_index for p in t.keys.pairs])
+        state_idx = np.array([p.state_index for p in key_pairs(t.keys)])
         for idx in range(4):
             sel = state_idx == idx
             # exact expectation and variance given the photons' encodings

@@ -8,33 +8,29 @@ import inspect
 import numpy as np
 import pytest
 
-from qotp.adversary import (
-    EveRecord,
-    IndividualUTB,
-    InterceptResend,
-    IRStrategy,
-    KnownPlaintext,
-    NoAttack,
-    attack_photon,
-    intercept_resend,
-    known_plaintext_infer,
-    utb_intercept,
-)
+from qotp.adversary import IndividualUTB, InterceptResend, KnownPlaintext, NoAttack
 from qotp.analysis import run_photon_batch
+from qotp.kernels import Basis
 from qotp.keystore import generate_pad
 from qotp.protocol import SessionConfig, run_session
-from qotp.quantum import (
-    Basis,
+from qotp.rng import make_rng
+from oracle import (
     KET_D,
     KET_H,
     KET_U,
     KET_V,
     PREP_LABEL,
     PREP_STATES,
+    EveRecord,
+    attack_photon,
+    eigenstates,
+    intercept_resend,
+    key_pairs,
+    known_plaintext_infer,
     measure,
     measure_photon_of_joint,
+    utb_intercept,
 )
-from qotp.rng import make_rng
 from transcript_v1 import attack_events
 
 OVERALL_UTB_ERR_PI4 = 0.19822330470336313  # (sin^2 + 1 - cos)/4 at pi/4
@@ -47,9 +43,9 @@ def ir_random_error_oracle() -> float:
     for idx, s in enumerate(PREP_STATES):
         label = PREP_LABEL[idx]
         own_basis = Basis.PLUS if idx < 2 else Basis.CROSS
-        wrong = own_basis.eigenstates()[1 - label]
+        wrong = eigenstates(own_basis)[1 - label]
         for eve_basis in Basis:
-            eig = eve_basis.eigenstates()
+            eig = eigenstates(eve_basis)
             for outcome in (0, 1):
                 p_out = abs(np.vdot(eig[outcome], s.amps)) ** 2
                 p_err = abs(np.vdot(wrong, eig[outcome])) ** 2
@@ -73,7 +69,7 @@ class TestDispatch:
         rng = make_rng(2)
         for _ in range(30):
             fwd, rec = attack_photon(
-                InterceptResend(IRStrategy.FIXED_PLUS), KET_H, rng
+                InterceptResend(Basis.PLUS), KET_H, rng
             )
             assert rec.eve_outcome == 0
             assert np.allclose(fwd.amps, KET_H.amps)
@@ -87,7 +83,7 @@ class TestInterceptResend:
     def test_matched_basis_no_disturbance(self):
         rng = make_rng(3)
         for _ in range(30):
-            fwd, _ = intercept_resend(KET_U, IRStrategy.FIXED_CROSS, rng)
+            fwd, _ = intercept_resend(KET_U, Basis.CROSS, rng)
             assert np.allclose(fwd.amps, KET_U.amps)
             assert measure(fwd, Basis.CROSS, rng)[0] == 0
 
@@ -97,7 +93,7 @@ class TestInterceptResend:
         n = 20_000
         errors = 0
         for _ in range(n):
-            fwd, _ = intercept_resend(KET_U, IRStrategy.FIXED_PLUS, rng)
+            fwd, _ = intercept_resend(KET_U, Basis.PLUS, rng)
             errors += measure(fwd, Basis.CROSS, rng)[0] != 0
         assert abs(errors / n - 0.5) < 3 * np.sqrt(0.25 / n)
 
@@ -199,9 +195,10 @@ class TestKnownPlaintext:
         events = attack_events(t.to_json_dict())
         assert len(events) > 0
         correct = 0
+        pairs = key_pairs(t.keys)
         for ev in events:
             assert ev.posterior_plus == pytest.approx(0.5, abs=1e-9)
-            truth = t.keys.pairs[ev.photon_index].basis
+            truth = pairs[ev.photon_index].basis
             correct += ev.inferred_basis_guess is truth
         n = len(events)
         accuracy = correct / n

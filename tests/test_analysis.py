@@ -9,7 +9,6 @@ from qotp.adversary import IndividualUTB, InterceptResend, record_likelihoods
 from qotp.analysis import (
     BOUNDS_CSV_HEADER,
     ErrorSubset,
-    MI_ESTIMATOR_SLACK,
     bounds_csv,
     d_of_theta,
     empirical_error_rate,
@@ -19,16 +18,16 @@ from qotp.analysis import (
     i1_bound,
     joint_counts,
     phi,
-    probe_information_estimate,
     run_photon_batch,
     small_dm_linear_bound,
     sweep_theta,
 )
 from qotp.errors import PoleError
+from qotp.kernels import Basis
 from qotp.keystore import generate_pad
 from qotp.protocol import SessionConfig, run_session
-from qotp.quantum import Basis
 from qotp.rng import ROLE_SWEEP, make_rng, role_seed
+from oracle import MI_ESTIMATOR_SLACK, key_pairs, probe_information_estimate
 
 # frozen oracle values (30-digit evaluation, rounded to double)
 PHI_HALF = 0.37744375108173434
@@ -189,7 +188,7 @@ class TestEmpiricalErrorRate:
             IndividualUTB(theta=np.pi / 4),
         )
         rate = empirical_error_rate(t, ErrorSubset.MATCHED_ATTACK_BASIS)
-        n_matched = sum(1 for p in t.keys.pairs if p.basis is Basis.PLUS)
+        n_matched = sum(1 for p in key_pairs(t.keys) if p.basis is Basis.PLUS)
         assert abs(rate - 0.25) < 3 * np.sqrt(0.25 * 0.75 / n_matched)
 
     def test_intercept_resend_sample_quarter(self):
@@ -290,7 +289,7 @@ class TestPerStateOracleEquivalence:
         )
         decoded = np.asarray(t.decoded, dtype=np.uint8)
         errors = decoded != t.mm.bits
-        state_idx = np.array([p.state_index for p in t.keys.pairs])
+        state_idx = np.array([p.state_index for p in key_pairs(t.keys)])
         for idx, p_err in expected.items():
             sel = state_idx == idx
             rate = float(errors[sel].mean())

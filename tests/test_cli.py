@@ -283,6 +283,8 @@ class TestBoundaryErrors:
             (["recycle-demo", "--attack-session", "2"], {}),
             (["run", "--message-bits", "-3"], {}),
             (["recycle-demo", "--message-bits", "-1"], {}),
+            (["run", "--samples", "1", "--threshold", "0.5"], {}),
+            (["recycle-demo", "--threshold", "0.5"], {}),
         ],
         ids=["nan-grid-point", "non-integer-env-seed", "attack-session-past-the-end",
              "unknown-flag", "non-integer-flag", "zero-sessions", "negative-sessions",
@@ -291,7 +293,8 @@ class TestBoundaryErrors:
              "theta-deg-without-probe", "utb-basis-without-probe",
              "ir-basis-without-intercept-resend", "known-plaintext-without-attack",
              "recycle-attack-without-session", "recycle-session-without-attack",
-             "run-negative-message-bits", "recycle-negative-message-bits"],
+             "run-negative-message-bits", "recycle-negative-message-bits",
+             "run-threshold-without-insecure-demo", "recycle-threshold-without-insecure-demo"],
     )
     def test_one_line_error_exit_1(self, argv, env, monkeypatch, capsys):
         for name, value in env.items():
@@ -306,6 +309,19 @@ class TestBoundaryErrors:
     def test_negative_length_names_the_flag(self, command, value, capsys):
         assert cli.main([command, "--message-bits", value]) == cli.EXIT_ERROR
         assert capsys.readouterr().err == f"error: --message-bits must be >= 0, got {value}\n"
+
+    @pytest.mark.parametrize("command", ["run", "recycle-demo"])
+    def test_threshold_names_the_insecure_demo_flag(self, command, capsys):
+        assert cli.main([command, "--threshold", "0.5"]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "--insecure-demo" in err and "allow_insecure_demo" not in err
+
+    @pytest.mark.parametrize("command", ["run", "recycle-demo"])
+    @pytest.mark.parametrize("value", ["2", "-1", "nan"])
+    def test_threshold_range_names_the_flag(self, command, value, capsys):
+        argv = [command, "--threshold", value, "--insecure-demo"]
+        assert cli.main(argv) == cli.EXIT_ERROR
+        assert capsys.readouterr().err == f"error: --threshold must lie in [0, 1], got {float(value)}\n"
 
 
 # Flag values for the property test below: numbers at and past every edge

@@ -6,26 +6,21 @@ import numpy as np
 import pytest
 
 from qotp import kernels
-from qotp.adversary import (
-    IndividualUTB,
-    InterceptResend,
-    IRStrategy,
-    NoAttack,
-    attack_photon,
-    eve_measure_probe,
-    record_likelihoods,
-)
+from qotp.adversary import IndividualUTB, InterceptResend, NoAttack, record_likelihoods
 from qotp.analysis import run_photon_batch
-from qotp.quantum import (
-    Basis,
-    EncodingOp,
+from qotp.kernels import Basis
+from qotp.rng import make_rng
+from oracle import (
     PREP_STATES,
+    EncodingOp,
     apply_encoding,
+    attack_photon,
+    eigenstates,
+    eve_measure_probe,
     measure,
     measure_photon_of_joint,
     utb_apply,
 )
-from qotp.rng import make_rng
 
 # Distance of a pinned uniform from the decision threshold; the kernel's real
 # arithmetic and the oracle's complex arithmetic agree far closer than this.
@@ -53,7 +48,7 @@ def oracle_photon(state_idx, enc, meas, model, u):
     outcome or probe, 2 receiver).  Returns (receiver outcome, record)."""
     u0, u1, u2 = u
     if isinstance(model, InterceptResend):
-        order = [u0, u1, u2] if model.basis_strategy is IRStrategy.RANDOM else [u1, u2]
+        order = [u0, u1, u2] if model.attack_basis is None else [u1, u2]
     elif isinstance(model, IndividualUTB):
         order = [u2, u1]
     else:
@@ -80,18 +75,18 @@ def kernel_photon(state_idx, enc, meas, model, u):
 def pinned_cells(model, s, meas):
     """(uniforms, expected kernel output) on both sides of every decision the
     oracle's projection probabilities define for one encoded state."""
-    e1 = meas.eigenstates()[1]
+    e1 = eigenstates(meas)[1]
     if isinstance(model, NoAttack):
         p_bob = abs(np.vdot(e1, s.amps)) ** 2
         return [((0.5, 0.5, u2), (int(u2 < p_bob), -1, -1)) for u2 in either_side(p_bob)]
     cells = []
     if isinstance(model, InterceptResend):
-        if model.basis_strategy is IRStrategy.RANDOM:
+        if model.attack_basis is None:
             choices = [(Basis.PLUS, 0.5 - EDGE), (Basis.CROSS, 0.5 + EDGE)]
         else:
-            choices = [(Basis(model.basis_strategy.value), 0.5)]
+            choices = [(model.attack_basis, 0.5)]
         for eve_basis, u0 in choices:
-            eig = eve_basis.eigenstates()
+            eig = eigenstates(eve_basis)
             p_eve = abs(np.vdot(eig[1], s.amps)) ** 2
             for u1 in either_side(p_eve):
                 eo = int(u1 < p_eve)
@@ -100,7 +95,7 @@ def pinned_cells(model, s, meas):
                     cells.append(((u0, u1, u2), (int(u2 < p_bob), eve_basis.index, eo)))
         return cells
     joint = utb_apply(s, model.theta, model.attack_basis)
-    amps = meas.eigenstates().conj() @ joint.amps.reshape(2, 2)
+    amps = eigenstates(meas).conj() @ joint.amps.reshape(2, 2)
     p_bob = float(np.sum(np.abs(amps[1]) ** 2))
     for u2 in either_side(p_bob):
         bob = int(u2 < p_bob)
@@ -110,7 +105,7 @@ def pinned_cells(model, s, meas):
     return cells
 
 
-CHANNELS = [NoAttack()] + [InterceptResend(strategy) for strategy in IRStrategy] + [
+CHANNELS = [NoAttack()] + [InterceptResend(basis) for basis in (None, *Basis)] + [
     IndividualUTB(theta=theta, attack_basis=basis)
     for basis in Basis
     for theta in (0.0, np.pi / 16, np.pi / 8, 3 * np.pi / 16, np.pi / 4)
@@ -119,7 +114,7 @@ CHANNELS = [NoAttack()] + [InterceptResend(strategy) for strategy in IRStrategy]
 
 def channel_id(model):
     if isinstance(model, InterceptResend):
-        return f"ir-{model.basis_strategy.value}"
+        return f"ir-{model.channel_spec().description['ir_basis']}"
     if isinstance(model, IndividualUTB):
         return f"utb-{model.attack_basis.value}-{model.theta:.4f}"
     return "none"
@@ -150,7 +145,7 @@ def test_pinned_uniforms_flip_at_oracle_probabilities(model):
 
 def oracle_p1(vec, meas: Basis) -> float:
     """P(outcome 1) of a single-photon amplitude vector measured in ``meas``."""
-    return float(abs(np.vdot(meas.eigenstates()[1], vec)) ** 2)
+    return float(abs(np.vdot(eigenstates(meas)[1], vec)) ** 2)
 
 
 def encoded_state(state_idx, enc):
@@ -165,7 +160,7 @@ def cell_index(state_idx, enc, basis: Basis) -> int:
 
 
 class TestTablesAgainstOracle:
-    # every table entry against the quantum.py projection probability
+    # every table entry against the oracle's projection probability
 
     def test_clean_table(self):
         for s, e, meas in CELLS:
@@ -174,7 +169,7 @@ class TestTablesAgainstOracle:
 
     def test_forward_table(self):
         for eve_basis in Basis:
-            for eve_out, eig in enumerate(eve_basis.eigenstates()):
+            for eve_out, eig in enumerate(eigenstates(eve_basis)):
                 for meas in Basis:
                     got = kernels.FORWARD_P1[4 * eve_basis.index + 2 * eve_out + meas.index]
                     assert got == pytest.approx(oracle_p1(eig, meas), abs=1e-12)
@@ -190,7 +185,7 @@ class TestTablesAgainstOracle:
         for s, e, meas in CELLS:
             joint = utb_apply(encoded_state(s, e), model.theta, model.attack_basis)
             # amps[receiver outcome, probe outcome]
-            amps = meas.eigenstates().conj() @ joint.amps.reshape(2, 2)
+            amps = eigenstates(meas).conj() @ joint.amps.reshape(2, 2)
             probs = np.abs(amps) ** 2
             cell = cell_index(s, e, meas)
             assert p1[cell] == pytest.approx(probs[1].sum(), abs=1e-12)
@@ -226,12 +221,12 @@ class TestAgainstExactProjections:
         """Object-level oracle: P(outcome 1) from explicit amplitudes."""
         s = apply_encoding(EncodingOp(enc_bit), PREP_STATES[state_idx])
         if attack is None:
-            e1 = meas.eigenstates()[1]
+            e1 = eigenstates(meas)[1]
             p1 = float(abs(np.vdot(e1, s.amps)) ** 2)
         else:
             theta, basis = attack
             joint = utb_apply(s, theta, basis)
-            amps = meas.eigenstates().conj() @ joint.amps.reshape(2, 2)
+            amps = eigenstates(meas).conj() @ joint.amps.reshape(2, 2)
             p1 = float(np.sum(np.abs(amps[1]) ** 2))
         return min(max(p1, 0.0), 1.0)
 
@@ -283,7 +278,7 @@ class TestAgainstExactProjections:
         )
         s = PREP_STATES[state_idx]
         joint = utb_apply(s, theta, Basis.PLUS)
-        amps = Basis.CROSS.eigenstates().conj() @ joint.amps.reshape(2, 2)
+        amps = eigenstates(Basis.CROSS).conj() @ joint.amps.reshape(2, 2)
         for outcome in (0, 1):
             sel = bob == outcome
             p_probe1 = float(abs(amps[outcome, 1]) ** 2 / np.sum(np.abs(amps[outcome]) ** 2))

@@ -17,8 +17,8 @@ from qotp.keystore import (
     save_pad,
 )
 from qotp.protocol import ErrorReport
-from qotp.quantum import KET_D, KET_H, KET_U, KET_V, state_from_basis_key
 from qotp.rng import make_rng
+from oracle import KET_D, KET_H, KET_U, KET_V, key_pairs, state_from_basis_key
 
 
 def pad_of(bit_string: str) -> PadKey:
@@ -49,14 +49,14 @@ class TestGenerate:
 class TestDraw:
     def test_pairs_and_states(self):
         keys = draw_basis_keys(pad_of("0011"), 2)
-        assert [(k.b0, k.b1) for k in keys.pairs] == [(0, 0), (1, 1)]
-        assert np.allclose(state_from_basis_key(keys.pairs[0]).amps, KET_H.amps)
-        assert np.allclose(state_from_basis_key(keys.pairs[1]).amps, KET_V.amps)
+        assert [(k.b0, k.b1) for k in key_pairs(keys)] == [(0, 0), (1, 1)]
+        assert np.allclose(state_from_basis_key(key_pairs(keys)[0]).amps, KET_H.amps)
+        assert np.allclose(state_from_basis_key(key_pairs(keys)[1]).amps, KET_V.amps)
 
     def test_cross_pairs(self):
         keys = draw_basis_keys(pad_of("0110"), 2)
-        assert np.allclose(state_from_basis_key(keys.pairs[0]).amps, KET_U.amps)
-        assert np.allclose(state_from_basis_key(keys.pairs[1]).amps, KET_D.amps)
+        assert np.allclose(state_from_basis_key(key_pairs(keys)[0]).amps, KET_U.amps)
+        assert np.allclose(state_from_basis_key(key_pairs(keys)[1]).amps, KET_D.amps)
 
     def test_sources_disjoint_increasing(self):
         keys = draw_basis_keys(generate_pad(20, make_rng(0)), 10)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from qotp.adversary import IndividualUTB, InterceptResend, NoAttack
 from qotp.errors import PadExhaustedError
+from qotp.kernels import Basis
 from qotp.keystore import generate_pad
 from qotp.protocol import (
     ModifiedMessage,
@@ -21,8 +22,8 @@ from qotp.protocol import (
     eavesdrop_check,
     run_session,
 )
-from qotp.quantum import Basis, BasisKeyPair, state_from_basis_key
 from qotp.rng import make_rng
+from oracle import BasisKeyPair, key_pairs, state_from_basis_key
 from transcript_v1 import attack_events, v1_document
 
 SCHEMA = json.loads(
@@ -292,7 +293,7 @@ class TestTranscriptExport:
         view = v1_document(doc)["secret_view"]
         events = attack_events(doc)
         assert len(view["photons"]) == len(view["attack_events"]) == 60
-        rows = zip(view["photons"], view["attack_events"], t.keys.pairs)
+        rows = zip(view["photons"], view["attack_events"], key_pairs(t.keys))
         for i, (ph, ev, pair) in enumerate(rows):
             assert ph["index"] == ev["photon_index"] == i
             assert ph["basis_key"] == [pair.b0, pair.b1]
@@ -385,8 +386,8 @@ class TestTranscriptExport:
         # over uniform pads a fixed-basis observer sees 50/50 outcomes for a
         # fixed message bit (small-n object-level cross-check; the large-n
         # version runs through the batch kernels in the acceptance suite)
-        from qotp.quantum import Basis, measure, state_from_basis_key, apply_encoding
-        from qotp.quantum import BasisKeyPair, EncodingOp
+        from oracle import measure, state_from_basis_key, apply_encoding
+        from oracle import BasisKeyPair, EncodingOp
 
         rng = make_rng(70)
         n = 20_000

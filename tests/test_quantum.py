@@ -1,12 +1,16 @@
 """Exact-value and statistical tests for the 1-2 qubit state-vector core."""
 
+import importlib.util
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qotp.quantum import (
-    Basis,
+import qotp
+from qotp.kernels import Basis
+from qotp.rng import make_rng
+from oracle import (
     BasisKeyPair,
     EncodingOp,
     KET_D,
@@ -16,13 +20,13 @@ from qotp.quantum import (
     PREP_STATES,
     StateVector,
     apply_encoding,
+    eigenstates,
     measure,
     measure_photon_of_joint,
     state_from_basis_key,
     states_equal_up_to_phase,
     utb_apply,
 )
-from qotp.rng import make_rng
 
 R = np.sqrt(0.5)
 
@@ -33,7 +37,7 @@ def utb_matrix(theta: float, attack_basis: Basis) -> np.ndarray:
     Defined by its action on the probe-|0> sector plus an orthogonal
     completion of the probe-|1> sector.
     """
-    eig = attack_basis.eigenstates()
+    eig = eigenstates(attack_basis)
     xi, xb = eig[0], eig[1]
     e0 = np.array([1.0, 0.0])
     e1 = np.array([0.0, 1.0])
@@ -49,6 +53,21 @@ def utb_matrix(theta: float, attack_basis: Basis) -> np.ndarray:
     for k, vec in enumerate(basis_in):
         u += np.outer(cols[k], vec.conj())
     return u
+
+
+# Oracle names that the package itself once exported.
+FORMER_PACKAGE_NAMES = (
+    "BasisKeyPair", "EncodingOp", "KET_D", "KET_H", "KET_U", "KET_V", "StateVector",
+    "apply_encoding", "measure", "measure_photon_of_joint", "state_from_basis_key",
+    "states_equal_up_to_phase", "utb_apply", "EveRecord", "IRStrategy", "attack_photon",
+    "intercept_resend", "known_plaintext_infer", "utb_intercept",
+)
+
+
+def test_package_ships_no_oracle():
+    # production code cannot reach the state-vector core: it lives with the tests
+    assert importlib.util.find_spec("qotp.quantum") is None
+    assert [name for name in FORMER_PACKAGE_NAMES if hasattr(qotp, name)] == []
 
 
 class TestPreparationStates:
@@ -134,7 +153,7 @@ class TestMeasure:
         rng = make_rng(2)
         for _ in range(20):
             outcome, collapsed = measure(KET_H, Basis.CROSS, rng)
-            expected = Basis.CROSS.eigenstates()[outcome]
+            expected = eigenstates(Basis.CROSS)[outcome]
             assert np.allclose(collapsed.amps, expected)
 
     def test_own_basis_reproduces_prepared_state(self):
@@ -216,7 +235,7 @@ class TestJointMeasurement:
         expected_pd = 0.14644660940672624
         joint64 = utb_apply(KET_U, np.pi / 4, Basis.PLUS)
         # amplitude-level oracle, no sampling
-        eig = Basis.CROSS.eigenstates()
+        eig = eigenstates(Basis.CROSS)
         amps = eig.conj() @ joint64.amps.reshape(2, 2)
         assert float(np.sum(np.abs(amps[1]) ** 2)) == pytest.approx(expected_pd, abs=1e-12)
         # sampled frequency agrees

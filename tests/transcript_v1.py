@@ -4,14 +4,14 @@ Transcript v2 writes each per-photon fact once, as a digit-string column;
 v1 wrote one object per photon and per attack event, repeating the facts
 that a photon's basis key, message bit and adversary record already fix.
 This rebuilds every v1 field from the v2 columns with the object-level
-simulator in ``qotp.quantum``, so tests can read photons and attack events
-as records, and so the two formats can be compared byte for byte.
+simulator in ``oracle``, so tests can read photons and attack events as
+records, and so the two formats can be compared byte for byte.
 """
 
 from __future__ import annotations
 
-from qotp.adversary import EveRecord
-from qotp.quantum import Basis, BasisKeyPair, EncodingOp, state_from_basis_key
+from qotp.kernels import Basis
+from oracle import BasisKeyPair, EncodingOp, EveRecord, state_from_basis_key
 
 _BASIS_FIELDS = ("eve_basis", "attack_basis", "inferred_basis_guess")
 
