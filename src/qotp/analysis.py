@@ -33,6 +33,7 @@ from .rng import ROLE_SWEEP, RandomStream, make_rng, role_seed
 
 _LN2 = np.log(2.0)
 _POLE_DM = 1.0 / (8.0 * np.sqrt(2.0))
+_POLE_TOL = 1e-9
 
 
 def _listed(values: np.ndarray) -> str:
@@ -84,17 +85,17 @@ def d_of_theta(theta):
     return _eval(theta, 0.0, np.pi / 4, lambda t: 0.5 * np.sin(t) ** 2, "d_of_theta")
 
 
-def epsilon_tilde_min(d_m, pole_tol: float = 1e-9):
+def epsilon_tilde_min(d_m):
     """Minimum of the basis-information parameter over attacks at error d_m.
 
     Evaluated verbatim: ((1 - 4 sqrt(sqrt(2 - 8 d) d)) / (1 - 8 sqrt(2) d))^2
     on [0, 1/4].  The denominator vanishes at d = 1/(8 sqrt(2)) ~ 0.08839;
-    evaluation within ``pole_tol`` of the pole raises PoleError.
+    evaluation within 1e-9 of the pole raises PoleError.
     """
 
     def f(arr):
         den = 1.0 - 8.0 * np.sqrt(2.0) * arr
-        near = np.abs(den) < pole_tol
+        near = np.abs(den) < _POLE_TOL
         if np.any(near):
             raise PoleError(
                 f"epsilon_tilde_min has a pole at d_m = {_POLE_DM:.12g}; "
@@ -106,12 +107,12 @@ def epsilon_tilde_min(d_m, pole_tol: float = 1e-9):
     return _eval(d_m, 0.0, 0.25, f, "epsilon_tilde_min")
 
 
-def i1_bound(d_m, pole_tol: float = 1e-9):
+def i1_bound(d_m):
     """Basis-information ceiling 1 - log2(1+e) + (e/(1+e)) log2 e at
     e = epsilon_tilde_min(d_m); e log2 e -> 0 as e -> 0."""
 
     def f(arr):
-        e = np.asarray(epsilon_tilde_min(arr, pole_tol=pole_tol), dtype=np.float64)
+        e = np.asarray(epsilon_tilde_min(arr), dtype=np.float64)
         term = np.zeros_like(e)
         mask = e > 0
         term[mask] = (e[mask] / (1.0 + e[mask])) * np.log2(e[mask])
@@ -136,7 +137,8 @@ def empirical_error_rate(transcript, subset: ErrorSubset) -> float:
     """Fraction of decode errors over a chosen photon subset of a transcript.
 
     MATCHED_ATTACK_BASIS keeps photons whose preparation basis equals the
-    probe attack's basis (the subset on which the d_of_theta law holds).
+    probe attack's basis (the subset on which the d_of_theta law holds), as
+    the attack's transcript entry names it.
     Raises ValueError when the subset is empty or undefined.
     """
     truth = transcript.mm.bits
@@ -148,10 +150,10 @@ def empirical_error_rate(transcript, subset: ErrorSubset) -> float:
         mask = np.zeros(n, dtype=bool)
         mask[transcript.mm.sample_positions] = True
     else:
-        spec = transcript.attack.channel_spec()
-        if spec.kind != kernels.ATTACK_UTB:
+        basis = transcript.attack.describe().get("utb_basis")
+        if basis is None:
             raise ValueError("matched-basis subset needs a probe attack with a basis")
-        mask = kernels.PREP_BASIS_OF_STATE[transcript.keys.state_idx] == spec.attack_basis
+        mask = kernels.PREP_BASIS_OF_STATE[transcript.keys.state_idx] == Basis(basis).index
     if not mask.any():
         raise ValueError(f"error rate undefined over empty subset {subset}")
     return float(np.mean(decoded[mask] != truth[mask]))
@@ -186,19 +188,17 @@ def empirical_mutual_information(counts) -> float:
 
 @dataclass
 class PhotonBatch:
-    """Column-oriented result of one batched channel run."""
+    """Column-oriented result of one batched channel run, in which the
+    receiver measures every photon in its preparation basis."""
 
     state_idx: np.ndarray
     enc_bits: np.ndarray
     prep_basis: np.ndarray
-    meas_basis: np.ndarray
     bob_outcome: np.ndarray
-    eve_basis: np.ndarray
-    eve_outcome: np.ndarray
+    record: np.ndarray
 
     @property
     def decoded(self) -> np.ndarray:
-        """Decoded bits; meaningful where meas_basis equals prep_basis."""
         return (self.bob_outcome != kernels.PREP_LABEL_OF_STATE[self.state_idx]).astype(np.uint8)
 
     @property
@@ -211,47 +211,19 @@ class PhotonBatch:
         return kernels.PREP_LABEL_OF_STATE[self.state_idx] ^ self.enc_bits.astype(np.int64)
 
 
-def run_photon_batch(
-    n: int,
-    attack: AttackModel,
-    rng: RandomStream,
-    state_idx: np.ndarray | None = None,
-    enc_bits: np.ndarray | None = None,
-    meas_basis: np.ndarray | str = "prep",
-) -> PhotonBatch:
-    """Run n photons with uniformly random pads/bits unless columns are pinned.
-
-    ``meas_basis`` is "prep" (receiver uses each photon's preparation basis,
-    the protocol behavior), "plus"/"cross" (a fixed-basis observer), or an
-    explicit (n,) array.
-    """
-    if state_idx is None:
-        state_idx = rng.integers(0, 4, size=n, dtype=np.int64)
-    else:
-        state_idx = np.broadcast_to(kernels.index_column("state_idx", state_idx, 3), (n,)).copy()
-    if enc_bits is None:
-        enc_bits = rng.integers(0, 2, size=n, dtype=np.int64)
-    else:
-        enc_bits = np.broadcast_to(kernels.index_column("enc_bits", enc_bits, 1), (n,)).copy()
+def run_photon_batch(n: int, attack: AttackModel, rng: RandomStream) -> PhotonBatch:
+    """Run n photons with uniformly random pads and bits through the channel;
+    the receiver uses each photon's preparation basis, as in the protocol."""
+    state_idx = rng.integers(0, 4, size=n, dtype=np.int64)
+    enc_bits = rng.integers(0, 2, size=n, dtype=np.int64)
     prep_basis = kernels.PREP_BASIS_OF_STATE[state_idx]
-    if isinstance(meas_basis, str):
-        if meas_basis == "prep":
-            mb = prep_basis.copy()
-        else:
-            mb = np.full(n, Basis(meas_basis).index, dtype=np.int64)
-    else:
-        mb = np.broadcast_to(kernels.index_column("meas_basis", meas_basis, 1), (n,)).copy()
-    bob, eve_basis, eve_out = kernels.simulate_photons(
-        state_idx, enc_bits, mb, attack.channel_spec(), rng=rng
-    )
+    bob, record = kernels.simulate_photons(state_idx, enc_bits, prep_basis, attack, rng=rng)
     return PhotonBatch(
         state_idx=state_idx,
         enc_bits=enc_bits,
         prep_basis=prep_basis,
-        meas_basis=mb,
         bob_outcome=bob,
-        eve_basis=eve_basis,
-        eve_outcome=eve_out,
+        record=record,
     )
 
 
@@ -291,7 +263,7 @@ def sweep_theta(
         batch = run_photon_batch(
             n_photons, IndividualUTB(theta=float(theta), attack_basis=attack_basis), rng
         )
-        cell = 8 * batch.state_idx + 4 * batch.enc_bits + 2 * batch.bob_outcome + batch.eve_outcome
+        cell = 8 * batch.state_idx + 4 * batch.enc_bits + 2 * batch.bob_outcome + batch.record
         counts = np.bincount(cell, minlength=32).reshape(_STATE.shape)
         n_matched = counts[matched].sum()
         if n_matched == 0:

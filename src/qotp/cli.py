@@ -59,7 +59,7 @@ def _env_seed() -> int:
 def _add_attack_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--attack",
-        choices=["none", "intercept_resend", "utb"],
+        choices=[NoAttack.kind, InterceptResend.kind, IndividualUTB.kind],
         default="none",
         help="channel adversary model",
     )
@@ -90,10 +90,10 @@ def _resolve_theta(args) -> float:
 
 # attack flag -> the --attack value that reads it
 _ATTACK_FLAG_OWNERS = {
-    "ir_basis": "intercept_resend",
-    "theta": "utb",
-    "theta_deg": "utb",
-    "utb_basis": "utb",
+    "ir_basis": InterceptResend.kind,
+    "theta": IndividualUTB.kind,
+    "theta_deg": IndividualUTB.kind,
+    "utb_basis": IndividualUTB.kind,
 }
 
 
@@ -113,14 +113,14 @@ def _check_session_flags(args) -> None:
     for name, owner in _ATTACK_FLAG_OWNERS.items():
         if getattr(args, name) is not None and args.attack != owner:
             raise ValueError(f"--{name.replace('_', '-')} applies only to --attack {owner}")
-    if args.known_plaintext and args.attack == "none":
+    if args.known_plaintext and args.attack == NoAttack.kind:
         raise ValueError("--known-plaintext needs an attack that leaves records")
 
 
-def _build_attack(args, message) -> AttackModel:
-    if args.attack == "none":
+def _build_attack(args) -> AttackModel:
+    if args.attack == NoAttack.kind:
         attack: AttackModel = NoAttack()
-    elif args.attack == "intercept_resend":
+    elif args.attack == InterceptResend.kind:
         attack = InterceptResend(None if args.ir_basis in (None, "random") else Basis(args.ir_basis))
     else:
         attack = IndividualUTB(
@@ -128,7 +128,7 @@ def _build_attack(args, message) -> AttackModel:
             attack_basis=Basis(args.utb_basis or "plus"),
         )
     if args.known_plaintext:
-        attack = KnownPlaintext(inner=attack, known_message=tuple(message.tolist()))
+        attack = KnownPlaintext(inner=attack)
     return attack
 
 
@@ -167,7 +167,7 @@ def cmd_run(args) -> int:
         seed=role_seed(args.seed, ROLE_SESSION),
         allow_insecure_demo=args.insecure_demo,
     )
-    attack = _build_attack(args, message)
+    attack = _build_attack(args)
     pad = _session_pad(args, 2 * (config.n_message + config.n_sample))
     transcript = run_session(config, pad, message, attack)
     if args.out:
@@ -226,7 +226,7 @@ def cmd_recycle_demo(args) -> int:
             f"--attack-session {args.attack_session} is outside sessions 1..{args.sessions}"
         )
     _check_session_flags(args)
-    if (args.attack == "none") != (args.attack_session is None):
+    if (args.attack == NoAttack.kind) != (args.attack_session is None):
         raise ValueError("--attack-session and an --attack other than none go together")
     per_session = 2 * (args.message_bits + args.samples)
     pad_bits = args.pad_bits
@@ -234,6 +234,7 @@ def cmd_recycle_demo(args) -> int:
         pad_bits = per_session + 2 * args.samples * (args.sessions - 1)
     pad = keystore.generate_pad(pad_bits, make_rng(role_seed(args.seed, ROLE_PAD)))
 
+    attack = _build_attack(args)
     sessions = []
     # times each generation-0 pad bit has been announced so far
     announced_count = np.zeros(len(pad), dtype=np.int64)
@@ -244,7 +245,6 @@ def cmd_recycle_demo(args) -> int:
             0, 2, size=args.message_bits, dtype=np.uint8
         )
         attacked = args.attack_session == k + 1
-        attack = _build_attack(args, message) if attacked else NoAttack()
         config = SessionConfig(
             n_message=args.message_bits,
             n_sample=args.samples,
@@ -253,7 +253,7 @@ def cmd_recycle_demo(args) -> int:
             allow_insecure_demo=args.insecure_demo,
         )
         before = len(pad)
-        transcript = run_session(config, pad, message, attack)
+        transcript = run_session(config, pad, message, attack if attacked else NoAttack())
         drawn = pad.origin_indices[transcript.keys.sources]
         reused += int(announced_count[drawn].sum())
         np.add.at(announced_count, transcript.announced_origin_bits, 1)

@@ -10,8 +10,9 @@ protocol have real amplitudes, so the tables are built from signed float64
 amplitudes.  The tests check every table entry against an independent complex
 state-vector oracle, which ships with the tests and not with the package.
 
-An attack reaches the kernel as one ``ChannelSpec``.  Randomness enters only
-through a ``uniforms`` array of shape (n, 3) with fixed column roles
+The kernel builds each photon's cell and hands it to the attack, whose
+``transmit`` step (see ``adversary``) draws the outcomes.  Randomness enters
+only through a ``uniforms`` array of shape (n, 3) with fixed column roles
 (0: adversary basis choice, 1: adversary outcome/probe draw, 2: receiver
 outcome draw), supplied by the caller or drawn from its rng.
 """
@@ -19,13 +20,8 @@ outcome draw), supplied by the caller or drawn from its rng.
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
-
-ATTACK_NONE = 0
-ATTACK_IR = 1
-ATTACK_UTB = 2
 
 BASIS_PLUS = 0
 BASIS_CROSS = 1
@@ -42,19 +38,6 @@ class Basis(Enum):
         """The basis as the kernel codes it: BASIS_PLUS or BASIS_CROSS."""
         return BASIS_PLUS if self is Basis.PLUS else BASIS_CROSS
 
-
-class ChannelSpec(NamedTuple):
-    """An attack as the kernel runs it.  ``attack_basis`` is the adversary's
-    fixed basis, or None for intercept-resend to draw it per photon from
-    uniform column 0; ``description`` is for the transcript only."""
-
-    kind: int
-    attack_basis: int | None
-    theta: float
-    description: dict
-
-
-CLEAN = ChannelSpec(ATTACK_NONE, None, 0.0, {"kind": "none"})
 
 _R = np.sqrt(0.5)
 
@@ -152,22 +135,22 @@ def simulate_photons(
     state_idx: np.ndarray,
     enc_bits: np.ndarray,
     meas_basis: np.ndarray,
-    spec: ChannelSpec = CLEAN,
+    attack,
     uniforms: np.ndarray | None = None,
     rng=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Simulate n independent photons through the channel.
 
     Args:
         state_idx: (n,) prepared-state indices, 0..3 = H, V, u, d.
         enc_bits: (n,) modified-message bits written with the swap encoding.
         meas_basis: (n,) receiver measurement basis (0 plus, 1 cross).
-        spec: the channel adversary.
+        attack: the channel adversary, an ``adversary.AttackModel``.
         uniforms: (n, 3) uniform draws; supplied either directly or via rng.
 
     Returns:
-        (bob_outcome uint8, eve_basis int8, eve_outcome int8); the adversary
-        columns hold -1 where the attack records nothing.
+        (bob_outcome uint8, record int8): Eve's record per photon, coded as
+        the attack's ``likelihoods`` table codes it, -1 where there is none.
     """
     state_idx = index_column("state_idx", state_idx, 3)
     enc_bits = index_column("enc_bits", enc_bits, 1)
@@ -182,40 +165,10 @@ def simulate_photons(
     uniforms = np.ascontiguousarray(uniforms, dtype=np.float64)
     if uniforms.shape != (n, 3):
         raise ValueError(f"uniforms must have shape ({n}, 3)")
-    if not 0.0 <= spec.theta <= np.pi / 4:
-        raise ValueError(f"theta must lie in [0, pi/4], got {spec.theta}")
-    if spec.attack_basis not in (None, BASIS_PLUS, BASIS_CROSS):
-        raise ValueError(f"unknown attack basis {spec.attack_basis}")
-    u0 = uniforms[:, 0]
-    u1 = uniforms[:, 1]
-    u2 = uniforms[:, 2]
-    no_record = np.full(n, -1, dtype=np.int8)
-    # cell = 4 * state + 2 * encoding, then + basis; built in place, because
+    # cell = 4 * state + 2 * encoding, which the attack completes in place;
     # every (n,) temporary is a fresh allocation that costs as much as its use
     cell = 2 * state_idx
     cell += enc_bits
     cell *= 2
-
-    if spec.kind == ATTACK_NONE:
-        cell += meas_basis
-        bob = u2 < CLEAN_P1.take(cell)
-        eve_basis, eve_out = no_record, no_record.copy()
-    elif spec.kind == ATTACK_IR:
-        if spec.attack_basis is None:
-            eb = (u0 >= 0.5).astype(np.int8)
-        else:
-            eb = np.full(n, spec.attack_basis, dtype=np.int8)
-        cell += eb
-        eo = (u1 < CLEAN_P1.take(cell)).astype(np.int8)
-        bob = u2 < FORWARD_P1.take(4 * eb + 2 * eo + meas_basis)
-        eve_basis, eve_out = eb, eo
-    elif spec.kind == ATTACK_UTB:
-        p1, pp1 = probe_tables(spec.theta, spec.attack_basis)
-        cell += meas_basis
-        bob = u2 < p1.take(cell)
-        cell *= 2
-        cell += bob
-        eve_basis, eve_out = no_record, (u1 < pp1.take(cell)).astype(np.int8)
-    else:
-        raise ValueError(f"unknown attack kind {spec.kind}")
-    return bob.astype(np.uint8), eve_basis, eve_out
+    bob, record = attack.transmit(cell, meas_basis, uniforms)
+    return bob.astype(np.uint8), record

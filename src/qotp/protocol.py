@@ -5,7 +5,7 @@ draw basis keys from the pad, prepare and encode photons, pass them through
 the (possibly attacked) channel, decode with the shared keys, compare the
 announced sampling bits, and either recycle the pad and release the message
 or halt.  The photons run as columns through one batch-kernel call, which
-takes the attack as its ``ChannelSpec``; this is the only session path.  The
+runs the attack's own channel step; this is the only session path.  The
 transcript keeps the full secret view for analysis; the ``public_view``
 projection is exactly what an eavesdropper may read.
 
@@ -95,9 +95,9 @@ class SessionTranscript:
     """Full audit record of one session (secret view plus public projection).
 
     Per-photon data is held as columns indexed by photon: the receiver's
-    outcome label and decoded bit, the kernel's adversary columns (basis and
-    outcome, -1 where the attack records nothing) and, under known-plaintext
-    inference, the plaintext bit assumed for each photon (2 where none is).
+    outcome label and decoded bit, Eve's record as the kernel codes it (-1
+    where there is no attack) and, under known-plaintext inference, the
+    plaintext bit assumed for each photon (2 where none is).
     """
 
     config: SessionConfig
@@ -106,8 +106,7 @@ class SessionTranscript:
     keys: BasisKeySequence
     received: np.ndarray
     decoded: np.ndarray
-    eve_basis: np.ndarray
-    eve_outcome: np.ndarray
+    record: np.ndarray
     error_report: ErrorReport
     announced_origin_bits: np.ndarray
     known_bits: np.ndarray | None = None
@@ -125,19 +124,15 @@ class SessionTranscript:
         }
 
     def _adversary(self) -> dict | None:
-        """Eve's record per photon, coded as in ``record_likelihoods``, and
-        under known plaintext the assumed bits and the posterior table."""
-        spec = self.attack.channel_spec()
-        if spec.kind == kernels.ATTACK_NONE:
+        """Eve's record per photon, coded as in the attack's ``likelihoods``,
+        and under known plaintext the assumed bits and the posterior table."""
+        if self.attack.kind == NoAttack.kind:
             return None
-        records = self.eve_outcome
-        if spec.kind == kernels.ATTACK_IR:
-            records = 2 * self.eve_basis + records
         known = self.known_bits
         return {
-            "records": _digits(records),
+            "records": _digits(self.record),
             "known_bits": None if known is None else _digits(known),
-            "posterior_plus": None if known is None else posterior_plus_table(spec).tolist(),
+            "posterior_plus": None if known is None else posterior_plus_table(self.attack).tolist(),
         }
 
     def to_json_dict(self) -> dict:
@@ -151,7 +146,7 @@ class SessionTranscript:
         return {
             "schema": "qotp-transcript-v2",
             "config": dataclasses.asdict(self.config),
-            "attack": dict(self.attack.channel_spec().description),
+            "attack": self.attack.describe(),
             "secret_view": {
                 "pad_bits": _digits(self.keys.bits),
                 "modified_bits": _digits(self.mm.bits),
@@ -219,23 +214,6 @@ def eavesdrop_check(mm: ModifiedMessage, decoded, threshold: float) -> ErrorRepo
     )
 
 
-def _known_bit_codes(known_message, mm: ModifiedMessage) -> np.ndarray:
-    """Per photon, the plaintext bit the adversary assumes it carries, or 2
-    where the plaintext does not cover it (announced sampling positions).
-
-    The plaintext is laid over the non-sample slots of len(known) + n_sample
-    photons, so a plaintext of the wrong length still lines up from the start.
-    """
-    known = np.asarray(known_message, dtype=np.int64).reshape(-1)
-    message_slot = np.ones(mm.bits.size, dtype=bool)
-    message_slot[mm.sample_positions] = False
-    # the first len(known) message slots all lie below len(known) + n_sample
-    slots = np.flatnonzero(message_slot)[: known.size]
-    codes = np.full(mm.bits.size, 2, dtype=np.int64)
-    codes[slots] = known[: slots.size]
-    return codes
-
-
 def run_session(
     config: SessionConfig, pad: PadKey, message, attack: AttackModel = NoAttack()
 ) -> SessionTranscript:
@@ -255,14 +233,18 @@ def run_session(
     keys = keystore.draw_basis_keys(pad, int(mm.bits.size))
     state_idx = keys.state_idx
     # every photon is measured in its preparation basis
-    received, eve_basis, eve_outcome = kernels.simulate_photons(
-        state_idx, mm.bits, kernels.PREP_BASIS_OF_STATE[state_idx], attack.channel_spec(),
-        rng=rng,
+    received, record = kernels.simulate_photons(
+        state_idx, mm.bits, kernels.PREP_BASIS_OF_STATE[state_idx], attack, rng=rng
     )
     decoded = (received != kernels.PREP_LABEL_OF_STATE[state_idx]).astype(np.uint8)
 
     report = eavesdrop_check(mm, decoded, config.abort_threshold)
     announced = mm.sample_positions
+    known_bits = None
+    if isinstance(attack, KnownPlaintext):
+        # the adversary knows every message bit, but not the sampling bits
+        known_bits = mm.bits.copy()
+        known_bits[announced] = 2
     transcript = SessionTranscript(
         config=config,
         attack=attack,
@@ -270,13 +252,10 @@ def run_session(
         keys=keys,
         received=received,
         decoded=decoded,
-        eve_basis=eve_basis,
-        eve_outcome=eve_outcome,
+        record=record,
         error_report=report,
         announced_origin_bits=pad.origin_indices[keys.sources[announced].ravel()],
-        known_bits=_known_bit_codes(attack.known_message, mm)
-        if isinstance(attack, KnownPlaintext)
-        else None,
+        known_bits=known_bits,
     )
     if report.accepted:
         transcript.recycled_pad = keystore.recycle_pad(pad, announced, keys, check=report)

@@ -372,5 +372,5 @@ def probe_information_estimate(batch: PhotonBatch, attack_basis: Basis) -> float
     the basis key of each photon is handed to the adversary afterwards."""
     matched = batch.prep_basis == attack_basis.index
     return empirical_mutual_information(
-        joint_counts(batch.encoded_label[matched], batch.eve_outcome[matched], 2, 2)
+        joint_counts(batch.encoded_label[matched], batch.record[matched], 2, 2)
     )

@@ -19,7 +19,6 @@ from qotp.adversary import (
     KnownPlaintext,
     NoAttack,
     posterior_plus_table,
-    record_likelihoods,
 )
 from qotp.analysis import (
     empirical_mutual_information,
@@ -189,11 +188,11 @@ def test_criterion_07_information_ordering():
 
     # adversary vs message with no announcements: the probe is message-blind
     mi_message = empirical_mutual_information(
-        joint_counts(batch.enc_bits, batch.eve_outcome, 2, 2)
+        joint_counts(batch.enc_bits, batch.record, 2, 2)
     )
     # adversary vs encoding once basis keys are announced (attacked subset)
     mi_announced = empirical_mutual_information(
-        joint_counts(batch.encoded_label[matched], batch.eve_outcome[matched], 2, 2)
+        joint_counts(batch.encoded_label[matched], batch.record[matched], 2, 2)
     )
     # receiver channel is noiseless: error-free decode, one full bit per photon
     # (the plug-in MI equals the empirical marginal entropy, ~1 for coin bits)
@@ -254,14 +253,12 @@ def test_criterion_09_ciphertext_uniformity():
     details = []
     for bit in (0, 1):
         for basis in ("plus", "cross"):
-            batch = run_photon_batch(
-                n,
-                NoAttack(),
-                make_rng(70 + bit * 2 + (basis == "cross")),
-                enc_bits=np.full(n, bit),
-                meas_basis=basis,
+            rng = make_rng(70 + bit * 2 + (basis == "cross"))
+            state_idx = rng.integers(0, 4, size=n, dtype=np.int64)
+            bob, _ = kernels.simulate_photons(
+                state_idx, np.full(n, bit), np.full(n, Basis(basis).index), NoAttack(), rng=rng
             )
-            freq = float(batch.bob_outcome.mean())
+            freq = float(bob.mean())
             ok = ok and abs(freq - 0.5) < 3 * np.sqrt(0.25 / n)
             details.append(f"{basis}/{bit}: {freq:.4f}")
     report(9, "fixed-basis observers see 50/50 outcomes for either message bit",
@@ -282,19 +279,19 @@ def test_criterion_10_born_rule_oracle_equivalence():
                 s = apply_encoding(EncodingOp.U0, PREP_STATES[state_idx])
                 if attack is None:
                     p1 = abs(np.vdot(eigenstates(meas)[1], s.amps)) ** 2
-                    spec = kernels.CLEAN
+                    model = NoAttack()
                 else:
                     theta, ab = attack
                     joint = utb_apply(s, theta, ab)
                     amps = eigenstates(meas).conj() @ joint.amps.reshape(2, 2)
                     p1 = float(np.sum(np.abs(amps[1]) ** 2))
-                    spec = IndividualUTB(theta=theta, attack_basis=ab).channel_spec()
+                    model = IndividualUTB(theta=theta, attack_basis=ab)
                 p1 = min(max(p1, 0.0), 1.0)
-                bob, _, _ = kernels.simulate_photons(
+                bob, _ = kernels.simulate_photons(
                     np.full(n, state_idx),
                     np.zeros(n, dtype=np.int64),
                     np.full(n, meas.index),
-                    spec,
+                    model,
                     rng=make_rng(90 + case),
                 )
                 freq = float(bob.mean())
@@ -343,7 +340,7 @@ def test_criterion_11_session_oracle_equivalence():
         InterceptResend(Basis.CROSS),
         IndividualUTB(theta=np.pi / 8, attack_basis=Basis.PLUS),
         IndividualUTB(theta=np.pi / 4, attack_basis=Basis.CROSS),
-        KnownPlaintext(inner=IndividualUTB(theta=3 * np.pi / 16), known_message=()),
+        KnownPlaintext(inner=IndividualUTB(theta=3 * np.pi / 16)),
     ]
     ok = True
     worst = -np.inf
@@ -377,22 +374,22 @@ def test_criterion_11_session_oracle_equivalence():
 def test_criterion_12_known_plaintext_posteriors_match_oracle():
     # table level: every record kind, adversary basis/outcome or probe outcome,
     # state and encoding; posteriors for known bit 0, 1 and unknown
-    specs = [InterceptResend().channel_spec()] + [
-        IndividualUTB(theta=theta, attack_basis=basis).channel_spec()
+    attacks = [InterceptResend()] + [
+        IndividualUTB(theta=theta, attack_basis=basis)
         for basis in Basis
         for theta in (0.0, np.pi / 16, np.pi / 8, np.pi / 4)
     ]
     worst = 0.0
-    for spec in specs:
-        table = record_likelihoods(spec)
-        posterior = posterior_plus_table(spec)
+    for attack in attacks:
+        table = attack.likelihoods()
+        posterior = posterior_plus_table(attack)
         for r in range(table.shape[2]):
-            if spec.kind == kernels.ATTACK_IR:
+            if isinstance(attack, InterceptResend):
                 fields = {"kind": "intercept_resend",
                           "eve_basis": (Basis.PLUS, Basis.CROSS)[r // 2], "eve_outcome": r % 2}
             else:
-                fields = {"kind": "utb", "probe_outcome": r, "theta": spec.theta,
-                          "attack_basis": (Basis.PLUS, Basis.CROSS)[spec.attack_basis]}
+                fields = {"kind": "utb", "probe_outcome": r, "theta": attack.theta,
+                          "attack_basis": attack.attack_basis}
             for idx in range(4):
                 for m in (0, 1):
                     encoded = apply_encoding(EncodingOp(m), PREP_STATES[idx])
@@ -411,7 +408,7 @@ def test_criterion_12_known_plaintext_posteriors_match_oracle():
     guesses_agree = True
     for k, inner in enumerate([InterceptResend(), IndividualUTB(theta=np.pi / 8),
                                IndividualUTB(theta=np.pi / 4, attack_basis=Basis.CROSS)]):
-        attack = KnownPlaintext(inner=inner, known_message=tuple(message.tolist()))
+        attack = KnownPlaintext(inner=inner)
         cfg = SessionConfig(n_message=300, n_sample=100, seed=132 + k,
                             abort_threshold=1.0, allow_insecure_demo=True)
         t = run_session(cfg, pad, message, attack)
@@ -422,7 +419,7 @@ def test_criterion_12_known_plaintext_posteriors_match_oracle():
                       theta=ev.theta, attack_basis=ev.attack_basis)
             for ev in session_events
         ]
-        known_plaintext_infer(oracle_records, attack.known_message,
+        known_plaintext_infer(oracle_records, message,
                               set(t.mm.sample_positions.tolist()))
         for ev, oracle in zip(session_events, oracle_records):
             worst = max(worst, abs(ev.posterior_plus - oracle.posterior_plus))
@@ -434,5 +431,5 @@ def test_criterion_12_known_plaintext_posteriors_match_oracle():
         12,
         "known-plaintext likelihood table and posteriors equal the record oracle to 1e-12",
         worst <= 1e-12 and guesses_agree and events == 3 * 400,
-        f"{len(specs)} record kinds, {events} session events, worst {worst:.1e}",
+        f"{len(attacks)} record kinds, {events} session events, worst {worst:.1e}",
     )

@@ -164,11 +164,31 @@ class TestProbeAttack:
             batch = run_photon_batch(30_000, IndividualUTB(theta=theta), make_rng(20 + i))
             matched = batch.prep_basis == 0
             errs.append(batch.errors[matched].mean())
-            guess = batch.eve_outcome[matched]  # probe=1 certifies the flipped eigenstate
+            guess = batch.record[matched]  # probe=1 certifies the flipped eigenstate
             accs.append(np.mean(guess == batch.encoded_label[matched]))
         slack = 0.01
         assert all(b - a > -slack for a, b in zip(errs, errs[1:]))
         assert all(b - a > -slack for a, b in zip(accs, accs[1:]))
+
+
+class TestConstructorValidation:
+    # the kernel trusts the attack it is handed: a basis outside the tables
+    # would select a wrong cell, so the constructors reject it
+
+    def test_theta_domain(self):
+        with pytest.raises(ValueError, match="theta"):
+            IndividualUTB(theta=2.0, attack_basis=Basis.PLUS)
+
+    @pytest.mark.parametrize(
+        "make,attack_basis",
+        [(InterceptResend, basis) for basis in (2, -1, 1, "plus")]
+        + [(lambda basis: IndividualUTB(theta=0.1, attack_basis=basis), basis)
+           for basis in (2, -1, 1, "plus", None)],
+    )
+    def test_unknown_adversary_parameter(self, make, attack_basis):
+        # None is a random basis per photon for intercept-resend only
+        with pytest.raises(ValueError, match="attack_basis"):
+            make(attack_basis)
 
 
 class TestKnownPlaintext:
@@ -176,7 +196,7 @@ class TestKnownPlaintext:
         message = make_rng(seed).integers(0, 2, n_message, dtype=np.uint8)
         ns = max(1, n_message // 4)
         pad = generate_pad(2 * (n_message + ns), make_rng(seed + 1))
-        attack = KnownPlaintext(inner=inner, known_message=tuple(int(b) for b in message))
+        attack = KnownPlaintext(inner=inner)
         cfg = SessionConfig(
             n_message=n_message, n_sample=ns, seed=seed + 2,
             abort_threshold=1.0, allow_insecure_demo=True,

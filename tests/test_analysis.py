@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qotp import kernels
-from qotp.adversary import IndividualUTB, InterceptResend, record_likelihoods
+from qotp.adversary import IndividualUTB, InterceptResend
 from qotp.analysis import (
     BOUNDS_CSV_HEADER,
     ErrorSubset,
@@ -225,7 +225,7 @@ class TestMutualInformation:
 def exact_probe_information(theta: float, basis: Basis) -> float:
     """Exact I(encoded label; probe outcome) in bits over attacked-basis
     photons, whose two states and two encodings are equiprobable."""
-    likelihoods = record_likelihoods(IndividualUTB(theta, basis).channel_spec())
+    likelihoods = IndividualUTB(theta, basis).likelihoods()
     joint = np.zeros((2, 2))
     for state in np.flatnonzero(kernels.PREP_BASIS_OF_STATE == basis.index):
         for enc in (0, 1):

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from qotp import kernels
-from qotp.adversary import IndividualUTB, InterceptResend, NoAttack, record_likelihoods
-from qotp.analysis import run_photon_batch
+from qotp.adversary import IndividualUTB, InterceptResend, NoAttack
 from qotp.kernels import Basis
 from qotp.rng import make_rng
 from oracle import (
@@ -66,10 +65,10 @@ def oracle_photon(state_idx, enc, meas, model, u):
 
 
 def kernel_photon(state_idx, enc, meas, model, u):
-    bob, eve_basis, eve_out = kernels.simulate_photons(
-        [state_idx], [enc], [meas.index], model.channel_spec(), uniforms=np.array([u]),
+    bob, record = kernels.simulate_photons(
+        [state_idx], [enc], [meas.index], model, uniforms=np.array([u]),
     )
-    return int(bob[0]), int(eve_basis[0]), int(eve_out[0])
+    return int(bob[0]), int(record[0])
 
 
 def pinned_cells(model, s, meas):
@@ -78,7 +77,7 @@ def pinned_cells(model, s, meas):
     e1 = eigenstates(meas)[1]
     if isinstance(model, NoAttack):
         p_bob = abs(np.vdot(e1, s.amps)) ** 2
-        return [((0.5, 0.5, u2), (int(u2 < p_bob), -1, -1)) for u2 in either_side(p_bob)]
+        return [((0.5, 0.5, u2), (int(u2 < p_bob), -1)) for u2 in either_side(p_bob)]
     cells = []
     if isinstance(model, InterceptResend):
         if model.attack_basis is None:
@@ -92,7 +91,7 @@ def pinned_cells(model, s, meas):
                 eo = int(u1 < p_eve)
                 p_bob = abs(np.vdot(e1, eig[eo])) ** 2
                 for u2 in either_side(p_bob):
-                    cells.append(((u0, u1, u2), (int(u2 < p_bob), eve_basis.index, eo)))
+                    cells.append(((u0, u1, u2), (int(u2 < p_bob), 2 * eve_basis.index + eo)))
         return cells
     joint = utb_apply(s, model.theta, model.attack_basis)
     amps = eigenstates(meas).conj() @ joint.amps.reshape(2, 2)
@@ -101,7 +100,7 @@ def pinned_cells(model, s, meas):
         bob = int(u2 < p_bob)
         p_probe = float(abs(amps[bob, 1]) ** 2 / np.sum(np.abs(amps[bob]) ** 2))
         for u1 in either_side(p_probe):
-            cells.append(((0.5, u1, u2), (bob, -1, int(u1 < p_probe))))
+            cells.append(((0.5, u1, u2), (bob, int(u1 < p_probe))))
     return cells
 
 
@@ -114,7 +113,7 @@ CHANNELS = [NoAttack()] + [InterceptResend(basis) for basis in (None, *Basis)] +
 
 def channel_id(model):
     if isinstance(model, InterceptResend):
-        return f"ir-{model.channel_spec().description['ir_basis']}"
+        return f"ir-{model.describe()['ir_basis']}"
     if isinstance(model, IndividualUTB):
         return f"utb-{model.attack_basis.value}-{model.theta:.4f}"
     return "none"
@@ -136,9 +135,9 @@ def test_pinned_uniforms_flip_at_oracle_probabilities(model):
                     bob, record = oracle_photon(state_idx, enc, meas, model, u)
                     assert bob == expected[0]
                     if isinstance(model, InterceptResend):
-                        assert (record.eve_basis.index, record.eve_outcome) == expected[1:]
+                        assert 2 * record.eve_basis.index + record.eve_outcome == expected[1]
                     elif isinstance(model, IndividualUTB):
-                        assert record.probe_outcome == expected[2]
+                        assert record.probe_outcome == expected[1]
                     checked += 1
     assert checked >= 16
 
@@ -196,10 +195,10 @@ class TestTablesAgainstOracle:
 
 
 @pytest.mark.parametrize("model", CHANNELS[1:], ids=channel_id)
-def test_eve_outcome_tables_match_record_likelihoods(model):
+def test_eve_outcome_tables_match_likelihoods(model):
     # the kernel's adversary-outcome probabilities and the known-plaintext
     # likelihood table state the same physics
-    likelihood = record_likelihoods(model.channel_spec())
+    likelihood = model.likelihoods()
     for s in range(4):
         for e in (0, 1):
             if isinstance(model, InterceptResend):
@@ -235,10 +234,11 @@ class TestAgainstExactProjections:
     def test_clean_channel_frequencies(self, state_idx, meas):
         n = 50_000
         rng = make_rng(state_idx * 10 + meas.index)
-        bob, _, _ = kernels.simulate_photons(
+        bob, _ = kernels.simulate_photons(
             np.full(n, state_idx),
             np.zeros(n, dtype=np.int64),
             np.full(n, meas.index),
+            NoAttack(),
             rng=rng,
         )
         p1 = self.exact_outcome_prob(state_idx, 0, meas)
@@ -252,11 +252,11 @@ class TestAgainstExactProjections:
         n = 50_000
         theta = np.pi / 8
         rng = make_rng(1000 + state_idx * 100 + meas.index * 10 + attack_basis.index)
-        bob, _, _ = kernels.simulate_photons(
+        bob, _ = kernels.simulate_photons(
             np.full(n, state_idx),
             np.zeros(n, dtype=np.int64),
             np.full(n, meas.index),
-            IndividualUTB(theta=theta, attack_basis=attack_basis).channel_spec(),
+            IndividualUTB(theta=theta, attack_basis=attack_basis),
             rng=rng,
         )
         p1 = self.exact_outcome_prob(state_idx, 0, meas, attack=(theta, attack_basis))
@@ -269,11 +269,11 @@ class TestAgainstExactProjections:
         theta = np.pi / 4
         rng = make_rng(77)
         state_idx = 2  # |u>, attacked in the plus basis, measured cross
-        bob, _, probe = kernels.simulate_photons(
+        bob, probe = kernels.simulate_photons(
             np.full(n, state_idx),
             np.zeros(n, dtype=np.int64),
             np.ones(n, dtype=np.int64),
-            IndividualUTB(theta=theta, attack_basis=Basis.PLUS).channel_spec(),
+            IndividualUTB(theta=theta, attack_basis=Basis.PLUS),
             rng=rng,
         )
         s = PREP_STATES[state_idx]
@@ -294,6 +294,7 @@ class TestValidation:
                 np.zeros(4, dtype=np.int64),
                 np.zeros(3, dtype=np.int64),
                 np.zeros(4, dtype=np.int64),
+                NoAttack(),
                 rng=make_rng(0),
             )
 
@@ -303,42 +304,7 @@ class TestValidation:
                 np.zeros(4, dtype=np.int64),
                 np.zeros(4, dtype=np.int64),
                 np.zeros(4, dtype=np.int64),
-            )
-
-    def test_theta_domain(self):
-        with pytest.raises(ValueError):
-            kernels.simulate_photons(
-                np.zeros(4, dtype=np.int64),
-                np.zeros(4, dtype=np.int64),
-                np.zeros(4, dtype=np.int64),
-                kernels.ChannelSpec(kernels.ATTACK_UTB, kernels.BASIS_PLUS, 2.0, {}),
-                rng=make_rng(0),
-            )
-
-    @pytest.mark.parametrize(
-        "kind,attack_basis",
-        [(kernels.ATTACK_IR, 2), (kernels.ATTACK_IR, -1),
-         (kernels.ATTACK_UTB, 2), (kernels.ATTACK_UTB, -1)],
-    )
-    def test_unknown_adversary_parameter(self, kind, attack_basis):
-        # a basis outside the tables would select a wrong cell
-        with pytest.raises(ValueError, match="unknown"):
-            kernels.simulate_photons(
-                np.zeros(4, dtype=np.int64),
-                np.zeros(4, dtype=np.int64),
-                np.zeros(4, dtype=np.int64),
-                kernels.ChannelSpec(kind, attack_basis, 0.0, {}),
-                rng=make_rng(0),
-            )
-
-    def test_unknown_attack_kind(self):
-        with pytest.raises(ValueError):
-            kernels.simulate_photons(
-                np.zeros(4, dtype=np.int64),
-                np.zeros(4, dtype=np.int64),
-                np.zeros(4, dtype=np.int64),
-                kernels.ChannelSpec(9, None, 0.0, {}),
-                rng=make_rng(0),
+                NoAttack(),
             )
 
     @pytest.mark.parametrize(
@@ -352,7 +318,7 @@ class TestValidation:
         columns = [np.zeros(4, dtype=np.int64) for _ in range(3)]
         columns[column][2] = value
         with pytest.raises(ValueError, match=name):
-            kernels.simulate_photons(*columns, rng=make_rng(0))
+            kernels.simulate_photons(*columns, NoAttack(), rng=make_rng(0))
 
     @pytest.mark.parametrize(
         "column,name", [(0, "state_idx"), (1, "enc_bits"), (2, "meas_basis")]
@@ -362,20 +328,12 @@ class TestValidation:
         columns = [[2], [0], [1]]
         columns[column] = [0.9]
         with pytest.raises(ValueError, match=name):
-            kernels.simulate_photons(*columns, rng=make_rng(0))
-
-    @pytest.mark.parametrize(
-        "pinned,name",
-        [({"state_idx": 2.7}, "state_idx"), ({"enc_bits": 0.9}, "enc_bits"),
-         ({"meas_basis": np.array([0.0, 1.0, 1.0])}, "meas_basis")],
-    )
-    def test_float_pinned_batch_column(self, pinned, name):
-        with pytest.raises(ValueError, match=name):
-            run_photon_batch(3, NoAttack(), make_rng(0), **pinned)
+            kernels.simulate_photons(*columns, NoAttack(), rng=make_rng(0))
 
     def test_integer_and_bool_columns_pass(self):
         # H swapped to -V read in plus, and d kept read in cross: both give outcome 1
-        bob, _, _ = kernels.simulate_photons(
-            [0, 3], np.array([1, 0], dtype=np.uint8), np.array([False, True]), rng=make_rng(0)
+        bob, _ = kernels.simulate_photons(
+            [0, 3], np.array([1, 0], dtype=np.uint8), np.array([False, True]), NoAttack(),
+            rng=make_rng(0),
         )
         assert bob.tolist() == [1, 1]

@@ -15,9 +15,7 @@ from qotp.errors import PadExhaustedError
 from qotp.kernels import Basis
 from qotp.keystore import generate_pad
 from qotp.protocol import (
-    ModifiedMessage,
     SessionConfig,
-    _known_bit_codes,
     build_modified_message,
     eavesdrop_check,
     run_session,
@@ -71,29 +69,21 @@ class TestModifiedMessage:
         assert np.all(np.abs(counts / n - 1 / 3) < 3 * sigma)
 
 
-def _known_bit_codes_reference(known, mm):
-    """The plaintext laid over the non-sample slots of len(known) + n_sample
-    photons, via a set difference."""
-    known = np.asarray(known, dtype=np.int64)
-    slots = np.setdiff1d(np.arange(known.size + mm.n_sample), mm.sample_positions)
-    slots = slots[slots < mm.bits.size][: known.size]
-    codes = np.full(mm.bits.size, 2, dtype=np.int64)
-    codes[slots] = known[: slots.size]
-    return codes
+class TestKnownBits:
+    @given(st.integers(0, 60), st.integers(1, 20), st.integers(0, 2**31))
+    @settings(max_examples=40, deadline=None)
+    def test_known_bits_are_the_message_with_samples_masked(self, n_message, n_sample, seed):
+        # the adversary knows every message bit and no sampling bit
+        from qotp.adversary import KnownPlaintext
 
-
-class TestKnownBitCodes:
-    @given(st.integers(1, 80).flatmap(lambda n: st.tuples(
-        st.just(n), st.sets(st.integers(0, n - 1), max_size=n),
-        st.lists(st.integers(0, 1), max_size=2 * n))))
-    @settings(max_examples=200, deadline=None)
-    def test_codes_equal_the_set_difference_reference(self, case):
-        # plaintexts shorter and longer than the message, any positions
-        n, positions, known = case
-        mm = ModifiedMessage(bits=np.zeros(n, dtype=np.uint8),
-                             sample_positions=np.array(sorted(positions), dtype=np.int64))
-        codes = _known_bit_codes(known, mm)
-        assert np.array_equal(codes, _known_bit_codes_reference(known, mm))
+        message = make_rng(seed).integers(0, 2, n_message, dtype=np.uint8)
+        pad = generate_pad(2 * (n_message + n_sample), make_rng(seed + 1))
+        cfg = SessionConfig(n_message=n_message, n_sample=n_sample, seed=seed + 2,
+                            abort_threshold=1.0, allow_insecure_demo=True)
+        t = run_session(cfg, pad, message, KnownPlaintext(inner=InterceptResend()))
+        positions = t.mm.sample_positions
+        assert np.array_equal(np.delete(t.known_bits, positions), message)
+        assert np.all(t.known_bits[positions] == 2)
 
 
 class TestEavesdropCheck:
@@ -249,9 +239,7 @@ class TestTranscriptExport:
 
         message = make_rng(53).integers(0, 2, 16, dtype=np.uint8)
         pad = generate_pad(2 * 24, make_rng(54))
-        attack = KnownPlaintext(
-            inner=InterceptResend(), known_message=tuple(int(b) for b in message)
-        )
+        attack = KnownPlaintext(inner=InterceptResend())
         cfg = SessionConfig(
             n_message=16, n_sample=8, seed=55,
             abort_threshold=1.0, allow_insecure_demo=True,
@@ -272,7 +260,7 @@ class TestTranscriptExport:
         pad = generate_pad(2 * 60, make_rng(57))
         attack = inner
         if known_plaintext:
-            attack = KnownPlaintext(inner=inner, known_message=tuple(message.tolist()))
+            attack = KnownPlaintext(inner=inner)
         cfg = SessionConfig(n_message=40, n_sample=20, seed=58,
                             abort_threshold=1.0, allow_insecure_demo=True)
         t = run_session(cfg, pad, message, attack)
@@ -309,10 +297,9 @@ class TestTranscriptExport:
             assert ev["eve_outcome"] == record.eve_outcome
             assert ev["probe_outcome"] == record.probe_outcome
         if isinstance(attack, InterceptResend):
-            assert [ev.eve_basis.index for ev in events] == t.eve_basis.tolist()
-            assert [ev.eve_outcome for ev in events] == t.eve_outcome.tolist()
+            assert [2 * ev.eve_basis.index + ev.eve_outcome for ev in events] == t.record.tolist()
         else:
-            assert [ev.probe_outcome for ev in events] == t.eve_outcome.tolist()
+            assert [ev.probe_outcome for ev in events] == t.record.tolist()
             probes = {(ev.theta, ev.attack_basis) for ev in events}
             assert probes == {(np.pi / 4, Basis.CROSS)}
 
@@ -333,7 +320,7 @@ class TestTranscriptExport:
         pad = generate_pad(2 * 45, make_rng(64))
         attack = inner
         if known_plaintext:
-            attack = KnownPlaintext(inner=inner, known_message=tuple(message.tolist()))
+            attack = KnownPlaintext(inner=inner)
         cfg = SessionConfig(n_message=30, n_sample=15, seed=65, abort_threshold=threshold,
                             allow_insecure_demo=True)
         doc = run_session(cfg, pad, message, attack).to_json_dict()
@@ -365,8 +352,7 @@ class TestTranscriptExport:
 
         message = make_rng(66).integers(0, 2, 1536, dtype=np.uint8)
         pad = generate_pad(2 * 2048, make_rng(67))
-        attack = KnownPlaintext(inner=IndividualUTB(theta=np.pi / 8),
-                                known_message=tuple(message.tolist()))
+        attack = KnownPlaintext(inner=IndividualUTB(theta=np.pi / 8))
         cfg = SessionConfig(n_message=1536, n_sample=512, seed=68, abort_threshold=1.0,
                             allow_insecure_demo=True)
         text = run_session(cfg, pad, message, attack).to_json()
