@@ -8,6 +8,7 @@ information-theoretic bounds that limit what an individual attack can learn.
 from .adversary import AttackModel, IndividualUTB, InterceptResend, KnownPlaintext, NoAttack
 from .analysis import (
     ErrorSubset,
+    cell_probabilities,
     d_of_theta,
     empirical_error_rate,
     empirical_mutual_information,

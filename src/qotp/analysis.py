@@ -14,7 +14,8 @@ All information quantities are in bits (base-2 logs).  The bound family:
 * ``small_dm_linear_bound`` -- the small-d_m linear relaxation of i1.
 
 Empirical quantities (error rates, plug-in mutual information) come from
-session transcripts or from batched kernel runs with uniformly random pads.
+session transcripts, from batched kernel runs with uniformly random pads, or
+from sweep histograms drawn from their exact law (``cell_probabilities``).
 """
 
 from __future__ import annotations
@@ -242,6 +243,24 @@ class SweepPoint:
 _STATE, _ENC, _BOB, _PROBE = np.indices((4, 2, 2, 2))
 _ERROR = (_BOB != kernels.PREP_LABEL_OF_STATE[_STATE]) != _ENC
 _ENCODED_LABEL = kernels.PREP_LABEL_OF_STATE[_STATE] ^ _ENC
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def cell_probabilities(attack: IndividualUTB) -> np.ndarray:
+    """Exact law of one photon of a sweep batch over the histogram cells.
+
+    Returns P[state, encoding, receiver outcome, probe outcome] =
+    (1/8) P(receiver outcome | cell) P(probe outcome | cell, receiver outcome)
+    for a uniformly random pad and bit, the receiver measuring in the
+    preparation basis, read from the kernel's ``probe_tables``.
+    """
+    p1, pp1 = kernels.probe_tables(float(attack.theta), attack.attack_basis.index)
+    cell = 4 * _STATE + 2 * _ENC + kernels.PREP_BASIS_OF_STATE[_STATE]
+    p_bob = np.where(_BOB == 1, p1[cell], 1.0 - p1[cell])
+    p_probe1 = pp1[2 * cell + _BOB]
+    p_probe = np.where(_PROBE == 1, p_probe1, 1.0 - p_probe1)
+    # a table entry of 1 + 1e-16 would leave a cell at -1e-16
+    return np.maximum(p_bob * p_probe, 0.0) / 8.0
 
 
 def sweep_theta(
@@ -250,21 +269,24 @@ def sweep_theta(
     seed: int,
     attack_basis: Basis = Basis.PLUS,
 ) -> list[SweepPoint]:
-    """One Monte-Carlo batch per theta; grid point i runs on the stream
-    seeded by ``role_seed(seed, ROLE_SWEEP, i)``.  Each point's statistics
-    come from one histogram over (state, encoding, receiver outcome, probe
-    outcome)."""
+    """One Monte-Carlo histogram per theta; grid point i draws on the stream
+    seeded by ``role_seed(seed, ROLE_SWEEP, i)``.  The histogram of
+    ``n_photons`` independent photons over (state, encoding, receiver outcome,
+    probe outcome) is one multinomial draw from ``cell_probabilities``, so a
+    point costs the same at any photon count.  Each point's statistics come
+    from that histogram."""
     if n_photons < 1:
         raise ValueError(f"a sweep needs at least 1 photon per grid point, got {n_photons}")
+    if n_photons > _INT64_MAX:
+        raise ValueError(
+            f"a sweep takes at most {_INT64_MAX} photons per grid point, got {n_photons}"
+        )
     matched = kernels.PREP_BASIS_OF_STATE[_STATE] == attack_basis.index
     points = []
     for i, theta in enumerate(thetas):
         rng = make_rng(role_seed(seed, ROLE_SWEEP, i))
-        batch = run_photon_batch(
-            n_photons, IndividualUTB(theta=float(theta), attack_basis=attack_basis), rng
-        )
-        cell = 8 * batch.state_idx + 4 * batch.enc_bits + 2 * batch.bob_outcome + batch.record
-        counts = np.bincount(cell, minlength=32).reshape(_STATE.shape)
+        law = cell_probabilities(IndividualUTB(theta=float(theta), attack_basis=attack_basis))
+        counts = rng.multinomial(n_photons, law.ravel()).reshape(_STATE.shape)
         n_matched = counts[matched].sum()
         if n_matched == 0:
             raise ValueError(

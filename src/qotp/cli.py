@@ -82,6 +82,8 @@ def _resolve_theta(args) -> float:
     if args.theta is not None and args.theta_deg is not None:
         raise ValueError("pass --theta or --theta-deg, not both")
     if args.theta_deg is not None:
+        if not 0.0 <= args.theta_deg <= 45.0:
+            raise ValueError(f"--theta-deg must lie in [0, 45], got {args.theta_deg}")
         return float(args.theta_deg) * np.pi / 180.0
     if args.theta is not None:
         return float(args.theta)

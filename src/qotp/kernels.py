@@ -1,7 +1,9 @@
 """Batched Monte-Carlo photon pipeline.
 
 The per-photon channel simulation (prepare, encode, optional attack, measure)
-runs here for sessions, sweeps and the large-sample statistical checks.  Every
+runs here for sessions and the large-sample statistical checks.  Sweeps read
+the same tables through ``analysis.cell_probabilities`` and draw each point's
+histogram from that exact law without simulating photons one by one.  Every
 photon is one of 4 prepared states, carries one of 2 encodings and is measured
 in one of 2 bases, so every probability the channel needs is an entry of a
 small exact table indexed by the cell ``4 * state + 2 * encoding + basis``;

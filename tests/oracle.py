@@ -1,10 +1,10 @@
 """Exact state-vector oracle for one polarized photon, optionally joined to a
 one-qubit probe, with the per-photon attacks that act on it.
 
-The package runs every session and sweep through the table kernel in
-``qotp.kernels``; this module is the independent reference the tests check
-that path against.  It lives with the tests so that no production code can
-reach it.
+The package runs every session through the table kernel in ``qotp.kernels``
+and draws every sweep point from the same tables; this module is the
+independent reference the tests check those tables against.  It lives with
+the tests so that no production code can reach it.
 
 States live in dimension 2 (photon) or 4 (photon tensor probe, photon first).
 The four preparation states are the two polarization pairs

@@ -1,6 +1,8 @@
 """Closed-form bound values (frozen from a 30-digit independent evaluation),
 their shape properties, and the empirical estimators."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from qotp.analysis import (
     BOUNDS_CSV_HEADER,
     ErrorSubset,
     bounds_csv,
+    cell_probabilities,
     d_of_theta,
     empirical_error_rate,
     empirical_mutual_information,
@@ -26,8 +29,18 @@ from qotp.errors import PoleError
 from qotp.kernels import Basis
 from qotp.keystore import generate_pad
 from qotp.protocol import SessionConfig, run_session
-from qotp.rng import ROLE_SWEEP, make_rng, role_seed
-from oracle import MI_ESTIMATOR_SLACK, key_pairs, probe_information_estimate
+from qotp.rng import make_rng
+from oracle import (
+    MI_ESTIMATOR_SLACK,
+    PREP_STATES,
+    EncodingOp,
+    apply_encoding,
+    eigenstates,
+    key_pairs,
+    measure_photon_of_joint,
+    probe_information_estimate,
+    utb_apply,
+)
 
 # frozen oracle values (30-digit evaluation, rounded to double)
 PHI_HALF = 0.37744375108173434
@@ -244,23 +257,112 @@ class TestExactProbeInformation:
         assert exact_probe_information(np.pi / 4, basis) == pytest.approx(0.3112781, abs=1e-7)
 
 
-class TestSweepHistogram:
-    """Each sweep row's statistics come from one histogram; they must equal
-    the direct reductions over the same batch exactly."""
+STATE, ENC, BOB, PROBE = np.indices((4, 2, 2, 2))
+MATCHED = {basis: kernels.PREP_BASIS_OF_STATE[STATE] == basis.index for basis in Basis}
+ERROR = (BOB != kernels.PREP_LABEL_OF_STATE[STATE]) != ENC
+ENCODED_LABEL = kernels.PREP_LABEL_OF_STATE[STATE] ^ ENC
+SWEEP_THETAS = np.linspace(0.0, np.pi / 4, 201)
+
+
+def oracle_cell_probabilities(theta: float, basis: Basis) -> np.ndarray:
+    """P[state, encoding, receiver outcome, probe outcome] from the state-vector
+    core: the tap joins each encoded state to a probe, the receiver measures in
+    the preparation basis, and the probe's conditional state gives its law."""
+    law = np.zeros((4, 2, 2, 2))
+    for state in range(4):
+        meas = Basis.PLUS if kernels.PREP_BASIS_OF_STATE[state] == 0 else Basis.CROSS
+        for enc in (0, 1):
+            joint = utb_apply(apply_encoding(EncodingOp(enc), PREP_STATES[state]), theta, basis)
+            rotated = eigenstates(meas).conj() @ joint.amps.reshape(2, 2)
+            for bob in (0, 1):
+                p_bob = float(np.sum(np.abs(rotated[bob]) ** 2))
+                if p_bob < 1e-15:
+                    continue
+                # a uniform of 0 forces outcome 1 and one just below 1 outcome 0
+                forced = 0.0 if bob else np.nextafter(1.0, 0.0)
+                outcome, probe = measure_photon_of_joint(
+                    joint, meas, types.SimpleNamespace(random=lambda u=forced: u)
+                )
+                assert outcome == bob
+                law[state, enc, bob] = p_bob * np.abs(probe.amps) ** 2 / 8
+    return law
+
+
+class TestCellProbabilities:
+    """The exact law a sweep draws each point's histogram from."""
 
     @pytest.mark.parametrize("basis", list(Basis))
-    @pytest.mark.parametrize("seed", [0, 11, 2024])
-    def test_rows_equal_direct_reductions(self, basis, seed):
+    def test_matches_state_vector_oracle(self, basis):
+        for theta in (0.0, np.pi / 16, np.pi / 8, 3 * np.pi / 16, np.pi / 4):
+            got = cell_probabilities(IndividualUTB(theta, basis))
+            np.testing.assert_allclose(
+                got, oracle_cell_probabilities(theta, basis), rtol=0, atol=1e-12
+            )
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    def test_is_a_distribution_with_uniform_pads(self, basis):
+        # theta = 0 is on the grid: there the table arithmetic leaves 1 - p1
+        # at -1e-16, which a multinomial draw rejects
+        for theta in SWEEP_THETAS:
+            law = cell_probabilities(IndividualUTB(theta, basis))
+            assert law.min() >= 0.0, theta
+            assert abs(law.sum() - 1.0) <= 1e-12, theta
+            np.testing.assert_allclose(law.sum(axis=(2, 3)), 1 / 8, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    def test_matched_error_mass_is_half_d(self, basis):
+        # attacked-basis photons carry half the mass
+        for theta in SWEEP_THETAS:
+            law = cell_probabilities(IndividualUTB(theta, basis))
+            mass = law[MATCHED[basis] & ERROR].sum()
+            assert 2 * mass == pytest.approx(d_of_theta(theta), abs=1e-12), theta
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    def test_matched_probe_information_is_exact(self, basis):
+        matched = MATCHED[basis]
+        for theta in SWEEP_THETAS:
+            law = cell_probabilities(IndividualUTB(theta, basis))
+            joint = np.bincount(
+                2 * ENCODED_LABEL[matched] + PROBE[matched], weights=law[matched], minlength=4
+            )
+            mi = empirical_mutual_information(joint.reshape(2, 2))
+            assert mi == pytest.approx(exact_probe_information(theta, basis), abs=1e-12), theta
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    def test_sweep_rows_reduce_to_the_exact_law(self, basis):
+        # at 10^12 photons per point every row statistic sits within about
+        # 1e-6 of the value its reduction gives on the exact law
         thetas = [0.0, np.pi / 8, np.pi / 4]
-        n = 20_000
-        points = sweep_theta(thetas, n, seed, basis)
-        for i, (theta, point) in enumerate(zip(thetas, points)):
-            rng = make_rng(role_seed(seed, ROLE_SWEEP, i))
-            batch = run_photon_batch(n, IndividualUTB(theta=theta, attack_basis=basis), rng)
-            matched = batch.prep_basis == basis.index
-            assert point.d_matched_empirical == float(batch.errors[matched].mean())
-            assert point.d_overall_empirical == float(batch.errors.mean())
-            assert point.mi_empirical == probe_information_estimate(batch, basis)
+        for theta, point in zip(thetas, sweep_theta(thetas, 10**12, 5, basis)):
+            law = cell_probabilities(IndividualUTB(theta, basis))
+            assert point.d_matched_empirical == pytest.approx(d_of_theta(theta), abs=1e-5)
+            assert point.d_overall_empirical == pytest.approx(law[ERROR].sum(), abs=1e-5)
+            mi = exact_probe_information(theta, basis)
+            assert point.mi_empirical == pytest.approx(mi, abs=1e-5)
+
+
+# Upper 0.1% points of the chi-square law by degrees of freedom (cells of
+# positive probability less one): 8 cells at theta = 0, 22 above it.
+CHI2_CRITICAL_999 = {7: 24.322, 21: 46.797}
+
+
+class TestKernelHistogramAgainstCellProbabilities:
+    """The kernel's binned photons follow the law the sweep samples from."""
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    @pytest.mark.parametrize("theta", [0.0, np.pi / 8, np.pi / 4])
+    def test_chi_square(self, theta, basis):
+        n = 200_000
+        attack = IndividualUTB(theta, basis)
+        batch = run_photon_batch(n, attack, make_rng(4100))
+        cell = 8 * batch.state_idx + 4 * batch.enc_bits + 2 * batch.bob_outcome + batch.record
+        counts = np.bincount(cell, minlength=32)
+        law = cell_probabilities(attack).ravel()
+        possible = law > 0
+        assert counts[~possible].sum() == 0
+        expected = n * law[possible]
+        chi2 = float(np.sum((counts[possible] - expected) ** 2 / expected))
+        assert chi2 < CHI2_CRITICAL_999[possible.sum() - 1]
 
 
 class TestPerStateOracleEquivalence:

@@ -153,6 +153,12 @@ class TestSweep:
         cli.main(["sweep-theta", "--photons", "2000", "--seed", "9", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_photon_count_past_memory(self, capsys):
+        # binning 10^12 photons one by one would not fit in memory
+        rc = cli.main(["sweep-theta", "--points", "5", "--photons", "1000000000000", "--seed", "3"])
+        assert rc == cli.EXIT_OK
+        assert len(capsys.readouterr().out.strip().split("\n")) == 6
+
     def test_needs_two_points(self, capsys):
         rc = cli.main(["sweep-theta", "--thetas", "0.1", "--photons", "100"])
         assert rc == cli.EXIT_ERROR
@@ -285,6 +291,8 @@ class TestBoundaryErrors:
             (["recycle-demo", "--message-bits", "-1"], {}),
             (["run", "--samples", "1", "--threshold", "0.5"], {}),
             (["recycle-demo", "--threshold", "0.5"], {}),
+            (["sweep-theta", "--photons", "9223372036854775808"], {}),
+            (["run", "--attack", "utb", "--theta-deg", "46"], {}),
         ],
         ids=["nan-grid-point", "non-integer-env-seed", "attack-session-past-the-end",
              "unknown-flag", "non-integer-flag", "zero-sessions", "negative-sessions",
@@ -294,7 +302,8 @@ class TestBoundaryErrors:
              "ir-basis-without-intercept-resend", "known-plaintext-without-attack",
              "recycle-attack-without-session", "recycle-session-without-attack",
              "run-negative-message-bits", "recycle-negative-message-bits",
-             "run-threshold-without-insecure-demo", "recycle-threshold-without-insecure-demo"],
+             "run-threshold-without-insecure-demo", "recycle-threshold-without-insecure-demo",
+             "photons-past-int64", "theta-deg-past-45"],
     )
     def test_one_line_error_exit_1(self, argv, env, monkeypatch, capsys):
         for name, value in env.items():
@@ -309,6 +318,11 @@ class TestBoundaryErrors:
     def test_negative_length_names_the_flag(self, command, value, capsys):
         assert cli.main([command, "--message-bits", value]) == cli.EXIT_ERROR
         assert capsys.readouterr().err == f"error: --message-bits must be >= 0, got {value}\n"
+
+    def test_theta_deg_error_quotes_degrees(self, capsys):
+        assert cli.main(["run", "--attack", "utb", "--theta-deg", "46"]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "--theta-deg" in err and "46" in err
 
     @pytest.mark.parametrize("command", ["run", "recycle-demo"])
     def test_threshold_names_the_insecure_demo_flag(self, command, capsys):

@@ -68,13 +68,13 @@ CASES = {
         [*SWEEP, "--utb-basis", "plus", "--seed", "108"],
         0,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "29d657e134b6ded92323bfc2d7b40018b2c4eb0ce0d813c63e0fa88d2b98017c",
+        "a6e092c7e8d98800d38f86c5d08f699c266aee895915894fc218388eed6e2eac",
     ),
     "sweep-cross": (
         [*SWEEP, "--utb-basis", "cross", "--seed", "109"],
         0,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "3421624dbfb503f6979cd27df93f5630709bb02d8388f789e7422ac675531927",
+        "e7ff5725d55f11d0fd8296b234ac28564ed2a2343340e26ed84d63f29a05be4d",
     ),
     "recycle-clean": (
         [*DEMO, "--seed", "110"],
