@@ -1,6 +1,6 @@
 """Repeatable classical one-time-pad over simulated single-photon qubits.
 
-A photon channel simulator built on exact probability tables, the six-step
+A photon channel simulator that samples each attack's exact law, the six-step
 pad-reuse crypto session, pluggable eavesdropping attacks, and the
 information-theoretic bounds that limit what an individual attack can learn.
 """

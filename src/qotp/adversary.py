@@ -4,14 +4,15 @@ Attacks never see basis keys, pad bits, sample positions, or message bits;
 their only input is the travelling state (the known-plaintext wrapper is told
 the session's message at inference time only).
 
-Each attack is described once, by its class: ``transmit`` is its step of the
-batch kernel, ``likelihoods`` its exact record table, ``describe`` its
-transcript entry, and ``kind`` its name on the command line and in the
-transcript.  Eve's record is coded ``2 * basis + outcome`` for
-intercept-resend, as the probe outcome for the probe attack, and -1 where
-there is no attack.  The tests check the kernel and the tables against
-per-photon attacks on exact state vectors, which ship with the tests and not
-with the package.
+Each attack is described once, by its class.  ``law()`` is its exact joint
+law P[state, encoding, receiver basis, receiver outcome, record]: the batch
+kernel samples it, ``record_likelihoods`` sums it into the table
+known-plaintext inference reads, and sweeps draw their histograms from it.
+``describe`` is the attack's transcript entry and ``kind`` its name on the
+command line.  Eve's record is ``2 * basis + outcome`` for intercept-resend
+and the probe outcome for the probe attack; with no attack the record axis
+has length 1 and the kernel writes -1.  The tests check every law entry
+against per-photon attacks on exact state vectors, which ship with the tests.
 """
 
 from __future__ import annotations
@@ -28,13 +29,8 @@ from .kernels import Basis
 class NoAttack:
     kind = "none"
 
-    def transmit(self, cell, meas_basis, uniforms):
-        cell += meas_basis
-        bob = uniforms[:, 2] < kernels.CLEAN_P1.take(cell)
-        return bob, np.full(cell.shape[0], -1, dtype=np.int8)
-
-    def likelihoods(self) -> np.ndarray:
-        raise ValueError("this attack leaves no records")
+    def law(self) -> np.ndarray:
+        return kernels.born(kernels.ENC_TABLE)[..., None]
 
     def describe(self) -> dict:
         return {"kind": self.kind}
@@ -53,19 +49,14 @@ class InterceptResend:
         if self.attack_basis not in (None, *Basis):
             raise ValueError(f"attack_basis must be a Basis or None, got {self.attack_basis!r}")
 
-    def transmit(self, cell, meas_basis, uniforms):
-        if self.attack_basis is None:
-            eb = (uniforms[:, 0] >= 0.5).astype(np.int8)
-        else:
-            eb = np.full(cell.shape[0], self.attack_basis.index, dtype=np.int8)
-        cell += eb
-        eo = (uniforms[:, 1] < kernels.CLEAN_P1.take(cell)).astype(np.int8)
-        bob = uniforms[:, 2] < kernels.FORWARD_P1.take(4 * eb + 2 * eo + meas_basis)
-        return bob, 2 * eb + eo
-
-    def likelihoods(self) -> np.ndarray:
-        amps = np.einsum("sec,bkc->sebk", kernels.ENC_TABLE, kernels.EIG_TABLE)
-        return (amps * amps).reshape(4, 2, 4)
+    def law(self) -> np.ndarray:
+        basis = self.attack_basis
+        prior = np.full(2, 0.5) if basis is None else np.eye(2)[basis.index]
+        # Eve picks basis x with probability prior[x] and reads y: [state, encoding, x, y]
+        eve = kernels.born(kernels.ENC_TABLE) * prior[:, None]
+        # the receiver measures the eigenstate she forwards: [basis, outcome, x, y]
+        forwarded = kernels.born(kernels.EIG_TABLE).transpose(2, 3, 0, 1)
+        return (eve[:, :, None, None] * forwarded).reshape(4, 2, 2, 2, 4)
 
     def describe(self) -> dict:
         basis = self.attack_basis
@@ -86,18 +77,16 @@ class IndividualUTB:
         if self.attack_basis not in tuple(Basis):
             raise ValueError(f"attack_basis must be a Basis, got {self.attack_basis!r}")
 
-    def transmit(self, cell, meas_basis, uniforms):
-        p1, pp1 = kernels.probe_tables(float(self.theta), self.attack_basis.index)
-        cell += meas_basis
-        bob = uniforms[:, 2] < p1.take(cell)
-        cell *= 2
-        cell += bob
-        return bob, (uniforms[:, 1] < pp1.take(cell)).astype(np.int8)
-
-    def likelihoods(self) -> np.ndarray:
-        xibar = kernels.EIG_TABLE[self.attack_basis.index, 1]
-        p_flip = np.sin(float(self.theta)) ** 2 * (kernels.ENC_TABLE @ xibar) ** 2
-        return np.stack([1.0 - p_flip, p_flip], axis=-1)
+    def law(self) -> np.ndarray:
+        xi, xibar = kernels.EIG_TABLE[self.attack_basis.index]
+        # components of each encoded state along xi and xibar, [state, encoding, 1]
+        a = kernels._overlap(xi, kernels.ENC_TABLE)[..., None]
+        b = kernels._overlap(xibar, kernels.ENC_TABLE)[..., None]
+        # the tap keeps xi|0> and sends xibar|0> to cos(theta) xibar|0> +
+        # sin(theta) xi|1>: the photon's branch beside each probe outcome
+        kept = a * xi + b * float(np.cos(self.theta)) * xibar
+        flipped = b * float(np.sin(self.theta)) * xi
+        return np.stack([kernels.born(kept), kernels.born(flipped)], axis=-1)
 
     def describe(self) -> dict:
         return {"kind": self.kind, "theta": float(self.theta), "utb_basis": self.attack_basis.value}
@@ -114,11 +103,8 @@ class KnownPlaintext:
     def kind(self) -> str:
         return self.inner.kind
 
-    def transmit(self, cell, meas_basis, uniforms):
-        return self.inner.transmit(cell, meas_basis, uniforms)
-
-    def likelihoods(self) -> np.ndarray:
-        return self.inner.likelihoods()
+    def law(self) -> np.ndarray:
+        return self.inner.law()
 
     def describe(self) -> dict:
         return {**self.inner.describe(), "known_plaintext": True}
@@ -127,15 +113,19 @@ class KnownPlaintext:
 AttackModel = NoAttack | InterceptResend | IndividualUTB | KnownPlaintext
 
 
+def record_likelihoods(attack: AttackModel) -> np.ndarray:
+    """L[state, encoding, record] = P(Eve's record | the channel carried that
+    state with that encoding bit): the attack's law summed over the receiver's
+    outcome.  The receiver's basis does not change it; the plus basis is read."""
+    return attack.law()[:, :, Basis.PLUS.index].sum(axis=2)
+
+
 def posterior_plus_table(attack: AttackModel) -> np.ndarray:
     """P(plus basis | record) per [known bit, record], where known bit 2 means
     the photon carries a bit the plaintext does not cover (both encodings
-    equally likely).  The four basis keys are equiprobable a priori.
-
-    ``attack.likelihoods()`` is the table L[state, encoding, record] =
-    P(Eve's record | the channel carried that state with that encoding bit).
-    """
-    by_basis = attack.likelihoods().reshape(2, 2, 2, -1).sum(axis=1)  # [basis, bit, record]
+    equally likely).  The four basis keys are equiprobable a priori.  A record
+    the attack never leaves reads 0.5."""
+    by_basis = record_likelihoods(attack).reshape(2, 2, 2, -1).sum(axis=1)  # [basis, bit, record]
     by_basis = np.concatenate([by_basis, by_basis.mean(axis=1, keepdims=True)], axis=1)
     total = by_basis.sum(axis=0)
     return np.divide(by_basis[0], total, out=np.full_like(total, 0.5), where=total > 0)

@@ -246,21 +246,11 @@ _ENCODED_LABEL = kernels.PREP_LABEL_OF_STATE[_STATE] ^ _ENC
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def cell_probabilities(attack: IndividualUTB) -> np.ndarray:
-    """Exact law of one photon of a sweep batch over the histogram cells.
-
-    Returns P[state, encoding, receiver outcome, probe outcome] =
-    (1/8) P(receiver outcome | cell) P(probe outcome | cell, receiver outcome)
-    for a uniformly random pad and bit, the receiver measuring in the
-    preparation basis, read from the kernel's ``probe_tables``.
-    """
-    p1, pp1 = kernels.probe_tables(float(attack.theta), attack.attack_basis.index)
-    cell = 4 * _STATE + 2 * _ENC + kernels.PREP_BASIS_OF_STATE[_STATE]
-    p_bob = np.where(_BOB == 1, p1[cell], 1.0 - p1[cell])
-    p_probe1 = pp1[2 * cell + _BOB]
-    p_probe = np.where(_PROBE == 1, p_probe1, 1.0 - p_probe1)
-    # a table entry of 1 + 1e-16 would leave a cell at -1e-16
-    return np.maximum(p_bob * p_probe, 0.0) / 8.0
+def cell_probabilities(attack: AttackModel) -> np.ndarray:
+    """Exact law P[state, encoding, receiver outcome, record] of one sweep
+    photon, with a uniformly random pad and bit and the receiver measuring in
+    the preparation basis: that slice of ``attack.law()``, divided by 8."""
+    return attack.law()[np.arange(4), :, kernels.PREP_BASIS_OF_STATE] / 8.0
 
 
 def sweep_theta(

@@ -193,11 +193,18 @@ def _write_table(text: str, out: str | None) -> int:
     return EXIT_OK
 
 
+def _grid(lo: float, hi: float, points: int) -> list[float]:
+    most = np.iinfo(np.int64).max  # past it np.linspace fails with an IndexError
+    if points > most:
+        raise ValueError(f"--points takes at most {most}, got {points}")
+    return list(np.linspace(lo, hi, points))
+
+
 def cmd_sweep_theta(args) -> int:
     if args.thetas is not None:
         thetas = [float(t) for t in args.thetas.split(",")]
     else:
-        thetas = list(np.linspace(0.0, np.pi / 4, args.points))
+        thetas = _grid(0.0, np.pi / 4, args.points)
     if len(thetas) < 2:
         raise ValueError("a sweep needs at least 2 grid points")
     points = analysis.sweep_theta(
@@ -216,7 +223,7 @@ def cmd_bounds(args) -> int:
         for flag, value in (("--d-min", args.d_min), ("--d-max", args.d_max)):
             if not 0.0 <= value <= 0.25:
                 raise ValueError(f"{flag} must lie in [0, 0.25], got {value}")
-        grid = list(np.linspace(args.d_min, args.d_max, args.points))
+        grid = _grid(args.d_min, args.d_max, args.points)
     return _write_table(analysis.bounds_csv(grid), args.out)
 
 
@@ -374,7 +381,8 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) is None:
             args.seed = env_seed
         return args.func(args)
-    except (ValueError, PoleError, PadExhaustedError, ProtocolViolationError, OSError) as exc:
+    except (ValueError, PoleError, PadExhaustedError, ProtocolViolationError, OSError,
+            MemoryError) as exc:  # numpy raises MemoryError before allocating
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

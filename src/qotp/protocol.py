@@ -5,7 +5,7 @@ draw basis keys from the pad, prepare and encode photons, pass them through
 the (possibly attacked) channel, decode with the shared keys, compare the
 announced sampling bits, and either recycle the pad and release the message
 or halt.  The photons run as columns through one batch-kernel call, which
-runs the attack's own channel step; this is the only session path.  The
+samples the attack's exact law; this is the only session path.  The
 transcript keeps the full secret view for analysis; the ``public_view``
 projection is exactly what an eavesdropper may read.
 
@@ -124,8 +124,8 @@ class SessionTranscript:
         }
 
     def _adversary(self) -> dict | None:
-        """Eve's record per photon, coded as in the attack's ``likelihoods``,
-        and under known plaintext the assumed bits and the posterior table."""
+        """Eve's record per photon, coded as in the attack's ``law``, and
+        under known plaintext the assumed bits and the posterior table."""
         if self.attack.kind == NoAttack.kind:
             return None
         known = self.known_bits

@@ -29,7 +29,10 @@ def role_seed(seed: int, role: int, index: int = 0) -> int:
 
     Derived as ``SeedSequence(seed, spawn_key=(role, index))``, so streams of
     different roles or indices are independent, and no role can land on
-    another role's stream.
+    another role's stream.  ``seed`` must be a signed 64-bit integer (a negative
+    one reads as its two's complement), so no seed aliases another's streams.
     """
+    if not -(1 << 63) <= seed < 1 << 63:
+        raise ValueError(f"seed must be a signed 64-bit integer, got {seed}")
     sequence = np.random.SeedSequence(seed & _MASK64, spawn_key=(role, index))
     return int(sequence.generate_state(1, np.uint64)[0])

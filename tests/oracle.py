@@ -1,9 +1,10 @@
 """Exact state-vector oracle for one polarized photon, optionally joined to a
 one-qubit probe, with the per-photon attacks that act on it.
 
-The package runs every session through the table kernel in ``qotp.kernels``
-and draws every sweep point from the same tables; this module is the
-independent reference the tests check those tables against.  It lives with
+The package runs every session through the kernel in ``qotp.kernels``, which
+samples each attack's exact ``law()``, and draws every sweep point from the
+same law; this module is the independent reference the tests check those
+laws against.  It lives with
 the tests so that no production code can reach it.
 
 States live in dimension 2 (photon) or 4 (photon tensor probe, photon first).
@@ -275,7 +276,8 @@ def utb_intercept(
     """Entangle the photon with a probe and forward the joint state.
 
     The photon factor travels on to the receiver; once the receiver has
-    measured, the conditional probe state is read out (see eve_measure_probe).
+    measured, the conditional probe state can be read out in the
+    computational basis.
     """
     joint = utb_apply(s, theta, attack_basis)
     record = EveRecord(
@@ -285,14 +287,6 @@ def utb_intercept(
         attack_basis=attack_basis,
     )
     return joint, record
-
-
-def eve_measure_probe(record: EveRecord, probe: StateVector, rng: RandomStream) -> int:
-    """Read the conditional probe state in the computational basis and store
-    the outcome on the record."""
-    outcome, _ = measure(probe, Basis.PLUS, rng)
-    record.probe_outcome = outcome
-    return outcome
 
 
 def attack_photon(
@@ -313,6 +307,40 @@ def attack_photon(
         forwarded, record = attack_photon(model.inner, s, rng, photon_index)
         return forwarded, record
     raise TypeError(f"unknown attack model {model!r}")
+
+
+def attack_law(model: AttackModel) -> np.ndarray:
+    """P[state, encoding, receiver basis, receiver outcome, record] by explicit
+    projections: the receiver's Born rule on the clean photon, on the
+    eigenstate intercept-resend forwards (times Eve's basis choice and her
+    own Born rule), or on the photon factor of the tapped photon-probe state
+    with the probe read in its computational basis."""
+    if isinstance(model, KnownPlaintext):
+        return attack_law(model.inner)
+    n_records = {NoAttack: 1, InterceptResend: 4, IndividualUTB: 2}[type(model)]
+    law = np.zeros((4, 2, 2, 2, n_records))
+    for state, prepared in enumerate(PREP_STATES):
+        for enc in EncodingOp:
+            encoded = apply_encoding(enc, prepared)
+            for meas in Basis:
+                receiver = eigenstates(meas).conj()
+                cell = law[state, enc.value, meas.index]
+                if isinstance(model, NoAttack):
+                    cell[:, 0] = np.abs(receiver @ encoded.amps) ** 2
+                elif isinstance(model, InterceptResend):
+                    for eve_basis in Basis:
+                        if model.attack_basis is None:
+                            choice = 0.5
+                        else:
+                            choice = float(eve_basis is model.attack_basis)
+                        for outcome, forwarded in enumerate(eigenstates(eve_basis)):
+                            p_eve = choice * abs(np.vdot(forwarded, encoded.amps)) ** 2
+                            record = 2 * eve_basis.index + outcome
+                            cell[:, record] = p_eve * np.abs(receiver @ forwarded) ** 2
+                else:
+                    joint = utb_apply(encoded, model.theta, model.attack_basis)
+                    cell[:] = np.abs(receiver @ joint.amps.reshape(2, 2)) ** 2
+    return law
 
 
 def _record_likelihood(record: EveRecord, encoded: np.ndarray) -> float:

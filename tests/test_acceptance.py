@@ -19,6 +19,7 @@ from qotp.adversary import (
     KnownPlaintext,
     NoAttack,
     posterior_plus_table,
+    record_likelihoods,
 )
 from qotp.analysis import (
     empirical_mutual_information,
@@ -374,27 +375,34 @@ def test_criterion_11_session_oracle_equivalence():
 def test_criterion_12_known_plaintext_posteriors_match_oracle():
     # table level: every record kind, adversary basis/outcome or probe outcome,
     # state and encoding; posteriors for known bit 0, 1 and unknown
-    attacks = [InterceptResend()] + [
+    attacks = [InterceptResend(basis) for basis in (None, *Basis)] + [
         IndividualUTB(theta=theta, attack_basis=basis)
         for basis in Basis
         for theta in (0.0, np.pi / 16, np.pi / 8, np.pi / 4)
     ]
     worst = 0.0
     for attack in attacks:
-        table = attack.likelihoods()
+        table = record_likelihoods(attack)
         posterior = posterior_plus_table(attack)
         for r in range(table.shape[2]):
             if isinstance(attack, InterceptResend):
                 fields = {"kind": "intercept_resend",
                           "eve_basis": (Basis.PLUS, Basis.CROSS)[r // 2], "eve_outcome": r % 2}
+                # the oracle's record likelihood is conditional on Eve's
+                # basis; the table also holds her choice of it
+                if attack.attack_basis is None:
+                    prior = 0.5
+                else:
+                    prior = float(fields["eve_basis"] is attack.attack_basis)
             else:
                 fields = {"kind": "utb", "probe_outcome": r, "theta": attack.theta,
                           "attack_basis": attack.attack_basis}
+                prior = 1.0
             for idx in range(4):
                 for m in (0, 1):
                     encoded = apply_encoding(EncodingOp(m), PREP_STATES[idx])
                     oracle = _record_likelihood(EveRecord(photon_index=0, **fields), encoded.amps)
-                    worst = max(worst, abs(table[idx, m, r] - oracle))
+                    worst = max(worst, abs(table[idx, m, r] - prior * oracle))
             # photons 0 and 1 carry known bits 0 and 1, photon 2 a sample bit
             records = [EveRecord(photon_index=i, **fields) for i in range(3)]
             known_plaintext_infer(records, (0, 1), {2})

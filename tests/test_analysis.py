@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qotp import kernels
-from qotp.adversary import IndividualUTB, InterceptResend
+from qotp.adversary import IndividualUTB, InterceptResend, record_likelihoods
 from qotp.analysis import (
     BOUNDS_CSV_HEADER,
     ErrorSubset,
@@ -238,7 +238,7 @@ class TestMutualInformation:
 def exact_probe_information(theta: float, basis: Basis) -> float:
     """Exact I(encoded label; probe outcome) in bits over attacked-basis
     photons, whose two states and two encodings are equiprobable."""
-    likelihoods = IndividualUTB(theta, basis).likelihoods()
+    likelihoods = record_likelihoods(IndividualUTB(theta, basis))
     joint = np.zeros((2, 2))
     for state in np.flatnonzero(kernels.PREP_BASIS_OF_STATE == basis.index):
         for enc in (0, 1):
@@ -301,8 +301,8 @@ class TestCellProbabilities:
 
     @pytest.mark.parametrize("basis", list(Basis))
     def test_is_a_distribution_with_uniform_pads(self, basis):
-        # theta = 0 is on the grid: there the table arithmetic leaves 1 - p1
-        # at -1e-16, which a multinomial draw rejects
+        # theta = 0 is on the grid: there some cells are impossible, and a
+        # multinomial draw rejects an entry of -1e-16 in place of 0
         for theta in SWEEP_THETAS:
             law = cell_probabilities(IndividualUTB(theta, basis))
             assert law.min() >= 0.0, theta

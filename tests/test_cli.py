@@ -66,8 +66,10 @@ class TestRun:
         args = ["run", "--message-bits", "64", "--samples", "16", "--attack", "utb",
                 "--theta", "0.5", "--seed", "13"]
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-        assert cli.main(args + ["--out", str(out1)]) == cli.EXIT_OK
-        assert cli.main(args + ["--out", str(out2)]) == cli.EXIT_OK
+        # the 16-bit check passes with probability 0.229 at theta 0.5; seed 13
+        # is caught
+        assert cli.main(args + ["--out", str(out1)]) == cli.EXIT_REJECTED
+        assert cli.main(args + ["--out", str(out2)]) == cli.EXIT_REJECTED
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_explicit_message_and_reveal(self, capsys):
@@ -293,6 +295,16 @@ class TestBoundaryErrors:
             (["recycle-demo", "--threshold", "0.5"], {}),
             (["sweep-theta", "--photons", "9223372036854775808"], {}),
             (["run", "--attack", "utb", "--theta-deg", "46"], {}),
+            # sizes of 2^62 and above: numpy refuses them without allocating
+            (["run", "--message-bits", str(2**62)], {}),
+            (["run", "--samples", str(2**62)], {}),
+            (["recycle-demo", "--pad-bits", str(2**62)], {}),
+            (["bounds", "--points", str(2**62)], {}),
+            (["bounds", "--points", str(2**63)], {}),
+            (["sweep-theta", "--points", str(2**63)], {}),
+            (["run", "--seed", str(2**64 + 1)], {}),
+            (["run", "--seed", str(2**63)], {}),
+            (["run"], {"QOTP_SEED": str(-(2**63) - 1)}),
         ],
         ids=["nan-grid-point", "non-integer-env-seed", "attack-session-past-the-end",
              "unknown-flag", "non-integer-flag", "zero-sessions", "negative-sessions",
@@ -303,7 +315,10 @@ class TestBoundaryErrors:
              "recycle-attack-without-session", "recycle-session-without-attack",
              "run-negative-message-bits", "recycle-negative-message-bits",
              "run-threshold-without-insecure-demo", "recycle-threshold-without-insecure-demo",
-             "photons-past-int64", "theta-deg-past-45"],
+             "photons-past-int64", "theta-deg-past-45", "message-bits-past-memory",
+             "samples-past-memory", "pad-bits-past-memory", "bound-points-past-memory",
+             "bound-points-past-int64", "sweep-points-past-int64", "seed-aliasing-seed-1",
+             "seed-past-int64", "env-seed-below-int64"],
     )
     def test_one_line_error_exit_1(self, argv, env, monkeypatch, capsys):
         for name, value in env.items():
@@ -313,6 +328,20 @@ class TestBoundaryErrors:
         assert rc == cli.EXIT_ERROR
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,env",
+        [(["--seed", str(2**63 - 1)], {}), ([], {"QOTP_SEED": str(-(2**63))})],
+        ids=["seed-int64-max", "env-seed-int64-min"],
+    )
+    def test_int64_seed_ends_run(self, argv, env, monkeypatch, capsys):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert cli.main(["run", "--message-bits", "8", "--samples", "4", *argv]) == cli.EXIT_OK
+
+    def test_negative_seed_keeps_its_twos_complement_streams(self):
+        sequence = np.random.SeedSequence(2**64 - 5, spawn_key=(ROLE_PAD, 3))
+        assert role_seed(-5, ROLE_PAD, 3) == int(sequence.generate_state(1, np.uint64)[0])
 
     @pytest.mark.parametrize("command,value", [("run", "-3"), ("recycle-demo", "-1")])
     def test_negative_length_names_the_flag(self, command, value, capsys):

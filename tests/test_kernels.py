@@ -1,117 +1,47 @@
-"""Batch-kernel tests: with pinned uniforms every outcome must flip exactly at
-the projection probability of the object-level simulator, and batch
+"""Batch-kernel tests: every entry of each attack's exact law must equal the
+object-level simulator's projection probability, pinned uniforms must pick
+the outcomes on either side of each cumulative edge of that law, and batch
 statistics must match those probabilities."""
 
 import numpy as np
 import pytest
 
 from qotp import kernels
-from qotp.adversary import IndividualUTB, InterceptResend, NoAttack
+from qotp.adversary import (
+    IndividualUTB,
+    InterceptResend,
+    KnownPlaintext,
+    NoAttack,
+    record_likelihoods,
+)
 from qotp.kernels import Basis
 from qotp.rng import make_rng
 from oracle import (
     PREP_STATES,
     EncodingOp,
     apply_encoding,
-    attack_photon,
+    attack_law,
     eigenstates,
-    eve_measure_probe,
-    measure,
-    measure_photon_of_joint,
     utb_apply,
 )
 
-# Distance of a pinned uniform from the decision threshold; the kernel's real
+# Distance of a pinned uniform from a cumulative edge; the kernel's real
 # arithmetic and the oracle's complex arithmetic agree far closer than this.
 EDGE = 1e-12
-
-
-class PinnedStream:
-    """A random stream that hands out fixed uniforms in order."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def random(self):
-        return self.values.pop(0)
-
-
-def either_side(p):
-    """Uniforms just below and just above p that lie in [0, 1)."""
-    return [u for u in (p - EDGE, p + EDGE) if 0.0 <= u < 1.0]
-
-
-def oracle_photon(state_idx, enc, meas, model, u):
-    """One photon through the object-level chain, which draws the pinned
-    uniforms in the kernel's column roles (0 adversary basis, 1 adversary
-    outcome or probe, 2 receiver).  Returns (receiver outcome, record)."""
-    u0, u1, u2 = u
-    if isinstance(model, InterceptResend):
-        order = [u0, u1, u2] if model.attack_basis is None else [u1, u2]
-    elif isinstance(model, IndividualUTB):
-        order = [u2, u1]
-    else:
-        order = [u2]
-    rng = PinnedStream(order)
-    s = apply_encoding(EncodingOp(enc), PREP_STATES[state_idx])
-    travelling, record = attack_photon(model, s, rng)
-    if travelling.dim == 4:
-        outcome, probe = measure_photon_of_joint(travelling, meas, rng)
-        eve_measure_probe(record, probe, rng)
-    else:
-        outcome, _ = measure(travelling, meas, rng)
-    assert rng.values == []
-    return outcome, record
-
-
-def kernel_photon(state_idx, enc, meas, model, u):
-    bob, record = kernels.simulate_photons(
-        [state_idx], [enc], [meas.index], model, uniforms=np.array([u]),
-    )
-    return int(bob[0]), int(record[0])
-
-
-def pinned_cells(model, s, meas):
-    """(uniforms, expected kernel output) on both sides of every decision the
-    oracle's projection probabilities define for one encoded state."""
-    e1 = eigenstates(meas)[1]
-    if isinstance(model, NoAttack):
-        p_bob = abs(np.vdot(e1, s.amps)) ** 2
-        return [((0.5, 0.5, u2), (int(u2 < p_bob), -1)) for u2 in either_side(p_bob)]
-    cells = []
-    if isinstance(model, InterceptResend):
-        if model.attack_basis is None:
-            choices = [(Basis.PLUS, 0.5 - EDGE), (Basis.CROSS, 0.5 + EDGE)]
-        else:
-            choices = [(model.attack_basis, 0.5)]
-        for eve_basis, u0 in choices:
-            eig = eigenstates(eve_basis)
-            p_eve = abs(np.vdot(eig[1], s.amps)) ** 2
-            for u1 in either_side(p_eve):
-                eo = int(u1 < p_eve)
-                p_bob = abs(np.vdot(e1, eig[eo])) ** 2
-                for u2 in either_side(p_bob):
-                    cells.append(((u0, u1, u2), (int(u2 < p_bob), 2 * eve_basis.index + eo)))
-        return cells
-    joint = utb_apply(s, model.theta, model.attack_basis)
-    amps = eigenstates(meas).conj() @ joint.amps.reshape(2, 2)
-    p_bob = float(np.sum(np.abs(amps[1]) ** 2))
-    for u2 in either_side(p_bob):
-        bob = int(u2 < p_bob)
-        p_probe = float(abs(amps[bob, 1]) ** 2 / np.sum(np.abs(amps[bob]) ** 2))
-        for u1 in either_side(p_probe):
-            cells.append(((0.5, u1, u2), (bob, int(u1 < p_probe))))
-    return cells
-
+# An oracle probability below this is an impossible event computed in
+# floating point: the kernel's law must hold an exact 0 there.
+IMPOSSIBLE = 1e-24
 
 CHANNELS = [NoAttack()] + [InterceptResend(basis) for basis in (None, *Basis)] + [
     IndividualUTB(theta=theta, attack_basis=basis)
     for basis in Basis
     for theta in (0.0, np.pi / 16, np.pi / 8, 3 * np.pi / 16, np.pi / 4)
-]
+] + [KnownPlaintext(InterceptResend()), KnownPlaintext(IndividualUTB(np.pi / 8, Basis.CROSS))]
 
 
 def channel_id(model):
+    if isinstance(model, KnownPlaintext):
+        return f"known-{channel_id(model.inner)}"
     if isinstance(model, InterceptResend):
         return f"ir-{model.describe()['ir_basis']}"
     if isinstance(model, IndividualUTB):
@@ -120,99 +50,66 @@ def channel_id(model):
 
 
 @pytest.mark.parametrize("model", CHANNELS, ids=channel_id)
-def test_pinned_uniforms_flip_at_oracle_probabilities(model):
-    # every cell: 4 states x 2 encodings x 2 receiver bases, each adversary
-    # basis and outcome; a uniform just below an oracle probability must give
-    # outcome 1 and one just above it outcome 0, in the kernel and the oracle
-    checked = 0
-    for state_idx in range(4):
-        for enc in (0, 1):
-            s = apply_encoding(EncodingOp(enc), PREP_STATES[state_idx])
-            for meas in Basis:
-                for u, expected in pinned_cells(model, s, meas):
-                    got = kernel_photon(state_idx, enc, meas, model, u)
-                    assert got == expected, (state_idx, enc, meas, u)
-                    bob, record = oracle_photon(state_idx, enc, meas, model, u)
-                    assert bob == expected[0]
-                    if isinstance(model, InterceptResend):
-                        assert 2 * record.eve_basis.index + record.eve_outcome == expected[1]
-                    elif isinstance(model, IndividualUTB):
-                        assert record.probe_outcome == expected[1]
-                    checked += 1
-    assert checked >= 16
+def test_law_matches_oracle_projections(model):
+    # every (state, encoding) cell, both receiver bases, every receiver
+    # outcome and record
+    np.testing.assert_allclose(model.law(), attack_law(model), rtol=0, atol=1e-12)
 
 
-def oracle_p1(vec, meas: Basis) -> float:
-    """P(outcome 1) of a single-photon amplitude vector measured in ``meas``."""
-    return float(abs(np.vdot(eigenstates(meas)[1], vec)) ** 2)
+@pytest.mark.parametrize("model", CHANNELS, ids=channel_id)
+def test_law_is_exactly_zero_on_impossible_events(model):
+    law, oracle = model.law(), attack_law(model)
+    impossible = oracle < IMPOSSIBLE
+    assert np.all(law[impossible] == 0.0)
+    assert np.all(law[~impossible] > 0.0)
 
 
-def encoded_state(state_idx, enc):
-    return apply_encoding(EncodingOp(enc), PREP_STATES[state_idx])
+@pytest.mark.parametrize("model", CHANNELS, ids=channel_id)
+def test_record_marginal_is_the_same_in_both_receiver_bases(model):
+    # Eve's record cannot depend on the basis the receiver measures in later
+    marginal = model.law().sum(axis=3)  # [state, encoding, receiver basis, record]
+    np.testing.assert_allclose(marginal[:, :, 0], marginal[:, :, 1], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(record_likelihoods(model), marginal[:, :, 0], rtol=0, atol=0)
 
 
-CELLS = [(s, e, meas) for s in range(4) for e in (0, 1) for meas in Basis]
+def pinned_photons(oracle):
+    """(cell, uniform, expected pair) columns for uniforms EDGE below and
+    above every cumulative edge of each cell's oracle row and at both ends of
+    [0, 1): each must pick the nearest possible pair on its side.  A cell is
+    4 * state + 2 * encoding + basis, and a pair is the row index
+    n_records * receiver outcome + record."""
+    cells, uniforms, pairs = [], [], []
+    for cell, row in enumerate(oracle.reshape(16, -1)):
+        possible = np.flatnonzero(row >= IMPOSSIBLE)
+        pins = [(0.0, possible[0]), (np.nextafter(1.0, 0.0), possible[-1])]
+        for k, edge in enumerate(np.cumsum(row)[:-1]):
+            if edge - EDGE >= 0.0:
+                pins.append((edge - EDGE, possible[possible <= k][-1]))
+            if edge + EDGE < 1.0:
+                pins.append((edge + EDGE, possible[possible > k][0]))
+        for u, pair in pins:
+            cells.append(cell)
+            uniforms.append(u)
+            pairs.append(pair)
+    return np.array(cells), np.array(uniforms), np.array(pairs)
 
 
-def cell_index(state_idx, enc, basis: Basis) -> int:
-    return 4 * state_idx + 2 * enc + basis.index
-
-
-class TestTablesAgainstOracle:
-    # every table entry against the oracle's projection probability
-
-    def test_clean_table(self):
-        for s, e, meas in CELLS:
-            got = kernels.CLEAN_P1[cell_index(s, e, meas)]
-            assert got == pytest.approx(oracle_p1(encoded_state(s, e).amps, meas), abs=1e-12)
-
-    def test_forward_table(self):
-        for eve_basis in Basis:
-            for eve_out, eig in enumerate(eigenstates(eve_basis)):
-                for meas in Basis:
-                    got = kernels.FORWARD_P1[4 * eve_basis.index + 2 * eve_out + meas.index]
-                    assert got == pytest.approx(oracle_p1(eig, meas), abs=1e-12)
-
-    @pytest.mark.parametrize(
-        "model", [m for m in CHANNELS if isinstance(m, IndividualUTB)], ids=channel_id
+@pytest.mark.parametrize("model", CHANNELS, ids=channel_id)
+def test_pinned_uniforms_pick_the_pair_beside_each_edge(model):
+    oracle = attack_law(model)
+    n_records = oracle.shape[-1]
+    cells, uniforms, pairs = pinned_photons(oracle)
+    bob, record = kernels.simulate_photons(
+        cells // 4, cells // 2 % 2, cells % 2, model, uniforms=uniforms
     )
-    def test_probe_tables(self, model):
-        # theta = 0 is included in both bases: there probe outcome 1 and some
-        # receiver outcomes have probability 0, and the tables must be built
-        # without a 0/0 (pytest turns a RuntimeWarning into a failure)
-        p1, pp1 = kernels.probe_tables(model.theta, model.attack_basis.index)
-        for s, e, meas in CELLS:
-            joint = utb_apply(encoded_state(s, e), model.theta, model.attack_basis)
-            # amps[receiver outcome, probe outcome]
-            amps = eigenstates(meas).conj() @ joint.amps.reshape(2, 2)
-            probs = np.abs(amps) ** 2
-            cell = cell_index(s, e, meas)
-            assert p1[cell] == pytest.approx(probs[1].sum(), abs=1e-12)
-            for outcome in (0, 1):
-                p_outcome = probs[outcome].sum()
-                expected = probs[outcome, 1] / p_outcome if p_outcome > 1e-12 else 0.0
-                assert pp1[2 * cell + outcome] == pytest.approx(expected, abs=1e-12)
-
-
-@pytest.mark.parametrize("model", CHANNELS[1:], ids=channel_id)
-def test_eve_outcome_tables_match_likelihoods(model):
-    # the kernel's adversary-outcome probabilities and the known-plaintext
-    # likelihood table state the same physics
-    likelihood = model.likelihoods()
-    for s in range(4):
-        for e in (0, 1):
-            if isinstance(model, InterceptResend):
-                for eve_basis in Basis:
-                    p_one = kernels.CLEAN_P1[cell_index(s, e, eve_basis)]
-                    got = likelihood[s, e, 2 * eve_basis.index:2 * eve_basis.index + 2]
-                    np.testing.assert_allclose(got, [1.0 - p_one, p_one], rtol=0, atol=1e-12)
-                continue
-            p1, pp1 = kernels.probe_tables(model.theta, model.attack_basis.index)
-            for meas in Basis:
-                cell = cell_index(s, e, meas)
-                # the probe outcome's marginal does not depend on the receiver basis
-                p_probe = (1.0 - p1[cell]) * pp1[2 * cell] + p1[cell] * pp1[2 * cell + 1]
-                assert p_probe == pytest.approx(likelihood[s, e, 1], abs=1e-12)
+    assert bob.tolist() == (pairs // n_records).tolist()
+    if n_records == 1:
+        assert record.tolist() == [-1] * pairs.size
+    else:
+        assert record.tolist() == (pairs % n_records).tolist()
+    # no pair the oracle calls impossible is ever drawn
+    drawn = bob * n_records + np.maximum(record, 0)
+    assert np.all(oracle.reshape(16, -1)[cells, drawn] >= IMPOSSIBLE)
 
 
 class TestAgainstExactProjections:
@@ -287,6 +184,26 @@ class TestAgainstExactProjections:
             assert abs(freq - p_probe1) <= 3 * sigma
 
 
+class ShortRows:
+    """A law with three records, so rows of 6 pairs, whose every row falls
+    1e-15 short of 1 and ends in impossible pairs, as rounding could leave it."""
+
+    def law(self):
+        law = np.zeros((4, 2, 2, 2, 3))
+        law[..., 0, 0] = 0.25
+        law[..., 0, 2] = 0.25
+        law[..., 1, 0] = 0.5 - 1e-15
+        return law
+
+
+def test_six_pair_rows_short_of_one_give_only_possible_pairs():
+    uniforms = [0.0, 0.3, 0.6, 0.75, np.nextafter(1.0, 0.0)]
+    bob, record = kernels.simulate_photons([0, 3, 1, 2, 3], [0, 1, 0, 1, 0], [0, 1, 1, 0, 1],
+                                           ShortRows(), uniforms=uniforms)
+    assert bob.tolist() == [0, 0, 1, 1, 1]
+    assert record.tolist() == [0, 2, 0, 0, 0]
+
+
 class TestValidation:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -297,6 +214,10 @@ class TestValidation:
                 NoAttack(),
                 rng=make_rng(0),
             )
+
+    def test_one_uniform_per_photon(self):
+        with pytest.raises(ValueError, match="uniforms"):
+            kernels.simulate_photons([0, 1], [0, 0], [0, 0], NoAttack(), uniforms=np.zeros((2, 3)))
 
     def test_needs_randomness_source(self):
         with pytest.raises(ValueError):

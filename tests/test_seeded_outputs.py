@@ -28,41 +28,41 @@ CASES = {
     "run-ir-random": (
         [*RUN, "--attack", "intercept_resend", "--seed", "102"],
         2,
-        "016fbfcf9e71299c9fe0b6225862526cfaad119a261531c2a9550e0daeaa3ff5",
-        "28128484fe0439b29cda5b02f26001821dd6be2b0ce63a48bee4edaf8215247c",
+        "51b916f49780d578242b4c8530e65d08779030e211ee176604323e61530d6d62",
+        "cddefec3b379afd6ed341959f1d573f45b2f2fd95eaf43f6c48b3cee6519b9e3",
     ),
     "run-ir-plus": (
         [*RUN, "--attack", "intercept_resend", "--ir-basis", "plus", "--seed", "103"],
         2,
-        "ae0e89046a7559f94a15d6604cd997d0b84a61ac3348a9fd6b63971eec01e333",
-        "501afff5853ad99c8745e007aed899550d049aa538b0cda9387b8fd24afc6358",
+        "32e3c94c3d8f40a1de85ff5481acf387c257e7725bc58747ac4948ac8583921c",
+        "2bad27b13f78e00bc1c7656cc6a9e0e612072dff52b040d74b706b780e54ee89",
     ),
     "run-ir-cross-known": (
         [*RUN, "--attack", "intercept_resend", "--ir-basis", "cross", "--known-plaintext",
          "--seed", "104"],
         2,
-        "016fbfcf9e71299c9fe0b6225862526cfaad119a261531c2a9550e0daeaa3ff5",
-        "97be33b7ee79f82dab048f8bb338aa20259ea04a365adc8ed1f65908f76ca8ac",
+        "3fcc905bcdbe9e1d8dd97a66f4eaec3bb776093b6da8a4a8c14b23c51113a709",
+        "cca12e97fd2877c0836dcd71f32de766d5402e278df541ca5ddd767757780f43",
     ),
     "run-utb-plus": (
         [*RUN, "--attack", "utb", "--theta", "0.3927", "--utb-basis", "plus", "--seed", "105"],
         2,
-        "a4aba22e158e61d624000471380a443314e5121369c81e88820e57608af02a20",
-        "64ef1134a3d5f9770099053999e14ea2acb012ea921d53f03652966f3be40c02",
+        "6917ab3ed4848a7b58daf3fa81b9c34a75b1d80f26dcdad4b73eff364843473e",
+        "dba140f6849b06adc09fff7823e73729db3c9418217469759c8860da961fd3a7",
     ),
     "run-utb-cross-known": (
         [*RUN, "--attack", "utb", "--theta-deg", "30", "--utb-basis", "cross",
          "--known-plaintext", "--seed", "106"],
         2,
-        "6917ab3ed4848a7b58daf3fa81b9c34a75b1d80f26dcdad4b73eff364843473e",
-        "de76df9470e7fffb545c804b9904ebd1e8d380c3ce374bacff75a74a8495bb22",
+        "015eddbfc3ab477ca5eb96a6f494453318a55a0ace36dca653a4d466564d8d0e",
+        "25622e896c6fb4ab90a6a5916bf8c3bf88ce93c3d46f7e4878bd69cc84a10c90",
     ),
     "run-utb-known-accepted": (
         [*RUN, "--attack", "utb", "--theta", "0.2", "--known-plaintext", "--threshold", "1",
          "--insecure-demo", "--seed", "107"],
         0,
-        "b2403cafcd7f0105c7b25bdf4f437b99f74deadbb0b2c0c8fc9a3a023fc035f2",
-        "5701fd847ca120cef59c795de0ec73363cf42dec5466b1983ffbd00c64e670a9",
+        "138f5637851802f60ff4a381b5caf899117c4da10f26f06669bf999c86097ab7",
+        "6e86d93a4db1f5dee80adce0ba5186192d65882851ffa016cb868cf1c0c730c5",
     ),
     "sweep-plus": (
         [*SWEEP, "--utb-basis", "plus", "--seed", "108"],
@@ -86,13 +86,13 @@ CASES = {
         [*DEMO, "--attack", "intercept_resend", "--attack-session", "2", "--seed", "111"],
         2,
         "3688d528c0f1d1417ecdc9e9f031900eee398cde46a5ae4d842b5584a2a1bbef",
-        "305c64994e2d2f5aa4c1b5dec67514b68c5c3a1c3aeafae40e0cb1b61a71626c",
+        "b3f9e27c18a8eea69020a98a6dad17109ad84a0986d487bfba2ad3b215aaa5cb",
     ),
-    "recycle-attacked-undetected": (
+    "recycle-attacked-session-3": (
         [*DEMO, "--attack", "utb", "--theta", "0.5", "--attack-session", "3", "--seed", "111"],
-        0,
-        "81318da2179e1b99c67b5470afa9901c1d5d8567ddbbde648aa429f2499af470",
-        "1bbf1d3826550e4bacb186cb1f09feb8de7420055d4306b7bb91f7c6780d4c6d",
+        2,
+        "66810b37331d03c253a825b464598a41f7a466eb2f0756b44b5d09e6fda841d2",
+        "f27364f6cac9748461992acf67dcb641eadf0cce908f0e120c43dd8e0fb46077",
     ),
     "bounds": (
         ["bounds", "--d-grid", "0,0.01,0.02,0.05,0.1"],
