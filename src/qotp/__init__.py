@@ -7,17 +7,13 @@ information-theoretic bounds that limit what an individual attack can learn.
 
 from .adversary import AttackModel, IndividualUTB, InterceptResend, KnownPlaintext, NoAttack
 from .analysis import (
-    ErrorSubset,
     cell_probabilities,
     d_of_theta,
-    empirical_error_rate,
     empirical_mutual_information,
     epsilon_tilde_min,
     i0_bound,
     i1_bound,
-    joint_counts,
     phi,
-    run_photon_batch,
     small_dm_linear_bound,
     sweep_theta,
 )

@@ -1,5 +1,5 @@
-"""Closed-form information bounds and the empirical estimators that connect
-Monte-Carlo runs to them.
+"""Closed-form information bounds, the plug-in mutual-information estimator,
+and the probe-strength sweep that sets one against the other.
 
 All information quantities are in bits (base-2 logs).  The bound family:
 
@@ -13,16 +13,14 @@ All information quantities are in bits (base-2 logs).  The bound family:
                          verbatim, no smoothing.
 * ``small_dm_linear_bound`` -- the small-d_m linear relaxation of i1.
 
-Empirical quantities (error rates, plug-in mutual information) come from
-session transcripts, from batched kernel runs with uniformly random pads, or
-from sweep histograms drawn from their exact law (``cell_probabilities``).
+A sweep's empirical error rates and plug-in mutual information come from
+histograms drawn from their exact law (``cell_probabilities``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -30,7 +28,7 @@ from . import kernels
 from .adversary import AttackModel, IndividualUTB
 from .errors import PoleError
 from .kernels import Basis
-from .rng import ROLE_SWEEP, RandomStream, make_rng, role_seed
+from .rng import ROLE_SWEEP, make_rng, role_seed
 
 _LN2 = np.log(2.0)
 _POLE_DM = 1.0 / (8.0 * np.sqrt(2.0))
@@ -128,48 +126,6 @@ def small_dm_linear_bound(d_m):
     return _eval(d_m, 0.0, 0.25, lambda arr: slope * arr, "small_dm_linear_bound")
 
 
-class ErrorSubset(Enum):
-    SAMPLE_BITS = "sample"
-    MATCHED_ATTACK_BASIS = "matched"
-    ALL = "all"
-
-
-def empirical_error_rate(transcript, subset: ErrorSubset) -> float:
-    """Fraction of decode errors over a chosen photon subset of a transcript.
-
-    MATCHED_ATTACK_BASIS keeps photons whose preparation basis equals the
-    probe attack's basis (the subset on which the d_of_theta law holds), as
-    the attack's transcript entry names it.
-    Raises ValueError when the subset is empty or undefined.
-    """
-    truth = transcript.mm.bits
-    decoded = np.asarray(transcript.decoded, dtype=np.uint8)
-    n = truth.size
-    if subset is ErrorSubset.ALL:
-        mask = np.ones(n, dtype=bool)
-    elif subset is ErrorSubset.SAMPLE_BITS:
-        mask = np.zeros(n, dtype=bool)
-        mask[transcript.mm.sample_positions] = True
-    else:
-        basis = transcript.attack.describe().get("utb_basis")
-        if basis is None:
-            raise ValueError("matched-basis subset needs a probe attack with a basis")
-        mask = kernels.PREP_BASIS_OF_STATE[transcript.keys.state_idx] == Basis(basis).index
-    if not mask.any():
-        raise ValueError(f"error rate undefined over empty subset {subset}")
-    return float(np.mean(decoded[mask] != truth[mask]))
-
-
-def joint_counts(xs, ys, nx: int, ny: int) -> np.ndarray:
-    """Contingency table of paired integer labels."""
-    xs = np.asarray(xs, dtype=np.int64)
-    ys = np.asarray(ys, dtype=np.int64)
-    if xs.shape != ys.shape:
-        raise ValueError("label arrays must align")
-    flat = xs * ny + ys
-    return np.bincount(flat, minlength=nx * ny).reshape(nx, ny)
-
-
 def empirical_mutual_information(counts) -> float:
     """Plug-in estimate sum p(a,e) log2[p(a,e)/(p(a)p(e))] in bits."""
     c = np.asarray(counts, dtype=np.float64)
@@ -185,47 +141,6 @@ def empirical_mutual_information(counts) -> float:
     terms = np.zeros_like(p)
     terms[mask] = p[mask] * np.log2(p[mask] / (px @ py)[mask])
     return float(terms.sum())
-
-
-@dataclass
-class PhotonBatch:
-    """Column-oriented result of one batched channel run, in which the
-    receiver measures every photon in its preparation basis."""
-
-    state_idx: np.ndarray
-    enc_bits: np.ndarray
-    prep_basis: np.ndarray
-    bob_outcome: np.ndarray
-    record: np.ndarray
-
-    @property
-    def decoded(self) -> np.ndarray:
-        return (self.bob_outcome != kernels.PREP_LABEL_OF_STATE[self.state_idx]).astype(np.uint8)
-
-    @property
-    def errors(self) -> np.ndarray:
-        return self.decoded != self.enc_bits
-
-    @property
-    def encoded_label(self) -> np.ndarray:
-        """In-basis eigenstate label of the encoded (travelling) state."""
-        return kernels.PREP_LABEL_OF_STATE[self.state_idx] ^ self.enc_bits.astype(np.int64)
-
-
-def run_photon_batch(n: int, attack: AttackModel, rng: RandomStream) -> PhotonBatch:
-    """Run n photons with uniformly random pads and bits through the channel;
-    the receiver uses each photon's preparation basis, as in the protocol."""
-    state_idx = rng.integers(0, 4, size=n, dtype=np.int64)
-    enc_bits = rng.integers(0, 2, size=n, dtype=np.int64)
-    prep_basis = kernels.PREP_BASIS_OF_STATE[state_idx]
-    bob, record = kernels.simulate_photons(state_idx, enc_bits, prep_basis, attack, rng=rng)
-    return PhotonBatch(
-        state_idx=state_idx,
-        enc_bits=enc_bits,
-        prep_basis=prep_basis,
-        bob_outcome=bob,
-        record=record,
-    )
 
 
 @dataclass(frozen=True)

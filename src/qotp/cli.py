@@ -37,6 +37,8 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_REJECTED = 2
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 SEED_HELP = "top-level seed (default: the QOTP_SEED environment variable, then 0)"
 
 
@@ -151,6 +153,12 @@ def _session_message(args) -> np.ndarray:
     return rng.integers(0, 2, size=n, dtype=np.uint8)
 
 
+def _pad_length(n_bits: int, flags: str) -> int:
+    if n_bits > _INT64_MAX:  # numpy sizes stop there
+        raise ValueError(f"a pad of {n_bits} bits, set by {flags}, is past the int64 maximum")
+    return n_bits
+
+
 def _session_pad(args, n_bits_needed: int) -> keystore.PadKey:
     if args.pad_file:
         return keystore.load_pad(args.pad_file)
@@ -170,7 +178,8 @@ def cmd_run(args) -> int:
         allow_insecure_demo=args.insecure_demo,
     )
     attack = _build_attack(args)
-    pad = _session_pad(args, 2 * (config.n_message + config.n_sample))
+    n_pad = _pad_length(2 * (config.n_message + config.n_sample), "--message-bits and --samples")
+    pad = _session_pad(args, n_pad)
     transcript = run_session(config, pad, message, attack)
     if args.out:
         Path(args.out).write_text(transcript.to_json())
@@ -194,9 +203,8 @@ def _write_table(text: str, out: str | None) -> int:
 
 
 def _grid(lo: float, hi: float, points: int) -> list[float]:
-    most = np.iinfo(np.int64).max  # past it np.linspace fails with an IndexError
-    if points > most:
-        raise ValueError(f"--points takes at most {most}, got {points}")
+    if points > _INT64_MAX:  # past it np.linspace fails with an IndexError
+        raise ValueError(f"--points takes at most {_INT64_MAX}, got {points}")
     return list(np.linspace(lo, hi, points))
 
 
@@ -237,10 +245,14 @@ def cmd_recycle_demo(args) -> int:
     _check_session_flags(args)
     if (args.attack == NoAttack.kind) != (args.attack_session is None):
         raise ValueError("--attack-session and an --attack other than none go together")
-    per_session = 2 * (args.message_bits + args.samples)
-    pad_bits = args.pad_bits
-    if pad_bits is None:
-        pad_bits = per_session + 2 * args.samples * (args.sessions - 1)
+    per_session = _pad_length(2 * (args.message_bits + args.samples), "--message-bits and --samples")
+    if args.pad_bits is None:
+        pad_bits = _pad_length(
+            per_session + 2 * args.samples * (args.sessions - 1),
+            "--message-bits, --samples and --sessions",
+        )
+    else:
+        pad_bits = _pad_length(args.pad_bits, "--pad-bits")
     pad = keystore.generate_pad(pad_bits, make_rng(role_seed(args.seed, ROLE_PAD)))
 
     attack = _build_attack(args)

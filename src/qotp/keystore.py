@@ -143,21 +143,35 @@ def pad_to_text(pad: PadKey) -> str:
     return f"generation={pad.generation}\n{digits}\nbits={len(pad)}\n"
 
 
+def _int_field(line: str, name: str) -> int:
+    key, sep, value = line.partition("=")
+    if key != name or not sep:
+        raise ValueError(f"pad file line {line[:20]!r} is not '{name}=<int>'")
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"pad file {name} must be an integer, got {value[:20]!r}") from None
+
+
 def pad_from_text(text: str) -> PadKey:
-    """Parse the pad exchange format.  A missing ``bits=`` line means the bit
-    count is four times the hex digit count."""
+    """Parse the pad exchange format: ``generation=<int>``, one hex line, and
+    an optional ``bits=<int>``; blank lines are skipped and any other line is
+    rejected.  A missing ``bits=`` line means the bit count is four times the
+    hex digit count."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2 or not lines[0].startswith("generation="):
-        raise ValueError("pad file must start with 'generation=<int>' then hex bits")
-    generation = int(lines[0].split("=", 1)[1])
+    if len(lines) < 2:
+        raise ValueError("pad file must hold a 'generation=<int>' line, then hex bits")
+    if len(lines) > 3:
+        raise ValueError(f"pad file has an extra line {lines[3][:20]!r}")
+    generation = _int_field(lines[0], "generation")
     if generation < 0:
         raise ValueError(f"pad generation must be nonnegative, got {generation}")
     hexdigits = lines[1]
     if not re.fullmatch(r"[0-9A-Fa-f]+", hexdigits):
         raise ValueError(f"pad bits must be hex digits, got {hexdigits[:20]!r}")
     n_bits = 4 * len(hexdigits)
-    if len(lines) >= 3 and lines[2].startswith("bits="):
-        n_bits = int(lines[2].split("=", 1)[1])
+    if len(lines) == 3:
+        n_bits = _int_field(lines[2], "bits")
         if not 4 * len(hexdigits) - 3 <= n_bits <= 4 * len(hexdigits):
             raise ValueError(f"bit count {n_bits} inconsistent with {len(hexdigits)} hex digits")
     packed = bytes.fromhex(hexdigits + "0" * (len(hexdigits) % 2))

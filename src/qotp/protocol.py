@@ -40,18 +40,16 @@ class ModifiedMessage:
         positions = np.asarray(self.sample_positions, dtype=np.int64).reshape(-1)
         object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "sample_positions", np.sort(positions))
+        if positions.size == 0:
+            raise ValueError("a modified message needs at least one sample position")
         if len(set(positions.tolist())) != positions.size:
             raise ValueError("sample positions must be distinct")
-        if positions.size and (positions.min() < 0 or positions.max() >= bits.size):
+        if positions.min() < 0 or positions.max() >= bits.size:
             raise ValueError("sample positions out of range")
 
     @property
     def n_sample(self) -> int:
         return int(self.sample_positions.size)
-
-    def message_bits(self) -> np.ndarray:
-        """The original message: all non-sample bits in order."""
-        return np.delete(self.bits, self.sample_positions)
 
 
 @dataclass(frozen=True)
@@ -177,20 +175,14 @@ def message_digest(bits: np.ndarray) -> str:
     return hashlib.sha256(_digits(bits).encode("ascii")).hexdigest()
 
 
-def build_modified_message(
-    message, n_sample: int, rng: RandomStream
-) -> ModifiedMessage:
-    """Interleave ``n_sample`` uniform random bits into the message at
-    positions drawn uniformly over all interleavings.
-
-    ``n_sample`` = 0 is a degenerate test-mode escape hatch; live sessions
-    require at least one sampling bit (enforced by SessionConfig).
-    """
+def build_modified_message(message, n_sample: int, rng: RandomStream) -> ModifiedMessage:
+    """Interleave ``n_sample`` >= 1 uniform random bits into the message at
+    positions drawn uniformly over all interleavings."""
     message = np.asarray(message, dtype=np.uint8).reshape(-1)
-    if n_sample < 0:
-        raise ValueError("n_sample must be nonnegative")
+    if n_sample < 1:
+        raise ValueError(f"a modified message needs at least one sampling bit, got {n_sample}")
     n_total = message.size + n_sample
-    positions = np.sort(rng.choice(n_total, size=n_sample, replace=False)) if n_sample else np.array([], dtype=np.int64)
+    positions = np.sort(rng.choice(n_total, size=n_sample, replace=False))
     sample_bits = rng.integers(0, 2, size=n_sample, dtype=np.uint8)
     bits = np.zeros(n_total, dtype=np.uint8)
     mask = np.ones(n_total, dtype=bool)
@@ -208,7 +200,7 @@ def eavesdrop_check(mm: ModifiedMessage, decoded, threshold: float) -> ErrorRepo
     positions = mm.sample_positions
     n_checked = mm.n_sample
     n_errors = int(np.count_nonzero(decoded[positions] != mm.bits[positions]))
-    rate = n_errors / n_checked if n_checked else 0.0
+    rate = n_errors / n_checked
     return ErrorReport(
         n_checked=n_checked, n_errors=n_errors, rate=rate, accepted=rate <= threshold
     )

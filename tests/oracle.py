@@ -1,11 +1,13 @@
 """Exact state-vector oracle for one polarized photon, optionally joined to a
-one-qubit probe, with the per-photon attacks that act on it.
+one-qubit probe, with the per-photon attacks that act on it; the Pauli
+cloner that attains the ``i0`` ceiling; and batched kernel runs over
+uniformly random pads for the statistical tests.
 
 The package runs every session through the kernel in ``qotp.kernels``, which
 samples each attack's exact ``law()``, and draws every sweep point from the
 same law; this module is the independent reference the tests check those
-laws against.  It lives with
-the tests so that no production code can reach it.
+laws against.  It lives with the tests so that no production code can reach
+it.
 
 States live in dimension 2 (photon) or 4 (photon tensor probe, photon first).
 The four preparation states are the two polarization pairs
@@ -32,8 +34,9 @@ from enum import Enum
 
 import numpy as np
 
+from qotp import kernels
 from qotp.adversary import AttackModel, IndividualUTB, InterceptResend, KnownPlaintext, NoAttack
-from qotp.analysis import PhotonBatch, empirical_mutual_information, joint_counts
+from qotp.analysis import empirical_mutual_information
 from qotp.kernels import Basis
 from qotp.keystore import BasisKeySequence
 from qotp.rng import RandomStream
@@ -394,11 +397,86 @@ def known_plaintext_infer(
     return guesses
 
 
+@dataclass
+class PhotonBatch:
+    """Column-oriented result of one batched channel run, in which the
+    receiver measures every photon in its preparation basis."""
+
+    state_idx: np.ndarray
+    enc_bits: np.ndarray
+    prep_basis: np.ndarray
+    bob_outcome: np.ndarray
+    record: np.ndarray
+
+    @property
+    def decoded(self) -> np.ndarray:
+        return (self.bob_outcome != kernels.PREP_LABEL_OF_STATE[self.state_idx]).astype(np.uint8)
+
+    @property
+    def errors(self) -> np.ndarray:
+        return self.decoded != self.enc_bits
+
+    @property
+    def encoded_label(self) -> np.ndarray:
+        """In-basis eigenstate label of the encoded (travelling) state."""
+        return kernels.PREP_LABEL_OF_STATE[self.state_idx] ^ self.enc_bits
+
+
+def run_photon_batch(n: int, attack: AttackModel, rng: RandomStream) -> PhotonBatch:
+    """Run n photons with uniformly random pads and bits through the kernel;
+    the receiver uses each photon's preparation basis, as in the protocol."""
+    state_idx = rng.integers(0, 4, size=n, dtype=np.int64)
+    enc_bits = rng.integers(0, 2, size=n, dtype=np.int64)
+    prep_basis = kernels.PREP_BASIS_OF_STATE[state_idx]
+    bob, record = kernels.simulate_photons(state_idx, enc_bits, prep_basis, attack, rng=rng)
+    return PhotonBatch(state_idx, enc_bits, prep_basis, bob, record)
+
+
 def probe_information_estimate(batch: PhotonBatch, attack_basis: Basis) -> float:
     """Plug-in MI between the encoded eigenstate label and the probe outcome
     over attacked-basis photons: what the probe learns about the encoding once
     the basis key of each photon is handed to the adversary afterwards."""
     matched = batch.prep_basis == attack_basis.index
-    return empirical_mutual_information(
-        joint_counts(batch.encoded_label[matched], batch.record[matched], 2, 2)
+    counts = np.bincount(2 * batch.encoded_label[matched] + batch.record[matched], minlength=4)
+    return empirical_mutual_information(counts.reshape(2, 2))
+
+
+_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_PAULI_Z = np.diag([1.0, -1.0])
+# the Bell states of the two probe qubits, in the computational basis
+_PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) * _SQ2
+_PHI_MINUS = np.array([1.0, 0.0, 0.0, -1.0]) * _SQ2
+_PSI_PLUS = np.array([0.0, 1.0, 1.0, 0.0]) * _SQ2
+_PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0]) * _SQ2
+
+
+def pauli_clone(photon: np.ndarray, d: float) -> np.ndarray:
+    """The Pauli cloner of error ``d`` on a real photon state and a two-qubit
+    probe that starts in |Phi+>:
+
+        (1-d)|psi>|Phi+> + sqrt(d(1-d)) (X|psi>|Psi+> + Z|psi>|Phi->) + d XZ|psi>|Psi->
+
+    as (2, 4) amplitudes [photon, probe].  It flips an eigenstate of either
+    basis with probability d (Fuchs, Gisin, Griffiths, Niu and Peres, PRA
+    56:1163, 1997; Cerf's Pauli cloners)."""
+    side = np.sqrt(d * (1.0 - d))
+    terms = (
+        (1.0 - d, photon, _PHI_PLUS),
+        (side, _PAULI_X @ photon, _PSI_PLUS),
+        (side, _PAULI_Z @ photon, _PHI_MINUS),
+        (d, _PAULI_X @ _PAULI_Z @ photon, _PSI_MINUS),
     )
+    return sum(c * np.outer(p, probe) for c, p, probe in terms)
+
+
+def pauli_cloner_law(d: float, basis: Basis) -> np.ndarray:
+    """P[encoded label, receiver outcome, probe outcome] of the Pauli cloner
+    on the two eigenstates of ``basis``, sent with equal probability.  The
+    receiver measures in that basis; Eve, told the basis afterwards, measures
+    the probe in the eigenbasis of rho_0 - rho_1, the difference of its states
+    given each label."""
+    eig = eigenstates(basis).real
+    joints = [eig @ pauli_clone(eig[label], d) for label in (0, 1)]
+    rho = [joint.T @ joint for joint in joints]
+    _, eve_basis = np.linalg.eigh(rho[0] - rho[1])
+    return np.array([np.abs(joint @ eve_basis) ** 2 for joint in joints]) / 2

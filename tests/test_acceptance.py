@@ -26,8 +26,6 @@ from qotp.analysis import (
     epsilon_tilde_min,
     i0_bound,
     i1_bound,
-    joint_counts,
-    run_photon_batch,
     small_dm_linear_bound,
 )
 from qotp.errors import PoleError
@@ -47,6 +45,7 @@ from oracle import (
     eigenstates,
     key_pairs,
     known_plaintext_infer,
+    run_photon_batch,
     utb_apply,
 )
 from transcript_v1 import attack_events
@@ -189,17 +188,21 @@ def test_criterion_07_information_ordering():
 
     # adversary vs message with no announcements: the probe is message-blind
     mi_message = empirical_mutual_information(
-        joint_counts(batch.enc_bits, batch.record, 2, 2)
+        np.bincount(2 * batch.enc_bits + batch.record, minlength=4).reshape(2, 2)
     )
     # adversary vs encoding once basis keys are announced (attacked subset)
     mi_announced = empirical_mutual_information(
-        joint_counts(batch.encoded_label[matched], batch.record[matched], 2, 2)
+        np.bincount(
+            2 * batch.encoded_label[matched] + batch.record[matched], minlength=4
+        ).reshape(2, 2)
     )
     # receiver channel is noiseless: error-free decode, one full bit per photon
     # (the plug-in MI equals the empirical marginal entropy, ~1 for coin bits)
     clean = run_photon_batch(n, NoAttack(), make_rng(51))
     bob_accuracy = float(np.mean(clean.decoded == clean.enc_bits))
-    mi_ab = empirical_mutual_information(joint_counts(clean.enc_bits, clean.decoded, 2, 2))
+    mi_ab = empirical_mutual_information(
+        np.bincount(2 * clean.enc_bits + clean.decoded, minlength=4).reshape(2, 2)
+    )
 
     ceiling = i0_bound(observed_d) + MI_ESTIMATOR_SLACK
     ok = (

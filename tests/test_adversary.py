@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from qotp.adversary import IndividualUTB, InterceptResend, KnownPlaintext, NoAttack
-from qotp.analysis import run_photon_batch
 from qotp.kernels import Basis
 from qotp.keystore import generate_pad
 from qotp.protocol import SessionConfig, run_session
@@ -29,6 +28,7 @@ from oracle import (
     known_plaintext_infer,
     measure,
     measure_photon_of_joint,
+    run_photon_batch,
     utb_intercept,
 )
 from transcript_v1 import attack_events

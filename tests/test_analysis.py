@@ -6,22 +6,19 @@ import types
 import numpy as np
 import pytest
 
-from qotp import kernels
+import qotp
+from qotp import analysis, kernels
 from qotp.adversary import IndividualUTB, InterceptResend, record_likelihoods
 from qotp.analysis import (
     BOUNDS_CSV_HEADER,
-    ErrorSubset,
     bounds_csv,
     cell_probabilities,
     d_of_theta,
-    empirical_error_rate,
     empirical_mutual_information,
     epsilon_tilde_min,
     i0_bound,
     i1_bound,
-    joint_counts,
     phi,
-    run_photon_batch,
     small_dm_linear_bound,
     sweep_theta,
 )
@@ -38,7 +35,9 @@ from oracle import (
     eigenstates,
     key_pairs,
     measure_photon_of_joint,
+    pauli_cloner_law,
     probe_information_estimate,
+    run_photon_batch,
     utb_apply,
 )
 
@@ -97,6 +96,27 @@ class TestI0:
             i0_bound(1.01)
         with pytest.raises(ValueError):
             i0_bound(-0.01)
+
+
+class TestPauliClonerAttainsI0:
+    """A genie told the basis that attains the i0 ceiling at every d: the
+    Pauli cloner with a two-qubit probe, read in the eigenbasis of
+    rho_0 - rho_1 (tests/oracle.py)."""
+
+    D_GRID = np.linspace(0.0, 0.25, 201)
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    def test_receiver_error_mass_is_d(self, basis):
+        for d in self.D_GRID:
+            law = pauli_cloner_law(d, basis)
+            label, bob, _ = np.indices(law.shape)
+            assert law[label != bob].sum() == pytest.approx(d, abs=1e-12), d
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    def test_label_probe_information_is_i0(self, basis):
+        for d in self.D_GRID:
+            mi = empirical_mutual_information(pauli_cloner_law(d, basis).sum(axis=1))
+            assert mi == pytest.approx(i0_bound(d), abs=1e-12), d
 
 
 class TestDOfTheta:
@@ -177,20 +197,24 @@ class TestLinearBound:
             small_dm_linear_bound(0.3)
 
 
+# Test-only Monte-Carlo helpers that the package once exported; they live in
+# tests/oracle.py or are inlined where a test needs them.
+FORMER_ANALYSIS_NAMES = (
+    "ErrorSubset", "empirical_error_rate", "joint_counts", "run_photon_batch", "PhotonBatch",
+)
+
+
+def test_package_ships_no_test_only_helpers():
+    assert [n for n in FORMER_ANALYSIS_NAMES if hasattr(qotp, n) or hasattr(analysis, n)] == []
+
+
 class TestEmpiricalErrorRate:
-    def _clean(self):
+    def test_no_attack_all_subsets_zero(self):
         message = make_rng(0).integers(0, 2, 64, dtype=np.uint8)
         pad = generate_pad(2 * 96, make_rng(1))
-        return run_session(SessionConfig(n_message=64, n_sample=32, seed=2), pad, message)
-
-    def test_no_attack_all_subsets_zero(self):
-        t = self._clean()
-        assert empirical_error_rate(t, ErrorSubset.ALL) == 0.0
-        assert empirical_error_rate(t, ErrorSubset.SAMPLE_BITS) == 0.0
-
-    def test_matched_subset_needs_probe_attack(self):
-        with pytest.raises(ValueError):
-            empirical_error_rate(self._clean(), ErrorSubset.MATCHED_ATTACK_BASIS)
+        t = run_session(SessionConfig(n_message=64, n_sample=32, seed=2), pad, message)
+        assert np.mean(t.decoded != t.mm.bits) == 0.0
+        assert t.error_report.rate == 0.0
 
     def test_probe_attack_matched_quarter(self):
         pad = generate_pad(2 * 10_000, make_rng(3))
@@ -200,7 +224,8 @@ class TestEmpiricalErrorRate:
             [],
             IndividualUTB(theta=np.pi / 4),
         )
-        rate = empirical_error_rate(t, ErrorSubset.MATCHED_ATTACK_BASIS)
+        matched = kernels.PREP_BASIS_OF_STATE[t.keys.state_idx] == Basis.PLUS.index
+        rate = np.mean(t.decoded[matched] != t.mm.bits[matched])
         n_matched = sum(1 for p in key_pairs(t.keys) if p.basis is Basis.PLUS)
         assert abs(rate - 0.25) < 3 * np.sqrt(0.25 * 0.75 / n_matched)
 
@@ -209,7 +234,7 @@ class TestEmpiricalErrorRate:
         t = run_session(
             SessionConfig(n_message=0, n_sample=10_000, seed=6), pad, [], InterceptResend()
         )
-        assert abs(empirical_error_rate(t, ErrorSubset.SAMPLE_BITS) - 0.25) < 0.013
+        assert abs(t.error_report.rate - 0.25) < 0.013
 
 
 class TestMutualInformation:
@@ -222,10 +247,6 @@ class TestMutualInformation:
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
             empirical_mutual_information(np.zeros((2, 2)))
-
-    def test_joint_counts(self):
-        counts = joint_counts([0, 0, 1, 1, 1], [0, 1, 0, 1, 1], 2, 2)
-        assert counts.tolist() == [[1, 1], [1, 2]]
 
     def test_probe_info_below_ceiling(self):
         batch = run_photon_batch(100_000, IndividualUTB(theta=np.pi / 4), make_rng(7))

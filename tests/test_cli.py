@@ -305,6 +305,8 @@ class TestBoundaryErrors:
             (["run", "--seed", str(2**64 + 1)], {}),
             (["run", "--seed", str(2**63)], {}),
             (["run"], {"QOTP_SEED": str(-(2**63) - 1)}),
+            (["run", "--message-bits", "0", "--samples", "4", "--pad-file", "two-hex-lines.pad"],
+             {}),
         ],
         ids=["nan-grid-point", "non-integer-env-seed", "attack-session-past-the-end",
              "unknown-flag", "non-integer-flag", "zero-sessions", "negative-sessions",
@@ -318,9 +320,12 @@ class TestBoundaryErrors:
              "photons-past-int64", "theta-deg-past-45", "message-bits-past-memory",
              "samples-past-memory", "pad-bits-past-memory", "bound-points-past-memory",
              "bound-points-past-int64", "sweep-points-past-int64", "seed-aliasing-seed-1",
-             "seed-past-int64", "env-seed-below-int64"],
+             "seed-past-int64", "env-seed-below-int64", "pad-file-with-two-hex-lines"],
     )
-    def test_one_line_error_exit_1(self, argv, env, monkeypatch, capsys):
+    def test_one_line_error_exit_1(self, argv, env, monkeypatch, capsys, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        # 8 bits would key this 4-photon session, if the second hex line were dropped
+        (tmp_path / "two-hex-lines.pad").write_text("generation=0\nFF\n00\n")
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         rc = cli.main(argv)
@@ -328,6 +333,24 @@ class TestBoundaryErrors:
         assert rc == cli.EXIT_ERROR
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,flags",
+        [
+            (["run", "--samples", str(2**62)], ["--message-bits", "--samples"]),
+            (["recycle-demo", "--message-bits", str(2**62)], ["--message-bits", "--samples"]),
+            (["recycle-demo", "--samples", str(2**62)], ["--message-bits", "--samples"]),
+            (["recycle-demo", "--samples", str(2**60)], ["--samples", "--sessions"]),
+            (["recycle-demo", "--pad-bits", str(2**63)], ["--pad-bits"]),
+        ],
+        ids=["run-samples", "recycle-message-bits", "recycle-samples", "recycle-sessions",
+             "recycle-pad-bits"],
+    )
+    def test_pad_past_int64_names_its_flags(self, argv, flags, capsys):
+        assert cli.main(argv) == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "int64" in err
+        assert all(flag in err for flag in flags)
 
     @pytest.mark.parametrize(
         "argv,env",

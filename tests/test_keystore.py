@@ -193,6 +193,29 @@ class TestPadFiles:
         with pytest.raises(ValueError):
             pad_from_text("generation=0\nF G0\n")
 
+    @pytest.mark.parametrize(
+        "text,quoted",
+        [
+            ("generation=0\nFF\n00\n", "'00'"),
+            ("generation=0\nFF\nbitz=3\n", "'bitz=3'"),
+            ("generation=0\nFF\nbits=8\n\nFF\n", "'FF'"),
+        ],
+        ids=["second-hex-line", "misspelt-bits-line", "line-after-bits"],
+    )
+    def test_unexpected_line_rejected_and_quoted(self, text, quoted):
+        with pytest.raises(ValueError, match=quoted) as info:
+            pad_from_text(text)
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize(
+        "text,field",
+        [("generation=abc\nFF\n", "generation"), ("generation=0\nFF\nbits=abc\n", "bits")],
+        ids=["generation-abc", "bits-abc"],
+    )
+    def test_non_integer_field_named(self, text, field):
+        with pytest.raises(ValueError, match=f"pad file {field} must be an integer, got 'abc'"):
+            pad_from_text(text)
+
     @given(
         st.integers(min_value=1, max_value=4096),
         st.integers(min_value=0, max_value=2**32),

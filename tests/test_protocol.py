@@ -15,6 +15,7 @@ from qotp.errors import PadExhaustedError
 from qotp.kernels import Basis
 from qotp.keystore import generate_pad
 from qotp.protocol import (
+    ModifiedMessage,
     SessionConfig,
     build_modified_message,
     eavesdrop_check,
@@ -34,10 +35,11 @@ def bits(text: str) -> np.ndarray:
 
 
 class TestModifiedMessage:
-    def test_zero_samples_test_mode(self):
-        mm = build_modified_message(bits("101"), 0, make_rng(0))
-        assert np.array_equal(mm.bits, bits("101"))
-        assert mm.n_sample == 0
+    def test_zero_samples_rejected(self):
+        with pytest.raises(ValueError, match="at least one sampling bit"):
+            build_modified_message(bits("101"), 0, make_rng(0))
+        with pytest.raises(ValueError, match="at least one sample position"):
+            ModifiedMessage(bits=bits("101"), sample_positions=[])
 
     def test_pure_sampling_session(self):
         mm = build_modified_message([], 3, make_rng(1))
@@ -46,14 +48,15 @@ class TestModifiedMessage:
 
     def test_message_recovered_in_order(self):
         mm = build_modified_message(bits("1100110010"), 7, make_rng(2))
-        assert np.array_equal(mm.message_bits(), bits("1100110010"))
+        assert np.array_equal(np.delete(mm.bits, mm.sample_positions), bits("1100110010"))
 
     @given(st.lists(st.integers(0, 1), max_size=40), st.integers(1, 10), st.integers(0, 2**31))
     @settings(max_examples=60, deadline=None)
     def test_subsequence_property(self, message, n_sample, seed):
         mm = build_modified_message(message, n_sample, make_rng(seed))
         assert mm.bits.size == len(message) + n_sample
-        assert np.array_equal(mm.message_bits(), np.array(message, dtype=np.uint8))
+        message_bits = np.delete(mm.bits, mm.sample_positions)
+        assert np.array_equal(message_bits, np.array(message, dtype=np.uint8))
         assert mm.n_sample == n_sample
         assert np.all(np.diff(mm.sample_positions) > 0)
 
