@@ -35,6 +35,7 @@ from .protocol import (
     SessionTranscript,
     build_modified_message,
     eavesdrop_check,
+    run_lineage,
     run_session,
 )
 from .rng import make_rng, role_seed

@@ -1,12 +1,12 @@
-"""Command-line harness: single sessions, attack-strength sweeps, bound
-tables, and multi-session pad-reuse demonstrations.
+"""Command-line front end: each subcommand checks its flags, calls one library
+entry point (``run_session``, ``run_lineage``, a sweep or a bound table) and
+only formats its result.
 
-Exit codes: 0 success/accepted, 2 session rejected by the eavesdropping
-check, 1 usage, configuration or runtime error.  Every run is fully
-determined by its flags and seed (``--seed``, defaulting to the QOTP_SEED
-environment variable, then 0).  Each stream a command creates (pad, message,
-session, sweep grid point) is seeded from the top-level seed by its own role
-label.
+Exit codes: 0 success/accepted, 2 session rejected by the eavesdropping check,
+1 usage, configuration or runtime error.  Every run is fully determined by its
+flags and seed (``--seed``, defaulting to the QOTP_SEED environment variable,
+then 0).  Each stream a command creates (pad, message, session, sweep grid
+point) is seeded from the top-level seed by its own role label.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .adversary import (
 )
 from .errors import PadExhaustedError, PoleError, ProtocolViolationError
 from .kernels import Basis
-from .protocol import SessionConfig, message_digest, run_session
+from .protocol import SessionConfig, message_digest, run_lineage, run_session
 from .rng import ROLE_MESSAGE, ROLE_PAD, ROLE_SESSION, make_rng, role_seed
 
 EXIT_OK = 0
@@ -105,7 +105,7 @@ def _check_session_flags(args) -> None:
     """Reject a negative message length, a threshold outside [0, 1] or above 0
     without --insecure-demo, and attack flags the configured attack would
     silently ignore."""
-    if args.message_bits is not None and args.message_bits < 0:
+    if args.message_bits < 0:
         raise ValueError(f"--message-bits must be >= 0, got {args.message_bits}")
     if not 0.0 <= args.threshold <= 1.0:
         raise ValueError(f"--threshold must lie in [0, 1], got {args.threshold}")
@@ -143,20 +143,29 @@ def _parse_bits(text: str) -> np.ndarray:
     return bits
 
 
-def _session_message(args) -> np.ndarray:
-    if args.message is not None and args.message_bits is not None:
-        raise ValueError("pass --message or --message-bits, not both")
+def _session_message(args, n_bits: int) -> np.ndarray:
     if args.message is not None:
         return _parse_bits(args.message)
-    n = args.message_bits if args.message_bits is not None else 128
     rng = make_rng(role_seed(args.seed, ROLE_MESSAGE))
-    return rng.integers(0, 2, size=n, dtype=np.uint8)
+    return rng.integers(0, 2, size=n_bits, dtype=np.uint8)
 
 
 def _pad_length(n_bits: int, flags: str) -> int:
     if n_bits > _INT64_MAX:  # numpy sizes stop there
         raise ValueError(f"a pad of {n_bits} bits, set by {flags}, is past the int64 maximum")
     return n_bits
+
+
+def _session_config(args, n_message: int, n_sample: int, seed: int) -> SessionConfig:
+    """The session the flags ask for, its pad length checked before any draw."""
+    _pad_length(2 * (n_message + n_sample), "--message-bits and --samples")
+    return SessionConfig(
+        n_message=n_message,
+        n_sample=n_sample,
+        abort_threshold=args.threshold,
+        seed=seed,
+        allow_insecure_demo=args.insecure_demo,
+    )
 
 
 def _session_pad(args, n_bits_needed: int) -> keystore.PadKey:
@@ -168,18 +177,12 @@ def _session_pad(args, n_bits_needed: int) -> keystore.PadKey:
 
 def cmd_run(args) -> int:
     _check_session_flags(args)
-    message = _session_message(args)
-    n_sample = args.samples if args.samples is not None else max(32, message.size // 4)
-    config = SessionConfig(
-        n_message=int(message.size),
-        n_sample=int(n_sample),
-        abort_threshold=args.threshold,
-        seed=role_seed(args.seed, ROLE_SESSION),
-        allow_insecure_demo=args.insecure_demo,
-    )
+    n_message = args.message_bits if args.message is None else len(args.message)
+    n_sample = args.samples if args.samples is not None else max(32, n_message // 4)
+    config = _session_config(args, n_message, n_sample, role_seed(args.seed, ROLE_SESSION))
+    message = _session_message(args, n_message)
     attack = _build_attack(args)
-    n_pad = _pad_length(2 * (config.n_message + config.n_sample), "--message-bits and --samples")
-    pad = _session_pad(args, n_pad)
+    pad = _session_pad(args, 2 * (n_message + n_sample))
     transcript = run_session(config, pad, message, attack)
     if args.out:
         Path(args.out).write_text(transcript.to_json())
@@ -245,77 +248,26 @@ def cmd_recycle_demo(args) -> int:
     _check_session_flags(args)
     if (args.attack == NoAttack.kind) != (args.attack_session is None):
         raise ValueError("--attack-session and an --attack other than none go together")
-    per_session = _pad_length(2 * (args.message_bits + args.samples), "--message-bits and --samples")
+    config = _session_config(args, args.message_bits, args.samples, args.seed)
     if args.pad_bits is None:
         pad_bits = _pad_length(
-            per_session + 2 * args.samples * (args.sessions - 1),
+            2 * (args.message_bits + args.samples) + 2 * args.samples * (args.sessions - 1),
             "--message-bits, --samples and --sessions",
         )
     else:
         pad_bits = _pad_length(args.pad_bits, "--pad-bits")
     pad = keystore.generate_pad(pad_bits, make_rng(role_seed(args.seed, ROLE_PAD)))
-
     attack = _build_attack(args)
-    sessions = []
-    # times each generation-0 pad bit has been announced so far
-    announced_count = np.zeros(len(pad), dtype=np.int64)
-    halted_at = None
-    reused = 0
-    for k in range(args.sessions):
-        message = make_rng(role_seed(args.seed, ROLE_MESSAGE, k)).integers(
-            0, 2, size=args.message_bits, dtype=np.uint8
-        )
-        attacked = args.attack_session == k + 1
-        config = SessionConfig(
-            n_message=args.message_bits,
-            n_sample=args.samples,
-            abort_threshold=args.threshold,
-            seed=role_seed(args.seed, ROLE_SESSION, k),
-            allow_insecure_demo=args.insecure_demo,
-        )
-        before = len(pad)
-        transcript = run_session(config, pad, message, attack if attacked else NoAttack())
-        drawn = pad.origin_indices[transcript.keys.sources]
-        reused += int(announced_count[drawn].sum())
-        np.add.at(announced_count, transcript.announced_origin_bits, 1)
-        accepted = transcript.error_report.accepted
-        exact = bool(
-            accepted
-            and transcript.extracted_message is not None
-            and np.array_equal(transcript.extracted_message, message)
-        )
-        sessions.append(
-            {
-                "session": k + 1,
-                "pad_bits_before": before,
-                "pad_bits_after": len(transcript.recycled_pad) if accepted else before,
-                "accepted": accepted,
-                "error_rate": transcript.error_report.rate,
-                "message_exact": exact,
-                "attacked": attacked,
-            }
-        )
-        if not accepted:
-            halted_at = k + 1
-            break
-        pad = transcript.recycled_pad
-
-    report = {
-        "sessions": sessions,
-        "halted_at_session": halted_at,
-        "final_pad_bits": len(pad) if halted_at is None else None,
-        "audit": {
-            "announced_bits_reused": reused,
-            "all_messages_exact": all(s["message_exact"] for s in sessions if s["accepted"]),
-        },
-    }
+    attacks = (attack if args.attack_session == k + 1 else NoAttack() for k in range(args.sessions))
+    report, pad = run_lineage(pad, config, attacks)
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(text)
-    print(f"sessions run: {len(sessions)} of {args.sessions}")
-    print(f"announced bits reused later: {reused}")
-    if halted_at is not None:
-        print(f"halted at session {halted_at}: eavesdropping detected, pad lineage retired")
+    print(f"sessions run: {len(report['sessions'])} of {args.sessions}")
+    print(f"announced bits reused later: {report['audit']['announced_bits_reused']}")
+    if pad is None:
+        print(f"halted at session {report['halted_at_session']}: "
+              "eavesdropping detected, pad lineage retired")
         return EXIT_REJECTED
     print(f"final pad length: {len(pad)}")
     return EXIT_OK
@@ -330,8 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute one session")
-    p_run.add_argument("--message", help="explicit message as a 0/1 string")
-    p_run.add_argument("--message-bits", type=int, help="random message length (default 128)")
+    msg = p_run.add_mutually_exclusive_group()
+    msg.add_argument("--message", help="explicit message as a 0/1 string")
+    msg.add_argument("--message-bits", type=int, default=128, help="random message length (default 128)")
     p_run.add_argument("--samples", type=int, help="number of sampling bits (default max(32, n/4))")
     p_run.add_argument("--threshold", type=float, default=0.0, help="max tolerated sample error rate")
     p_run.add_argument(

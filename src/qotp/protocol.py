@@ -7,7 +7,8 @@ announced sampling bits, and either recycle the pad and release the message
 or halt.  The photons run as columns through one batch-kernel call, which
 samples the attack's exact law; this is the only session path.  The
 transcript keeps the full secret view for analysis; the ``public_view``
-projection is exactly what an eavesdropper may read.
+projection is exactly what an eavesdropper may read.  A lineage reuses one
+pad until a check fails, and audits that no announced pad bit is drawn again.
 
 The tests check this path against an object-level state-vector oracle with
 per-photon attacks, which ships with the tests and not with the package.
@@ -18,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +27,7 @@ import numpy as np
 from . import kernels, keystore
 from .adversary import AttackModel, KnownPlaintext, NoAttack, posterior_plus_table
 from .keystore import BasisKeySequence, PadKey
-from .rng import RandomStream, make_rng
+from .rng import ROLE_MESSAGE, ROLE_SESSION, RandomStream, make_rng, role_seed
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,6 @@ class SessionTranscript:
     decoded: np.ndarray
     record: np.ndarray
     error_report: ErrorReport
-    announced_origin_bits: np.ndarray
     known_bits: np.ndarray | None = None
     recycled_pad: PadKey | None = None
     extracted_message: np.ndarray | None = None
@@ -246,10 +247,55 @@ def run_session(
         decoded=decoded,
         record=record,
         error_report=report,
-        announced_origin_bits=pad.origin_indices[keys.sources[announced].ravel()],
         known_bits=known_bits,
     )
     if report.accepted:
         transcript.recycled_pad = keystore.recycle_pad(pad, announced, keys, check=report)
         transcript.extracted_message = np.delete(decoded, announced)
     return transcript
+
+
+def run_lineage(
+    pad: PadKey, config: SessionConfig, attacks: Iterable[AttackModel]
+) -> tuple[dict, PadKey | None]:
+    """Run one session per attack on one pad lineage, recycling the pad after
+    each passed check and retiring it at the first failed one.  Session k
+    (from 0) runs on ``role_seed(config.seed, ROLE_SESSION, k)`` and draws its
+    message on ``role_seed(config.seed, ROLE_MESSAGE, k)``.  Returns the
+    report and the final pad, which is None once the lineage is retired."""
+    sessions = []
+    # times each generation-0 pad bit, found through the origin ledger, was announced
+    announced_count = np.zeros(int(pad.origin_indices.max(initial=-1)) + 1, dtype=np.int64)
+    reused = 0
+    for k, attack in enumerate(attacks):
+        rng = make_rng(role_seed(config.seed, ROLE_MESSAGE, k))
+        message = rng.integers(0, 2, size=config.n_message, dtype=np.uint8)
+        session = dataclasses.replace(config, seed=role_seed(config.seed, ROLE_SESSION, k))
+        t = run_session(session, pad, message, attack)
+        drawn = pad.origin_indices[t.keys.sources]
+        reused += int(announced_count[drawn].sum())
+        np.add.at(announced_count, drawn[t.mm.sample_positions], 1)
+        accepted = t.error_report.accepted
+        sessions.append(
+            {
+                "session": k + 1,
+                "pad_bits_before": len(pad),
+                "pad_bits_after": len(t.recycled_pad) if accepted else len(pad),
+                "accepted": accepted,
+                "error_rate": t.error_report.rate,
+                "message_exact": bool(accepted and np.array_equal(t.extracted_message, message)),
+                "attacked": attack.kind != NoAttack.kind,
+            }
+        )
+        pad = t.recycled_pad
+        if pad is None:
+            break
+    return {
+        "sessions": sessions,
+        "halted_at_session": len(sessions) if pad is None else None,
+        "final_pad_bits": None if pad is None else len(pad),
+        "audit": {
+            "announced_bits_reused": reused,
+            "all_messages_exact": all(s["message_exact"] for s in sessions if s["accepted"]),
+        },
+    }, pad

@@ -8,7 +8,13 @@ import inspect
 import numpy as np
 import pytest
 
-from qotp.adversary import IndividualUTB, InterceptResend, KnownPlaintext, NoAttack
+from qotp.adversary import (
+    IndividualUTB,
+    InterceptResend,
+    KnownPlaintext,
+    NoAttack,
+    posterior_plus_table,
+)
 from qotp.kernels import Basis
 from qotp.keystore import generate_pad
 from qotp.protocol import SessionConfig, run_session
@@ -238,6 +244,18 @@ class TestKnownPlaintext:
 
     def test_infer_without_records(self):
         assert known_plaintext_infer([], (1, 0, 1), {0}) == {}
+
+    def test_basis_posterior_is_exactly_one_half_for_every_law(self):
+        # within either basis the two keyed states average to I/2 whatever the
+        # encoding bit, so no single-photon record can depend on the basis
+        attacks = [NoAttack(), *(InterceptResend(b) for b in (None, *Basis))]
+        attacks += [IndividualUTB(theta=float(theta), attack_basis=b)
+                    for theta in np.linspace(0.0, np.pi / 4, 21) for b in Basis]
+        attacks += [KnownPlaintext(inner=a) for a in attacks]
+        assert len(attacks) == 2 * (1 + 3 + 42)
+        for attack in attacks:
+            np.testing.assert_allclose(posterior_plus_table(attack), 0.5, rtol=0, atol=1e-15,
+                                       err_msg=repr(attack))
 
 
 class TestNoSignaling:

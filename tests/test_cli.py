@@ -338,12 +338,13 @@ class TestBoundaryErrors:
         "argv,flags",
         [
             (["run", "--samples", str(2**62)], ["--message-bits", "--samples"]),
+            (["run", "--message-bits", str(2**62)], ["--message-bits", "--samples"]),
             (["recycle-demo", "--message-bits", str(2**62)], ["--message-bits", "--samples"]),
             (["recycle-demo", "--samples", str(2**62)], ["--message-bits", "--samples"]),
             (["recycle-demo", "--samples", str(2**60)], ["--samples", "--sessions"]),
             (["recycle-demo", "--pad-bits", str(2**63)], ["--pad-bits"]),
         ],
-        ids=["run-samples", "recycle-message-bits", "recycle-samples", "recycle-sessions",
+        ids=["run-samples", "run-message-bits", "recycle-message-bits", "recycle-samples", "recycle-sessions",
              "recycle-pad-bits"],
     )
     def test_pad_past_int64_names_its_flags(self, argv, flags, capsys):

@@ -1,6 +1,7 @@
 """Session state-machine tests: message interleaving, session round trips,
 the eavesdropping check, abort discipline, and transcript exports."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -10,18 +11,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qotp import keystore, protocol
 from qotp.adversary import IndividualUTB, InterceptResend, NoAttack
 from qotp.errors import PadExhaustedError
 from qotp.kernels import Basis
-from qotp.keystore import generate_pad
+from qotp.keystore import PadKey, generate_pad
 from qotp.protocol import (
     ModifiedMessage,
     SessionConfig,
     build_modified_message,
     eavesdrop_check,
+    run_lineage,
     run_session,
 )
-from qotp.rng import make_rng
+from qotp.rng import ROLE_MESSAGE, ROLE_SESSION, make_rng, role_seed
 from oracle import BasisKeyPair, key_pairs, state_from_basis_key
 from transcript_v1 import attack_events, v1_document
 
@@ -195,6 +198,86 @@ class TestRunSession:
                 generate_pad(20, make_rng(0)),
                 bits("10"),
             )
+
+
+def hand_lineage(pad, config, attacks):
+    """The lineage as a loop of run_session calls: the per-session decoded bits
+    and pads, the halting session, and the final pad."""
+    steps = []
+    for k, attack in enumerate(attacks):
+        rng = make_rng(role_seed(config.seed, ROLE_MESSAGE, k))
+        message = rng.integers(0, 2, size=config.n_message, dtype=np.uint8)
+        session = SessionConfig(n_message=config.n_message, n_sample=config.n_sample,
+                                seed=role_seed(config.seed, ROLE_SESSION, k))
+        t = run_session(session, pad, message, attack)
+        steps.append((t.decoded, t.recycled_pad))
+        if not t.error_report.accepted:
+            return steps, k + 1, None
+        pad = t.recycled_pad
+    return steps, None, pad
+
+
+def assert_same_pad(a, b):
+    assert (a is None) == (b is None)
+    if a is not None:
+        assert np.array_equal(a.bits, b.bits)
+        assert np.array_equal(a.origin_indices, b.origin_indices)
+        assert a.generation == b.generation
+
+
+class TestRunLineage:
+    CONFIG = SessionConfig(n_message=64, n_sample=16, seed=12)
+
+    @pytest.mark.parametrize(
+        "attacks,halted_at",
+        [([NoAttack()] * 5, None), ([NoAttack(), InterceptResend(), NoAttack(), NoAttack()], 2)],
+        ids=["clean-5", "intercept-resend-at-2"],
+    )
+    def test_equals_a_loop_of_sessions(self, attacks, halted_at, monkeypatch):
+        pad = generate_pad(2 * (64 + 16) + 2 * 16 * (len(attacks) - 1), make_rng(5))
+        want, want_halt, want_final = hand_lineage(pad, self.CONFIG, attacks)
+
+        seen = []
+
+        def recording(*args):
+            t = run_session(*args)
+            seen.append((t.decoded, t.recycled_pad))
+            return t
+
+        monkeypatch.setattr(protocol, "run_session", recording)
+        report, final = run_lineage(pad, self.CONFIG, attacks)
+        assert len(seen) == len(want) == len(report["sessions"])
+        for (decoded, recycled), (want_decoded, want_recycled) in zip(seen, want):
+            assert np.array_equal(decoded, want_decoded)
+            assert_same_pad(recycled, want_recycled)
+        assert report["halted_at_session"] == want_halt == halted_at
+        assert_same_pad(final, want_final)
+        assert report["final_pad_bits"] == (None if final is None else len(final))
+        assert [s["attacked"] for s in report["sessions"]] == [
+            a.kind != NoAttack.kind for a in attacks[: len(want)]
+        ]
+
+    def test_audit_counts_bits_a_faulty_recycle_keeps(self, monkeypatch):
+        def keeps_every_bit(pad, announced, keys, check=None):
+            return PadKey(bits=pad.bits, generation=pad.generation + 1,
+                          origin_indices=pad.origin_indices)
+
+        pad = generate_pad(2 * (64 + 16) + 2 * 16, make_rng(6))
+        clean, _ = run_lineage(pad, self.CONFIG, [NoAttack()] * 2)
+        assert clean["audit"]["announced_bits_reused"] == 0
+        monkeypatch.setattr(keystore, "recycle_pad", keeps_every_bit)
+        report, final = run_lineage(pad, self.CONFIG, [NoAttack()] * 2)
+        # session 2 draws again the 2 pad bits of each of session 1's 16 checks
+        assert report["audit"]["announced_bits_reused"] == 2 * 16
+        assert final.generation == 2 and len(final) == len(pad)
+
+    def test_audit_follows_a_recycled_input_pad(self):
+        pad = generate_pad(2 * (64 + 16) + 2 * 16 * 2, make_rng(7))
+        _, middle = run_lineage(pad, self.CONFIG, [NoAttack()])
+        report, final = run_lineage(middle, dataclasses.replace(self.CONFIG, seed=13),
+                                    [NoAttack()] * 2)
+        assert report["audit"]["announced_bits_reused"] == 0
+        assert final.generation == 3 and len(final) == len(pad) - 3 * 2 * 16
 
 
 class TestPublicRecord:
