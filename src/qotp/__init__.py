@@ -20,11 +20,10 @@ from .analysis import (
 from .errors import PadExhaustedError, PoleError, ProtocolViolationError
 from .kernels import Basis
 from .keystore import (
-    BasisKeySequence,
     PadKey,
-    draw_basis_keys,
     generate_pad,
     load_pad,
+    photon_states,
     recycle_pad,
     save_pad,
 )

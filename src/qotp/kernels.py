@@ -7,8 +7,8 @@ of 2 bases, so the channel under an attack is the attack's exact ``law()``
 (see ``adversary``): P(receiver outcome, Eve's record) per cell
 ``4 * state + 2 * encoding + basis``.  Simulating a photon is one inverse-CDF
 lookup in its cell's row with one uniform, the only randomness, supplied by
-the caller or drawn from its rng.  Sweeps draw each point's histogram from the
-same law (``analysis.cell_probabilities``).
+the caller.  Sweeps draw each point's histogram from the same law
+(``analysis.cell_probabilities``).
 
 All states reachable in this protocol have real amplitudes, so the laws are
 built from the signed float64 amplitude tables below with the elementwise
@@ -109,8 +109,7 @@ def simulate_photons(
     enc_bits: np.ndarray,
     meas_basis: np.ndarray,
     attack,
-    uniforms: np.ndarray | None = None,
-    rng=None,
+    uniforms: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simulate n independent photons through the channel.
 
@@ -119,7 +118,7 @@ def simulate_photons(
         enc_bits: (n,) modified-message bits written with the swap encoding.
         meas_basis: (n,) receiver measurement basis (0 plus, 1 cross).
         attack: the channel adversary, an ``adversary.AttackModel``.
-        uniforms: (n,) uniform draws, one per photon, or None to draw them from rng.
+        uniforms: (n,) uniform draws in [0, 1), one per photon.
 
     Returns:
         (bob_outcome uint8, record int8): Eve's record per photon, coded as
@@ -131,10 +130,6 @@ def simulate_photons(
     n = state_idx.shape[0]
     if enc_bits.shape[0] != n or meas_basis.shape[0] != n:
         raise ValueError("state_idx, enc_bits and meas_basis must have equal length")
-    if uniforms is None:
-        if rng is None:
-            raise ValueError("pass uniforms or an rng to draw them from")
-        uniforms = rng.random(n)
     uniforms = np.ascontiguousarray(uniforms, dtype=np.float64)
     if uniforms.shape != (n,):
         raise ValueError(f"uniforms must have shape ({n},)")

@@ -1,10 +1,12 @@
 """Classical one-time-pad lifecycle.
 
-A pad is a value object: drawing basis keys never mutates it, and recycling
-after a passed eavesdropping check produces a *new* pad with the announced
-photons' source bits removed.  Each pad carries a provenance ledger
-(``origin_indices``) mapping every current bit back to its position in the
-generation-0 pad, which is what the reuse-soundness audit checks against.
+A pad is a value object.  Photon i of a session is keyed by pad bits 2i and
+2i+1, which select its prepared state; reading the states never mutates the
+pad, and recycling after a passed eavesdropping check produces a *new* pad
+with the announced photons' bit pairs removed.  Each pad carries a
+provenance ledger (``origin_indices``, nonnegative and strictly increasing)
+mapping every current bit back to its position in the generation-0 pad,
+which is what the reuse-soundness audit checks against.
 
 Pad files are plain text: ``generation=<int>``, then the bits hex-encoded
 (most significant bit of the first hex digit is pad index 0), then
@@ -43,38 +45,13 @@ class PadKey:
         origins = np.asarray(origins, dtype=np.int64).reshape(-1)
         if origins.size != bits.size:
             raise ValueError("origin ledger length must match the bit string")
+        # the reuse audit indexes generation-0 counters by these entries
+        if origins.size and (origins[0] < 0 or np.any(origins[1:] <= origins[:-1])):
+            raise ValueError("origin ledger must be nonnegative and strictly increasing")
         object.__setattr__(self, "origin_indices", origins)
 
     def __len__(self) -> int:
         return int(self.bits.size)
-
-
-@dataclass(frozen=True)
-class BasisKeySequence:
-    """Basis keys for one photon sequence, held as the pad bits they consumed:
-    photon i is keyed by pad bits 2i and 2i+1."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.uint8).reshape(-1)
-        if bits.size % 2:
-            raise ValueError("basis keys take pad bits in pairs")
-        object.__setattr__(self, "bits", bits)
-
-    def __len__(self) -> int:
-        return self.bits.size // 2
-
-    @property
-    def state_idx(self) -> np.ndarray:
-        """Prepared state per photon: 00 -> 0 (H), 11 -> 1 (V), 01 -> 2 (u), 10 -> 3 (d)."""
-        b0 = self.bits[0::2].astype(np.int64)
-        return np.where(b0 == self.bits[1::2], b0, 2 + b0)
-
-    @property
-    def sources(self) -> np.ndarray:
-        """(n, 2) pad bit indices keying each photon."""
-        return np.arange(self.bits.size).reshape(-1, 2)
 
 
 def generate_pad(length: int, rng: RandomStream) -> PadKey:
@@ -87,12 +64,8 @@ def generate_pad(length: int, rng: RandomStream) -> PadKey:
     return PadKey(bits=bits)
 
 
-def draw_basis_keys(pad: PadKey, n_photons: int) -> BasisKeySequence:
-    """Group the first 2*n_photons pad bits into consecutive basis-key pairs.
-
-    Pure read: the pad is not consumed, which is what allows reuse across
-    sessions.  Raises PadExhaustedError if the pad is too short.
-    """
+def _key_bits(pad: PadKey, n_photons: int) -> int:
+    """How many pad bits key ``n_photons`` photons (2 each), checked to fit the pad."""
     if n_photons < 0:
         raise ValueError("n_photons must be nonnegative")
     needed = 2 * n_photons
@@ -100,35 +73,43 @@ def draw_basis_keys(pad: PadKey, n_photons: int) -> BasisKeySequence:
         raise PadExhaustedError(
             f"pad exhausted: need {needed} bits for {n_photons} photons, have {len(pad)}"
         )
-    return BasisKeySequence(bits=pad.bits[:needed])
+    return needed
 
 
-def recycle_pad(
-    pad: PadKey,
-    announced_pair_indices,
-    keys: BasisKeySequence,
-    check=None,
-) -> PadKey:
+def photon_states(pad: PadKey, n_photons: int) -> np.ndarray:
+    """Prepared state per photon, 0..3 = H, V, u, d: photon i is keyed by pad
+    bits 2i and 2i+1, 00 -> H, 11 -> V, 01 -> u, 10 -> d.
+
+    Pure read: the pad is not consumed, which is what allows reuse across
+    sessions.  Raises PadExhaustedError if the pad is too short.
+    """
+    needed = _key_bits(pad, n_photons)
+    b0 = pad.bits[0:needed:2].astype(np.int64)
+    return np.where(b0 == pad.bits[1:needed:2], b0, 2 + b0)
+
+
+def recycle_pad(pad: PadKey, n_photons: int, announced_photons, check) -> PadKey:
     """Build the next-generation pad by dropping every announced photon's bits.
 
-    ``announced_pair_indices`` are photon indices whose positions and encoding
-    bits went public during the check; both pad bits sourcing each such photon
-    are removed.  Survivor order is preserved and the generation counter is
-    incremented.
+    ``announced_photons`` are indices, among the ``n_photons`` photons the
+    session keyed from the pad, whose positions and encoding bits went public
+    during the check; pad bits 2i and 2i+1 of each such photon i are removed.
+    Survivor order is preserved and the generation counter is incremented.
 
-    ``check`` may carry the session's error report; recycling after a failed
-    check raises ProtocolViolationError (the protocol halts on eavesdropping).
+    ``check`` is the session's error report; recycling after a failed check
+    raises ProtocolViolationError (the protocol halts on eavesdropping).
     """
-    if check is not None and not check.accepted:
+    if not check.accepted:
         raise ProtocolViolationError("cannot recycle a pad after a failed check")
-    announced = np.fromiter(announced_pair_indices, dtype=np.int64)
-    bad = announced[(announced < 0) | (announced >= len(keys))]
+    needed = _key_bits(pad, n_photons)
+    announced = np.fromiter(announced_photons, dtype=np.int64)
+    bad = announced[(announced < 0) | (announced >= n_photons)]
     if bad.size:
         raise ValueError(
-            f"announced photon indices {sorted(set(bad.tolist()))} outside the key sequence"
+            f"announced photon indices {sorted(set(bad.tolist()))} outside 0..{n_photons - 1}"
         )
     keep = np.ones(len(pad), dtype=bool)
-    keep[keys.sources[announced]] = False
+    keep[:needed].reshape(-1, 2)[announced] = False
     return PadKey(
         bits=pad.bits[keep],
         generation=pad.generation + 1,

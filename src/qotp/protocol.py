@@ -1,14 +1,16 @@
 """The six-step crypto session as an executable state machine.
 
 One session: build the modified message (payload plus hidden sampling bits),
-draw basis keys from the pad, prepare and encode photons, pass them through
-the (possibly attacked) channel, decode with the shared keys, compare the
-announced sampling bits, and either recycle the pad and release the message
-or halt.  The photons run as columns through one batch-kernel call, which
-samples the attack's exact law; this is the only session path.  The
+prepare photon i in the state keyed by pad bits 2i and 2i+1, encode the
+photons, pass them through the (possibly attacked) channel, decode in each
+photon's preparation basis, compare the announced sampling bits, and either
+recycle the pad (dropping the announced photons' bit pairs) and release the
+message or halt.  The photons run as columns through one batch-kernel call,
+which samples the attack's exact law; this is the only session path.  The
 transcript keeps the full secret view for analysis; the ``public_view``
 projection is exactly what an eavesdropper may read.  A lineage reuses one
-pad until a check fails, and audits that no announced pad bit is drawn again.
+pad until a check fails, and audits through the pad's origin ledger that no
+announced pad bit keys a photon again.
 
 The tests check this path against an object-level state-vector oracle with
 per-photon attacks, which ships with the tests and not with the package.
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import kernels, keystore
 from .adversary import AttackModel, KnownPlaintext, NoAttack, posterior_plus_table
-from .keystore import BasisKeySequence, PadKey
+from .keystore import PadKey
 from .rng import ROLE_MESSAGE, ROLE_SESSION, RandomStream, make_rng, role_seed
 
 
@@ -94,16 +96,17 @@ def _digits(values: np.ndarray) -> str:
 class SessionTranscript:
     """Full audit record of one session (secret view plus public projection).
 
-    Per-photon data is held as columns indexed by photon: the receiver's
-    outcome label and decoded bit, Eve's record as the kernel codes it (-1
-    where there is no attack) and, under known-plaintext inference, the
+    ``pad`` is the pad the session read: photon i was keyed by its bits 2i
+    and 2i+1.  Per-photon data is held as columns indexed by photon: the
+    receiver's outcome label and decoded bit, Eve's record as the kernel codes
+    it (-1 where there is no attack) and, under known-plaintext inference, the
     plaintext bit assumed for each photon (2 where none is).
     """
 
     config: SessionConfig
     attack: AttackModel
     mm: ModifiedMessage
-    keys: BasisKeySequence
+    pad: PadKey
     received: np.ndarray
     decoded: np.ndarray
     record: np.ndarray
@@ -147,7 +150,7 @@ class SessionTranscript:
             "config": dataclasses.asdict(self.config),
             "attack": self.attack.describe(),
             "secret_view": {
-                "pad_bits": _digits(self.keys.bits),
+                "pad_bits": _digits(self.pad.bits[: 2 * self.mm.bits.size]),
                 "modified_bits": _digits(self.mm.bits),
                 "received_outcomes": _digits(self.received),
                 "decoded_bits": _digits(self.decoded),
@@ -223,11 +226,11 @@ def run_session(
         )
     rng = make_rng(config.seed)
     mm = build_modified_message(message, config.n_sample, rng)
-    keys = keystore.draw_basis_keys(pad, int(mm.bits.size))
-    state_idx = keys.state_idx
+    n = int(mm.bits.size)
+    state_idx = keystore.photon_states(pad, n)
     # every photon is measured in its preparation basis
     received, record = kernels.simulate_photons(
-        state_idx, mm.bits, kernels.PREP_BASIS_OF_STATE[state_idx], attack, rng=rng
+        state_idx, mm.bits, kernels.PREP_BASIS_OF_STATE[state_idx], attack, rng.random(n)
     )
     decoded = (received != kernels.PREP_LABEL_OF_STATE[state_idx]).astype(np.uint8)
 
@@ -242,7 +245,7 @@ def run_session(
         config=config,
         attack=attack,
         mm=mm,
-        keys=keys,
+        pad=pad,
         received=received,
         decoded=decoded,
         record=record,
@@ -250,7 +253,7 @@ def run_session(
         known_bits=known_bits,
     )
     if report.accepted:
-        transcript.recycled_pad = keystore.recycle_pad(pad, announced, keys, check=report)
+        transcript.recycled_pad = keystore.recycle_pad(pad, n, announced, report)
         transcript.extracted_message = np.delete(decoded, announced)
     return transcript
 
@@ -272,7 +275,7 @@ def run_lineage(
         message = rng.integers(0, 2, size=config.n_message, dtype=np.uint8)
         session = dataclasses.replace(config, seed=role_seed(config.seed, ROLE_SESSION, k))
         t = run_session(session, pad, message, attack)
-        drawn = pad.origin_indices[t.keys.sources]
+        drawn = pad.origin_indices[: 2 * t.mm.bits.size].reshape(-1, 2)
         reused += int(announced_count[drawn].sum())
         np.add.at(announced_count, drawn[t.mm.sample_positions], 1)
         accepted = t.error_report.accepted

@@ -38,7 +38,6 @@ from qotp import kernels
 from qotp.adversary import AttackModel, IndividualUTB, InterceptResend, KnownPlaintext, NoAttack
 from qotp.analysis import empirical_mutual_information
 from qotp.kernels import Basis
-from qotp.keystore import BasisKeySequence
 from qotp.rng import RandomStream
 
 NORM_TOL = 1e-9
@@ -137,9 +136,9 @@ class BasisKeyPair:
         return PREP_LABEL[self.state_index]
 
 
-def key_pairs(keys: BasisKeySequence) -> tuple[BasisKeyPair, ...]:
+def key_pairs(bits) -> tuple[BasisKeyPair, ...]:
     """The basis-key pair of each photon: pad bits 2i and 2i+1 key photon i."""
-    b = keys.bits.tolist()
+    b = np.asarray(bits).tolist()
     return tuple(BasisKeyPair(b0, b1) for b0, b1 in zip(b[0::2], b[1::2]))
 
 
@@ -428,7 +427,7 @@ def run_photon_batch(n: int, attack: AttackModel, rng: RandomStream) -> PhotonBa
     state_idx = rng.integers(0, 4, size=n, dtype=np.int64)
     enc_bits = rng.integers(0, 2, size=n, dtype=np.int64)
     prep_basis = kernels.PREP_BASIS_OF_STATE[state_idx]
-    bob, record = kernels.simulate_photons(state_idx, enc_bits, prep_basis, attack, rng=rng)
+    bob, record = kernels.simulate_photons(state_idx, enc_bits, prep_basis, attack, rng.random(n))
     return PhotonBatch(state_idx, enc_bits, prep_basis, bob, record)
 
 

@@ -260,7 +260,8 @@ def test_criterion_09_ciphertext_uniformity():
             rng = make_rng(70 + bit * 2 + (basis == "cross"))
             state_idx = rng.integers(0, 4, size=n, dtype=np.int64)
             bob, _ = kernels.simulate_photons(
-                state_idx, np.full(n, bit), np.full(n, Basis(basis).index), NoAttack(), rng=rng
+                state_idx, np.full(n, bit), np.full(n, Basis(basis).index), NoAttack(),
+                rng.random(n),
             )
             freq = float(bob.mean())
             ok = ok and abs(freq - 0.5) < 3 * np.sqrt(0.25 / n)
@@ -296,7 +297,7 @@ def test_criterion_10_born_rule_oracle_equivalence():
                     np.zeros(n, dtype=np.int64),
                     np.full(n, meas.index),
                     model,
-                    rng=make_rng(90 + case),
+                    make_rng(90 + case).random(n),
                 )
                 freq = float(bob.mean())
                 sigma = np.sqrt(p1 * (1 - p1) / n)
@@ -355,7 +356,7 @@ def test_criterion_11_session_oracle_equivalence():
                             abort_threshold=1.0, allow_insecure_demo=True)
         t = run_session(cfg, pad, [], attack)
         errors = t.decoded != t.mm.bits
-        state_idx = np.array([p.state_index for p in key_pairs(t.keys)])
+        state_idx = np.array([p.state_index for p in key_pairs(t.pad.bits[: 2 * t.mm.bits.size])])
         for idx in range(4):
             sel = state_idx == idx
             # exact expectation and variance given the photons' encodings

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qotp
-from qotp import analysis, kernels
+from qotp import analysis, kernels, keystore
 from qotp.adversary import IndividualUTB, InterceptResend, record_likelihoods
 from qotp.analysis import (
     BOUNDS_CSV_HEADER,
@@ -24,7 +24,7 @@ from qotp.analysis import (
 )
 from qotp.errors import PoleError
 from qotp.kernels import Basis
-from qotp.keystore import generate_pad
+from qotp.keystore import generate_pad, photon_states
 from qotp.protocol import SessionConfig, run_session
 from qotp.rng import make_rng
 from oracle import (
@@ -208,6 +208,15 @@ def test_package_ships_no_test_only_helpers():
     assert [n for n in FORMER_ANALYSIS_NAMES if hasattr(qotp, n) or hasattr(analysis, n)] == []
 
 
+# Names the keystore once exported; sessions key photon i straight from pad
+# bits 2i and 2i+1 with keystore.photon_states.
+FORMER_KEYSTORE_NAMES = ("BasisKeySequence", "draw_basis_keys")
+
+
+def test_package_keys_photons_straight_from_the_pad():
+    assert [n for n in FORMER_KEYSTORE_NAMES if hasattr(qotp, n) or hasattr(keystore, n)] == []
+
+
 class TestEmpiricalErrorRate:
     def test_no_attack_all_subsets_zero(self):
         message = make_rng(0).integers(0, 2, 64, dtype=np.uint8)
@@ -224,9 +233,10 @@ class TestEmpiricalErrorRate:
             [],
             IndividualUTB(theta=np.pi / 4),
         )
-        matched = kernels.PREP_BASIS_OF_STATE[t.keys.state_idx] == Basis.PLUS.index
+        n = t.mm.bits.size
+        matched = kernels.PREP_BASIS_OF_STATE[photon_states(t.pad, n)] == Basis.PLUS.index
         rate = np.mean(t.decoded[matched] != t.mm.bits[matched])
-        n_matched = sum(1 for p in key_pairs(t.keys) if p.basis is Basis.PLUS)
+        n_matched = sum(1 for p in key_pairs(t.pad.bits[: 2 * n]) if p.basis is Basis.PLUS)
         assert abs(rate - 0.25) < 3 * np.sqrt(0.25 * 0.75 / n_matched)
 
     def test_intercept_resend_sample_quarter(self):
@@ -412,7 +422,7 @@ class TestPerStateOracleEquivalence:
         )
         decoded = np.asarray(t.decoded, dtype=np.uint8)
         errors = decoded != t.mm.bits
-        state_idx = np.array([p.state_index for p in key_pairs(t.keys)])
+        state_idx = np.array([p.state_index for p in key_pairs(t.pad.bits[: 2 * t.mm.bits.size])])
         for idx, p_err in expected.items():
             sel = state_idx == idx
             rate = float(errors[sel].mean())

@@ -136,7 +136,7 @@ class TestAgainstExactProjections:
             np.zeros(n, dtype=np.int64),
             np.full(n, meas.index),
             NoAttack(),
-            rng=rng,
+            rng.random(n),
         )
         p1 = self.exact_outcome_prob(state_idx, 0, meas)
         sigma = np.sqrt(p1 * (1 - p1) / n)
@@ -154,7 +154,7 @@ class TestAgainstExactProjections:
             np.zeros(n, dtype=np.int64),
             np.full(n, meas.index),
             IndividualUTB(theta=theta, attack_basis=attack_basis),
-            rng=rng,
+            rng.random(n),
         )
         p1 = self.exact_outcome_prob(state_idx, 0, meas, attack=(theta, attack_basis))
         sigma = np.sqrt(p1 * (1 - p1) / n)
@@ -171,7 +171,7 @@ class TestAgainstExactProjections:
             np.zeros(n, dtype=np.int64),
             np.ones(n, dtype=np.int64),
             IndividualUTB(theta=theta, attack_basis=Basis.PLUS),
-            rng=rng,
+            rng.random(n),
         )
         s = PREP_STATES[state_idx]
         joint = utb_apply(s, theta, Basis.PLUS)
@@ -212,7 +212,7 @@ class TestValidation:
                 np.zeros(3, dtype=np.int64),
                 np.zeros(4, dtype=np.int64),
                 NoAttack(),
-                rng=make_rng(0),
+                make_rng(0).random(4),
             )
 
     def test_one_uniform_per_photon(self):
@@ -220,7 +220,7 @@ class TestValidation:
             kernels.simulate_photons([0, 1], [0, 0], [0, 0], NoAttack(), uniforms=np.zeros((2, 3)))
 
     def test_needs_randomness_source(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="uniforms"):
             kernels.simulate_photons(
                 np.zeros(4, dtype=np.int64),
                 np.zeros(4, dtype=np.int64),
@@ -239,7 +239,7 @@ class TestValidation:
         columns = [np.zeros(4, dtype=np.int64) for _ in range(3)]
         columns[column][2] = value
         with pytest.raises(ValueError, match=name):
-            kernels.simulate_photons(*columns, NoAttack(), rng=make_rng(0))
+            kernels.simulate_photons(*columns, NoAttack(), make_rng(0).random(4))
 
     @pytest.mark.parametrize(
         "column,name", [(0, "state_idx"), (1, "enc_bits"), (2, "meas_basis")]
@@ -249,12 +249,12 @@ class TestValidation:
         columns = [[2], [0], [1]]
         columns[column] = [0.9]
         with pytest.raises(ValueError, match=name):
-            kernels.simulate_photons(*columns, NoAttack(), rng=make_rng(0))
+            kernels.simulate_photons(*columns, NoAttack(), make_rng(0).random(1))
 
     def test_integer_and_bool_columns_pass(self):
         # H swapped to -V read in plus, and d kept read in cross: both give outcome 1
         bob, _ = kernels.simulate_photons(
             [0, 3], np.array([1, 0], dtype=np.uint8), np.array([False, True]), NoAttack(),
-            rng=make_rng(0),
+            make_rng(0).random(2),
         )
         assert bob.tolist() == [1, 1]

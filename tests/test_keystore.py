@@ -1,4 +1,5 @@
-"""Pad lifecycle: generation, basis-key drawing, recycling, file round-trips."""
+"""Pad lifecycle: generation, photon states from pad-bit pairs, recycling, the
+origin ledger, file round-trips."""
 
 import numpy as np
 import pytest
@@ -8,17 +9,17 @@ from hypothesis import strategies as st
 from qotp.errors import PadExhaustedError, ProtocolViolationError
 from qotp.keystore import (
     PadKey,
-    draw_basis_keys,
     generate_pad,
     load_pad,
     pad_from_text,
     pad_to_text,
+    photon_states,
     recycle_pad,
     save_pad,
 )
 from qotp.protocol import ErrorReport
 from qotp.rng import make_rng
-from oracle import KET_D, KET_H, KET_U, KET_V, key_pairs, state_from_basis_key
+from oracle import KET_D, KET_H, KET_U, KET_V, PREP_STATES, key_pairs, state_from_basis_key
 
 
 def pad_of(bit_string: str) -> PadKey:
@@ -46,63 +47,89 @@ class TestGenerate:
         assert abs(p.bits.mean() - 0.5) < 3 * np.sqrt(0.25 / 100_000)
 
 
-class TestDraw:
+ACCEPTED = ErrorReport(n_checked=4, n_errors=0, rate=0.0, accepted=True)
+
+
+class TestPhotonStates:
     def test_pairs_and_states(self):
-        keys = draw_basis_keys(pad_of("0011"), 2)
-        assert [(k.b0, k.b1) for k in key_pairs(keys)] == [(0, 0), (1, 1)]
-        assert np.allclose(state_from_basis_key(key_pairs(keys)[0]).amps, KET_H.amps)
-        assert np.allclose(state_from_basis_key(key_pairs(keys)[1]).amps, KET_V.amps)
+        pad = pad_of("0011")
+        pairs = key_pairs(pad.bits)
+        assert [(k.b0, k.b1) for k in pairs] == [(0, 0), (1, 1)]
+        states = photon_states(pad, 2)
+        assert states.tolist() == [0, 1]
+        assert np.allclose(PREP_STATES[states[0]].amps, state_from_basis_key(pairs[0]).amps)
+        assert np.allclose(PREP_STATES[states[0]].amps, KET_H.amps)
+        assert np.allclose(PREP_STATES[states[1]].amps, state_from_basis_key(pairs[1]).amps)
+        assert np.allclose(PREP_STATES[states[1]].amps, KET_V.amps)
 
     def test_cross_pairs(self):
-        keys = draw_basis_keys(pad_of("0110"), 2)
-        assert np.allclose(state_from_basis_key(key_pairs(keys)[0]).amps, KET_U.amps)
-        assert np.allclose(state_from_basis_key(key_pairs(keys)[1]).amps, KET_D.amps)
+        pad = pad_of("0110")
+        pairs = key_pairs(pad.bits)
+        states = photon_states(pad, 2)
+        assert states.tolist() == [2, 3]
+        assert np.allclose(PREP_STATES[states[0]].amps, state_from_basis_key(pairs[0]).amps)
+        assert np.allclose(PREP_STATES[states[0]].amps, KET_U.amps)
+        assert np.allclose(PREP_STATES[states[1]].amps, state_from_basis_key(pairs[1]).amps)
+        assert np.allclose(PREP_STATES[states[1]].amps, KET_D.amps)
 
-    def test_sources_disjoint_increasing(self):
-        keys = draw_basis_keys(generate_pad(20, make_rng(0)), 10)
-        assert keys.sources.ravel().tolist() == list(range(20))
+    def test_photon_i_keyed_by_bits_2i_and_2i_plus_1(self):
+        pad = generate_pad(20, make_rng(0))
+        states = photon_states(pad, 10)
+        assert states.tolist() == [p.state_index for p in key_pairs(pad.bits)]
+        # a shorter session reads only its own prefix of pairs
+        assert photon_states(pad, 4).tolist() == states[:4].tolist()
 
     def test_exhaustion(self):
         with pytest.raises(PadExhaustedError):
-            draw_basis_keys(pad_of("010"), 2)
+            photon_states(pad_of("010"), 2)
+
+    def test_negative_photon_count(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            photon_states(pad_of("0011"), -1)
 
     def test_pure_read(self):
         pad = pad_of("0110")
         before = pad.bits.copy()
-        draw_basis_keys(pad, 2)
-        draw_basis_keys(pad, 2)
+        photon_states(pad, 2)
+        photon_states(pad, 2)
         assert np.array_equal(pad.bits, before)
 
 
 class TestRecycle:
     def test_drop_announced_photon_bits(self):
         pad = pad_of("001110")
-        keys = draw_basis_keys(pad, 3)
-        out = recycle_pad(pad, {1}, keys)
+        out = recycle_pad(pad, 3, {1}, ACCEPTED)
         assert "".join(map(str, out.bits)) == "0010"
+        assert out.origin_indices.tolist() == [0, 1, 4, 5]
         assert out.generation == 1
 
     def test_no_announcement(self):
         pad = pad_of("0011")
-        out = recycle_pad(pad, set(), draw_basis_keys(pad, 2))
+        out = recycle_pad(pad, 2, set(), ACCEPTED)
         assert np.array_equal(out.bits, pad.bits)
         assert out.generation == 1
 
     def test_full_consumption(self):
         pad = pad_of("001101")
-        out = recycle_pad(pad, {0, 1, 2}, draw_basis_keys(pad, 3))
+        out = recycle_pad(pad, 3, {0, 1, 2}, ACCEPTED)
         assert len(out) == 0
 
     def test_refuses_after_failed_check(self):
         pad = pad_of("0011")
         failed = ErrorReport(n_checked=4, n_errors=2, rate=0.5, accepted=False)
         with pytest.raises(ProtocolViolationError):
-            recycle_pad(pad, set(), draw_basis_keys(pad, 2), check=failed)
+            recycle_pad(pad, 2, set(), failed)
 
-    def test_out_of_range_photon(self):
-        pad = pad_of("0011")
-        with pytest.raises(ValueError):
-            recycle_pad(pad, {5}, draw_basis_keys(pad, 2))
+    @pytest.mark.parametrize("photon", [5, 2, -1], ids=["past-pad", "past-session", "negative"])
+    def test_out_of_range_photon(self, photon):
+        # photon 2 has pad bits, but the 2-photon session did not key it
+        pad = pad_of("001101")
+        with pytest.raises(ValueError, match="outside 0..1"):
+            recycle_pad(pad, 2, {photon}, ACCEPTED)
+
+    def test_more_photons_than_the_pad_keys(self):
+        with pytest.raises(PadExhaustedError):
+            recycle_pad(pad_of("00110"), 3, {0}, ACCEPTED)
 
     @given(
         st.integers(min_value=2, max_value=24),
@@ -113,34 +140,36 @@ class TestRecycle:
     def test_double_recycle_arithmetic(self, n_photons, a, b):
         a = {i for i in a if i < n_photons}
         pad = generate_pad(2 * n_photons, make_rng(n_photons))
-        keys1 = draw_basis_keys(pad, n_photons)
-        pad1 = recycle_pad(pad, a, keys1)
+        pad1 = recycle_pad(pad, n_photons, a, ACCEPTED)
         survivors = n_photons - len(a)
         b = {i for i in b if i < survivors}
-        keys2 = draw_basis_keys(pad1, survivors)
-        pad2 = recycle_pad(pad1, b, keys2)
+        pad2 = recycle_pad(pad1, survivors, b, ACCEPTED)
         assert len(pad1) == len(pad) - 2 * len(a)
         assert len(pad2) == len(pad) - 2 * len(a) - 2 * len(b)
         assert pad2.generation == 2
 
     def test_reuse_soundness_ledger(self):
-        # bits announced in session 1 never reappear among session 2's sources
+        # bits announced in session 1 never key a photon of session 2
         pad = generate_pad(40, make_rng(3))
-        keys1 = draw_basis_keys(pad, 10)
-        announced = {2, 5, 7}
-        announced_origins = {
-            int(pad.origin_indices[src])
-            for p in announced
-            for src in keys1.sources[p]
-        }
-        pad2 = recycle_pad(pad, announced, keys1)
-        keys2 = draw_basis_keys(pad2, 7)
-        drawn_origins = {
-            int(pad2.origin_indices[src])
-            for pair in keys2.sources
-            for src in pair
-        }
+        announced = [2, 5, 7]
+        announced_origins = set(pad.origin_indices[:20].reshape(-1, 2)[announced].ravel().tolist())
+        pad2 = recycle_pad(pad, 10, announced, ACCEPTED)
+        drawn_origins = set(pad2.origin_indices[: 2 * 7].tolist())
+        assert len(announced_origins) == 6
         assert announced_origins.isdisjoint(drawn_origins)
+
+
+class TestOriginLedger:
+    @pytest.mark.parametrize(
+        "origins",
+        [[0, 0, 0, 0], [-1, 0, 1, 2], [0, 2, 1, 3], [0, 1, 1, 2]],
+        ids=["all-zero", "negative", "decreasing", "repeated"],
+    )
+    def test_rejects_a_ledger_that_is_not_increasing_and_nonnegative(self, origins):
+        # the reuse audit counts announcements per origin: a repeated origin
+        # merges two bits, and -1 would index the last counter
+        with pytest.raises(ValueError, match="origin ledger"):
+            PadKey(bits=np.zeros(4, dtype=np.uint8), origin_indices=origins)
 
 
 class TestPadFiles:
@@ -167,7 +196,7 @@ class TestPadFiles:
 
     def test_generation_preserved(self):
         pad = pad_of("0011")
-        recycled = recycle_pad(pad, set(), draw_basis_keys(pad, 2))
+        recycled = recycle_pad(pad, 2, set(), ACCEPTED)
         assert pad_from_text(pad_to_text(recycled)).generation == 1
 
     def test_missing_bits_line_means_nibble_multiple(self):

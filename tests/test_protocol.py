@@ -258,7 +258,7 @@ class TestRunLineage:
         ]
 
     def test_audit_counts_bits_a_faulty_recycle_keeps(self, monkeypatch):
-        def keeps_every_bit(pad, announced, keys, check=None):
+        def keeps_every_bit(pad, n_photons, announced_photons, check):
             return PadKey(bits=pad.bits, generation=pad.generation + 1,
                           origin_indices=pad.origin_indices)
 
@@ -367,7 +367,8 @@ class TestTranscriptExport:
         view = v1_document(doc)["secret_view"]
         events = attack_events(doc)
         assert len(view["photons"]) == len(view["attack_events"]) == 60
-        rows = zip(view["photons"], view["attack_events"], key_pairs(t.keys))
+        pairs = key_pairs(t.pad.bits[: 2 * 60])
+        rows = zip(view["photons"], view["attack_events"], pairs)
         for i, (ph, ev, pair) in enumerate(rows):
             assert ph["index"] == ev["photon_index"] == i
             assert ph["basis_key"] == [pair.b0, pair.b1]
