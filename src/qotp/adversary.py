@@ -1,8 +1,8 @@
 """Eavesdropping strategies on the quantum channel.
 
 Attacks never see basis keys, pad bits, sample positions, or message bits;
-their only input is the travelling state (the known-plaintext wrapper is told
-the session's message at inference time only).
+their only input is the travelling state (under the known-plaintext wrapper
+the message is read at inference time only, from the transcript).
 
 Each attack is described once, by its class.  ``law()`` is its exact joint
 law P[state, encoding, receiver basis, receiver outcome, record]: the batch
@@ -95,7 +95,7 @@ class IndividualUTB:
 @dataclass(frozen=True)
 class KnownPlaintext:
     """Wrap any channel attack with knowledge of the session's message, used
-    at inference time: the channel and the records are the inner attack's."""
+    at inference time: only the transcript's attack entry is not the inner's."""
 
     inner: "AttackModel"
 

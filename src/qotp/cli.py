@@ -206,14 +206,21 @@ def _write_table(text: str, out: str | None) -> int:
 
 
 def _grid(lo: float, hi: float, points: int) -> list[float]:
-    if points > _INT64_MAX:  # past it np.linspace fails with an IndexError
-        raise ValueError(f"--points takes at most {_INT64_MAX}, got {points}")
+    if not 0 <= points <= _INT64_MAX:  # past int64 np.linspace fails with an IndexError
+        raise ValueError(f"--points must lie in [0, {_INT64_MAX}], got {points}")
     return list(np.linspace(lo, hi, points))
+
+
+def _float_list(text: str, flag: str) -> list[float]:
+    try:
+        return [float(value) for value in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated numbers, got {text!r}") from None
 
 
 def cmd_sweep_theta(args) -> int:
     if args.thetas is not None:
-        thetas = [float(t) for t in args.thetas.split(",")]
+        thetas = _float_list(args.thetas, "--thetas")
     else:
         thetas = _grid(0.0, np.pi / 4, args.points)
     if len(thetas) < 2:
@@ -229,7 +236,7 @@ def cmd_sweep_theta(args) -> int:
 
 def cmd_bounds(args) -> int:
     if args.d_grid is not None:
-        grid = [float(d) for d in args.d_grid.split(",")]
+        grid = _float_list(args.d_grid, "--d-grid")
     else:
         for flag, value in (("--d-min", args.d_min), ("--d-max", args.d_max)):
             if not 0.0 <= value <= 0.25:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, keystore
-from .adversary import AttackModel, KnownPlaintext, NoAttack, posterior_plus_table
+from .adversary import AttackModel, NoAttack, posterior_plus_table
 from .keystore import PadKey
 from .rng import ROLE_MESSAGE, ROLE_SESSION, RandomStream, make_rng, role_seed
 
@@ -92,15 +92,14 @@ def _digits(values: np.ndarray) -> str:
     return (np.asarray(values, dtype=np.uint8) + ord("0")).tobytes().decode("ascii")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SessionTranscript:
     """Full audit record of one session (secret view plus public projection).
 
     ``pad`` is the pad the session read: photon i was keyed by its bits 2i
     and 2i+1.  Per-photon data is held as columns indexed by photon: the
-    receiver's outcome label and decoded bit, Eve's record as the kernel codes
-    it (-1 where there is no attack) and, under known-plaintext inference, the
-    plaintext bit assumed for each photon (2 where none is).
+    receiver's outcome label and decoded bit, and Eve's record as the kernel
+    codes it (-1 where there is no attack).
     """
 
     config: SessionConfig
@@ -111,30 +110,28 @@ class SessionTranscript:
     decoded: np.ndarray
     record: np.ndarray
     error_report: ErrorReport
-    known_bits: np.ndarray | None = None
-    recycled_pad: PadKey | None = None
-    extracted_message: np.ndarray | None = None
+    recycled_pad: PadKey | None
+    extracted_message: np.ndarray | None
 
     def public_view(self) -> dict:
-        """Everything an eavesdropper may read: the sampling positions Alice
-        announces, the sampling values Bob announces, and the verdict."""
+        """Everything an eavesdropper may read: per photon, the bit the
+        receiver announced there or 2 for none; and the verdict."""
         positions = self.mm.sample_positions
+        announced = np.full(self.decoded.size, 2, dtype=np.uint8)
+        announced[positions] = self.decoded[positions]
         return {
-            "sample_positions": positions.tolist(),
-            "announced_sample_values": self.decoded[positions].tolist(),
+            "announced": _digits(announced),
             "error_report": dataclasses.asdict(self.error_report),
         }
 
     def _adversary(self) -> dict | None:
         """Eve's record per photon, coded as in the attack's ``law``, and
-        under known plaintext the assumed bits and the posterior table."""
+        P(plus basis | known bit, record)."""
         if self.attack.kind == NoAttack.kind:
             return None
-        known = self.known_bits
         return {
             "records": _digits(self.record),
-            "known_bits": None if known is None else _digits(known),
-            "posterior_plus": None if known is None else posterior_plus_table(self.attack).tolist(),
+            "posterior_plus": posterior_plus_table(self.attack).tolist(),
         }
 
     def to_json_dict(self) -> dict:
@@ -146,7 +143,7 @@ class SessionTranscript:
         """
         pad, message = self.recycled_pad, self.extracted_message
         return {
-            "schema": "qotp-transcript-v2",
+            "schema": "qotp-transcript-v3",
             "config": dataclasses.asdict(self.config),
             "attack": self.attack.describe(),
             "secret_view": {
@@ -156,7 +153,6 @@ class SessionTranscript:
                 "decoded_bits": _digits(self.decoded),
                 "adversary": self._adversary(),
                 "extracted_message": None if message is None else _digits(message),
-                "extracted_message_digest": None if message is None else message_digest(message),
                 "recycled_pad": None
                 if pad is None
                 else {
@@ -166,7 +162,6 @@ class SessionTranscript:
                 },
             },
             "public_view": self.public_view(),
-            "error_report": dataclasses.asdict(self.error_report),
         }
 
     def to_json(self) -> str:
@@ -235,13 +230,11 @@ def run_session(
     decoded = (received != kernels.PREP_LABEL_OF_STATE[state_idx]).astype(np.uint8)
 
     report = eavesdrop_check(mm, decoded, config.abort_threshold)
-    announced = mm.sample_positions
-    known_bits = None
-    if isinstance(attack, KnownPlaintext):
-        # the adversary knows every message bit, but not the sampling bits
-        known_bits = mm.bits.copy()
-        known_bits[announced] = 2
-    transcript = SessionTranscript(
+    recycled_pad = extracted_message = None
+    if report.accepted:
+        recycled_pad = keystore.recycle_pad(pad, n, mm.sample_positions, report)
+        extracted_message = np.delete(decoded, mm.sample_positions)
+    return SessionTranscript(
         config=config,
         attack=attack,
         mm=mm,
@@ -250,12 +243,9 @@ def run_session(
         decoded=decoded,
         record=record,
         error_report=report,
-        known_bits=known_bits,
+        recycled_pad=recycled_pad,
+        extracted_message=extracted_message,
     )
-    if report.accepted:
-        transcript.recycled_pad = keystore.recycle_pad(pad, n, announced, report)
-        transcript.extracted_message = np.delete(decoded, announced)
-    return transcript
 
 
 def run_lineage(

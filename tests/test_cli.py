@@ -34,8 +34,9 @@ class TestRun:
         assert "session accepted" in stdout
         assert "rate: 0 " in stdout
         doc = json.loads(out.read_text())
-        assert doc["error_report"]["accepted"] is True
-        assert doc["error_report"]["rate"] == 0.0
+        report = doc["public_view"]["error_report"]
+        assert report["accepted"] is True
+        assert report["rate"] == 0.0
 
     def test_intercept_resend_rejected(self, capsys):
         rc = cli.main(
@@ -371,6 +372,21 @@ class TestBoundaryErrors:
     def test_negative_length_names_the_flag(self, command, value, capsys):
         assert cli.main([command, "--message-bits", value]) == cli.EXIT_ERROR
         assert capsys.readouterr().err == f"error: --message-bits must be >= 0, got {value}\n"
+
+    @pytest.mark.parametrize("command,value", [("sweep-theta", "-3"), ("bounds", "-1")])
+    def test_negative_points_names_the_flag(self, command, value, capsys):
+        assert cli.main([command, "--points", value]) == cli.EXIT_ERROR
+        assert capsys.readouterr().err == f"error: --points must lie in [0, {2**63 - 1}], got {value}\n"
+
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [("sweep-theta", "--thetas", ""), ("sweep-theta", "--thetas", "0.1,abc"),
+         ("bounds", "--d-grid", "0.1,,0.2"), ("bounds", "--d-grid", "")],
+    )
+    def test_grid_list_names_its_flag(self, command, flag, value, capsys):
+        assert cli.main([command, flag, value]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == f"error: {flag} must be comma-separated numbers, got {value!r}\n"
 
     def test_theta_deg_error_quotes_degrees(self, capsys):
         assert cli.main(["run", "--attack", "utb", "--theta-deg", "46"]) == cli.EXIT_ERROR

@@ -26,7 +26,7 @@ from qotp.protocol import (
 )
 from qotp.rng import ROLE_MESSAGE, ROLE_SESSION, make_rng, role_seed
 from oracle import BasisKeyPair, key_pairs, state_from_basis_key
-from transcript_v1 import attack_events, v1_document
+from transcript_v1 import attack_events, known_bits, sample_positions, v1_document
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "transcript_schema.json").read_text()
@@ -87,9 +87,12 @@ class TestKnownBits:
         cfg = SessionConfig(n_message=n_message, n_sample=n_sample, seed=seed + 2,
                             abort_threshold=1.0, allow_insecure_demo=True)
         t = run_session(cfg, pad, message, KnownPlaintext(inner=InterceptResend()))
-        positions = t.mm.sample_positions
-        assert np.array_equal(np.delete(t.known_bits, positions), message)
-        assert np.all(t.known_bits[positions] == 2)
+        doc = t.to_json_dict()
+        known = np.array(known_bits(doc))
+        positions = sample_positions(doc)
+        assert positions == t.mm.sample_positions.tolist()
+        assert np.array_equal(np.delete(known, positions), message)
+        assert np.all(known[positions] == 2)
 
 
 class TestEavesdropCheck:
@@ -290,7 +293,7 @@ class TestPublicRecord:
 
     def test_public_view_key_set(self):
         view = self._transcript().public_view()
-        assert set(view) == {"sample_positions", "announced_sample_values", "error_report"}
+        assert set(view) == {"announced", "error_report"}
         assert set(view["error_report"]) == {"n_checked", "n_errors", "rate", "accepted"}
 
     def test_public_view_content_minimality(self):
@@ -299,14 +302,14 @@ class TestPublicRecord:
         text = json.dumps(view).lower()
         for forbidden in ("basis", "pad", "amps", "state", "theta", "prepared", "key", "probe"):
             assert forbidden not in text
-        assert all(v in (0, 1) for v in view["announced_sample_values"])
-        assert all(isinstance(p, int) for p in view["sample_positions"])
+        assert set(view["announced"]) <= {"0", "1", "2"}
 
     def test_announcement_values_are_bobs_decodes(self):
         t = self._transcript()
-        view = t.public_view()
-        for pos, val in zip(view["sample_positions"], view["announced_sample_values"]):
-            assert val == t.decoded[pos]
+        announced = t.public_view()["announced"]
+        positions = t.mm.sample_positions.tolist()
+        for i, val in enumerate(announced):
+            assert val == ("2" if i not in positions else str(t.decoded[i]))
 
 
 class TestTranscriptExport:
@@ -420,19 +423,18 @@ class TestTranscriptExport:
             assert len(view[column]) == n
         if view["extracted_message"] is not None:
             assert len(view["extracted_message"]) == n_message
-        public = doc["public_view"]
-        assert len(public["sample_positions"]) == len(public["announced_sample_values"]) == n_sample
+        announced = doc["public_view"]["announced"]
+        assert len(announced) == n and n - announced.count("2") == n_sample
         adversary = view["adversary"]
         if n_records == 0:
             assert adversary is None
             return
         assert len(adversary["records"]) == n
         assert max(map(int, adversary["records"])) < n_records
-        if known_plaintext:
-            assert len(adversary["known_bits"]) == n
-            assert [len(row) for row in adversary["posterior_plus"]] == [n_records] * 3
-        else:
-            assert adversary["known_bits"] is None and adversary["posterior_plus"] is None
+        assert [len(row) for row in adversary["posterior_plus"]] == [n_records] * 3
+        # row 2: a photon whose encoded bit is not known leaves both bases
+        # equally likely, whatever the record
+        np.testing.assert_allclose(adversary["posterior_plus"][2], 0.5, rtol=0, atol=1e-15)
 
     def test_known_plaintext_transcript_under_12_bytes_per_photon(self):
         from qotp.adversary import KnownPlaintext

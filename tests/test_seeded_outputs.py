@@ -23,46 +23,46 @@ CASES = {
         [*RUN, "--attack", "none", "--seed", "101"],
         0,
         "846b5e1e6de991fff487dc027f89cb62c565309fbb6246f214db5fb2c42c78f8",
-        "e655bf6ad0ece86174ec6618c9446ec374d3515d9c3927d87353338459f29f46",
+        "ad70bbf44962d5288146c3b5fdd6c36bdca60e5b981e71161e8c411c980fbdd3",
     ),
     "run-ir-random": (
         [*RUN, "--attack", "intercept_resend", "--seed", "102"],
         2,
         "51b916f49780d578242b4c8530e65d08779030e211ee176604323e61530d6d62",
-        "cddefec3b379afd6ed341959f1d573f45b2f2fd95eaf43f6c48b3cee6519b9e3",
+        "5c0719e337bf7fba58a771066fa5b13bb355c8665bac0987543c3389c69b82ed",
     ),
     "run-ir-plus": (
         [*RUN, "--attack", "intercept_resend", "--ir-basis", "plus", "--seed", "103"],
         2,
         "32e3c94c3d8f40a1de85ff5481acf387c257e7725bc58747ac4948ac8583921c",
-        "2bad27b13f78e00bc1c7656cc6a9e0e612072dff52b040d74b706b780e54ee89",
+        "16198bd517e401dac3e7088755ca0b037ce0c7559a383fcd0da02974b55f2bce",
     ),
     "run-ir-cross-known": (
         [*RUN, "--attack", "intercept_resend", "--ir-basis", "cross", "--known-plaintext",
          "--seed", "104"],
         2,
         "3fcc905bcdbe9e1d8dd97a66f4eaec3bb776093b6da8a4a8c14b23c51113a709",
-        "cca12e97fd2877c0836dcd71f32de766d5402e278df541ca5ddd767757780f43",
+        "fb534afd41c747daeddc6d3f9c25e6d3f93a6e12e71ee328af2676392a8964f6",
     ),
     "run-utb-plus": (
         [*RUN, "--attack", "utb", "--theta", "0.3927", "--utb-basis", "plus", "--seed", "105"],
         2,
         "6917ab3ed4848a7b58daf3fa81b9c34a75b1d80f26dcdad4b73eff364843473e",
-        "dba140f6849b06adc09fff7823e73729db3c9418217469759c8860da961fd3a7",
+        "784e6b87bf12e1f1bb0ca162188e3935c68fa0032d7118be54ec6d36deec8870",
     ),
     "run-utb-cross-known": (
         [*RUN, "--attack", "utb", "--theta-deg", "30", "--utb-basis", "cross",
          "--known-plaintext", "--seed", "106"],
         2,
         "015eddbfc3ab477ca5eb96a6f494453318a55a0ace36dca653a4d466564d8d0e",
-        "25622e896c6fb4ab90a6a5916bf8c3bf88ce93c3d46f7e4878bd69cc84a10c90",
+        "8612af6ef953c9be93c15d37a40e4527857f53f8cc87f5562e327b252a0caba6",
     ),
     "run-utb-known-accepted": (
         [*RUN, "--attack", "utb", "--theta", "0.2", "--known-plaintext", "--threshold", "1",
          "--insecure-demo", "--seed", "107"],
         0,
         "138f5637851802f60ff4a381b5caf899117c4da10f26f06669bf999c86097ab7",
-        "6e86d93a4db1f5dee80adce0ba5186192d65882851ffa016cb868cf1c0c730c5",
+        "76cd11477fca2b295be99e89e4969eb1c73abbdc1c2dbbb85e61b84eedd7c004",
     ),
     "sweep-plus": (
         [*SWEEP, "--utb-basis", "plus", "--seed", "108"],
