@@ -117,7 +117,7 @@ def record_likelihoods(attack: AttackModel) -> np.ndarray:
     """L[state, encoding, record] = P(Eve's record | the channel carried that
     state with that encoding bit): the attack's law summed over the receiver's
     outcome.  The receiver's basis does not change it; the plus basis is read."""
-    return attack.law()[:, :, Basis.PLUS.index].sum(axis=2)
+    return kernels.law_of(attack)[:, :, Basis.PLUS.index].sum(axis=2)
 
 
 def posterior_plus_table(attack: AttackModel) -> np.ndarray:

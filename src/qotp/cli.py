@@ -211,16 +211,21 @@ def _grid(lo: float, hi: float, points: int) -> list[float]:
     return list(np.linspace(lo, hi, points))
 
 
-def _float_list(text: str, flag: str) -> list[float]:
+def _float_list(text: str, flag: str, hi: float, hi_text: str) -> list[float]:
+    """A comma-separated grid, every value checked to lie in [0, hi]."""
     try:
-        return [float(value) for value in text.split(",")]
+        values = [float(value) for value in text.split(",")]
     except ValueError:
         raise ValueError(f"{flag} must be comma-separated numbers, got {text!r}") from None
+    outside = [value for value in values if not 0.0 <= value <= hi]  # NaN is outside too
+    if outside:
+        raise ValueError(f"{flag} values must lie in [0, {hi_text}], got {outside[0]}")
+    return values
 
 
 def cmd_sweep_theta(args) -> int:
     if args.thetas is not None:
-        thetas = _float_list(args.thetas, "--thetas")
+        thetas = _float_list(args.thetas, "--thetas", np.pi / 4, "pi/4")
     else:
         thetas = _grid(0.0, np.pi / 4, args.points)
     if len(thetas) < 2:
@@ -236,7 +241,7 @@ def cmd_sweep_theta(args) -> int:
 
 def cmd_bounds(args) -> int:
     if args.d_grid is not None:
-        grid = _float_list(args.d_grid, "--d-grid")
+        grid = _float_list(args.d_grid, "--d-grid", 0.25, "0.25")
     else:
         for flag, value in (("--d-min", args.d_min), ("--d-max", args.d_max)):
             if not 0.0 <= value <= 0.25:

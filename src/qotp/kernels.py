@@ -87,12 +87,21 @@ def index_column(name: str, values, hi: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
+def law_of(attack) -> np.ndarray:
+    """``attack.law()``, built once per attack and read-only: the kernel's
+    tables and the posterior tables of a transcript share it."""
+    law = attack.law()
+    law.flags.writeable = False
+    return law
+
+
+@functools.lru_cache(maxsize=64)
 def _pair_tables(attack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cumulative edges [edge, cell] of each cell's row of ``attack.law()`` over
     (outcome, record) pairs, and each pair's outcome and record (-1 if the law
     has one record value).  Dividing by the row total makes the implicit last
     edge exactly 1, and an impossible pair repeats the edge before it."""
-    law = attack.law()
+    law = law_of(attack)
     n_records = law.shape[-1]
     cdf = np.cumsum(law.reshape(16, -1), axis=1)
     pair = np.arange(cdf.shape[1])

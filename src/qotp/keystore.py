@@ -76,16 +76,24 @@ def _key_bits(pad: PadKey, n_photons: int) -> int:
     return needed
 
 
+def pair_states(pad: PadKey, pairs) -> np.ndarray:
+    """Prepared state of the photon keyed by each pad pair, 0..3 = H, V, u,
+    d: pair p is pad bits 2p and 2p+1, 00 -> H, 11 -> V, 01 -> u, 10 -> d.
+    ``pairs`` indexes the pairs like an array index (integers of any shape,
+    or a slice), and the result has that index's shape."""
+    key = pad.bits[: len(pad) // 2 * 2].reshape(-1, 2)[pairs]
+    b0 = key[..., 0].astype(np.int64)
+    return np.where(b0 == key[..., 1], b0, 2 + b0)
+
+
 def photon_states(pad: PadKey, n_photons: int) -> np.ndarray:
-    """Prepared state per photon, 0..3 = H, V, u, d: photon i is keyed by pad
-    bits 2i and 2i+1, 00 -> H, 11 -> V, 01 -> u, 10 -> d.
+    """Prepared state per photon: photon i is keyed by pad pair i (see
+    ``pair_states``).
 
     Pure read: the pad is not consumed, which is what allows reuse across
     sessions.  Raises PadExhaustedError if the pad is too short.
     """
-    needed = _key_bits(pad, n_photons)
-    b0 = pad.bits[0:needed:2].astype(np.int64)
-    return np.where(b0 == pad.bits[1:needed:2], b0, 2 + b0)
+    return pair_states(pad, slice(_key_bits(pad, n_photons) // 2))
 
 
 def recycle_pad(pad: PadKey, n_photons: int, announced_photons, check) -> PadKey:

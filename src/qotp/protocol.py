@@ -6,11 +6,12 @@ photons, pass them through the (possibly attacked) channel, decode in each
 photon's preparation basis, compare the announced sampling bits, and either
 recycle the pad (dropping the announced photons' bit pairs) and release the
 message or halt.  The photons run as columns through one batch-kernel call,
-which samples the attack's exact law; this is the only session path.  The
-transcript keeps the full secret view for analysis; the ``public_view``
-projection is exactly what an eavesdropper may read.  A lineage reuses one
-pad until a check fails, and audits through the pad's origin ledger that no
-announced pad bit keys a photon again.
+which samples the attack's exact law.  The transcript keeps the full secret
+view for analysis; the ``public_view`` projection is exactly what an
+eavesdropper may read.  A lineage reuses one pad until a check fails, and
+audits through the pad's origin ledger that no announced pad bit keys a
+photon again.  It runs its sessions as rows, in blocks, through the same
+keying, channel, decoding and check steps as a single session.
 
 The tests check this path against an object-level state-vector oracle with
 per-photon attacks, which ships with the tests and not with the package.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -28,6 +30,7 @@ import numpy as np
 
 from . import kernels, keystore
 from .adversary import AttackModel, NoAttack, posterior_plus_table
+from .errors import PadExhaustedError
 from .keystore import PadKey
 from .rng import ROLE_MESSAGE, ROLE_SESSION, RandomStream, make_rng, role_seed
 
@@ -191,18 +194,53 @@ def build_modified_message(message, n_sample: int, rng: RandomStream) -> Modifie
     return ModifiedMessage(bits=bits, sample_positions=positions)
 
 
+def _check_rows(sent, announced, threshold: float):
+    """Per row (last axis) of sampling bits, the announced values that differ
+    from the sent ones, their rate, and whether the rate is within
+    ``threshold``."""
+    n_errors = np.count_nonzero(sent != announced, axis=-1)
+    rate = n_errors / sent.shape[-1]
+    return n_errors, rate, rate <= threshold
+
+
 def eavesdrop_check(mm: ModifiedMessage, decoded, threshold: float) -> ErrorReport:
     """Compare announced sampling values against the sender's record."""
     decoded = np.asarray(decoded)
     if decoded.size != mm.bits.size:
         raise ValueError("decoded sequence length mismatch")
     positions = mm.sample_positions
-    n_checked = mm.n_sample
-    n_errors = int(np.count_nonzero(decoded[positions] != mm.bits[positions]))
-    rate = n_errors / n_checked
+    n_errors, rate, accepted = _check_rows(mm.bits[positions], decoded[positions], threshold)
     return ErrorReport(
-        n_checked=n_checked, n_errors=n_errors, rate=rate, accepted=rate <= threshold
+        n_checked=mm.n_sample, n_errors=int(n_errors), rate=float(rate), accepted=bool(accepted)
     )
+
+
+def _send(state_idx, bits, attack: AttackModel, uniforms):
+    """Photons keyed ``state_idx`` and carrying ``bits`` (arrays of one
+    shape) through ``attack`` in one kernel call, each measured in its
+    preparation basis.  Returns the received outcomes, Eve's records and the
+    decoded bits, each shaped like ``bits``."""
+    received, record = (
+        column.reshape(bits.shape)
+        for column in kernels.simulate_photons(
+            state_idx.ravel(), bits.ravel(), kernels.PREP_BASIS_OF_STATE[state_idx].ravel(),
+            attack, uniforms.ravel(),
+        )
+    )
+    decoded = (received != kernels.PREP_LABEL_OF_STATE[state_idx]).astype(np.uint8)
+    return received, record, decoded
+
+
+def _send_rows(state_idx, bits, attacks, uniforms) -> np.ndarray:
+    """The decoded bits of row k of photons sent through ``attacks[k]``, with
+    one ``_send`` per distinct attack over the rows it attacks."""
+    codes: dict = {}
+    row_codes = np.array([codes.setdefault(attack, len(codes)) for attack in attacks])
+    decoded = np.empty(bits.shape, dtype=np.uint8)
+    for attack, code in codes.items():
+        rows = row_codes == code
+        decoded[rows] = _send(state_idx[rows], bits[rows], attack, uniforms[rows])[2]
+    return decoded
 
 
 def run_session(
@@ -223,12 +261,7 @@ def run_session(
     mm = build_modified_message(message, config.n_sample, rng)
     n = int(mm.bits.size)
     state_idx = keystore.photon_states(pad, n)
-    # every photon is measured in its preparation basis
-    received, record = kernels.simulate_photons(
-        state_idx, mm.bits, kernels.PREP_BASIS_OF_STATE[state_idx], attack, rng.random(n)
-    )
-    decoded = (received != kernels.PREP_LABEL_OF_STATE[state_idx]).astype(np.uint8)
-
+    received, record, decoded = _send(state_idx, mm.bits, attack, rng.random(n))
     report = eavesdrop_check(mm, decoded, config.abort_threshold)
     recycled_pad = extracted_message = None
     if report.accepted:
@@ -248,47 +281,145 @@ def run_session(
     )
 
 
+# A lineage runs in blocks of sessions of about this many photons (at least one
+# session), so its memory does not grow with the number of sessions.
+BLOCK_PHOTONS = 1 << 16
+
+
+def _draw_sessions(message_rng: RandomStream, session_rng: RandomStream, n_sessions: int,
+                   n_message: int, n_sample: int):
+    """The draws of ``n_sessions`` consecutive lineage sessions, one row each:
+    the messages, the modified messages, their sampling masks and the
+    kernel's uniforms.  Row k reads the next row of doubles from each stream,
+    so a session's draws do not depend on how the lineage is cut into blocks.
+    The sampling positions are those of the ``n_sample`` smallest of n uniform
+    keys, uniform over all interleavings; each bit is a uniform below 1/2."""
+    n = n_message + n_sample
+    messages = (message_rng.random((n_sessions, n_message)) < 0.5).astype(np.uint8)
+    draws = session_rng.random((n_sessions, 2 * n + n_sample))
+    keys, uniforms, sample_draws = draws[:, :n], draws[:, n : 2 * n], draws[:, 2 * n :]
+    sample_mask = np.zeros((n_sessions, n), dtype=bool)
+    smallest = np.argpartition(keys, n_sample - 1, axis=1)[:, :n_sample]
+    np.put_along_axis(sample_mask, smallest, True, axis=1)
+    bits = np.empty((n_sessions, n), dtype=np.uint8)
+    bits[sample_mask] = (sample_draws < 0.5).ravel()
+    bits[~sample_mask] = messages.ravel()
+    return messages, bits, sample_mask, uniforms
+
+
+def _keyed_pairs(carried: np.ndarray, fresh: int, sample_mask: np.ndarray):
+    """The pad pairs keyed by consecutive sessions with these sampling masks,
+    if every check passes.
+
+    The live pair list is ``carried``, then every pair from ``fresh`` on.  A
+    session keys the first n live pairs, and its passed check drops the
+    announced ones with the order kept, so the next session keys the pairs
+    it did not announce and then fresh ones; ``carried`` holds as many pairs
+    as a session leaves unannounced.  Only this head of the list is touched.
+    Returns the (sessions, n) pair ids and the head after the last session,
+    as (carried, fresh)."""
+    sessions, n = sample_mask.shape
+    m = carried.size
+    pairs = np.empty((sessions, n), dtype=np.int64)
+    pairs[:, m:] = np.arange(fresh, fresh + sessions * (n - m)).reshape(sessions, n - m)
+    kept = np.nonzero(~sample_mask)[1].reshape(sessions, m)
+    for row, keep in zip(pairs, kept):
+        row[:m] = carried
+        carried = row[keep]
+    return pairs, carried, fresh + sessions * (n - m)
+
+
 def run_lineage(
     pad: PadKey, config: SessionConfig, attacks: Iterable[AttackModel]
 ) -> tuple[dict, PadKey | None]:
     """Run one session per attack on one pad lineage, recycling the pad after
-    each passed check and retiring it at the first failed one.  Session k
-    (from 0) runs on ``role_seed(config.seed, ROLE_SESSION, k)`` and draws its
-    message on ``role_seed(config.seed, ROLE_MESSAGE, k)``.  Returns the
-    report and the final pad, which is None once the lineage is retired."""
-    sessions = []
-    # times each generation-0 pad bit, found through the origin ledger, was announced
-    announced_count = np.zeros(int(pad.origin_indices.max(initial=-1)) + 1, dtype=np.int64)
+    each passed check and retiring it at the first failed one.
+
+    ``config.seed`` is the lineage seed: every message is drawn from the
+    stream ``role_seed(config.seed, ROLE_MESSAGE)`` and every session's
+    sampling positions, sampling bits and channel uniforms from
+    ``role_seed(config.seed, ROLE_SESSION)``, one row per session in order.
+    Only the halting rule depends on the channel, so the sessions run in
+    blocks of about ``BLOCK_PHOTONS`` photons: a block's pad pairs follow
+    from its sampling masks, it makes one kernel call per distinct attack,
+    and the lineage stops at its first failed check.  The live pad pairs and
+    the reuse audit carry from block to block.  The audit reads the pad's
+    origin ledger, not the pair recurrence: it counts keyed bits that an
+    earlier session announced.
+
+    Raises PadExhaustedError when every session so far has passed and the
+    next cannot be keyed.  Returns the report and the final pad, which is
+    None once the lineage is retired."""
+    n_message, n_sample = config.n_message, config.n_sample
+    n = n_message + n_sample
+    n_pairs = len(pad) // 2
+    message_rng = make_rng(role_seed(config.seed, ROLE_MESSAGE))
+    session_rng = make_rng(role_seed(config.seed, ROLE_SESSION))
+    attacks = iter(attacks)
+    # each session keys n_sample fresh pairs, after the first's n_message
+    keyable = max(0, (n_pairs - n_message) // n_sample)
+    carried, fresh = np.arange(min(n_message, n_pairs)), n_message
+    # the first session to announce each generation-0 pad bit, found through the origin ledger
+    first_shown = np.full(int(pad.origin_indices.max(initial=-1)) + 1, np.iinfo(np.int64).max)
     reused = 0
-    for k, attack in enumerate(attacks):
-        rng = make_rng(role_seed(config.seed, ROLE_MESSAGE, k))
-        message = rng.integers(0, 2, size=config.n_message, dtype=np.uint8)
-        session = dataclasses.replace(config, seed=role_seed(config.seed, ROLE_SESSION, k))
-        t = run_session(session, pad, message, attack)
-        drawn = pad.origin_indices[: 2 * t.mm.bits.size].reshape(-1, 2)
-        reused += int(announced_count[drawn].sum())
-        np.add.at(announced_count, drawn[t.mm.sample_positions], 1)
-        accepted = t.error_report.accepted
-        sessions.append(
-            {
-                "session": k + 1,
-                "pad_bits_before": len(pad),
-                "pad_bits_after": len(t.recycled_pad) if accepted else len(pad),
-                "accepted": accepted,
-                "error_rate": t.error_report.rate,
-                "message_exact": bool(accepted and np.array_equal(t.extracted_message, message)),
-                "attacked": attack.kind != NoAttack.kind,
-            }
+    sessions: list[dict] = []
+    halted = False
+    while not halted and (block := list(itertools.islice(attacks, max(1, BLOCK_PHOTONS // n)))):
+        done = len(sessions)
+        keyed = block[: keyable - done]
+        if keyed:
+            messages, bits, sample_mask, uniforms = _draw_sessions(
+                message_rng, session_rng, len(keyed), n_message, n_sample
+            )
+            pairs, carried, fresh = _keyed_pairs(carried, fresh, sample_mask)
+            decoded = _send_rows(keystore.pair_states(pad, pairs), bits, keyed, uniforms)
+            sent, announced = (b[sample_mask].reshape(-1, n_sample) for b in (bits, decoded))
+            _, rates, accepted = _check_rows(sent, announced, config.abort_threshold)
+            ran = len(keyed) if accepted.all() else int(np.argmin(accepted)) + 1
+            halted = not accepted[ran - 1]
+            first = 2 * pairs[:ran]
+            drawn = pad.origin_indices[np.stack((first, first + 1))]
+            # flat, equal-shape operands: numpy 2.4's ufunc.at mishandles a broadcast value
+            shown = drawn[:, sample_mask[:ran]]
+            when = done + np.nonzero(sample_mask[:ran])[0]
+            np.minimum.at(first_shown, shown.ravel(), np.tile(when, 2))
+            reused += int(np.count_nonzero(first_shown[drawn] < done + np.arange(ran)[:, None]))
+            exact = (decoded[~sample_mask].reshape(len(keyed), n_message) == messages).all(axis=1)
+            rows = zip(keyed, rates.tolist(), accepted.tolist(), exact.tolist())
+            for k, (attack, rate, passed, message_exact) in enumerate(itertools.islice(rows, ran)):
+                before = len(pad) - 2 * n_sample * (done + k)
+                sessions.append(
+                    {
+                        "session": done + k + 1,
+                        "pad_bits_before": before,
+                        "pad_bits_after": before - 2 * n_sample if passed else before,
+                        "accepted": passed,
+                        "error_rate": rate,
+                        "message_exact": passed and message_exact,
+                        "attacked": attack.kind != NoAttack.kind,
+                    }
+                )
+        if not halted and len(keyed) < len(block):
+            raise PadExhaustedError(
+                f"pad exhausted at session {len(sessions) + 1}: need {2 * n} bits for {n} "
+                f"photons, have {len(pad) - 2 * n_sample * len(sessions)}"
+            )
+    final = None
+    if not halted:
+        live = np.concatenate((carried, np.arange(fresh, n_pairs)))
+        # the bits of the live pairs, then an odd pad's last bit, which no photon keys
+        keep = np.append(2 * live[:, None] + (0, 1), np.arange(2 * n_pairs, len(pad)))
+        final = PadKey(
+            bits=pad.bits[keep],
+            generation=pad.generation + len(sessions),
+            origin_indices=pad.origin_indices[keep],
         )
-        pad = t.recycled_pad
-        if pad is None:
-            break
     return {
         "sessions": sessions,
-        "halted_at_session": len(sessions) if pad is None else None,
-        "final_pad_bits": None if pad is None else len(pad),
+        "halted_at_session": len(sessions) if halted else None,
+        "final_pad_bits": None if final is None else len(final),
         "audit": {
             "announced_bits_reused": reused,
             "all_messages_exact": all(s["message_exact"] for s in sessions if s["accepted"]),
         },
-    }, pad
+    }, final

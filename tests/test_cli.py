@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qotp import analysis, cli, protocol
+from qotp import analysis, cli, kernels, protocol
+from qotp.adversary import IndividualUTB, InterceptResend
 from qotp.analysis import BOUNDS_CSV_HEADER, SWEEP_CSV_HEADER
 from qotp.keystore import generate_pad, save_pad
 from qotp.rng import ROLE_MESSAGE, ROLE_PAD, ROLE_SESSION, make_rng, role_seed
@@ -126,6 +127,29 @@ class TestRun:
                   "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "attack_class,flags",
+        [(InterceptResend, ["--attack", "intercept_resend"]),
+         (IndividualUTB, ["--attack", "utb", "--theta", "0.3"])],
+        ids=["intercept-resend", "probe"],
+    )
+    def test_attacked_run_builds_the_law_once(self, attack_class, flags, monkeypatch, tmp_path):
+        # the kernel samples the law and the transcript's posterior table reads it
+        calls = []
+        law = attack_class.law
+
+        def counting(attack):
+            calls.append(attack)
+            return law(attack)
+
+        monkeypatch.setattr(attack_class, "law", counting)
+        kernels.law_of.cache_clear()
+        kernels._pair_tables.cache_clear()
+        argv = ["run", "--message-bits", "64", "--samples", "16", *flags, "--known-plaintext",
+                "--threshold", "1", "--insecure-demo", "--out", str(tmp_path / "t.json")]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert len(calls) == 1
+
 
 class TestSweep:
     def test_default_grid_csv(self, tmp_path):
@@ -231,7 +255,8 @@ class TestRecycleDemo:
 
 class TestSeedRoles:
     def test_recycle_demo_streams_are_distinct(self, monkeypatch, capsys):
-        # the pad, every message and every session get a stream of their own
+        # the pad, the messages and the sessions get one stream each, however
+        # many sessions the lineage runs
         seeds = []
 
         def recording(seed):
@@ -240,10 +265,13 @@ class TestSeedRoles:
 
         monkeypatch.setattr(cli, "make_rng", recording)
         monkeypatch.setattr(protocol, "make_rng", recording)
-        rc = cli.main(["recycle-demo", "--sessions", "5", "--seed", "1"])
-        assert rc == cli.EXIT_OK
-        assert len(seeds) == 1 + 5 + 5
-        assert len(set(seeds)) == len(seeds)
+        streams = [role_seed(1, role) for role in (ROLE_PAD, ROLE_MESSAGE, ROLE_SESSION)]
+        assert len(set(streams)) == 3
+        for sessions in (1, 5, 40):
+            seeds.clear()
+            rc = cli.main(["recycle-demo", "--sessions", str(sessions), "--seed", "1"])
+            assert rc == cli.EXIT_OK
+            assert seeds == streams
 
 
     def test_sweep_streams_are_distinct(self, monkeypatch):
@@ -266,6 +294,20 @@ class TestSeedRoles:
 
 
 class TestBoundaryErrors:
+    @pytest.mark.parametrize(
+        "argv,line",
+        [
+            (["bounds", "--d-grid", "nan"], "--d-grid values must lie in [0, 0.25], got nan"),
+            (["bounds", "--d-grid", "0.3"], "--d-grid values must lie in [0, 0.25], got 0.3"),
+            (["sweep-theta", "--thetas", "0.1,0.9"],
+             "--thetas values must lie in [0, pi/4], got 0.9"),
+        ],
+        ids=["d-grid-nan", "d-grid-past-i1-domain", "theta-past-pi-over-4"],
+    )
+    def test_grid_value_outside_its_domain_names_its_flag(self, argv, line, capsys):
+        assert cli.main(argv) == cli.EXIT_ERROR
+        assert capsys.readouterr() == ("", f"error: {line}\n")
+
     @pytest.mark.parametrize(
         "argv,env",
         [

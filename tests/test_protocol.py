@@ -1,8 +1,10 @@
 """Session state-machine tests: message interleaving, session round trips,
-the eavesdropping check, abort discipline, and transcript exports."""
+the eavesdropping check, abort discipline, pad lineages, and transcript
+exports."""
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import jsonschema
@@ -11,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qotp import keystore, protocol
+from qotp import cli, kernels, keystore, protocol
 from qotp.adversary import IndividualUTB, InterceptResend, NoAttack
 from qotp.errors import PadExhaustedError
 from qotp.kernels import Basis
-from qotp.keystore import PadKey, generate_pad
+from qotp.keystore import generate_pad
 from qotp.protocol import (
     ModifiedMessage,
     SessionConfig,
@@ -24,7 +26,7 @@ from qotp.protocol import (
     run_lineage,
     run_session,
 )
-from qotp.rng import ROLE_MESSAGE, ROLE_SESSION, make_rng, role_seed
+from qotp.rng import make_rng
 from oracle import BasisKeyPair, key_pairs, state_from_basis_key
 from transcript_v1 import attack_events, known_bits, sample_positions, v1_document
 
@@ -203,20 +205,26 @@ class TestRunSession:
             )
 
 
-def hand_lineage(pad, config, attacks):
-    """The lineage as a loop of run_session calls: the per-session decoded bits
-    and pads, the halting session, and the final pad."""
+def hand_lineage(pad, draws, attacks):
+    """The lineage as a loop of photon_states, simulate_photons and recycle_pad
+    over the sessions' recorded draws (message, modified bits, sampling mask,
+    uniforms): per session the pad it read, its decoded bits and whether its
+    message came out exact; the halting session; and the final pad."""
     steps = []
-    for k, attack in enumerate(attacks):
-        rng = make_rng(role_seed(config.seed, ROLE_MESSAGE, k))
-        message = rng.integers(0, 2, size=config.n_message, dtype=np.uint8)
-        session = SessionConfig(n_message=config.n_message, n_sample=config.n_sample,
-                                seed=role_seed(config.seed, ROLE_SESSION, k))
-        t = run_session(session, pad, message, attack)
-        steps.append((t.decoded, t.recycled_pad))
-        if not t.error_report.accepted:
+    for k, (attack, (message, sent, sample_mask, uniforms)) in enumerate(zip(attacks, draws)):
+        n = sent.size
+        state = keystore.photon_states(pad, n)
+        received, _ = kernels.simulate_photons(
+            state, sent, kernels.PREP_BASIS_OF_STATE[state], attack, uniforms
+        )
+        decoded = (received != kernels.PREP_LABEL_OF_STATE[state]).astype(np.uint8)
+        positions = np.flatnonzero(sample_mask)
+        report = eavesdrop_check(ModifiedMessage(sent, positions), decoded, 0.0)
+        exact = report.accepted and np.array_equal(np.delete(decoded, positions), message)
+        steps.append((pad, decoded, exact))
+        if not report.accepted:
             return steps, k + 1, None
-        pad = t.recycled_pad
+        pad = keystore.recycle_pad(pad, n, positions, report)
     return steps, None, pad
 
 
@@ -228,59 +236,212 @@ def assert_same_pad(a, b):
         assert a.generation == b.generation
 
 
+def recorded_lineage(monkeypatch, pad, config, attacks):
+    """run_lineage with its per-session draws, keyed pair ids and decoded bits
+    recorded, one row per session."""
+    draws, pairs, decoded = [], [], []
+
+    def draw(*args):
+        out = draw_sessions(*args)
+        draws.extend(zip(*out))
+        return out
+
+    def keyed(*args):
+        out = keyed_pairs(*args)
+        pairs.extend(out[0])
+        return out
+
+    def send(*args):
+        out = send_rows(*args)
+        decoded.extend(out)
+        return out
+
+    draw_sessions, keyed_pairs, send_rows = (
+        protocol._draw_sessions, protocol._keyed_pairs, protocol._send_rows
+    )
+    monkeypatch.setattr(protocol, "_draw_sessions", draw)
+    monkeypatch.setattr(protocol, "_keyed_pairs", keyed)
+    monkeypatch.setattr(protocol, "_send_rows", send)
+    report, final = run_lineage(pad, config, attacks)
+    return report, final, draws, pairs, decoded
+
+
+def pad_for(sessions, n_message=64, n_sample=16, extra=0):
+    """Exactly enough pad for ``sessions`` clean sessions, plus ``extra`` bits."""
+    return 2 * (n_message + n_sample) + 2 * n_sample * (sessions - 1) + extra
+
+
 class TestRunLineage:
     CONFIG = SessionConfig(n_message=64, n_sample=16, seed=12)
+    IR_AT_2 = [NoAttack(), InterceptResend(), NoAttack(), NoAttack()]
 
     @pytest.mark.parametrize(
-        "attacks,halted_at",
-        [([NoAttack()] * 5, None), ([NoAttack(), InterceptResend(), NoAttack(), NoAttack()], 2)],
-        ids=["clean-5", "intercept-resend-at-2"],
+        "attacks,pad_bits,block_photons,input_sessions,halted_at",
+        [
+            ([NoAttack()] * 5, pad_for(5), protocol.BLOCK_PHOTONS, 0, None),
+            (IR_AT_2, pad_for(4), protocol.BLOCK_PHOTONS, 0, 2),
+            ([NoAttack()] * 5, pad_for(5), 2 * 80, 0, None),
+            (IR_AT_2, pad_for(4), 3 * 80, 0, 2),
+            ([NoAttack()] * 3, pad_for(3, extra=1), protocol.BLOCK_PHOTONS, 0, None),
+            ([NoAttack()] * 3, pad_for(5), protocol.BLOCK_PHOTONS, 2, None),
+        ],
+        ids=["clean-5", "intercept-resend-at-2", "clean-across-blocks",
+             "intercept-resend-across-blocks", "odd-length-pad", "recycled-input-pad"],
     )
-    def test_equals_a_loop_of_sessions(self, attacks, halted_at, monkeypatch):
-        pad = generate_pad(2 * (64 + 16) + 2 * 16 * (len(attacks) - 1), make_rng(5))
-        want, want_halt, want_final = hand_lineage(pad, self.CONFIG, attacks)
-
-        seen = []
-
-        def recording(*args):
-            t = run_session(*args)
-            seen.append((t.decoded, t.recycled_pad))
-            return t
-
-        monkeypatch.setattr(protocol, "run_session", recording)
-        report, final = run_lineage(pad, self.CONFIG, attacks)
-        assert len(seen) == len(want) == len(report["sessions"])
-        for (decoded, recycled), (want_decoded, want_recycled) in zip(seen, want):
-            assert np.array_equal(decoded, want_decoded)
-            assert_same_pad(recycled, want_recycled)
+    def test_equals_a_loop_of_sessions(
+        self, attacks, pad_bits, block_photons, input_sessions, halted_at, monkeypatch
+    ):
+        pad = generate_pad(pad_bits, make_rng(5))
+        if input_sessions:
+            _, pad = run_lineage(pad, dataclasses.replace(self.CONFIG, seed=11),
+                                 [NoAttack()] * input_sessions)
+            assert pad.generation == input_sessions
+        monkeypatch.setattr(protocol, "BLOCK_PHOTONS", block_photons)
+        report, final, draws, pairs, decoded = recorded_lineage(
+            monkeypatch, pad, self.CONFIG, attacks
+        )
+        want, want_halt, want_final = hand_lineage(pad, draws, attacks)
+        sessions = report["sessions"]
+        assert len(sessions) == len(want) <= len(pairs)
+        for k, (want_pad, want_decoded, want_exact) in enumerate(want):
+            # the pad bits (and their origins) the session keyed its photons with
+            bit = 2 * pairs[k][:, None] + (0, 1)
+            assert np.array_equal(pad.bits[bit].ravel(), want_pad.bits[: bit.size])
+            assert np.array_equal(pad.origin_indices[bit].ravel(),
+                                  want_pad.origin_indices[: bit.size])
+            assert np.array_equal(decoded[k], want_decoded)
+            assert sessions[k]["pad_bits_before"] == len(want_pad)
+            assert sessions[k]["message_exact"] == want_exact
         assert report["halted_at_session"] == want_halt == halted_at
         assert_same_pad(final, want_final)
         assert report["final_pad_bits"] == (None if final is None else len(final))
-        assert [s["attacked"] for s in report["sessions"]] == [
+        assert report["audit"]["announced_bits_reused"] == 0
+        assert [s["attacked"] for s in sessions] == [
             a.kind != NoAttack.kind for a in attacks[: len(want)]
         ]
+        if pad_bits % 2:  # the trailing bit is never keyed and survives
+            assert final.origin_indices[-1] == pad.origin_indices[-1]
+
+    @given(st.integers(0, 6), st.integers(1, 4), st.integers(1, 6), st.integers(0, 5),
+           st.integers(1, 40), st.integers(0, 7), st.integers(0, 2**31))
+    @settings(max_examples=40, deadline=None)
+    def test_small_lineages_equal_the_hand_loop(
+        self, n_message, n_sample, sessions, extra_bits, block_photons, attacked, seed
+    ):
+        config = SessionConfig(n_message=n_message, n_sample=n_sample, seed=seed)
+        pad = generate_pad(pad_for(sessions, n_message, n_sample, extra_bits), make_rng(seed))
+        attacks = [InterceptResend() if k == attacked else NoAttack() for k in range(sessions)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(protocol, "BLOCK_PHOTONS", block_photons)
+            report, final, draws, _, decoded = recorded_lineage(mp, pad, config, attacks)
+        want, want_halt, want_final = hand_lineage(pad, draws, attacks)
+        assert [len(p) for p, _, _ in want] == [s["pad_bits_before"] for s in report["sessions"]]
+        assert all(np.array_equal(d, w) for d, (_, w, _) in zip(decoded, want))
+        assert report["halted_at_session"] == want_halt
+        assert_same_pad(final, want_final)
+
+    @pytest.mark.parametrize("block_photons", [1, 2 * 80, 3 * 80])
+    def test_blocks_do_not_change_the_lineage(self, block_photons, monkeypatch):
+        pad = generate_pad(pad_for(7), make_rng(8))
+        attacks = [NoAttack()] * 4 + [IndividualUTB(theta=np.pi / 4)] + [NoAttack()] * 2
+        want = run_lineage(pad, self.CONFIG, attacks)
+        monkeypatch.setattr(protocol, "BLOCK_PHOTONS", block_photons)
+        report, final = run_lineage(pad, self.CONFIG, attacks)
+        assert report == want[0]
+        assert_same_pad(final, want[1])
+
+    def test_a_lineage_is_a_prefix_of_a_longer_one(self):
+        pad = generate_pad(pad_for(6), make_rng(9))
+        short, _ = run_lineage(pad, self.CONFIG, [NoAttack()] * 3)
+        long, _ = run_lineage(pad, self.CONFIG, [NoAttack()] * 6)
+        assert long["sessions"][:3] == short["sessions"]
+
+    def test_one_kernel_call_per_distinct_attack_in_a_block(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[3])
+            return simulate_photons(*args)
+
+        simulate_photons = kernels.simulate_photons
+        monkeypatch.setattr(kernels, "simulate_photons", counting)
+        attacks = [NoAttack()] * 3 + [IndividualUTB(theta=0.0)] + [NoAttack()] * 2
+        report, _ = run_lineage(generate_pad(pad_for(6), make_rng(10)), self.CONFIG, attacks)
+        assert len(report["sessions"]) == 6
+        assert calls == [NoAttack(), IndividualUTB(theta=0.0)]
+
+    @pytest.mark.parametrize("block_photons", [protocol.BLOCK_PHOTONS, 3 * 80])
+    def test_exhaustion_only_after_every_earlier_session_passed(self, block_photons,
+                                                                monkeypatch):
+        monkeypatch.setattr(protocol, "BLOCK_PHOTONS", block_photons)
+        pad = generate_pad(pad_for(3), make_rng(11))
+        with pytest.raises(PadExhaustedError, match="at session 4: need 160 bits .* have 128"):
+            run_lineage(pad, self.CONFIG, [NoAttack()] * 5)
+        # a failed check before the pad runs out halts the lineage instead
+        report, final = run_lineage(pad, self.CONFIG, [NoAttack()] * 2 + self.IR_AT_2[1:2] * 3)
+        assert report["halted_at_session"] == 3 and final is None
+        report, final = run_lineage(pad, self.CONFIG, [NoAttack()] * 3)
+        assert report["halted_at_session"] is None and len(final) == 2 * 64
+
+    def test_too_short_a_pad_exhausts_before_the_first_session(self):
+        with pytest.raises(PadExhaustedError, match="at session 1: need 160 bits .* have 159"):
+            run_lineage(generate_pad(159, make_rng(12)), self.CONFIG, [NoAttack()])
+
+    def test_exhaustion_after_a_failed_check_halts_with_exit_2(self, capsys):
+        # the pad keys 3 sessions; session 2 is attacked and caught first
+        argv = ["recycle-demo", "--sessions", "5", "--pad-bits", str(pad_for(3)),
+                "--attack", "intercept_resend", "--attack-session", "2", "--seed", "13"]
+        assert cli.main(argv) == cli.EXIT_REJECTED
+        assert "halted at session 2" in capsys.readouterr().out
+        argv[argv.index("--attack-session") + 1] = "5"
+        assert cli.main(argv) == cli.EXIT_ERROR
+        assert "pad exhausted at session 4" in capsys.readouterr().err
+
+    # Upper 0.1% points of the chi-square law with C(n, s) - 1 degrees of freedom.
+    @pytest.mark.parametrize("n_message,n_sample,critical", [(3, 2, 27.877), (3, 3, 43.820)])
+    def test_sample_positions_uniform_over_interleavings(self, n_message, n_sample, critical):
+        rows = 40_000
+        _, _, sample_mask, _ = protocol._draw_sessions(
+            make_rng(14), make_rng(15), rows, n_message, n_sample
+        )
+        assert np.all(sample_mask.sum(axis=1) == n_sample)
+        subset = sample_mask @ (1 << np.arange(n_message + n_sample))
+        counts = np.unique(subset, return_counts=True)[1]
+        assert counts.size == math.comb(n_message + n_sample, n_sample)
+        expected = rows / counts.size
+        assert float(np.sum((counts - expected) ** 2 / expected)) < critical
 
     def test_audit_counts_bits_a_faulty_recycle_keeps(self, monkeypatch):
-        def keeps_every_bit(pad, n_photons, announced_photons, check):
-            return PadKey(bits=pad.bits, generation=pad.generation + 1,
-                          origin_indices=pad.origin_indices)
+        def keeps_every_pair(carried, fresh, sample_mask):
+            sessions, n = sample_mask.shape
+            head = np.concatenate((carried, np.arange(fresh, fresh + n - carried.size)))
+            return np.tile(head, (sessions, 1)), head, fresh + n - carried.size
 
-        pad = generate_pad(2 * (64 + 16) + 2 * 16, make_rng(6))
+        pad = generate_pad(pad_for(2), make_rng(6))
         clean, _ = run_lineage(pad, self.CONFIG, [NoAttack()] * 2)
         assert clean["audit"]["announced_bits_reused"] == 0
-        monkeypatch.setattr(keystore, "recycle_pad", keeps_every_bit)
+        monkeypatch.setattr(protocol, "_keyed_pairs", keeps_every_pair)
         report, final = run_lineage(pad, self.CONFIG, [NoAttack()] * 2)
         # session 2 draws again the 2 pad bits of each of session 1's 16 checks
         assert report["audit"]["announced_bits_reused"] == 2 * 16
         assert final.generation == 2 and len(final) == len(pad)
 
     def test_audit_follows_a_recycled_input_pad(self):
-        pad = generate_pad(2 * (64 + 16) + 2 * 16 * 2, make_rng(7))
+        pad = generate_pad(pad_for(3, extra=2 * 16), make_rng(7))
         _, middle = run_lineage(pad, self.CONFIG, [NoAttack()])
         report, final = run_lineage(middle, dataclasses.replace(self.CONFIG, seed=13),
                                     [NoAttack()] * 2)
         assert report["audit"]["announced_bits_reused"] == 0
         assert final.generation == 3 and len(final) == len(pad) - 3 * 2 * 16
+
+    def test_long_lineage_report(self, tmp_path, capsys):
+        out = tmp_path / "long.json"
+        assert cli.main(["recycle-demo", "--sessions", "20000", "--seed", "5",
+                         "--out", str(out)]) == cli.EXIT_OK
+        report = json.loads(out.read_text())
+        assert len(report["sessions"]) == 20000 and report["halted_at_session"] is None
+        assert report["audit"] == {"announced_bits_reused": 0, "all_messages_exact": True}
+        assert report["final_pad_bits"] == 128
 
 
 class TestPublicRecord:

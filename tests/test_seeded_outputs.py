@@ -90,9 +90,9 @@ CASES = {
     ),
     "recycle-attacked-session-3": (
         [*DEMO, "--attack", "utb", "--theta", "0.5", "--attack-session", "3", "--seed", "111"],
-        2,
-        "66810b37331d03c253a825b464598a41f7a466eb2f0756b44b5d09e6fda841d2",
-        "f27364f6cac9748461992acf67dcb641eadf0cce908f0e120c43dd8e0fb46077",
+        0,
+        "81318da2179e1b99c67b5470afa9901c1d5d8567ddbbde648aa429f2499af470",
+        "1bbf1d3826550e4bacb186cb1f09feb8de7420055d4306b7bb91f7c6780d4c6d",
     ),
     "bounds": (
         ["bounds", "--d-grid", "0,0.01,0.02,0.05,0.1"],
