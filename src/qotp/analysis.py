@@ -31,7 +31,7 @@ from .kernels import Basis
 from .rng import ROLE_SWEEP, make_rng, role_seed
 
 _LN2 = np.log(2.0)
-_POLE_DM = 1.0 / (8.0 * np.sqrt(2.0))
+POLE_DM = 1.0 / (8.0 * np.sqrt(2.0))
 _POLE_TOL = 1e-9
 
 
@@ -93,17 +93,21 @@ def epsilon_tilde_min(d_m):
     """
 
     def f(arr):
-        den = 1.0 - 8.0 * np.sqrt(2.0) * arr
-        near = np.abs(den) < _POLE_TOL
+        near = on_pole(arr)
         if np.any(near):
             raise PoleError(
-                f"epsilon_tilde_min has a pole at d_m = {_POLE_DM:.12g}; "
+                f"epsilon_tilde_min has a pole at d_m = {POLE_DM:.12g}; "
                 f"got {_listed(arr[near])}"
             )
         num = 1.0 - 4.0 * np.sqrt(np.sqrt(2.0 - 8.0 * arr) * arr)
-        return (num / den) ** 2
+        return (num / (1.0 - 8.0 * np.sqrt(2.0) * arr)) ** 2
 
     return _eval(d_m, 0.0, 0.25, f, "epsilon_tilde_min")
+
+
+def on_pole(d_m) -> np.ndarray:
+    """Whether each d_m is too near the pole for ``epsilon_tilde_min`` to evaluate."""
+    return np.abs(1.0 - 8.0 * np.sqrt(2.0) * np.asarray(d_m, dtype=np.float64)) < _POLE_TOL
 
 
 def i1_bound(d_m):

@@ -247,6 +247,12 @@ def cmd_bounds(args) -> int:
             if not 0.0 <= value <= 0.25:
                 raise ValueError(f"{flag} must lie in [0, 0.25], got {value}")
         grid = _grid(args.d_min, args.d_max, args.points)
+    pole_points = np.asarray(grid)[analysis.on_pole(grid)].tolist()
+    if pole_points:
+        flag = "--d-grid" if args.d_grid is not None else (
+            {args.d_max: "--d-max", args.d_min: "--d-min"}.get(pole_points[0], "--points grid"))
+        raise ValueError(f"{flag} value {pole_points[0]:.12g} is on the epsilon_tilde_min pole "
+                         f"at d_m = {analysis.POLE_DM:.12g}")
     return _write_table(analysis.bounds_csv(grid), args.out)
 
 
@@ -269,10 +275,10 @@ def cmd_recycle_demo(args) -> int:
     else:
         pad_bits = _pad_length(args.pad_bits, "--pad-bits")
     pad = keystore.generate_pad(pad_bits, make_rng(role_seed(args.seed, ROLE_PAD)))
-    attack = _build_attack(args)
-    attacks = (attack if args.attack_session == k + 1 else NoAttack() for k in range(args.sessions))
+    attack, clean = _build_attack(args), NoAttack()
+    attacks = (attack if args.attack_session == k + 1 else clean for k in range(args.sessions))
     report, pad = run_lineage(pad, config, attacks)
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     print(f"sessions run: {len(report['sessions'])} of {args.sessions}")

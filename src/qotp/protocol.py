@@ -342,10 +342,11 @@ def run_lineage(
     Only the halting rule depends on the channel, so the sessions run in
     blocks of about ``BLOCK_PHOTONS`` photons: a block's pad pairs follow
     from its sampling masks, it makes one kernel call per distinct attack,
-    and the lineage stops at its first failed check.  The live pad pairs and
-    the reuse audit carry from block to block.  The audit reads the pad's
-    origin ledger, not the pair recurrence: it counts keyed bits that an
-    earlier session announced.
+    and the lineage stops at its first failed check.  Photons are keyed by
+    looking their pairs up in one pair-state table, built once per lineage.
+    The live pad pairs and the reuse audit carry from block to block.  The
+    audit reads the pad's origin ledger, not the pair recurrence: it counts
+    keyed bits that an earlier session announced.
 
     Raises PadExhaustedError when every session so far has passed and the
     next cannot be keyed.  Returns the report and the final pad, which is
@@ -356,6 +357,7 @@ def run_lineage(
     message_rng = make_rng(role_seed(config.seed, ROLE_MESSAGE))
     session_rng = make_rng(role_seed(config.seed, ROLE_SESSION))
     attacks = iter(attacks)
+    state_of_pair = keystore.pair_states(pad, slice(None))
     # each session keys n_sample fresh pairs, after the first's n_message
     keyable = max(0, (n_pairs - n_message) // n_sample)
     carried, fresh = np.arange(min(n_message, n_pairs)), n_message
@@ -372,33 +374,31 @@ def run_lineage(
                 message_rng, session_rng, len(keyed), n_message, n_sample
             )
             pairs, carried, fresh = _keyed_pairs(carried, fresh, sample_mask)
-            decoded = _send_rows(keystore.pair_states(pad, pairs), bits, keyed, uniforms)
-            sent, announced = (b[sample_mask].reshape(-1, n_sample) for b in (bits, decoded))
+            decoded = _send_rows(state_of_pair[pairs], bits, keyed, uniforms)
+            # the flat positions of the sampling bits, n_sample per row, rows in order
+            checked = np.flatnonzero(sample_mask)
+            sent, announced = (b.take(checked).reshape(-1, n_sample) for b in (bits, decoded))
             _, rates, accepted = _check_rows(sent, announced, config.abort_threshold)
             ran = len(keyed) if accepted.all() else int(np.argmin(accepted)) + 1
             halted = not accepted[ran - 1]
             first = 2 * pairs[:ran]
             drawn = pad.origin_indices[np.stack((first, first + 1))]
             # flat, equal-shape operands: numpy 2.4's ufunc.at mishandles a broadcast value
-            shown = drawn[:, sample_mask[:ran]]
-            when = done + np.nonzero(sample_mask[:ran])[0]
+            shown = drawn.reshape(2, -1)[:, checked[: ran * n_sample]]
+            when = done + checked[: ran * n_sample] // n
             np.minimum.at(first_shown, shown.ravel(), np.tile(when, 2))
             reused += int(np.count_nonzero(first_shown[drawn] < done + np.arange(ran)[:, None]))
             exact = (decoded[~sample_mask].reshape(len(keyed), n_message) == messages).all(axis=1)
-            rows = zip(keyed, rates.tolist(), accepted.tolist(), exact.tolist())
-            for k, (attack, rate, passed, message_exact) in enumerate(itertools.islice(rows, ran)):
-                before = len(pad) - 2 * n_sample * (done + k)
-                sessions.append(
-                    {
-                        "session": done + k + 1,
-                        "pad_bits_before": before,
-                        "pad_bits_after": before - 2 * n_sample if passed else before,
-                        "accepted": passed,
-                        "error_rate": rate,
-                        "message_exact": passed and message_exact,
-                        "attacked": attack.kind != NoAttack.kind,
-                    }
-                )
+            pad_before = len(pad) - 2 * n_sample * np.arange(done, done + ran)
+            columns = zip(range(done + 1, done + ran + 1), keyed, pad_before.tolist(),
+                          (pad_before - 2 * n_sample * accepted[:ran]).tolist(),
+                          accepted.tolist(), rates.tolist(), (exact & accepted).tolist())
+            sessions += [
+                {"session": session, "pad_bits_before": before, "pad_bits_after": after,
+                 "accepted": passed, "error_rate": rate, "message_exact": message_exact,
+                 "attacked": attack.kind != NoAttack.kind}
+                for session, attack, before, after, passed, rate, message_exact in columns
+            ]
         if not halted and len(keyed) < len(block):
             raise PadExhaustedError(
                 f"pad exhausted at session {len(sessions) + 1}: need {2 * n} bits for {n} "

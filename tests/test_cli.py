@@ -11,10 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qotp import analysis, cli, kernels, protocol
-from qotp.adversary import IndividualUTB, InterceptResend
+from qotp.adversary import IndividualUTB, InterceptResend, NoAttack
 from qotp.analysis import BOUNDS_CSV_HEADER, SWEEP_CSV_HEADER
 from qotp.keystore import generate_pad, save_pad
 from qotp.rng import ROLE_MESSAGE, ROLE_PAD, ROLE_SESSION, make_rng, role_seed
+
+# the d_m at which epsilon_tilde_min has its pole, 1 / (8 sqrt 2)
+POLE = "0.08838834764831845"
 
 BOUNDS_GOLDEN = """d,i0,i1,linear,eps_tilde
 0,0,0,0,1
@@ -240,6 +243,29 @@ class TestRecycleDemo:
         assert doc["sessions"][0]["accepted"] and not doc["sessions"][1]["accepted"]
         assert doc["final_pad_bits"] is None
 
+    @pytest.mark.parametrize(
+        "attack_flags,attack,exit_code",
+        [([], NoAttack(), cli.EXIT_OK),
+         (["--attack", "intercept_resend", "--attack-session", "3"], InterceptResend(),
+          cli.EXIT_REJECTED)],
+        ids=["clean", "intercept-resend-halts"],
+    )
+    def test_report_is_the_lineage_as_compact_sorted_json(self, attack_flags, attack, exit_code,
+                                                          tmp_path, capsys):
+        out = tmp_path / "demo.json"
+        argv = ["recycle-demo", "--sessions", "6", "--message-bits", "32", "--samples", "8",
+                *attack_flags, "--seed", "21", "--out", str(out)]
+        assert cli.main(argv) == exit_code
+        text = out.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        report = json.loads(text)
+        assert text == json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+        # the default pad: one session's keys plus five more sessions' checks
+        pad = generate_pad(2 * (32 + 8) + 2 * 8 * 5, make_rng(role_seed(21, ROLE_PAD)))
+        attacks = [attack if k == 2 else NoAttack() for k in range(6)]
+        config = protocol.SessionConfig(n_message=32, n_sample=8, seed=21)
+        assert report == protocol.run_lineage(pad, config, attacks)[0]
+
     def test_single_session_matches_run_semantics(self, capsys):
         rc = cli.main(["recycle-demo", "--sessions", "1", "--seed", "4"])
         assert rc == cli.EXIT_OK
@@ -309,9 +335,29 @@ class TestBoundaryErrors:
         assert capsys.readouterr() == ("", f"error: {line}\n")
 
     @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["--d-grid", f"0,{POLE},0.1"], "--d-grid"),
+            (["--d-min", POLE, "--points", "1"], "--d-min"),
+            (["--d-min", "0", "--d-max", POLE, "--points", "2"], "--d-max"),
+            (["--d-min", POLE, "--d-max", POLE, "--points", "1"], "--d-min"),
+            (["--d-min", "0", "--d-max", repr(2 * float(POLE)), "--points", "3"], "--points grid"),
+        ],
+        ids=["d-grid", "d-min", "d-max", "d-min-equal-to-d-max", "interior-grid-point"],
+    )
+    def test_grid_point_on_the_pole_names_its_flag(self, argv, flag, capsys):
+        assert cli.main(["bounds", *argv]) == cli.EXIT_ERROR
+        assert capsys.readouterr() == (
+            "", f"error: {flag} value 0.0883883476483 is on the epsilon_tilde_min pole "
+                "at d_m = 0.0883883476483\n"
+        )
+
+    @pytest.mark.parametrize(
         "argv,env",
         [
             (["bounds", "--d-grid", "nan"], {}),
+            (["bounds", "--d-grid", POLE], {}),
+            (["bounds", "--d-min", POLE, "--d-max", POLE, "--points", "1"], {}),
             (["bounds"], {"QOTP_SEED": "abc"}),
             (["recycle-demo", "--sessions", "2", "--attack-session", "5",
               "--attack", "intercept_resend"], {}),
@@ -351,7 +397,8 @@ class TestBoundaryErrors:
             (["run", "--message-bits", "0", "--samples", "4", "--pad-file", "two-hex-lines.pad"],
              {}),
         ],
-        ids=["nan-grid-point", "non-integer-env-seed", "attack-session-past-the-end",
+        ids=["nan-grid-point", "d-grid-on-the-pole", "d-min-d-max-on-the-pole",
+             "non-integer-env-seed", "attack-session-past-the-end",
              "unknown-flag", "non-integer-flag", "zero-sessions", "negative-sessions",
              "zero-bound-points", "zero-photons", "one-photon", "zero-pad-bits",
              "empty-theta-grid", "empty-d-grid", "theta-without-attack",

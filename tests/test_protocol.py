@@ -208,8 +208,9 @@ class TestRunSession:
 def hand_lineage(pad, draws, attacks):
     """The lineage as a loop of photon_states, simulate_photons and recycle_pad
     over the sessions' recorded draws (message, modified bits, sampling mask,
-    uniforms): per session the pad it read, its decoded bits and whether its
-    message came out exact; the halting session; and the final pad."""
+    uniforms): per session the pad it read, its decoded bits, whether its
+    message came out exact and its check's error report; the halting
+    session; and the final pad."""
     steps = []
     for k, (attack, (message, sent, sample_mask, uniforms)) in enumerate(zip(attacks, draws)):
         n = sent.size
@@ -221,7 +222,7 @@ def hand_lineage(pad, draws, attacks):
         positions = np.flatnonzero(sample_mask)
         report = eavesdrop_check(ModifiedMessage(sent, positions), decoded, 0.0)
         exact = report.accepted and np.array_equal(np.delete(decoded, positions), message)
-        steps.append((pad, decoded, exact))
+        steps.append((pad, decoded, exact, report))
         if not report.accepted:
             return steps, k + 1, None
         pad = keystore.recycle_pad(pad, n, positions, report)
@@ -303,7 +304,9 @@ class TestRunLineage:
         want, want_halt, want_final = hand_lineage(pad, draws, attacks)
         sessions = report["sessions"]
         assert len(sessions) == len(want) <= len(pairs)
-        for k, (want_pad, want_decoded, want_exact) in enumerate(want):
+        # the pad each session leaves: the next session's, then the final one
+        pads_after = [p for p, *_ in want[1:]] + [want_final]
+        for k, (want_pad, want_decoded, want_exact, want_check) in enumerate(want):
             # the pad bits (and their origins) the session keyed its photons with
             bit = 2 * pairs[k][:, None] + (0, 1)
             assert np.array_equal(pad.bits[bit].ravel(), want_pad.bits[: bit.size])
@@ -312,6 +315,12 @@ class TestRunLineage:
             assert np.array_equal(decoded[k], want_decoded)
             assert sessions[k]["pad_bits_before"] == len(want_pad)
             assert sessions[k]["message_exact"] == want_exact
+            assert sessions[k]["session"] == k + 1
+            assert sessions[k]["accepted"] == want_check.accepted
+            assert sessions[k]["error_rate"] == want_check.n_errors / self.CONFIG.n_sample
+            assert sessions[k]["pad_bits_after"] == (
+                len(pads_after[k]) if want_check.accepted else len(want_pad)
+            )
         assert report["halted_at_session"] == want_halt == halted_at
         assert_same_pad(final, want_final)
         assert report["final_pad_bits"] == (None if final is None else len(final))
@@ -335,8 +344,10 @@ class TestRunLineage:
             mp.setattr(protocol, "BLOCK_PHOTONS", block_photons)
             report, final, draws, _, decoded = recorded_lineage(mp, pad, config, attacks)
         want, want_halt, want_final = hand_lineage(pad, draws, attacks)
-        assert [len(p) for p, _, _ in want] == [s["pad_bits_before"] for s in report["sessions"]]
-        assert all(np.array_equal(d, w) for d, (_, w, _) in zip(decoded, want))
+        assert [len(p) for p, *_ in want] == [s["pad_bits_before"] for s in report["sessions"]]
+        assert all(np.array_equal(d, w) for d, (_, w, *_) in zip(decoded, want))
+        # short messages often come out exact in a rejected session, which releases none
+        assert [s["message_exact"] for s in report["sessions"]] == [e for _, _, e, _ in want]
         assert report["halted_at_session"] == want_halt
         assert_same_pad(final, want_final)
 

@@ -80,19 +80,19 @@ CASES = {
         [*DEMO, "--seed", "110"],
         0,
         "81318da2179e1b99c67b5470afa9901c1d5d8567ddbbde648aa429f2499af470",
-        "950d81723aa3538d261483f68ad1c89e442a9260e8b310218e45ffc4c761830d",
+        "d7c8f63c644e598511c3bcf37f1c31edf212c918a55bb9f0616e597e9f0dd334",
     ),
     "recycle-attacked-halts": (
         [*DEMO, "--attack", "intercept_resend", "--attack-session", "2", "--seed", "111"],
         2,
         "3688d528c0f1d1417ecdc9e9f031900eee398cde46a5ae4d842b5584a2a1bbef",
-        "b3f9e27c18a8eea69020a98a6dad17109ad84a0986d487bfba2ad3b215aaa5cb",
+        "efab8efb6ad3c5f0c6c7d612b3cbb2a1881f30ac3586f08ee52fcfdbdd2c3503",
     ),
     "recycle-attacked-session-3": (
         [*DEMO, "--attack", "utb", "--theta", "0.5", "--attack-session", "3", "--seed", "111"],
         0,
         "81318da2179e1b99c67b5470afa9901c1d5d8567ddbbde648aa429f2499af470",
-        "1bbf1d3826550e4bacb186cb1f09feb8de7420055d4306b7bb91f7c6780d4c6d",
+        "8babdf388c07b54c12162f7ac1a3da86be19a3d3aa2bbfd1771914ce82ff3d41",
     ),
     "bounds": (
         ["bounds", "--d-grid", "0,0.01,0.02,0.05,0.1"],
