@@ -17,23 +17,13 @@ from .analysis import (
     small_dm_linear_bound,
     sweep_theta,
 )
-from .errors import PadExhaustedError, PoleError, ProtocolViolationError
+from .errors import PadExhaustedError, PoleError
 from .kernels import Basis
-from .keystore import (
-    PadKey,
-    generate_pad,
-    load_pad,
-    photon_states,
-    recycle_pad,
-    save_pad,
-)
+from .keystore import PadKey, generate_pad, load_pad
 from .protocol import (
     ErrorReport,
-    ModifiedMessage,
     SessionConfig,
     SessionTranscript,
-    build_modified_message,
-    eavesdrop_check,
     run_lineage,
     run_session,
 )

@@ -28,7 +28,7 @@ from .adversary import (
     KnownPlaintext,
     NoAttack,
 )
-from .errors import PadExhaustedError, ProtocolViolationError
+from .errors import PadExhaustedError
 from .kernels import Basis
 from .protocol import SessionConfig, message_digest, run_lineage, run_session
 from .rng import ROLE_MESSAGE, ROLE_PAD, ROLE_SESSION, make_rng, role_seed
@@ -364,7 +364,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) is None:
             args.seed = env_seed
         return args.func(args)
-    except (ValueError, PadExhaustedError, ProtocolViolationError, OSError,
+    except (ValueError, PadExhaustedError, OSError,
             MemoryError) as exc:  # numpy raises MemoryError before allocating
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -5,10 +5,5 @@ class PadExhaustedError(RuntimeError):
     """Raised when a pad does not hold enough unused bits for the request."""
 
 
-class ProtocolViolationError(RuntimeError):
-    """Raised when an operation is attempted in a state the protocol forbids,
-    such as recycling a pad after a failed eavesdropping check."""
-
-
 class PoleError(ValueError):
     """Raised when a bound is evaluated at (or too close to) its singular point."""

@@ -2,11 +2,11 @@
 
 A pad is a value object.  Photon i of a session is keyed by pad bits 2i and
 2i+1, which select its prepared state; reading the states never mutates the
-pad, and recycling after a passed eavesdropping check produces a *new* pad
-with the announced photons' bit pairs removed.  Each pad carries a
-provenance ledger (``origin_indices``, nonnegative and strictly increasing)
-mapping every current bit back to its position in the generation-0 pad,
-which is what the reuse-soundness audit checks against.
+pad, and recycling after a passed eavesdropping check (in ``protocol``)
+produces a *new* pad with the announced photons' bit pairs removed.  Each
+pad carries a provenance ledger (``origin_indices``, nonnegative and
+strictly increasing) mapping every current bit back to its position in the
+generation-0 pad, which is what the reuse-soundness audit checks against.
 
 Pad files are plain text: ``generation=<int>``, then the bits hex-encoded
 (most significant bit of the first hex digit is pad index 0), then
@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import PadExhaustedError, ProtocolViolationError
 from .rng import RandomStream
 
 
@@ -64,18 +63,6 @@ def generate_pad(length: int, rng: RandomStream) -> PadKey:
     return PadKey(bits=bits)
 
 
-def _key_bits(pad: PadKey, n_photons: int) -> int:
-    """How many pad bits key ``n_photons`` photons (2 each), checked to fit the pad."""
-    if n_photons < 0:
-        raise ValueError("n_photons must be nonnegative")
-    needed = 2 * n_photons
-    if len(pad) < needed:
-        raise PadExhaustedError(
-            f"pad exhausted: need {needed} bits for {n_photons} photons, have {len(pad)}"
-        )
-    return needed
-
-
 def pair_states(pad: PadKey, pairs) -> np.ndarray:
     """Prepared state of the photon keyed by each pad pair, 0..3 = H, V, u,
     d: pair p is pad bits 2p and 2p+1, 00 -> H, 11 -> V, 01 -> u, 10 -> d.
@@ -84,45 +71,6 @@ def pair_states(pad: PadKey, pairs) -> np.ndarray:
     key = pad.bits[: len(pad) // 2 * 2].reshape(-1, 2)[pairs]
     b0 = key[..., 0].astype(np.int64)
     return np.where(b0 == key[..., 1], b0, 2 + b0)
-
-
-def photon_states(pad: PadKey, n_photons: int) -> np.ndarray:
-    """Prepared state per photon: photon i is keyed by pad pair i (see
-    ``pair_states``).
-
-    Pure read: the pad is not consumed, which is what allows reuse across
-    sessions.  Raises PadExhaustedError if the pad is too short.
-    """
-    return pair_states(pad, slice(_key_bits(pad, n_photons) // 2))
-
-
-def recycle_pad(pad: PadKey, n_photons: int, announced_photons, check) -> PadKey:
-    """Build the next-generation pad by dropping every announced photon's bits.
-
-    ``announced_photons`` are indices, among the ``n_photons`` photons the
-    session keyed from the pad, whose positions and encoding bits went public
-    during the check; pad bits 2i and 2i+1 of each such photon i are removed.
-    Survivor order is preserved and the generation counter is incremented.
-
-    ``check`` is the session's error report; recycling after a failed check
-    raises ProtocolViolationError (the protocol halts on eavesdropping).
-    """
-    if not check.accepted:
-        raise ProtocolViolationError("cannot recycle a pad after a failed check")
-    needed = _key_bits(pad, n_photons)
-    announced = np.fromiter(announced_photons, dtype=np.int64)
-    bad = announced[(announced < 0) | (announced >= n_photons)]
-    if bad.size:
-        raise ValueError(
-            f"announced photon indices {sorted(set(bad.tolist()))} outside 0..{n_photons - 1}"
-        )
-    keep = np.ones(len(pad), dtype=bool)
-    keep[:needed].reshape(-1, 2)[announced] = False
-    return PadKey(
-        bits=pad.bits[keep],
-        generation=pad.generation + 1,
-        origin_indices=pad.origin_indices[keep],
-    )
 
 
 def pad_to_text(pad: PadKey) -> str:
@@ -166,10 +114,6 @@ def pad_from_text(text: str) -> PadKey:
     packed = bytes.fromhex(hexdigits + "0" * (len(hexdigits) % 2))
     bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))[:n_bits]
     return PadKey(bits=bits, generation=generation)
-
-
-def save_pad(pad: PadKey, path: str | Path) -> None:
-    Path(path).write_text(pad_to_text(pad))
 
 
 def load_pad(path: str | Path) -> PadKey:

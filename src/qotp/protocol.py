@@ -1,17 +1,19 @@
 """The six-step crypto session as an executable state machine.
 
-One session: build the modified message (payload plus hidden sampling bits),
-prepare photon i in the state keyed by pad bits 2i and 2i+1, encode the
-photons, pass them through the (possibly attacked) channel, decode in each
-photon's preparation basis, compare the announced sampling bits, and either
-recycle the pad (dropping the announced photons' bit pairs) and release the
-message or halt.  The photons run as columns through one batch-kernel call,
-which samples the attack's exact law.  The transcript keeps the full secret
-view for analysis; the ``public_view`` projection is exactly what an
-eavesdropper may read.  A lineage reuses one pad until a check fails, and
-audits through the pad's origin ledger that no announced pad bit keys a
-photon again.  It runs its sessions as rows, in blocks, through the same
-keying, channel, decoding and check steps as a single session.
+One session: hide sampling bits among the message bits at secret random
+positions, prepare photon i in the state keyed by pad bits 2i and 2i+1,
+encode the photons, pass them through the (possibly attacked) channel,
+decode in each photon's preparation basis, compare the announced sampling
+bits, and either recycle the pad (dropping the announced photons' bit pairs)
+and release the message or halt.  Sessions run as rows: a lineage reuses one
+pad until a check fails, running its sessions in blocks, and a single
+session is a lineage of one row.  Both draw, key, send, check and recycle
+through the same steps, and the photons of a block run as columns through
+one batch-kernel call per attack, which samples the attack's exact law.
+The transcript keeps the full secret view for analysis; the ``public_view``
+projection is exactly what an eavesdropper may read.  A lineage audits
+through the pad's origin ledger that no announced pad bit keys a photon
+again.
 
 The tests check this path against an object-level state-vector oracle with
 per-photon attacks, which ships with the tests and not with the package.
@@ -33,30 +35,6 @@ from .adversary import AttackModel, NoAttack, posterior_plus_table
 from .errors import PadExhaustedError
 from .keystore import PadKey
 from .rng import ROLE_MESSAGE, ROLE_SESSION, RandomStream, make_rng, role_seed
-
-
-@dataclass(frozen=True)
-class ModifiedMessage:
-    """Message bits with sampling bits interleaved at secret random positions."""
-
-    bits: np.ndarray
-    sample_positions: np.ndarray
-
-    def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.uint8).reshape(-1)
-        positions = np.asarray(self.sample_positions, dtype=np.int64).reshape(-1)
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "sample_positions", np.sort(positions))
-        if positions.size == 0:
-            raise ValueError("a modified message needs at least one sample position")
-        if len(set(positions.tolist())) != positions.size:
-            raise ValueError("sample positions must be distinct")
-        if positions.min() < 0 or positions.max() >= bits.size:
-            raise ValueError("sample positions out of range")
-
-    @property
-    def n_sample(self) -> int:
-        return int(self.sample_positions.size)
 
 
 @dataclass(frozen=True)
@@ -102,12 +80,14 @@ class SessionTranscript:
     ``pad`` is the pad the session read: photon i was keyed by its bits 2i
     and 2i+1.  Per-photon data is held as columns indexed by photon: the
     receiver's outcome label and decoded bit, and Eve's record as the kernel
-    codes it (-1 where there is no attack).
+    codes it (-1 where there is no attack).  ``modified`` is the message with
+    the sampling bits at the sorted photon indices ``sample_positions``.
     """
 
     config: SessionConfig
     attack: AttackModel
-    mm: ModifiedMessage
+    modified: np.ndarray
+    sample_positions: np.ndarray
     pad: PadKey
     received: np.ndarray
     decoded: np.ndarray
@@ -119,7 +99,7 @@ class SessionTranscript:
     def public_view(self) -> dict:
         """Everything an eavesdropper may read: per photon, the bit the
         receiver announced there or 2 for none; and the verdict."""
-        positions = self.mm.sample_positions
+        positions = self.sample_positions
         announced = np.full(self.decoded.size, 2, dtype=np.uint8)
         announced[positions] = self.decoded[positions]
         return {
@@ -150,8 +130,8 @@ class SessionTranscript:
             "config": dataclasses.asdict(self.config),
             "attack": self.attack.describe(),
             "secret_view": {
-                "pad_bits": _digits(self.pad.bits[: 2 * self.mm.bits.size]),
-                "modified_bits": _digits(self.mm.bits),
+                "pad_bits": _digits(self.pad.bits[: 2 * self.modified.size]),
+                "modified_bits": _digits(self.modified),
                 "received_outcomes": _digits(self.received),
                 "decoded_bits": _digits(self.decoded),
                 "adversary": self._adversary(),
@@ -177,23 +157,6 @@ def message_digest(bits: np.ndarray) -> str:
     return hashlib.sha256(_digits(bits).encode("ascii")).hexdigest()
 
 
-def build_modified_message(message, n_sample: int, rng: RandomStream) -> ModifiedMessage:
-    """Interleave ``n_sample`` >= 1 uniform random bits into the message at
-    positions drawn uniformly over all interleavings."""
-    message = np.asarray(message, dtype=np.uint8).reshape(-1)
-    if n_sample < 1:
-        raise ValueError(f"a modified message needs at least one sampling bit, got {n_sample}")
-    n_total = message.size + n_sample
-    positions = np.sort(rng.choice(n_total, size=n_sample, replace=False))
-    sample_bits = rng.integers(0, 2, size=n_sample, dtype=np.uint8)
-    bits = np.zeros(n_total, dtype=np.uint8)
-    mask = np.ones(n_total, dtype=bool)
-    mask[positions] = False
-    bits[mask] = message
-    bits[positions] = sample_bits
-    return ModifiedMessage(bits=bits, sample_positions=positions)
-
-
 def _check_rows(sent, announced, threshold: float):
     """Per row (last axis) of sampling bits, the announced values that differ
     from the sent ones, their rate, and whether the rate is within
@@ -201,18 +164,6 @@ def _check_rows(sent, announced, threshold: float):
     n_errors = np.count_nonzero(sent != announced, axis=-1)
     rate = n_errors / sent.shape[-1]
     return n_errors, rate, rate <= threshold
-
-
-def eavesdrop_check(mm: ModifiedMessage, decoded, threshold: float) -> ErrorReport:
-    """Compare announced sampling values against the sender's record."""
-    decoded = np.asarray(decoded)
-    if decoded.size != mm.bits.size:
-        raise ValueError("decoded sequence length mismatch")
-    positions = mm.sample_positions
-    n_errors, rate, accepted = _check_rows(mm.bits[positions], decoded[positions], threshold)
-    return ErrorReport(
-        n_checked=mm.n_sample, n_errors=int(n_errors), rate=float(rate), accepted=bool(accepted)
-    )
 
 
 def _send(state_idx, bits, attack: AttackModel, uniforms):
@@ -243,59 +194,16 @@ def _send_rows(state_idx, bits, attacks, uniforms) -> np.ndarray:
     return decoded
 
 
-def run_session(
-    config: SessionConfig, pad: PadKey, message, attack: AttackModel = NoAttack()
-) -> SessionTranscript:
-    """Execute one full session.
-
-    On acceptance the transcript carries the recycled pad and the extracted
-    message; on rejection it carries neither (the process halts and the pad
-    lineage is retired).
-    """
-    message = np.asarray(message, dtype=np.uint8).reshape(-1)
-    if message.size != config.n_message:
-        raise ValueError(
-            f"config says n_message={config.n_message} but message has {message.size} bits"
-        )
-    rng = make_rng(config.seed)
-    mm = build_modified_message(message, config.n_sample, rng)
-    n = int(mm.bits.size)
-    state_idx = keystore.photon_states(pad, n)
-    received, record, decoded = _send(state_idx, mm.bits, attack, rng.random(n))
-    report = eavesdrop_check(mm, decoded, config.abort_threshold)
-    recycled_pad = extracted_message = None
-    if report.accepted:
-        recycled_pad = keystore.recycle_pad(pad, n, mm.sample_positions, report)
-        extracted_message = np.delete(decoded, mm.sample_positions)
-    return SessionTranscript(
-        config=config,
-        attack=attack,
-        mm=mm,
-        pad=pad,
-        received=received,
-        decoded=decoded,
-        record=record,
-        error_report=report,
-        recycled_pad=recycled_pad,
-        extracted_message=extracted_message,
-    )
-
-
-# A lineage runs in blocks of sessions of about this many photons (at least one
-# session), so its memory does not grow with the number of sessions.
-BLOCK_PHOTONS = 1 << 16
-
-
-def _draw_sessions(message_rng: RandomStream, session_rng: RandomStream, n_sessions: int,
-                   n_message: int, n_sample: int):
-    """The draws of ``n_sessions`` consecutive lineage sessions, one row each:
-    the messages, the modified messages, their sampling masks and the
-    kernel's uniforms.  Row k reads the next row of doubles from each stream,
-    so a session's draws do not depend on how the lineage is cut into blocks.
-    The sampling positions are those of the ``n_sample`` smallest of n uniform
-    keys, uniform over all interleavings; each bit is a uniform below 1/2."""
+def _draw_sessions(messages: np.ndarray, session_rng: RandomStream, n_sample: int):
+    """The draws of consecutive sessions carrying the (sessions, n_message)
+    ``messages``, one row each: the modified messages, their sampling masks
+    and the kernel's uniforms.  Row k reads the next row of doubles from
+    ``session_rng``, so a session's draws do not depend on how a lineage is
+    cut into blocks.  The sampling positions are those of the ``n_sample``
+    smallest of n uniform keys, uniform over all interleavings; each bit is a
+    uniform below 1/2."""
+    n_sessions, n_message = messages.shape
     n = n_message + n_sample
-    messages = (message_rng.random((n_sessions, n_message)) < 0.5).astype(np.uint8)
     draws = session_rng.random((n_sessions, 2 * n + n_sample))
     keys, uniforms, sample_draws = draws[:, :n], draws[:, n : 2 * n], draws[:, 2 * n :]
     sample_mask = np.zeros((n_sessions, n), dtype=bool)
@@ -304,7 +212,7 @@ def _draw_sessions(message_rng: RandomStream, session_rng: RandomStream, n_sessi
     bits = np.empty((n_sessions, n), dtype=np.uint8)
     bits[sample_mask] = (sample_draws < 0.5).ravel()
     bits[~sample_mask] = messages.ravel()
-    return messages, bits, sample_mask, uniforms
+    return bits, sample_mask, uniforms
 
 
 def _keyed_pairs(carried: np.ndarray, fresh: int, sample_mask: np.ndarray):
@@ -327,6 +235,78 @@ def _keyed_pairs(carried: np.ndarray, fresh: int, sample_mask: np.ndarray):
         row[:m] = carried
         carried = row[keep]
     return pairs, carried, fresh + sessions * (n - m)
+
+
+def _live_pad(pad: PadKey, carried: np.ndarray, fresh: int, sessions: int) -> PadKey:
+    """The pad left after ``sessions`` passed checks whose live pair list has
+    the head (``carried``, ``fresh``) of ``_keyed_pairs``."""
+    n_pairs = len(pad) // 2
+    live = np.concatenate((carried, np.arange(fresh, n_pairs)))
+    # the bits of the live pairs, then an odd pad's last bit, which no photon keys
+    keep = np.append(2 * live[:, None] + (0, 1), np.arange(2 * n_pairs, len(pad)))
+    return PadKey(
+        bits=pad.bits[keep],
+        generation=pad.generation + sessions,
+        origin_indices=pad.origin_indices[keep],
+    )
+
+
+def run_session(
+    config: SessionConfig, pad: PadKey, message, attack: AttackModel = NoAttack()
+) -> SessionTranscript:
+    """Execute one full session: a lineage of one row, whose draws come from
+    ``make_rng(config.seed)``.
+
+    On acceptance the transcript carries the recycled pad and the extracted
+    message; on rejection it carries neither (the process halts and the pad
+    lineage is retired).
+    """
+    message = np.asarray(message, dtype=np.uint8).reshape(-1)
+    n_message, n_sample = config.n_message, config.n_sample
+    if message.size != n_message:
+        raise ValueError(
+            f"config says n_message={n_message} but message has {message.size} bits"
+        )
+    n = n_message + n_sample
+    if len(pad) < 2 * n:
+        raise PadExhaustedError(
+            f"pad exhausted: need {2 * n} bits for {n} photons, have {len(pad)}"
+        )
+    bits, sample_mask, uniforms = _draw_sessions(message[None], make_rng(config.seed), n_sample)
+    modified, sampled = bits[0], sample_mask[0]
+    received, record, decoded = _send(
+        keystore.pair_states(pad, slice(n)), modified, attack, uniforms[0]
+    )
+    positions = np.flatnonzero(sampled)
+    n_errors, rate, accepted = _check_rows(
+        modified[positions], decoded[positions], config.abort_threshold
+    )
+    report = ErrorReport(
+        n_checked=n_sample, n_errors=int(n_errors), rate=float(rate), accepted=bool(accepted)
+    )
+    recycled_pad = extracted_message = None
+    if report.accepted:
+        _, carried, fresh = _keyed_pairs(np.arange(n_message), n_message, sample_mask)
+        recycled_pad = _live_pad(pad, carried, fresh, 1)
+        extracted_message = decoded[~sampled]
+    return SessionTranscript(
+        config=config,
+        attack=attack,
+        modified=modified,
+        sample_positions=positions,
+        pad=pad,
+        received=received,
+        decoded=decoded,
+        record=record,
+        error_report=report,
+        recycled_pad=recycled_pad,
+        extracted_message=extracted_message,
+    )
+
+
+# A lineage runs in blocks of sessions of about this many photons (at least one
+# session), so its memory does not grow with the number of sessions.
+BLOCK_PHOTONS = 1 << 16
 
 
 def run_lineage(
@@ -370,9 +350,8 @@ def run_lineage(
         done = len(sessions)
         keyed = block[: keyable - done]
         if keyed:
-            messages, bits, sample_mask, uniforms = _draw_sessions(
-                message_rng, session_rng, len(keyed), n_message, n_sample
-            )
+            messages = (message_rng.random((len(keyed), n_message)) < 0.5).astype(np.uint8)
+            bits, sample_mask, uniforms = _draw_sessions(messages, session_rng, n_sample)
             pairs, carried, fresh = _keyed_pairs(carried, fresh, sample_mask)
             decoded = _send_rows(state_of_pair[pairs], bits, keyed, uniforms)
             # the flat positions of the sampling bits, n_sample per row, rows in order
@@ -404,16 +383,7 @@ def run_lineage(
                 f"pad exhausted at session {len(sessions) + 1}: need {2 * n} bits for {n} "
                 f"photons, have {len(pad) - 2 * n_sample * len(sessions)}"
             )
-    final = None
-    if not halted:
-        live = np.concatenate((carried, np.arange(fresh, n_pairs)))
-        # the bits of the live pairs, then an odd pad's last bit, which no photon keys
-        keep = np.append(2 * live[:, None] + (0, 1), np.arange(2 * n_pairs, len(pad)))
-        final = PadKey(
-            bits=pad.bits[keep],
-            generation=pad.generation + len(sessions),
-            origin_indices=pad.origin_indices[keep],
-        )
+    final = None if halted else _live_pad(pad, carried, fresh, len(sessions))
     return {
         "sessions": sessions,
         "halted_at_session": len(sessions) if halted else None,

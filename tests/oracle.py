@@ -1,7 +1,8 @@
 """Exact state-vector oracle for one polarized photon, optionally joined to a
 one-qubit probe, with the per-photon attacks that act on it; the Pauli
-cloner that attains the ``i0`` ceiling; and batched kernel runs over
-uniformly random pads for the statistical tests.
+cloner that attains the ``i0`` ceiling; batched kernel runs over uniformly
+random pads for the statistical tests; and a mask-based reference pad
+recycler, which the lineage's pair recurrence is checked against.
 
 The package runs every session through the kernel in ``qotp.kernels``, which
 samples each attack's exact ``law()``, and draws every sweep point from the
@@ -38,6 +39,7 @@ from qotp import kernels
 from qotp.adversary import AttackModel, IndividualUTB, InterceptResend, KnownPlaintext, NoAttack
 from qotp.analysis import empirical_mutual_information
 from qotp.kernels import Basis
+from qotp.keystore import PadKey
 from qotp.rng import RandomStream
 
 NORM_TOL = 1e-9
@@ -438,6 +440,20 @@ def probe_information_estimate(batch: PhotonBatch, attack_basis: Basis) -> float
     matched = batch.prep_basis == attack_basis.index
     counts = np.bincount(2 * batch.encoded_label[matched] + batch.record[matched], minlength=4)
     return empirical_mutual_information(counts.reshape(2, 2))
+
+
+def recycle_pad(pad: PadKey, n_photons: int, announced_photons) -> PadKey:
+    """The next-generation pad after a passed check of a session that keyed
+    ``n_photons`` photons: pad bits 2i and 2i+1 of each announced photon i
+    are masked out, the survivors keep their order (an odd pad's last bit
+    included), and the generation counter goes up by one."""
+    keep = np.ones(len(pad), dtype=bool)
+    keep[: 2 * n_photons].reshape(-1, 2)[np.fromiter(announced_photons, dtype=np.int64)] = False
+    return PadKey(
+        bits=pad.bits[keep],
+        generation=pad.generation + 1,
+        origin_indices=pad.origin_indices[keep],
+    )
 
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -355,13 +355,13 @@ def test_criterion_11_session_oracle_equivalence():
         cfg = SessionConfig(n_message=0, n_sample=n, seed=120 + k,
                             abort_threshold=1.0, allow_insecure_demo=True)
         t = run_session(cfg, pad, [], attack)
-        errors = t.decoded != t.mm.bits
-        state_idx = np.array([p.state_index for p in key_pairs(t.pad.bits[: 2 * t.mm.bits.size])])
+        errors = t.decoded != t.modified
+        state_idx = np.array([p.state_index for p in key_pairs(t.pad.bits[: 2 * t.modified.size])])
         for idx in range(4):
             sel = state_idx == idx
             # exact expectation and variance given the photons' encodings
             p = np.array([oracle_error_probability(idx, int(m), attack) for m in (0, 1)])
-            p_photon = p[t.mm.bits[sel]]
+            p_photon = p[t.modified[sel]]
             expected = p_photon.mean()
             sigma = np.sqrt(np.sum(p_photon * (1 - p_photon))) / sel.sum()
             margin = abs(errors[sel].mean() - expected) - (3 * sigma + 1e-12)
@@ -432,7 +432,7 @@ def test_criterion_12_known_plaintext_posteriors_match_oracle():
             for ev in session_events
         ]
         known_plaintext_infer(oracle_records, message,
-                              set(t.mm.sample_positions.tolist()))
+                              set(t.sample_positions.tolist()))
         for ev, oracle in zip(session_events, oracle_records):
             worst = max(worst, abs(ev.posterior_plus - oracle.posterior_plus))
             if abs(oracle.posterior_plus - 0.5) > 1e-12:

@@ -221,7 +221,7 @@ class TestKnownPlaintext:
         events = attack_events(t.to_json_dict())
         assert len(events) > 0
         correct = 0
-        pairs = key_pairs(t.pad.bits[: 2 * t.mm.bits.size])
+        pairs = key_pairs(t.pad.bits[: 2 * t.modified.size])
         for ev in events:
             assert ev.posterior_plus == pytest.approx(0.5, abs=1e-9)
             truth = pairs[ev.photon_index].basis

@@ -24,7 +24,7 @@ from qotp.analysis import (
 )
 from qotp.errors import PoleError
 from qotp.kernels import Basis
-from qotp.keystore import generate_pad, photon_states
+from qotp.keystore import generate_pad, pair_states
 from qotp.protocol import SessionConfig, run_session
 from qotp.rng import make_rng
 from oracle import (
@@ -209,7 +209,7 @@ def test_package_ships_no_test_only_helpers():
 
 
 # Names the keystore once exported; sessions key photon i straight from pad
-# bits 2i and 2i+1 with keystore.photon_states.
+# bits 2i and 2i+1 with keystore.pair_states.
 FORMER_KEYSTORE_NAMES = ("BasisKeySequence", "draw_basis_keys")
 
 
@@ -222,7 +222,7 @@ class TestEmpiricalErrorRate:
         message = make_rng(0).integers(0, 2, 64, dtype=np.uint8)
         pad = generate_pad(2 * 96, make_rng(1))
         t = run_session(SessionConfig(n_message=64, n_sample=32, seed=2), pad, message)
-        assert np.mean(t.decoded != t.mm.bits) == 0.0
+        assert np.mean(t.decoded != t.modified) == 0.0
         assert t.error_report.rate == 0.0
 
     def test_probe_attack_matched_quarter(self):
@@ -233,9 +233,9 @@ class TestEmpiricalErrorRate:
             [],
             IndividualUTB(theta=np.pi / 4),
         )
-        n = t.mm.bits.size
-        matched = kernels.PREP_BASIS_OF_STATE[photon_states(t.pad, n)] == Basis.PLUS.index
-        rate = np.mean(t.decoded[matched] != t.mm.bits[matched])
+        n = t.modified.size
+        matched = kernels.PREP_BASIS_OF_STATE[pair_states(t.pad, slice(n))] == Basis.PLUS.index
+        rate = np.mean(t.decoded[matched] != t.modified[matched])
         n_matched = sum(1 for p in key_pairs(t.pad.bits[: 2 * n]) if p.basis is Basis.PLUS)
         assert abs(rate - 0.25) < 3 * np.sqrt(0.25 * 0.75 / n_matched)
 
@@ -421,8 +421,8 @@ class TestPerStateOracleEquivalence:
             SessionConfig(n_message=0, n_sample=1000, seed=201), pad, [], attack
         )
         decoded = np.asarray(t.decoded, dtype=np.uint8)
-        errors = decoded != t.mm.bits
-        state_idx = np.array([p.state_index for p in key_pairs(t.pad.bits[: 2 * t.mm.bits.size])])
+        errors = decoded != t.modified
+        state_idx = np.array([p.state_index for p in key_pairs(t.pad.bits[: 2 * t.modified.size])])
         for idx, p_err in expected.items():
             sel = state_idx == idx
             rate = float(errors[sel].mean())

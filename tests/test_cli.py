@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from qotp import analysis, cli, kernels, protocol
 from qotp.adversary import IndividualUTB, InterceptResend, NoAttack
 from qotp.analysis import BOUNDS_CSV_HEADER, SWEEP_CSV_HEADER
-from qotp.keystore import generate_pad, save_pad
+from qotp.keystore import generate_pad, pad_to_text
 from qotp.rng import ROLE_MESSAGE, ROLE_PAD, ROLE_SESSION, make_rng, role_seed
 
 # the d_m at which epsilon_tilde_min has its pole, 1 / (8 sqrt 2)
@@ -92,7 +92,7 @@ class TestRun:
 
     def test_pad_file_loaded(self, tmp_path, capsys):
         pad_path = tmp_path / "pad.txt"
-        save_pad(generate_pad(400, make_rng(5)), pad_path)
+        pad_path.write_text(pad_to_text(generate_pad(400, make_rng(5))))
         rc = cli.main(
             ["run", "--message-bits", "64", "--samples", "16", "--seed", "2",
              "--pad-file", str(pad_path)]
@@ -101,7 +101,7 @@ class TestRun:
 
     def test_pad_file_too_short(self, tmp_path, capsys):
         pad_path = tmp_path / "pad.txt"
-        save_pad(generate_pad(8, make_rng(5)), pad_path)
+        pad_path.write_text(pad_to_text(generate_pad(8, make_rng(5))))
         rc = cli.main(
             ["run", "--message-bits", "64", "--samples", "16", "--pad-file", str(pad_path)]
         )

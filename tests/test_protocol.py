@@ -18,16 +18,9 @@ from qotp.adversary import IndividualUTB, InterceptResend, NoAttack
 from qotp.errors import PadExhaustedError
 from qotp.kernels import Basis
 from qotp.keystore import generate_pad
-from qotp.protocol import (
-    ModifiedMessage,
-    SessionConfig,
-    build_modified_message,
-    eavesdrop_check,
-    run_lineage,
-    run_session,
-)
-from qotp.rng import make_rng
-from oracle import BasisKeyPair, key_pairs, state_from_basis_key
+from qotp.protocol import SessionConfig, run_lineage, run_session
+from qotp.rng import ROLE_MESSAGE, ROLE_SESSION, make_rng, role_seed
+from oracle import BasisKeyPair, key_pairs, recycle_pad, state_from_basis_key
 from transcript_v1 import attack_events, known_bits, sample_positions, v1_document
 
 SCHEMA = json.loads(
@@ -39,42 +32,33 @@ def bits(text: str) -> np.ndarray:
     return np.array([int(c) for c in text], dtype=np.uint8)
 
 
-class TestModifiedMessage:
-    def test_zero_samples_rejected(self):
-        with pytest.raises(ValueError, match="at least one sampling bit"):
-            build_modified_message(bits("101"), 0, make_rng(0))
-        with pytest.raises(ValueError, match="at least one sample position"):
-            ModifiedMessage(bits=bits("101"), sample_positions=[])
+def clean_session(message, n_sample, seed):
+    """A clean session carrying ``message`` on a pad with exactly enough bits."""
+    message = np.asarray(message, dtype=np.uint8)
+    pad = generate_pad(2 * (message.size + n_sample), make_rng(seed))
+    config = SessionConfig(n_message=message.size, n_sample=n_sample, seed=seed)
+    return run_session(config, pad, message)
 
+
+class TestModifiedMessage:
     def test_pure_sampling_session(self):
-        mm = build_modified_message([], 3, make_rng(1))
-        assert mm.bits.size == 3
-        assert set(mm.sample_positions.tolist()) == {0, 1, 2}
+        t = clean_session([], 3, 1)
+        assert t.modified.size == 3
+        assert t.sample_positions.tolist() == [0, 1, 2]
 
     def test_message_recovered_in_order(self):
-        mm = build_modified_message(bits("1100110010"), 7, make_rng(2))
-        assert np.array_equal(np.delete(mm.bits, mm.sample_positions), bits("1100110010"))
+        t = clean_session(bits("1100110010"), 7, 2)
+        assert np.array_equal(np.delete(t.modified, t.sample_positions), bits("1100110010"))
 
     @given(st.lists(st.integers(0, 1), max_size=40), st.integers(1, 10), st.integers(0, 2**31))
     @settings(max_examples=60, deadline=None)
     def test_subsequence_property(self, message, n_sample, seed):
-        mm = build_modified_message(message, n_sample, make_rng(seed))
-        assert mm.bits.size == len(message) + n_sample
-        message_bits = np.delete(mm.bits, mm.sample_positions)
+        t = clean_session(message, n_sample, seed)
+        assert t.modified.size == len(message) + n_sample
+        message_bits = np.delete(t.modified, t.sample_positions)
         assert np.array_equal(message_bits, np.array(message, dtype=np.uint8))
-        assert mm.n_sample == n_sample
-        assert np.all(np.diff(mm.sample_positions) > 0)
-
-    def test_position_distribution_uniform(self):
-        # |M| = 2, one sample: each of the 3 slots should get ~1/3
-        n = 10_000
-        rng = make_rng(3)
-        counts = np.zeros(3)
-        for _ in range(n):
-            mm = build_modified_message(bits("10"), 1, rng)
-            counts[int(mm.sample_positions[0])] += 1
-        sigma = np.sqrt((1 / 3) * (2 / 3) / n)
-        assert np.all(np.abs(counts / n - 1 / 3) < 3 * sigma)
+        assert t.sample_positions.size == n_sample
+        assert np.all(np.diff(t.sample_positions) > 0)
 
 
 class TestKnownBits:
@@ -92,34 +76,27 @@ class TestKnownBits:
         doc = t.to_json_dict()
         known = np.array(known_bits(doc))
         positions = sample_positions(doc)
-        assert positions == t.mm.sample_positions.tolist()
+        assert positions == t.sample_positions.tolist()
         assert np.array_equal(np.delete(known, positions), message)
         assert np.all(known[positions] == 2)
 
 
 class TestEavesdropCheck:
-    def _mm(self, n):
-        return build_modified_message([], n, make_rng(0))
+    SENT = make_rng(0).integers(0, 2, 100, dtype=np.uint8)
+
+    def check(self, n_flipped, threshold):
+        announced = self.SENT.copy()
+        announced[:n_flipped] ^= 1
+        return protocol._check_rows(self.SENT, announced, threshold)
 
     def test_clean_accepts(self):
-        mm = self._mm(10)
-        report = eavesdrop_check(mm, [int(b) for b in mm.bits], 0.0)
-        assert report.accepted and report.rate == 0.0 and report.n_checked == 10
+        assert self.check(0, 0.0) == (0, 0.0, True)
 
     def test_quarter_errors_rejected(self):
-        mm = self._mm(100)
-        decoded = [int(b) for b in mm.bits]
-        for p in mm.sample_positions[:25]:
-            decoded[int(p)] ^= 1
-        report = eavesdrop_check(mm, decoded, 0.0)
-        assert not report.accepted and report.rate == 0.25 and report.n_errors == 25
+        assert self.check(25, 0.0) == (25, 0.25, False)
 
     def test_threshold_semantics(self):
-        mm = self._mm(100)
-        decoded = [int(b) for b in mm.bits]
-        decoded[int(mm.sample_positions[0])] ^= 1
-        report = eavesdrop_check(mm, decoded, 0.02)
-        assert report.accepted and report.rate == 0.01
+        assert self.check(1, 0.02) == (1, 0.01, True)
 
 
 class TestSessionConfig:
@@ -206,26 +183,27 @@ class TestRunSession:
 
 
 def hand_lineage(pad, draws, attacks):
-    """The lineage as a loop of photon_states, simulate_photons and recycle_pad
-    over the sessions' recorded draws (message, modified bits, sampling mask,
+    """The lineage as a loop of pair_states, simulate_photons, a count of the
+    sampling bits announced wrong and the reference recycle_pad over the
+    sessions' recorded draws (message, modified bits, sampling mask,
     uniforms): per session the pad it read, its decoded bits, whether its
-    message came out exact and its check's error report; the halting
-    session; and the final pad."""
+    message came out exact and its check's error count; the halting session;
+    and the final pad."""
     steps = []
     for k, (attack, (message, sent, sample_mask, uniforms)) in enumerate(zip(attacks, draws)):
         n = sent.size
-        state = keystore.photon_states(pad, n)
+        state = keystore.pair_states(pad, slice(n))
         received, _ = kernels.simulate_photons(
             state, sent, kernels.PREP_BASIS_OF_STATE[state], attack, uniforms
         )
         decoded = (received != kernels.PREP_LABEL_OF_STATE[state]).astype(np.uint8)
         positions = np.flatnonzero(sample_mask)
-        report = eavesdrop_check(ModifiedMessage(sent, positions), decoded, 0.0)
-        exact = report.accepted and np.array_equal(np.delete(decoded, positions), message)
-        steps.append((pad, decoded, exact, report))
-        if not report.accepted:
+        n_errors = np.count_nonzero(decoded[positions] != sent[positions])
+        exact = n_errors == 0 and np.array_equal(np.delete(decoded, positions), message)
+        steps.append((pad, decoded, exact, n_errors))
+        if n_errors:
             return steps, k + 1, None
-        pad = keystore.recycle_pad(pad, n, positions, report)
+        pad = recycle_pad(pad, n, positions)
     return steps, None, pad
 
 
@@ -242,9 +220,9 @@ def recorded_lineage(monkeypatch, pad, config, attacks):
     recorded, one row per session."""
     draws, pairs, decoded = [], [], []
 
-    def draw(*args):
-        out = draw_sessions(*args)
-        draws.extend(zip(*out))
+    def draw(messages, *args):
+        out = draw_sessions(messages, *args)
+        draws.extend(zip(messages, *out))
         return out
 
     def keyed(*args):
@@ -306,7 +284,7 @@ class TestRunLineage:
         assert len(sessions) == len(want) <= len(pairs)
         # the pad each session leaves: the next session's, then the final one
         pads_after = [p for p, *_ in want[1:]] + [want_final]
-        for k, (want_pad, want_decoded, want_exact, want_check) in enumerate(want):
+        for k, (want_pad, want_decoded, want_exact, want_errors) in enumerate(want):
             # the pad bits (and their origins) the session keyed its photons with
             bit = 2 * pairs[k][:, None] + (0, 1)
             assert np.array_equal(pad.bits[bit].ravel(), want_pad.bits[: bit.size])
@@ -316,10 +294,10 @@ class TestRunLineage:
             assert sessions[k]["pad_bits_before"] == len(want_pad)
             assert sessions[k]["message_exact"] == want_exact
             assert sessions[k]["session"] == k + 1
-            assert sessions[k]["accepted"] == want_check.accepted
-            assert sessions[k]["error_rate"] == want_check.n_errors / self.CONFIG.n_sample
+            assert sessions[k]["accepted"] == (want_errors == 0)
+            assert sessions[k]["error_rate"] == want_errors / self.CONFIG.n_sample
             assert sessions[k]["pad_bits_after"] == (
-                len(pads_after[k]) if want_check.accepted else len(want_pad)
+                len(want_pad) if want_errors else len(pads_after[k])
             )
         assert report["halted_at_session"] == want_halt == halted_at
         assert_same_pad(final, want_final)
@@ -330,6 +308,38 @@ class TestRunLineage:
         ]
         if pad_bits % 2:  # the trailing bit is never keyed and survives
             assert final.origin_indices[-1] == pad.origin_indices[-1]
+
+    @pytest.mark.parametrize(
+        "attack", [NoAttack(), InterceptResend(), IndividualUTB(theta=np.pi / 8)],
+        ids=["clean", "intercept-resend", "probe"],
+    )
+    @pytest.mark.parametrize(
+        "pad_bits,input_sessions",
+        [(pad_for(1), 0), (pad_for(1, extra=2 * 40), 0), (pad_for(1, extra=1), 0),
+         (pad_for(3), 2)],
+        ids=["exact-pad", "longer-pad", "odd-length-pad", "recycled-input-pad"],
+    )
+    # threshold 1 accepts every attacked session, and releases its message with errors
+    @pytest.mark.parametrize("threshold", [0.0, 1.0])
+    def test_a_session_is_a_one_row_lineage(self, attack, pad_bits, input_sessions, threshold):
+        pad = generate_pad(pad_bits, make_rng(16))
+        if input_sessions:
+            _, pad = run_lineage(pad, dataclasses.replace(self.CONFIG, seed=17),
+                                 [NoAttack()] * input_sessions)
+            assert pad.generation == input_sessions
+        lineage_config = dataclasses.replace(self.CONFIG, abort_threshold=threshold,
+                                             allow_insecure_demo=True)
+        report, final = run_lineage(pad, lineage_config, [attack])
+        (session,) = report["sessions"]
+        n_message, seed = self.CONFIG.n_message, self.CONFIG.seed
+        message = make_rng(role_seed(seed, ROLE_MESSAGE)).random((1, n_message))[0] < 0.5
+        config = dataclasses.replace(lineage_config, seed=role_seed(seed, ROLE_SESSION))
+        t = run_session(config, pad, message, attack)
+        assert t.error_report.rate == session["error_rate"]
+        assert t.error_report.accepted == session["accepted"]
+        exact = t.extracted_message is not None and np.array_equal(t.extracted_message, message)
+        assert exact == session["message_exact"]
+        assert_same_pad(t.recycled_pad, final)
 
     @given(st.integers(0, 6), st.integers(1, 4), st.integers(1, 6), st.integers(0, 5),
            st.integers(1, 40), st.integers(0, 7), st.integers(0, 2**31))
@@ -412,8 +422,8 @@ class TestRunLineage:
     @pytest.mark.parametrize("n_message,n_sample,critical", [(3, 2, 27.877), (3, 3, 43.820)])
     def test_sample_positions_uniform_over_interleavings(self, n_message, n_sample, critical):
         rows = 40_000
-        _, _, sample_mask, _ = protocol._draw_sessions(
-            make_rng(14), make_rng(15), rows, n_message, n_sample
+        _, sample_mask, _ = protocol._draw_sessions(
+            np.zeros((rows, n_message), dtype=np.uint8), make_rng(15), n_sample
         )
         assert np.all(sample_mask.sum(axis=1) == n_sample)
         subset = sample_mask @ (1 << np.arange(n_message + n_sample))
@@ -479,7 +489,7 @@ class TestPublicRecord:
     def test_announcement_values_are_bobs_decodes(self):
         t = self._transcript()
         announced = t.public_view()["announced"]
-        positions = t.mm.sample_positions.tolist()
+        positions = t.sample_positions.tolist()
         for i, val in enumerate(announced):
             assert val == ("2" if i not in positions else str(t.decoded[i]))
 
@@ -549,7 +559,7 @@ class TestTranscriptExport:
             assert ph["basis_key"] == [pair.b0, pair.b1]
             amps = state_from_basis_key(pair).amps
             assert [(a["re"], a["im"]) for a in ph["prepared"]] == [(a.real, a.imag) for a in amps]
-            assert ph["encoding"] == f"U{t.mm.bits[i]}"
+            assert ph["encoding"] == f"U{t.modified[i]}"
             assert ph["decoded_bit"] == view["decoded_bits"][i] == t.decoded[i]
             # the decoded bit is 1 exactly when the outcome is not the prepared eigenstate
             assert ph["decoded_bit"] == int(ph["received_outcome"] != pair.eigenstate_label)

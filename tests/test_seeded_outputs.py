@@ -23,46 +23,46 @@ CASES = {
         [*RUN, "--attack", "none", "--seed", "101"],
         0,
         "846b5e1e6de991fff487dc027f89cb62c565309fbb6246f214db5fb2c42c78f8",
-        "ad70bbf44962d5288146c3b5fdd6c36bdca60e5b981e71161e8c411c980fbdd3",
+        "c1827379074192c4f6533dac83b21fc067ce9605bd5369e8e1ae9ca8d1f42c1d",
     ),
     "run-ir-random": (
         [*RUN, "--attack", "intercept_resend", "--seed", "102"],
         2,
-        "51b916f49780d578242b4c8530e65d08779030e211ee176604323e61530d6d62",
-        "5c0719e337bf7fba58a771066fa5b13bb355c8665bac0987543c3389c69b82ed",
+        "3fcc905bcdbe9e1d8dd97a66f4eaec3bb776093b6da8a4a8c14b23c51113a709",
+        "84f2f26f580fdc0a707d3ce348c3fea9caec823226215d0a1e16acc872d534a0",
     ),
     "run-ir-plus": (
         [*RUN, "--attack", "intercept_resend", "--ir-basis", "plus", "--seed", "103"],
         2,
-        "32e3c94c3d8f40a1de85ff5481acf387c257e7725bc58747ac4948ac8583921c",
-        "16198bd517e401dac3e7088755ca0b037ce0c7559a383fcd0da02974b55f2bce",
+        "92cdda11ecc875d447a4c73d30d1b26d8e35784a609108af046595e43bc0c3f8",
+        "9ce8bb3cb6efae62384f9efec31dfa9753e1bb89988e728643c76a7be85abce7",
     ),
     "run-ir-cross-known": (
         [*RUN, "--attack", "intercept_resend", "--ir-basis", "cross", "--known-plaintext",
          "--seed", "104"],
         2,
-        "3fcc905bcdbe9e1d8dd97a66f4eaec3bb776093b6da8a4a8c14b23c51113a709",
-        "fb534afd41c747daeddc6d3f9c25e6d3f93a6e12e71ee328af2676392a8964f6",
+        "016fbfcf9e71299c9fe0b6225862526cfaad119a261531c2a9550e0daeaa3ff5",
+        "5f368a831c8ad4f5b1ebb075a868b487afad08b314c73030d65fe631061593c1",
     ),
     "run-utb-plus": (
         [*RUN, "--attack", "utb", "--theta", "0.3927", "--utb-basis", "plus", "--seed", "105"],
         2,
-        "6917ab3ed4848a7b58daf3fa81b9c34a75b1d80f26dcdad4b73eff364843473e",
-        "784e6b87bf12e1f1bb0ca162188e3935c68fa0032d7118be54ec6d36deec8870",
+        "196d2ec1b6090019a681c5aa2affa56c9975c0111e6906095dd0247f36659924",
+        "b6c4dc55cea6c34666898bda730be0fa710fc90e16075e285f185fd3450b7928",
     ),
     "run-utb-cross-known": (
         [*RUN, "--attack", "utb", "--theta-deg", "30", "--utb-basis", "cross",
          "--known-plaintext", "--seed", "106"],
         2,
-        "015eddbfc3ab477ca5eb96a6f494453318a55a0ace36dca653a4d466564d8d0e",
-        "8612af6ef953c9be93c15d37a40e4527857f53f8cc87f5562e327b252a0caba6",
+        "a4aba22e158e61d624000471380a443314e5121369c81e88820e57608af02a20",
+        "da24980e8857b149ddf85c9c32cd064c74626c8a9b38af080a2e2c8aa8f628d6",
     ),
     "run-utb-known-accepted": (
         [*RUN, "--attack", "utb", "--theta", "0.2", "--known-plaintext", "--threshold", "1",
          "--insecure-demo", "--seed", "107"],
         0,
-        "138f5637851802f60ff4a381b5caf899117c4da10f26f06669bf999c86097ab7",
-        "76cd11477fca2b295be99e89e4969eb1c73abbdc1c2dbbb85e61b84eedd7c004",
+        "30042994d8816503107365b698664dda678beae1deb0ef5934f84a569991aac6",
+        "59ea494694e4a991ac3841ec8132a8a5c0fa9fca7f4a1f1d0f8d3ed1330b3186",
     ),
     "sweep-plus": (
         [*SWEEP, "--utb-basis", "plus", "--seed", "108"],
