@@ -30,8 +30,8 @@ from .adversary import (
 )
 from .errors import PadExhaustedError
 from .kernels import Basis
-from .protocol import SessionConfig, message_digest, run_lineage, run_session
-from .rng import ROLE_MESSAGE, ROLE_PAD, ROLE_SESSION, make_rng, role_seed
+from .protocol import SessionConfig, draw_messages, message_digest, run_lineage, run_session
+from .rng import ROLE_MESSAGE, ROLE_PAD, make_rng, role_seed
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -88,6 +88,8 @@ def _resolve_theta(args) -> float:
             raise ValueError(f"--theta-deg must lie in [0, 45], got {args.theta_deg}")
         return float(args.theta_deg) * np.pi / 180.0
     if args.theta is not None:
+        if not 0.0 <= args.theta <= np.pi / 4:  # NaN is outside too
+            raise ValueError(f"--theta must lie in [0, pi/4], got {args.theta}")
         return float(args.theta)
     return np.pi / 4
 
@@ -102,11 +104,13 @@ _ATTACK_FLAG_OWNERS = {
 
 
 def _check_session_flags(args) -> None:
-    """Reject a negative message length, a threshold outside [0, 1] or above 0
-    without --insecure-demo, and attack flags the configured attack would
-    silently ignore."""
+    """Reject a negative message length, no sampling bits, a threshold outside
+    [0, 1] or above 0 without --insecure-demo, and attack flags the
+    configured attack would silently ignore."""
     if args.message_bits < 0:
         raise ValueError(f"--message-bits must be >= 0, got {args.message_bits}")
+    if args.samples is not None and args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     if not 0.0 <= args.threshold <= 1.0:
         raise ValueError(f"--threshold must lie in [0, 1], got {args.threshold}")
     if args.threshold > 0.0 and not args.insecure_demo:
@@ -143,27 +147,20 @@ def _parse_bits(text: str) -> np.ndarray:
     return bits
 
 
-def _session_message(args, n_bits: int) -> np.ndarray:
-    if args.message is not None:
-        return _parse_bits(args.message)
-    rng = make_rng(role_seed(args.seed, ROLE_MESSAGE))
-    return rng.integers(0, 2, size=n_bits, dtype=np.uint8)
-
-
 def _pad_length(n_bits: int, flags: str) -> int:
     if n_bits > _INT64_MAX:  # numpy sizes stop there
         raise ValueError(f"a pad of {n_bits} bits, set by {flags}, is past the int64 maximum")
     return n_bits
 
 
-def _session_config(args, n_message: int, n_sample: int, seed: int) -> SessionConfig:
+def _session_config(args, n_message: int, n_sample: int) -> SessionConfig:
     """The session the flags ask for, its pad length checked before any draw."""
     _pad_length(2 * (n_message + n_sample), "--message-bits and --samples")
     return SessionConfig(
         n_message=n_message,
         n_sample=n_sample,
         abort_threshold=args.threshold,
-        seed=seed,
+        seed=args.seed,
         allow_insecure_demo=args.insecure_demo,
     )
 
@@ -179,8 +176,11 @@ def cmd_run(args) -> int:
     _check_session_flags(args)
     n_message = args.message_bits if args.message is None else len(args.message)
     n_sample = args.samples if args.samples is not None else max(32, n_message // 4)
-    config = _session_config(args, n_message, n_sample, role_seed(args.seed, ROLE_SESSION))
-    message = _session_message(args, n_message)
+    config = _session_config(args, n_message, n_sample)
+    if args.message is None:
+        message = draw_messages(make_rng(role_seed(args.seed, ROLE_MESSAGE)), 1, n_message)[0]
+    else:
+        message = _parse_bits(args.message)
     attack = _build_attack(args)
     pad = _session_pad(args, 2 * (n_message + n_sample))
     transcript = run_session(config, pad, message, attack)
@@ -266,12 +266,14 @@ def cmd_recycle_demo(args) -> int:
     _check_session_flags(args)
     if (args.attack == NoAttack.kind) != (args.attack_session is None):
         raise ValueError("--attack-session and an --attack other than none go together")
-    config = _session_config(args, args.message_bits, args.samples, args.seed)
+    config = _session_config(args, args.message_bits, args.samples)
     if args.pad_bits is None:
         pad_bits = _pad_length(
             2 * (args.message_bits + args.samples) + 2 * args.samples * (args.sessions - 1),
             "--message-bits, --samples and --sessions",
         )
+    elif args.pad_bits < 1:
+        raise ValueError(f"--pad-bits must be >= 1, got {args.pad_bits}")
     else:
         pad_bits = _pad_length(args.pad_bits, "--pad-bits")
     pad = keystore.generate_pad(pad_bits, make_rng(role_seed(args.seed, ROLE_PAD)))

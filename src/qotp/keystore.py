@@ -63,12 +63,11 @@ def generate_pad(length: int, rng: RandomStream) -> PadKey:
     return PadKey(bits=bits)
 
 
-def pair_states(pad: PadKey, pairs) -> np.ndarray:
+def pair_states(pad: PadKey) -> np.ndarray:
     """Prepared state of the photon keyed by each pad pair, 0..3 = H, V, u,
-    d: pair p is pad bits 2p and 2p+1, 00 -> H, 11 -> V, 01 -> u, 10 -> d.
-    ``pairs`` indexes the pairs like an array index (integers of any shape,
-    or a slice), and the result has that index's shape."""
-    key = pad.bits[: len(pad) // 2 * 2].reshape(-1, 2)[pairs]
+    d, as a table indexed by pair: pair p is pad bits 2p and 2p+1, 00 -> H,
+    11 -> V, 01 -> u, 10 -> d.  An odd pad's last bit keys no pair."""
+    key = pad.bits[: len(pad) // 2 * 2].reshape(-1, 2)
     b0 = key[..., 0].astype(np.int64)
     return np.where(b0 == key[..., 1], b0, 2 + b0)
 

@@ -7,7 +7,7 @@ decode in each photon's preparation basis, compare the announced sampling
 bits, and either recycle the pad (dropping the announced photons' bit pairs)
 and release the message or halt.  Sessions run as rows: a lineage reuses one
 pad until a check fails, running its sessions in blocks, and a single
-session is a lineage of one row.  Both draw, key, send, check and recycle
+session is session 1 of a lineage.  Both draw, key, send, check and recycle
 through the same steps, and the photons of a block run as columns through
 one batch-kernel call per attack, which samples the attack's exact law.
 The transcript keeps the full secret view for analysis; the ``public_view``
@@ -39,6 +39,9 @@ from .rng import ROLE_MESSAGE, ROLE_SESSION, RandomStream, make_rng, role_seed
 
 @dataclass(frozen=True)
 class SessionConfig:
+    """Message and sample lengths, check threshold and top-level seed: both
+    ``run_session`` and ``run_lineage`` draw from ``role_seed(seed, role)``."""
+
     n_message: int
     n_sample: int
     abort_threshold: float = 0.0
@@ -166,32 +169,29 @@ def _check_rows(sent, announced, threshold: float):
     return n_errors, rate, rate <= threshold
 
 
-def _send(state_idx, bits, attack: AttackModel, uniforms):
-    """Photons keyed ``state_idx`` and carrying ``bits`` (arrays of one
-    shape) through ``attack`` in one kernel call, each measured in its
-    preparation basis.  Returns the received outcomes, Eve's records and the
-    decoded bits, each shaped like ``bits``."""
-    received, record = (
-        column.reshape(bits.shape)
-        for column in kernels.simulate_photons(
-            state_idx.ravel(), bits.ravel(), kernels.PREP_BASIS_OF_STATE[state_idx].ravel(),
-            attack, uniforms.ravel(),
-        )
-    )
+def _send_rows(state_idx, bits, attacks, uniforms):
+    """Row k of photons keyed ``state_idx`` and carrying ``bits`` (arrays of
+    one shape) sent through ``attacks[k]``, in one kernel call per distinct
+    attack, and measured in their preparation bases.  Returns the received
+    outcomes, Eve's records and the decoded bits, each shaped like ``bits``."""
+    codes: dict = {}
+    row_codes = np.array([codes.setdefault(attack, len(codes)) for attack in attacks])
+    received, record = np.empty(bits.shape, dtype=np.uint8), np.empty(bits.shape, dtype=np.int8)
+    for attack, code in codes.items():
+        rows = row_codes == code
+        state = state_idx[rows]
+        columns = kernels.simulate_photons(state.ravel(), bits[rows].ravel(),
+                                           kernels.PREP_BASIS_OF_STATE[state].ravel(), attack,
+                                           uniforms[rows].ravel())
+        received[rows], record[rows] = (column.reshape(state.shape) for column in columns)
     decoded = (received != kernels.PREP_LABEL_OF_STATE[state_idx]).astype(np.uint8)
     return received, record, decoded
 
 
-def _send_rows(state_idx, bits, attacks, uniforms) -> np.ndarray:
-    """The decoded bits of row k of photons sent through ``attacks[k]``, with
-    one ``_send`` per distinct attack over the rows it attacks."""
-    codes: dict = {}
-    row_codes = np.array([codes.setdefault(attack, len(codes)) for attack in attacks])
-    decoded = np.empty(bits.shape, dtype=np.uint8)
-    for attack, code in codes.items():
-        rows = row_codes == code
-        decoded[rows] = _send(state_idx[rows], bits[rows], attack, uniforms[rows])[2]
-    return decoded
+def draw_messages(rng: RandomStream, n_sessions: int, n_message: int) -> np.ndarray:
+    """The messages of consecutive sessions, one row each: a bit is one double
+    of ``rng`` below 1/2, so a longer draw extends a shorter one."""
+    return (rng.random((n_sessions, n_message)) < 0.5).astype(np.uint8)
 
 
 def _draw_sessions(messages: np.ndarray, session_rng: RandomStream, n_sample: int):
@@ -237,6 +237,12 @@ def _keyed_pairs(carried: np.ndarray, fresh: int, sample_mask: np.ndarray):
     return pairs, carried, fresh + sessions * (n - m)
 
 
+def _exhausted(session: int, n: int, have: int) -> PadExhaustedError:
+    return PadExhaustedError(
+        f"pad exhausted at session {session}: need {2 * n} bits for {n} photons, have {have}"
+    )
+
+
 def _live_pad(pad: PadKey, carried: np.ndarray, fresh: int, sessions: int) -> PadKey:
     """The pad left after ``sessions`` passed checks whose live pair list has
     the head (``carried``, ``fresh``) of ``_keyed_pairs``."""
@@ -254,39 +260,34 @@ def _live_pad(pad: PadKey, carried: np.ndarray, fresh: int, sessions: int) -> Pa
 def run_session(
     config: SessionConfig, pad: PadKey, message, attack: AttackModel = NoAttack()
 ) -> SessionTranscript:
-    """Execute one full session: a lineage of one row, whose draws come from
-    ``make_rng(config.seed)``.
+    """Execute one full session carrying ``message``: session 1 of
+    ``run_lineage(pad, config, [attack])``, drawn from the same stream
+    ``role_seed(config.seed, ROLE_SESSION)`` through the same steps.
 
     On acceptance the transcript carries the recycled pad and the extracted
     message; on rejection it carries neither (the process halts and the pad
-    lineage is retired).
-    """
+    lineage is retired)."""
     message = np.asarray(message, dtype=np.uint8).reshape(-1)
     n_message, n_sample = config.n_message, config.n_sample
     if message.size != n_message:
-        raise ValueError(
-            f"config says n_message={n_message} but message has {message.size} bits"
-        )
+        raise ValueError(f"config says n_message={n_message} but message has {message.size} bits")
     n = n_message + n_sample
     if len(pad) < 2 * n:
-        raise PadExhaustedError(
-            f"pad exhausted: need {2 * n} bits for {n} photons, have {len(pad)}"
-        )
-    bits, sample_mask, uniforms = _draw_sessions(message[None], make_rng(config.seed), n_sample)
+        raise _exhausted(1, n, len(pad))
+    session_rng = make_rng(role_seed(config.seed, ROLE_SESSION))
+    bits, sample_mask, uniforms = _draw_sessions(message[None], session_rng, n_sample)
+    pairs, carried, fresh = _keyed_pairs(np.arange(n_message), n_message, sample_mask)
+    state_idx = keystore.pair_states(pad)[pairs]
+    received, record, decoded = (c[0] for c in _send_rows(state_idx, bits, [attack], uniforms))
     modified, sampled = bits[0], sample_mask[0]
-    received, record, decoded = _send(
-        keystore.pair_states(pad, slice(n)), modified, attack, uniforms[0]
-    )
     positions = np.flatnonzero(sampled)
-    n_errors, rate, accepted = _check_rows(
-        modified[positions], decoded[positions], config.abort_threshold
-    )
+    n_errors, rate, accepted = _check_rows(modified[positions], decoded[positions],
+                                           config.abort_threshold)
     report = ErrorReport(
         n_checked=n_sample, n_errors=int(n_errors), rate=float(rate), accepted=bool(accepted)
     )
     recycled_pad = extracted_message = None
     if report.accepted:
-        _, carried, fresh = _keyed_pairs(np.arange(n_message), n_message, sample_mask)
         recycled_pad = _live_pad(pad, carried, fresh, 1)
         extracted_message = decoded[~sampled]
     return SessionTranscript(
@@ -315,7 +316,7 @@ def run_lineage(
     """Run one session per attack on one pad lineage, recycling the pad after
     each passed check and retiring it at the first failed one.
 
-    ``config.seed`` is the lineage seed: every message is drawn from the
+    ``config.seed`` is the top-level seed: every message is drawn from the
     stream ``role_seed(config.seed, ROLE_MESSAGE)`` and every session's
     sampling positions, sampling bits and channel uniforms from
     ``role_seed(config.seed, ROLE_SESSION)``, one row per session in order.
@@ -337,7 +338,7 @@ def run_lineage(
     message_rng = make_rng(role_seed(config.seed, ROLE_MESSAGE))
     session_rng = make_rng(role_seed(config.seed, ROLE_SESSION))
     attacks = iter(attacks)
-    state_of_pair = keystore.pair_states(pad, slice(None))
+    state_of_pair = keystore.pair_states(pad)
     # each session keys n_sample fresh pairs, after the first's n_message
     keyable = max(0, (n_pairs - n_message) // n_sample)
     carried, fresh = np.arange(min(n_message, n_pairs)), n_message
@@ -350,10 +351,10 @@ def run_lineage(
         done = len(sessions)
         keyed = block[: keyable - done]
         if keyed:
-            messages = (message_rng.random((len(keyed), n_message)) < 0.5).astype(np.uint8)
+            messages = draw_messages(message_rng, len(keyed), n_message)
             bits, sample_mask, uniforms = _draw_sessions(messages, session_rng, n_sample)
             pairs, carried, fresh = _keyed_pairs(carried, fresh, sample_mask)
-            decoded = _send_rows(state_of_pair[pairs], bits, keyed, uniforms)
+            decoded = _send_rows(state_of_pair[pairs], bits, keyed, uniforms)[2]
             # the flat positions of the sampling bits, n_sample per row, rows in order
             checked = np.flatnonzero(sample_mask)
             sent, announced = (b.take(checked).reshape(-1, n_sample) for b in (bits, decoded))
@@ -379,10 +380,7 @@ def run_lineage(
                 for session, attack, before, after, passed, rate, message_exact in columns
             ]
         if not halted and len(keyed) < len(block):
-            raise PadExhaustedError(
-                f"pad exhausted at session {len(sessions) + 1}: need {2 * n} bits for {n} "
-                f"photons, have {len(pad) - 2 * n_sample * len(sessions)}"
-            )
+            raise _exhausted(len(sessions) + 1, n, len(pad) - 2 * n_sample * len(sessions))
     final = None if halted else _live_pad(pad, carried, fresh, len(sessions))
     return {
         "sessions": sessions,

@@ -234,7 +234,7 @@ class TestEmpiricalErrorRate:
             IndividualUTB(theta=np.pi / 4),
         )
         n = t.modified.size
-        matched = kernels.PREP_BASIS_OF_STATE[pair_states(t.pad, slice(n))] == Basis.PLUS.index
+        matched = kernels.PREP_BASIS_OF_STATE[pair_states(t.pad)[:n]] == Basis.PLUS.index
         rate = np.mean(t.decoded[matched] != t.modified[matched])
         n_matched = sum(1 for p in key_pairs(t.pad.bits[: 2 * n]) if p.basis is Basis.PLUS)
         assert abs(rate - 0.25) < 3 * np.sqrt(0.25 * 0.75 / n_matched)

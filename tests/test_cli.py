@@ -106,7 +106,23 @@ class TestRun:
             ["run", "--message-bits", "64", "--samples", "16", "--pad-file", str(pad_path)]
         )
         assert rc == cli.EXIT_ERROR
-        assert "pad exhausted" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: pad exhausted at session 1: need 160 bits for 80 photons, have 8\n"
+        )
+
+    @pytest.mark.parametrize("seed", [7, -5, 2**63 - 1])
+    def test_recorded_seed_replays(self, seed, tmp_path, capsys):
+        # the transcript records the --seed given, and that seed replays the run
+        argv = ["run", "--message-bits", "64", "--samples", "16", "--attack", "utb",
+                "--theta", "0.2", "--threshold", "1", "--insecure-demo"]
+        first, replay = tmp_path / "first.json", tmp_path / "replay.json"
+        assert cli.main([*argv, "--seed", str(seed), "--out", str(first)]) == cli.EXIT_OK
+        stdout = capsys.readouterr().out
+        recorded = json.loads(first.read_text())["config"]["seed"]
+        assert recorded == seed
+        assert cli.main([*argv, "--seed", str(recorded), "--out", str(replay)]) == cli.EXIT_OK
+        assert capsys.readouterr() == (stdout, "")
+        assert replay.read_bytes() == first.read_bytes()
 
     def test_theta_deg_equivalent(self, tmp_path):
         base = ["run", "--message-bits", "32", "--samples", "8", "--attack", "utb",
@@ -276,7 +292,10 @@ class TestRecycleDemo:
              "--pad-bits", "200", "--seed", "11"]
         )
         assert rc == cli.EXIT_ERROR
-        assert "pad exhausted" in capsys.readouterr().err
+        # two sessions leave 200 - 2 * 2 * 16 bits, short of the third's 80 photons
+        assert capsys.readouterr().err == (
+            "error: pad exhausted at session 3: need 160 bits for 80 photons, have 136\n"
+        )
 
 
 class TestSeedRoles:
@@ -461,6 +480,22 @@ class TestBoundaryErrors:
     def test_negative_length_names_the_flag(self, command, value, capsys):
         assert cli.main([command, "--message-bits", value]) == cli.EXIT_ERROR
         assert capsys.readouterr().err == f"error: --message-bits must be >= 0, got {value}\n"
+
+    @pytest.mark.parametrize(
+        "argv,line",
+        [
+            (["run", "--attack", "utb", "--theta", "0.9"], "--theta must lie in [0, pi/4], got 0.9"),
+            (["run", "--attack", "utb", "--theta", "nan"], "--theta must lie in [0, pi/4], got nan"),
+            (["run", "--samples", "0"], "--samples must be >= 1, got 0"),
+            (["recycle-demo", "--samples", "0"], "--samples must be >= 1, got 0"),
+            (["recycle-demo", "--pad-bits", "0"], "--pad-bits must be >= 1, got 0"),
+        ],
+        ids=["theta-past-pi-over-4", "theta-nan", "run-zero-samples", "recycle-zero-samples",
+             "zero-pad-bits"],
+    )
+    def test_value_outside_its_domain_names_its_flag(self, argv, line, capsys):
+        assert cli.main(argv) == cli.EXIT_ERROR
+        assert capsys.readouterr() == ("", f"error: {line}\n")
 
     @pytest.mark.parametrize("command,value", [("sweep-theta", "-3"), ("bounds", "-1")])
     def test_negative_points_names_the_flag(self, command, value, capsys):

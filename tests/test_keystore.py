@@ -59,7 +59,7 @@ class TestPhotonStates:
         pad = pad_of("0011")
         pairs = key_pairs(pad.bits)
         assert [(k.b0, k.b1) for k in pairs] == [(0, 0), (1, 1)]
-        states = pair_states(pad, slice(2))
+        states = pair_states(pad)
         assert states.tolist() == [0, 1]
         assert np.allclose(PREP_STATES[states[0]].amps, state_from_basis_key(pairs[0]).amps)
         assert np.allclose(PREP_STATES[states[0]].amps, KET_H.amps)
@@ -69,7 +69,7 @@ class TestPhotonStates:
     def test_cross_pairs(self):
         pad = pad_of("0110")
         pairs = key_pairs(pad.bits)
-        states = pair_states(pad, slice(2))
+        states = pair_states(pad)
         assert states.tolist() == [2, 3]
         assert np.allclose(PREP_STATES[states[0]].amps, state_from_basis_key(pairs[0]).amps)
         assert np.allclose(PREP_STATES[states[0]].amps, KET_U.amps)
@@ -78,16 +78,16 @@ class TestPhotonStates:
 
     def test_photon_i_keyed_by_bits_2i_and_2i_plus_1(self):
         pad = generate_pad(20, make_rng(0))
-        states = pair_states(pad, slice(10))
+        states = pair_states(pad)
         assert states.tolist() == [p.state_index for p in key_pairs(pad.bits)]
-        # a shorter session reads only its own prefix of pairs
-        assert pair_states(pad, slice(4)).tolist() == states[:4].tolist()
+        # an odd pad's last bit keys no pair
+        assert pair_states(pad_of("01101")).tolist() == [2, 3]
 
     def test_pure_read(self):
         pad = pad_of("0110")
         before = pad.bits.copy()
-        pair_states(pad, slice(2))
-        pair_states(pad, slice(2))
+        pair_states(pad)
+        pair_states(pad)
         assert np.array_equal(pad.bits, before)
 
 

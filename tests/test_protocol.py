@@ -18,8 +18,8 @@ from qotp.adversary import IndividualUTB, InterceptResend, NoAttack
 from qotp.errors import PadExhaustedError
 from qotp.kernels import Basis
 from qotp.keystore import generate_pad
-from qotp.protocol import SessionConfig, run_lineage, run_session
-from qotp.rng import ROLE_MESSAGE, ROLE_SESSION, make_rng, role_seed
+from qotp.protocol import SessionConfig, draw_messages, run_lineage, run_session
+from qotp.rng import ROLE_MESSAGE, make_rng, role_seed
 from oracle import BasisKeyPair, key_pairs, recycle_pad, state_from_basis_key
 from transcript_v1 import attack_events, known_bits, sample_positions, v1_document
 
@@ -192,7 +192,7 @@ def hand_lineage(pad, draws, attacks):
     steps = []
     for k, (attack, (message, sent, sample_mask, uniforms)) in enumerate(zip(attacks, draws)):
         n = sent.size
-        state = keystore.pair_states(pad, slice(n))
+        state = keystore.pair_states(pad)[:n]
         received, _ = kernels.simulate_photons(
             state, sent, kernels.PREP_BASIS_OF_STATE[state], attack, uniforms
         )
@@ -232,7 +232,7 @@ def recorded_lineage(monkeypatch, pad, config, attacks):
 
     def send(*args):
         out = send_rows(*args)
-        decoded.extend(out)
+        decoded.extend(out[2])
         return out
 
     draw_sessions, keyed_pairs, send_rows = (
@@ -327,13 +327,12 @@ class TestRunLineage:
             _, pad = run_lineage(pad, dataclasses.replace(self.CONFIG, seed=17),
                                  [NoAttack()] * input_sessions)
             assert pad.generation == input_sessions
-        lineage_config = dataclasses.replace(self.CONFIG, abort_threshold=threshold,
-                                             allow_insecure_demo=True)
-        report, final = run_lineage(pad, lineage_config, [attack])
+        config = dataclasses.replace(self.CONFIG, abort_threshold=threshold,
+                                     allow_insecure_demo=True)
+        report, final = run_lineage(pad, config, [attack])
         (session,) = report["sessions"]
-        n_message, seed = self.CONFIG.n_message, self.CONFIG.seed
-        message = make_rng(role_seed(seed, ROLE_MESSAGE)).random((1, n_message))[0] < 0.5
-        config = dataclasses.replace(lineage_config, seed=role_seed(seed, ROLE_SESSION))
+        message_rng = make_rng(role_seed(config.seed, ROLE_MESSAGE))
+        (message,) = draw_messages(message_rng, 1, config.n_message)
         t = run_session(config, pad, message, attack)
         assert t.error_report.rate == session["error_rate"]
         assert t.error_report.accepted == session["accepted"]

@@ -22,47 +22,47 @@ CASES = {
     "run-clean": (
         [*RUN, "--attack", "none", "--seed", "101"],
         0,
-        "846b5e1e6de991fff487dc027f89cb62c565309fbb6246f214db5fb2c42c78f8",
-        "c1827379074192c4f6533dac83b21fc067ce9605bd5369e8e1ae9ca8d1f42c1d",
+        "f27f26876282a4d866c28fd11d36f7d6233ba7cd04489d9f11e859e93652e332",
+        "046b8eb1a75ddd87ac569674c803486a6763db879eca858826386d977c3a0e4c",
     ),
     "run-ir-random": (
         [*RUN, "--attack", "intercept_resend", "--seed", "102"],
         2,
         "3fcc905bcdbe9e1d8dd97a66f4eaec3bb776093b6da8a4a8c14b23c51113a709",
-        "84f2f26f580fdc0a707d3ce348c3fea9caec823226215d0a1e16acc872d534a0",
+        "d34a833b7d6b6f5dbd18a42d755c820223e314f16ef32907163dae0539a7a37e",
     ),
     "run-ir-plus": (
         [*RUN, "--attack", "intercept_resend", "--ir-basis", "plus", "--seed", "103"],
         2,
         "92cdda11ecc875d447a4c73d30d1b26d8e35784a609108af046595e43bc0c3f8",
-        "9ce8bb3cb6efae62384f9efec31dfa9753e1bb89988e728643c76a7be85abce7",
+        "ac9b5f2bac78402ab6aee8a9900cc13e2b86d874ca28c64166e7145dfa4fcec4",
     ),
     "run-ir-cross-known": (
         [*RUN, "--attack", "intercept_resend", "--ir-basis", "cross", "--known-plaintext",
          "--seed", "104"],
         2,
         "016fbfcf9e71299c9fe0b6225862526cfaad119a261531c2a9550e0daeaa3ff5",
-        "5f368a831c8ad4f5b1ebb075a868b487afad08b314c73030d65fe631061593c1",
+        "50e0a543d83f0a536389d0421003d779fb2d6043970bc0814b25ad52d8e398b7",
     ),
     "run-utb-plus": (
         [*RUN, "--attack", "utb", "--theta", "0.3927", "--utb-basis", "plus", "--seed", "105"],
         2,
         "196d2ec1b6090019a681c5aa2affa56c9975c0111e6906095dd0247f36659924",
-        "b6c4dc55cea6c34666898bda730be0fa710fc90e16075e285f185fd3450b7928",
+        "7ad9fb3f6363ab45debf29a4c047bdcb4d35a467a839e7c6761737b588fd6203",
     ),
     "run-utb-cross-known": (
         [*RUN, "--attack", "utb", "--theta-deg", "30", "--utb-basis", "cross",
          "--known-plaintext", "--seed", "106"],
         2,
         "a4aba22e158e61d624000471380a443314e5121369c81e88820e57608af02a20",
-        "da24980e8857b149ddf85c9c32cd064c74626c8a9b38af080a2e2c8aa8f628d6",
+        "a22b61c401038959785b9940189e864a391012e691ce3abbcd65e3e083b167b1",
     ),
     "run-utb-known-accepted": (
         [*RUN, "--attack", "utb", "--theta", "0.2", "--known-plaintext", "--threshold", "1",
          "--insecure-demo", "--seed", "107"],
         0,
-        "30042994d8816503107365b698664dda678beae1deb0ef5934f84a569991aac6",
-        "59ea494694e4a991ac3841ec8132a8a5c0fa9fca7f4a1f1d0f8d3ed1330b3186",
+        "48e5ba928ddda40dc12ab4126416a1734b68ebbd388810a3cd21bdfbd72b6292",
+        "384cc4594450ecb0ab8fd825fdc852de678f5b64c45d19a9e2400d35507d2603",
     ),
     "sweep-plus": (
         [*SWEEP, "--utb-basis", "plus", "--seed", "108"],
