@@ -7,7 +7,6 @@ information-theoretic bounds that limit what an individual attack can learn.
 
 from .adversary import AttackModel, IndividualUTB, InterceptResend, KnownPlaintext, NoAttack
 from .analysis import (
-    cell_probabilities,
     d_of_theta,
     empirical_mutual_information,
     epsilon_tilde_min,
@@ -18,7 +17,7 @@ from .analysis import (
     sweep_theta,
 )
 from .errors import PadExhaustedError, PoleError
-from .kernels import Basis
+from .kernels import Basis, cell_probabilities
 from .keystore import PadKey, generate_pad, load_pad
 from .protocol import (
     ErrorReport,

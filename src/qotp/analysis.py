@@ -14,7 +14,8 @@ All information quantities are in bits (base-2 logs).  The bound family:
 * ``small_dm_linear_bound`` -- the small-d_m linear relaxation of i1.
 
 A sweep's empirical error rates and plug-in mutual information come from
-histograms drawn from their exact law (``cell_probabilities``).
+histograms drawn from their exact law, ``kernels.cell_probabilities``: the
+protocol's channel, with the receiver in the preparation basis.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .adversary import AttackModel, IndividualUTB
+from .adversary import IndividualUTB
 from .errors import PoleError
-from .kernels import Basis
+from .kernels import Basis, cell_probabilities
 from .rng import ROLE_SWEEP, make_rng, role_seed
 
 _LN2 = np.log(2.0)
@@ -163,13 +164,6 @@ _STATE, _ENC, _BOB, _PROBE = np.indices((4, 2, 2, 2))
 _ERROR = (_BOB != kernels.PREP_LABEL_OF_STATE[_STATE]) != _ENC
 _ENCODED_LABEL = kernels.PREP_LABEL_OF_STATE[_STATE] ^ _ENC
 _INT64_MAX = int(np.iinfo(np.int64).max)
-
-
-def cell_probabilities(attack: AttackModel) -> np.ndarray:
-    """Exact law P[state, encoding, receiver outcome, record] of one sweep
-    photon, with a uniformly random pad and bit and the receiver measuring in
-    the preparation basis: that slice of ``attack.law()``, divided by 8."""
-    return attack.law()[np.arange(4), :, kernels.PREP_BASIS_OF_STATE] / 8.0
 
 
 def sweep_theta(

@@ -58,6 +58,16 @@ def _env_seed() -> int:
         raise ValueError(f"QOTP_SEED must be an integer, got {text!r}") from None
 
 
+def _add_session_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--threshold", type=float, default=0.0, help="max tolerated sample error rate")
+    p.add_argument(
+        "--insecure-demo",
+        action="store_true",
+        help="required to run with a nonzero threshold (no privacy amplification here)",
+    )
+    p.add_argument("--seed", type=int, help=SEED_HELP)
+
+
 def _add_attack_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--attack",
@@ -306,13 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     msg.add_argument("--message", help="explicit message as a 0/1 string")
     msg.add_argument("--message-bits", type=int, default=128, help="random message length (default 128)")
     p_run.add_argument("--samples", type=int, help="number of sampling bits (default max(32, n/4))")
-    p_run.add_argument("--threshold", type=float, default=0.0, help="max tolerated sample error rate")
-    p_run.add_argument(
-        "--insecure-demo",
-        action="store_true",
-        help="required to run with a nonzero threshold (no privacy amplification here)",
-    )
-    p_run.add_argument("--seed", type=int, help=SEED_HELP)
+    _add_session_args(p_run)
     p_run.add_argument("--pad-file", help="load the pad from a pad file instead of generating one")
     p_run.add_argument("--out", help="write the transcript JSON here")
     p_run.add_argument("--reveal", action="store_true", help="print message bits, not just the digest")
@@ -340,15 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--sessions", type=int, default=5)
     p_demo.add_argument("--message-bits", type=int, default=64)
     p_demo.add_argument("--samples", type=int, default=16)
-    p_demo.add_argument("--threshold", type=float, default=0.0)
-    p_demo.add_argument("--insecure-demo", action="store_true")
+    _add_session_args(p_demo)
     p_demo.add_argument("--pad-bits", type=int, help="initial pad length (default: exactly enough)")
     p_demo.add_argument(
         "--attack-session",
         type=int,
         help="1-based session index to run under the configured attack",
     )
-    p_demo.add_argument("--seed", type=int, help=SEED_HELP)
     p_demo.add_argument("--out", help="JSON report path")
     _add_attack_args(p_demo)
     p_demo.set_defaults(func=cmd_recycle_demo)

@@ -1,14 +1,13 @@
 """Batched Monte-Carlo photon pipeline.
 
 The per-photon channel simulation (prepare, encode, optional attack, measure)
-runs here for sessions and the large-sample statistical checks.  Every photon
-is one of 4 prepared states, carries one of 2 encodings and is measured in one
-of 2 bases, so the channel under an attack is the attack's exact ``law()``
-(see ``adversary``): P(receiver outcome, Eve's record) per cell
-``4 * state + 2 * encoding + basis``.  Simulating a photon is one inverse-CDF
-lookup in its cell's row with one uniform, the only randomness, supplied by
-the caller.  Sweeps draw each point's histogram from the same law
-(``analysis.cell_probabilities``).
+runs here for sessions and the large-sample statistical checks.  The receiver
+holds the sender's pad, so it measures each photon in its preparation basis:
+``cell_probabilities`` applies that rule to the attack's exact ``law()`` (see
+``adversary``), giving P(receiver outcome, Eve's record) per cell
+``2 * state + encoding``.  Simulating a photon is one inverse-CDF lookup in
+its cell's row with one uniform, the only randomness, supplied by the caller.
+Sweeps draw each point's histogram from the same table.
 
 All states reachable in this protocol have real amplitudes, so the laws are
 built from the signed float64 amplitude tables below with the elementwise
@@ -95,15 +94,23 @@ def law_of(attack) -> np.ndarray:
     return law
 
 
+def cell_probabilities(attack) -> np.ndarray:
+    """Exact law P[state, encoding, receiver outcome, record] of one photon,
+    with a uniformly random pad and bit and the receiver measuring in the
+    preparation basis: that slice of ``attack.law()``, divided by 8."""
+    return law_of(attack)[np.arange(4), :, PREP_BASIS_OF_STATE] / 8.0
+
+
 @functools.lru_cache(maxsize=64)
 def _pair_tables(attack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cumulative edges [edge, cell] of each cell's row of ``attack.law()`` over
-    (outcome, record) pairs, and each pair's outcome and record (-1 if the law
-    has one record value).  Dividing by the row total makes the implicit last
-    edge exactly 1, and an impossible pair repeats the edge before it."""
-    law = law_of(attack)
-    n_records = law.shape[-1]
-    cdf = np.cumsum(law.reshape(16, -1), axis=1)
+    """Cumulative edges [edge, cell] of each cell's row of
+    ``cell_probabilities(attack)`` over (outcome, record) pairs, and each
+    pair's outcome and record (-1 if the law has one record value).  Dividing
+    by the row total makes the implicit last edge exactly 1, and an
+    impossible pair repeats the edge before it."""
+    probabilities = cell_probabilities(attack)
+    n_records = probabilities.shape[-1]
+    cdf = np.cumsum(probabilities.reshape(8, -1), axis=1)
     pair = np.arange(cdf.shape[1])
     record = pair % n_records if n_records > 1 else np.full(pair.size, -1)
     edges = np.ascontiguousarray((cdf[:, :-1] / cdf[:, -1:]).T)
@@ -116,16 +123,15 @@ def _pair_tables(attack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def simulate_photons(
     state_idx: np.ndarray,
     enc_bits: np.ndarray,
-    meas_basis: np.ndarray,
     attack,
     uniforms: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate n independent photons through the channel.
+    """Simulate n independent photons through the channel, each measured in
+    its preparation basis.
 
     Args:
         state_idx: (n,) prepared-state indices, 0..3 = H, V, u, d.
         enc_bits: (n,) modified-message bits written with the swap encoding.
-        meas_basis: (n,) receiver measurement basis (0 plus, 1 cross).
         attack: the channel adversary, an ``adversary.AttackModel``.
         uniforms: (n,) uniform draws in [0, 1), one per photon.
 
@@ -135,15 +141,14 @@ def simulate_photons(
     """
     state_idx = index_column("state_idx", state_idx, 3)
     enc_bits = index_column("enc_bits", enc_bits, 1)
-    meas_basis = index_column("meas_basis", meas_basis, 1)
     n = state_idx.shape[0]
-    if enc_bits.shape[0] != n or meas_basis.shape[0] != n:
-        raise ValueError("state_idx, enc_bits and meas_basis must have equal length")
+    if enc_bits.shape[0] != n:
+        raise ValueError("state_idx and enc_bits must have equal length")
     uniforms = np.ascontiguousarray(uniforms, dtype=np.float64)
     if uniforms.shape != (n,):
         raise ValueError(f"uniforms must have shape ({n},)")
     edges, outcome_of_pair, record_of_pair = _pair_tables(attack)
     # the pair whose interval in its cell's row holds each photon's uniform
-    cell = 4 * state_idx + 2 * enc_bits + meas_basis
+    cell = 2 * state_idx + enc_bits
     pair = (uniforms >= edges.take(cell, axis=1)).sum(axis=0)
     return outcome_of_pair.take(pair), record_of_pair.take(pair)

@@ -180,8 +180,7 @@ def _send_rows(state_idx, bits, attacks, uniforms):
     for attack, code in codes.items():
         rows = row_codes == code
         state = state_idx[rows]
-        columns = kernels.simulate_photons(state.ravel(), bits[rows].ravel(),
-                                           kernels.PREP_BASIS_OF_STATE[state].ravel(), attack,
+        columns = kernels.simulate_photons(state.ravel(), bits[rows].ravel(), attack,
                                            uniforms[rows].ravel())
         received[rows], record[rows] = (column.reshape(state.shape) for column in columns)
     decoded = (received != kernels.PREP_LABEL_OF_STATE[state_idx]).astype(np.uint8)
@@ -230,7 +229,7 @@ def _keyed_pairs(carried: np.ndarray, fresh: int, sample_mask: np.ndarray):
     m = carried.size
     pairs = np.empty((sessions, n), dtype=np.int64)
     pairs[:, m:] = np.arange(fresh, fresh + sessions * (n - m)).reshape(sessions, n - m)
-    kept = np.nonzero(~sample_mask)[1].reshape(sessions, m)
+    kept = (np.flatnonzero(~sample_mask) % n).reshape(sessions, m)
     for row, keep in zip(pairs, kept):
         row[:m] = carried
         carried = row[keep]

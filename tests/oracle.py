@@ -428,9 +428,8 @@ def run_photon_batch(n: int, attack: AttackModel, rng: RandomStream) -> PhotonBa
     the receiver uses each photon's preparation basis, as in the protocol."""
     state_idx = rng.integers(0, 4, size=n, dtype=np.int64)
     enc_bits = rng.integers(0, 2, size=n, dtype=np.int64)
-    prep_basis = kernels.PREP_BASIS_OF_STATE[state_idx]
-    bob, record = kernels.simulate_photons(state_idx, enc_bits, prep_basis, attack, rng.random(n))
-    return PhotonBatch(state_idx, enc_bits, prep_basis, bob, record)
+    bob, record = kernels.simulate_photons(state_idx, enc_bits, attack, rng.random(n))
+    return PhotonBatch(state_idx, enc_bits, kernels.PREP_BASIS_OF_STATE[state_idx], bob, record)
 
 
 def probe_information_estimate(batch: PhotonBatch, attack_basis: Basis) -> float:

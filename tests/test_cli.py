@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, deterministic outputs, CSV schemas."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -281,6 +282,18 @@ class TestRecycleDemo:
         attacks = [attack if k == 2 else NoAttack() for k in range(6)]
         config = protocol.SessionConfig(n_message=32, n_sample=8, seed=21)
         assert report == protocol.run_lineage(pad, config, attacks)[0]
+
+    def test_shares_the_session_flags_of_run(self):
+        commands = next(action.choices for action in cli.build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+
+        def session_flags(command):
+            actions = commands[command]._option_string_actions
+            return {flag: (actions[flag].help, actions[flag].default)
+                    for flag in ("--threshold", "--insecure-demo", "--seed")}
+
+        assert session_flags("recycle-demo") == session_flags("run")
+        assert all(help_text for help_text, _ in session_flags("run").values())
 
     def test_single_session_matches_run_semantics(self, capsys):
         rc = cli.main(["recycle-demo", "--sessions", "1", "--seed", "4"])

@@ -17,6 +17,7 @@ from qotp.adversary import (
 from qotp.kernels import Basis
 from qotp.rng import make_rng
 from oracle import (
+    PREP_BASIS,
     PREP_STATES,
     EncodingOp,
     apply_encoding,
@@ -72,14 +73,19 @@ def test_record_marginal_is_the_same_in_both_receiver_bases(model):
     np.testing.assert_allclose(record_likelihoods(model), marginal[:, :, 0], rtol=0, atol=0)
 
 
+def prep_basis_rows(law):
+    """The rows [cell, pair] of ``law`` the receiver samples, measuring in the
+    preparation basis: a cell is 2 * state + encoding, and a pair is the row
+    index n_records * receiver outcome + record."""
+    return law[np.arange(4), :, kernels.PREP_BASIS_OF_STATE].reshape(8, -1)
+
+
 def pinned_photons(oracle):
     """(cell, uniform, expected pair) columns for uniforms EDGE below and
     above every cumulative edge of each cell's oracle row and at both ends of
-    [0, 1): each must pick the nearest possible pair on its side.  A cell is
-    4 * state + 2 * encoding + basis, and a pair is the row index
-    n_records * receiver outcome + record."""
+    [0, 1): each must pick the nearest possible pair on its side."""
     cells, uniforms, pairs = [], [], []
-    for cell, row in enumerate(oracle.reshape(16, -1)):
+    for cell, row in enumerate(prep_basis_rows(oracle)):
         possible = np.flatnonzero(row >= IMPOSSIBLE)
         pins = [(0.0, possible[0]), (np.nextafter(1.0, 0.0), possible[-1])]
         for k, edge in enumerate(np.cumsum(row)[:-1]):
@@ -99,9 +105,7 @@ def test_pinned_uniforms_pick_the_pair_beside_each_edge(model):
     oracle = attack_law(model)
     n_records = oracle.shape[-1]
     cells, uniforms, pairs = pinned_photons(oracle)
-    bob, record = kernels.simulate_photons(
-        cells // 4, cells // 2 % 2, cells % 2, model, uniforms=uniforms
-    )
+    bob, record = kernels.simulate_photons(cells // 2, cells % 2, model, uniforms=uniforms)
     assert bob.tolist() == (pairs // n_records).tolist()
     if n_records == 1:
         assert record.tolist() == [-1] * pairs.size
@@ -109,7 +113,15 @@ def test_pinned_uniforms_pick_the_pair_beside_each_edge(model):
         assert record.tolist() == (pairs % n_records).tolist()
     # no pair the oracle calls impossible is ever drawn
     drawn = bob * n_records + np.maximum(record, 0)
-    assert np.all(oracle.reshape(16, -1)[cells, drawn] >= IMPOSSIBLE)
+    assert np.all(prep_basis_rows(oracle)[cells, drawn] >= IMPOSSIBLE)
+
+
+@pytest.mark.parametrize("model", CHANNELS, ids=channel_id)
+def test_edges_are_the_normalised_cumulative_prep_basis_rows(model):
+    rows = np.cumsum(prep_basis_rows(kernels.law_of(model)), axis=1)
+    edges, _, _ = kernels._pair_tables(model)
+    assert edges.shape == (rows.shape[1] - 1, 8)
+    assert np.array_equal(edges, (rows[:, :-1] / rows[:, -1:]).T)
 
 
 class TestAgainstExactProjections:
@@ -127,32 +139,27 @@ class TestAgainstExactProjections:
         return min(max(p1, 0.0), 1.0)
 
     @pytest.mark.parametrize("state_idx", [0, 1, 2, 3])
-    @pytest.mark.parametrize("meas", [Basis.PLUS, Basis.CROSS])
-    def test_clean_channel_frequencies(self, state_idx, meas):
+    def test_clean_channel_frequencies(self, state_idx):
         n = 50_000
+        meas = PREP_BASIS[state_idx]
         rng = make_rng(state_idx * 10 + meas.index)
         bob, _ = kernels.simulate_photons(
-            np.full(n, state_idx),
-            np.zeros(n, dtype=np.int64),
-            np.full(n, meas.index),
-            NoAttack(),
-            rng.random(n),
+            np.full(n, state_idx), np.zeros(n, dtype=np.int64), NoAttack(), rng.random(n)
         )
         p1 = self.exact_outcome_prob(state_idx, 0, meas)
         sigma = np.sqrt(p1 * (1 - p1) / n)
         assert abs(bob.mean() - p1) <= 3 * sigma  # sigma = 0 demands exactness
 
     @pytest.mark.parametrize("state_idx", [0, 1, 2, 3])
-    @pytest.mark.parametrize("meas", [Basis.PLUS, Basis.CROSS])
     @pytest.mark.parametrize("attack_basis", [Basis.PLUS, Basis.CROSS])
-    def test_probe_attack_frequencies(self, state_idx, meas, attack_basis):
+    def test_probe_attack_frequencies(self, state_idx, attack_basis):
         n = 50_000
         theta = np.pi / 8
+        meas = PREP_BASIS[state_idx]
         rng = make_rng(1000 + state_idx * 100 + meas.index * 10 + attack_basis.index)
         bob, _ = kernels.simulate_photons(
             np.full(n, state_idx),
             np.zeros(n, dtype=np.int64),
-            np.full(n, meas.index),
             IndividualUTB(theta=theta, attack_basis=attack_basis),
             rng.random(n),
         )
@@ -169,7 +176,6 @@ class TestAgainstExactProjections:
         bob, probe = kernels.simulate_photons(
             np.full(n, state_idx),
             np.zeros(n, dtype=np.int64),
-            np.ones(n, dtype=np.int64),
             IndividualUTB(theta=theta, attack_basis=Basis.PLUS),
             rng.random(n),
         )
@@ -198,8 +204,8 @@ class ShortRows:
 
 def test_six_pair_rows_short_of_one_give_only_possible_pairs():
     uniforms = [0.0, 0.3, 0.6, 0.75, np.nextafter(1.0, 0.0)]
-    bob, record = kernels.simulate_photons([0, 3, 1, 2, 3], [0, 1, 0, 1, 0], [0, 1, 1, 0, 1],
-                                           ShortRows(), uniforms=uniforms)
+    bob, record = kernels.simulate_photons([0, 3, 1, 2, 3], [0, 1, 0, 1, 0], ShortRows(),
+                                           uniforms=uniforms)
     assert bob.tolist() == [0, 0, 1, 1, 1]
     assert record.tolist() == [0, 2, 0, 0, 0]
 
@@ -210,43 +216,36 @@ class TestValidation:
             kernels.simulate_photons(
                 np.zeros(4, dtype=np.int64),
                 np.zeros(3, dtype=np.int64),
-                np.zeros(4, dtype=np.int64),
                 NoAttack(),
                 make_rng(0).random(4),
             )
 
     def test_one_uniform_per_photon(self):
         with pytest.raises(ValueError, match="uniforms"):
-            kernels.simulate_photons([0, 1], [0, 0], [0, 0], NoAttack(), uniforms=np.zeros((2, 3)))
+            kernels.simulate_photons([0, 1], [0, 0], NoAttack(), uniforms=np.zeros((2, 3)))
 
     def test_needs_randomness_source(self):
         with pytest.raises(TypeError, match="uniforms"):
             kernels.simulate_photons(
-                np.zeros(4, dtype=np.int64),
-                np.zeros(4, dtype=np.int64),
-                np.zeros(4, dtype=np.int64),
-                NoAttack(),
+                np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64), NoAttack()
             )
 
     @pytest.mark.parametrize(
         "column,value,name",
-        [(0, -1, "state_idx"), (0, 4, "state_idx"), (1, -1, "enc_bits"), (1, 2, "enc_bits"),
-         (2, -1, "meas_basis"), (2, 2, "meas_basis")],
+        [(0, -1, "state_idx"), (0, 4, "state_idx"), (1, -1, "enc_bits"), (1, 2, "enc_bits")],
     )
     def test_out_of_range_column(self, column, value, name):
         # numpy would wrap a negative index to a valid cell; each column is
         # range-checked before any lookup
-        columns = [np.zeros(4, dtype=np.int64) for _ in range(3)]
+        columns = [np.zeros(4, dtype=np.int64) for _ in range(2)]
         columns[column][2] = value
         with pytest.raises(ValueError, match=name):
             kernels.simulate_photons(*columns, NoAttack(), make_rng(0).random(4))
 
-    @pytest.mark.parametrize(
-        "column,name", [(0, "state_idx"), (1, "enc_bits"), (2, "meas_basis")]
-    )
+    @pytest.mark.parametrize("column,name", [(0, "state_idx"), (1, "enc_bits")])
     def test_float_column(self, column, name):
         # a float would be truncated to a valid cell (2.7 runs as state 2)
-        columns = [[2], [0], [1]]
+        columns = [[2], [0]]
         columns[column] = [0.9]
         with pytest.raises(ValueError, match=name):
             kernels.simulate_photons(*columns, NoAttack(), make_rng(0).random(1))
@@ -254,7 +253,7 @@ class TestValidation:
     def test_integer_and_bool_columns_pass(self):
         # H swapped to -V read in plus, and d kept read in cross: both give outcome 1
         bob, _ = kernels.simulate_photons(
-            [0, 3], np.array([1, 0], dtype=np.uint8), np.array([False, True]), NoAttack(),
+            np.array([0, 3], dtype=np.uint8), np.array([True, False]), NoAttack(),
             make_rng(0).random(2),
         )
         assert bob.tolist() == [1, 1]

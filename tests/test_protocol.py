@@ -193,9 +193,7 @@ def hand_lineage(pad, draws, attacks):
     for k, (attack, (message, sent, sample_mask, uniforms)) in enumerate(zip(attacks, draws)):
         n = sent.size
         state = keystore.pair_states(pad)[:n]
-        received, _ = kernels.simulate_photons(
-            state, sent, kernels.PREP_BASIS_OF_STATE[state], attack, uniforms
-        )
+        received, _ = kernels.simulate_photons(state, sent, attack, uniforms)
         decoded = (received != kernels.PREP_LABEL_OF_STATE[state]).astype(np.uint8)
         positions = np.flatnonzero(sample_mask)
         n_errors = np.count_nonzero(decoded[positions] != sent[positions])
@@ -380,7 +378,7 @@ class TestRunLineage:
         calls = []
 
         def counting(*args):
-            calls.append(args[3])
+            calls.append(args[2])
             return simulate_photons(*args)
 
         simulate_photons = kernels.simulate_photons
