@@ -1,12 +1,14 @@
-"""Command-line front end: each subcommand checks its flags, calls one library
-entry point (``run_session``, ``run_lineage``, a sweep or a bound table) and
-only formats its result.
+"""Command-line front end: each flag's argparse type checks that flag's value,
+and each subcommand checks the rules that span flags, calls one library entry
+point (``run_session``, ``run_lineage``, a sweep or a bound table) and only
+formats its result.
 
 Exit codes: 0 success/accepted, 2 session rejected by the eavesdropping check,
-1 usage, configuration or runtime error.  Every run is fully determined by its
-flags and seed (``--seed``, defaulting to the QOTP_SEED environment variable,
-then 0).  Each stream a command creates (pad, message, session, sweep grid
-point) is seeded from the top-level seed by its own role label.
+1 usage, configuration or runtime error, as one line such as ``error: qotp run:
+argument --samples: <why>``.  Every run is fully determined by its flags and
+seed (``--seed``, defaulting to the QOTP_SEED environment variable, then 0).
+Each stream a command creates (pad, message, session, sweep grid point) is
+seeded from the top-level seed by its own role label.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_REJECTED = 2
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+# bounds that a flag's error names in words
+_BOUND_NAMES = {_INT64_MIN: "int64 min", _INT64_MAX: "int64 max", np.pi / 4: "pi/4"}
 
 SEED_HELP = "top-level seed (default: the QOTP_SEED environment variable, then 0)"
 
@@ -50,22 +54,59 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+def _in_range(convert, lo, hi=_INT64_MAX, at_least: int = 0):
+    """An argparse type: text that ``convert`` reads as a value in [lo, hi]
+    (NaN is outside) or, given ``at_least``, a comma-separated list of at
+    least that many such values."""
+    what = {int: "an integer", float: "a number"}[convert]
+    if at_least:
+        what = "comma-separated numbers" if at_least == 1 else f"{at_least} or more comma-separated numbers"
+    span = f"[{_BOUND_NAMES.get(lo, lo)}, {_BOUND_NAMES.get(hi, hi)}]"
+
+    def parse(text: str):
+        values = []
+        for item in text.split(",") if at_least else [text]:
+            try:
+                value = convert(item)
+            except ValueError:
+                value = None
+            if value is None or not lo <= value <= hi:
+                raise argparse.ArgumentTypeError(f"must be {what} in {span}, got {item!r}")
+            values.append(value)
+        if len(values) < at_least:
+            raise argparse.ArgumentTypeError(f"must be {what} in {span}, got {text!r}")
+        return values if at_least else values[0]
+
+    return parse
+
+
+_seed = _in_range(int, _INT64_MIN)
+
+
 def _env_seed() -> int:
-    text = os.environ.get("QOTP_SEED", "0")
     try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"QOTP_SEED must be an integer, got {text!r}") from None
+        return _seed(os.environ.get("QOTP_SEED", "0"))
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"QOTP_SEED: {exc}") from None
+
+
+def _parse_bits(text: str) -> np.ndarray:
+    """An argparse type: a message as a 0/1 string."""
+    bits = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8) - ord("0")
+    if np.any(bits > 1):  # every other character wraps past 1
+        raise argparse.ArgumentTypeError(f"must be a 0/1 string, got {text!r}")
+    return bits
 
 
 def _add_session_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threshold", type=float, default=0.0, help="max tolerated sample error rate")
+    p.add_argument("--threshold", type=_in_range(float, 0, 1), default=0.0,
+                   help="max tolerated sample error rate")
     p.add_argument(
         "--insecure-demo",
         action="store_true",
         help="required to run with a nonzero threshold (no privacy amplification here)",
     )
-    p.add_argument("--seed", type=int, help=SEED_HELP)
+    p.add_argument("--seed", type=_seed, help=SEED_HELP)
 
 
 def _add_attack_args(p: argparse.ArgumentParser) -> None:
@@ -80,8 +121,11 @@ def _add_attack_args(p: argparse.ArgumentParser) -> None:
         choices=["random", "plus", "cross"],
         help="basis choice strategy for intercept-resend (default random)",
     )
-    p.add_argument("--theta", type=float, default=None, help="probe attack strength, radians in [0, pi/4]")
-    p.add_argument("--theta-deg", type=float, default=None, help="probe attack strength in degrees")
+    theta = p.add_mutually_exclusive_group()
+    theta.add_argument("--theta", type=_in_range(float, 0, np.pi / 4),
+                       help="probe attack strength, radians in [0, pi/4]")
+    theta.add_argument("--theta-deg", type=_in_range(float, 0, 45),
+                       help="probe attack strength in degrees")
     p.add_argument("--utb-basis", choices=["plus", "cross"], help="probe attack basis (default plus)")
     p.add_argument(
         "--known-plaintext",
@@ -91,17 +135,9 @@ def _add_attack_args(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_theta(args) -> float:
-    if args.theta is not None and args.theta_deg is not None:
-        raise ValueError("pass --theta or --theta-deg, not both")
     if args.theta_deg is not None:
-        if not 0.0 <= args.theta_deg <= 45.0:
-            raise ValueError(f"--theta-deg must lie in [0, 45], got {args.theta_deg}")
-        return float(args.theta_deg) * np.pi / 180.0
-    if args.theta is not None:
-        if not 0.0 <= args.theta <= np.pi / 4:  # NaN is outside too
-            raise ValueError(f"--theta must lie in [0, pi/4], got {args.theta}")
-        return float(args.theta)
-    return np.pi / 4
+        return args.theta_deg * np.pi / 180.0
+    return np.pi / 4 if args.theta is None else args.theta
 
 
 # attack flag -> the --attack value that reads it
@@ -114,15 +150,8 @@ _ATTACK_FLAG_OWNERS = {
 
 
 def _check_session_flags(args) -> None:
-    """Reject a negative message length, no sampling bits, a threshold outside
-    [0, 1] or above 0 without --insecure-demo, and attack flags the
-    configured attack would silently ignore."""
-    if args.message_bits < 0:
-        raise ValueError(f"--message-bits must be >= 0, got {args.message_bits}")
-    if args.samples is not None and args.samples < 1:
-        raise ValueError(f"--samples must be >= 1, got {args.samples}")
-    if not 0.0 <= args.threshold <= 1.0:
-        raise ValueError(f"--threshold must lie in [0, 1], got {args.threshold}")
+    """Reject a threshold above 0 without --insecure-demo, and attack flags
+    the configured attack would silently ignore."""
     if args.threshold > 0.0 and not args.insecure_demo:
         raise ValueError(
             "--threshold above 0 releases messages over a noisy channel without "
@@ -148,13 +177,6 @@ def _build_attack(args) -> AttackModel:
     if args.known_plaintext:
         attack = KnownPlaintext(inner=attack)
     return attack
-
-
-def _parse_bits(text: str) -> np.ndarray:
-    bits = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8) - ord("0")
-    if np.any(bits > 1):  # every other character wraps past 1
-        raise ValueError(f"message must be a 0/1 string, got {text!r}")
-    return bits
 
 
 def _pad_length(n_bits: int, flags: str) -> int:
@@ -187,10 +209,9 @@ def cmd_run(args) -> int:
     n_message = args.message_bits if args.message is None else len(args.message)
     n_sample = args.samples if args.samples is not None else max(32, n_message // 4)
     config = _session_config(args, n_message, n_sample)
-    if args.message is None:
+    message = args.message
+    if message is None:
         message = draw_messages(make_rng(role_seed(args.seed, ROLE_MESSAGE)), 1, n_message)[0]
-    else:
-        message = _parse_bits(args.message)
     attack = _build_attack(args)
     pad = _session_pad(args, 2 * (n_message + n_sample))
     transcript = run_session(config, pad, message, attack)
@@ -215,31 +236,10 @@ def _write_table(text: str, out: str | None) -> int:
     return EXIT_OK
 
 
-def _grid(lo: float, hi: float, points: int) -> list[float]:
-    if not 0 <= points <= _INT64_MAX:  # past int64 np.linspace fails with an IndexError
-        raise ValueError(f"--points must lie in [0, {_INT64_MAX}], got {points}")
-    return list(np.linspace(lo, hi, points))
-
-
-def _float_list(text: str, flag: str, hi: float, hi_text: str) -> list[float]:
-    """A comma-separated grid, every value checked to lie in [0, hi]."""
-    try:
-        values = [float(value) for value in text.split(",")]
-    except ValueError:
-        raise ValueError(f"{flag} must be comma-separated numbers, got {text!r}") from None
-    outside = [value for value in values if not 0.0 <= value <= hi]  # NaN is outside too
-    if outside:
-        raise ValueError(f"{flag} values must lie in [0, {hi_text}], got {outside[0]}")
-    return values
-
-
 def cmd_sweep_theta(args) -> int:
-    if args.thetas is not None:
-        thetas = _float_list(args.thetas, "--thetas", np.pi / 4, "pi/4")
-    else:
-        thetas = _grid(0.0, np.pi / 4, args.points)
-    if len(thetas) < 2:
-        raise ValueError("a sweep needs at least 2 grid points")
+    thetas = args.thetas
+    if thetas is None:
+        thetas = list(np.linspace(0.0, np.pi / 4, 5 if args.points is None else args.points))
     points = analysis.sweep_theta(
         thetas,
         n_photons=args.photons,
@@ -250,42 +250,36 @@ def cmd_sweep_theta(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    if args.d_grid is not None:
-        grid = _float_list(args.d_grid, "--d-grid", 0.25, "0.25")
-    else:
-        for flag, value in (("--d-min", args.d_min), ("--d-max", args.d_max)):
-            if not 0.0 <= value <= 0.25:
-                raise ValueError(f"{flag} must lie in [0, 0.25], got {value}")
-        grid = _grid(args.d_min, args.d_max, args.points)
+    flags = vars(args)  # --d-min, --d-max and --points are here only when given
+    given = [f"--{name.replace('_', '-')}" for name in ("d_min", "d_max", "points") if name in flags]
+    if args.d_grid is not None and given:
+        raise ValueError(f"qotp bounds: argument --d-grid: not allowed with argument {given[0]}")
+    d_min, d_max = flags.get("d_min", 0.0), flags.get("d_max", 0.08)
+    grid = args.d_grid
+    if grid is None:
+        grid = list(np.linspace(d_min, d_max, flags.get("points", 17)))
     pole_points = np.asarray(grid)[analysis.on_pole(grid)].tolist()
     if pole_points:
         flag = "--d-grid" if args.d_grid is not None else (
-            {args.d_max: "--d-max", args.d_min: "--d-min"}.get(pole_points[0], "--points grid"))
+            {d_max: "--d-max", d_min: "--d-min"}.get(pole_points[0], "--points grid"))
         raise ValueError(f"{flag} value {pole_points[0]:.12g} is on the epsilon_tilde_min pole "
                          f"at d_m = {analysis.POLE_DM:.12g}")
     return _write_table(analysis.bounds_csv(grid), args.out)
 
 
 def cmd_recycle_demo(args) -> int:
-    if args.sessions < 1:
-        raise ValueError(f"recycle-demo needs at least 1 session, got {args.sessions}")
-    if args.attack_session is not None and not 1 <= args.attack_session <= args.sessions:
-        raise ValueError(
-            f"--attack-session {args.attack_session} is outside sessions 1..{args.sessions}"
-        )
+    if args.attack_session is not None and args.attack_session > args.sessions:
+        raise ValueError(f"--attack-session {args.attack_session} is outside sessions 1..{args.sessions}")
     _check_session_flags(args)
     if (args.attack == NoAttack.kind) != (args.attack_session is None):
         raise ValueError("--attack-session and an --attack other than none go together")
     config = _session_config(args, args.message_bits, args.samples)
-    if args.pad_bits is None:
+    pad_bits = args.pad_bits
+    if pad_bits is None:
         pad_bits = _pad_length(
             2 * (args.message_bits + args.samples) + 2 * args.samples * (args.sessions - 1),
             "--message-bits, --samples and --sessions",
         )
-    elif args.pad_bits < 1:
-        raise ValueError(f"--pad-bits must be >= 1, got {args.pad_bits}")
-    else:
-        pad_bits = _pad_length(args.pad_bits, "--pad-bits")
     pad = keystore.generate_pad(pad_bits, make_rng(role_seed(args.seed, ROLE_PAD)))
     attack, clean = _build_attack(args), NoAttack()
     attacks = (attack if args.attack_session == k + 1 else clean for k in range(args.sessions))
@@ -313,9 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute one session")
     msg = p_run.add_mutually_exclusive_group()
-    msg.add_argument("--message", help="explicit message as a 0/1 string")
-    msg.add_argument("--message-bits", type=int, default=128, help="random message length (default 128)")
-    p_run.add_argument("--samples", type=int, help="number of sampling bits (default max(32, n/4))")
+    msg.add_argument("--message", type=_parse_bits, help="explicit message as a 0/1 string")
+    msg.add_argument("--message-bits", type=_in_range(int, 0), default=128,
+                     help="random message length (default 128)")
+    p_run.add_argument("--samples", type=_in_range(int, 1),
+                       help="number of sampling bits (default max(32, n/4))")
     _add_session_args(p_run)
     p_run.add_argument("--pad-file", help="load the pad from a pad file instead of generating one")
     p_run.add_argument("--out", help="write the transcript JSON here")
@@ -324,33 +320,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep-theta", help="probe-attack strength sweep to CSV")
-    p_sweep.add_argument("--thetas", help="comma-separated theta grid (radians)")
-    p_sweep.add_argument("--points", type=int, default=5, help="grid size over [0, pi/4]")
-    p_sweep.add_argument("--photons", type=int, default=10_000, help="photons per grid point")
+    grid = p_sweep.add_mutually_exclusive_group()
+    grid.add_argument("--thetas", type=_in_range(float, 0, np.pi / 4, 2),
+                      help="comma-separated theta grid (radians)")
+    grid.add_argument("--points", type=_in_range(int, 2), help="grid size over [0, pi/4] (default 5)")
+    p_sweep.add_argument("--photons", type=_in_range(int, 1), default=10_000, help="photons per grid point")
     p_sweep.add_argument("--utb-basis", choices=["plus", "cross"], default="plus")
-    p_sweep.add_argument("--seed", type=int, help=SEED_HELP)
+    p_sweep.add_argument("--seed", type=_seed, help=SEED_HELP)
     p_sweep.add_argument("--out", help="CSV output path (stdout if omitted)")
     p_sweep.set_defaults(func=cmd_sweep_theta)
 
     p_bounds = sub.add_parser("bounds", help="closed-form bound table to CSV")
-    p_bounds.add_argument("--d-grid", help="comma-separated d_m grid")
-    p_bounds.add_argument("--d-min", type=float, default=0.0)
-    p_bounds.add_argument("--d-max", type=float, default=0.08)
-    p_bounds.add_argument("--points", type=int, default=17)
+    d_m = _in_range(float, 0, 0.25)
+    p_bounds.add_argument("--d-grid", type=_in_range(float, 0, 0.25, 1), help="comma-separated d_m grid")
+    p_bounds.add_argument("--d-min", type=d_m, default=argparse.SUPPRESS, help="grid start (default 0)")
+    p_bounds.add_argument("--d-max", type=d_m, default=argparse.SUPPRESS, help="grid end (default 0.08)")
+    p_bounds.add_argument("--points", type=_in_range(int, 1), default=argparse.SUPPRESS,
+                          help="grid size (default 17)")
     p_bounds.add_argument("--out", help="CSV output path (stdout if omitted)")
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_demo = sub.add_parser("recycle-demo", help="consecutive sessions on one pad lineage")
-    p_demo.add_argument("--sessions", type=int, default=5)
-    p_demo.add_argument("--message-bits", type=int, default=64)
-    p_demo.add_argument("--samples", type=int, default=16)
+    p_demo.add_argument("--sessions", type=_in_range(int, 1), default=5)
+    p_demo.add_argument("--message-bits", type=_in_range(int, 0), default=64)
+    p_demo.add_argument("--samples", type=_in_range(int, 1), default=16)
     _add_session_args(p_demo)
-    p_demo.add_argument("--pad-bits", type=int, help="initial pad length (default: exactly enough)")
-    p_demo.add_argument(
-        "--attack-session",
-        type=int,
-        help="1-based session index to run under the configured attack",
-    )
+    p_demo.add_argument("--pad-bits", type=_in_range(int, 1),
+                        help="initial pad length (default: exactly enough)")
+    p_demo.add_argument("--attack-session", type=_in_range(int, 1),
+                        help="1-based session index to run under the configured attack")
     p_demo.add_argument("--out", help="JSON report path")
     _add_attack_args(p_demo)
     p_demo.set_defaults(func=cmd_recycle_demo)
@@ -361,9 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        empty = [name for name, value in vars(args).items() if value == []]
+        empty = [name for name, value in vars(args).items() if type(value) is list and not value]
         if empty:  # argparse before Python 3.13 reads the value "--" as no value: []
-            raise ValueError(f"--{empty[0].replace('_', '-')} needs a value")
+            flag = empty[0].replace("_", "-")
+            raise ValueError(f"qotp {args.command}: argument --{flag}: expected one argument")
         env_seed = _env_seed()
         if getattr(args, "seed", 0) is None:
             args.seed = env_seed

@@ -353,16 +353,99 @@ class TestSeedRoles:
 
 class TestBoundaryErrors:
     @pytest.mark.parametrize(
-        "argv,line",
+        "argv,env,line",
         [
-            (["bounds", "--d-grid", "nan"], "--d-grid values must lie in [0, 0.25], got nan"),
-            (["bounds", "--d-grid", "0.3"], "--d-grid values must lie in [0, 0.25], got 0.3"),
-            (["sweep-theta", "--thetas", "0.1,0.9"],
-             "--thetas values must lie in [0, pi/4], got 0.9"),
+            (["bounds", "--d-grid", "nan"], {},
+             "qotp bounds: argument --d-grid: must be comma-separated numbers in [0, 0.25], got 'nan'"),
+            (["bounds", "--d-grid", "0.3"], {},
+             "qotp bounds: argument --d-grid: must be comma-separated numbers in [0, 0.25], got '0.3'"),
+            (["bounds", "--d-grid", "0.1,,0.2"], {},
+             "qotp bounds: argument --d-grid: must be comma-separated numbers in [0, 0.25], got ''"),
+            (["bounds", "--d-grid", ""], {},
+             "qotp bounds: argument --d-grid: must be comma-separated numbers in [0, 0.25], got ''"),
+            (["sweep-theta", "--thetas", "0.1,0.9"], {},
+             "qotp sweep-theta: argument --thetas: must be 2 or more comma-separated numbers in "
+             "[0, pi/4], got '0.9'"),
+            (["sweep-theta", "--thetas", "0.1,abc"], {},
+             "qotp sweep-theta: argument --thetas: must be 2 or more comma-separated numbers in "
+             "[0, pi/4], got 'abc'"),
+            (["sweep-theta", "--thetas", ""], {},
+             "qotp sweep-theta: argument --thetas: must be 2 or more comma-separated numbers in "
+             "[0, pi/4], got ''"),
+            (["sweep-theta", "--thetas", "0.1"], {},
+             "qotp sweep-theta: argument --thetas: must be 2 or more comma-separated numbers in "
+             "[0, pi/4], got '0.1'"),
+            (["run", "--message-bits", "-3"], {},
+             "qotp run: argument --message-bits: must be an integer in [0, int64 max], got '-3'"),
+            (["recycle-demo", "--message-bits", "-1"], {},
+             "qotp recycle-demo: argument --message-bits: must be an integer in [0, int64 max], "
+             "got '-1'"),
+            (["run", "--attack", "utb", "--theta", "0.9"], {},
+             "qotp run: argument --theta: must be a number in [0, pi/4], got '0.9'"),
+            (["run", "--attack", "utb", "--theta", "nan"], {},
+             "qotp run: argument --theta: must be a number in [0, pi/4], got 'nan'"),
+            (["run", "--attack", "utb", "--theta-deg", "46"], {},
+             "qotp run: argument --theta-deg: must be a number in [0, 45], got '46'"),
+            (["run", "--samples", "0"], {},
+             "qotp run: argument --samples: must be an integer in [1, int64 max], got '0'"),
+            (["recycle-demo", "--samples", "0"], {},
+             "qotp recycle-demo: argument --samples: must be an integer in [1, int64 max], got '0'"),
+            (["recycle-demo", "--pad-bits", "0"], {},
+             "qotp recycle-demo: argument --pad-bits: must be an integer in [1, int64 max], got '0'"),
+            (["sweep-theta", "--points", "-3"], {},
+             "qotp sweep-theta: argument --points: must be an integer in [2, int64 max], got '-3'"),
+            (["bounds", "--points", "-1"], {},
+             "qotp bounds: argument --points: must be an integer in [1, int64 max], got '-1'"),
+            (["run", "--threshold", "2", "--insecure-demo"], {},
+             "qotp run: argument --threshold: must be a number in [0, 1], got '2'"),
+            (["run", "--threshold", "-1", "--insecure-demo"], {},
+             "qotp run: argument --threshold: must be a number in [0, 1], got '-1'"),
+            (["run", "--threshold", "nan", "--insecure-demo"], {},
+             "qotp run: argument --threshold: must be a number in [0, 1], got 'nan'"),
+            (["recycle-demo", "--threshold", "2", "--insecure-demo"], {},
+             "qotp recycle-demo: argument --threshold: must be a number in [0, 1], got '2'"),
+            (["recycle-demo", "--threshold", "-1", "--insecure-demo"], {},
+             "qotp recycle-demo: argument --threshold: must be a number in [0, 1], got '-1'"),
+            (["recycle-demo", "--threshold", "nan", "--insecure-demo"], {},
+             "qotp recycle-demo: argument --threshold: must be a number in [0, 1], got 'nan'"),
+            # values that no argparse type checked before: their errors named no flag
+            (["sweep-theta", "--photons", "0"], {},
+             "qotp sweep-theta: argument --photons: must be an integer in [1, int64 max], got '0'"),
+            (["recycle-demo", "--sessions", "0"], {},
+             "qotp recycle-demo: argument --sessions: must be an integer in [1, int64 max], got '0'"),
+            (["sweep-theta", "--points", "1"], {},
+             "qotp sweep-theta: argument --points: must be an integer in [2, int64 max], got '1'"),
+            (["bounds", "--points", "0"], {},
+             "qotp bounds: argument --points: must be an integer in [1, int64 max], got '0'"),
+            (["run", "--seed", str(2**64)], {},
+             "qotp run: argument --seed: must be an integer in [int64 min, int64 max], "
+             f"got '{2**64}'"),
+            (["run"], {"QOTP_SEED": str(-(2**63) - 1)},
+             f"QOTP_SEED: must be an integer in [int64 min, int64 max], got '{-(2**63) - 1}'"),
+            (["run", "--message", "01x"], {},
+             "qotp run: argument --message: must be a 0/1 string, got '01x'"),
+            # grid flags that a given list would ignore
+            (["sweep-theta", "--thetas", "0,0.5", "--points", "9"], {},
+             "qotp sweep-theta: argument --points: not allowed with argument --thetas"),
+            (["bounds", "--d-grid", "0.01", "--d-min", "0.2", "--points", "9"], {},
+             "qotp bounds: argument --d-grid: not allowed with argument --d-min"),
+            (["bounds", "--d-grid", "0.01", "--points", "9"], {},
+             "qotp bounds: argument --d-grid: not allowed with argument --points"),
         ],
-        ids=["d-grid-nan", "d-grid-past-i1-domain", "theta-past-pi-over-4"],
+        ids=["d-grid-nan", "d-grid-past-i1-domain", "d-grid-empty-value", "d-grid-empty",
+             "thetas-past-pi-over-4", "thetas-not-a-number", "thetas-empty", "thetas-one-point",
+             "run-negative-message-bits", "recycle-negative-message-bits", "theta-past-pi-over-4",
+             "theta-nan", "theta-deg-past-45", "run-zero-samples", "recycle-zero-samples",
+             "zero-pad-bits", "sweep-negative-points", "bounds-negative-points",
+             "run-threshold-2", "run-threshold-negative", "run-threshold-nan",
+             "recycle-threshold-2", "recycle-threshold-negative", "recycle-threshold-nan",
+             "zero-photons", "zero-sessions", "one-sweep-point", "zero-bound-points",
+             "seed-past-int64", "env-seed-below-int64", "message-not-bits",
+             "thetas-with-points", "d-grid-with-d-min", "d-grid-with-points"],
     )
-    def test_grid_value_outside_its_domain_names_its_flag(self, argv, line, capsys):
+    def test_flag_error_line(self, argv, env, line, monkeypatch, capsys):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
         assert cli.main(argv) == cli.EXIT_ERROR
         assert capsys.readouterr() == ("", f"error: {line}\n")
 
@@ -489,59 +572,12 @@ class TestBoundaryErrors:
         sequence = np.random.SeedSequence(2**64 - 5, spawn_key=(ROLE_PAD, 3))
         assert role_seed(-5, ROLE_PAD, 3) == int(sequence.generate_state(1, np.uint64)[0])
 
-    @pytest.mark.parametrize("command,value", [("run", "-3"), ("recycle-demo", "-1")])
-    def test_negative_length_names_the_flag(self, command, value, capsys):
-        assert cli.main([command, "--message-bits", value]) == cli.EXIT_ERROR
-        assert capsys.readouterr().err == f"error: --message-bits must be >= 0, got {value}\n"
-
-    @pytest.mark.parametrize(
-        "argv,line",
-        [
-            (["run", "--attack", "utb", "--theta", "0.9"], "--theta must lie in [0, pi/4], got 0.9"),
-            (["run", "--attack", "utb", "--theta", "nan"], "--theta must lie in [0, pi/4], got nan"),
-            (["run", "--samples", "0"], "--samples must be >= 1, got 0"),
-            (["recycle-demo", "--samples", "0"], "--samples must be >= 1, got 0"),
-            (["recycle-demo", "--pad-bits", "0"], "--pad-bits must be >= 1, got 0"),
-        ],
-        ids=["theta-past-pi-over-4", "theta-nan", "run-zero-samples", "recycle-zero-samples",
-             "zero-pad-bits"],
-    )
-    def test_value_outside_its_domain_names_its_flag(self, argv, line, capsys):
-        assert cli.main(argv) == cli.EXIT_ERROR
-        assert capsys.readouterr() == ("", f"error: {line}\n")
-
-    @pytest.mark.parametrize("command,value", [("sweep-theta", "-3"), ("bounds", "-1")])
-    def test_negative_points_names_the_flag(self, command, value, capsys):
-        assert cli.main([command, "--points", value]) == cli.EXIT_ERROR
-        assert capsys.readouterr().err == f"error: --points must lie in [0, {2**63 - 1}], got {value}\n"
-
-    @pytest.mark.parametrize(
-        "command,flag,value",
-        [("sweep-theta", "--thetas", ""), ("sweep-theta", "--thetas", "0.1,abc"),
-         ("bounds", "--d-grid", "0.1,,0.2"), ("bounds", "--d-grid", "")],
-    )
-    def test_grid_list_names_its_flag(self, command, flag, value, capsys):
-        assert cli.main([command, flag, value]) == cli.EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err == f"error: {flag} must be comma-separated numbers, got {value!r}\n"
-
-    def test_theta_deg_error_quotes_degrees(self, capsys):
-        assert cli.main(["run", "--attack", "utb", "--theta-deg", "46"]) == cli.EXIT_ERROR
-        err = capsys.readouterr().err
-        assert "--theta-deg" in err and "46" in err
-
     @pytest.mark.parametrize("command", ["run", "recycle-demo"])
     def test_threshold_names_the_insecure_demo_flag(self, command, capsys):
         assert cli.main([command, "--threshold", "0.5"]) == cli.EXIT_ERROR
         err = capsys.readouterr().err
         assert "--insecure-demo" in err and "allow_insecure_demo" not in err
 
-    @pytest.mark.parametrize("command", ["run", "recycle-demo"])
-    @pytest.mark.parametrize("value", ["2", "-1", "nan"])
-    def test_threshold_range_names_the_flag(self, command, value, capsys):
-        argv = [command, "--threshold", value, "--insecure-demo"]
-        assert cli.main(argv) == cli.EXIT_ERROR
-        assert capsys.readouterr().err == f"error: --threshold must lie in [0, 1], got {float(value)}\n"
 
 
 # Flag values for the property test below: numbers at and past every edge
