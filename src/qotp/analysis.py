@@ -13,14 +13,17 @@ All information quantities are in bits (base-2 logs).  The bound family:
                          verbatim, no smoothing.
 * ``small_dm_linear_bound`` -- the small-d_m linear relaxation of i1.
 
-A sweep's empirical error rates and plug-in mutual information come from
-histograms drawn from their exact law, ``kernels.cell_probabilities``: the
-protocol's channel, with the receiver in the preparation basis.
+Each sweep grid point draws one histogram on its own stream from its exact
+law, ``kernels.cell_probabilities``: the protocol's channel, with the
+receiver in the preparation basis.  The empirical error rates, the plug-in
+mutual information and the bounds are then computed as columns over the
+stacked histograms of the whole grid, one row per point.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,21 +134,21 @@ def small_dm_linear_bound(d_m):
     return _eval(d_m, 0.0, 0.25, lambda arr: slope * arr, "small_dm_linear_bound")
 
 
-def empirical_mutual_information(counts) -> float:
-    """Plug-in estimate sum p(a,e) log2[p(a,e)/(p(a)p(e))] in bits."""
+def empirical_mutual_information(counts) -> float | np.ndarray:
+    """Plug-in estimate sum p(a,e) log2[p(a,e)/(p(a)p(e))] in bits of a 2-D
+    count table, as a float, or of each table of a stack along the leading
+    axes, as an array."""
     c = np.asarray(counts, dtype=np.float64)
-    if c.ndim != 2 or np.any(c < 0):
-        raise ValueError("counts must be a nonnegative 2-D table")
-    total = c.sum()
-    if total <= 0:
+    if c.ndim < 2 or not np.all((c >= 0) & (c < np.inf)):  # NaN fails both
+        raise ValueError("counts must be finite, nonnegative 2-D tables")
+    total = c.sum(axis=(-2, -1), keepdims=True)
+    if np.any(total <= 0):
         raise ValueError("counts table must have positive total")
     p = c / total
-    px = p.sum(axis=1, keepdims=True)
-    py = p.sum(axis=0, keepdims=True)
-    mask = p > 0
-    terms = np.zeros_like(p)
-    terms[mask] = p[mask] * np.log2(p[mask] / (px @ py)[mask])
-    return float(terms.sum())
+    outer = p.sum(axis=-1, keepdims=True) * p.sum(axis=-2, keepdims=True)
+    ratio = np.divide(p, outer, out=np.ones_like(p), where=p > 0)
+    mi = (p * np.log2(ratio)).sum(axis=(-2, -1))
+    return float(mi) if c.ndim == 2 else mi
 
 
 @dataclass(frozen=True)
@@ -159,10 +162,11 @@ class SweepPoint:
 
 
 # Coordinates of the sweep histogram cells [state, encoding, receiver outcome,
-# probe outcome], and what each cell decodes to.
-_STATE, _ENC, _BOB, _PROBE = np.indices((4, 2, 2, 2))
+# probe outcome], with a trailing axis for the tallies each cell adds to: it
+# is an error or not, and its one-hot place in the (encoded label, probe) joint.
+_STATE, _ENC, _BOB, _PROBE = np.indices((4, 2, 2, 2))[..., None]
 _ERROR = (_BOB != kernels.PREP_LABEL_OF_STATE[_STATE]) != _ENC
-_ENCODED_LABEL = kernels.PREP_LABEL_OF_STATE[_STATE] ^ _ENC
+_JOINT_CELL = 2 * (kernels.PREP_LABEL_OF_STATE[_STATE] ^ _ENC) + _PROBE == np.arange(4)
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -176,41 +180,39 @@ def sweep_theta(
     seeded by ``role_seed(seed, ROLE_SWEEP, i)``.  The histogram of
     ``n_photons`` independent photons over (state, encoding, receiver outcome,
     probe outcome) is one multinomial draw from ``cell_probabilities``, so a
-    point costs the same at any photon count.  Each point's statistics come
-    from that histogram."""
+    point costs the same at any photon count.  Every theta is checked before
+    the first draw.  The statistics and bounds of all rows are computed as
+    columns over the stacked histograms, each row from its own histogram."""
     if n_photons < 1:
         raise ValueError(f"a sweep needs at least 1 photon per grid point, got {n_photons}")
     if n_photons > _INT64_MAX:
         raise ValueError(
             f"a sweep takes at most {_INT64_MAX} photons per grid point, got {n_photons}"
         )
+    attacks = [IndividualUTB(theta=float(theta), attack_basis=attack_basis) for theta in thetas]
+    draws = [
+        make_rng(role_seed(seed, ROLE_SWEEP, i)).multinomial(
+            n_photons, cell_probabilities(attack).ravel()
+        )
+        for i, attack in enumerate(attacks)
+    ]
     matched = kernels.PREP_BASIS_OF_STATE[_STATE] == attack_basis.index
-    points = []
-    for i, theta in enumerate(thetas):
-        rng = make_rng(role_seed(seed, ROLE_SWEEP, i))
-        law = cell_probabilities(IndividualUTB(theta=float(theta), attack_basis=attack_basis))
-        counts = rng.multinomial(n_photons, law.ravel()).reshape(_STATE.shape)
-        n_matched = counts[matched].sum()
-        if n_matched == 0:
-            raise ValueError(
-                f"sweep point theta={float(theta):.10g} drew no attacked-basis photon "
-                f"among {n_photons}"
-            )
-        joint = np.bincount(
-            2 * _ENCODED_LABEL[matched] + _PROBE[matched], weights=counts[matched], minlength=4
+    tally = np.concatenate([matched, matched & _ERROR, _ERROR, matched & _JOINT_CELL], axis=-1)
+    counts = np.array(draws, dtype=np.int64).reshape(-1, _STATE.size)
+    tallies = counts @ tally.reshape(_STATE.size, -1)  # exact integer sums
+    n_matched, n_matched_errors, n_errors = tallies[:, :3].T
+    empty = np.flatnonzero(n_matched == 0)
+    if empty.size:
+        raise ValueError(
+            f"sweep point theta={attacks[empty[0]].theta:.10g} drew no attacked-basis photon "
+            f"among {n_photons}"
         )
-        d_theory = d_of_theta(float(theta))
-        points.append(
-            SweepPoint(
-                theta=float(theta),
-                d_theory=d_theory,
-                d_matched_empirical=float(counts[matched & _ERROR].sum() / n_matched),
-                d_overall_empirical=float(counts[_ERROR].sum() / n_photons),
-                mi_empirical=empirical_mutual_information(joint.reshape(2, 2)),
-                i0_at_d=i0_bound(d_theory),
-            )
-        )
-    return points
+    theta = np.array([attack.theta for attack in attacks], dtype=np.float64)
+    d_theory = d_of_theta(theta)
+    mi = empirical_mutual_information(tallies[:, 3:].reshape(-1, 2, 2))
+    d_matched, d_overall = n_matched_errors / n_matched, n_errors / n_photons
+    columns = (theta, d_theory, d_matched, d_overall, mi, i0_bound(d_theory))
+    return [SweepPoint(*row) for row in zip(*(column.tolist() for column in columns))]
 
 
 SWEEP_CSV_HEADER = ",".join(f.name for f in dataclasses.fields(SweepPoint))
@@ -223,7 +225,7 @@ def _csv(header: str, rows) -> str:
 
 
 def sweep_csv(points: list[SweepPoint]) -> str:
-    return _csv(SWEEP_CSV_HEADER, map(dataclasses.astuple, points))
+    return _csv(SWEEP_CSV_HEADER, map(operator.attrgetter(*SWEEP_CSV_HEADER.split(",")), points))
 
 
 def bounds_csv(d_grid) -> str:

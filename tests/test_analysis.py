@@ -1,6 +1,7 @@
 """Closed-form bound values (frozen from a 30-digit independent evaluation),
 their shape properties, and the empirical estimators."""
 
+import dataclasses
 import types
 
 import numpy as np
@@ -11,6 +12,7 @@ from qotp import analysis, kernels, keystore
 from qotp.adversary import IndividualUTB, InterceptResend, record_likelihoods
 from qotp.analysis import (
     BOUNDS_CSV_HEADER,
+    SWEEP_CSV_HEADER,
     bounds_csv,
     cell_probabilities,
     d_of_theta,
@@ -20,13 +22,14 @@ from qotp.analysis import (
     i1_bound,
     phi,
     small_dm_linear_bound,
+    sweep_csv,
     sweep_theta,
 )
 from qotp.errors import PoleError
 from qotp.kernels import Basis
 from qotp.keystore import generate_pad, pair_states
 from qotp.protocol import SessionConfig, run_session
-from qotp.rng import make_rng
+from qotp.rng import ROLE_SWEEP, make_rng, role_seed
 from oracle import (
     MI_ESTIMATOR_SLACK,
     PREP_STATES,
@@ -258,6 +261,36 @@ class TestMutualInformation:
         with pytest.raises(ValueError):
             empirical_mutual_information(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["table", "stack"])
+    def test_non_finite_or_negative_count_rejected(self, bad, stacked):
+        # a NaN must not drop out of the p > 0 mask and leave a silent 0.0
+        table = np.array([[bad, 1.0], [1.0, 1.0]])
+        counts = np.stack([np.ones((2, 2)), table]) if stacked else table
+        with pytest.raises(ValueError, match="^counts must be finite, nonnegative 2-D tables$"):
+            empirical_mutual_information(counts)
+
+    def test_stack_with_one_empty_table_rejected(self):
+        stack = np.stack([np.diag([5, 5]), np.zeros((2, 2)), np.full((2, 2), 3)])
+        with pytest.raises(ValueError, match="^counts table must have positive total$"):
+            empirical_mutual_information(stack)
+
+    def test_stacked_estimate_is_the_tablewise_estimate_exactly(self):
+        rng = make_rng(2024)
+        stack = rng.integers(1, 10 ** rng.integers(1, 10, size=(2000, 1, 1)), size=(2000, 2, 2))
+        stack[rng.random(stack.shape) < 0.2] = 0
+        stack = stack[stack.sum(axis=(1, 2)) > 0][:1900]
+        assert len(stack) == 1900
+        stacked = empirical_mutual_information(stack)
+        assert stacked.shape == (len(stack),)
+        for i, table in enumerate(stack):
+            assert stacked[i] == empirical_mutual_information(table), table
+        nested = empirical_mutual_information(stack.reshape(380, 5, 2, 2))
+        assert np.array_equal(nested.ravel(), stacked)
+
+    def test_table_estimate_is_a_python_float(self):
+        assert type(empirical_mutual_information(np.diag([3, 1]))) is float
+
     def test_probe_info_below_ceiling(self):
         batch = run_photon_batch(100_000, IndividualUTB(theta=np.pi / 4), make_rng(7))
         mi = probe_information_estimate(batch, Basis.PLUS)
@@ -370,6 +403,83 @@ class TestCellProbabilities:
             assert point.d_overall_empirical == pytest.approx(law[ERROR].sum(), abs=1e-5)
             mi = exact_probe_information(theta, basis)
             assert point.mi_empirical == pytest.approx(mi, abs=1e-5)
+
+
+def loop_sweep_rows(thetas, n_photons, seed, basis):
+    """Each grid point's row reduced on its own from its own stream's draw: the
+    reference the column path must equal."""
+    matched = MATCHED[basis]
+    rows = []
+    for i, theta in enumerate(thetas):
+        law = cell_probabilities(IndividualUTB(theta, basis)).ravel()
+        counts = make_rng(role_seed(seed, ROLE_SWEEP, i)).multinomial(n_photons, law)
+        counts = counts.reshape(STATE.shape)
+        joint = np.bincount(
+            2 * ENCODED_LABEL[matched] + PROBE[matched], weights=counts[matched], minlength=4
+        )
+        d = d_of_theta(theta)
+        rows.append((
+            theta,
+            d,
+            float(counts[matched & ERROR].sum() / counts[matched].sum()),
+            float(counts[ERROR].sum() / n_photons),
+            empirical_mutual_information(joint.reshape(2, 2)),
+            i0_bound(d),
+        ))
+    return rows
+
+
+def row_values(points):
+    return [dataclasses.astuple(point) for point in points]
+
+
+class TestSweepRows:
+    """Row i depends only on (seed, i, theta_i, n_photons, basis)."""
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    @pytest.mark.parametrize("n_photons", [1_000, 200_000, 10**12])
+    def test_columns_equal_the_pointwise_reduction(self, basis, n_photons):
+        for seed in range(20):
+            thetas = np.linspace(0.0, np.pi / 4, 2 + seed % 7).tolist()
+            got = row_values(sweep_theta(thetas, n_photons, seed, basis))
+            assert got == loop_sweep_rows(thetas, n_photons, seed, basis), seed
+
+    def test_changing_the_last_theta_keeps_the_earlier_rows(self):
+        thetas = np.linspace(0.0, np.pi / 4, 6).tolist()
+        before = row_values(sweep_theta(thetas, 50_000, 8))
+        after = row_values(sweep_theta([*thetas[:-1], 0.3], 50_000, 8))
+        assert after[:-1] == before[:-1]
+        assert after[-1] != before[-1]
+
+    def test_streams_follow_the_index_not_the_theta(self):
+        thetas = [0.2, 0.4, 0.6]
+        forward = row_values(sweep_theta(thetas, 50_000, 8))
+        backward = row_values(sweep_theta(thetas[::-1], 50_000, 8))
+        assert backward != forward[::-1]
+        assert [row[0] for row in backward] == thetas[::-1]
+
+    def test_empty_grid(self):
+        assert sweep_theta([], 1_000, 8) == []
+        assert sweep_csv([]) == SWEEP_CSV_HEADER + "\n"
+
+    def test_first_point_without_an_attacked_basis_photon_is_named(self):
+        # one photon per point: points 0 and 1 draw it in the attacked basis
+        with pytest.raises(ValueError) as raised:
+            sweep_theta([0, 0.5, 0.7], 1, 3)
+        assert str(raised.value) == "sweep point theta=0.7 drew no attacked-basis photon among 1"
+
+    @pytest.mark.parametrize("bad", [1.0, float("nan")], ids=["past-pi-over-4", "nan"])
+    @pytest.mark.parametrize("where", [0, 1, 3])
+    def test_bad_theta_is_rejected_before_any_draw(self, monkeypatch, bad, where):
+        # [0, 0.5, 0.7] at one photon per point would raise on its empty point
+        # were any point drawn first
+        thetas = [0, 0.5, 0.7]
+        thetas.insert(where, bad)
+        draws = []
+        monkeypatch.setattr(analysis, "make_rng", lambda seed: draws.append(seed))
+        with pytest.raises(ValueError, match=r"^theta must lie in \[0, pi/4\], got "):
+            sweep_theta(thetas, 1, 3)
+        assert draws == []
 
 
 # Upper 0.1% points of the chi-square law by degrees of freedom (cells of
