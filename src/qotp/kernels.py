@@ -6,8 +6,9 @@ holds the sender's pad, so it measures each photon in its preparation basis:
 ``cell_probabilities`` applies that rule to the attack's exact ``law()`` (see
 ``adversary``), giving P(receiver outcome, Eve's record) per cell
 ``2 * state + encoding``.  Simulating a photon is one inverse-CDF lookup in
-its cell's row with one uniform, the only randomness, supplied by the caller.
-Sweeps draw each point's histogram from the same table.
+its cell's row with one uniform, the only randomness, supplied by the caller,
+then one lookup each of its outcome, record and decoded bit; one call may send
+each photon through its own attack.  Sweeps draw histograms from the same table.
 
 All states reachable in this protocol have real amplitudes, so the laws are
 built from the signed float64 amplitude tables below with the elementwise
@@ -71,18 +72,16 @@ def born(vec):
 
 
 def index_column(name: str, values, hi: int) -> np.ndarray:
-    """``values`` as an int64 column checked to lie in 0..hi.  Only integer or
-    boolean input is accepted: a float would be truncated to a wrong cell."""
+    """``values`` as a column of the narrowest unsigned type that holds hi,
+    checked to lie in 0..hi.  Only integer or boolean input is accepted: a
+    float would be truncated to a wrong cell."""
     column = np.asarray(values)
     if column.dtype.kind not in "biu":
         raise ValueError(f"{name} must hold integers, got dtype {column.dtype}")
-    column = np.ascontiguousarray(column, dtype=np.int64)
-    # a negative int64 reads as a huge uint64, so one max checks both ends
-    if column.size and column.view(np.uint64).max() > hi:
-        raise ValueError(
-            f"{name} must lie in 0..{hi}, got values in {column.min()}..{column.max()}"
-        )
-    return column
+    if column.size and (column.max() > hi or column.min() < 0):
+        raise ValueError(f"{name} must lie in 0..{hi}, "
+                         f"got values in {column.min()}..{column.max()}")
+    return np.ascontiguousarray(column, dtype=np.min_scalar_type(hi))
 
 
 @functools.lru_cache(maxsize=64)
@@ -102,53 +101,62 @@ def cell_probabilities(attack) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _pair_tables(attack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cumulative edges [edge, cell] of each cell's row of
-    ``cell_probabilities(attack)`` over (outcome, record) pairs, and each
-    pair's outcome and record (-1 if the law has one record value).  Dividing
-    by the row total makes the implicit last edge exactly 1, and an
-    impossible pair repeats the edge before it."""
-    probabilities = cell_probabilities(attack)
-    n_records = probabilities.shape[-1]
-    cdf = np.cumsum(probabilities.reshape(8, -1), axis=1)
-    pair = np.arange(cdf.shape[1])
-    record = pair % n_records if n_records > 1 else np.full(pair.size, -1)
-    edges = np.ascontiguousarray((cdf[:, :-1] / cdf[:, -1:]).T)
-    tables = edges, (pair // n_records).astype(np.uint8), record.astype(np.int8)
+def _pair_tables(attacks: tuple) -> tuple[np.ndarray, ...]:
+    """The tables of ``attacks`` stacked, cell ``8 * k + 2 * state + encoding``
+    being that cell of ``attacks[k]``: the cumulative edges [edge, cell] of
+    each cell's row of ``cell_probabilities`` over (outcome, record) pairs,
+    and the outcome, record (-1 for a one-record law) and decoded bit of each
+    event ``n_pairs * cell + pair``.  Dividing by the row total makes the
+    implicit last edge exactly 1, so no uniform passes it into the 1s that
+    pad a row to the longest, and an impossible pair repeats the edge before."""
+    rows = [cell_probabilities(attack).reshape(8, -1) for attack in attacks]
+    pair = np.arange(max(row.shape[1] for row in rows))
+    edges = np.ones((len(rows), 8, pair.size))
+    outcome, record = np.empty((2, len(rows), 8, pair.size), dtype=np.int8)
+    for k, row in enumerate(rows):
+        cdf = np.cumsum(row, axis=1)
+        edges[k, :, : cdf.shape[1]] = cdf / cdf[:, -1:]
+        n_records = row.shape[1] // 2
+        outcome[k] = np.minimum(pair // n_records, 1)
+        record[k] = pair % n_records if n_records > 1 else -1
+    decoded = outcome != PREP_LABEL_OF_STATE[np.arange(8) // 2, None]
+    tables = (edges.reshape(-1, pair.size)[:, :-1].T.copy(), outcome.view(np.uint8).ravel(),
+              record.ravel(), decoded.view(np.uint8).ravel())
     for table in tables:  # the cache hands the same arrays to every call
         table.flags.writeable = False
     return tables
 
 
-def simulate_photons(
-    state_idx: np.ndarray,
-    enc_bits: np.ndarray,
-    attack,
-    uniforms: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+def simulate_photons(state_idx, enc_bits, attack, uniforms, attack_idx=None) -> tuple:
     """Simulate n independent photons through the channel, each measured in
     its preparation basis.
 
     Args:
         state_idx: (n,) prepared-state indices, 0..3 = H, V, u, d.
         enc_bits: (n,) modified-message bits written with the swap encoding.
-        attack: the channel adversary, an ``adversary.AttackModel``.
+        attack: the channel adversary, an ``adversary.AttackModel``; with
+            ``attack_idx``, a tuple of them.
         uniforms: (n,) uniform draws in [0, 1), one per photon.
+        attack_idx: (n,) or (1,) for all: each photon's adversary in ``attack``.
 
     Returns:
-        (bob_outcome uint8, record int8): Eve's record per photon, coded as
-        the last axis of the attack's ``law``, -1 where there is none.
+        (bob_outcome uint8, record int8, decoded uint8): Eve's record per
+        photon, coded as the last axis of its attack's ``law``, -1 where there
+        is none; the decoded bit is 1 where the outcome is not the label of
+        the prepared state.
     """
+    attacks, attack_idx = ((attack,), 0) if attack_idx is None else (attack, attack_idx)
     state_idx = index_column("state_idx", state_idx, 3)
     enc_bits = index_column("enc_bits", enc_bits, 1)
+    attack_idx = index_column("attack_idx", attack_idx, len(attacks) - 1)
     n = state_idx.shape[0]
-    if enc_bits.shape[0] != n:
-        raise ValueError("state_idx and enc_bits must have equal length")
+    if enc_bits.shape[0] != n or attack_idx.shape[0] not in (1, n):
+        raise ValueError("state_idx, enc_bits and attack_idx must have equal length")
     uniforms = np.ascontiguousarray(uniforms, dtype=np.float64)
     if uniforms.shape != (n,):
         raise ValueError(f"uniforms must have shape ({n},)")
-    edges, outcome_of_pair, record_of_pair = _pair_tables(attack)
+    edges, *by_event = _pair_tables(attacks)
+    cell = 8 * attack_idx.astype(np.intp) + (2 * state_idx + enc_bits)
     # the pair whose interval in its cell's row holds each photon's uniform
-    cell = 2 * state_idx + enc_bits
-    pair = (uniforms >= edges.take(cell, axis=1)).sum(axis=0)
-    return outcome_of_pair.take(pair), record_of_pair.take(pair)
+    event = (uniforms >= edges.take(cell, axis=1)).sum(axis=0) + (edges.shape[0] + 1) * cell
+    return tuple(table.take(event) for table in by_event)

@@ -68,8 +68,7 @@ def pair_states(pad: PadKey) -> np.ndarray:
     d, as a table indexed by pair: pair p is pad bits 2p and 2p+1, 00 -> H,
     11 -> V, 01 -> u, 10 -> d.  An odd pad's last bit keys no pair."""
     key = pad.bits[: len(pad) // 2 * 2].reshape(-1, 2)
-    b0 = key[..., 0].astype(np.int64)
-    return np.where(b0 == key[..., 1], b0, 2 + b0)
+    return key[:, 0] + 2 * (key[:, 0] ^ key[:, 1])
 
 
 def pad_to_text(pad: PadKey) -> str:

@@ -8,8 +8,9 @@ bits, and either recycle the pad (dropping the announced photons' bit pairs)
 and release the message or halt.  Sessions run as rows: a lineage reuses one
 pad until a check fails, running its sessions in blocks, and a single
 session is session 1 of a lineage.  Both draw, key, send, check and recycle
-through the same steps, and the photons of a block run as columns through
-one batch-kernel call per attack, which samples the attack's exact law.
+through the same steps, and the photons of a block, whatever its attacks,
+run as narrow columns through one batch-kernel call, which samples each
+attack's exact law and decodes.
 The transcript keeps the full secret view for analysis; the ``public_view``
 projection is exactly what an eavesdropper may read.  A lineage audits
 through the pad's origin ledger that no announced pad bit keys a photon
@@ -160,47 +161,41 @@ def message_digest(bits: np.ndarray) -> str:
     return hashlib.sha256(_digits(bits).encode("ascii")).hexdigest()
 
 
-def _check_rows(sent, announced, threshold: float):
-    """Per row (last axis) of sampling bits, the announced values that differ
-    from the sent ones, their rate, and whether the rate is within
-    ``threshold``."""
-    n_errors = np.count_nonzero(sent != announced, axis=-1)
-    rate = n_errors / sent.shape[-1]
+def _check_rows(wrong, threshold: float):
+    """Per row (last axis) of flags of the sampling bits announced wrong,
+    their count, their rate, and whether the rate is within ``threshold``."""
+    n_errors = np.count_nonzero(wrong, axis=-1)
+    rate = n_errors / wrong.shape[-1]
     return n_errors, rate, rate <= threshold
 
 
 def _send_rows(state_idx, bits, attacks, uniforms):
     """Row k of photons keyed ``state_idx`` and carrying ``bits`` (arrays of
-    one shape) sent through ``attacks[k]``, in one kernel call per distinct
-    attack, and measured in their preparation bases.  Returns the received
-    outcomes, Eve's records and the decoded bits, each shaped like ``bits``."""
+    one shape) sent through ``attacks[k]``, in one kernel call, and measured
+    in their preparation bases.  Returns the received outcomes, Eve's records
+    and the decoded bits, each shaped like ``bits``."""
     codes: dict = {}
-    row_codes = np.array([codes.setdefault(attack, len(codes)) for attack in attacks])
-    received, record = np.empty(bits.shape, dtype=np.uint8), np.empty(bits.shape, dtype=np.int8)
-    for attack, code in codes.items():
-        rows = row_codes == code
-        state = state_idx[rows]
-        columns = kernels.simulate_photons(state.ravel(), bits[rows].ravel(), attack,
-                                           uniforms[rows].ravel())
-        received[rows], record[rows] = (column.reshape(state.shape) for column in columns)
-    decoded = (received != kernels.PREP_LABEL_OF_STATE[state_idx]).astype(np.uint8)
-    return received, record, decoded
+    row_codes = [codes.setdefault(attack, len(codes)) for attack in attacks]
+    attack_idx = np.array(row_codes, dtype=np.min_scalar_type(len(codes))).repeat(bits.shape[1])
+    columns = kernels.simulate_photons(state_idx.ravel(), bits.ravel(), tuple(codes),
+                                       uniforms.ravel(), attack_idx)
+    return tuple(column.reshape(bits.shape) for column in columns)
 
 
 def draw_messages(rng: RandomStream, n_sessions: int, n_message: int) -> np.ndarray:
     """The messages of consecutive sessions, one row each: a bit is one double
     of ``rng`` below 1/2, so a longer draw extends a shorter one."""
-    return (rng.random((n_sessions, n_message)) < 0.5).astype(np.uint8)
+    return (rng.random((n_sessions, n_message)) < 0.5).view(np.uint8)
 
 
 def _draw_sessions(messages: np.ndarray, session_rng: RandomStream, n_sample: int):
     """The draws of consecutive sessions carrying the (sessions, n_message)
-    ``messages``, one row each: the modified messages, their sampling masks
-    and the kernel's uniforms.  Row k reads the next row of doubles from
-    ``session_rng``, so a session's draws do not depend on how a lineage is
-    cut into blocks.  The sampling positions are those of the ``n_sample``
-    smallest of n uniform keys, uniform over all interleavings; each bit is a
-    uniform below 1/2."""
+    ``messages``, one row each: the modified messages, the flat indices of
+    their sampling bits and of their message bits, in order, and the kernel's
+    uniforms.  Row k reads the next row of doubles from ``session_rng``, so a
+    session's draws do not depend on how a lineage is cut into blocks.  The
+    sampling positions are those of the ``n_sample`` smallest of n uniform
+    keys, uniform over all interleavings; each bit is a uniform below 1/2."""
     n_sessions, n_message = messages.shape
     n = n_message + n_sample
     draws = session_rng.random((n_sessions, 2 * n + n_sample))
@@ -208,15 +203,18 @@ def _draw_sessions(messages: np.ndarray, session_rng: RandomStream, n_sample: in
     sample_mask = np.zeros((n_sessions, n), dtype=bool)
     smallest = np.argpartition(keys, n_sample - 1, axis=1)[:, :n_sample]
     np.put_along_axis(sample_mask, smallest, True, axis=1)
+    checked = np.flatnonzero(sample_mask).reshape(n_sessions, n_sample)
+    unchecked = np.flatnonzero(~sample_mask).reshape(messages.shape)
     bits = np.empty((n_sessions, n), dtype=np.uint8)
-    bits[sample_mask] = (sample_draws < 0.5).ravel()
-    bits[~sample_mask] = messages.ravel()
-    return bits, sample_mask, uniforms
+    bits.ravel()[checked] = sample_draws < 0.5
+    bits.ravel()[unchecked] = messages
+    return bits, checked, unchecked, uniforms
 
 
-def _keyed_pairs(carried: np.ndarray, fresh: int, sample_mask: np.ndarray):
-    """The pad pairs keyed by consecutive sessions with these sampling masks,
-    if every check passes.
+def _keyed_pairs(carried: np.ndarray, fresh: int, unchecked: np.ndarray, n: int):
+    """The pad pairs keyed by consecutive sessions of n photons whose message
+    bits sit at the flat indices ``unchecked`` (one row per session), if
+    every check passes.
 
     The live pair list is ``carried``, then every pair from ``fresh`` on.  A
     session keys the first n live pairs, and its passed check drops the
@@ -225,15 +223,17 @@ def _keyed_pairs(carried: np.ndarray, fresh: int, sample_mask: np.ndarray):
     as a session leaves unannounced.  Only this head of the list is touched.
     Returns the (sessions, n) pair ids and the head after the last session,
     as (carried, fresh)."""
-    sessions, n = sample_mask.shape
-    m = carried.size
+    sessions, m = unchecked.shape
     pairs = np.empty((sessions, n), dtype=np.int64)
+    pairs[0, :m] = carried
     pairs[:, m:] = np.arange(fresh, fresh + sessions * (n - m)).reshape(sessions, n - m)
-    kept = (np.flatnonzero(~sample_mask) % n).reshape(sessions, m)
-    for row, keep in zip(pairs, kept):
-        row[:m] = carried
-        carried = row[keep]
-    return pairs, carried, fresh + sessions * (n - m)
+    # a carried photon keys its source photon's pair; each round doubles how far a link reaches
+    source = np.arange(pairs.size).reshape(pairs.shape)
+    source[1:, :m] = unchecked[:-1]
+    for _ in range((sessions - 1).bit_length()):
+        source = source.take(source)
+    pairs = pairs.take(source)
+    return pairs, pairs.take(unchecked[-1]), fresh + sessions * (n - m)
 
 
 def _exhausted(session: int, n: int, have: int) -> PadExhaustedError:
@@ -249,11 +249,7 @@ def _live_pad(pad: PadKey, carried: np.ndarray, fresh: int, sessions: int) -> Pa
     live = np.concatenate((carried, np.arange(fresh, n_pairs)))
     # the bits of the live pairs, then an odd pad's last bit, which no photon keys
     keep = np.append(2 * live[:, None] + (0, 1), np.arange(2 * n_pairs, len(pad)))
-    return PadKey(
-        bits=pad.bits[keep],
-        generation=pad.generation + sessions,
-        origin_indices=pad.origin_indices[keep],
-    )
+    return PadKey(pad.bits[keep], pad.generation + sessions, pad.origin_indices[keep])
 
 
 def run_session(
@@ -274,21 +270,19 @@ def run_session(
     if len(pad) < 2 * n:
         raise _exhausted(1, n, len(pad))
     session_rng = make_rng(role_seed(config.seed, ROLE_SESSION))
-    bits, sample_mask, uniforms = _draw_sessions(message[None], session_rng, n_sample)
-    pairs, carried, fresh = _keyed_pairs(np.arange(n_message), n_message, sample_mask)
-    state_idx = keystore.pair_states(pad)[pairs]
+    bits, checked, unchecked, uniforms = _draw_sessions(message[None], session_rng, n_sample)
+    pairs, carried, fresh = _keyed_pairs(np.arange(n_message), n_message, unchecked, n)
+    state_idx = keystore.pair_states(pad).take(pairs)
     received, record, decoded = (c[0] for c in _send_rows(state_idx, bits, [attack], uniforms))
-    modified, sampled = bits[0], sample_mask[0]
-    positions = np.flatnonzero(sampled)
-    n_errors, rate, accepted = _check_rows(modified[positions], decoded[positions],
+    modified, positions = bits[0], checked[0]
+    n_errors, rate, accepted = _check_rows(decoded[positions] != modified[positions],
                                            config.abort_threshold)
-    report = ErrorReport(
-        n_checked=n_sample, n_errors=int(n_errors), rate=float(rate), accepted=bool(accepted)
-    )
+    report = ErrorReport(n_checked=n_sample, n_errors=int(n_errors), rate=float(rate),
+                         accepted=bool(accepted))
     recycled_pad = extracted_message = None
     if report.accepted:
         recycled_pad = _live_pad(pad, carried, fresh, 1)
-        extracted_message = decoded[~sampled]
+        extracted_message = decoded[unchecked[0]]
     return SessionTranscript(
         config=config,
         attack=attack,
@@ -321,12 +315,13 @@ def run_lineage(
     ``role_seed(config.seed, ROLE_SESSION)``, one row per session in order.
     Only the halting rule depends on the channel, so the sessions run in
     blocks of about ``BLOCK_PHOTONS`` photons: a block's pad pairs follow
-    from its sampling masks, it makes one kernel call per distinct attack,
-    and the lineage stops at its first failed check.  Photons are keyed by
-    looking their pairs up in one pair-state table, built once per lineage.
-    The live pad pairs and the reuse audit carry from block to block.  The
-    audit reads the pad's origin ledger, not the pair recurrence: it counts
-    keyed bits that an earlier session announced.
+    from its sampling positions, it makes one kernel call whatever its
+    attacks, and the lineage stops at its first failed check.  Photons are
+    keyed by looking their pairs up in one pair-state table, built once per
+    lineage.  The live pad pairs and the reuse audit carry from block to
+    block.  The audit reads the pad's origin ledger, through one view of its
+    bit pairs, not the pair recurrence: it counts keyed bits that an earlier
+    session announced.
 
     Raises PadExhaustedError when every session so far has passed and the
     next cannot be keyed.  Returns the report and the final pad, which is
@@ -343,31 +338,28 @@ def run_lineage(
     carried, fresh = np.arange(min(n_message, n_pairs)), n_message
     # the first session to announce each generation-0 pad bit, found through the origin ledger
     first_shown = np.full(int(pad.origin_indices.max(initial=-1)) + 1, np.iinfo(np.int64).max)
-    reused = 0
-    sessions: list[dict] = []
-    halted = False
+    origin_pairs = pad.origin_indices[: 2 * n_pairs].reshape(-1, 2)
+    reused, sessions, halted = 0, [], False
     while not halted and (block := list(itertools.islice(attacks, max(1, BLOCK_PHOTONS // n)))):
         done = len(sessions)
         keyed = block[: keyable - done]
         if keyed:
             messages = draw_messages(message_rng, len(keyed), n_message)
-            bits, sample_mask, uniforms = _draw_sessions(messages, session_rng, n_sample)
-            pairs, carried, fresh = _keyed_pairs(carried, fresh, sample_mask)
-            decoded = _send_rows(state_of_pair[pairs], bits, keyed, uniforms)[2]
-            # the flat positions of the sampling bits, n_sample per row, rows in order
-            checked = np.flatnonzero(sample_mask)
-            sent, announced = (b.take(checked).reshape(-1, n_sample) for b in (bits, decoded))
-            _, rates, accepted = _check_rows(sent, announced, config.abort_threshold)
+            bits, checked, unchecked, uniforms = _draw_sessions(messages, session_rng, n_sample)
+            pairs, carried, fresh = _keyed_pairs(carried, fresh, unchecked, n)
+            wrong = _send_rows(state_of_pair.take(pairs), bits, keyed, uniforms)[2] != bits
+            n_errors, rates, accepted = _check_rows(wrong.take(checked), config.abort_threshold)
             ran = len(keyed) if accepted.all() else int(np.argmin(accepted)) + 1
             halted = not accepted[ran - 1]
-            first = 2 * pairs[:ran]
-            drawn = pad.origin_indices[np.stack((first, first + 1))]
+            # the origins of each keyed pair's two bits, and those of the announced ones
+            drawn = origin_pairs.take(pairs[:ran], axis=0)
+            shown = drawn.reshape(-1, 2).take(checked[:ran].ravel(), axis=0)
+            when = done + np.arange(ran)
             # flat, equal-shape operands: numpy 2.4's ufunc.at mishandles a broadcast value
-            shown = drawn.reshape(2, -1)[:, checked[: ran * n_sample]]
-            when = done + checked[: ran * n_sample] // n
-            np.minimum.at(first_shown, shown.ravel(), np.tile(when, 2))
-            reused += int(np.count_nonzero(first_shown[drawn] < done + np.arange(ran)[:, None]))
-            exact = (decoded[~sample_mask].reshape(len(keyed), n_message) == messages).all(axis=1)
+            np.minimum.at(first_shown, shown.ravel(), when.repeat(2 * n_sample))
+            reused += int(np.count_nonzero(first_shown.take(drawn) < when[:, None, None]))
+            # a message is exact when every bit decoded wrong is a sampling bit
+            exact = np.count_nonzero(wrong, axis=1) == n_errors
             pad_before = len(pad) - 2 * n_sample * np.arange(done, done + ran)
             columns = zip(range(done + 1, done + ran + 1), keyed, pad_before.tolist(),
                           (pad_before - 2 * n_sample * accepted[:ran]).tolist(),

@@ -428,7 +428,7 @@ def run_photon_batch(n: int, attack: AttackModel, rng: RandomStream) -> PhotonBa
     the receiver uses each photon's preparation basis, as in the protocol."""
     state_idx = rng.integers(0, 4, size=n, dtype=np.int64)
     enc_bits = rng.integers(0, 2, size=n, dtype=np.int64)
-    bob, record = kernels.simulate_photons(state_idx, enc_bits, attack, rng.random(n))
+    bob, record, _ = kernels.simulate_photons(state_idx, enc_bits, attack, rng.random(n))
     return PhotonBatch(state_idx, enc_bits, kernels.PREP_BASIS_OF_STATE[state_idx], bob, record)
 
 

@@ -285,7 +285,7 @@ def test_criterion_10_born_rule_oracle_equivalence():
                 p1 = float(np.sum(np.abs(amps[1]) ** 2))
                 model = IndividualUTB(theta=theta, attack_basis=ab)
             p1 = min(max(p1, 0.0), 1.0)
-            bob, _ = kernels.simulate_photons(
+            bob, _, _ = kernels.simulate_photons(
                 np.full(n, state_idx),
                 np.zeros(n, dtype=np.int64),
                 model,

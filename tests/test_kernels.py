@@ -105,8 +105,10 @@ def test_pinned_uniforms_pick_the_pair_beside_each_edge(model):
     oracle = attack_law(model)
     n_records = oracle.shape[-1]
     cells, uniforms, pairs = pinned_photons(oracle)
-    bob, record = kernels.simulate_photons(cells // 2, cells % 2, model, uniforms=uniforms)
+    bob, record, decoded = kernels.simulate_photons(cells // 2, cells % 2, model,
+                                                    uniforms=uniforms)
     assert bob.tolist() == (pairs // n_records).tolist()
+    assert decoded.tolist() == (bob != kernels.PREP_LABEL_OF_STATE[cells // 2]).tolist()
     if n_records == 1:
         assert record.tolist() == [-1] * pairs.size
     else:
@@ -116,10 +118,24 @@ def test_pinned_uniforms_pick_the_pair_beside_each_edge(model):
     assert np.all(prep_basis_rows(oracle)[cells, drawn] >= IMPOSSIBLE)
 
 
+def test_a_stacked_table_gives_each_photon_its_own_attacks_pairs():
+    # every channel's pinned photons in one call, each through its own
+    # attack's rows of one table padded to intercept-resend's eight pairs
+    pinned = [pinned_photons(attack_law(model)) for model in CHANNELS]
+    cells, uniforms = (np.concatenate([columns[i] for columns in pinned]) for i in (0, 1))
+    attack_idx = np.repeat(np.arange(len(CHANNELS)), [columns[0].size for columns in pinned])
+    stacked = kernels.simulate_photons(cells // 2, cells % 2, tuple(CHANNELS), uniforms,
+                                       attack_idx)
+    alone = [kernels.simulate_photons(c // 2, c % 2, model, u)
+             for model, (c, u, _) in zip(CHANNELS, pinned)]
+    for got, want in zip(stacked, zip(*alone)):
+        assert got.tolist() == np.concatenate(want).tolist()
+
+
 @pytest.mark.parametrize("model", CHANNELS, ids=channel_id)
 def test_edges_are_the_normalised_cumulative_prep_basis_rows(model):
     rows = np.cumsum(prep_basis_rows(kernels.law_of(model)), axis=1)
-    edges, _, _ = kernels._pair_tables(model)
+    edges, *_ = kernels._pair_tables((model,))
     assert edges.shape == (rows.shape[1] - 1, 8)
     assert np.array_equal(edges, (rows[:, :-1] / rows[:, -1:]).T)
 
@@ -143,7 +159,7 @@ class TestAgainstExactProjections:
         n = 50_000
         meas = PREP_BASIS[state_idx]
         rng = make_rng(state_idx * 10 + meas.index)
-        bob, _ = kernels.simulate_photons(
+        bob, _, _ = kernels.simulate_photons(
             np.full(n, state_idx), np.zeros(n, dtype=np.int64), NoAttack(), rng.random(n)
         )
         p1 = self.exact_outcome_prob(state_idx, 0, meas)
@@ -157,7 +173,7 @@ class TestAgainstExactProjections:
         theta = np.pi / 8
         meas = PREP_BASIS[state_idx]
         rng = make_rng(1000 + state_idx * 100 + meas.index * 10 + attack_basis.index)
-        bob, _ = kernels.simulate_photons(
+        bob, _, _ = kernels.simulate_photons(
             np.full(n, state_idx),
             np.zeros(n, dtype=np.int64),
             IndividualUTB(theta=theta, attack_basis=attack_basis),
@@ -173,7 +189,7 @@ class TestAgainstExactProjections:
         theta = np.pi / 4
         rng = make_rng(77)
         state_idx = 2  # |u>, attacked in the plus basis, measured cross
-        bob, probe = kernels.simulate_photons(
+        bob, probe, _ = kernels.simulate_photons(
             np.full(n, state_idx),
             np.zeros(n, dtype=np.int64),
             IndividualUTB(theta=theta, attack_basis=Basis.PLUS),
@@ -204,8 +220,8 @@ class ShortRows:
 
 def test_six_pair_rows_short_of_one_give_only_possible_pairs():
     uniforms = [0.0, 0.3, 0.6, 0.75, np.nextafter(1.0, 0.0)]
-    bob, record = kernels.simulate_photons([0, 3, 1, 2, 3], [0, 1, 0, 1, 0], ShortRows(),
-                                           uniforms=uniforms)
+    bob, record, _ = kernels.simulate_photons([0, 3, 1, 2, 3], [0, 1, 0, 1, 0], ShortRows(),
+                                              uniforms=uniforms)
     assert bob.tolist() == [0, 0, 1, 1, 1]
     assert record.tolist() == [0, 2, 0, 0, 0]
 
@@ -242,6 +258,26 @@ class TestValidation:
         with pytest.raises(ValueError, match=name):
             kernels.simulate_photons(*columns, NoAttack(), make_rng(0).random(4))
 
+    @pytest.mark.parametrize(
+        "column,value,dtype,name",
+        [(0, -1, np.int8, "state_idx"), (1, -1, np.int8, "enc_bits"),
+         (0, 4, np.uint8, "state_idx"), (1, 2, np.uint16, "enc_bits"),
+         (0, 2**63, np.uint64, "state_idx"), (1, 2**63, np.uint64, "enc_bits")],
+    )
+    def test_out_of_range_narrow_column(self, column, value, dtype, name):
+        # a narrow signed -1 or a wide unsigned value is caught at any width
+        columns = [np.zeros(4, dtype=dtype) for _ in range(2)]
+        columns[column][2] = value
+        with pytest.raises(ValueError, match=name):
+            kernels.simulate_photons(*columns, NoAttack(), make_rng(0).random(4))
+
+    @pytest.mark.parametrize("attack_idx", [[0, 2], [-1, 0], [0, 0, 0], [0.0, 1.0]],
+                             ids=["past-the-attacks", "negative", "too-long", "float"])
+    def test_bad_attack_idx(self, attack_idx):
+        with pytest.raises(ValueError, match="attack_idx"):
+            kernels.simulate_photons([0, 1], [0, 0], (NoAttack(), InterceptResend()),
+                                     make_rng(0).random(2), attack_idx)
+
     @pytest.mark.parametrize("column,name", [(0, "state_idx"), (1, "enc_bits")])
     def test_float_column(self, column, name):
         # a float would be truncated to a valid cell (2.7 runs as state 2)
@@ -252,7 +288,7 @@ class TestValidation:
 
     def test_integer_and_bool_columns_pass(self):
         # H swapped to -V read in plus, and d kept read in cross: both give outcome 1
-        bob, _ = kernels.simulate_photons(
+        bob, _, _ = kernels.simulate_photons(
             np.array([0, 3], dtype=np.uint8), np.array([True, False]), NoAttack(),
             make_rng(0).random(2),
         )

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qotp import cli, kernels, keystore, protocol
-from qotp.adversary import IndividualUTB, InterceptResend, NoAttack
+from qotp.adversary import IndividualUTB, InterceptResend, KnownPlaintext, NoAttack
 from qotp.errors import PadExhaustedError
 from qotp.kernels import Basis
 from qotp.keystore import generate_pad
@@ -87,7 +87,7 @@ class TestEavesdropCheck:
     def check(self, n_flipped, threshold):
         announced = self.SENT.copy()
         announced[:n_flipped] ^= 1
-        return protocol._check_rows(self.SENT, announced, threshold)
+        return protocol._check_rows(self.SENT != announced, threshold)
 
     def test_clean_accepts(self):
         assert self.check(0, 0.0) == (0, 0.0, True)
@@ -185,17 +185,16 @@ class TestRunSession:
 def hand_lineage(pad, draws, attacks):
     """The lineage as a loop of pair_states, simulate_photons, a count of the
     sampling bits announced wrong and the reference recycle_pad over the
-    sessions' recorded draws (message, modified bits, sampling mask,
+    sessions' recorded draws (message, modified bits, sampling positions,
     uniforms): per session the pad it read, its decoded bits, whether its
     message came out exact and its check's error count; the halting session;
     and the final pad."""
     steps = []
-    for k, (attack, (message, sent, sample_mask, uniforms)) in enumerate(zip(attacks, draws)):
+    for k, (attack, (message, sent, positions, uniforms)) in enumerate(zip(attacks, draws)):
         n = sent.size
         state = keystore.pair_states(pad)[:n]
-        received, _ = kernels.simulate_photons(state, sent, attack, uniforms)
+        received = kernels.simulate_photons(state, sent, attack, uniforms)[0]
         decoded = (received != kernels.PREP_LABEL_OF_STATE[state]).astype(np.uint8)
-        positions = np.flatnonzero(sample_mask)
         n_errors = np.count_nonzero(decoded[positions] != sent[positions])
         exact = n_errors == 0 and np.array_equal(np.delete(decoded, positions), message)
         steps.append((pad, decoded, exact, n_errors))
@@ -215,12 +214,14 @@ def assert_same_pad(a, b):
 
 def recorded_lineage(monkeypatch, pad, config, attacks):
     """run_lineage with its per-session draws, keyed pair ids and decoded bits
-    recorded, one row per session."""
+    recorded, one row per session; a session's sampling positions are
+    recorded within its row."""
     draws, pairs, decoded = [], [], []
 
     def draw(messages, *args):
         out = draw_sessions(messages, *args)
-        draws.extend(zip(messages, *out))
+        sent, checked, _, uniforms = out
+        draws.extend(zip(messages, sent, checked % sent.shape[1], uniforms))
         return out
 
     def keyed(*args):
@@ -251,6 +252,12 @@ def pad_for(sessions, n_message=64, n_sample=16, extra=0):
 class TestRunLineage:
     CONFIG = SessionConfig(n_message=64, n_sample=16, seed=12)
     IR_AT_2 = [NoAttack(), InterceptResend(), NoAttack(), NoAttack()]
+    # probes at theta 0 disturb nothing, so every check passes; the known-plaintext
+    # wrapper is a distinct attack with its inner's law
+    MIXED = [NoAttack(), IndividualUTB(theta=0.0),
+             KnownPlaintext(IndividualUTB(theta=0.0, attack_basis=Basis.CROSS)),
+             IndividualUTB(theta=0.0, attack_basis=Basis.CROSS), NoAttack(),
+             IndividualUTB(theta=0.0)]
 
     @pytest.mark.parametrize(
         "attacks,pad_bits,block_photons,input_sessions,halted_at",
@@ -261,9 +268,11 @@ class TestRunLineage:
             (IR_AT_2, pad_for(4), 3 * 80, 0, 2),
             ([NoAttack()] * 3, pad_for(3, extra=1), protocol.BLOCK_PHOTONS, 0, None),
             ([NoAttack()] * 3, pad_for(5), protocol.BLOCK_PHOTONS, 2, None),
+            (MIXED, pad_for(6), protocol.BLOCK_PHOTONS, 0, None),
         ],
         ids=["clean-5", "intercept-resend-at-2", "clean-across-blocks",
-             "intercept-resend-across-blocks", "odd-length-pad", "recycled-input-pad"],
+             "intercept-resend-across-blocks", "odd-length-pad", "recycled-input-pad",
+             "mixed-attacks-in-one-block"],
     )
     def test_equals_a_loop_of_sessions(
         self, attacks, pad_bits, block_photons, input_sessions, halted_at, monkeypatch
@@ -374,19 +383,31 @@ class TestRunLineage:
         long, _ = run_lineage(pad, self.CONFIG, [NoAttack()] * 6)
         assert long["sessions"][:3] == short["sessions"]
 
-    def test_one_kernel_call_per_distinct_attack_in_a_block(self, monkeypatch):
+    PROBE = IndividualUTB(theta=0.0)
+
+    # per block: its distinct attacks in order of first use, and its sessions' among them
+    @pytest.mark.parametrize(
+        "block_photons,blocks",
+        [(protocol.BLOCK_PHOTONS, [((NoAttack(), PROBE), [0, 0, 0, 1, 0, 0])]),
+         (4 * 80, [((NoAttack(), PROBE), [0, 0, 0, 1]), ((NoAttack(),), [0, 0])])],
+        ids=["one-block", "two-blocks"],
+    )
+    def test_one_kernel_call_per_block_whatever_its_attacks(self, block_photons, blocks,
+                                                             monkeypatch):
         calls = []
 
         def counting(*args):
-            calls.append(args[2])
+            calls.append((args[2], args[4].tolist()))
             return simulate_photons(*args)
 
         simulate_photons = kernels.simulate_photons
         monkeypatch.setattr(kernels, "simulate_photons", counting)
+        monkeypatch.setattr(protocol, "BLOCK_PHOTONS", block_photons)
         attacks = [NoAttack()] * 3 + [IndividualUTB(theta=0.0)] + [NoAttack()] * 2
         report, _ = run_lineage(generate_pad(pad_for(6), make_rng(10)), self.CONFIG, attacks)
         assert len(report["sessions"]) == 6
-        assert calls == [NoAttack(), IndividualUTB(theta=0.0)]
+        # every photon of a session points at that session's attack
+        assert calls == [(distinct, np.repeat(codes, 80).tolist()) for distinct, codes in blocks]
 
     @pytest.mark.parametrize("block_photons", [protocol.BLOCK_PHOTONS, 3 * 80])
     def test_exhaustion_only_after_every_earlier_session_passed(self, block_photons,
@@ -419,9 +440,11 @@ class TestRunLineage:
     @pytest.mark.parametrize("n_message,n_sample,critical", [(3, 2, 27.877), (3, 3, 43.820)])
     def test_sample_positions_uniform_over_interleavings(self, n_message, n_sample, critical):
         rows = 40_000
-        _, sample_mask, _ = protocol._draw_sessions(
+        _, checked, _, _ = protocol._draw_sessions(
             np.zeros((rows, n_message), dtype=np.uint8), make_rng(15), n_sample
         )
+        sample_mask = np.zeros((rows, n_message + n_sample), dtype=bool)
+        sample_mask.ravel()[checked] = True
         assert np.all(sample_mask.sum(axis=1) == n_sample)
         subset = sample_mask @ (1 << np.arange(n_message + n_sample))
         counts = np.unique(subset, return_counts=True)[1]
@@ -430,8 +453,8 @@ class TestRunLineage:
         assert float(np.sum((counts - expected) ** 2 / expected)) < critical
 
     def test_audit_counts_bits_a_faulty_recycle_keeps(self, monkeypatch):
-        def keeps_every_pair(carried, fresh, sample_mask):
-            sessions, n = sample_mask.shape
+        def keeps_every_pair(carried, fresh, unchecked, n):
+            sessions = unchecked.shape[0]
             head = np.concatenate((carried, np.arange(fresh, fresh + n - carried.size)))
             return np.tile(head, (sessions, 1)), head, fresh + n - carried.size
 

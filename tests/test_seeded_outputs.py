@@ -94,6 +94,23 @@ CASES = {
         "81318da2179e1b99c67b5470afa9901c1d5d8567ddbbde648aa429f2499af470",
         "8babdf388c07b54c12162f7ac1a3da86be19a3d3aa2bbfd1771914ce82ff3d41",
     ),
+    # the benchmark's recycle op: 100 sessions of 64 message and 16 sampling bits
+    "recycle-benchmark-shape": (
+        ["recycle-demo", "--sessions", "100", "--message-bits", "64", "--samples", "16",
+         "--seed", "114"],
+        0,
+        "882a4407748858a5d5c99122b205811250910c9c8e73e3dfbf79b8dc8d511fb2",
+        "06d28d9ee5a3cb6e38475ebdd4d9a7be7ccf67970fbed1a0c80f4a8b10f92a2c",
+    ),
+    # three blocks; session 1500, in the second, is attacked and accepted with
+    # an inexact message
+    "recycle-attacked-late-block": (
+        ["recycle-demo", "--sessions", "2000", "--attack", "utb", "--theta", "0.3",
+         "--attack-session", "1500", "--threshold", "1", "--insecure-demo", "--seed", "115"],
+        0,
+        "3916121879dd9675dd73df64983c2b07fde8e3e9d7b1cd5d4d78dfc686a27177",
+        "98dd313c24a49d41f18b0c31d0a888b44869de1ca3d075033029c9101ecb7964",
+    ),
     "bounds": (
         ["bounds", "--d-grid", "0,0.01,0.02,0.05,0.1"],
         0,
