@@ -17,6 +17,7 @@ against per-photon attacks on exact state vectors, which ship with the tests.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,12 +121,15 @@ def record_likelihoods(attack: AttackModel) -> np.ndarray:
     return kernels.law_of(attack)[:, :, Basis.PLUS.index].sum(axis=2)
 
 
+@functools.lru_cache(maxsize=64)
 def posterior_plus_table(attack: AttackModel) -> np.ndarray:
     """P(plus basis | record) per [known bit, record], where known bit 2 means
     the photon carries a bit the plaintext does not cover (both encodings
     equally likely).  The four basis keys are equiprobable a priori.  A record
-    the attack never leaves reads 0.5."""
+    the attack never leaves reads 0.5.  Built once per attack, read-only."""
     by_basis = record_likelihoods(attack).reshape(2, 2, 2, -1).sum(axis=1)  # [basis, bit, record]
     by_basis = np.concatenate([by_basis, by_basis.mean(axis=1, keepdims=True)], axis=1)
     total = by_basis.sum(axis=0)
-    return np.divide(by_basis[0], total, out=np.full_like(total, 0.5), where=total > 0)
+    table = np.divide(by_basis[0], total, out=np.full_like(total, 0.5), where=total > 0)
+    table.flags.writeable = False
+    return table

@@ -284,7 +284,7 @@ def cmd_recycle_demo(args) -> int:
     attack, clean = _build_attack(args), NoAttack()
     attacks = (attack if args.attack_session == k + 1 else clean for k in range(args.sessions))
     report, pad = run_lineage(pad, config, attacks)
-    text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    text = json.dumps(report, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     print(f"sessions run: {len(report['sessions'])} of {args.sessions}")
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", help="write the transcript JSON here")
     p_run.add_argument("--reveal", action="store_true", help="print message bits, not just the digest")
     _add_attack_args(p_run)
-    p_run.set_defaults(func=cmd_run)
+    p_run.set_defaults(func=cmd_run, command="run")
 
     p_sweep = sub.add_parser("sweep-theta", help="probe-attack strength sweep to CSV")
     grid = p_sweep.add_mutually_exclusive_group()
@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--utb-basis", choices=["plus", "cross"], default="plus")
     p_sweep.add_argument("--seed", type=_seed, help=SEED_HELP)
     p_sweep.add_argument("--out", help="CSV output path (stdout if omitted)")
-    p_sweep.set_defaults(func=cmd_sweep_theta)
+    p_sweep.set_defaults(func=cmd_sweep_theta, command="sweep-theta")
 
     p_bounds = sub.add_parser("bounds", help="closed-form bound table to CSV")
     d_m = _in_range(float, 0, 0.25)
@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--points", type=_in_range(int, 1), default=argparse.SUPPRESS,
                           help="grid size (default 17)")
     p_bounds.add_argument("--out", help="CSV output path (stdout if omitted)")
-    p_bounds.set_defaults(func=cmd_bounds)
+    p_bounds.set_defaults(func=cmd_bounds, command="bounds")
 
     p_demo = sub.add_parser("recycle-demo", help="consecutive sessions on one pad lineage")
     p_demo.add_argument("--sessions", type=_in_range(int, 1), default=5)
@@ -351,14 +351,19 @@ def build_parser() -> argparse.ArgumentParser:
                         help="1-based session index to run under the configured attack")
     p_demo.add_argument("--out", help="JSON report path")
     _add_attack_args(p_demo)
-    p_demo.set_defaults(func=cmd_recycle_demo)
+    p_demo.set_defaults(func=cmd_recycle_demo, command="recycle-demo")
 
+    parser.commands = sub.choices  # main hands a command's flags to its parser alone
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        # no command, -h or an unknown command: the top-level parser reports it
+        command = parser.commands.get(argv[0]) if argv else None
+        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
         empty = [name for name, value in vars(args).items() if type(value) is list and not value]
         if empty:  # argparse before Python 3.13 reads the value "--" as no value: []
             flag = empty[0].replace("_", "-")

@@ -34,10 +34,11 @@ class PadKey:
     origin_indices: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.uint8).reshape(-1)
-        if bits.size and not np.all((bits == 0) | (bits == 1)):
-            raise ValueError("pad bits must be 0/1")
-        object.__setattr__(self, "bits", bits)
+        # checked before the cast, which would wrap 256 to 0 and truncate 0.5 to 0
+        bits = np.asarray(self.bits).reshape(-1)
+        if bits.size and (bits.dtype.kind not in "biu" or bits.min() < 0 or bits.max() > 1):
+            raise ValueError("pad bits must be 0/1, as integers or booleans")
+        object.__setattr__(self, "bits", bits.astype(np.uint8, copy=False))
         origins = self.origin_indices
         if origins is None:
             origins = np.arange(bits.size, dtype=np.int64)

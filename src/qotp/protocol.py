@@ -22,7 +22,6 @@ per-photon attacks, which ships with the tests and not with the package.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -108,7 +107,7 @@ class SessionTranscript:
         announced[positions] = self.decoded[positions]
         return {
             "announced": _digits(announced),
-            "error_report": dataclasses.asdict(self.error_report),
+            "error_report": vars(self.error_report).copy(),
         }
 
     def _adversary(self) -> dict | None:
@@ -131,7 +130,7 @@ class SessionTranscript:
         pad, message = self.recycled_pad, self.extracted_message
         return {
             "schema": "qotp-transcript-v3",
-            "config": dataclasses.asdict(self.config),
+            "config": vars(self.config).copy(),
             "attack": self.attack.describe(),
             "secret_view": {
                 "pad_bits": _digits(self.pad.bits[: 2 * self.modified.size]),
@@ -152,8 +151,10 @@ class SessionTranscript:
         }
 
     def to_json(self) -> str:
-        """``to_json_dict`` as compact, key-sorted JSON text."""
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        """``to_json_dict`` as compact, key-sorted JSON text.  The dict is built
+        fresh from scalars, strings, lists and dicts, so it holds no cycle."""
+        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"),
+                          check_circular=False) + "\n"
 
 
 def message_digest(bits: np.ndarray) -> str:
@@ -202,7 +203,7 @@ def _draw_sessions(messages: np.ndarray, session_rng: RandomStream, n_sample: in
     keys, uniforms, sample_draws = draws[:, :n], draws[:, n : 2 * n], draws[:, 2 * n :]
     sample_mask = np.zeros((n_sessions, n), dtype=bool)
     smallest = np.argpartition(keys, n_sample - 1, axis=1)[:, :n_sample]
-    np.put_along_axis(sample_mask, smallest, True, axis=1)
+    sample_mask.ravel()[smallest + n * np.arange(n_sessions)[:, None]] = True
     checked = np.flatnonzero(sample_mask).reshape(n_sessions, n_sample)
     unchecked = np.flatnonzero(~sample_mask).reshape(messages.shape)
     bits = np.empty((n_sessions, n), dtype=np.uint8)
@@ -248,8 +249,9 @@ def _live_pad(pad: PadKey, carried: np.ndarray, fresh: int, sessions: int) -> Pa
     n_pairs = len(pad) // 2
     live = np.concatenate((carried, np.arange(fresh, n_pairs)))
     # the bits of the live pairs, then an odd pad's last bit, which no photon keys
-    keep = np.append(2 * live[:, None] + (0, 1), np.arange(2 * n_pairs, len(pad)))
-    return PadKey(pad.bits[keep], pad.generation + sessions, pad.origin_indices[keep])
+    bits, origins = (np.append(column[: 2 * n_pairs].reshape(-1, 2).take(live, axis=0),
+                               column[2 * n_pairs :]) for column in (pad.bits, pad.origin_indices))
+    return PadKey(bits, pad.generation + sessions, origins)
 
 
 def run_session(

@@ -257,6 +257,16 @@ class TestKnownPlaintext:
             np.testing.assert_allclose(posterior_plus_table(attack), 0.5, rtol=0, atol=1e-15,
                                        err_msg=repr(attack))
 
+    @pytest.mark.parametrize("attack", [NoAttack(), InterceptResend(), IndividualUTB(theta=0.3),
+                                        KnownPlaintext(inner=InterceptResend(Basis.CROSS))])
+    def test_posterior_table_is_built_once_and_read_only(self, attack):
+        # every transcript of an attack shares one table, so no caller may write to it
+        table = posterior_plus_table(attack)
+        assert posterior_plus_table(dataclasses.replace(attack)) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
+
 
 class TestNoSignaling:
     def test_attack_interface_sees_only_the_state(self):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qotp import analysis, cli, kernels, protocol
+from qotp import adversary, analysis, cli, kernels, protocol
 from qotp.adversary import IndividualUTB, InterceptResend, NoAttack
 from qotp.analysis import BOUNDS_CSV_HEADER, SWEEP_CSV_HEADER
 from qotp.keystore import generate_pad, pad_to_text
@@ -165,6 +165,7 @@ class TestRun:
         monkeypatch.setattr(attack_class, "law", counting)
         kernels.law_of.cache_clear()
         kernels._pair_tables.cache_clear()
+        adversary.posterior_plus_table.cache_clear()
         argv = ["run", "--message-bits", "64", "--samples", "16", *flags, "--known-plaintext",
                 "--threshold", "1", "--insecure-demo", "--out", str(tmp_path / "t.json")]
         assert cli.main(argv) == cli.EXIT_OK
@@ -431,6 +432,12 @@ class TestBoundaryErrors:
              "qotp bounds: argument --d-grid: not allowed with argument --d-min"),
             (["bounds", "--d-grid", "0.01", "--points", "9"], {},
              "qotp bounds: argument --d-grid: not allowed with argument --points"),
+            # flags no command has: the command's own parser names it
+            (["run", "--bogus", "1"], {}, "qotp run: unrecognized arguments: --bogus 1"),
+            (["recycle-demo", "--sessions", "2", "extra"], {},
+             "qotp recycle-demo: unrecognized arguments: extra"),
+            # no command: the top-level parser reports it
+            ([], {}, "qotp: the following arguments are required: command"),
         ],
         ids=["d-grid-nan", "d-grid-past-i1-domain", "d-grid-empty-value", "d-grid-empty",
              "thetas-past-pi-over-4", "thetas-not-a-number", "thetas-empty", "thetas-one-point",
@@ -441,13 +448,28 @@ class TestBoundaryErrors:
              "recycle-threshold-2", "recycle-threshold-negative", "recycle-threshold-nan",
              "zero-photons", "zero-sessions", "one-sweep-point", "zero-bound-points",
              "seed-past-int64", "env-seed-below-int64", "message-not-bits",
-             "thetas-with-points", "d-grid-with-d-min", "d-grid-with-points"],
+             "thetas-with-points", "d-grid-with-d-min", "d-grid-with-points",
+             "run-unknown-flag", "recycle-extra-argument", "no-command"],
     )
     def test_flag_error_line(self, argv, env, line, monkeypatch, capsys):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         assert cli.main(argv) == cli.EXIT_ERROR
         assert capsys.readouterr() == ("", f"error: {line}\n")
+
+    def test_unknown_command_line(self, capsys):
+        assert cli.main(["nosuch"]) == cli.EXIT_ERROR
+        out, err = capsys.readouterr()
+        # the list of choices after it is argparse's own, and its quoting varies by Python version
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: qotp: argument command: invalid choice: 'nosuch' (choose from ")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["recycle-demo", "-h"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: {' '.join(['qotp', *argv[:-1]])} ")
 
     @pytest.mark.parametrize(
         "argv,flag",

@@ -168,6 +168,28 @@ class TestOriginLedger:
             PadKey(bits=np.zeros(4, dtype=np.uint8), origin_indices=origins)
 
 
+class TestPadBits:
+    @pytest.mark.parametrize(
+        "bits",
+        [np.array([256, 1, 257, 0]), [0.5, 1], np.array([-1, 1], dtype=np.int8), [2, 1],
+         np.array([1.0, 0.0]), np.array([0, 2**63], dtype=np.uint64)],
+        ids=["wraps-to-0-and-1", "truncates-to-0", "int8-negative", "two", "float-zero-one",
+             "uint64-past-int64"],
+    )
+    def test_rejects_what_is_not_a_0_1_integer_before_the_cast(self, bits):
+        with pytest.raises(ValueError, match="pad bits must be 0/1"):
+            PadKey(bits=bits)
+
+    @pytest.mark.parametrize(
+        "bits", [np.array([True, False, True]), [1, 0, 1], np.array([1, 0, 1], dtype=np.int16)],
+        ids=["bool-array", "python-ints", "int16"],
+    )
+    def test_accepts_booleans_and_0_1_integers(self, bits):
+        pad = PadKey(bits=bits)
+        assert pad.bits.dtype == np.uint8
+        assert pad.bits.tolist() == [1, 0, 1]
+
+
 class TestPadFiles:
     def test_hex_bit_order(self):
         # MSB of the first hex digit is pad index 0

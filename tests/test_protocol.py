@@ -475,6 +475,31 @@ class TestRunLineage:
         assert report["audit"]["announced_bits_reused"] == 0
         assert final.generation == 3 and len(final) == len(pad) - 3 * 2 * 16
 
+    @staticmethod
+    def live_pad_by_flat_index(pad, carried, fresh, sessions):
+        """The pad after the passed checks, through one flat index of the live bits."""
+        n_pairs = len(pad) // 2
+        live = np.concatenate((carried, np.arange(fresh, n_pairs)))
+        keep = np.append(2 * live[:, None] + (0, 1), np.arange(2 * n_pairs, len(pad)))
+        return pad.bits[keep], pad.generation + sessions, pad.origin_indices[keep]
+
+    @pytest.mark.parametrize("pad_bits", [pad_for(3), pad_for(3, extra=1), pad_for(3, extra=33)])
+    @pytest.mark.parametrize("input_sessions", [0, 2])
+    def test_live_pad_takes_the_live_pairs_and_an_odd_pads_last_bit(self, pad_bits,
+                                                                     input_sessions):
+        pad = generate_pad(pad_bits, make_rng(8))
+        if input_sessions:  # a recycled pad, whose ledger has gaps
+            pad = run_lineage(pad, self.CONFIG, [NoAttack()] * input_sessions)[1]
+            assert not np.array_equal(pad.origin_indices, np.arange(len(pad)))
+        rng = make_rng(9)
+        for fresh in (48, 64, len(pad) // 2):
+            carried = np.sort(rng.choice(fresh, size=48, replace=False))
+            got = protocol._live_pad(pad, carried, fresh, 3)
+            want = self.live_pad_by_flat_index(pad, carried, fresh, 3)
+            assert np.array_equal(got.bits, want[0])
+            assert got.generation == want[1] == pad.generation + 3
+            assert np.array_equal(got.origin_indices, want[2])
+
     def test_long_lineage_report(self, tmp_path, capsys):
         out = tmp_path / "long.json"
         assert cli.main(["recycle-demo", "--sessions", "20000", "--seed", "5",
@@ -594,6 +619,20 @@ class TestTranscriptExport:
             assert [ev.probe_outcome for ev in events] == t.record.tolist()
             probes = {(ev.theta, ev.attack_basis) for ev in events}
             assert probes == {(np.pi / 4, Basis.CROSS)}
+
+    def test_a_changed_posterior_list_leaves_the_next_transcript_alone(self):
+        attack = KnownPlaintext(inner=IndividualUTB(theta=0.3))
+        message = make_rng(62).integers(0, 2, 40, dtype=np.uint8)
+        cfg = SessionConfig(n_message=40, n_sample=20, seed=63,
+                            abort_threshold=1.0, allow_insecure_demo=True)
+        first = run_session(cfg, generate_pad(2 * 60, make_rng(64)), message, attack)
+        second = run_session(cfg, generate_pad(2 * 60, make_rng(65)), message, attack)
+        text = second.to_json()
+        posterior = first.to_json_dict()["secret_view"]["adversary"]["posterior_plus"]
+        posterior[0][0] = -1.0
+        posterior.append([])
+        assert second.to_json() == text
+        assert first.to_json_dict()["secret_view"]["adversary"]["posterior_plus"][0][0] != -1.0
 
     @pytest.mark.parametrize(
         "inner,n_records",
