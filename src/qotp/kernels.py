@@ -74,9 +74,10 @@ def born(vec):
 def index_column(name: str, values, hi: int) -> np.ndarray:
     """``values`` as a column of the narrowest unsigned type that holds hi,
     checked to lie in 0..hi.  Only integer or boolean input is accepted: a
-    float would be truncated to a wrong cell."""
+    float would be truncated to a wrong cell.  An empty column holds no value
+    to truncate, so it passes whatever its dtype (``[]`` is float64)."""
     column = np.asarray(values)
-    if column.dtype.kind not in "biu":
+    if column.size and column.dtype.kind not in "biu":
         raise ValueError(f"{name} must hold integers, got dtype {column.dtype}")
     if column.size and (column.max() > hi or column.min() < 0):
         raise ValueError(f"{name} must lie in 0..{hi}, "

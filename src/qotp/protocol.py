@@ -7,10 +7,10 @@ decode in each photon's preparation basis, compare the announced sampling
 bits, and either recycle the pad (dropping the announced photons' bit pairs)
 and release the message or halt.  Sessions run as rows: a lineage reuses one
 pad until a check fails, running its sessions in blocks, and a single
-session is session 1 of a lineage.  Both draw, key, send, check and recycle
-through the same steps, and the photons of a block, whatever its attacks,
-run as narrow columns through one batch-kernel call, which samples each
-attack's exact law and decodes.
+session is session 1 of a lineage.  Both draw, key, send and check through
+one block step, ``_run_block``, and recycle through the same live pair list:
+the photons of a block, whatever its attacks, run as narrow columns through
+one batch-kernel call, which samples each attack's exact law and decodes.
 The transcript keeps the full secret view for analysis; the ``public_view``
 projection is exactly what an eavesdropper may read.  A lineage audits
 through the pad's origin ledger that no announced pad bit keys a photon
@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -49,6 +50,12 @@ class SessionConfig:
     allow_insecure_demo: bool = False
 
     def __post_init__(self):
+        for name in ("n_message", "n_sample", "seed"):
+            value = getattr(self, name)
+            try:  # stored as int, so that a numpy integer serializes like any other
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.n_message < 0:
             raise ValueError("n_message must be nonnegative")
         if self.n_sample < 1:
@@ -170,19 +177,6 @@ def _check_rows(wrong, threshold: float):
     return n_errors, rate, rate <= threshold
 
 
-def _send_rows(state_idx, bits, attacks, uniforms):
-    """Row k of photons keyed ``state_idx`` and carrying ``bits`` (arrays of
-    one shape) sent through ``attacks[k]``, in one kernel call, and measured
-    in their preparation bases.  Returns the received outcomes, Eve's records
-    and the decoded bits, each shaped like ``bits``."""
-    codes: dict = {}
-    row_codes = [codes.setdefault(attack, len(codes)) for attack in attacks]
-    attack_idx = np.array(row_codes, dtype=np.min_scalar_type(len(codes))).repeat(bits.shape[1])
-    columns = kernels.simulate_photons(state_idx.ravel(), bits.ravel(), tuple(codes),
-                                       uniforms.ravel(), attack_idx)
-    return tuple(column.reshape(bits.shape) for column in columns)
-
-
 def draw_messages(rng: RandomStream, n_sessions: int, n_message: int) -> np.ndarray:
     """The messages of consecutive sessions, one row each: a bit is one double
     of ``rng`` below 1/2, so a longer draw extends a shorter one."""
@@ -237,6 +231,28 @@ def _keyed_pairs(carried: np.ndarray, fresh: int, unchecked: np.ndarray, n: int)
     return pairs, pairs.take(unchecked[-1]), fresh + sessions * (n - m)
 
 
+def _run_block(state_of_pair, carried, fresh, messages, session_rng, attacks, config):
+    """One block step: the sessions carrying the (sessions, n_message)
+    ``messages`` drawn from ``session_rng``, keyed from the live pair head
+    (``carried``, ``fresh``) in the table ``state_of_pair``, row k sent through
+    ``attacks[k]`` in one kernel call, decoded and checked.  Returns the columns
+    named below, a row per session, and the head after them if all pass."""
+    bits, checked, unchecked, uniforms = _draw_sessions(messages, session_rng, config.n_sample)
+    pairs, carried, fresh = _keyed_pairs(carried, fresh, unchecked, bits.shape[1])
+    codes: dict = {}
+    row_codes = [codes.setdefault(attack, len(codes)) for attack in attacks]
+    attack_idx = np.array(row_codes, dtype=np.min_scalar_type(len(codes))).repeat(bits.shape[1])
+    sent = kernels.simulate_photons(state_of_pair.take(pairs).ravel(), bits.ravel(), tuple(codes),
+                                    uniforms.ravel(), attack_idx)
+    received, record, decoded = (column.reshape(bits.shape) for column in sent)
+    wrong = decoded != bits
+    n_errors, rates, accepted = _check_rows(wrong.take(checked), config.abort_threshold)
+    # a message is exact when every bit decoded wrong is a sampling bit
+    exact = np.count_nonzero(wrong, axis=1) == n_errors
+    return (bits, checked, unchecked, pairs, received, record, decoded, n_errors, rates,
+            accepted, exact), carried, fresh
+
+
 def _exhausted(session: int, n: int, have: int) -> PadExhaustedError:
     return PadExhaustedError(
         f"pad exhausted at session {session}: need {2 * n} bits for {n} photons, have {have}"
@@ -259,12 +275,13 @@ def run_session(
 ) -> SessionTranscript:
     """Execute one full session carrying ``message``: session 1 of
     ``run_lineage(pad, config, [attack])``, drawn from the same stream
-    ``role_seed(config.seed, ROLE_SESSION)`` through the same steps.
+    ``role_seed(config.seed, ROLE_SESSION)`` through one ``_run_block`` step
+    of one row.
 
     On acceptance the transcript carries the recycled pad and the extracted
     message; on rejection it carries neither (the process halts and the pad
     lineage is retired)."""
-    message = np.asarray(message, dtype=np.uint8).reshape(-1)
+    message = kernels.index_column("message", message, 1).reshape(-1)
     n_message, n_sample = config.n_message, config.n_sample
     if message.size != n_message:
         raise ValueError(f"config says n_message={n_message} but message has {message.size} bits")
@@ -272,19 +289,16 @@ def run_session(
     if len(pad) < 2 * n:
         raise _exhausted(1, n, len(pad))
     session_rng = make_rng(role_seed(config.seed, ROLE_SESSION))
-    bits, checked, unchecked, uniforms = _draw_sessions(message[None], session_rng, n_sample)
-    pairs, carried, fresh = _keyed_pairs(np.arange(n_message), n_message, unchecked, n)
-    state_idx = keystore.pair_states(pad).take(pairs)
-    received, record, decoded = (c[0] for c in _send_rows(state_idx, bits, [attack], uniforms))
-    modified, positions = bits[0], checked[0]
-    n_errors, rate, accepted = _check_rows(decoded[positions] != modified[positions],
-                                           config.abort_threshold)
+    columns, carried, fresh = _run_block(keystore.pair_states(pad), np.arange(n_message),
+                                         n_message, message[None], session_rng, [attack], config)
+    modified, positions, unchecked, _, received, record, decoded, n_errors, rate, accepted, _ = (
+        column[0] for column in columns)
     report = ErrorReport(n_checked=n_sample, n_errors=int(n_errors), rate=float(rate),
                          accepted=bool(accepted))
     recycled_pad = extracted_message = None
     if report.accepted:
         recycled_pad = _live_pad(pad, carried, fresh, 1)
-        extracted_message = decoded[unchecked[0]]
+        extracted_message = decoded[unchecked]
     return SessionTranscript(
         config=config,
         attack=attack,
@@ -316,14 +330,12 @@ def run_lineage(
     sampling positions, sampling bits and channel uniforms from
     ``role_seed(config.seed, ROLE_SESSION)``, one row per session in order.
     Only the halting rule depends on the channel, so the sessions run in
-    blocks of about ``BLOCK_PHOTONS`` photons: a block's pad pairs follow
-    from its sampling positions, it makes one kernel call whatever its
-    attacks, and the lineage stops at its first failed check.  Photons are
-    keyed by looking their pairs up in one pair-state table, built once per
-    lineage.  The live pad pairs and the reuse audit carry from block to
-    block.  The audit reads the pad's origin ledger, through one view of its
-    bit pairs, not the pair recurrence: it counts keyed bits that an earlier
-    session announced.
+    blocks of about ``BLOCK_PHOTONS`` photons, each block one ``_run_block``
+    step on a pair-state table built once per lineage, and the lineage stops
+    at its first failed check.  The live pad pairs and the reuse audit carry
+    from block to block.  The audit reads the pad's origin ledger, through
+    one view of its bit pairs, not the pair recurrence: it counts keyed bits
+    that an earlier session announced.
 
     Raises PadExhaustedError when every session so far has passed and the
     next cannot be keyed.  Returns the report and the final pad, which is
@@ -347,10 +359,8 @@ def run_lineage(
         keyed = block[: keyable - done]
         if keyed:
             messages = draw_messages(message_rng, len(keyed), n_message)
-            bits, checked, unchecked, uniforms = _draw_sessions(messages, session_rng, n_sample)
-            pairs, carried, fresh = _keyed_pairs(carried, fresh, unchecked, n)
-            wrong = _send_rows(state_of_pair.take(pairs), bits, keyed, uniforms)[2] != bits
-            n_errors, rates, accepted = _check_rows(wrong.take(checked), config.abort_threshold)
+            (_, checked, _, pairs, *_, rates, accepted, exact), carried, fresh = _run_block(
+                state_of_pair, carried, fresh, messages, session_rng, keyed, config)
             ran = len(keyed) if accepted.all() else int(np.argmin(accepted)) + 1
             halted = not accepted[ran - 1]
             # the origins of each keyed pair's two bits, and those of the announced ones
@@ -360,8 +370,6 @@ def run_lineage(
             # flat, equal-shape operands: numpy 2.4's ufunc.at mishandles a broadcast value
             np.minimum.at(first_shown, shown.ravel(), when.repeat(2 * n_sample))
             reused += int(np.count_nonzero(first_shown.take(drawn) < when[:, None, None]))
-            # a message is exact when every bit decoded wrong is a sampling bit
-            exact = np.count_nonzero(wrong, axis=1) == n_errors
             pad_before = len(pad) - 2 * n_sample * np.arange(done, done + ran)
             columns = zip(range(done + 1, done + ran + 1), keyed, pad_before.tolist(),
                           (pad_before - 2 * n_sample * accepted[:ran]).tolist(),

@@ -109,6 +109,23 @@ class TestSessionConfig:
             SessionConfig(n_message=8, n_sample=4, abort_threshold=0.1)
         SessionConfig(n_message=8, n_sample=4, abort_threshold=0.1, allow_insecure_demo=True)
 
+    @pytest.mark.parametrize(
+        "field,value", [("n_message", 2.5), ("n_sample", 2.0), ("seed", 1.5), ("seed", "3"),
+                        ("n_sample", None)],
+    )
+    def test_counts_and_seed_must_be_integers(self, field, value):
+        # a float would fail later, in islice or in role_seed
+        fields = {"n_message": 8, "n_sample": 4, "seed": 0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SessionConfig(**fields)
+
+    def test_numpy_integers_are_stored_as_int(self):
+        config = SessionConfig(n_message=np.int64(8), n_sample=np.uint8(4), seed=np.int32(3))
+        assert (config.n_message, config.n_sample, config.seed) == (8, 4, 3)
+        assert all(type(v) is int for v in (config.n_message, config.n_sample, config.seed))
+        t = run_session(config, generate_pad(24, make_rng(0)), np.zeros(8, dtype=np.uint8))
+        assert json.loads(t.to_json())["config"]["seed"] == 3
+
 
 class TestRunSession:
     def test_clean_session_exact(self):
@@ -173,6 +190,25 @@ class TestRunSession:
                 bits("10101010"),
             )
 
+    @pytest.mark.parametrize(
+        "message", [[0.5, 1], np.array([256, 1]), [256, 1], [2, 0], [-1, 0], ["1", "0"]],
+        ids=["float", "wrapping-array", "wide-list", "two", "negative", "strings"],
+    )
+    def test_message_must_hold_bits(self, message):
+        # each would be truncated, wrapped or rejected only deep in the kernel
+        with pytest.raises(ValueError, match="^message must"):
+            run_session(SessionConfig(n_message=2, n_sample=1), generate_pad(6, make_rng(0)),
+                        message)
+
+    @pytest.mark.parametrize(
+        "message", [[1, 0], np.array([True, False]), np.array([1, 0], dtype=np.int64)],
+        ids=["int-list", "bool", "int64"],
+    )
+    def test_integer_and_bool_messages_pass(self, message):
+        t = run_session(SessionConfig(n_message=2, n_sample=1), generate_pad(6, make_rng(0)),
+                        message)
+        assert t.extracted_message.tolist() == [1, 0]
+
     def test_message_length_must_match_config(self):
         with pytest.raises(ValueError):
             run_session(
@@ -229,17 +265,17 @@ def recorded_lineage(monkeypatch, pad, config, attacks):
         pairs.extend(out[0])
         return out
 
-    def send(*args):
-        out = send_rows(*args)
-        decoded.extend(out[2])
+    def step(*args):
+        out = run_block(*args)
+        decoded.extend(out[0][6])
         return out
 
-    draw_sessions, keyed_pairs, send_rows = (
-        protocol._draw_sessions, protocol._keyed_pairs, protocol._send_rows
+    draw_sessions, keyed_pairs, run_block = (
+        protocol._draw_sessions, protocol._keyed_pairs, protocol._run_block
     )
     monkeypatch.setattr(protocol, "_draw_sessions", draw)
     monkeypatch.setattr(protocol, "_keyed_pairs", keyed)
-    monkeypatch.setattr(protocol, "_send_rows", send)
+    monkeypatch.setattr(protocol, "_run_block", step)
     report, final = run_lineage(pad, config, attacks)
     return report, final, draws, pairs, decoded
 
@@ -376,6 +412,18 @@ class TestRunLineage:
         report, final = run_lineage(pad, self.CONFIG, attacks)
         assert report == want[0]
         assert_same_pad(final, want[1])
+
+    @pytest.mark.parametrize("input_sessions", [0, 2])
+    def test_a_lineage_of_no_sessions_returns_its_pad(self, input_sessions):
+        pad = generate_pad(pad_for(3, extra=1), make_rng(4))
+        if input_sessions:
+            _, pad = run_lineage(pad, self.CONFIG, [NoAttack()] * input_sessions)
+        report, final = run_lineage(pad, self.CONFIG, [])
+        assert report == {
+            "sessions": [], "halted_at_session": None, "final_pad_bits": len(pad),
+            "audit": {"announced_bits_reused": 0, "all_messages_exact": True},
+        }
+        assert_same_pad(final, pad)
 
     def test_a_lineage_is_a_prefix_of_a_longer_one(self):
         pad = generate_pad(pad_for(6), make_rng(9))
