@@ -6,8 +6,9 @@ the message is read at inference time only, from the transcript).
 
 Each attack is described once, by its class.  ``law()`` is its exact joint
 law P[state, encoding, receiver basis, receiver outcome, record]: the batch
-kernel samples it, ``record_likelihoods`` sums it into the table
-known-plaintext inference reads, and sweeps draw their histograms from it.
+kernel samples it, sweeps draw their histograms from it, and
+``record_likelihoods`` sums it into P(record | state, encoding), which is the
+same under either basis: one photon's record says nothing of its basis.
 ``describe`` is the attack's transcript entry and ``kind`` its name on the
 command line.  Eve's record is ``2 * basis + outcome`` for intercept-resend
 and the probe outcome for the probe attack; with no attack the record axis
@@ -17,7 +18,6 @@ against per-photon attacks on exact state vectors, which ship with the tests.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,17 +119,3 @@ def record_likelihoods(attack: AttackModel) -> np.ndarray:
     state with that encoding bit): the attack's law summed over the receiver's
     outcome.  The receiver's basis does not change it; the plus basis is read."""
     return kernels.law_of(attack)[:, :, Basis.PLUS.index].sum(axis=2)
-
-
-@functools.lru_cache(maxsize=64)
-def posterior_plus_table(attack: AttackModel) -> np.ndarray:
-    """P(plus basis | record) per [known bit, record], where known bit 2 means
-    the photon carries a bit the plaintext does not cover (both encodings
-    equally likely).  The four basis keys are equiprobable a priori.  A record
-    the attack never leaves reads 0.5.  Built once per attack, read-only."""
-    by_basis = record_likelihoods(attack).reshape(2, 2, 2, -1).sum(axis=1)  # [basis, bit, record]
-    by_basis = np.concatenate([by_basis, by_basis.mean(axis=1, keepdims=True)], axis=1)
-    total = by_basis.sum(axis=0)
-    table = np.divide(by_basis[0], total, out=np.full_like(total, 0.5), where=total > 0)
-    table.flags.writeable = False
-    return table

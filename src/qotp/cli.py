@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from pathlib import Path
@@ -32,7 +31,8 @@ from .adversary import (
 )
 from .errors import PadExhaustedError
 from .kernels import Basis
-from .protocol import SessionConfig, draw_messages, message_digest, run_lineage, run_session
+from .protocol import (SessionConfig, _digits, draw_messages, json_text, message_digest,
+                       run_lineage, run_session)
 from .rng import ROLE_MESSAGE, ROLE_PAD, make_rng, role_seed
 
 EXIT_OK = 0
@@ -224,7 +224,7 @@ def cmd_run(args) -> int:
     if transcript.extracted_message is not None:
         print(f"extracted message sha256: {message_digest(transcript.extracted_message)}")
         if args.reveal:
-            print("extracted message bits: " + "".join(str(int(b)) for b in transcript.extracted_message))
+            print("extracted message bits: " + _digits(transcript.extracted_message))
     return EXIT_OK if report.accepted else EXIT_REJECTED
 
 
@@ -284,9 +284,8 @@ def cmd_recycle_demo(args) -> int:
     attack, clean = _build_attack(args), NoAttack()
     attacks = (attack if args.attack_session == k + 1 else clean for k in range(args.sessions))
     report, pad = run_lineage(pad, config, attacks)
-    text = json.dumps(report, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(json_text(report))
     print(f"sessions run: {len(report['sessions'])} of {args.sessions}")
     print(f"announced bits reused later: {report['audit']['announced_bits_reused']}")
     if pad is None:

@@ -88,7 +88,7 @@ def index_column(name: str, values, hi: int) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def law_of(attack) -> np.ndarray:
     """``attack.law()``, built once per attack and read-only: the kernel's
-    tables and the posterior tables of a transcript share it."""
+    tables, the sweeps' cell probabilities and the record likelihoods share it."""
     law = attack.law()
     law.flags.writeable = False
     return law

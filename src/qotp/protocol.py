@@ -11,10 +11,10 @@ session is session 1 of a lineage.  Both draw, key, send and check through
 one block step, ``_run_block``, and recycle through the same live pair list:
 the photons of a block, whatever its attacks, run as narrow columns through
 one batch-kernel call, which samples each attack's exact law and decodes.
-The transcript keeps the full secret view for analysis; the ``public_view``
-projection is exactly what an eavesdropper may read.  A lineage audits
-through the pad's origin ledger that no announced pad bit keys a photon
-again.
+The transcript keeps the secret view for analysis, each fact once; the
+``public_view`` projection is exactly what an eavesdropper may read.  A
+lineage audits through the pad's origin ledger that no announced pad bit
+keys a photon again.
 
 The tests check this path against an object-level state-vector oracle with
 per-photon attacks, which ships with the tests and not with the package.
@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import numbers
 import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, keystore
-from .adversary import AttackModel, NoAttack, posterior_plus_table
+from .adversary import AttackModel, NoAttack
 from .errors import PadExhaustedError
 from .keystore import PadKey
 from .rng import ROLE_MESSAGE, ROLE_SESSION, RandomStream, make_rng, role_seed
@@ -60,6 +61,11 @@ class SessionConfig:
             raise ValueError("n_message must be nonnegative")
         if self.n_sample < 1:
             raise ValueError("a session needs at least one sampling bit")
+        threshold = self.abort_threshold
+        if not isinstance(threshold, numbers.Real):
+            raise ValueError(f"abort_threshold must be a number, got {threshold!r}")
+        # stored as float, so that a numpy float serializes like any other
+        object.__setattr__(self, "abort_threshold", float(threshold))
         if not 0.0 <= self.abort_threshold <= 1.0:
             raise ValueError("abort_threshold must lie in [0, 1]")
         if self.abort_threshold > 0.0 and not self.allow_insecure_demo:
@@ -88,10 +94,12 @@ class SessionTranscript:
     """Full audit record of one session (secret view plus public projection).
 
     ``pad`` is the pad the session read: photon i was keyed by its bits 2i
-    and 2i+1.  Per-photon data is held as columns indexed by photon: the
-    receiver's outcome label and decoded bit, and Eve's record as the kernel
-    codes it (-1 where there is no attack).  ``modified`` is the message with
-    the sampling bits at the sorted photon indices ``sample_positions``.
+    and 2i+1, and its state's label is bit 2i.  Per-photon data is held as
+    columns indexed by photon: the receiver's decoded bit (its outcome label
+    XOR that pad bit), and Eve's record as the kernel codes it (-1 where there
+    is no attack).  ``modified`` is the message with the sampling bits at the
+    sorted photon indices ``sample_positions``; ``extracted_message``, set
+    when the check passes, is the decoded bits at the other photons.
     """
 
     config: SessionConfig
@@ -99,7 +107,6 @@ class SessionTranscript:
     modified: np.ndarray
     sample_positions: np.ndarray
     pad: PadKey
-    received: np.ndarray
     decoded: np.ndarray
     record: np.ndarray
     error_report: ErrorReport
@@ -117,35 +124,27 @@ class SessionTranscript:
             "error_report": vars(self.error_report).copy(),
         }
 
-    def _adversary(self) -> dict | None:
-        """Eve's record per photon, coded as in the attack's ``law``, and
-        P(plus basis | known bit, record)."""
-        if self.attack.kind == NoAttack.kind:
-            return None
-        return {
-            "records": _digits(self.record),
-            "posterior_plus": posterior_plus_table(self.attack).tolist(),
-        }
-
     def to_json_dict(self) -> dict:
         """Structured-text form (schema: docs/transcript_schema.json).
 
         Each per-photon column is a digit string with one character per
         photon; ``pad_bits`` has two, photon i being keyed by characters 2i
-        and 2i+1.
+        and 2i+1.  The receiver's outcomes and the extracted message are left
+        out: ``pad_bits``, ``decoded_bits`` and the public view imply them.
         """
-        pad, message = self.recycled_pad, self.extracted_message
+        pad = self.recycled_pad
         return {
-            "schema": "qotp-transcript-v3",
+            "schema": "qotp-transcript-v4",
             "config": vars(self.config).copy(),
             "attack": self.attack.describe(),
             "secret_view": {
                 "pad_bits": _digits(self.pad.bits[: 2 * self.modified.size]),
                 "modified_bits": _digits(self.modified),
-                "received_outcomes": _digits(self.received),
                 "decoded_bits": _digits(self.decoded),
-                "adversary": self._adversary(),
-                "extracted_message": None if message is None else _digits(message),
+                # Eve's record per photon, coded as in the attack's ``law``
+                "adversary": None
+                if self.attack.kind == NoAttack.kind
+                else {"records": _digits(self.record)},
                 "recycled_pad": None
                 if pad is None
                 else {
@@ -158,10 +157,13 @@ class SessionTranscript:
         }
 
     def to_json(self) -> str:
-        """``to_json_dict`` as compact, key-sorted JSON text.  The dict is built
-        fresh from scalars, strings, lists and dicts, so it holds no cycle."""
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"),
-                          check_circular=False) + "\n"
+        return json_text(self.to_json_dict())
+
+
+def json_text(doc: dict) -> str:
+    """``doc``, built fresh from scalars, strings, lists and dicts (so with
+    no cycle), as compact, key-sorted JSON text on one line."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
 
 
 def message_digest(bits: np.ndarray) -> str:
@@ -244,13 +246,14 @@ def _run_block(state_of_pair, carried, fresh, messages, session_rng, attacks, co
     attack_idx = np.array(row_codes, dtype=np.min_scalar_type(len(codes))).repeat(bits.shape[1])
     sent = kernels.simulate_photons(state_of_pair.take(pairs).ravel(), bits.ravel(), tuple(codes),
                                     uniforms.ravel(), attack_idx)
-    received, record, decoded = (column.reshape(bits.shape) for column in sent)
+    # the outcome column is left out: the decoded bit and the pad imply it
+    record, decoded = (column.reshape(bits.shape) for column in sent[1:])
     wrong = decoded != bits
     n_errors, rates, accepted = _check_rows(wrong.take(checked), config.abort_threshold)
     # a message is exact when every bit decoded wrong is a sampling bit
     exact = np.count_nonzero(wrong, axis=1) == n_errors
-    return (bits, checked, unchecked, pairs, received, record, decoded, n_errors, rates,
-            accepted, exact), carried, fresh
+    return (bits, checked, unchecked, pairs, record, decoded, n_errors, rates, accepted,
+            exact), carried, fresh
 
 
 def _exhausted(session: int, n: int, have: int) -> PadExhaustedError:
@@ -291,7 +294,7 @@ def run_session(
     session_rng = make_rng(role_seed(config.seed, ROLE_SESSION))
     columns, carried, fresh = _run_block(keystore.pair_states(pad), np.arange(n_message),
                                          n_message, message[None], session_rng, [attack], config)
-    modified, positions, unchecked, _, received, record, decoded, n_errors, rate, accepted, _ = (
+    modified, positions, unchecked, _, record, decoded, n_errors, rate, accepted, _ = (
         column[0] for column in columns)
     report = ErrorReport(n_checked=n_sample, n_errors=int(n_errors), rate=float(rate),
                          accepted=bool(accepted))
@@ -305,7 +308,6 @@ def run_session(
         modified=modified,
         sample_positions=positions,
         pad=pad,
-        received=received,
         decoded=decoded,
         record=record,
         error_report=report,

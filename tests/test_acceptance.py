@@ -18,7 +18,6 @@ from qotp.adversary import (
     InterceptResend,
     KnownPlaintext,
     NoAttack,
-    posterior_plus_table,
     record_likelihoods,
 )
 from qotp.analysis import (
@@ -48,7 +47,7 @@ from oracle import (
     run_photon_batch,
     utb_apply,
 )
-from transcript_v1 import attack_events
+from transcript_v1 import attack_events, posterior_plus_table
 
 
 def report(num: int, desc: str, passed: bool, detail: str = ""):

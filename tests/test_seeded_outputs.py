@@ -23,46 +23,46 @@ CASES = {
         [*RUN, "--attack", "none", "--seed", "101"],
         0,
         "f27f26876282a4d866c28fd11d36f7d6233ba7cd04489d9f11e859e93652e332",
-        "046b8eb1a75ddd87ac569674c803486a6763db879eca858826386d977c3a0e4c",
+        "79ac3d61be826c0a6e89a8894c9a76c7539a05f0a00400146bb57a989c5fba28",
     ),
     "run-ir-random": (
         [*RUN, "--attack", "intercept_resend", "--seed", "102"],
         2,
         "3fcc905bcdbe9e1d8dd97a66f4eaec3bb776093b6da8a4a8c14b23c51113a709",
-        "d34a833b7d6b6f5dbd18a42d755c820223e314f16ef32907163dae0539a7a37e",
+        "77b83af57530d7a7f16da64cf922045607e5abcf1959140201f167291b052716",
     ),
     "run-ir-plus": (
         [*RUN, "--attack", "intercept_resend", "--ir-basis", "plus", "--seed", "103"],
         2,
         "92cdda11ecc875d447a4c73d30d1b26d8e35784a609108af046595e43bc0c3f8",
-        "ac9b5f2bac78402ab6aee8a9900cc13e2b86d874ca28c64166e7145dfa4fcec4",
+        "2a4ebba1114508a503899939464786485e6dd7c9eaa2f83e81c13cbd0ae2d94c",
     ),
     "run-ir-cross-known": (
         [*RUN, "--attack", "intercept_resend", "--ir-basis", "cross", "--known-plaintext",
          "--seed", "104"],
         2,
         "016fbfcf9e71299c9fe0b6225862526cfaad119a261531c2a9550e0daeaa3ff5",
-        "50e0a543d83f0a536389d0421003d779fb2d6043970bc0814b25ad52d8e398b7",
+        "825f2f3a3d14a08ba24d6e5fa76b4a6262195579eb54c26a3be8d1dda3f5e066",
     ),
     "run-utb-plus": (
         [*RUN, "--attack", "utb", "--theta", "0.3927", "--utb-basis", "plus", "--seed", "105"],
         2,
         "196d2ec1b6090019a681c5aa2affa56c9975c0111e6906095dd0247f36659924",
-        "7ad9fb3f6363ab45debf29a4c047bdcb4d35a467a839e7c6761737b588fd6203",
+        "760ccdd66012d5a64d220d53cf90775e9a096e54a80a5fe30564dcf8f80cb247",
     ),
     "run-utb-cross-known": (
         [*RUN, "--attack", "utb", "--theta-deg", "30", "--utb-basis", "cross",
          "--known-plaintext", "--seed", "106"],
         2,
         "a4aba22e158e61d624000471380a443314e5121369c81e88820e57608af02a20",
-        "a22b61c401038959785b9940189e864a391012e691ce3abbcd65e3e083b167b1",
+        "2faae5dcd9f3e1b0abc9cf1583aeaa686522f2973ed6dfa567e24032218f7d35",
     ),
     "run-utb-known-accepted": (
         [*RUN, "--attack", "utb", "--theta", "0.2", "--known-plaintext", "--threshold", "1",
          "--insecure-demo", "--seed", "107"],
         0,
         "48e5ba928ddda40dc12ab4126416a1734b68ebbd388810a3cd21bdfbd72b6292",
-        "384cc4594450ecb0ab8fd825fdc852de678f5b64c45d19a9e2400d35507d2603",
+        "e4499df8337926cd14e3b19473f1f9faf9147d2194e83aba062cc7a9df1d83c3",
     ),
     "sweep-plus": (
         [*SWEEP, "--utb-basis", "plus", "--seed", "108"],

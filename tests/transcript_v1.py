@@ -1,17 +1,29 @@
-"""Rebuild the v1 transcript document from a v3 one.
+"""Rebuild the v1 transcript document from a v4 one.
 
-Transcript v3 writes each fact once, and each per-photon fact as a
+Transcript v4 writes each fact once, and each per-photon fact as a
 digit-string column; v1 wrote one object per photon and per attack event,
 repeating the facts that a photon's basis key, message bit and adversary
 record already fix, and listed the sampling positions, the known plaintext
-bits and the message digest beside the columns they follow from.  This
-rebuilds every v1 field from the v3 columns with the object-level simulator
-in ``oracle``, so tests can read photons and attack events as records, and
-so the two formats can be compared byte for byte.
+bits, the receiver's outcomes, the extracted message and its digest, and
+the basis posteriors beside the columns they follow from.  This rebuilds
+every v1 field from the v4 columns with the object-level simulator in
+``oracle`` and the attack's record likelihoods, so tests can read photons
+and attack events as records, and so the two formats can be compared byte
+for byte.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from qotp.adversary import (
+    AttackModel,
+    IndividualUTB,
+    InterceptResend,
+    KnownPlaintext,
+    NoAttack,
+    record_likelihoods,
+)
 from qotp.kernels import Basis
 from qotp.protocol import message_digest
 from oracle import BasisKeyPair, EncodingOp, EveRecord, state_from_basis_key
@@ -21,6 +33,45 @@ _BASIS_FIELDS = ("eve_basis", "attack_basis", "inferred_basis_guess")
 
 def _column(text: str) -> list[int]:
     return [int(c) for c in text]
+
+
+def attack_of(description: dict) -> AttackModel:
+    """The attack whose transcript entry is ``description``."""
+    if description["kind"] == NoAttack.kind:
+        attack = NoAttack()
+    elif description["kind"] == InterceptResend.kind:
+        basis = description["ir_basis"]
+        attack = InterceptResend(None if basis == "random" else Basis(basis))
+    else:
+        attack = IndividualUTB(description["theta"], Basis(description["utb_basis"]))
+    return KnownPlaintext(inner=attack) if description.get("known_plaintext") else attack
+
+
+def posterior_plus_table(attack: AttackModel) -> np.ndarray:
+    """P(plus basis | record) per [known bit, record], where known bit 2 means
+    the photon carries a bit the plaintext does not cover (both encodings
+    equally likely).  The four basis keys are equiprobable a priori.  A record
+    the attack never leaves reads 0.5."""
+    by_basis = record_likelihoods(attack).reshape(2, 2, 2, -1).sum(axis=1)  # [basis, bit, record]
+    by_basis = np.concatenate([by_basis, by_basis.mean(axis=1, keepdims=True)], axis=1)
+    total = by_basis.sum(axis=0)
+    return np.divide(by_basis[0], total, out=np.full_like(total, 0.5), where=total > 0)
+
+
+def received_outcomes(doc: dict) -> list[int]:
+    """The receiver's outcome label per photon: photon i is prepared in the
+    eigenstate labelled by pad bit 2i, and decodes 1 off that label."""
+    view = doc["secret_view"]
+    return [int(d) ^ int(k) for d, k in zip(view["decoded_bits"], view["pad_bits"][::2])]
+
+
+def extracted_message(doc: dict) -> list[int] | None:
+    """The decoded bits off the sampling positions, released only when the
+    check passed."""
+    if not doc["public_view"]["error_report"]["accepted"]:
+        return None
+    announced = doc["public_view"]["announced"]
+    return [int(d) for a, d in zip(announced, doc["secret_view"]["decoded_bits"]) if a == "2"]
 
 
 def sample_positions(doc: dict) -> list[int]:
@@ -36,9 +87,10 @@ def known_bits(doc: dict) -> list[int]:
             for a, b in zip(announced, doc["secret_view"]["modified_bits"])]
 
 
-def _photons(view: dict) -> list[dict]:
+def _photons(doc: dict) -> list[dict]:
+    view = doc["secret_view"]
     pad = _column(view["pad_bits"])
-    rows = zip(_column(view["modified_bits"]), _column(view["received_outcomes"]),
+    rows = zip(_column(view["modified_bits"]), received_outcomes(doc),
                _column(view["decoded_bits"]))
     photons = []
     for i, (bit, outcome, decoded) in enumerate(rows):
@@ -60,7 +112,7 @@ def _attack_events(doc: dict) -> list[dict]:
     if adversary is None:
         return []
     # v1 wrote a posterior only under known plaintext
-    posterior = adversary["posterior_plus"] if attack.get("known_plaintext") else None
+    posterior = posterior_plus_table(attack_of(attack)) if attack.get("known_plaintext") else None
     known = known_bits(doc)
     events = []
     for i, (record, bit) in enumerate(zip(_column(adversary["records"]), known)):
@@ -72,7 +124,7 @@ def _attack_events(doc: dict) -> list[dict]:
             fields = {"kind": "utb", "eve_basis": None, "eve_outcome": None,
                       "probe_outcome": record, "theta": attack["theta"],
                       "attack_basis": attack["utb_basis"]}
-        p = None if posterior is None else posterior[bit][record]
+        p = None if posterior is None else float(posterior[bit, record])
         # ties break toward the plus basis
         guess = None if p is None else ("plus" if p >= 0.5 else "cross")
         events.append({"photon_index": i, **fields, "posterior_plus": p,
@@ -81,10 +133,10 @@ def _attack_events(doc: dict) -> list[dict]:
 
 
 def v1_document(doc: dict) -> dict:
-    """The v1 document carrying the same session as the v3 ``doc``."""
+    """The v1 document carrying the same session as the v4 ``doc``."""
     view = doc["secret_view"]
     modified = _column(view["modified_bits"])
-    message = view["extracted_message"]
+    message = extracted_message(doc)
     positions = sample_positions(doc)
     announced = doc["public_view"]["announced"]
     report = doc["public_view"]["error_report"]
@@ -94,11 +146,11 @@ def v1_document(doc: dict) -> dict:
         "secret_view": {
             "modified_bits": modified,
             "sample_values": [{"position": p, "value": modified[p]} for p in positions],
-            "photons": _photons(view),
+            "photons": _photons(doc),
             "attack_events": _attack_events(doc),
             "decoded_bits": _column(view["decoded_bits"]),
-            "extracted_message": None if message is None else _column(message),
-            "extracted_message_digest": None if message is None else message_digest(_column(message)),
+            "extracted_message": message,
+            "extracted_message_digest": None if message is None else message_digest(message),
             "recycled_pad": view["recycled_pad"],
         },
         "public_view": {
@@ -111,7 +163,7 @@ def v1_document(doc: dict) -> dict:
 
 
 def attack_events(doc: dict) -> list[EveRecord]:
-    """The v1 attack events of the v3 ``doc`` as adversary records."""
+    """The v1 attack events of the v4 ``doc`` as adversary records."""
     return [
         EveRecord(**{k: Basis(v) if k in _BASIS_FIELDS and v is not None else v
                      for k, v in event.items()})
