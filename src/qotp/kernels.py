@@ -7,8 +7,8 @@ holds the sender's pad, so it measures each photon in its preparation basis:
 ``adversary``), giving P(receiver outcome, Eve's record) per cell
 ``2 * state + encoding``.  Simulating a photon is one inverse-CDF lookup in
 its cell's row with one uniform, the only randomness, supplied by the caller,
-then one lookup each of its outcome, record and decoded bit; one call may send
-each photon through its own attack.  Sweeps draw histograms from the same table.
+then one lookup each of its record and decoded bit; one call sends each photon
+through its own attack.  Sweeps draw histograms from the same table.
 
 All states reachable in this protocol have real amplitudes, so the laws are
 built from the signed float64 amplitude tables below with the elementwise
@@ -106,52 +106,50 @@ def _pair_tables(attacks: tuple) -> tuple[np.ndarray, ...]:
     """The tables of ``attacks`` stacked, cell ``8 * k + 2 * state + encoding``
     being that cell of ``attacks[k]``: the cumulative edges [edge, cell] of
     each cell's row of ``cell_probabilities`` over (outcome, record) pairs,
-    and the outcome, record (-1 for a one-record law) and decoded bit of each
-    event ``n_pairs * cell + pair``.  Dividing by the row total makes the
-    implicit last edge exactly 1, so no uniform passes it into the 1s that
-    pad a row to the longest, and an impossible pair repeats the edge before."""
+    and the record (-1 for a one-record law) and decoded bit of each event
+    ``n_pairs * cell + pair``.  Dividing by the row total makes the implicit
+    last edge exactly 1, so no uniform passes it into the 1s that pad a row
+    to the longest, and an impossible pair repeats the edge before."""
     rows = [cell_probabilities(attack).reshape(8, -1) for attack in attacks]
     pair = np.arange(max(row.shape[1] for row in rows))
     edges = np.ones((len(rows), 8, pair.size))
-    outcome, record = np.empty((2, len(rows), 8, pair.size), dtype=np.int8)
+    record, decoded = np.empty((2, len(rows), 8, pair.size), dtype=np.int8)
+    label = PREP_LABEL_OF_STATE[np.arange(8) // 2, None]
     for k, row in enumerate(rows):
         cdf = np.cumsum(row, axis=1)
         edges[k, :, : cdf.shape[1]] = cdf / cdf[:, -1:]
         n_records = row.shape[1] // 2
-        outcome[k] = np.minimum(pair // n_records, 1)
         record[k] = pair % n_records if n_records > 1 else -1
-    decoded = outcome != PREP_LABEL_OF_STATE[np.arange(8) // 2, None]
-    tables = (edges.reshape(-1, pair.size)[:, :-1].T.copy(), outcome.view(np.uint8).ravel(),
-              record.ravel(), decoded.view(np.uint8).ravel())
+        decoded[k] = np.minimum(pair // n_records, 1) != label
+    tables = (edges.reshape(-1, pair.size)[:, :-1].T.copy(), record.ravel(),
+              decoded.view(np.uint8).ravel())
     for table in tables:  # the cache hands the same arrays to every call
         table.flags.writeable = False
     return tables
 
 
-def simulate_photons(state_idx, enc_bits, attack, uniforms, attack_idx=None) -> tuple:
+def simulate_photons(state_idx, enc_bits, attacks, uniforms, attack_idx) -> tuple:
     """Simulate n independent photons through the channel, each measured in
     its preparation basis.
 
     Args:
         state_idx: (n,) prepared-state indices, 0..3 = H, V, u, d.
         enc_bits: (n,) modified-message bits written with the swap encoding.
-        attack: the channel adversary, an ``adversary.AttackModel``; with
-            ``attack_idx``, a tuple of them.
+        attacks: tuple of the channel adversaries, ``adversary.AttackModel``s.
         uniforms: (n,) uniform draws in [0, 1), one per photon.
-        attack_idx: (n,) or (1,) for all: each photon's adversary in ``attack``.
+        attack_idx: (n,) each photon's adversary in ``attacks``.
 
     Returns:
-        (bob_outcome uint8, record int8, decoded uint8): Eve's record per
-        photon, coded as the last axis of its attack's ``law``, -1 where there
-        is none; the decoded bit is 1 where the outcome is not the label of
-        the prepared state.
+        (record int8, decoded uint8): Eve's record per photon, coded as the
+        last axis of its attack's ``law``, -1 where there is none; the decoded
+        bit is 1 where the receiver's outcome is not the label of the prepared
+        state, so that outcome is the decoded bit XOR the label.
     """
-    attacks, attack_idx = ((attack,), 0) if attack_idx is None else (attack, attack_idx)
     state_idx = index_column("state_idx", state_idx, 3)
     enc_bits = index_column("enc_bits", enc_bits, 1)
     attack_idx = index_column("attack_idx", attack_idx, len(attacks) - 1)
     n = state_idx.shape[0]
-    if enc_bits.shape[0] != n or attack_idx.shape[0] not in (1, n):
+    if enc_bits.shape[0] != n or attack_idx.shape != (n,):
         raise ValueError("state_idx, enc_bits and attack_idx must have equal length")
     uniforms = np.ascontiguousarray(uniforms, dtype=np.float64)
     if uniforms.shape != (n,):

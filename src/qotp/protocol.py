@@ -246,8 +246,7 @@ def _run_block(state_of_pair, carried, fresh, messages, session_rng, attacks, co
     attack_idx = np.array(row_codes, dtype=np.min_scalar_type(len(codes))).repeat(bits.shape[1])
     sent = kernels.simulate_photons(state_of_pair.take(pairs).ravel(), bits.ravel(), tuple(codes),
                                     uniforms.ravel(), attack_idx)
-    # the outcome column is left out: the decoded bit and the pad imply it
-    record, decoded = (column.reshape(bits.shape) for column in sent[1:])
+    record, decoded = (column.reshape(bits.shape) for column in sent)
     wrong = decoded != bits
     n_errors, rates, accepted = _check_rows(wrong.take(checked), config.abort_threshold)
     # a message is exact when every bit decoded wrong is a sampling bit

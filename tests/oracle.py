@@ -423,12 +423,22 @@ class PhotonBatch:
         return kernels.PREP_LABEL_OF_STATE[self.state_idx] ^ self.enc_bits
 
 
+def simulate_one_attack(state_idx, enc_bits, attack: AttackModel, uniforms) -> tuple:
+    """The kernel run of photons all sent through ``attack``, as (the
+    receiver's outcome, Eve's record): the outcome is the decoded bit XOR the
+    label of the prepared state."""
+    state_idx = np.asarray(state_idx)
+    record, decoded = kernels.simulate_photons(state_idx, enc_bits, (attack,), uniforms,
+                                               np.zeros(state_idx.shape, dtype=np.uint8))
+    return decoded ^ kernels.PREP_LABEL_OF_STATE[state_idx].astype(np.uint8), record
+
+
 def run_photon_batch(n: int, attack: AttackModel, rng: RandomStream) -> PhotonBatch:
     """Run n photons with uniformly random pads and bits through the kernel;
     the receiver uses each photon's preparation basis, as in the protocol."""
     state_idx = rng.integers(0, 4, size=n, dtype=np.int64)
     enc_bits = rng.integers(0, 2, size=n, dtype=np.int64)
-    bob, record, _ = kernels.simulate_photons(state_idx, enc_bits, attack, rng.random(n))
+    bob, record = simulate_one_attack(state_idx, enc_bits, attack, rng.random(n))
     return PhotonBatch(state_idx, enc_bits, kernels.PREP_BASIS_OF_STATE[state_idx], bob, record)
 
 

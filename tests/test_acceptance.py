@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from qotp import cli, kernels
+from qotp import cli
 from qotp.adversary import (
     IndividualUTB,
     InterceptResend,
@@ -45,6 +45,7 @@ from oracle import (
     key_pairs,
     known_plaintext_infer,
     run_photon_batch,
+    simulate_one_attack,
     utb_apply,
 )
 from transcript_v1 import attack_events, posterior_plus_table
@@ -284,7 +285,7 @@ def test_criterion_10_born_rule_oracle_equivalence():
                 p1 = float(np.sum(np.abs(amps[1]) ** 2))
                 model = IndividualUTB(theta=theta, attack_basis=ab)
             p1 = min(max(p1, 0.0), 1.0)
-            bob, _, _ = kernels.simulate_photons(
+            bob, _ = simulate_one_attack(
                 np.full(n, state_idx),
                 np.zeros(n, dtype=np.int64),
                 model,

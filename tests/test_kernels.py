@@ -23,6 +23,7 @@ from oracle import (
     apply_encoding,
     attack_law,
     eigenstates,
+    simulate_one_attack,
     utb_apply,
 )
 
@@ -105,16 +106,17 @@ def test_pinned_uniforms_pick_the_pair_beside_each_edge(model):
     oracle = attack_law(model)
     n_records = oracle.shape[-1]
     cells, uniforms, pairs = pinned_photons(oracle)
-    bob, record, decoded = kernels.simulate_photons(cells // 2, cells % 2, model,
-                                                    uniforms=uniforms)
-    assert bob.tolist() == (pairs // n_records).tolist()
-    assert decoded.tolist() == (bob != kernels.PREP_LABEL_OF_STATE[cells // 2]).tolist()
+    record, decoded = kernels.simulate_photons(cells // 2, cells % 2, (model,), uniforms,
+                                               np.zeros(cells.size, dtype=np.uint8))
+    # the receiver's outcome is the pair's, and decoded is 1 where it is not the label
+    label = kernels.PREP_LABEL_OF_STATE[cells // 2]
+    assert decoded.tolist() == ((pairs // n_records) != label).tolist()
     if n_records == 1:
         assert record.tolist() == [-1] * pairs.size
     else:
         assert record.tolist() == (pairs % n_records).tolist()
     # no pair the oracle calls impossible is ever drawn
-    drawn = bob * n_records + np.maximum(record, 0)
+    drawn = (decoded ^ label) * n_records + np.maximum(record, 0)
     assert np.all(prep_basis_rows(oracle)[cells, drawn] >= IMPOSSIBLE)
 
 
@@ -126,7 +128,7 @@ def test_a_stacked_table_gives_each_photon_its_own_attacks_pairs():
     attack_idx = np.repeat(np.arange(len(CHANNELS)), [columns[0].size for columns in pinned])
     stacked = kernels.simulate_photons(cells // 2, cells % 2, tuple(CHANNELS), uniforms,
                                        attack_idx)
-    alone = [kernels.simulate_photons(c // 2, c % 2, model, u)
+    alone = [kernels.simulate_photons(c // 2, c % 2, (model,), u, np.zeros(c.size, dtype=np.uint8))
              for model, (c, u, _) in zip(CHANNELS, pinned)]
     for got, want in zip(stacked, zip(*alone)):
         assert got.tolist() == np.concatenate(want).tolist()
@@ -159,7 +161,7 @@ class TestAgainstExactProjections:
         n = 50_000
         meas = PREP_BASIS[state_idx]
         rng = make_rng(state_idx * 10 + meas.index)
-        bob, _, _ = kernels.simulate_photons(
+        bob, _ = simulate_one_attack(
             np.full(n, state_idx), np.zeros(n, dtype=np.int64), NoAttack(), rng.random(n)
         )
         p1 = self.exact_outcome_prob(state_idx, 0, meas)
@@ -173,7 +175,7 @@ class TestAgainstExactProjections:
         theta = np.pi / 8
         meas = PREP_BASIS[state_idx]
         rng = make_rng(1000 + state_idx * 100 + meas.index * 10 + attack_basis.index)
-        bob, _, _ = kernels.simulate_photons(
+        bob, _ = simulate_one_attack(
             np.full(n, state_idx),
             np.zeros(n, dtype=np.int64),
             IndividualUTB(theta=theta, attack_basis=attack_basis),
@@ -189,7 +191,7 @@ class TestAgainstExactProjections:
         theta = np.pi / 4
         rng = make_rng(77)
         state_idx = 2  # |u>, attacked in the plus basis, measured cross
-        bob, probe, _ = kernels.simulate_photons(
+        bob, probe = simulate_one_attack(
             np.full(n, state_idx),
             np.zeros(n, dtype=np.int64),
             IndividualUTB(theta=theta, attack_basis=Basis.PLUS),
@@ -220,8 +222,7 @@ class ShortRows:
 
 def test_six_pair_rows_short_of_one_give_only_possible_pairs():
     uniforms = [0.0, 0.3, 0.6, 0.75, np.nextafter(1.0, 0.0)]
-    bob, record, _ = kernels.simulate_photons([0, 3, 1, 2, 3], [0, 1, 0, 1, 0], ShortRows(),
-                                              uniforms=uniforms)
+    bob, record = simulate_one_attack([0, 3, 1, 2, 3], [0, 1, 0, 1, 0], ShortRows(), uniforms)
     assert bob.tolist() == [0, 0, 1, 1, 1]
     assert record.tolist() == [0, 2, 0, 0, 0]
 
@@ -232,18 +233,20 @@ class TestValidation:
             kernels.simulate_photons(
                 np.zeros(4, dtype=np.int64),
                 np.zeros(3, dtype=np.int64),
-                NoAttack(),
+                (NoAttack(),),
                 make_rng(0).random(4),
+                np.zeros(4, dtype=np.uint8),
             )
 
     def test_one_uniform_per_photon(self):
         with pytest.raises(ValueError, match="uniforms"):
-            kernels.simulate_photons([0, 1], [0, 0], NoAttack(), uniforms=np.zeros((2, 3)))
+            kernels.simulate_photons([0, 1], [0, 0], (NoAttack(),), np.zeros((2, 3)), [0, 0])
 
     def test_needs_randomness_source(self):
         with pytest.raises(TypeError, match="uniforms"):
             kernels.simulate_photons(
-                np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64), NoAttack()
+                np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64), (NoAttack(),),
+                attack_idx=np.zeros(4, dtype=np.uint8),
             )
 
     @pytest.mark.parametrize(
@@ -256,7 +259,7 @@ class TestValidation:
         columns = [np.zeros(4, dtype=np.int64) for _ in range(2)]
         columns[column][2] = value
         with pytest.raises(ValueError, match=name):
-            kernels.simulate_photons(*columns, NoAttack(), make_rng(0).random(4))
+            kernels.simulate_photons(*columns, (NoAttack(),), make_rng(0).random(4), [0] * 4)
 
     @pytest.mark.parametrize(
         "column,value,dtype,name",
@@ -269,10 +272,11 @@ class TestValidation:
         columns = [np.zeros(4, dtype=dtype) for _ in range(2)]
         columns[column][2] = value
         with pytest.raises(ValueError, match=name):
-            kernels.simulate_photons(*columns, NoAttack(), make_rng(0).random(4))
+            kernels.simulate_photons(*columns, (NoAttack(),), make_rng(0).random(4), [0] * 4)
 
-    @pytest.mark.parametrize("attack_idx", [[0, 2], [-1, 0], [0, 0, 0], [0.0, 1.0]],
-                             ids=["past-the-attacks", "negative", "too-long", "float"])
+    @pytest.mark.parametrize("attack_idx", [[0, 2], [-1, 0], [0, 0, 0], [0.0, 1.0], [0]],
+                             ids=["past-the-attacks", "negative", "too-long", "float",
+                                  "one-for-all"])
     def test_bad_attack_idx(self, attack_idx):
         with pytest.raises(ValueError, match="attack_idx"):
             kernels.simulate_photons([0, 1], [0, 0], (NoAttack(), InterceptResend()),
@@ -284,12 +288,13 @@ class TestValidation:
         columns = [[2], [0]]
         columns[column] = [0.9]
         with pytest.raises(ValueError, match=name):
-            kernels.simulate_photons(*columns, NoAttack(), make_rng(0).random(1))
+            kernels.simulate_photons(*columns, (NoAttack(),), make_rng(0).random(1), [0])
 
     def test_integer_and_bool_columns_pass(self):
-        # H swapped to -V read in plus, and d kept read in cross: both give outcome 1
-        bob, _, _ = kernels.simulate_photons(
-            np.array([0, 3], dtype=np.uint8), np.array([True, False]), NoAttack(),
-            make_rng(0).random(2),
+        # H swapped to -V read in plus, and d kept read in cross: both give
+        # outcome 1, so H decodes to 1 and d, whose label is 1, to 0
+        _, decoded = kernels.simulate_photons(
+            np.array([0, 3], dtype=np.uint8), np.array([True, False]), (NoAttack(),),
+            make_rng(0).random(2), np.array([False, False]),
         )
-        assert bob.tolist() == [1, 1]
+        assert decoded.tolist() == [1, 0]

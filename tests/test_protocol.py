@@ -245,8 +245,8 @@ def hand_lineage(pad, draws, attacks):
     for k, (attack, (message, sent, positions, uniforms)) in enumerate(zip(attacks, draws)):
         n = sent.size
         state = keystore.pair_states(pad)[:n]
-        received = kernels.simulate_photons(state, sent, attack, uniforms)[0]
-        decoded = (received != kernels.PREP_LABEL_OF_STATE[state]).astype(np.uint8)
+        _, decoded = kernels.simulate_photons(state, sent, (attack,), uniforms,
+                                              np.zeros(n, dtype=np.uint8))
         n_errors = np.count_nonzero(decoded[positions] != sent[positions])
         exact = n_errors == 0 and np.array_equal(np.delete(decoded, positions), message)
         steps.append((pad, decoded, exact, n_errors))
@@ -700,8 +700,8 @@ class TestTranscriptExport:
         simulate = kernels.simulate_photons
 
         def recording(*args):
-            sent.append(simulate(*args))
-            return sent[-1]
+            sent.append((args, simulate(*args)))
+            return sent[-1][1]
 
         monkeypatch.setattr(kernels, "simulate_photons", recording)
         message = make_rng(69).integers(0, 2, 300, dtype=np.uint8)
@@ -709,9 +709,9 @@ class TestTranscriptExport:
                             allow_insecure_demo=True)
         t = run_session(cfg, generate_pad(2 * 400, make_rng(71)), message, attack)
         doc = t.to_json_dict()
-        view = doc["secret_view"]
-        [(outcomes, _, _)] = sent
-        assert np.array_equal(outcomes, bits(view["decoded_bits"]) ^ bits(view["pad_bits"][0::2]))
+        # the outcome of each photon as sent: its decoded bit XOR its state's label
+        [((state_idx, *_), (_, decoded))] = sent
+        outcomes = decoded ^ kernels.PREP_LABEL_OF_STATE[state_idx]
         assert received_outcomes(doc) == outcomes.tolist()
         assert (t.extracted_message is None) == (extracted_message(doc) is None)
         if t.extracted_message is not None:
