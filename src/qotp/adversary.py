@@ -95,8 +95,8 @@ class IndividualUTB:
 
 @dataclass(frozen=True)
 class KnownPlaintext:
-    """Wrap any channel attack with knowledge of the session's message, used
-    at inference time: only the transcript's attack entry is not the inner's."""
+    """Wrap any channel attack with knowledge of the session's message: it
+    sends photons as its inner attack does, and only its transcript entry differs."""
 
     inner: "AttackModel"
 

@@ -339,8 +339,8 @@ def run_lineage(
     that an earlier session announced.
 
     Raises PadExhaustedError when every session so far has passed and the
-    next cannot be keyed.  Returns the report and the final pad, which is
-    None once the lineage is retired."""
+    next cannot be keyed.  Returns the report (docs/lineage_schema.json) and
+    the final pad, which is None once the lineage is retired."""
     n_message, n_sample = config.n_message, config.n_sample
     n = n_message + n_sample
     n_pairs = len(pad) // 2
@@ -360,7 +360,7 @@ def run_lineage(
         keyed = block[: keyable - done]
         if keyed:
             messages = draw_messages(message_rng, len(keyed), n_message)
-            (_, checked, _, pairs, *_, rates, accepted, exact), carried, fresh = _run_block(
+            (_, checked, _, pairs, *_, n_errors, _, accepted, exact), carried, fresh = _run_block(
                 state_of_pair, carried, fresh, messages, session_rng, keyed, config)
             ran = len(keyed) if accepted.all() else int(np.argmin(accepted)) + 1
             halted = not accepted[ran - 1]
@@ -371,25 +371,22 @@ def run_lineage(
             # flat, equal-shape operands: numpy 2.4's ufunc.at mishandles a broadcast value
             np.minimum.at(first_shown, shown.ravel(), when.repeat(2 * n_sample))
             reused += int(np.count_nonzero(first_shown.take(drawn) < when[:, None, None]))
-            pad_before = len(pad) - 2 * n_sample * np.arange(done, done + ran)
-            columns = zip(range(done + 1, done + ran + 1), keyed, pad_before.tolist(),
-                          (pad_before - 2 * n_sample * accepted[:ran]).tolist(),
-                          accepted.tolist(), rates.tolist(), (exact & accepted).tolist())
-            sessions += [
-                {"session": session, "pad_bits_before": before, "pad_bits_after": after,
-                 "accepted": passed, "error_rate": rate, "message_exact": message_exact,
-                 "attacked": attack.kind != NoAttack.kind}
-                for session, attack, before, after, passed, rate, message_exact in columns
-            ]
+            # a session's own facts; its pad lengths and verdict follow from the rest of the report
+            columns = zip(keyed, n_errors[:ran].tolist(), (exact & accepted).tolist())
+            sessions += [{"attacked": attack.kind != NoAttack.kind, "message_exact": message_exact,
+                          "n_errors": errors} for attack, errors, message_exact in columns]
         if not halted and len(keyed) < len(block):
             raise _exhausted(len(sessions) + 1, n, len(pad) - 2 * n_sample * len(sessions))
     final = None if halted else _live_pad(pad, carried, fresh, len(sessions))
     return {
+        "schema": "qotp-lineage-v2",
+        "n_sample": n_sample,
+        "initial_pad_bits": len(pad),
         "sessions": sessions,
         "halted_at_session": len(sessions) if halted else None,
         "final_pad_bits": None if final is None else len(final),
         "audit": {
             "announced_bits_reused": reused,
-            "all_messages_exact": all(s["message_exact"] for s in sessions if s["accepted"]),
+            "all_messages_exact": all(s["message_exact"] for s in sessions[: len(sessions) - halted]),
         },
     }, final

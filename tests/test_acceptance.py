@@ -32,6 +32,7 @@ from qotp.keystore import generate_pad
 from qotp.kernels import Basis
 from qotp.protocol import SessionConfig, run_session
 from qotp.rng import make_rng
+from lineage_v1 import lineage_v1
 from oracle import (
     MI_ESTIMATOR_SLACK,
     PREP_BASIS,
@@ -230,7 +231,7 @@ def test_criterion_08_pad_reuse_soundness(tmp_path):
          "--pad-bits", str(initial), "--seed", "61", "--attack-session", "6",
          "--attack", "intercept_resend", "--out", str(out)]
     )
-    doc = json.loads(out.read_text())
+    doc = lineage_v1(json.loads(out.read_text()))
     five_clean = doc["sessions"][:5]
     ok = (
         rc == cli.EXIT_REJECTED

@@ -16,6 +16,7 @@ from qotp.adversary import IndividualUTB, InterceptResend, NoAttack
 from qotp.analysis import BOUNDS_CSV_HEADER, SWEEP_CSV_HEADER
 from qotp.keystore import generate_pad, pad_to_text
 from qotp.rng import ROLE_MESSAGE, ROLE_PAD, ROLE_SESSION, make_rng, role_seed
+from lineage_v1 import lineage_v1
 
 # the d_m at which epsilon_tilde_min has its pole, 1 / (8 sqrt 2)
 POLE = "0.08838834764831845"
@@ -239,7 +240,7 @@ class TestRecycleDemo:
              "--pad-bits", "800", "--seed", "11", "--out", str(out)]
         )
         assert rc == cli.EXIT_OK
-        doc = json.loads(out.read_text())
+        doc = lineage_v1(json.loads(out.read_text()))
         assert len(doc["sessions"]) == 5
         assert all(s["accepted"] and s["message_exact"] for s in doc["sessions"])
         assert doc["final_pad_bits"] == 800 - 5 * 2 * 16
@@ -254,7 +255,7 @@ class TestRecycleDemo:
              "--attack", "intercept_resend", "--out", str(out)]
         )
         assert rc == cli.EXIT_REJECTED
-        doc = json.loads(out.read_text())
+        doc = lineage_v1(json.loads(out.read_text()))
         assert doc["halted_at_session"] == 2
         assert len(doc["sessions"]) == 2
         assert doc["sessions"][0]["accepted"] and not doc["sessions"][1]["accepted"]

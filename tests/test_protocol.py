@@ -20,6 +20,7 @@ from qotp.kernels import Basis
 from qotp.keystore import PadKey, generate_pad
 from qotp.protocol import SessionConfig, draw_messages, run_lineage, run_session
 from qotp.rng import ROLE_MESSAGE, make_rng, role_seed
+from lineage_v1 import lineage_v1
 from oracle import BasisKeyPair, key_pairs, recycle_pad, state_from_basis_key
 from transcript_v1 import (
     attack_events,
@@ -30,9 +31,9 @@ from transcript_v1 import (
     v1_document,
 )
 
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parent.parent / "docs" / "transcript_schema.json").read_text()
-)
+DOCS = Path(__file__).resolve().parent.parent / "docs"
+SCHEMA = json.loads((DOCS / "transcript_schema.json").read_text())
+LINEAGE_SCHEMA = json.loads((DOCS / "lineage_schema.json").read_text())
 
 
 def bits(text: str) -> np.ndarray:
@@ -339,7 +340,7 @@ class TestRunLineage:
             monkeypatch, pad, self.CONFIG, attacks
         )
         want, want_halt, want_final = hand_lineage(pad, draws, attacks)
-        sessions = report["sessions"]
+        sessions = lineage_v1(report)["sessions"]
         assert len(sessions) == len(want) <= len(pairs)
         # the pad each session leaves: the next session's, then the final one
         pads_after = [p for p, *_ in want[1:]] + [want_final]
@@ -354,6 +355,7 @@ class TestRunLineage:
             assert sessions[k]["message_exact"] == want_exact
             assert sessions[k]["session"] == k + 1
             assert sessions[k]["accepted"] == (want_errors == 0)
+            assert report["sessions"][k]["n_errors"] == want_errors
             assert sessions[k]["error_rate"] == want_errors / self.CONFIG.n_sample
             assert sessions[k]["pad_bits_after"] == (
                 len(want_pad) if want_errors else len(pads_after[k])
@@ -389,10 +391,11 @@ class TestRunLineage:
         config = dataclasses.replace(self.CONFIG, abort_threshold=threshold,
                                      allow_insecure_demo=True)
         report, final = run_lineage(pad, config, [attack])
-        (session,) = report["sessions"]
+        (session,) = lineage_v1(report)["sessions"]
         message_rng = make_rng(role_seed(config.seed, ROLE_MESSAGE))
         (message,) = draw_messages(message_rng, 1, config.n_message)
         t = run_session(config, pad, message, attack)
+        assert t.error_report.n_errors == report["sessions"][0]["n_errors"]
         assert t.error_report.rate == session["error_rate"]
         assert t.error_report.accepted == session["accepted"]
         exact = t.extracted_message is not None and np.array_equal(t.extracted_message, message)
@@ -412,7 +415,9 @@ class TestRunLineage:
             mp.setattr(protocol, "BLOCK_PHOTONS", block_photons)
             report, final, draws, _, decoded = recorded_lineage(mp, pad, config, attacks)
         want, want_halt, want_final = hand_lineage(pad, draws, attacks)
-        assert [len(p) for p, *_ in want] == [s["pad_bits_before"] for s in report["sessions"]]
+        sessions = lineage_v1(report)["sessions"]
+        assert [len(p) for p, *_ in want] == [s["pad_bits_before"] for s in sessions]
+        assert [s["n_errors"] for s in report["sessions"]] == [n for *_, n in want]
         assert all(np.array_equal(d, w) for d, (_, w, *_) in zip(decoded, want))
         # short messages often come out exact in a rejected session, which releases none
         assert [s["message_exact"] for s in report["sessions"]] == [e for _, _, e, _ in want]
@@ -436,6 +441,7 @@ class TestRunLineage:
             _, pad = run_lineage(pad, self.CONFIG, [NoAttack()] * input_sessions)
         report, final = run_lineage(pad, self.CONFIG, [])
         assert report == {
+            "schema": "qotp-lineage-v2", "n_sample": 16, "initial_pad_bits": len(pad),
             "sessions": [], "halted_at_session": None, "final_pad_bits": len(pad),
             "audit": {"announced_bits_reused": 0, "all_messages_exact": True},
         }
@@ -445,7 +451,34 @@ class TestRunLineage:
         pad = generate_pad(pad_for(6), make_rng(9))
         short, _ = run_lineage(pad, self.CONFIG, [NoAttack()] * 3)
         long, _ = run_lineage(pad, self.CONFIG, [NoAttack()] * 6)
-        assert long["sessions"][:3] == short["sessions"]
+        assert lineage_v1(long)["sessions"][:3] == lineage_v1(short)["sessions"]
+
+    # a clean lineage, one halted by its check, one whose third block holds an
+    # attacked session that the threshold accepts, and one of no sessions
+    @pytest.mark.parametrize(
+        "attacks,threshold,halted_at",
+        [([NoAttack()] * 5, 0.0, None), (IR_AT_2, 0.0, 2),
+         ([NoAttack()] * 4 + [IndividualUTB(theta=0.3)], 1.0, None), ([], 0.0, None)],
+        ids=["clean", "halted", "attacked-accepted-late-block", "no-sessions"],
+    )
+    def test_reports_meet_the_lineage_schema(self, attacks, threshold, halted_at, monkeypatch):
+        monkeypatch.setattr(protocol, "BLOCK_PHOTONS", 2 * 80)
+        config = dataclasses.replace(self.CONFIG, abort_threshold=threshold,
+                                     allow_insecure_demo=True)
+        report, _ = run_lineage(generate_pad(pad_for(5), make_rng(18)), config, attacks)
+        doc = json.loads(protocol.json_text(report))
+        jsonschema.validate(doc, LINEAGE_SCHEMA)
+        assert doc["halted_at_session"] == halted_at
+
+    @pytest.mark.parametrize(
+        "key", ["session", "pad_bits_before", "pad_bits_after", "accepted", "error_rate"]
+    )
+    def test_the_schema_rejects_each_derived_field(self, key):
+        report, _ = run_lineage(generate_pad(pad_for(4), make_rng(19)), self.CONFIG, self.IR_AT_2)
+        jsonschema.validate(report, LINEAGE_SCHEMA)
+        report["sessions"][1][key] = lineage_v1(report)["sessions"][1][key]
+        with pytest.raises(jsonschema.ValidationError, match=key):
+            jsonschema.validate(report, LINEAGE_SCHEMA)
 
     PROBE = IndividualUTB(theta=0.0)
 

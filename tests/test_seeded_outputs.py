@@ -4,14 +4,19 @@ Each command below runs in-process with a fixed seed; its exit code and the
 SHA-256 of its stdout and of its ``--out`` file are pinned.  A refactor that
 moves one RNG draw, one table entry or one character of a transcript changes
 a digest.  Change a digest only together with a deliberate change of seeded
-output, and say so where the change is recorded.
+output, and say so where the change is recorded.  A lineage report is pinned
+twice: as written, and as the v1 report rebuilt from it, so a change of
+format that loses no fact keeps the second pin.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from qotp import cli
+from qotp.protocol import json_text
+from lineage_v1 import lineage_v1
 
 RUN = ["run", "--message-bits", "96", "--samples", "32"]
 SWEEP = ["sweep-theta", "--points", "4", "--photons", "4000"]
@@ -80,19 +85,19 @@ CASES = {
         [*DEMO, "--seed", "110"],
         0,
         "81318da2179e1b99c67b5470afa9901c1d5d8567ddbbde648aa429f2499af470",
-        "d7c8f63c644e598511c3bcf37f1c31edf212c918a55bb9f0616e597e9f0dd334",
+        "339a361a7446417e29c96abdc4adf49fb60981342e5272a6ccdc6be351dc578c",
     ),
     "recycle-attacked-halts": (
         [*DEMO, "--attack", "intercept_resend", "--attack-session", "2", "--seed", "111"],
         2,
         "3688d528c0f1d1417ecdc9e9f031900eee398cde46a5ae4d842b5584a2a1bbef",
-        "efab8efb6ad3c5f0c6c7d612b3cbb2a1881f30ac3586f08ee52fcfdbdd2c3503",
+        "0c6a6652b69d038ae021430173a0b997a7ff1204bf27d1ee4274578c38e472fa",
     ),
     "recycle-attacked-session-3": (
         [*DEMO, "--attack", "utb", "--theta", "0.5", "--attack-session", "3", "--seed", "111"],
         0,
         "81318da2179e1b99c67b5470afa9901c1d5d8567ddbbde648aa429f2499af470",
-        "8babdf388c07b54c12162f7ac1a3da86be19a3d3aa2bbfd1771914ce82ff3d41",
+        "ddff78d7c21f90508635a7cc87f144ff1c79af7422e43f3e3df69e8cbe97bb0c",
     ),
     # the benchmark's recycle op: 100 sessions of 64 message and 16 sampling bits
     "recycle-benchmark-shape": (
@@ -100,7 +105,7 @@ CASES = {
          "--seed", "114"],
         0,
         "882a4407748858a5d5c99122b205811250910c9c8e73e3dfbf79b8dc8d511fb2",
-        "06d28d9ee5a3cb6e38475ebdd4d9a7be7ccf67970fbed1a0c80f4a8b10f92a2c",
+        "daf265299a87483d293c0ed6afaeb566e4059324bafccdbf5d260082cff1c73c",
     ),
     # three blocks; session 1500, in the second, is attacked and accepted with
     # an inexact message
@@ -109,7 +114,7 @@ CASES = {
          "--attack-session", "1500", "--threshold", "1", "--insecure-demo", "--seed", "115"],
         0,
         "3916121879dd9675dd73df64983c2b07fde8e3e9d7b1cd5d4d78dfc686a27177",
-        "98dd313c24a49d41f18b0c31d0a888b44869de1ca3d075033029c9101ecb7964",
+        "70d02d7f970ac018cfb7945673667bd1cfba3ae04d1a9db98f3c533258841d91",
     ),
     "bounds": (
         ["bounds", "--d-grid", "0,0.01,0.02,0.05,0.1"],
@@ -117,6 +122,17 @@ CASES = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "b0949e60234de0f8c27029ec301ffb788e7b0a8882ebcc762424694f3a124925",
     ),
+}
+
+
+# name -> sha256 of the v1 lineage report that tests/lineage_v1.py rebuilds
+# from the --out file: the digest that file had before lineage report v2
+LINEAGE_V1_OUT = {
+    "recycle-clean": "d7c8f63c644e598511c3bcf37f1c31edf212c918a55bb9f0616e597e9f0dd334",
+    "recycle-attacked-halts": "efab8efb6ad3c5f0c6c7d612b3cbb2a1881f30ac3586f08ee52fcfdbdd2c3503",
+    "recycle-attacked-session-3": "8babdf388c07b54c12162f7ac1a3da86be19a3d3aa2bbfd1771914ce82ff3d41",
+    "recycle-benchmark-shape": "06d28d9ee5a3cb6e38475ebdd4d9a7be7ccf67970fbed1a0c80f4a8b10f92a2c",
+    "recycle-attacked-late-block": "98dd313c24a49d41f18b0c31d0a888b44869de1ca3d075033029c9101ecb7964",
 }
 
 
@@ -135,3 +151,12 @@ def test_seeded_output_is_byte_identical(name, tmp_path, capsys, monkeypatch):
     assert (rc, _sha256(captured.out.encode()), _sha256(out.read_bytes())) == (
         exit_code, stdout_digest, out_digest
     )
+
+
+@pytest.mark.parametrize("name", sorted(LINEAGE_V1_OUT))
+def test_lineage_report_rebuilds_its_v1_report(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("QOTP_SEED", raising=False)
+    out = tmp_path / "out"
+    cli.main([*CASES[name][0], "--out", str(out)])
+    v1 = json_text(lineage_v1(json.loads(out.read_text())))
+    assert _sha256(v1.encode()) == LINEAGE_V1_OUT[name]
