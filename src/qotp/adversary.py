@@ -25,6 +25,9 @@ import numpy as np
 from . import kernels
 from .kernels import Basis
 
+_BASES = tuple(Basis)
+_BASES_OR_RANDOM = (None, *Basis)
+
 
 @dataclass(frozen=True)
 class NoAttack:
@@ -47,7 +50,7 @@ class InterceptResend:
     attack_basis: Basis | None = None
 
     def __post_init__(self):
-        if self.attack_basis not in (None, *Basis):
+        if self.attack_basis not in _BASES_OR_RANDOM:
             raise ValueError(f"attack_basis must be a Basis or None, got {self.attack_basis!r}")
 
     def law(self) -> np.ndarray:
@@ -75,7 +78,7 @@ class IndividualUTB:
     def __post_init__(self):
         if not 0.0 <= self.theta <= np.pi / 4:
             raise ValueError(f"theta must lie in [0, pi/4], got {self.theta}")
-        if self.attack_basis not in tuple(Basis):
+        if self.attack_basis not in _BASES:
             raise ValueError(f"attack_basis must be a Basis, got {self.attack_basis!r}")
 
     def law(self) -> np.ndarray:

@@ -13,11 +13,11 @@ All information quantities are in bits (base-2 logs).  The bound family:
                          verbatim, no smoothing.
 * ``small_dm_linear_bound`` -- the small-d_m linear relaxation of i1.
 
-Each sweep grid point draws one histogram on its own stream from its exact
-law, ``kernels.cell_probabilities``: the protocol's channel, with the
-receiver in the preparation basis.  The empirical error rates, the plug-in
-mutual information and the bounds are then computed as columns over the
-stacked histograms of the whole grid, one row per point.
+A sweep grid point is one cached law slice, ``kernels.cell_probabilities``
+(the protocol's channel, with the receiver in the preparation basis), one
+stream and one multinomial draw of its histogram.  The empirical error
+rates, the plug-in mutual information and the bounds are then computed as
+columns over the stacked histograms of the whole grid, one row per point.
 """
 
 from __future__ import annotations
@@ -44,29 +44,26 @@ def _listed(values: np.ndarray) -> str:
 
 
 def _eval(x, domain_lo, domain_hi, func, name):
-    scalar = np.isscalar(x) or np.asarray(x).ndim == 0
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    outside = ~((arr >= domain_lo) & (arr <= domain_hi))  # NaN is outside too
-    if np.any(outside):
+    arr = np.asarray(x, dtype=np.float64)
+    inside = (arr >= domain_lo) & (arr <= domain_hi)  # NaN is outside too
+    if not inside.all():
         raise ValueError(
-            f"{name} domain is [{domain_lo:g}, {domain_hi:g}], got {_listed(arr[outside])}"
+            f"{name} domain is [{domain_lo:g}, {domain_hi:g}], got {_listed(arr[~inside])}"
         )
-    out = func(arr)
-    return float(out[0]) if scalar else out
+    return func(arr) if arr.ndim else float(func(arr[None])[0])  # a float for a 0-d x
+
+
+def _phi(arr: np.ndarray) -> np.ndarray:
+    rest = 1.0 - arr
+    mask = rest > 0
+    extra = np.zeros_like(arr)
+    extra[mask] = rest[mask] * np.log2(rest[mask])
+    return (1.0 + arr) * np.log2(1.0 + arr) + extra
 
 
 def phi(x):
     """(1+x)log2(1+x) + (1-x)log2(1-x) on [0, 1], with 0*log 0 = 0 at x = 1."""
-
-    def f(arr):
-        out = (1.0 + arr) * np.log2(1.0 + arr)
-        rest = 1.0 - arr
-        mask = rest > 0
-        extra = np.zeros_like(arr)
-        extra[mask] = rest[mask] * np.log2(rest[mask])
-        return out + extra
-
-    return _eval(x, 0.0, 1.0, f, "phi")
+    return _eval(x, 0.0, 1.0, _phi, "phi")
 
 
 def i0_bound(d):
@@ -76,9 +73,8 @@ def i0_bound(d):
     regime is d in [0, 1/4].
     """
 
-    def f(arr):
-        t = np.minimum(2.0 * np.sqrt(arr * (1.0 - arr)), 1.0)
-        return 0.5 * phi(t)
+    def f(arr):  # phi's argument lies in [0, 1] for every d in [0, 1]
+        return 0.5 * _phi(np.minimum(2.0 * np.sqrt(arr * (1.0 - arr)), 1.0))
 
     return _eval(d, 0.0, 1.0, f, "i0_bound")
 
@@ -141,14 +137,18 @@ def empirical_mutual_information(counts) -> float | np.ndarray:
     c = np.asarray(counts, dtype=np.float64)
     if c.ndim < 2 or not np.all((c >= 0) & (c < np.inf)):  # NaN fails both
         raise ValueError("counts must be finite, nonnegative 2-D tables")
-    total = c.sum(axis=(-2, -1), keepdims=True)
-    if np.any(total <= 0):
+    if np.any(c.sum(axis=(-2, -1)) <= 0):
         raise ValueError("counts table must have positive total")
-    p = c / total
+    mi = _mutual_information(c)
+    return float(mi) if c.ndim == 2 else mi
+
+
+def _mutual_information(c: np.ndarray) -> np.ndarray:
+    """The estimate of each table of a float64 stack whose totals are positive."""
+    p = c / c.sum(axis=(-2, -1), keepdims=True)
     outer = p.sum(axis=-1, keepdims=True) * p.sum(axis=-2, keepdims=True)
     ratio = np.divide(p, outer, out=np.ones_like(p), where=p > 0)
-    mi = (p * np.log2(ratio)).sum(axis=(-2, -1))
-    return float(mi) if c.ndim == 2 else mi
+    return (p * np.log2(ratio)).sum(axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -167,6 +167,16 @@ class SweepPoint:
 _STATE, _ENC, _BOB, _PROBE = np.indices((4, 2, 2, 2))[..., None]
 _ERROR = (_BOB != kernels.PREP_LABEL_OF_STATE[_STATE]) != _ENC
 _JOINT_CELL = 2 * (kernels.PREP_LABEL_OF_STATE[_STATE] ^ _ENC) + _PROBE == np.arange(4)
+
+
+def _tally(attack_basis: Basis) -> np.ndarray:
+    """[cell, tally]: 1 where a cell adds to the matched, matched-error, error or joint tally."""
+    matched = kernels.PREP_BASIS_OF_STATE[_STATE] == attack_basis.index
+    tally = np.concatenate([matched, matched & _ERROR, _ERROR, matched & _JOINT_CELL], axis=-1)
+    return tally.reshape(_STATE.size, -1)
+
+
+_TALLY = {basis: _tally(basis) for basis in Basis}
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -196,10 +206,8 @@ def sweep_theta(
         )
         for i, attack in enumerate(attacks)
     ]
-    matched = kernels.PREP_BASIS_OF_STATE[_STATE] == attack_basis.index
-    tally = np.concatenate([matched, matched & _ERROR, _ERROR, matched & _JOINT_CELL], axis=-1)
     counts = np.array(draws, dtype=np.int64).reshape(-1, _STATE.size)
-    tallies = counts @ tally.reshape(_STATE.size, -1)  # exact integer sums
+    tallies = counts @ _TALLY[attack_basis]  # exact integer sums
     n_matched, n_matched_errors, n_errors = tallies[:, :3].T
     empty = np.flatnonzero(n_matched == 0)
     if empty.size:
@@ -209,7 +217,8 @@ def sweep_theta(
         )
     theta = np.array([attack.theta for attack in attacks], dtype=np.float64)
     d_theory = d_of_theta(theta)
-    mi = empirical_mutual_information(tallies[:, 3:].reshape(-1, 2, 2))
+    # each joint table sums to its point's matched count, checked above
+    mi = _mutual_information(tallies[:, 3:].reshape(-1, 2, 2).astype(np.float64))
     d_matched, d_overall = n_matched_errors / n_matched, n_errors / n_photons
     columns = (theta, d_theory, d_matched, d_overall, mi, i0_bound(d_theory))
     return [SweepPoint(*row) for row in zip(*(column.tolist() for column in columns))]

@@ -17,7 +17,6 @@ import argparse
 import functools
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -197,6 +196,17 @@ def _session_config(args, n_message: int, n_sample: int) -> SessionConfig:
     )
 
 
+def _write_file(path: str, text: str) -> None:
+    """Write ASCII ``text`` to ``path`` as bytes, replacing any file there."""
+    data = memoryview(text.encode("ascii"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
+
+
 def _session_pad(args, n_bits_needed: int) -> keystore.PadKey:
     if args.pad_file:
         return keystore.load_pad(args.pad_file)
@@ -216,7 +226,7 @@ def cmd_run(args) -> int:
     pad = _session_pad(args, 2 * (n_message + n_sample))
     transcript = run_session(config, pad, message, attack)
     if args.out:
-        Path(args.out).write_text(transcript.to_json())
+        _write_file(args.out, transcript.to_json())
     report = transcript.error_report
     verdict = "accepted" if report.accepted else "rejected: eavesdropping detected"
     print(f"session {verdict}")
@@ -230,7 +240,7 @@ def cmd_run(args) -> int:
 
 def _write_table(text: str, out: str | None) -> int:
     if out:
-        Path(out).write_text(text)
+        _write_file(out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -285,7 +295,7 @@ def cmd_recycle_demo(args) -> int:
     attacks = (attack if args.attack_session == k + 1 else clean for k in range(args.sessions))
     report, pad = run_lineage(pad, config, attacks)
     if args.out:
-        Path(args.out).write_text(json_text(report))
+        _write_file(args.out, json_text(report))
     print(f"sessions run: {len(report['sessions'])} of {args.sessions}")
     print(f"announced bits reused later: {report['audit']['announced_bits_reused']}")
     if pad is None:

@@ -94,11 +94,14 @@ def law_of(attack) -> np.ndarray:
     return law
 
 
+@functools.lru_cache(maxsize=64)
 def cell_probabilities(attack) -> np.ndarray:
     """Exact law P[state, encoding, receiver outcome, record] of one photon,
     with a uniformly random pad and bit and the receiver measuring in the
-    preparation basis: that slice of ``attack.law()``, divided by 8."""
-    return law_of(attack)[np.arange(4), :, PREP_BASIS_OF_STATE] / 8.0
+    preparation basis: that slice of ``law_of(attack)`` over 8, cached alike."""
+    cells = law_of(attack)[np.arange(4), :, PREP_BASIS_OF_STATE] / 8.0
+    cells.flags.writeable = False
+    return cells
 
 
 @functools.lru_cache(maxsize=64)

@@ -188,6 +188,45 @@ class TestI1:
         assert np.all(vals > 0.9) and np.all(vals <= 1.0)
 
 
+# each closed-form function with a point inside its domain, the domain's
+# upper end and the domain as its error names it
+CLOSED_FORMS = [
+    (phi, 0.5, 1.0, "phi domain is [0, 1]"),
+    (i0_bound, 0.2, 1.0, "i0_bound domain is [0, 1]"),
+    (d_of_theta, 0.3, np.pi / 4, "d_of_theta domain is [0, 0.785398]"),
+    (epsilon_tilde_min, 0.05, 0.25, "epsilon_tilde_min domain is [0, 0.25]"),
+    (i1_bound, 0.05, 0.25, "i1_bound domain is [0, 0.25]"),
+    (small_dm_linear_bound, 0.05, 0.25, "small_dm_linear_bound domain is [0, 0.25]"),
+]
+
+
+@pytest.mark.parametrize("func,inside,hi,domain", CLOSED_FORMS,
+                         ids=[form[0].__name__ for form in CLOSED_FORMS])
+class TestClosedFormBoundary:
+    @pytest.mark.parametrize("wrap", [float, np.float64, np.array], ids=["float", "float64", "0-d"])
+    def test_scalar_gives_a_python_float(self, func, inside, hi, domain, wrap):
+        value = func(wrap(inside))
+        assert type(value) is float
+        assert value == func(np.array([inside]))[0]
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3)])
+    def test_array_keeps_its_shape(self, func, inside, hi, domain, shape):
+        out = func(np.full(shape, inside))
+        assert type(out) is np.ndarray and out.shape == shape
+        assert np.all(out == func(inside))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.01, "past"],
+                             ids=["nan", "inf", "minus-inf", "negative", "past-the-end"])
+    def test_rejected_values_are_listed_alone(self, func, inside, hi, domain, bad):
+        bad = hi + 0.01 if bad == "past" else bad
+        with pytest.raises(ValueError) as raised:
+            func(np.array([[inside, bad], [inside, -1.0]]))
+        assert str(raised.value) == f"{domain}, got {bad:.12g}, -1"
+        with pytest.raises(ValueError) as raised:
+            func(bad)
+        assert str(raised.value) == f"{domain}, got {bad:.12g}"
+
+
 class TestLinearBound:
     def test_frozen_values(self):
         assert small_dm_linear_bound(0.05) == pytest.approx(LIN_AT_005, abs=1e-12)
@@ -268,6 +307,14 @@ class TestMutualInformation:
         table = np.array([[bad, 1.0], [1.0, 1.0]])
         counts = np.stack([np.ones((2, 2)), table]) if stacked else table
         with pytest.raises(ValueError, match="^counts must be finite, nonnegative 2-D tables$"):
+            empirical_mutual_information(counts)
+
+    @pytest.mark.parametrize("counts", [np.zeros((2, 2)), np.zeros((3, 2, 2)), [1.0, 2.0]],
+                             ids=["zero-table", "zero-stack", "one-axis"])
+    def test_zero_total_or_flat_counts_rejected_with_their_message(self, counts):
+        message = ("^counts table must have positive total$" if np.ndim(counts) > 1
+                   else "^counts must be finite, nonnegative 2-D tables$")
+        with pytest.raises(ValueError, match=message):
             empirical_mutual_information(counts)
 
     def test_stack_with_one_empty_table_rejected(self):

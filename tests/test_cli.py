@@ -4,6 +4,8 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import stat
 import warnings
 
 import numpy as np
@@ -20,6 +22,14 @@ from lineage_v1 import lineage_v1
 
 # the d_m at which epsilon_tilde_min has its pole, 1 / (8 sqrt 2)
 POLE = "0.08838834764831845"
+
+# a short command for each subcommand that writes --out, exit code 0
+OUT_COMMANDS = {
+    "run": ["run", "--message-bits", "16", "--samples", "4", "--seed", "3"],
+    "sweep-theta": ["sweep-theta", "--points", "3", "--photons", "1000", "--seed", "3"],
+    "bounds": ["bounds", "--d-grid", "0,0.05"],
+    "recycle-demo": ["recycle-demo", "--sessions", "2", "--seed", "3"],
+}
 
 BOUNDS_GOLDEN = """d,i0,i1,linear,eps_tilde
 0,0,0,0,1
@@ -211,6 +221,25 @@ class TestSweep:
         rc = cli.main(["sweep-theta", "--thetas", "0.1", "--photons", "100"])
         assert rc == cli.EXIT_ERROR
 
+    def test_sweeps_build_each_points_law_once(self, monkeypatch, tmp_path):
+        # a grid point's law and its prep-basis slice are each read through a
+        # cache, so a second sweep over the same grid builds nothing
+        calls = []
+        law = IndividualUTB.law
+
+        def counting(attack):
+            calls.append(attack.theta)
+            return law(attack)
+
+        monkeypatch.setattr(IndividualUTB, "law", counting)
+        kernels.law_of.cache_clear()
+        kernels.cell_probabilities.cache_clear()
+        argv = ["sweep-theta", "--points", "5", "--photons", "1000", "--seed", "3",
+                "--out", str(tmp_path / "sweep.csv")]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert cli.main(argv) == cli.EXIT_OK
+        assert calls == np.linspace(0.0, np.pi / 4, 5).tolist()
+
 
 class TestBounds:
     def test_golden_csv(self, tmp_path):
@@ -310,6 +339,38 @@ class TestRecycleDemo:
         assert capsys.readouterr().err == (
             "error: pad exhausted at session 3: need 160 bits for 80 photons, have 136\n"
         )
+
+
+class TestOutFile:
+    """Each --out file holds the command's ASCII bytes alone, with a new file's mode."""
+
+    @pytest.mark.parametrize("command", list(OUT_COMMANDS))
+    def test_out_over_a_longer_file_leaves_only_the_new_bytes(self, command, tmp_path, capsys):
+        fresh, out = tmp_path / "fresh", tmp_path / "out"
+        assert cli.main([*OUT_COMMANDS[command], "--out", str(fresh)]) == cli.EXIT_OK
+        out.write_bytes(b"\xff" * (fresh.stat().st_size + 4096))
+        assert cli.main([*OUT_COMMANDS[command], "--out", str(out)]) == cli.EXIT_OK
+        assert out.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("command", ["sweep-theta", "bounds"])
+    def test_out_file_holds_the_bytes_of_stdout(self, command, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        assert cli.main(OUT_COMMANDS[command]) == cli.EXIT_OK
+        stdout = capsys.readouterr().out
+        assert cli.main([*OUT_COMMANDS[command], "--out", str(out)]) == cli.EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == stdout.encode("ascii")
+
+    @pytest.mark.parametrize("umask", [0o022, 0o002])
+    @pytest.mark.parametrize("command", list(OUT_COMMANDS))
+    def test_new_file_mode_is_0o666_under_the_umask(self, command, umask, tmp_path, capsys):
+        out = tmp_path / "out"
+        saved = os.umask(umask)
+        try:
+            assert cli.main([*OUT_COMMANDS[command], "--out", str(out)]) == cli.EXIT_OK
+        finally:
+            os.umask(saved)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
 
 
 class TestSeedRoles:
@@ -456,6 +517,19 @@ class TestBoundaryErrors:
             monkeypatch.setenv(name, value)
         assert cli.main(argv) == cli.EXIT_ERROR
         assert capsys.readouterr() == ("", f"error: {line}\n")
+
+    @pytest.mark.parametrize("command", list(OUT_COMMANDS))
+    def test_out_in_a_missing_directory_line(self, command, tmp_path, capsys):
+        out = tmp_path / "missing" / "out"
+        assert cli.main([*OUT_COMMANDS[command], "--out", str(out)]) == cli.EXIT_ERROR
+        assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: '{out}'\n")
+
+    def test_out_naming_a_directory_line(self, tmp_path, capsys):
+        # a trailing slash names a directory: no file is written under another name
+        out = f"{tmp_path / 'table'}/"
+        assert cli.main([*OUT_COMMANDS["bounds"], "--out", out]) == cli.EXIT_ERROR
+        assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: '{out}'\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_command_line(self, capsys):
         assert cli.main(["nosuch"]) == cli.EXIT_ERROR

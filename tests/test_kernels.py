@@ -142,6 +142,19 @@ def test_edges_are_the_normalised_cumulative_prep_basis_rows(model):
     assert np.array_equal(edges, (rows[:, :-1] / rows[:, -1:]).T)
 
 
+@pytest.mark.parametrize("model", CHANNELS, ids=channel_id)
+def test_cell_probabilities_is_the_cached_read_only_prep_basis_slice(model):
+    cells = kernels.cell_probabilities(model)
+    assert kernels.cell_probabilities(model) is cells
+    assert not cells.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        cells[0, 0, 0, 0] = 1.0
+    # the slice of a law built afresh, bit for bit
+    uncached = model.law()[np.arange(4), :, kernels.PREP_BASIS_OF_STATE] / 8
+    assert (cells.dtype, cells.shape) == (uncached.dtype, uncached.shape)
+    assert cells.tobytes() == uncached.tobytes()
+
+
 class TestAgainstExactProjections:
     def exact_outcome_prob(self, state_idx, enc_bit, meas: Basis, attack=None):
         """Object-level oracle: P(outcome 1) from explicit amplitudes."""
