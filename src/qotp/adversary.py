@@ -6,9 +6,9 @@ the message is read at inference time only, from the transcript).
 
 Each attack is described once, by its class.  ``law()`` is its exact joint
 law P[state, encoding, receiver basis, receiver outcome, record]: the batch
-kernel samples it, sweeps draw their histograms from it, and
-``record_likelihoods`` sums it into P(record | state, encoding), which is the
-same under either basis: one photon's record says nothing of its basis.
+kernel and sweeps read its cached slice ``kernels.cell_probabilities``, and
+``record_likelihoods`` sums it into P(record | state, encoding), the same
+under either basis: one photon's record says nothing of its basis.
 ``describe`` is the attack's transcript entry and ``kind`` its name on the
 command line.  Eve's record is ``2 * basis + outcome`` for intercept-resend
 and the probe outcome for the probe attack; with no attack the record axis
@@ -121,4 +121,4 @@ def record_likelihoods(attack: AttackModel) -> np.ndarray:
     """L[state, encoding, record] = P(Eve's record | the channel carried that
     state with that encoding bit): the attack's law summed over the receiver's
     outcome.  The receiver's basis does not change it; the plus basis is read."""
-    return kernels.law_of(attack)[:, :, Basis.PLUS.index].sum(axis=2)
+    return attack.law()[:, :, Basis.PLUS.index].sum(axis=2)

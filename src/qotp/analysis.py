@@ -84,6 +84,15 @@ def d_of_theta(theta):
     return _eval(theta, 0.0, np.pi / 4, lambda t: 0.5 * np.sin(t) ** 2, "d_of_theta")
 
 
+def _eps_tilde(arr: np.ndarray) -> np.ndarray:
+    near = on_pole(arr)
+    if np.any(near):
+        raise PoleError(f"epsilon_tilde_min has a pole at d_m = {POLE_DM:.12g}; "
+                        f"got {_listed(arr[near])}")
+    num = 1.0 - 4.0 * np.sqrt(np.sqrt(2.0 - 8.0 * arr) * arr)
+    return (num / (1.0 - 8.0 * np.sqrt(2.0) * arr)) ** 2
+
+
 def epsilon_tilde_min(d_m):
     """Minimum of the basis-information parameter over attacks at error d_m.
 
@@ -91,18 +100,7 @@ def epsilon_tilde_min(d_m):
     on [0, 1/4].  The denominator vanishes at d = 1/(8 sqrt(2)) ~ 0.08839;
     evaluation within 1e-9 of the pole raises PoleError.
     """
-
-    def f(arr):
-        near = on_pole(arr)
-        if np.any(near):
-            raise PoleError(
-                f"epsilon_tilde_min has a pole at d_m = {POLE_DM:.12g}; "
-                f"got {_listed(arr[near])}"
-            )
-        num = 1.0 - 4.0 * np.sqrt(np.sqrt(2.0 - 8.0 * arr) * arr)
-        return (num / (1.0 - 8.0 * np.sqrt(2.0) * arr)) ** 2
-
-    return _eval(d_m, 0.0, 0.25, f, "epsilon_tilde_min")
+    return _eval(d_m, 0.0, 0.25, _eps_tilde, "epsilon_tilde_min")
 
 
 def on_pole(d_m) -> np.ndarray:
@@ -110,18 +108,17 @@ def on_pole(d_m) -> np.ndarray:
     return np.abs(1.0 - 8.0 * np.sqrt(2.0) * np.asarray(d_m, dtype=np.float64)) < _POLE_TOL
 
 
+def _i1(e: np.ndarray) -> np.ndarray:
+    term = np.zeros_like(e)
+    mask = e > 0
+    term[mask] = (e[mask] / (1.0 + e[mask])) * np.log2(e[mask])
+    return 1.0 - np.log2(1.0 + e) + term
+
+
 def i1_bound(d_m):
     """Basis-information ceiling 1 - log2(1+e) + (e/(1+e)) log2 e at
     e = epsilon_tilde_min(d_m); e log2 e -> 0 as e -> 0."""
-
-    def f(arr):
-        e = np.asarray(epsilon_tilde_min(arr), dtype=np.float64)
-        term = np.zeros_like(e)
-        mask = e > 0
-        term[mask] = (e[mask] / (1.0 + e[mask])) * np.log2(e[mask])
-        return 1.0 - np.log2(1.0 + e) + term
-
-    return _eval(d_m, 0.0, 0.25, f, "i1_bound")
+    return _eval(d_m, 0.0, 0.25, lambda arr: _i1(_eps_tilde(arr)), "i1_bound")
 
 
 def small_dm_linear_bound(d_m):
@@ -193,12 +190,16 @@ def sweep_theta(
     point costs the same at any photon count.  Every theta is checked before
     the first draw.  The statistics and bounds of all rows are computed as
     columns over the stacked histograms, each row from its own histogram."""
+    n_photons = kernels.index_value("n_photons", n_photons)  # not a float it divides by
     if n_photons < 1:
         raise ValueError(f"a sweep needs at least 1 photon per grid point, got {n_photons}")
     if n_photons > _INT64_MAX:
         raise ValueError(
             f"a sweep takes at most {_INT64_MAX} photons per grid point, got {n_photons}"
         )
+    thetas = np.asarray(thetas, dtype=np.float64)
+    if thetas.ndim != 1:
+        raise ValueError(f"a sweep's theta grid must be 1-D, got shape {thetas.shape}")
     attacks = [IndividualUTB(theta=float(theta), attack_basis=attack_basis) for theta in thetas]
     draws = [
         make_rng(role_seed(seed, ROLE_SWEEP, i)).multinomial(
@@ -212,15 +213,14 @@ def sweep_theta(
     empty = np.flatnonzero(n_matched == 0)
     if empty.size:
         raise ValueError(
-            f"sweep point theta={attacks[empty[0]].theta:.10g} drew no attacked-basis photon "
+            f"sweep point theta={thetas[empty[0]]:.10g} drew no attacked-basis photon "
             f"among {n_photons}"
         )
-    theta = np.array([attack.theta for attack in attacks], dtype=np.float64)
-    d_theory = d_of_theta(theta)
+    d_theory = d_of_theta(thetas)
     # each joint table sums to its point's matched count, checked above
     mi = _mutual_information(tallies[:, 3:].reshape(-1, 2, 2).astype(np.float64))
     d_matched, d_overall = n_matched_errors / n_matched, n_errors / n_photons
-    columns = (theta, d_theory, d_matched, d_overall, mi, i0_bound(d_theory))
+    columns = (thetas, d_theory, d_matched, d_overall, mi, i0_bound(d_theory))
     return [SweepPoint(*row) for row in zip(*(column.tolist() for column in columns))]
 
 
@@ -241,7 +241,8 @@ def bounds_csv(d_grid) -> str:
     """Bound curves over a d_m grid in [0, 1/4]; the pole must not be in the
     grid (PoleError names the offending point)."""
     d = np.atleast_1d(np.asarray(d_grid, dtype=np.float64))
-    if d.size == 0:
-        raise ValueError("a bound table needs at least 1 grid point")
-    columns = [d, i0_bound(d), i1_bound(d), small_dm_linear_bound(d), epsilon_tilde_min(d)]
+    if d.ndim != 1 or d.size == 0:
+        raise ValueError(f"a bound table needs a nonempty 1-D d grid, got shape {d.shape}")
+    i0, e = i0_bound(d), epsilon_tilde_min(d)
+    columns = [d, i0, _i1(e), small_dm_linear_bound(d), e]
     return _csv(BOUNDS_CSV_HEADER, zip(*(c.tolist() for c in columns)))

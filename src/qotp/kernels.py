@@ -4,11 +4,11 @@ The per-photon channel simulation (prepare, encode, optional attack, measure)
 runs here for sessions and the large-sample statistical checks.  The receiver
 holds the sender's pad, so it measures each photon in its preparation basis:
 ``cell_probabilities`` applies that rule to the attack's exact ``law()`` (see
-``adversary``), giving P(receiver outcome, Eve's record) per cell
-``2 * state + encoding``.  Simulating a photon is one inverse-CDF lookup in
-its cell's row with one uniform, the only randomness, supplied by the caller,
-then one lookup each of its record and decoded bit; one call sends each photon
-through its own attack.  Sweeps draw histograms from the same table.
+``adversary``) once per attack, caching P(receiver outcome, Eve's record) per
+cell ``2 * state + encoding``.  Simulating a photon is one inverse-CDF lookup
+in its cell's row with one uniform, the only randomness, supplied by the
+caller, then one lookup each of its record and decoded bit; one call sends
+each photon through its own attack.  Sweeps draw histograms from that table.
 
 All states reachable in this protocol have real amplitudes, so the laws are
 built from the signed float64 amplitude tables below with the elementwise
@@ -20,6 +20,7 @@ ships with the tests and not with the package.
 from __future__ import annotations
 
 import functools
+import operator
 from enum import Enum
 
 import numpy as np
@@ -85,21 +86,21 @@ def index_column(name: str, values, hi: int) -> np.ndarray:
     return np.ascontiguousarray(column, dtype=np.min_scalar_type(hi))
 
 
-@functools.lru_cache(maxsize=64)
-def law_of(attack) -> np.ndarray:
-    """``attack.law()``, built once per attack and read-only: the kernel's
-    tables, the sweeps' cell probabilities and the record likelihoods share it."""
-    law = attack.law()
-    law.flags.writeable = False
-    return law
+def index_value(name: str, value) -> int:
+    """``value`` as an int, so that a numpy integer serializes like any other;
+    a float or a string, which a cast would truncate or parse, is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @functools.lru_cache(maxsize=64)
 def cell_probabilities(attack) -> np.ndarray:
     """Exact law P[state, encoding, receiver outcome, record] of one photon,
     with a uniformly random pad and bit and the receiver measuring in the
-    preparation basis: that slice of ``law_of(attack)`` over 8, cached alike."""
-    cells = law_of(attack)[np.arange(4), :, PREP_BASIS_OF_STATE] / 8.0
+    preparation basis: that slice of ``attack.law()`` over 8, built once, read-only."""
+    cells = attack.law()[np.arange(4), :, PREP_BASIS_OF_STATE] / 8.0
     cells.flags.writeable = False
     return cells
 

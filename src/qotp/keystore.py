@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import kernels
 from .rng import RandomStream
 
 
@@ -34,21 +35,22 @@ class PadKey:
     origin_indices: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        # checked before the cast, which would wrap 256 to 0 and truncate 0.5 to 0
-        bits = np.asarray(self.bits).reshape(-1)
-        if bits.size and (bits.dtype.kind not in "biu" or bits.min() < 0 or bits.max() > 1):
-            raise ValueError("pad bits must be 0/1, as integers or booleans")
-        object.__setattr__(self, "bits", bits.astype(np.uint8, copy=False))
+        bits = kernels.index_column("pad bits", np.reshape(self.bits, -1), 1)
+        generation = kernels.index_value("pad generation", self.generation)
+        if generation < 0:
+            raise ValueError(f"pad generation must be nonnegative, got {generation}")
         origins = self.origin_indices
-        if origins is None:
-            origins = np.arange(bits.size, dtype=np.int64)
-        origins = np.asarray(origins, dtype=np.int64).reshape(-1)
+        origins = np.arange(bits.size) if origins is None else np.reshape(origins, -1)
+        if origins.size and origins.dtype.kind not in "biu":  # the cast would truncate 0.5 to 0
+            raise ValueError(f"origin ledger must hold integers, got dtype {origins.dtype}")
+        origins = origins.astype(np.int64, copy=False)
         if origins.size != bits.size:
             raise ValueError("origin ledger length must match the bit string")
         # the reuse audit indexes generation-0 counters by these entries
         if origins.size and (origins[0] < 0 or np.any(origins[1:] <= origins[:-1])):
             raise ValueError("origin ledger must be nonnegative and strictly increasing")
-        object.__setattr__(self, "origin_indices", origins)
+        for name, value in ("bits", bits), ("generation", generation), ("origin_indices", origins):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return int(self.bits.size)
@@ -100,8 +102,6 @@ def pad_from_text(text: str) -> PadKey:
     if len(lines) > 3:
         raise ValueError(f"pad file has an extra line {lines[3][:20]!r}")
     generation = _int_field(lines[0], "generation")
-    if generation < 0:
-        raise ValueError(f"pad generation must be nonnegative, got {generation}")
     hexdigits = lines[1]
     if not re.fullmatch(r"[0-9A-Fa-f]+", hexdigits):
         raise ValueError(f"pad bits must be hex digits, got {hexdigits[:20]!r}")

@@ -26,7 +26,6 @@ import hashlib
 import itertools
 import json
 import numbers
-import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -52,11 +51,7 @@ class SessionConfig:
 
     def __post_init__(self):
         for name in ("n_message", "n_sample", "seed"):
-            value = getattr(self, name)
-            try:  # stored as int, so that a numpy integer serializes like any other
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, kernels.index_value(name, getattr(self, name)))
         if self.n_message < 0:
             raise ValueError("n_message must be nonnegative")
         if self.n_sample < 1:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .kernels import index_value
+
 RandomStream = np.random.Generator
 
 _MASK64 = (1 << 64) - 1
@@ -32,6 +34,7 @@ def role_seed(seed: int, role: int, index: int = 0) -> int:
     another role's stream.  ``seed`` must be a signed 64-bit integer (a negative
     one reads as its two's complement), so no seed aliases another's streams.
     """
+    seed = index_value("seed", seed)
     if not -(1 << 63) <= seed < 1 << 63:
         raise ValueError(f"seed must be a signed 64-bit integer, got {seed}")
     sequence = np.random.SeedSequence(seed & _MASK64, spawn_key=(role, index))

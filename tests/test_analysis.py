@@ -509,6 +509,38 @@ class TestSweepRows:
         assert sweep_theta([], 1_000, 8) == []
         assert sweep_csv([]) == SWEEP_CSV_HEADER + "\n"
 
+    @pytest.mark.parametrize("n_photons", [1000.9, 1000.0, "1000", np.float64(1000)],
+                             ids=["fraction", "whole-float", "str", "np-float"])
+    def test_photon_count_must_be_an_integer(self, monkeypatch, n_photons):
+        # 1000.9 would draw 1000 photons and divide the error count by 1000.9
+        draws = []
+        monkeypatch.setattr(analysis, "make_rng", lambda seed: draws.append(seed))
+        with pytest.raises(ValueError, match=r"^n_photons must be an integer, got "):
+            sweep_theta([0.1, 0.3], n_photons, 3)
+        assert draws == []
+
+    def test_numpy_photon_count_gives_the_rows_of_an_int(self):
+        thetas = [0.1, 0.3]
+        assert sweep_theta(thetas, np.int64(1000), 3) == sweep_theta(thetas, 1000, 3)
+
+    @pytest.mark.parametrize("n_photons,message", [
+        (0, "a sweep needs at least 1 photon per grid point, got 0"),
+        (2**63, f"a sweep takes at most {2**63 - 1} photons per grid point, got {2**63}"),
+    ], ids=["zero", "past-int64"])
+    def test_photon_count_range_messages(self, n_photons, message):
+        with pytest.raises(ValueError) as raised:
+            sweep_theta([0.1, 0.3], n_photons, 3)
+        assert str(raised.value) == message
+
+    def test_float_seed_is_named(self):
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):
+            sweep_theta([0.1, 0.3], 100, 1.5)
+
+    @pytest.mark.parametrize("thetas", [[[0.1, 0.3]], 0.3], ids=["2-d", "scalar"])
+    def test_grid_that_is_not_1d_rejected(self, thetas):
+        with pytest.raises(ValueError, match=r"^a sweep's theta grid must be 1-D, got shape "):
+            sweep_theta(thetas, 100, 3)
+
     def test_first_point_without_an_attacked_basis_photon_is_named(self):
         # one photon per point: points 0 and 1 draw it in the attacked basis
         with pytest.raises(ValueError) as raised:
@@ -608,6 +640,27 @@ class TestBoundsCsv:
             values = [d] + [func(d) for func in funcs]
             assert all(np.isfinite(values))
             assert row == [f"{v:.10g}" for v in values]
+
+    def test_eps_tilde_is_evaluated_once_per_table(self, monkeypatch):
+        # the i1 and eps_tilde columns share one evaluation
+        calls = []
+        core = analysis._eps_tilde
+
+        def counting(arr):
+            calls.append(arr.copy())
+            return core(arr)
+
+        monkeypatch.setattr(analysis, "_eps_tilde", counting)
+        grid = [0.0, 0.02, 0.05, 0.1, 0.25]
+        bounds_csv(grid)
+        assert [arr.tolist() for arr in calls] == [grid]
+
+    @pytest.mark.parametrize("grid", [[[0.0, 0.01], [0.02, 0.05]], [], [[]]],
+                             ids=["2-d", "empty", "2-d-empty"])
+    def test_grid_that_is_not_a_nonempty_column_rejected(self, grid):
+        with pytest.raises(ValueError, match=r"^a bound table needs a nonempty 1-D d grid, got "
+                                             r"shape \("):
+            bounds_csv(grid)
 
     def test_pole_in_grid_rejected(self):
         with pytest.raises(PoleError):

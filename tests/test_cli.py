@@ -174,7 +174,6 @@ class TestRun:
             return law(attack)
 
         monkeypatch.setattr(attack_class, "law", counting)
-        kernels.law_of.cache_clear()
         kernels._pair_tables.cache_clear()
         argv = ["run", "--message-bits", "64", "--samples", "16", *flags, "--known-plaintext",
                 "--threshold", "1", "--insecure-demo", "--out", str(tmp_path / "t.json")]
@@ -222,8 +221,8 @@ class TestSweep:
         assert rc == cli.EXIT_ERROR
 
     def test_sweeps_build_each_points_law_once(self, monkeypatch, tmp_path):
-        # a grid point's law and its prep-basis slice are each read through a
-        # cache, so a second sweep over the same grid builds nothing
+        # a grid point's prep-basis slice is read through one cache, so a
+        # second sweep over the same grid builds nothing
         calls = []
         law = IndividualUTB.law
 
@@ -232,7 +231,6 @@ class TestSweep:
             return law(attack)
 
         monkeypatch.setattr(IndividualUTB, "law", counting)
-        kernels.law_of.cache_clear()
         kernels.cell_probabilities.cache_clear()
         argv = ["sweep-theta", "--points", "5", "--photons", "1000", "--seed", "3",
                 "--out", str(tmp_path / "sweep.csv")]
@@ -667,6 +665,14 @@ class TestBoundaryErrors:
     def test_negative_seed_keeps_its_twos_complement_streams(self):
         sequence = np.random.SeedSequence(2**64 - 5, spawn_key=(ROLE_PAD, 3))
         assert role_seed(-5, ROLE_PAD, 3) == int(sequence.generate_state(1, np.uint64)[0])
+
+    @pytest.mark.parametrize("seed", [1.5, "5", None], ids=["float", "str", "none"])
+    def test_role_seed_names_a_seed_that_is_not_an_integer(self, seed):
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got "):
+            role_seed(seed, ROLE_PAD)
+
+    def test_role_seed_reads_a_numpy_seed_as_its_int(self):
+        assert role_seed(np.int64(-5), ROLE_PAD, 3) == role_seed(-5, ROLE_PAD, 3)
 
     @pytest.mark.parametrize("command", ["run", "recycle-demo"])
     def test_threshold_names_the_insecure_demo_flag(self, command, capsys):

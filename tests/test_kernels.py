@@ -136,7 +136,7 @@ def test_a_stacked_table_gives_each_photon_its_own_attacks_pairs():
 
 @pytest.mark.parametrize("model", CHANNELS, ids=channel_id)
 def test_edges_are_the_normalised_cumulative_prep_basis_rows(model):
-    rows = np.cumsum(prep_basis_rows(kernels.law_of(model)), axis=1)
+    rows = np.cumsum(prep_basis_rows(model.law()), axis=1)
     edges, *_ = kernels._pair_tables((model,))
     assert edges.shape == (rows.shape[1] - 1, 8)
     assert np.array_equal(edges, (rows[:, :-1] / rows[:, -1:]).T)
@@ -153,6 +153,13 @@ def test_cell_probabilities_is_the_cached_read_only_prep_basis_slice(model):
     uncached = model.law()[np.arange(4), :, kernels.PREP_BASIS_OF_STATE] / 8
     assert (cells.dtype, cells.shape) == (uncached.dtype, uncached.shape)
     assert cells.tobytes() == uncached.tobytes()
+
+
+def test_the_prep_basis_slice_is_the_only_per_attack_cache():
+    # no second cache keeps each attack's whole law beside its slice
+    assert not hasattr(kernels, "law_of")
+    caches = [name for name, value in vars(kernels).items() if hasattr(value, "cache_info")]
+    assert caches == ["cell_probabilities", "_pair_tables"]
 
 
 class TestAgainstExactProjections:

@@ -2,6 +2,8 @@
 (the reference recycler, and the session's recycled pad against it), the
 origin ledger, file round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,14 +160,43 @@ class TestRecycle:
 class TestOriginLedger:
     @pytest.mark.parametrize(
         "origins",
-        [[0, 0, 0, 0], [-1, 0, 1, 2], [0, 2, 1, 3], [0, 1, 1, 2]],
-        ids=["all-zero", "negative", "decreasing", "repeated"],
+        [[0, 0, 0, 0], [-1, 0, 1, 2], [0, 2, 1, 3], [0, 1, 1, 2], [0.2, 1.9, 2.5, 3.1]],
+        ids=["all-zero", "negative", "decreasing", "repeated", "float"],
     )
     def test_rejects_a_ledger_that_is_not_increasing_and_nonnegative(self, origins):
         # the reuse audit counts announcements per origin: a repeated origin
-        # merges two bits, and -1 would index the last counter
+        # merges two bits, -1 would index the last counter, and an int64 cast
+        # would truncate the float ledger to [0, 1, 2, 3]
         with pytest.raises(ValueError, match="origin ledger"):
             PadKey(bits=np.zeros(4, dtype=np.uint8), origin_indices=origins)
+
+    @pytest.mark.parametrize(
+        "bits,origins,want",
+        [([], [], []), ([], np.array([], dtype=np.float64), []), ([], np.array([], "U1"), []),
+         ([1, 0, 1], np.array([2, 5, 9], dtype=np.uint16), [2, 5, 9])],
+        ids=["empty-list", "empty-float64", "empty-str", "uint16"],
+    )
+    def test_an_empty_ledger_of_any_dtype_or_an_integer_one_is_kept_as_int64(self, bits, origins,
+                                                                              want):
+        pad = PadKey(bits=bits, origin_indices=origins)
+        assert pad.origin_indices.dtype == np.int64
+        assert pad.origin_indices.tolist() == want
+
+
+class TestGeneration:
+    def test_numpy_integer_generation_serializes_in_the_next_transcript(self):
+        pad = PadKey(bits=generate_pad(64, make_rng(4)).bits, generation=np.int64(2))
+        assert type(pad.generation) is int
+        transcript = run_session(SessionConfig(n_message=8, n_sample=4), pad, np.zeros(8, np.uint8))
+        recycled = json.loads(transcript.to_json())["secret_view"]["recycled_pad"]
+        assert recycled["generation"] == 3
+
+    @pytest.mark.parametrize("generation", [1.5, -1, "2", None],
+                             ids=["float", "negative", "str", "none"])
+    def test_rejects_what_pad_from_text_would_not_read_back(self, generation):
+        # pad_to_text would write generation=1.5, which pad_from_text rejects
+        with pytest.raises(ValueError, match=r"^pad generation must be "):
+            PadKey(bits=[0, 1], generation=generation)
 
 
 class TestPadBits:
@@ -177,7 +208,7 @@ class TestPadBits:
              "uint64-past-int64"],
     )
     def test_rejects_what_is_not_a_0_1_integer_before_the_cast(self, bits):
-        with pytest.raises(ValueError, match="pad bits must be 0/1"):
+        with pytest.raises(ValueError, match=r"^pad bits must (hold integers|lie in 0\.\.1),"):
             PadKey(bits=bits)
 
     @pytest.mark.parametrize(
