@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, keystore
+from . import analysis, kernels, keystore
 from .adversary import (
     AttackModel,
     IndividualUTB,
@@ -54,9 +54,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _in_range(convert, lo, hi=_INT64_MAX, at_least: int = 0):
-    """An argparse type: text that ``convert`` reads as a value in [lo, hi]
-    (NaN is outside) or, given ``at_least``, a comma-separated list of at
-    least that many such values."""
+    """An argparse type: a plain ASCII number (``kernels.read_number``) that
+    ``convert`` reads as a value in [lo, hi] (NaN is outside) or, given
+    ``at_least``, a comma-separated list of at least that many such values."""
     what = {int: "an integer", float: "a number"}[convert]
     if at_least:
         what = "comma-separated numbers" if at_least == 1 else f"{at_least} or more comma-separated numbers"
@@ -66,7 +66,7 @@ def _in_range(convert, lo, hi=_INT64_MAX, at_least: int = 0):
         values = []
         for item in text.split(",") if at_least else [text]:
             try:
-                value = convert(item)
+                value = kernels.read_number(convert, item)
             except ValueError:
                 value = None
             if value is None or not lo <= value <= hi:
@@ -126,11 +126,6 @@ def _add_attack_args(p: argparse.ArgumentParser) -> None:
     theta.add_argument("--theta-deg", type=_in_range(float, 0, 45),
                        help="probe attack strength in degrees")
     p.add_argument("--utb-basis", choices=["plus", "cross"], help="probe attack basis (default plus)")
-    p.add_argument(
-        "--known-plaintext",
-        action="store_true",
-        help="give the adversary the message for basis inference",
-    )
 
 
 def _resolve_theta(args) -> float:
@@ -197,12 +192,17 @@ def _session_config(args, n_message: int, n_sample: int) -> SessionConfig:
 
 
 def _write_file(path: str, text: str) -> None:
-    """Write ASCII ``text`` to ``path`` as bytes, replacing any file there."""
+    """Write ASCII ``text`` to ``path`` as bytes, replacing any file there.  An
+    existing file is written over in place, with no ``O_TRUNC`` open, and keeps
+    its mode; only a regular file can be longer than ``text``, so only it is
+    cut (``/dev/null`` and pipes refuse ``ftruncate``)."""
     data = memoryview(text.encode("ascii"))
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         while data:
             data = data[os.write(fd, data):]
+        if os.fstat(fd).st_size > len(text):
+            os.ftruncate(fd, len(text))
     finally:
         os.close(fd)
 
@@ -326,6 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", help="write the transcript JSON here")
     p_run.add_argument("--reveal", action="store_true", help="print message bits, not just the digest")
     _add_attack_args(p_run)
+    p_run.add_argument(
+        "--known-plaintext",
+        action="store_true",
+        help="give the adversary the message for basis inference",
+    )
     p_run.set_defaults(func=cmd_run, command="run")
 
     p_sweep = sub.add_parser("sweep-theta", help="probe-attack strength sweep to CSV")
@@ -360,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="1-based session index to run under the configured attack")
     p_demo.add_argument("--out", help="JSON report path")
     _add_attack_args(p_demo)
-    p_demo.set_defaults(func=cmd_recycle_demo, command="recycle-demo")
+    # no --known-plaintext: the wrapper changes no draw, so a lineage report cannot show it
+    p_demo.set_defaults(func=cmd_recycle_demo, command="recycle-demo", known_plaintext=False)
 
     parser.commands = sub.choices  # main hands a command's flags to its parser alone
     return parser

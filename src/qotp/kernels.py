@@ -95,6 +95,16 @@ def index_value(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def read_number(convert, text: str):
+    """``convert(text)``, for ``int`` or ``float``, of text in ASCII with no
+    underscore: both would also read digit groups such as ``1_6`` and
+    non-ASCII digits such as the Arabic-Indic ones, which no flag or pad
+    file means."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{text!r} is not a plain ASCII number")
+    return convert(text)
+
+
 @functools.lru_cache(maxsize=64)
 def cell_probabilities(attack) -> np.ndarray:
     """Exact law P[state, encoding, receiver outcome, record] of one photon,

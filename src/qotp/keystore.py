@@ -60,6 +60,7 @@ def generate_pad(length: int, rng: RandomStream) -> PadKey:
     """Uniformly random pad of ``length`` bits (trusted-RNG stand-in for a
     key-agreement step; swap in any shared-secret source that yields uniform
     bits)."""
+    length = kernels.index_value("pad length", length)
     if length <= 0:
         raise ValueError(f"pad length must be positive, got {length}")
     bits = rng.integers(0, 2, size=length, dtype=np.uint8)
@@ -86,7 +87,7 @@ def _int_field(line: str, name: str) -> int:
     if key != name or not sep:
         raise ValueError(f"pad file line {line[:20]!r} is not '{name}=<int>'")
     try:
-        return int(value)
+        return kernels.read_number(int, value)
     except ValueError:
         raise ValueError(f"pad file {name} must be an integer, got {value[:20]!r}") from None
 

@@ -186,15 +186,16 @@ def _draw_sessions(messages: np.ndarray, session_rng: RandomStream, n_sample: in
     their sampling bits and of their message bits, in order, and the kernel's
     uniforms.  Row k reads the next row of doubles from ``session_rng``, so a
     session's draws do not depend on how a lineage is cut into blocks.  The
-    sampling positions are those of the ``n_sample`` smallest of n uniform
-    keys, uniform over all interleavings; each bit is a uniform below 1/2."""
+    sampling positions are those of a row's n uniform keys at or below its
+    ``n_sample``-th smallest, uniform over all interleavings; each bit is a
+    uniform below 1/2.  That is ``n_sample`` positions when a row's keys are
+    distinct; a tie at the cut, below 1e-12 per 2048-photon session, would
+    sample one more and fail the reshape with a ValueError."""
     n_sessions, n_message = messages.shape
     n = n_message + n_sample
     draws = session_rng.random((n_sessions, 2 * n + n_sample))
     keys, uniforms, sample_draws = draws[:, :n], draws[:, n : 2 * n], draws[:, 2 * n :]
-    sample_mask = np.zeros((n_sessions, n), dtype=bool)
-    smallest = np.argpartition(keys, n_sample - 1, axis=1)[:, :n_sample]
-    sample_mask.ravel()[smallest + n * np.arange(n_sessions)[:, None]] = True
+    sample_mask = keys <= np.partition(keys, n_sample - 1, axis=1)[:, n_sample - 1, None]
     checked = np.flatnonzero(sample_mask).reshape(n_sessions, n_sample)
     unchecked = np.flatnonzero(~sample_mask).reshape(messages.shape)
     bits = np.empty((n_sessions, n), dtype=np.uint8)
@@ -208,23 +209,20 @@ def _keyed_pairs(carried: np.ndarray, fresh: int, unchecked: np.ndarray, n: int)
     bits sit at the flat indices ``unchecked`` (one row per session), if
     every check passes.
 
-    The live pair list is ``carried``, then every pair from ``fresh`` on.  A
-    session keys the first n live pairs, and its passed check drops the
-    announced ones with the order kept, so the next session keys the pairs
-    it did not announce and then fresh ones; ``carried`` holds as many pairs
-    as a session leaves unannounced.  Only this head of the list is touched.
-    Returns the (sessions, n) pair ids and the head after the last session,
-    as (carried, fresh)."""
+    The live pair list is a queue: ``carried``, then every pair from
+    ``fresh`` on.  A session keys the first n live pairs, and its passed
+    check drops the announced ones with the order kept, so session k keys
+    the pairs session k-1 keyed at its unchecked positions and then fresh
+    ones; ``carried`` holds as many pairs as a session leaves unannounced.
+    Only this head of the list is touched.  Returns the (sessions, n) pair
+    ids and the head after the last session, as (carried, fresh)."""
     sessions, m = unchecked.shape
     pairs = np.empty((sessions, n), dtype=np.int64)
     pairs[0, :m] = carried
     pairs[:, m:] = np.arange(fresh, fresh + sessions * (n - m)).reshape(sessions, n - m)
-    # a carried photon keys its source photon's pair; each round doubles how far a link reaches
-    source = np.arange(pairs.size).reshape(pairs.shape)
-    source[1:, :m] = unchecked[:-1]
-    for _ in range((sessions - 1).bit_length()):
-        source = source.take(source)
-    pairs = pairs.take(source)
+    flat = pairs.ravel()
+    for carried_row, kept in zip(pairs[1:, :m], unchecked):
+        carried_row[...] = flat[kept]
     return pairs, pairs.take(unchecked[-1]), fresh + sessions * (n - m)
 
 

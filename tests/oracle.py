@@ -1,8 +1,10 @@
 """Exact state-vector oracle for one polarized photon, optionally joined to a
 one-qubit probe, with the per-photon attacks that act on it; the Pauli
 cloner that attains the ``i0`` ceiling; batched kernel runs over uniformly
-random pads for the statistical tests; and a mask-based reference pad
-recycler, which the lineage's pair recurrence is checked against.
+random pads for the statistical tests; a mask-based reference pad
+recycler, which the lineage's pair recurrence is checked against; and the
+argpartition sampling draw and pointer-doubling pair recurrence that the
+block step's threshold mask and per-session recurrence are checked against.
 
 The package runs every session through the kernel in ``qotp.kernels``, which
 samples each attack's exact ``law()``, and draws every sweep point from the
@@ -463,6 +465,42 @@ def recycle_pad(pad: PadKey, n_photons: int, announced_photons) -> PadKey:
         generation=pad.generation + 1,
         origin_indices=pad.origin_indices[keep],
     )
+
+
+def draw_sessions_by_argpartition(messages: np.ndarray, session_rng: RandomStream, n_sample: int):
+    """``protocol._draw_sessions`` through the index of each row's
+    ``n_sample`` smallest keys, scattered into a zeroed sampling mask; it
+    reads the same doubles and returns the same columns."""
+    n_sessions, n_message = messages.shape
+    n = n_message + n_sample
+    draws = session_rng.random((n_sessions, 2 * n + n_sample))
+    keys, uniforms, sample_draws = draws[:, :n], draws[:, n : 2 * n], draws[:, 2 * n :]
+    sample_mask = np.zeros((n_sessions, n), dtype=bool)
+    smallest = np.argpartition(keys, n_sample - 1, axis=1)[:, :n_sample]
+    sample_mask.ravel()[smallest + n * np.arange(n_sessions)[:, None]] = True
+    checked = np.flatnonzero(sample_mask).reshape(n_sessions, n_sample)
+    unchecked = np.flatnonzero(~sample_mask).reshape(messages.shape)
+    bits = np.empty((n_sessions, n), dtype=np.uint8)
+    bits.ravel()[checked] = sample_draws < 0.5
+    bits.ravel()[unchecked] = messages
+    return bits, checked, unchecked, uniforms
+
+
+def keyed_pairs_by_doubling(carried: np.ndarray, fresh: int, unchecked: np.ndarray, n: int):
+    """``protocol._keyed_pairs`` by pointer doubling over the whole
+    (sessions, n) table: a carried photon keys its source photon's pair, the
+    photon at the same rank among the previous session's unchecked ones, and
+    each of log2(sessions) passes doubles how far a link reaches."""
+    sessions, m = unchecked.shape
+    pairs = np.empty((sessions, n), dtype=np.int64)
+    pairs[0, :m] = carried
+    pairs[:, m:] = np.arange(fresh, fresh + sessions * (n - m)).reshape(sessions, n - m)
+    source = np.arange(pairs.size).reshape(pairs.shape)
+    source[1:, :m] = unchecked[:-1]
+    for _ in range((sessions - 1).bit_length()):
+        source = source.take(source)
+    pairs = pairs.take(source)
+    return pairs, pairs.take(unchecked[-1]), fresh + sessions * (n - m)
 
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -340,15 +340,23 @@ class TestRecycleDemo:
 
 
 class TestOutFile:
-    """Each --out file holds the command's ASCII bytes alone, with a new file's mode."""
+    """Each --out file holds the command's ASCII bytes alone, with a new file's
+    mode or the mode an existing file had."""
 
     @pytest.mark.parametrize("command", list(OUT_COMMANDS))
     def test_out_over_a_longer_file_leaves_only_the_new_bytes(self, command, tmp_path, capsys):
         fresh, out = tmp_path / "fresh", tmp_path / "out"
         assert cli.main([*OUT_COMMANDS[command], "--out", str(fresh)]) == cli.EXIT_OK
         out.write_bytes(b"\xff" * (fresh.stat().st_size + 4096))
+        out.chmod(0o640)
         assert cli.main([*OUT_COMMANDS[command], "--out", str(out)]) == cli.EXIT_OK
         assert out.read_bytes() == fresh.read_bytes()
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+    @pytest.mark.parametrize("command", list(OUT_COMMANDS))
+    def test_out_to_dev_null_exits_0(self, command, capsys):
+        # /dev/null reports size 0, so the writer never tries to truncate it
+        assert cli.main([*OUT_COMMANDS[command], "--out", os.devnull]) == cli.EXIT_OK
 
     @pytest.mark.parametrize("command", ["sweep-theta", "bounds"])
     def test_out_file_holds_the_bytes_of_stdout(self, command, tmp_path, capsys):
@@ -484,6 +492,21 @@ class TestBoundaryErrors:
              f"QOTP_SEED: must be an integer in [int64 min, int64 max], got '{-(2**63) - 1}'"),
             (["run", "--message", "01x"], {},
              "qotp run: argument --message: must be a 0/1 string, got '01x'"),
+            # numbers that int() and float() read but are not plain ASCII numbers
+            (["run", "--message-bits", "1_6"], {},
+             "qotp run: argument --message-bits: must be an integer in [0, int64 max], got '1_6'"),
+            (["run", "--seed", "\u0667"], {},
+             "qotp run: argument --seed: must be an integer in [int64 min, int64 max], "
+             "got '\u0667'"),
+            (["run"], {"QOTP_SEED": "\u0667"},
+             "QOTP_SEED: must be an integer in [int64 min, int64 max], got '\u0667'"),
+            (["run", "--threshold", "0_0.5", "--insecure-demo"], {},
+             "qotp run: argument --threshold: must be a number in [0, 1], got '0_0.5'"),
+            (["run", "--attack", "utb", "--theta-deg", "\u0663\u0660"], {},
+             "qotp run: argument --theta-deg: must be a number in [0, 45], got '\u0663\u0660'"),
+            (["bounds", "--d-grid", "0,0.0_1"], {},
+             "qotp bounds: argument --d-grid: must be comma-separated numbers in [0, 0.25], "
+             "got '0.0_1'"),
             # grid flags that a given list would ignore
             (["sweep-theta", "--thetas", "0,0.5", "--points", "9"], {},
              "qotp sweep-theta: argument --points: not allowed with argument --thetas"),
@@ -495,6 +518,9 @@ class TestBoundaryErrors:
             (["run", "--bogus", "1"], {}, "qotp run: unrecognized arguments: --bogus 1"),
             (["recycle-demo", "--sessions", "2", "extra"], {},
              "qotp recycle-demo: unrecognized arguments: extra"),
+            # the known-plaintext wrapper changes no draw, so a lineage has no such flag
+            (["recycle-demo", "--known-plaintext"], {},
+             "qotp recycle-demo: unrecognized arguments: --known-plaintext"),
             # no command: the top-level parser reports it
             ([], {}, "qotp: the following arguments are required: command"),
         ],
@@ -507,8 +533,11 @@ class TestBoundaryErrors:
              "recycle-threshold-2", "recycle-threshold-negative", "recycle-threshold-nan",
              "zero-photons", "zero-sessions", "one-sweep-point", "zero-bound-points",
              "seed-past-int64", "env-seed-below-int64", "message-not-bits",
+             "message-bits-digit-groups", "seed-arabic-indic-digit", "env-seed-arabic-indic-digit",
+             "threshold-digit-groups", "theta-deg-arabic-indic-digits", "d-grid-digit-groups",
              "thetas-with-points", "d-grid-with-d-min", "d-grid-with-points",
-             "run-unknown-flag", "recycle-extra-argument", "no-command"],
+             "run-unknown-flag", "recycle-extra-argument", "recycle-known-plaintext",
+             "no-command"],
     )
     def test_flag_error_line(self, argv, env, line, monkeypatch, capsys):
         for name, value in env.items():
@@ -605,6 +634,9 @@ class TestBoundaryErrors:
             (["run"], {"QOTP_SEED": str(-(2**63) - 1)}),
             (["run", "--message-bits", "0", "--samples", "4", "--pad-file", "two-hex-lines.pad"],
              {}),
+            (["run", "--message-bits", "0", "--samples", "4", "--pad-file", "grouped.pad"], {}),
+            (["run", "--message-bits", "0", "--samples", "4", "--pad-file", "arabic-indic.pad"],
+             {}),
         ],
         ids=["nan-grid-point", "d-grid-on-the-pole", "d-min-d-max-on-the-pole",
              "non-integer-env-seed", "attack-session-past-the-end",
@@ -619,12 +651,17 @@ class TestBoundaryErrors:
              "photons-past-int64", "theta-deg-past-45", "message-bits-past-memory",
              "samples-past-memory", "pad-bits-past-memory", "bound-points-past-memory",
              "bound-points-past-int64", "sweep-points-past-int64", "seed-aliasing-seed-1",
-             "seed-past-int64", "env-seed-below-int64", "pad-file-with-two-hex-lines"],
+             "seed-past-int64", "env-seed-below-int64", "pad-file-with-two-hex-lines",
+             "pad-file-generation-digit-groups", "pad-file-bits-arabic-indic-digit"],
     )
     def test_one_line_error_exit_1(self, argv, env, monkeypatch, capsys, tmp_path):
         monkeypatch.chdir(tmp_path)
         # 8 bits would key this 4-photon session, if the second hex line were dropped
         (tmp_path / "two-hex-lines.pad").write_text("generation=0\nFF\n00\n")
+        # int() reads these fields as generation 10 and 8 bits
+        (tmp_path / "grouped.pad").write_text("generation=1_0\nFF\nbits=8\n")
+        (tmp_path / "arabic-indic.pad").write_text("generation=0\nFF\nbits=\u0668\n",
+                                                   encoding="utf-8")
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         rc = cli.main(argv)
@@ -685,7 +722,8 @@ class TestBoundaryErrors:
 # Flag values for the property test below: numbers at and past every edge
 # (0, negatives, NaN, inf, out-of-range angles) and junk text.  Sizes stay
 # small so that no drawn value makes numpy allocate a large array.
-JUNK = st.sampled_from(["", " ", "abc", "1,2", "0x10", "--", "1e", "é"]) | st.text(max_size=4)
+JUNK = (st.sampled_from(["", " ", "abc", "1,2", "0x10", "--", "1e", "é", "1_0", "\u0667"])
+        | st.text(max_size=4))
 FLOATS = (
     st.sampled_from(["0", "-0.0", "-1", "nan", "inf", "-inf", "1e400", "0.785", "3.2"])
     | st.floats(-2.0, 2.0).map(repr)
@@ -709,7 +747,6 @@ ATTACK_FLAGS = {
     "--theta": FLOATS,
     "--theta-deg": DEGREES,
     "--utb-basis": st.sampled_from(["plus", "cross"]) | JUNK,
-    "--known-plaintext": None,
 }
 SESSION_FLAGS = {
     "--threshold": FLOATS,
@@ -723,6 +760,7 @@ FLAG_SPACE = {
         "--message-bits": ints(-3, 256),
         "--samples": ints(-3, 64),
         "--reveal": None,
+        "--known-plaintext": None,
         **SESSION_FLAGS,
     },
     "sweep-theta": {

@@ -46,9 +46,16 @@ class TestGenerate:
         p = generate_pad(1, make_rng(0))
         assert len(p) == 1
 
-    def test_zero_length_rejected(self):
-        with pytest.raises(ValueError):
-            generate_pad(0, make_rng(0))
+    @pytest.mark.parametrize("length", [0, -1, 3.5, 4.0, "8"],
+                             ids=["zero", "negative", "float", "integral-float", "str"])
+    def test_length_that_is_not_a_positive_integer_rejected(self, length):
+        with pytest.raises(ValueError, match=r"^pad length must be ") as info:
+            generate_pad(length, make_rng(0))
+        assert "\n" not in str(info.value)
+
+    def test_numpy_integer_length_accepted(self):
+        assert np.array_equal(generate_pad(np.int64(8), make_rng(0)).bits,
+                              generate_pad(8, make_rng(0)).bits)
 
     def test_ones_fraction_unbiased(self):
         # 3 sigma binomial band over 1e5 bits
@@ -286,12 +293,16 @@ class TestPadFiles:
         assert "\n" not in str(info.value)
 
     @pytest.mark.parametrize(
-        "text,field",
-        [("generation=abc\nFF\n", "generation"), ("generation=0\nFF\nbits=abc\n", "bits")],
-        ids=["generation-abc", "bits-abc"],
+        "text,field,value",
+        [("generation=abc\nFF\n", "generation", "'abc'"),
+         ("generation=0\nFF\nbits=abc\n", "bits", "'abc'"),
+         # int() reads these as generation 10 and 8 bits
+         ("generation=1_0\nFF\n", "generation", "'1_0'"),
+         ("generation=0\nFF\nbits=\u0668\n", "bits", "'\u0668'")],
+        ids=["generation-abc", "bits-abc", "generation-digit-groups", "bits-arabic-indic-digit"],
     )
-    def test_non_integer_field_named(self, text, field):
-        with pytest.raises(ValueError, match=f"pad file {field} must be an integer, got 'abc'"):
+    def test_non_integer_field_named(self, text, field, value):
+        with pytest.raises(ValueError, match=f"^pad file {field} must be an integer, got {value}$"):
             pad_from_text(text)
 
     @given(

@@ -3,6 +3,7 @@ the eavesdropping check, abort discipline, pad lineages, and transcript
 exports."""
 
 import dataclasses
+import itertools
 import json
 import math
 from pathlib import Path
@@ -21,7 +22,14 @@ from qotp.keystore import PadKey, generate_pad
 from qotp.protocol import SessionConfig, draw_messages, run_lineage, run_session
 from qotp.rng import ROLE_MESSAGE, make_rng, role_seed
 from lineage_v1 import lineage_v1
-from oracle import BasisKeyPair, key_pairs, recycle_pad, state_from_basis_key
+from oracle import (
+    BasisKeyPair,
+    draw_sessions_by_argpartition,
+    key_pairs,
+    keyed_pairs_by_doubling,
+    recycle_pad,
+    state_from_basis_key,
+)
 from transcript_v1 import (
     attack_events,
     extracted_message,
@@ -532,6 +540,33 @@ class TestRunLineage:
         argv[argv.index("--attack-session") + 1] = "5"
         assert cli.main(argv) == cli.EXIT_ERROR
         assert "pad exhausted at session 4" in capsys.readouterr().err
+
+    def test_block_step_matches_the_argpartition_and_doubling_references(self):
+        """The threshold sampling mask and the per-session pair recurrence give
+        the references' draws, pairs and head exactly: blocks of 1 to 819
+        sessions, 0 to 1536 message bits, and checks of 1 to 512 bits or as
+        many as the message bits (every photon, with no message bit)."""
+
+        def assert_same(got, want, shape):
+            for column, expected in zip(got, want, strict=True):
+                assert np.asarray(column).dtype == np.asarray(expected).dtype, shape
+                assert np.array_equal(column, expected), shape
+
+        rng = make_rng(31)
+        for n_message, sessions in itertools.product((0, 1, 64, 640, 1536), (1, 2, 100, 819)):
+            for n_sample in sorted({1, 16, 160, 512, n_message} - {0}):
+                shape = f"{sessions} x ({n_message}+{n_sample})"
+                messages = draw_messages(rng, sessions, n_message)
+                seed = int(rng.integers(2**63))
+                drawn = protocol._draw_sessions(messages, make_rng(seed), n_sample)
+                assert_same(drawn, draw_sessions_by_argpartition(messages, make_rng(seed), n_sample),
+                            shape)
+                unchecked, n = drawn[2], n_message + n_sample
+                del drawn  # the uniforms hold the whole block's doubles
+                # a head deep in a lineage: carried pairs out of order, fresh ones after
+                carried, fresh = rng.permutation(3 * n_message)[:n_message], 3 * n_message
+                assert_same(protocol._keyed_pairs(carried, fresh, unchecked, n),
+                            keyed_pairs_by_doubling(carried, fresh, unchecked, n), shape)
 
     # Upper 0.1% points of the chi-square law with C(n, s) - 1 degrees of freedom.
     @pytest.mark.parametrize("n_message,n_sample,critical", [(3, 2, 27.877), (3, 3, 43.820)])
