@@ -14,10 +14,11 @@ All information quantities are in bits (base-2 logs).  The bound family:
 * ``small_dm_linear_bound`` -- the small-d_m linear relaxation of i1.
 
 A sweep grid point is one cached law slice, ``kernels.cell_probabilities``
-(the protocol's channel, with the receiver in the preparation basis), one
-stream and one multinomial draw of its histogram.  The empirical error
-rates, the plug-in mutual information and the bounds are then computed as
-columns over the stacked histograms of the whole grid, one row per point.
+(the protocol's channel, with the receiver in the preparation basis), and
+one multinomial histogram; one call draws every point's histogram, in grid
+order, from the sweep's one stream.  The empirical error rates, the plug-in
+mutual information and the bounds are then computed as columns over the
+stacked histograms of the whole grid, one row per point.
 """
 
 from __future__ import annotations
@@ -73,15 +74,21 @@ def i0_bound(d):
     regime is d in [0, 1/4].
     """
 
-    def f(arr):  # phi's argument lies in [0, 1] for every d in [0, 1]
-        return 0.5 * _phi(np.minimum(2.0 * np.sqrt(arr * (1.0 - arr)), 1.0))
+    return _eval(d, 0.0, 1.0, _i0, "i0_bound")
 
-    return _eval(d, 0.0, 1.0, f, "i0_bound")
+
+def _i0(arr: np.ndarray) -> np.ndarray:
+    # phi's argument lies in [0, 1] for every d in [0, 1]
+    return 0.5 * _phi(np.minimum(2.0 * np.sqrt(arr * (1.0 - arr)), 1.0))
 
 
 def d_of_theta(theta):
     """Error rate (1/2) sin^2(theta) inflicted on attacked-basis photons."""
-    return _eval(theta, 0.0, np.pi / 4, lambda t: 0.5 * np.sin(t) ** 2, "d_of_theta")
+    return _eval(theta, 0.0, np.pi / 4, _d_of_theta, "d_of_theta")
+
+
+def _d_of_theta(arr: np.ndarray) -> np.ndarray:
+    return 0.5 * np.sin(arr) ** 2
 
 
 def _eps_tilde(arr: np.ndarray) -> np.ndarray:
@@ -183,13 +190,15 @@ def sweep_theta(
     seed: int,
     attack_basis: Basis = Basis.PLUS,
 ) -> list[SweepPoint]:
-    """One Monte-Carlo histogram per theta; grid point i draws on the stream
-    seeded by ``role_seed(seed, ROLE_SWEEP, i)``.  The histogram of
-    ``n_photons`` independent photons over (state, encoding, receiver outcome,
-    probe outcome) is one multinomial draw from ``cell_probabilities``, so a
-    point costs the same at any photon count.  Every theta is checked before
-    the first draw.  The statistics and bounds of all rows are computed as
-    columns over the stacked histograms, each row from its own histogram."""
+    """One Monte-Carlo histogram per theta, all drawn in grid order from the
+    one stream seeded by ``role_seed(seed, ROLE_SWEEP)``, so row i depends on
+    the seed and theta_0..theta_i, and a grid that extends another keeps its
+    rows.  The histogram of ``n_photons`` independent photons over (state,
+    encoding, receiver outcome, probe outcome) is a multinomial draw from
+    ``cell_probabilities``, so a point costs the same at any photon count.
+    Every theta is checked before the first draw.  The statistics and bounds
+    of all rows are computed as columns over the stacked histograms, each row
+    from its own histogram."""
     n_photons = kernels.index_value("n_photons", n_photons)  # not a float it divides by
     if n_photons < 1:
         raise ValueError(f"a sweep needs at least 1 photon per grid point, got {n_photons}")
@@ -201,13 +210,9 @@ def sweep_theta(
     if thetas.ndim != 1:
         raise ValueError(f"a sweep's theta grid must be 1-D, got shape {thetas.shape}")
     attacks = [IndividualUTB(theta=float(theta), attack_basis=attack_basis) for theta in thetas]
-    draws = [
-        make_rng(role_seed(seed, ROLE_SWEEP, i)).multinomial(
-            n_photons, cell_probabilities(attack).ravel()
-        )
-        for i, attack in enumerate(attacks)
-    ]
-    counts = np.array(draws, dtype=np.int64).reshape(-1, _STATE.size)
+    laws = np.array([cell_probabilities(attack) for attack in attacks]).reshape(-1, _STATE.size)
+    # one row per law, in order: the draws of len(laws) calls on one stream
+    counts = make_rng(role_seed(seed, ROLE_SWEEP)).multinomial(n_photons, laws)
     tallies = counts @ _TALLY[attack_basis]  # exact integer sums
     n_matched, n_matched_errors, n_errors = tallies[:, :3].T
     empty = np.flatnonzero(n_matched == 0)
@@ -216,11 +221,11 @@ def sweep_theta(
             f"sweep point theta={thetas[empty[0]]:.10g} drew no attacked-basis photon "
             f"among {n_photons}"
         )
-    d_theory = d_of_theta(thetas)
+    d_theory = _d_of_theta(thetas)  # each theta passed its IndividualUTB check
     # each joint table sums to its point's matched count, checked above
     mi = _mutual_information(tallies[:, 3:].reshape(-1, 2, 2).astype(np.float64))
     d_matched, d_overall = n_matched_errors / n_matched, n_errors / n_photons
-    columns = (thetas, d_theory, d_matched, d_overall, mi, i0_bound(d_theory))
+    columns = (thetas, d_theory, d_matched, d_overall, mi, _i0(d_theory))
     return [SweepPoint(*row) for row in zip(*(column.tolist() for column in columns))]
 
 

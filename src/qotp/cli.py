@@ -7,13 +7,14 @@ Exit codes: 0 success/accepted, 2 session rejected by the eavesdropping check,
 1 usage, configuration or runtime error, as one line such as ``error: qotp run:
 argument --samples: <why>``.  Every run is fully determined by its flags and
 seed (``--seed``, defaulting to the QOTP_SEED environment variable, then 0).
-Each stream a command creates (pad, message, session, sweep grid point) is
-seeded from the top-level seed by its own role label.
+Each stream a command creates (pad, messages, sessions, sweep) is seeded from
+the top-level seed by its own role label, and serves that whole role.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -194,17 +195,29 @@ def _session_config(args, n_message: int, n_sample: int) -> SessionConfig:
 def _write_file(path: str, text: str) -> None:
     """Write ASCII ``text`` to ``path`` as bytes, replacing any file there.  An
     existing file is written over in place, with no ``O_TRUNC`` open, and keeps
-    its mode; only a regular file can be longer than ``text``, so only it is
-    cut (``/dev/null`` and pipes refuse ``ftruncate``)."""
+    its mode.  A write that fails part-way leaves the bytes written and none of
+    the old ones after them, and its own error is the one raised."""
     data = memoryview(text.encode("ascii"))
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
-        while data:
-            data = data[os.write(fd, data):]
-        if os.fstat(fd).st_size > len(text):
-            os.ftruncate(fd, len(text))
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        except OSError:
+            with contextlib.suppress(OSError):
+                _cut(fd, len(text) - len(data))
+            raise
+        _cut(fd, len(text))
     finally:
         os.close(fd)
+
+
+def _cut(fd: int, size: int) -> None:
+    """Cut the file open at ``fd`` to ``size`` bytes if it is longer; only a
+    regular file can be, so only it is cut (``/dev/null`` and pipes refuse
+    ``ftruncate``)."""
+    if os.fstat(fd).st_size > size:
+        os.ftruncate(fd, size)
 
 
 def _session_pad(args, n_bits_needed: int) -> keystore.PadKey:

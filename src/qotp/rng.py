@@ -2,9 +2,9 @@
 
 Every stochastic operation in this package takes an explicit numpy
 ``Generator`` (the "random stream"), so a run is fully determined by its
-seeds.  Each stream a run creates (a session, the pad, a message, a sweep
-grid point) is seeded from the top-level seed by its (role, index) label with
-``role_seed``.
+seeds.  Each stream a run creates (the sessions, the pad, the messages, a
+sweep) is seeded from the top-level seed by its role with ``role_seed``; a
+stream serves its whole role, one row after another.
 """
 
 from __future__ import annotations
@@ -26,16 +26,17 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def role_seed(seed: int, role: int, index: int = 0) -> int:
-    """Seed of stream ``index`` of ``role`` under a top-level seed.
+def role_seed(seed: int, role: int) -> int:
+    """Seed of the ``role`` stream under a top-level seed.
 
-    Derived as ``SeedSequence(seed, spawn_key=(role, index))``, so streams of
-    different roles or indices are independent, and no role can land on
-    another role's stream.  ``seed`` must be a signed 64-bit integer (a negative
+    Derived as ``SeedSequence(seed, spawn_key=(role, 0))``, so streams of
+    different roles are independent, and no role can land on another role's
+    stream.  ``seed`` must be a signed 64-bit integer (a negative
     one reads as its two's complement), so no seed aliases another's streams.
     """
     seed = index_value("seed", seed)
     if not -(1 << 63) <= seed < 1 << 63:
         raise ValueError(f"seed must be a signed 64-bit integer, got {seed}")
-    sequence = np.random.SeedSequence(seed & _MASK64, spawn_key=(role, index))
+    # (role, 0), not (role,): every role stream keeps the bytes it had when roles took an index
+    sequence = np.random.SeedSequence(seed & _MASK64, spawn_key=(role, 0))
     return int(sequence.generate_state(1, np.uint64)[0])

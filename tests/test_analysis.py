@@ -452,15 +452,21 @@ class TestCellProbabilities:
             assert point.mi_empirical == pytest.approx(mi, abs=1e-5)
 
 
+def loop_sweep_counts(thetas, n_photons, seed, basis=Basis.PLUS):
+    """Each grid point's histogram, drawn in its own multinomial call, point
+    after point, from the sweep's one stream."""
+    rng = make_rng(role_seed(seed, ROLE_SWEEP))
+    for theta in thetas:
+        law = cell_probabilities(IndividualUTB(theta, basis)).ravel()
+        yield theta, rng.multinomial(n_photons, law).reshape(STATE.shape)
+
+
 def loop_sweep_rows(thetas, n_photons, seed, basis):
-    """Each grid point's row reduced on its own from its own stream's draw: the
+    """Each grid point's row reduced on its own from its own draw: the
     reference the column path must equal."""
     matched = MATCHED[basis]
     rows = []
-    for i, theta in enumerate(thetas):
-        law = cell_probabilities(IndividualUTB(theta, basis)).ravel()
-        counts = make_rng(role_seed(seed, ROLE_SWEEP, i)).multinomial(n_photons, law)
-        counts = counts.reshape(STATE.shape)
+    for theta, counts in loop_sweep_counts(thetas, n_photons, seed, basis):
         joint = np.bincount(
             2 * ENCODED_LABEL[matched] + PROBE[matched], weights=counts[matched], minlength=4
         )
@@ -481,7 +487,9 @@ def row_values(points):
 
 
 class TestSweepRows:
-    """Row i depends only on (seed, i, theta_i, n_photons, basis)."""
+    """Row i depends only on (seed, theta_0..theta_i, n_photons, basis): the
+    points draw in grid order from one stream, so a grid's rows are the first
+    rows of any grid that extends it."""
 
     @pytest.mark.parametrize("basis", list(Basis))
     @pytest.mark.parametrize("n_photons", [1_000, 200_000, 10**12])
@@ -497,6 +505,13 @@ class TestSweepRows:
         after = row_values(sweep_theta([*thetas[:-1], 0.3], 50_000, 8))
         assert after[:-1] == before[:-1]
         assert after[-1] != before[-1]
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    def test_a_longer_grid_extends_a_shorter_one(self, basis):
+        thetas = [0.7, 0.0, 0.3, np.pi / 4, 0.3, 0.1]
+        full = row_values(sweep_theta(thetas, 50_000, 8, basis))
+        for k in range(1, len(thetas)):
+            assert row_values(sweep_theta(thetas[:k], 50_000, 8, basis)) == full[:k], k
 
     def test_streams_follow_the_index_not_the_theta(self):
         thetas = [0.2, 0.4, 0.6]
@@ -542,10 +557,21 @@ class TestSweepRows:
             sweep_theta(thetas, 100, 3)
 
     def test_first_point_without_an_attacked_basis_photon_is_named(self):
-        # one photon per point: points 0 and 1 draw it in the attacked basis
-        with pytest.raises(ValueError) as raised:
-            sweep_theta([0, 0.5, 0.7], 1, 3)
-        assert str(raised.value) == "sweep point theta=0.7 drew no attacked-basis photon among 1"
+        # one photon per point, which lands in the attacked basis half the time
+        thetas = [0, 0.5, 0.7]
+        named = set()
+        for seed in range(20):
+            empty = [theta for theta, counts in loop_sweep_counts(thetas, 1, seed)
+                     if counts[MATCHED[Basis.PLUS]].sum() == 0]
+            if not empty:
+                assert len(sweep_theta(thetas, 1, seed)) == len(thetas), seed
+                continue
+            with pytest.raises(ValueError) as raised:
+                sweep_theta(thetas, 1, seed)
+            assert str(raised.value) == (
+                f"sweep point theta={empty[0]:.10g} drew no attacked-basis photon among 1"), seed
+            named.add(thetas.index(empty[0]))
+        assert named - {0}
 
     @pytest.mark.parametrize("bad", [1.0, float("nan")], ids=["past-pi-over-4", "nan"])
     @pytest.mark.parametrize("where", [0, 1, 3])

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import errno
 import io
 import json
 import os
@@ -17,7 +18,7 @@ from qotp import analysis, cli, kernels, protocol
 from qotp.adversary import IndividualUTB, InterceptResend, NoAttack
 from qotp.analysis import BOUNDS_CSV_HEADER, SWEEP_CSV_HEADER
 from qotp.keystore import generate_pad, pad_to_text
-from qotp.rng import ROLE_MESSAGE, ROLE_PAD, ROLE_SESSION, make_rng, role_seed
+from qotp.rng import ROLE_MESSAGE, ROLE_PAD, ROLE_SESSION, ROLE_SWEEP, make_rng, role_seed
 from lineage_v1 import lineage_v1
 
 # the d_m at which epsilon_tilde_min has its pole, 1 / (8 sqrt 2)
@@ -358,6 +359,34 @@ class TestOutFile:
         # /dev/null reports size 0, so the writer never tries to truncate it
         assert cli.main([*OUT_COMMANDS[command], "--out", os.devnull]) == cli.EXIT_OK
 
+    @pytest.mark.parametrize("truncate_fails", [False, True], ids=["cut", "cut-fails"])
+    def test_write_that_fails_part_way_leaves_only_the_written_prefix(
+            self, truncate_fails, monkeypatch, tmp_path, capsys):
+        fresh, out = tmp_path / "fresh", tmp_path / "out"
+        assert cli.main([*OUT_COMMANDS["bounds"], "--out", str(fresh)]) == cli.EXIT_OK
+        out.write_bytes(b"\xff" * 240)
+        real_write, calls = os.write, []
+
+        def short_then_full(fd, data):
+            calls.append(fd)
+            if len(calls) > 1:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_write(fd, data[:10])
+
+        def refuse(fd, size):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(os, "write", short_then_full)
+        if truncate_fails:
+            monkeypatch.setattr(os, "ftruncate", refuse)
+        capsys.readouterr()
+        assert cli.main([*OUT_COMMANDS["bounds"], "--out", str(out)]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert os.strerror(errno.ENOSPC) in err
+        written = fresh.read_bytes()[:10]
+        assert out.read_bytes() == (written + b"\xff" * 230 if truncate_fails else written)
+
     @pytest.mark.parametrize("command", ["sweep-theta", "bounds"])
     def test_out_file_holds_the_bytes_of_stdout(self, command, tmp_path, capsys):
         out = tmp_path / "table.csv"
@@ -401,8 +430,8 @@ class TestSeedRoles:
 
 
     def test_sweep_streams_are_distinct(self, monkeypatch):
-        # every grid point of every seed gets a stream of its own, apart
-        # from the session, pad and message streams of the same seed
+        # a sweep draws every grid point from one stream, which differs from
+        # the other seed's and from the session, pad and message streams
         seeds = []
 
         def recording(seed):
@@ -411,8 +440,8 @@ class TestSeedRoles:
 
         monkeypatch.setattr(analysis, "make_rng", recording)
         for seed in (0, 1):
-            analysis.sweep_theta([0.0, np.pi / 4], n_photons=100, seed=seed)
-        assert len(seeds) == 4
+            analysis.sweep_theta([0.0, 0.3, np.pi / 4], n_photons=100, seed=seed)
+        assert seeds == [role_seed(0, ROLE_SWEEP), role_seed(1, ROLE_SWEEP)]
         assert len(set(seeds)) == len(seeds)
         others = {role_seed(s, role) for s in (0, 1)
                   for role in (ROLE_SESSION, ROLE_PAD, ROLE_MESSAGE)}
@@ -700,8 +729,8 @@ class TestBoundaryErrors:
         assert cli.main(["run", "--message-bits", "8", "--samples", "4", *argv]) == cli.EXIT_OK
 
     def test_negative_seed_keeps_its_twos_complement_streams(self):
-        sequence = np.random.SeedSequence(2**64 - 5, spawn_key=(ROLE_PAD, 3))
-        assert role_seed(-5, ROLE_PAD, 3) == int(sequence.generate_state(1, np.uint64)[0])
+        sequence = np.random.SeedSequence(2**64 - 5, spawn_key=(ROLE_PAD, 0))
+        assert role_seed(-5, ROLE_PAD) == int(sequence.generate_state(1, np.uint64)[0])
 
     @pytest.mark.parametrize("seed", [1.5, "5", None], ids=["float", "str", "none"])
     def test_role_seed_names_a_seed_that_is_not_an_integer(self, seed):
@@ -709,7 +738,7 @@ class TestBoundaryErrors:
             role_seed(seed, ROLE_PAD)
 
     def test_role_seed_reads_a_numpy_seed_as_its_int(self):
-        assert role_seed(np.int64(-5), ROLE_PAD, 3) == role_seed(-5, ROLE_PAD, 3)
+        assert role_seed(np.int64(-5), ROLE_PAD) == role_seed(-5, ROLE_PAD)
 
     @pytest.mark.parametrize("command", ["run", "recycle-demo"])
     def test_threshold_names_the_insecure_demo_flag(self, command, capsys):

@@ -73,13 +73,13 @@ CASES = {
         [*SWEEP, "--utb-basis", "plus", "--seed", "108"],
         0,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "a6e092c7e8d98800d38f86c5d08f699c266aee895915894fc218388eed6e2eac",
+        "6d63e2b1c9143997145715fe0bf264cda0ec0cc06999c72d5f620a42c994379a",
     ),
     "sweep-cross": (
         [*SWEEP, "--utb-basis", "cross", "--seed", "109"],
         0,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "e7ff5725d55f11d0fd8296b234ac28564ed2a2343340e26ed84d63f29a05be4d",
+        "b2f873ad603879d530c5fa09b60f7350f0e354dcb65f6ec0ddac3fce47cfa513",
     ),
     "recycle-clean": (
         [*DEMO, "--seed", "110"],
