@@ -5,7 +5,7 @@ pad-reuse crypto session, pluggable eavesdropping attacks, and the
 information-theoretic bounds that limit what an individual attack can learn.
 """
 
-from .adversary import AttackModel, IndividualUTB, InterceptResend, KnownPlaintext, NoAttack
+from .adversary import AttackModel, IndividualUTB, InterceptResend, NoAttack
 from .analysis import (
     d_of_theta,
     empirical_mutual_information,

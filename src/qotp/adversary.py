@@ -1,8 +1,8 @@
 """Eavesdropping strategies on the quantum channel.
 
 Attacks never see basis keys, pad bits, sample positions, or message bits;
-their only input is the travelling state (under the known-plaintext wrapper
-the message is read at inference time only, from the transcript).
+their only input is the travelling state.  Known plaintext is what Eve knows,
+not what she does, so no attack carries it: ``SessionTranscript`` notes it.
 
 Each attack is described once, by its class.  ``law()`` is its exact joint
 law P[state, encoding, receiver basis, receiver outcome, record]: the batch
@@ -96,25 +96,7 @@ class IndividualUTB:
         return {"kind": self.kind, "theta": float(self.theta), "utb_basis": self.attack_basis.value}
 
 
-@dataclass(frozen=True)
-class KnownPlaintext:
-    """Wrap any channel attack with knowledge of the session's message: it
-    sends photons as its inner attack does, and only its transcript entry differs."""
-
-    inner: "AttackModel"
-
-    @property
-    def kind(self) -> str:
-        return self.inner.kind
-
-    def law(self) -> np.ndarray:
-        return self.inner.law()
-
-    def describe(self) -> dict:
-        return {**self.inner.describe(), "known_plaintext": True}
-
-
-AttackModel = NoAttack | InterceptResend | IndividualUTB | KnownPlaintext
+AttackModel = NoAttack | InterceptResend | IndividualUTB
 
 
 def record_likelihoods(attack: AttackModel) -> np.ndarray:

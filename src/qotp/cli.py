@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import os
 import sys
@@ -22,13 +23,7 @@ import sys
 import numpy as np
 
 from . import analysis, kernels, keystore
-from .adversary import (
-    AttackModel,
-    IndividualUTB,
-    InterceptResend,
-    KnownPlaintext,
-    NoAttack,
-)
+from .adversary import IndividualUTB, InterceptResend, NoAttack
 from .errors import PadExhaustedError
 from .kernels import Basis
 from .protocol import (SessionConfig, _digits, draw_messages, json_text, message_digest,
@@ -112,7 +107,7 @@ def _add_session_args(p: argparse.ArgumentParser) -> None:
 def _add_attack_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--attack",
-        choices=[NoAttack.kind, InterceptResend.kind, IndividualUTB.kind],
+        choices=list(_ATTACKS),
         default="none",
         help="channel adversary model",
     )
@@ -135,12 +130,14 @@ def _resolve_theta(args) -> float:
     return np.pi / 4 if args.theta is None else args.theta
 
 
-# attack flag -> the --attack value that reads it
-_ATTACK_FLAG_OWNERS = {
-    "ir_basis": InterceptResend.kind,
-    "theta": IndividualUTB.kind,
-    "theta_deg": IndividualUTB.kind,
-    "utb_basis": IndividualUTB.kind,
+# --attack value (the class's kind) -> (the flags that only that attack reads,
+# the attack built from the parsed flags)
+_ATTACKS = {
+    NoAttack.kind: ((), lambda args: NoAttack()),
+    InterceptResend.kind: (("ir_basis",), lambda args: InterceptResend(
+        None if args.ir_basis in (None, "random") else Basis(args.ir_basis))),
+    IndividualUTB.kind: (("theta", "theta_deg", "utb_basis"), lambda args: IndividualUTB(
+        theta=_resolve_theta(args), attack_basis=Basis(args.utb_basis or "plus"))),
 }
 
 
@@ -152,26 +149,10 @@ def _check_session_flags(args) -> None:
             "--threshold above 0 releases messages over a noisy channel without "
             "privacy amplification; pass --insecure-demo to accept that"
         )
-    for name, owner in _ATTACK_FLAG_OWNERS.items():
-        if getattr(args, name) is not None and args.attack != owner:
-            raise ValueError(f"--{name.replace('_', '-')} applies only to --attack {owner}")
-    if args.known_plaintext and args.attack == NoAttack.kind:
-        raise ValueError("--known-plaintext needs an attack that leaves records")
-
-
-def _build_attack(args) -> AttackModel:
-    if args.attack == NoAttack.kind:
-        attack: AttackModel = NoAttack()
-    elif args.attack == InterceptResend.kind:
-        attack = InterceptResend(None if args.ir_basis in (None, "random") else Basis(args.ir_basis))
-    else:
-        attack = IndividualUTB(
-            theta=_resolve_theta(args),
-            attack_basis=Basis(args.utb_basis or "plus"),
-        )
-    if args.known_plaintext:
-        attack = KnownPlaintext(inner=attack)
-    return attack
+    for owner, (names, _) in _ATTACKS.items():
+        for name in names:
+            if getattr(args, name) is not None and args.attack != owner:
+                raise ValueError(f"--{name.replace('_', '-')} applies only to --attack {owner}")
 
 
 def _pad_length(n_bits: int, flags: str) -> int:
@@ -229,15 +210,19 @@ def _session_pad(args, n_bits_needed: int) -> keystore.PadKey:
 
 def cmd_run(args) -> int:
     _check_session_flags(args)
+    if args.known_plaintext and args.attack == NoAttack.kind:
+        raise ValueError("--known-plaintext needs an attack that leaves records")
     n_message = args.message_bits if args.message is None else len(args.message)
     n_sample = args.samples if args.samples is not None else max(32, n_message // 4)
     config = _session_config(args, n_message, n_sample)
     message = args.message
     if message is None:
         message = draw_messages(make_rng(role_seed(args.seed, ROLE_MESSAGE)), 1, n_message)[0]
-    attack = _build_attack(args)
+    attack = _ATTACKS[args.attack][1](args)
     pad = _session_pad(args, 2 * (n_message + n_sample))
     transcript = run_session(config, pad, message, attack)
+    if args.known_plaintext:
+        transcript = dataclasses.replace(transcript, known_plaintext=True)
     if args.out:
         _write_file(args.out, transcript.to_json())
     report = transcript.error_report
@@ -304,7 +289,7 @@ def cmd_recycle_demo(args) -> int:
             "--message-bits, --samples and --sessions",
         )
     pad = keystore.generate_pad(pad_bits, make_rng(role_seed(args.seed, ROLE_PAD)))
-    attack, clean = _build_attack(args), NoAttack()
+    attack, clean = _ATTACKS[args.attack][1](args), NoAttack()
     attacks = (attack if args.attack_session == k + 1 else clean for k in range(args.sessions))
     report, pad = run_lineage(pad, config, attacks)
     if args.out:
@@ -342,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--known-plaintext",
         action="store_true",
-        help="give the adversary the message for basis inference",
+        help="note in the transcript that the adversary knows the message (changes no draw)",
     )
     p_run.set_defaults(func=cmd_run, command="run")
 
@@ -378,8 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="1-based session index to run under the configured attack")
     p_demo.add_argument("--out", help="JSON report path")
     _add_attack_args(p_demo)
-    # no --known-plaintext: the wrapper changes no draw, so a lineage report cannot show it
-    p_demo.set_defaults(func=cmd_recycle_demo, command="recycle-demo", known_plaintext=False)
+    p_demo.set_defaults(func=cmd_recycle_demo, command="recycle-demo")
 
     parser.commands = sub.choices  # main hands a command's flags to its parser alone
     return parser

@@ -88,8 +88,11 @@ def index_column(name: str, values, hi: int) -> np.ndarray:
 
 def index_value(name: str, value) -> int:
     """``value`` as an int, so that a numpy integer serializes like any other;
-    a float or a string, which a cast would truncate or parse, is refused."""
+    a float or a string, which a cast would truncate or parse, is refused, and
+    so is a bool, which ``operator.index`` reads as 0 or 1."""
     try:
+        if type(value) is bool:
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None

@@ -57,7 +57,7 @@ class SessionConfig:
         if self.n_sample < 1:
             raise ValueError("a session needs at least one sampling bit")
         threshold = self.abort_threshold
-        if not isinstance(threshold, numbers.Real):
+        if not isinstance(threshold, numbers.Real) or type(threshold) is bool:
             raise ValueError(f"abort_threshold must be a number, got {threshold!r}")
         # stored as float, so that a numpy float serializes like any other
         object.__setattr__(self, "abort_threshold", float(threshold))
@@ -95,6 +95,7 @@ class SessionTranscript:
     is no attack).  ``modified`` is the message with the sampling bits at the
     sorted photon indices ``sample_positions``; ``extracted_message``, set
     when the check passes, is the decoded bits at the other photons.
+    ``known_plaintext`` notes that Eve knows the message; it changes no draw.
     """
 
     config: SessionConfig
@@ -107,6 +108,7 @@ class SessionTranscript:
     error_report: ErrorReport
     recycled_pad: PadKey | None
     extracted_message: np.ndarray | None
+    known_plaintext: bool = False
 
     def public_view(self) -> dict:
         """Everything an eavesdropper may read: per photon, the bit the
@@ -128,10 +130,13 @@ class SessionTranscript:
         out: ``pad_bits``, ``decoded_bits`` and the public view imply them.
         """
         pad = self.recycled_pad
+        attack = self.attack.describe()
+        if self.known_plaintext:
+            attack["known_plaintext"] = True
         return {
             "schema": "qotp-transcript-v4",
             "config": vars(self.config).copy(),
-            "attack": self.attack.describe(),
+            "attack": attack,
             "secret_view": {
                 "pad_bits": _digits(self.pad.bits[: 2 * self.modified.size]),
                 "modified_bits": _digits(self.modified),

@@ -25,9 +25,9 @@ prepared in (picking up physically irrelevant signs).  All measurement is
 Born-rule sampling against an explicit random stream.
 
 Attacks never see basis keys, pad bits, sample positions, or message bits;
-their only input is the travelling state (the known-plaintext wrapper declares
-the message it assumes, and uses it at inference time only).  Every attacked
-photon leaves an ``EveRecord``.
+their only input is the travelling state.  Eve's knowledge of the message
+enters only ``known_plaintext_infer``, which reads her records afterwards.
+Every attacked photon leaves an ``EveRecord``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from enum import Enum
 import numpy as np
 
 from qotp import kernels
-from qotp.adversary import AttackModel, IndividualUTB, InterceptResend, KnownPlaintext, NoAttack
+from qotp.adversary import AttackModel, IndividualUTB, InterceptResend, NoAttack
 from qotp.analysis import empirical_mutual_information
 from qotp.kernels import Basis
 from qotp.keystore import PadKey
@@ -309,9 +309,6 @@ def attack_photon(
         return intercept_resend(s, model.attack_basis, rng, photon_index)
     if isinstance(model, IndividualUTB):
         return utb_intercept(s, model.theta, model.attack_basis, rng, photon_index)
-    if isinstance(model, KnownPlaintext):
-        forwarded, record = attack_photon(model.inner, s, rng, photon_index)
-        return forwarded, record
     raise TypeError(f"unknown attack model {model!r}")
 
 
@@ -321,8 +318,6 @@ def attack_law(model: AttackModel) -> np.ndarray:
     eigenstate intercept-resend forwards (times Eve's basis choice and her
     own Born rule), or on the photon factor of the tapped photon-probe state
     with the probe read in its computational basis."""
-    if isinstance(model, KnownPlaintext):
-        return attack_law(model.inner)
     n_records = {NoAttack: 1, InterceptResend: 4, IndividualUTB: 2}[type(model)]
     law = np.zeros((4, 2, 2, 2, n_records))
     for state, prepared in enumerate(PREP_STATES):

@@ -6,6 +6,7 @@ oracles: a 30-digit evaluation of the closed forms, exhaustive enumeration of
 the intercept-resend channel, and explicit 4-dim complex projection algebra.
 """
 
+import dataclasses
 import json
 import time
 
@@ -16,7 +17,6 @@ from qotp import cli
 from qotp.adversary import (
     IndividualUTB,
     InterceptResend,
-    KnownPlaintext,
     NoAttack,
     record_likelihoods,
 )
@@ -306,8 +306,6 @@ def test_criterion_10_born_rule_oracle_equivalence():
 
 def oracle_error_probability(state_idx: int, enc: int, attack) -> float:
     """Exact P(decode error) for one photon from explicit state vectors."""
-    if isinstance(attack, KnownPlaintext):
-        attack = attack.inner
     s = apply_encoding(EncodingOp(enc), PREP_STATES[state_idx])
     prep = PREP_BASIS[state_idx]
     wrong_label = 1 - (PREP_LABEL[state_idx] ^ enc)
@@ -338,7 +336,7 @@ def test_criterion_11_session_oracle_equivalence():
         InterceptResend(Basis.CROSS),
         IndividualUTB(theta=np.pi / 8, attack_basis=Basis.PLUS),
         IndividualUTB(theta=np.pi / 4, attack_basis=Basis.CROSS),
-        KnownPlaintext(inner=IndividualUTB(theta=3 * np.pi / 16)),
+        IndividualUTB(theta=3 * np.pi / 16),
     ]
     ok = True
     worst = -np.inf
@@ -411,12 +409,11 @@ def test_criterion_12_known_plaintext_posteriors_match_oracle():
     pad = generate_pad(2 * 400, make_rng(131))
     events = 0
     guesses_agree = True
-    for k, inner in enumerate([InterceptResend(), IndividualUTB(theta=np.pi / 8),
-                               IndividualUTB(theta=np.pi / 4, attack_basis=Basis.CROSS)]):
-        attack = KnownPlaintext(inner=inner)
+    for k, attack in enumerate([InterceptResend(), IndividualUTB(theta=np.pi / 8),
+                                IndividualUTB(theta=np.pi / 4, attack_basis=Basis.CROSS)]):
         cfg = SessionConfig(n_message=300, n_sample=100, seed=132 + k,
                             abort_threshold=1.0, allow_insecure_demo=True)
-        t = run_session(cfg, pad, message, attack)
+        t = dataclasses.replace(run_session(cfg, pad, message, attack), known_plaintext=True)
         session_events = attack_events(t.to_json_dict())
         oracle_records = [
             EveRecord(photon_index=ev.photon_index, kind=ev.kind, eve_basis=ev.eve_basis,

@@ -11,7 +11,6 @@ import pytest
 from qotp.adversary import (
     IndividualUTB,
     InterceptResend,
-    KnownPlaintext,
     NoAttack,
 )
 from qotp.kernels import Basis
@@ -197,16 +196,15 @@ class TestConstructorValidation:
 
 
 class TestKnownPlaintext:
-    def _session(self, inner, seed=30, n_message=600):
+    def _session(self, attack, seed=30, n_message=600):
         message = make_rng(seed).integers(0, 2, n_message, dtype=np.uint8)
         ns = max(1, n_message // 4)
         pad = generate_pad(2 * (n_message + ns), make_rng(seed + 1))
-        attack = KnownPlaintext(inner=inner)
         cfg = SessionConfig(
             n_message=n_message, n_sample=ns, seed=seed + 2,
             abort_threshold=1.0, allow_insecure_demo=True,
         )
-        return run_session(cfg, pad, message, attack)
+        return dataclasses.replace(run_session(cfg, pad, message, attack), known_plaintext=True)
 
     def test_no_inner_attack_no_records(self):
         t = self._session(NoAttack())
@@ -250,8 +248,7 @@ class TestKnownPlaintext:
         attacks = [NoAttack(), *(InterceptResend(b) for b in (None, *Basis))]
         attacks += [IndividualUTB(theta=float(theta), attack_basis=b)
                     for theta in np.linspace(0.0, np.pi / 4, 21) for b in Basis]
-        attacks += [KnownPlaintext(inner=a) for a in attacks]
-        assert len(attacks) == 2 * (1 + 3 + 42)
+        assert len(attacks) == 1 + 3 + 42
         for attack in attacks:
             np.testing.assert_allclose(posterior_plus_table(attack), 0.5, rtol=0, atol=1e-15,
                                        err_msg=repr(attack))

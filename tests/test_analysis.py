@@ -524,8 +524,8 @@ class TestSweepRows:
         assert sweep_theta([], 1_000, 8) == []
         assert sweep_csv([]) == SWEEP_CSV_HEADER + "\n"
 
-    @pytest.mark.parametrize("n_photons", [1000.9, 1000.0, "1000", np.float64(1000)],
-                             ids=["fraction", "whole-float", "str", "np-float"])
+    @pytest.mark.parametrize("n_photons", [1000.9, 1000.0, "1000", np.float64(1000), True],
+                             ids=["fraction", "whole-float", "str", "np-float", "bool"])
     def test_photon_count_must_be_an_integer(self, monkeypatch, n_photons):
         # 1000.9 would draw 1000 photons and divide the error count by 1000.9
         draws = []

@@ -175,11 +175,27 @@ class TestRun:
             return law(attack)
 
         monkeypatch.setattr(attack_class, "law", counting)
+        kernels.cell_probabilities.cache_clear()
         kernels._pair_tables.cache_clear()
         argv = ["run", "--message-bits", "64", "--samples", "16", *flags, "--known-plaintext",
                 "--threshold", "1", "--insecure-demo", "--out", str(tmp_path / "t.json")]
         assert cli.main(argv) == cli.EXIT_OK
         assert len(calls) == 1
+
+    def test_known_plaintext_shares_its_attacks_table(self, capsys):
+        # the session benchmark's five run shapes hold four laws: the
+        # known-plaintext probe is the plus-basis probe
+        probe = ["--attack", "utb", "--theta-deg", "22.5"]
+        shapes = [[], ["--attack", "intercept_resend", "--ir-basis", "random"],
+                  [*probe, "--utb-basis", "plus"], [*probe, "--utb-basis", "cross"],
+                  [*probe, "--utb-basis", "plus", "--known-plaintext"]]
+        kernels.cell_probabilities.cache_clear()
+        kernels._pair_tables.cache_clear()
+        for flags in shapes:
+            cli.main(["run", "--message-bits", "48", "--samples", "16", "--seed", "4", *flags])
+        capsys.readouterr()
+        assert kernels.cell_probabilities.cache_info().currsize == 4
+        assert kernels._pair_tables.cache_info().currsize == 4
 
 
 class TestSweep:
@@ -547,7 +563,7 @@ class TestBoundaryErrors:
             (["run", "--bogus", "1"], {}, "qotp run: unrecognized arguments: --bogus 1"),
             (["recycle-demo", "--sessions", "2", "extra"], {},
              "qotp recycle-demo: unrecognized arguments: extra"),
-            # the known-plaintext wrapper changes no draw, so a lineage has no such flag
+            # --known-plaintext notes a fact in a session transcript, which a lineage lacks
             (["recycle-demo", "--known-plaintext"], {},
              "qotp recycle-demo: unrecognized arguments: --known-plaintext"),
             # no command: the top-level parser reports it
@@ -732,7 +748,7 @@ class TestBoundaryErrors:
         sequence = np.random.SeedSequence(2**64 - 5, spawn_key=(ROLE_PAD, 0))
         assert role_seed(-5, ROLE_PAD) == int(sequence.generate_state(1, np.uint64)[0])
 
-    @pytest.mark.parametrize("seed", [1.5, "5", None], ids=["float", "str", "none"])
+    @pytest.mark.parametrize("seed", [1.5, "5", None, True], ids=["float", "str", "none", "bool"])
     def test_role_seed_names_a_seed_that_is_not_an_integer(self, seed):
         with pytest.raises(ValueError, match=r"^seed must be an integer, got "):
             role_seed(seed, ROLE_PAD)

@@ -10,7 +10,6 @@ from qotp import kernels
 from qotp.adversary import (
     IndividualUTB,
     InterceptResend,
-    KnownPlaintext,
     NoAttack,
     record_likelihoods,
 )
@@ -38,12 +37,10 @@ CHANNELS = [NoAttack()] + [InterceptResend(basis) for basis in (None, *Basis)] +
     IndividualUTB(theta=theta, attack_basis=basis)
     for basis in Basis
     for theta in (0.0, np.pi / 16, np.pi / 8, 3 * np.pi / 16, np.pi / 4)
-] + [KnownPlaintext(InterceptResend()), KnownPlaintext(IndividualUTB(np.pi / 8, Basis.CROSS))]
+]
 
 
 def channel_id(model):
-    if isinstance(model, KnownPlaintext):
-        return f"known-{channel_id(model.inner)}"
     if isinstance(model, InterceptResend):
         return f"ir-{model.describe()['ir_basis']}"
     if isinstance(model, IndividualUTB):

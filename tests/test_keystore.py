@@ -46,8 +46,8 @@ class TestGenerate:
         p = generate_pad(1, make_rng(0))
         assert len(p) == 1
 
-    @pytest.mark.parametrize("length", [0, -1, 3.5, 4.0, "8"],
-                             ids=["zero", "negative", "float", "integral-float", "str"])
+    @pytest.mark.parametrize("length", [0, -1, 3.5, 4.0, "8", True],
+                             ids=["zero", "negative", "float", "integral-float", "str", "bool"])
     def test_length_that_is_not_a_positive_integer_rejected(self, length):
         with pytest.raises(ValueError, match=r"^pad length must be ") as info:
             generate_pad(length, make_rng(0))
@@ -198,8 +198,8 @@ class TestGeneration:
         recycled = json.loads(transcript.to_json())["secret_view"]["recycled_pad"]
         assert recycled["generation"] == 3
 
-    @pytest.mark.parametrize("generation", [1.5, -1, "2", None],
-                             ids=["float", "negative", "str", "none"])
+    @pytest.mark.parametrize("generation", [1.5, -1, "2", None, True],
+                             ids=["float", "negative", "str", "none", "bool"])
     def test_rejects_what_pad_from_text_would_not_read_back(self, generation):
         # pad_to_text would write generation=1.5, which pad_from_text rejects
         with pytest.raises(ValueError, match=r"^pad generation must be "):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qotp import cli, kernels, keystore, protocol
-from qotp.adversary import IndividualUTB, InterceptResend, KnownPlaintext, NoAttack
+from qotp.adversary import IndividualUTB, InterceptResend, NoAttack
 from qotp.errors import PadExhaustedError
 from qotp.kernels import Basis
 from qotp.keystore import PadKey, generate_pad
@@ -82,14 +82,12 @@ class TestKnownBits:
     @settings(max_examples=40, deadline=None)
     def test_known_bits_are_the_message_with_samples_masked(self, n_message, n_sample, seed):
         # the adversary knows every message bit and no sampling bit
-        from qotp.adversary import KnownPlaintext
-
         message = make_rng(seed).integers(0, 2, n_message, dtype=np.uint8)
         pad = generate_pad(2 * (n_message + n_sample), make_rng(seed + 1))
         cfg = SessionConfig(n_message=n_message, n_sample=n_sample, seed=seed + 2,
                             abort_threshold=1.0, allow_insecure_demo=True)
-        t = run_session(cfg, pad, message, KnownPlaintext(inner=InterceptResend()))
-        doc = t.to_json_dict()
+        t = run_session(cfg, pad, message, InterceptResend())
+        doc = dataclasses.replace(t, known_plaintext=True).to_json_dict()
         known = np.array(known_bits(doc))
         positions = sample_positions(doc)
         assert positions == t.sample_positions.tolist()
@@ -127,12 +125,16 @@ class TestSessionConfig:
 
     @pytest.mark.parametrize(
         "field,value", [("n_message", 2.5), ("n_sample", 2.0), ("seed", 1.5), ("seed", "3"),
-                        ("n_sample", None), ("abort_threshold", "0.1"), ("abort_threshold", None)],
+                        ("n_sample", None), ("abort_threshold", "0.1"), ("abort_threshold", None),
+                        ("n_message", True), ("n_sample", True), ("seed", True),
+                        ("abort_threshold", True)],
     )
     def test_counts_and_seed_must_be_integers(self, field, value):
         # a float count would fail later, in islice or in role_seed, and a
-        # threshold that is no number in a comparison with a TypeError
-        fields = {"n_message": 8, "n_sample": 4, "seed": 0, field: value}
+        # threshold that is no number in a comparison with a TypeError; a bool
+        # would be read as 0 or 1
+        fields = {"n_message": 8, "n_sample": 4, "seed": 0, "allow_insecure_demo": True,
+                  field: value}
         with pytest.raises(ValueError, match=f"{field} must be an? (integer|number)"):
             SessionConfig(**fields)
 
@@ -313,10 +315,9 @@ def pad_for(sessions, n_message=64, n_sample=16, extra=0):
 class TestRunLineage:
     CONFIG = SessionConfig(n_message=64, n_sample=16, seed=12)
     IR_AT_2 = [NoAttack(), InterceptResend(), NoAttack(), NoAttack()]
-    # probes at theta 0 disturb nothing, so every check passes; the known-plaintext
-    # wrapper is a distinct attack with its inner's law
+    # probes at theta 0 disturb nothing, so every check passes
     MIXED = [NoAttack(), IndividualUTB(theta=0.0),
-             KnownPlaintext(IndividualUTB(theta=0.0, attack_basis=Basis.CROSS)),
+             IndividualUTB(theta=0.0, attack_basis=Basis.CROSS),
              IndividualUTB(theta=0.0, attack_basis=Basis.CROSS), NoAttack(),
              IndividualUTB(theta=0.0)]
 
@@ -683,17 +684,14 @@ class TestTranscriptExport:
         jsonschema.validate(doc, SCHEMA)
 
     def test_schema_valid_known_plaintext(self):
-        from qotp.adversary import KnownPlaintext
-
         message = make_rng(53).integers(0, 2, 16, dtype=np.uint8)
         pad = generate_pad(2 * 24, make_rng(54))
-        attack = KnownPlaintext(inner=InterceptResend())
         cfg = SessionConfig(
             n_message=16, n_sample=8, seed=55,
             abort_threshold=1.0, allow_insecure_demo=True,
         )
-        t = run_session(cfg, pad, message, attack)
-        doc = t.to_json_dict()
+        t = run_session(cfg, pad, message, InterceptResend())
+        doc = dataclasses.replace(t, known_plaintext=True).to_json_dict()
         assert doc["attack"]["known_plaintext"] is True
         jsonschema.validate(doc, SCHEMA)
 
@@ -702,16 +700,12 @@ class TestTranscriptExport:
     )
     @pytest.mark.parametrize("known_plaintext", [False, True])
     def test_json_text_is_the_compact_sorted_dict(self, inner, known_plaintext):
-        from qotp.adversary import KnownPlaintext
-
         message = make_rng(56).integers(0, 2, 40, dtype=np.uint8)
         pad = generate_pad(2 * 60, make_rng(57))
-        attack = inner
-        if known_plaintext:
-            attack = KnownPlaintext(inner=inner)
         cfg = SessionConfig(n_message=40, n_sample=20, seed=58,
                             abort_threshold=1.0, allow_insecure_demo=True)
-        t = run_session(cfg, pad, message, attack)
+        t = run_session(cfg, pad, message, inner)
+        t = dataclasses.replace(t, known_plaintext=known_plaintext)
         text = t.to_json()
         assert text == json.dumps(t.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
         assert "\n" not in text[:-1]
@@ -761,7 +755,7 @@ class TestTranscriptExport:
     @pytest.mark.parametrize(
         "attack,threshold",
         [(NoAttack(), 0.0), (InterceptResend(), 0.0), (InterceptResend(), 1.0),
-         (KnownPlaintext(inner=IndividualUTB(theta=0.7)), 1.0)],
+         (IndividualUTB(theta=0.7), 1.0)],
     )
     def test_the_dropped_columns_follow_from_the_transcript(self, attack, threshold, monkeypatch):
         sent = []
@@ -790,9 +784,8 @@ class TestTranscriptExport:
         message = make_rng(72).integers(0, 2, 16, dtype=np.uint8)
         cfg = SessionConfig(n_message=16, n_sample=8, seed=73, abort_threshold=1.0,
                             allow_insecure_demo=True)
-        t = run_session(cfg, generate_pad(2 * 24, make_rng(74)), message,
-                        KnownPlaintext(inner=InterceptResend()))
-        doc = t.to_json_dict()
+        t = run_session(cfg, generate_pad(2 * 24, make_rng(74)), message, InterceptResend())
+        doc = dataclasses.replace(t, known_plaintext=True).to_json_dict()
         jsonschema.validate(doc, SCHEMA)
         view = doc["secret_view"]
         if key == "posterior_plus":
@@ -813,16 +806,12 @@ class TestTranscriptExport:
     ):
         # JSON Schema fixes each column's alphabet but cannot tie its length
         # to the config
-        from qotp.adversary import KnownPlaintext
-
         message = make_rng(63).integers(0, 2, 30, dtype=np.uint8)
         pad = generate_pad(2 * 45, make_rng(64))
-        attack = inner
-        if known_plaintext:
-            attack = KnownPlaintext(inner=inner)
         cfg = SessionConfig(n_message=30, n_sample=15, seed=65, abort_threshold=threshold,
                             allow_insecure_demo=True)
-        doc = run_session(cfg, pad, message, attack).to_json_dict()
+        t = run_session(cfg, pad, message, inner)
+        doc = dataclasses.replace(t, known_plaintext=known_plaintext).to_json_dict()
         jsonschema.validate(doc, SCHEMA)
         n_message, n_sample = doc["config"]["n_message"], doc["config"]["n_sample"]
         n = n_message + n_sample
@@ -844,14 +833,12 @@ class TestTranscriptExport:
         assert max(map(int, adversary["records"])) < n_records
 
     def test_known_plaintext_transcript_under_7_bytes_per_photon(self):
-        from qotp.adversary import KnownPlaintext
-
         message = make_rng(66).integers(0, 2, 1536, dtype=np.uint8)
         pad = generate_pad(2 * 2048, make_rng(67))
-        attack = KnownPlaintext(inner=IndividualUTB(theta=np.pi / 8))
         cfg = SessionConfig(n_message=1536, n_sample=512, seed=68, abort_threshold=1.0,
                             allow_insecure_demo=True)
-        text = run_session(cfg, pad, message, attack).to_json()
+        t = run_session(cfg, pad, message, IndividualUTB(theta=np.pi / 8))
+        text = dataclasses.replace(t, known_plaintext=True).to_json()
         assert len(text.encode()) < 7 * 2048
 
     def test_json_deterministic(self):

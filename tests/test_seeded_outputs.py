@@ -160,3 +160,20 @@ def test_lineage_report_rebuilds_its_v1_report(name, tmp_path, capsys, monkeypat
     cli.main([*CASES[name][0], "--out", str(out)])
     v1 = json_text(lineage_v1(json.loads(out.read_text())))
     assert _sha256(v1.encode()) == LINEAGE_V1_OUT[name]
+
+
+@pytest.mark.parametrize("name", ["run-ir-cross-known", "run-utb-cross-known",
+                                  "run-utb-known-accepted"])
+def test_known_plaintext_changes_no_draw(name, tmp_path, capsys, monkeypatch):
+    # without the flag: the same exit code and stdout, and the transcript
+    # without its attack entry's known_plaintext key
+    monkeypatch.delenv("QOTP_SEED", raising=False)
+    argv = CASES[name][0]
+    runs = []
+    for k, args in enumerate([argv, [a for a in argv if a != "--known-plaintext"]]):
+        out = tmp_path / f"out{k}"
+        rc = cli.main([*args, "--out", str(out)])
+        runs.append((rc, capsys.readouterr().out, json.loads(out.read_text())))
+    (rc, stdout, known), flagless = runs
+    assert known["attack"].pop("known_plaintext") is True
+    assert flagless == (rc, stdout, known)

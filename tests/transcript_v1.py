@@ -20,7 +20,6 @@ from qotp.adversary import (
     AttackModel,
     IndividualUTB,
     InterceptResend,
-    KnownPlaintext,
     NoAttack,
     record_likelihoods,
 )
@@ -38,13 +37,11 @@ def _column(text: str) -> list[int]:
 def attack_of(description: dict) -> AttackModel:
     """The attack whose transcript entry is ``description``."""
     if description["kind"] == NoAttack.kind:
-        attack = NoAttack()
-    elif description["kind"] == InterceptResend.kind:
+        return NoAttack()
+    if description["kind"] == InterceptResend.kind:
         basis = description["ir_basis"]
-        attack = InterceptResend(None if basis == "random" else Basis(basis))
-    else:
-        attack = IndividualUTB(description["theta"], Basis(description["utb_basis"]))
-    return KnownPlaintext(inner=attack) if description.get("known_plaintext") else attack
+        return InterceptResend(None if basis == "random" else Basis(basis))
+    return IndividualUTB(description["theta"], Basis(description["utb_basis"]))
 
 
 def posterior_plus_table(attack: AttackModel) -> np.ndarray:
