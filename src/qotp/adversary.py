@@ -6,9 +6,10 @@ not what she does, so no attack carries it: ``SessionTranscript`` notes it.
 
 Each attack is described once, by its class.  ``law()`` is its exact joint
 law P[state, encoding, receiver basis, receiver outcome, record]: the batch
-kernel and sweeps read its cached slice ``kernels.cell_probabilities``, and
-``record_likelihoods`` sums it into P(record | state, encoding), the same
-under either basis: one photon's record says nothing of its basis.
+kernel reads its cached slice ``kernels.cell_probabilities``, sweeps stack
+``probe_law`` over a theta grid, and ``record_likelihoods`` sums a law into
+P(record | state, encoding), the same under either basis: one photon's
+record says nothing of its basis.
 ``describe`` is the attack's transcript entry and ``kind`` its name on the
 command line.  Eve's record is ``2 * basis + outcome`` for intercept-resend
 and the probe outcome for the probe attack; with no attack the record axis
@@ -67,6 +68,28 @@ class InterceptResend:
         return {"kind": self.kind, "ir_basis": "random" if basis is None else basis.value}
 
 
+def check_probe(thetas, attack_basis) -> None:
+    """Refuse the first of ``thetas`` outside [0, pi/4], then a basis not a Basis."""
+    for theta in thetas:
+        if not 0.0 <= theta <= np.pi / 4:  # NaN is outside too
+            raise ValueError(f"theta must lie in [0, pi/4], got {theta}")
+    if attack_basis not in _BASES:
+        raise ValueError(f"attack_basis must be a Basis, got {attack_basis!r}")
+
+
+def probe_law(cos, sin, basis: Basis) -> np.ndarray:
+    """The probe's law at cos(theta) and sin(theta), or at (points, 1, 1, 1) columns: a stack."""
+    xi, xibar = kernels.EIG_TABLE[basis.index]
+    # components of each encoded state along xi and xibar, [state, encoding, 1]
+    a = kernels._overlap(xi, kernels.ENC_TABLE)[..., None]
+    b = kernels._overlap(xibar, kernels.ENC_TABLE)[..., None]
+    # the tap keeps xi|0> and sends xibar|0> to cos(theta) xibar|0> +
+    # sin(theta) xi|1>: the photon's branch beside each probe outcome
+    kept = a * xi + b * cos * xibar
+    flipped = b * sin * xi
+    return np.stack([kernels.born(kept), kernels.born(flipped)], axis=-1)
+
+
 @dataclass(frozen=True)
 class IndividualUTB:
     """Per-photon probe entanglement of strength theta in a fixed basis."""
@@ -76,21 +99,10 @@ class IndividualUTB:
     attack_basis: Basis = Basis.PLUS
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= np.pi / 4:
-            raise ValueError(f"theta must lie in [0, pi/4], got {self.theta}")
-        if self.attack_basis not in _BASES:
-            raise ValueError(f"attack_basis must be a Basis, got {self.attack_basis!r}")
+        check_probe([self.theta], self.attack_basis)
 
     def law(self) -> np.ndarray:
-        xi, xibar = kernels.EIG_TABLE[self.attack_basis.index]
-        # components of each encoded state along xi and xibar, [state, encoding, 1]
-        a = kernels._overlap(xi, kernels.ENC_TABLE)[..., None]
-        b = kernels._overlap(xibar, kernels.ENC_TABLE)[..., None]
-        # the tap keeps xi|0> and sends xibar|0> to cos(theta) xibar|0> +
-        # sin(theta) xi|1>: the photon's branch beside each probe outcome
-        kept = a * xi + b * float(np.cos(self.theta)) * xibar
-        flipped = b * float(np.sin(self.theta)) * xi
-        return np.stack([kernels.born(kept), kernels.born(flipped)], axis=-1)
+        return probe_law(float(np.cos(self.theta)), float(np.sin(self.theta)), self.attack_basis)
 
     def describe(self) -> dict:
         return {"kind": self.kind, "theta": float(self.theta), "utb_basis": self.attack_basis.value}

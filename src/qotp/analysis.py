@@ -13,26 +13,24 @@ All information quantities are in bits (base-2 logs).  The bound family:
                          verbatim, no smoothing.
 * ``small_dm_linear_bound`` -- the small-d_m linear relaxation of i1.
 
-A sweep grid point is one cached law slice, ``kernels.cell_probabilities``
-(the protocol's channel, with the receiver in the preparation basis), and
-one multinomial histogram; one call draws every point's histogram, in grid
-order, from the sweep's one stream.  The empirical error rates, the plug-in
-mutual information and the bounds are then computed as columns over the
-stacked histograms of the whole grid, one row per point.
+A sweep grid's probe laws (``adversary.probe_law`` sliced by
+``kernels.prep_basis_cells``) and theory columns are one read-only table, built
+in one pass and cached per grid.  One multinomial call draws every point's
+histogram, in grid order, from one stream; rows are columns over the stack.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-from .adversary import IndividualUTB
+from . import adversary, kernels
 from .errors import PoleError
-from .kernels import Basis, cell_probabilities
+from .kernels import Basis
 from .rng import ROLE_SWEEP, make_rng, role_seed
 
 _LN2 = np.log(2.0)
@@ -184,21 +182,31 @@ _TALLY = {basis: _tally(basis) for basis in Basis}
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
+@functools.lru_cache(maxsize=8)
+def _grid_table(grid: bytes, attack_basis: Basis) -> tuple[np.ndarray, ...]:
+    """The read-only probe laws [point, cell], d_theory and i0_at_d of a checked grid."""
+    thetas = np.frombuffer(grid)
+    adversary.check_probe(thetas.tolist(), attack_basis)
+    # cos and sin per point, as IndividualUTB.law takes them: its law bit for bit
+    cos_sin = [(np.cos(theta), np.sin(theta)) for theta in thetas.tolist()]
+    cos, sin = np.array(cos_sin).T.reshape(2, -1, 1, 1, 1)
+    laws = kernels.prep_basis_cells(adversary.probe_law(cos, sin, attack_basis))
+    d_theory = _d_of_theta(thetas)
+    table = (laws.reshape(thetas.size, -1), d_theory, _i0(d_theory))
+    for column in table:
+        column.flags.writeable = False
+    return table
+
+
 def sweep_theta(
-    thetas,
-    n_photons: int,
-    seed: int,
-    attack_basis: Basis = Basis.PLUS,
+    thetas, n_photons: int, seed: int, attack_basis: Basis = Basis.PLUS
 ) -> list[SweepPoint]:
     """One Monte-Carlo histogram per theta, all drawn in grid order from the
-    one stream seeded by ``role_seed(seed, ROLE_SWEEP)``, so row i depends on
-    the seed and theta_0..theta_i, and a grid that extends another keeps its
-    rows.  The histogram of ``n_photons`` independent photons over (state,
-    encoding, receiver outcome, probe outcome) is a multinomial draw from
-    ``cell_probabilities``, so a point costs the same at any photon count.
-    Every theta is checked before the first draw.  The statistics and bounds
-    of all rows are computed as columns over the stacked histograms, each row
-    from its own histogram."""
+    one stream seeded by ``role_seed(seed, ROLE_SWEEP)``: row i depends on the
+    seed and theta_0..theta_i, so a grid that extends another keeps its rows.
+    Each histogram of ``n_photons`` photons is one multinomial draw from its
+    point's exact law, so a point costs the same at any photon count.  Every
+    theta is checked before the first draw."""
     n_photons = kernels.index_value("n_photons", n_photons)  # not a float it divides by
     if n_photons < 1:
         raise ValueError(f"a sweep needs at least 1 photon per grid point, got {n_photons}")
@@ -209,8 +217,10 @@ def sweep_theta(
     thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.ndim != 1:
         raise ValueError(f"a sweep's theta grid must be 1-D, got shape {thetas.shape}")
-    attacks = [IndividualUTB(theta=float(theta), attack_basis=attack_basis) for theta in thetas]
-    laws = np.array([cell_probabilities(attack) for attack in attacks]).reshape(-1, _STATE.size)
+    if not thetas.size:
+        raise ValueError(f"a sweep's theta grid must not be empty, got shape {thetas.shape}")
+    # keyed by the grid's bytes, so that -0.0 and 0.0 make two grids
+    laws, d_theory, i0 = _grid_table(thetas.tobytes(), attack_basis)
     # one row per law, in order: the draws of len(laws) calls on one stream
     counts = make_rng(role_seed(seed, ROLE_SWEEP)).multinomial(n_photons, laws)
     tallies = counts @ _TALLY[attack_basis]  # exact integer sums
@@ -221,11 +231,10 @@ def sweep_theta(
             f"sweep point theta={thetas[empty[0]]:.10g} drew no attacked-basis photon "
             f"among {n_photons}"
         )
-    d_theory = _d_of_theta(thetas)  # each theta passed its IndividualUTB check
     # each joint table sums to its point's matched count, checked above
     mi = _mutual_information(tallies[:, 3:].reshape(-1, 2, 2).astype(np.float64))
     d_matched, d_overall = n_matched_errors / n_matched, n_errors / n_photons
-    columns = (thetas, d_theory, d_matched, d_overall, mi, _i0(d_theory))
+    columns = (thetas, d_theory, d_matched, d_overall, mi, i0)
     return [SweepPoint(*row) for row in zip(*(column.tolist() for column in columns))]
 
 

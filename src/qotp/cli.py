@@ -247,13 +247,8 @@ def _write_table(text: str, out: str | None) -> int:
 def cmd_sweep_theta(args) -> int:
     thetas = args.thetas
     if thetas is None:
-        thetas = list(np.linspace(0.0, np.pi / 4, 5 if args.points is None else args.points))
-    points = analysis.sweep_theta(
-        thetas,
-        n_photons=args.photons,
-        seed=args.seed,
-        attack_basis=Basis(args.utb_basis),
-    )
+        thetas = np.linspace(0.0, np.pi / 4, 5 if args.points is None else args.points)
+    points = analysis.sweep_theta(thetas, args.photons, args.seed, Basis(args.utb_basis))
     return _write_table(analysis.sweep_csv(points), args.out)
 
 

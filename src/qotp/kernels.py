@@ -3,12 +3,12 @@
 The per-photon channel simulation (prepare, encode, optional attack, measure)
 runs here for sessions and the large-sample statistical checks.  The receiver
 holds the sender's pad, so it measures each photon in its preparation basis:
-``cell_probabilities`` applies that rule to the attack's exact ``law()`` (see
-``adversary``) once per attack, caching P(receiver outcome, Eve's record) per
-cell ``2 * state + encoding``.  Simulating a photon is one inverse-CDF lookup
-in its cell's row with one uniform, the only randomness, supplied by the
-caller, then one lookup each of its record and decoded bit; one call sends
-each photon through its own attack.  Sweeps draw histograms from that table.
+``prep_basis_cells`` states that rule.  Sweeps apply it to a grid's stacked
+probe laws; ``cell_probabilities`` applies it to an attack's ``law()`` (see
+``adversary``) once, caching P(receiver outcome, Eve's record) per cell
+``2 * state + encoding``.  A photon is one inverse-CDF lookup in its cell's
+row with one uniform, supplied by the caller, then one lookup each of its
+record and decoded bit; one call sends each photon through its own attack.
 
 All states reachable in this protocol have real amplitudes, so the laws are
 built from the signed float64 amplitude tables below with the elementwise
@@ -108,12 +108,16 @@ def read_number(convert, text: str):
     return convert(text)
 
 
+def prep_basis_cells(law: np.ndarray) -> np.ndarray:
+    """P[..., state, encoding, receiver outcome, record] with a uniform pad and bit:
+    a law's slice at each state's preparation basis over 8, laws stacked or not."""
+    return law.swapaxes(-4, -3)[..., np.arange(4), PREP_BASIS_OF_STATE, :, :, :] / 8.0
+
+
 @functools.lru_cache(maxsize=64)
 def cell_probabilities(attack) -> np.ndarray:
-    """Exact law P[state, encoding, receiver outcome, record] of one photon,
-    with a uniformly random pad and bit and the receiver measuring in the
-    preparation basis: that slice of ``attack.law()`` over 8, built once, read-only."""
-    cells = attack.law()[np.arange(4), :, PREP_BASIS_OF_STATE] / 8.0
+    """``prep_basis_cells`` of ``attack.law()``, built once, read-only."""
+    cells = prep_basis_cells(attack.law())
     cells.flags.writeable = False
     return cells
 

@@ -14,7 +14,6 @@ from qotp.analysis import (
     BOUNDS_CSV_HEADER,
     SWEEP_CSV_HEADER,
     bounds_csv,
-    cell_probabilities,
     d_of_theta,
     empirical_mutual_information,
     epsilon_tilde_min,
@@ -26,7 +25,7 @@ from qotp.analysis import (
     sweep_theta,
 )
 from qotp.errors import PoleError
-from qotp.kernels import Basis
+from qotp.kernels import Basis, cell_probabilities
 from qotp.keystore import generate_pad, pair_states
 from qotp.protocol import SessionConfig, run_session
 from qotp.rng import ROLE_SWEEP, make_rng, role_seed
@@ -520,8 +519,14 @@ class TestSweepRows:
         assert backward != forward[::-1]
         assert [row[0] for row in backward] == thetas[::-1]
 
-    def test_empty_grid(self):
-        assert sweep_theta([], 1_000, 8) == []
+    def test_empty_grid(self, monkeypatch):
+        # as a bound table does, a sweep refuses a grid with no point
+        draws = []
+        monkeypatch.setattr(analysis, "make_rng", lambda seed: draws.append(seed))
+        with pytest.raises(ValueError) as raised:
+            sweep_theta([], 1_000, 8)
+        assert str(raised.value) == "a sweep's theta grid must not be empty, got shape (0,)"
+        assert draws == []
         assert sweep_csv([]) == SWEEP_CSV_HEADER + "\n"
 
     @pytest.mark.parametrize("n_photons", [1000.9, 1000.0, "1000", np.float64(1000), True],
@@ -585,6 +590,46 @@ class TestSweepRows:
         with pytest.raises(ValueError, match=r"^theta must lie in \[0, pi/4\], got "):
             sweep_theta(thetas, 1, 3)
         assert draws == []
+
+
+class TestGridTable:
+    """A sweep reads its grid's stacked probe laws and theory columns from one
+    read-only table, cached per grid by its float64 bytes and the basis."""
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    def test_stacked_laws_equal_the_per_point_laws(self, basis):
+        drawn = np.random.default_rng(7).uniform(0.0, np.pi / 4, 2000)
+        thetas = np.concatenate([[0.0, np.pi / 4], drawn])
+        laws = analysis._grid_table(thetas.tobytes(), basis)[0]
+        assert laws.shape == (thetas.size, STATE.size)
+        for theta, row in zip(thetas.tolist(), laws):
+            law = kernels.prep_basis_cells(IndividualUTB(theta, basis).law())
+            assert np.array_equal(row, law.ravel()), theta
+
+    def test_cache_keys_on_exact_bits(self):
+        # -0.0 == 0.0, so a key that compared floats would hand the second grid
+        # the first grid's table
+        analysis._grid_table.cache_clear()
+        assert sweep_csv(sweep_theta([0.0, 0.1], 1000, 1)).split("\n")[1] == "0,0,0,0,0,0"
+        assert sweep_csv(sweep_theta([-0.0, 0.1], 1000, 1)).split("\n")[1] == "-0,0,0,0,0,0"
+        assert analysis._grid_table.cache_info().misses == 2
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    def test_cold_and_warm_sweeps_agree(self, basis):
+        thetas = np.linspace(0.0, np.pi / 4, 9)
+        analysis._grid_table.cache_clear()
+        cold = sweep_csv(sweep_theta(thetas, 50_000, 4, basis))
+        assert analysis._grid_table.cache_info().misses == 1
+        assert sweep_csv(sweep_theta(thetas, 50_000, 4, basis)) == cold
+        assert analysis._grid_table.cache_info().hits == 1
+
+    def test_cached_arrays_are_read_only(self):
+        thetas = np.array([0.0, 0.3, np.pi / 4])
+        sweep_theta(thetas, 1000, 1)
+        for column in analysis._grid_table(thetas.tobytes(), Basis.PLUS):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0.5
 
 
 # Upper 0.1% points of the chi-square law by degrees of freedom (cells of

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qotp import analysis, cli, kernels, protocol
+from qotp import adversary, analysis, cli, kernels, protocol
 from qotp.adversary import IndividualUTB, InterceptResend, NoAttack
 from qotp.analysis import BOUNDS_CSV_HEADER, SWEEP_CSV_HEADER
 from qotp.keystore import generate_pad, pad_to_text
@@ -238,22 +238,33 @@ class TestSweep:
         assert rc == cli.EXIT_ERROR
 
     def test_sweeps_build_each_points_law_once(self, monkeypatch, tmp_path):
-        # a grid point's prep-basis slice is read through one cache, so a
-        # second sweep over the same grid builds nothing
+        # a grid's probe laws are built in one call and its table is cached,
+        # so a second sweep over the same grid builds nothing
         calls = []
-        law = IndividualUTB.law
+        probe_law = adversary.probe_law
 
-        def counting(attack):
-            calls.append(attack.theta)
-            return law(attack)
+        def counting(cos, sin, basis):
+            calls.append(np.shape(cos))
+            return probe_law(cos, sin, basis)
 
-        monkeypatch.setattr(IndividualUTB, "law", counting)
-        kernels.cell_probabilities.cache_clear()
+        monkeypatch.setattr(adversary, "probe_law", counting)
+        analysis._grid_table.cache_clear()
         argv = ["sweep-theta", "--points", "5", "--photons", "1000", "--seed", "3",
                 "--out", str(tmp_path / "sweep.csv")]
         assert cli.main(argv) == cli.EXIT_OK
+        assert calls == [(5, 1, 1, 1)]
         assert cli.main(argv) == cli.EXIT_OK
-        assert calls == np.linspace(0.0, np.pi / 4, 5).tolist()
+        assert calls == [(5, 1, 1, 1)]
+
+    def test_sweeps_leave_the_session_cache_alone(self, capsys):
+        # a sweep builds its own table, so it evicts no slice a session cached
+        cli.main(["run", "--message-bits", "16", "--samples", "4", "--attack", "utb",
+                  "--theta", "0.3", "--seed", "3"])
+        before = kernels.cell_probabilities.cache_info()
+        assert cli.main(["sweep-theta", "--points", "100", "--photons", "1000",
+                         "--seed", "3"]) == cli.EXIT_OK
+        assert kernels.cell_probabilities.cache_info() == before
+        capsys.readouterr()
 
 
 class TestBounds:
