@@ -2,14 +2,14 @@
 
 Attacks never see basis keys, pad bits, sample positions, or message bits;
 their only input is the travelling state.  Known plaintext is what Eve knows,
-not what she does, so no attack carries it: ``SessionTranscript`` notes it.
+not what she does, so no attack carries it: the CLI's ``run`` notes it.
 
 Each attack is described once, by its class.  ``law()`` is its exact joint
 law P[state, encoding, receiver basis, receiver outcome, record]: the batch
-kernel reads its cached slice ``kernels.cell_probabilities``, sweeps stack
-``probe_law`` over a theta grid, and ``record_likelihoods`` sums a law into
-P(record | state, encoding), the same under either basis: one photon's
-record says nothing of its basis.
+kernel slices it (``kernels.cell_probabilities``) once per cached table,
+sweeps stack ``probe_law`` over a theta grid, and ``record_likelihoods`` sums
+a law into P(record | state, encoding), the same under either basis: one
+photon's record says nothing of its basis.
 ``describe`` is the attack's transcript entry and ``kind`` its name on the
 command line.  Eve's record is ``2 * basis + outcome`` for intercept-resend
 and the probe outcome for the probe attack; with no attack the record axis
@@ -69,8 +69,8 @@ class InterceptResend:
 
 
 def check_probe(thetas, attack_basis) -> None:
-    """Refuse the first of ``thetas`` outside [0, pi/4], then a basis not a Basis."""
-    for theta in thetas:
+    """Refuse non-real ``thetas``, then the first outside [0, pi/4], then a basis not a Basis."""
+    for theta in kernels.real_array("theta", thetas).tolist():
         if not 0.0 <= theta <= np.pi / 4:  # NaN is outside too
             raise ValueError(f"theta must lie in [0, pi/4], got {theta}")
     if attack_basis not in _BASES:

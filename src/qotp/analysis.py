@@ -42,8 +42,8 @@ def _listed(values: np.ndarray) -> str:
     return ", ".join(f"{v:.12g}" for v in values)
 
 
-def _eval(x, domain_lo, domain_hi, func, name):
-    arr = np.asarray(x, dtype=np.float64)
+def _eval(x, domain_lo, domain_hi, func, name, arg):
+    arr = kernels.real_array(arg, x)
     inside = (arr >= domain_lo) & (arr <= domain_hi)  # NaN is outside too
     if not inside.all():
         raise ValueError(
@@ -62,7 +62,7 @@ def _phi(arr: np.ndarray) -> np.ndarray:
 
 def phi(x):
     """(1+x)log2(1+x) + (1-x)log2(1-x) on [0, 1], with 0*log 0 = 0 at x = 1."""
-    return _eval(x, 0.0, 1.0, _phi, "phi")
+    return _eval(x, 0.0, 1.0, _phi, "phi", "x")
 
 
 def i0_bound(d):
@@ -72,7 +72,7 @@ def i0_bound(d):
     regime is d in [0, 1/4].
     """
 
-    return _eval(d, 0.0, 1.0, _i0, "i0_bound")
+    return _eval(d, 0.0, 1.0, _i0, "i0_bound", "d")
 
 
 def _i0(arr: np.ndarray) -> np.ndarray:
@@ -82,7 +82,7 @@ def _i0(arr: np.ndarray) -> np.ndarray:
 
 def d_of_theta(theta):
     """Error rate (1/2) sin^2(theta) inflicted on attacked-basis photons."""
-    return _eval(theta, 0.0, np.pi / 4, _d_of_theta, "d_of_theta")
+    return _eval(theta, 0.0, np.pi / 4, _d_of_theta, "d_of_theta", "theta")
 
 
 def _d_of_theta(arr: np.ndarray) -> np.ndarray:
@@ -105,7 +105,7 @@ def epsilon_tilde_min(d_m):
     on [0, 1/4].  The denominator vanishes at d = 1/(8 sqrt(2)) ~ 0.08839;
     evaluation within 1e-9 of the pole raises PoleError.
     """
-    return _eval(d_m, 0.0, 0.25, _eps_tilde, "epsilon_tilde_min")
+    return _eval(d_m, 0.0, 0.25, _eps_tilde, "epsilon_tilde_min", "d_m")
 
 
 def on_pole(d_m) -> np.ndarray:
@@ -123,20 +123,20 @@ def _i1(e: np.ndarray) -> np.ndarray:
 def i1_bound(d_m):
     """Basis-information ceiling 1 - log2(1+e) + (e/(1+e)) log2 e at
     e = epsilon_tilde_min(d_m); e log2 e -> 0 as e -> 0."""
-    return _eval(d_m, 0.0, 0.25, lambda arr: _i1(_eps_tilde(arr)), "i1_bound")
+    return _eval(d_m, 0.0, 0.25, lambda arr: _i1(_eps_tilde(arr)), "i1_bound", "d_m")
 
 
 def small_dm_linear_bound(d_m):
     """Small-d_m linear ceiling (4 sqrt(2) / ln 2) d_m on [0, 1/4]."""
     slope = 4.0 * np.sqrt(2.0) / _LN2
-    return _eval(d_m, 0.0, 0.25, lambda arr: slope * arr, "small_dm_linear_bound")
+    return _eval(d_m, 0.0, 0.25, lambda arr: slope * arr, "small_dm_linear_bound", "d_m")
 
 
 def empirical_mutual_information(counts) -> float | np.ndarray:
     """Plug-in estimate sum p(a,e) log2[p(a,e)/(p(a)p(e))] in bits of a 2-D
     count table, as a float, or of each table of a stack along the leading
     axes, as an array."""
-    c = np.asarray(counts, dtype=np.float64)
+    c = kernels.real_array("counts", counts)
     if c.ndim < 2 or not np.all((c >= 0) & (c < np.inf)):  # NaN fails both
         raise ValueError("counts must be finite, nonnegative 2-D tables")
     if np.any(c.sum(axis=(-2, -1)) <= 0):
@@ -186,7 +186,7 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 def _grid_table(grid: bytes, attack_basis: Basis) -> tuple[np.ndarray, ...]:
     """The read-only probe laws [point, cell], d_theory and i0_at_d of a checked grid."""
     thetas = np.frombuffer(grid)
-    adversary.check_probe(thetas.tolist(), attack_basis)
+    adversary.check_probe(thetas, attack_basis)
     # cos and sin per point, as IndividualUTB.law takes them: its law bit for bit
     cos_sin = [(np.cos(theta), np.sin(theta)) for theta in thetas.tolist()]
     cos, sin = np.array(cos_sin).T.reshape(2, -1, 1, 1, 1)
@@ -214,7 +214,7 @@ def sweep_theta(
         raise ValueError(
             f"a sweep takes at most {_INT64_MAX} photons per grid point, got {n_photons}"
         )
-    thetas = np.asarray(thetas, dtype=np.float64)
+    thetas = kernels.real_array("thetas", thetas)
     if thetas.ndim != 1:
         raise ValueError(f"a sweep's theta grid must be 1-D, got shape {thetas.shape}")
     if not thetas.size:
@@ -254,7 +254,7 @@ def sweep_csv(points: list[SweepPoint]) -> str:
 def bounds_csv(d_grid) -> str:
     """Bound curves over a d_m grid in [0, 1/4]; the pole must not be in the
     grid (PoleError names the offending point)."""
-    d = np.atleast_1d(np.asarray(d_grid, dtype=np.float64))
+    d = np.atleast_1d(kernels.real_array("d_grid", d_grid))
     if d.ndim != 1 or d.size == 0:
         raise ValueError(f"a bound table needs a nonempty 1-D d grid, got shape {d.shape}")
     i0, e = i0_bound(d), epsilon_tilde_min(d)

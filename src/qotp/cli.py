@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import os
 import sys
@@ -221,10 +220,11 @@ def cmd_run(args) -> int:
     attack = _ATTACKS[args.attack][1](args)
     pad = _session_pad(args, 2 * (n_message + n_sample))
     transcript = run_session(config, pad, message, attack)
-    if args.known_plaintext:
-        transcript = dataclasses.replace(transcript, known_plaintext=True)
     if args.out:
-        _write_file(args.out, transcript.to_json())
+        doc = transcript.to_json_dict()
+        if args.known_plaintext:  # what Eve knows, not a draw: a note on the attack entry
+            doc["attack"]["known_plaintext"] = True
+        _write_file(args.out, json_text(doc))
     report = transcript.error_report
     verdict = "accepted" if report.accepted else "rejected: eavesdropping detected"
     print(f"session {verdict}")

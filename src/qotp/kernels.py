@@ -5,10 +5,10 @@ runs here for sessions and the large-sample statistical checks.  The receiver
 holds the sender's pad, so it measures each photon in its preparation basis:
 ``prep_basis_cells`` states that rule.  Sweeps apply it to a grid's stacked
 probe laws; ``cell_probabilities`` applies it to an attack's ``law()`` (see
-``adversary``) once, caching P(receiver outcome, Eve's record) per cell
-``2 * state + encoding``.  A photon is one inverse-CDF lookup in its cell's
-row with one uniform, supplied by the caller, then one lookup each of its
-record and decoded bit; one call sends each photon through its own attack.
+``adversary``) for ``_pair_tables``, the one cache, so a law is built once per
+stacked table.  A photon is one inverse-CDF lookup in its cell's row of
+P(receiver outcome, Eve's record) with one uniform, supplied by the caller,
+then one lookup each of its record and decoded bit, through its own attack.
 
 All states reachable in this protocol have real amplitudes, so the laws are
 built from the signed float64 amplitude tables below with the elementwise
@@ -86,6 +86,15 @@ def index_column(name: str, values, hi: int) -> np.ndarray:
     return np.ascontiguousarray(column, dtype=np.min_scalar_type(hi))
 
 
+def real_array(name: str, values) -> np.ndarray:
+    """``values`` as float64, refused unless numpy reads them as integers or
+    floats: a cast would parse a string, read a bool as 0 or 1 and None as NaN."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold real numbers, got dtype {array.dtype}")
+    return array.astype(np.float64, copy=False)
+
+
 def index_value(name: str, value) -> int:
     """``value`` as an int, so that a numpy integer serializes like any other;
     a float or a string, which a cast would truncate or parse, is refused, and
@@ -114,12 +123,9 @@ def prep_basis_cells(law: np.ndarray) -> np.ndarray:
     return law.swapaxes(-4, -3)[..., np.arange(4), PREP_BASIS_OF_STATE, :, :, :] / 8.0
 
 
-@functools.lru_cache(maxsize=64)
 def cell_probabilities(attack) -> np.ndarray:
-    """``prep_basis_cells`` of ``attack.law()``, built once, read-only."""
-    cells = prep_basis_cells(attack.law())
-    cells.flags.writeable = False
-    return cells
+    """``prep_basis_cells`` of ``attack.law()``."""
+    return prep_basis_cells(attack.law())
 
 
 @functools.lru_cache(maxsize=64)

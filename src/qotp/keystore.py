@@ -75,11 +75,14 @@ def pair_states(pad: PadKey) -> np.ndarray:
     return key[:, 0] + 2 * (key[:, 0] ^ key[:, 1])
 
 
+def pad_hex(pad: PadKey) -> str:
+    """The pad's bits as upper-case hex, bit 0 the high bit of the first digit."""
+    return np.packbits(pad.bits).tobytes().hex().upper()[: -(-len(pad) // 4)]
+
+
 def pad_to_text(pad: PadKey) -> str:
     """Serialize a pad to the exchange format (generation, hex bits, bit count)."""
-    n_digits = -(-len(pad) // 4)
-    digits = np.packbits(pad.bits).tobytes().hex().upper()[:n_digits]
-    return f"generation={pad.generation}\n{digits}\nbits={len(pad)}\n"
+    return f"generation={pad.generation}\n{pad_hex(pad)}\nbits={len(pad)}\n"
 
 
 def _int_field(line: str, name: str) -> int:

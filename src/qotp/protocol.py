@@ -95,7 +95,6 @@ class SessionTranscript:
     is no attack).  ``modified`` is the message with the sampling bits at the
     sorted photon indices ``sample_positions``; ``extracted_message``, set
     when the check passes, is the decoded bits at the other photons.
-    ``known_plaintext`` notes that Eve knows the message; it changes no draw.
     """
 
     config: SessionConfig
@@ -108,7 +107,6 @@ class SessionTranscript:
     error_report: ErrorReport
     recycled_pad: PadKey | None
     extracted_message: np.ndarray | None
-    known_plaintext: bool = False
 
     def public_view(self) -> dict:
         """Everything an eavesdropper may read: per photon, the bit the
@@ -130,13 +128,10 @@ class SessionTranscript:
         out: ``pad_bits``, ``decoded_bits`` and the public view imply them.
         """
         pad = self.recycled_pad
-        attack = self.attack.describe()
-        if self.known_plaintext:
-            attack["known_plaintext"] = True
         return {
             "schema": "qotp-transcript-v4",
             "config": vars(self.config).copy(),
-            "attack": attack,
+            "attack": self.attack.describe(),
             "secret_view": {
                 "pad_bits": _digits(self.pad.bits[: 2 * self.modified.size]),
                 "modified_bits": _digits(self.modified),
@@ -149,7 +144,7 @@ class SessionTranscript:
                 if pad is None
                 else {
                     "generation": pad.generation,
-                    "hex": keystore.pad_to_text(pad).splitlines()[1],
+                    "hex": keystore.pad_hex(pad),
                     "bits": len(pad),
                 },
             },

@@ -6,7 +6,6 @@ oracles: a 30-digit evaluation of the closed forms, exhaustive enumeration of
 the intercept-resend channel, and explicit 4-dim complex projection algebra.
 """
 
-import dataclasses
 import json
 import time
 
@@ -49,7 +48,7 @@ from oracle import (
     simulate_one_attack,
     utb_apply,
 )
-from transcript_v1 import attack_events, posterior_plus_table
+from transcript_v1 import attack_events, known_plaintext_document, posterior_plus_table
 
 
 def report(num: int, desc: str, passed: bool, detail: str = ""):
@@ -413,8 +412,8 @@ def test_criterion_12_known_plaintext_posteriors_match_oracle():
                                 IndividualUTB(theta=np.pi / 4, attack_basis=Basis.CROSS)]):
         cfg = SessionConfig(n_message=300, n_sample=100, seed=132 + k,
                             abort_threshold=1.0, allow_insecure_demo=True)
-        t = dataclasses.replace(run_session(cfg, pad, message, attack), known_plaintext=True)
-        session_events = attack_events(t.to_json_dict())
+        t = run_session(cfg, pad, message, attack)
+        session_events = attack_events(known_plaintext_document(t))
         oracle_records = [
             EveRecord(photon_index=ev.photon_index, kind=ev.kind, eve_basis=ev.eve_basis,
                       eve_outcome=ev.eve_outcome, probe_outcome=ev.probe_outcome,

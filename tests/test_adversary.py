@@ -35,7 +35,7 @@ from oracle import (
     run_photon_batch,
     utb_intercept,
 )
-from transcript_v1 import attack_events, posterior_plus_table
+from transcript_v1 import attack_events, known_plaintext_document, posterior_plus_table
 
 OVERALL_UTB_ERR_PI4 = 0.19822330470336313  # (sin^2 + 1 - cos)/4 at pi/4
 
@@ -183,6 +183,12 @@ class TestConstructorValidation:
         with pytest.raises(ValueError, match="theta"):
             IndividualUTB(theta=2.0, attack_basis=Basis.PLUS)
 
+    @pytest.mark.parametrize("theta", ["0.1", True, None], ids=["str", "bool", "none"])
+    def test_theta_must_be_a_real_number(self, theta):
+        # a string would fail the range check with a TypeError, and True would pass it as 1
+        with pytest.raises(ValueError, match=r"^theta must hold real numbers, got dtype \S+$"):
+            IndividualUTB(theta=theta)
+
     @pytest.mark.parametrize(
         "make,attack_basis",
         [(InterceptResend, basis) for basis in (2, -1, 1, "plus")]
@@ -204,18 +210,18 @@ class TestKnownPlaintext:
             n_message=n_message, n_sample=ns, seed=seed + 2,
             abort_threshold=1.0, allow_insecure_demo=True,
         )
-        return dataclasses.replace(run_session(cfg, pad, message, attack), known_plaintext=True)
+        return run_session(cfg, pad, message, attack)
 
     def test_no_inner_attack_no_records(self):
         t = self._session(NoAttack())
-        assert attack_events(t.to_json_dict()) == []
+        assert attack_events(known_plaintext_document(t)) == []
 
     def test_intercept_resend_inference_at_chance(self):
         # single-photon data plus the plaintext still leaves the basis opaque:
         # the per-basis likelihoods are equal by completeness, so accuracy
         # stays strictly below 1 (at coin-flip level)
         t = self._session(InterceptResend())
-        events = attack_events(t.to_json_dict())
+        events = attack_events(known_plaintext_document(t))
         assert len(events) > 0
         correct = 0
         pairs = key_pairs(t.pad.bits[: 2 * t.modified.size])
@@ -230,13 +236,13 @@ class TestKnownPlaintext:
 
     def test_zero_theta_probe_inference_at_chance(self):
         t = self._session(IndividualUTB(theta=0.0))
-        for ev in attack_events(t.to_json_dict()):
+        for ev in attack_events(known_plaintext_document(t)):
             assert ev.posterior_plus == pytest.approx(0.5, abs=1e-9)
 
     def test_strong_probe_inference_still_at_chance(self):
         # even at maximal strength the probe outcome alone is basis-blind
         t = self._session(IndividualUTB(theta=np.pi / 4))
-        for ev in attack_events(t.to_json_dict()):
+        for ev in attack_events(known_plaintext_document(t)):
             assert ev.posterior_plus == pytest.approx(0.5, abs=1e-9)
 
     def test_infer_without_records(self):

@@ -197,6 +197,12 @@ CLOSED_FORMS = [
     (i1_bound, 0.05, 0.25, "i1_bound domain is [0, 0.25]"),
     (small_dm_linear_bound, 0.05, 0.25, "small_dm_linear_bound domain is [0, 0.25]"),
 ]
+# the name each closed form gives its argument
+ARGUMENT = {phi: "x", i0_bound: "d", d_of_theta: "theta", epsilon_tilde_min: "d_m",
+            i1_bound: "d_m", small_dm_linear_bound: "d_m"}
+# values a float64 cast would parse or read as a number: "0.1" as 0.1, True as
+# 1 and None as NaN
+NON_NUMBERS = pytest.mark.parametrize("bad", ["0.1", True, None], ids=["str", "bool", "none"])
 
 
 @pytest.mark.parametrize("func,inside,hi,domain", CLOSED_FORMS,
@@ -224,6 +230,13 @@ class TestClosedFormBoundary:
         with pytest.raises(ValueError) as raised:
             func(bad)
         assert str(raised.value) == f"{domain}, got {bad:.12g}"
+
+    @NON_NUMBERS
+    def test_non_numbers_are_refused(self, func, inside, hi, domain, bad):
+        for value in bad, [bad, bad]:
+            with pytest.raises(ValueError,
+                               match=rf"^{ARGUMENT[func]} must hold real numbers, got dtype \S+$"):
+                func(value)
 
 
 class TestLinearBound:
@@ -306,6 +319,12 @@ class TestMutualInformation:
         table = np.array([[bad, 1.0], [1.0, 1.0]])
         counts = np.stack([np.ones((2, 2)), table]) if stacked else table
         with pytest.raises(ValueError, match="^counts must be finite, nonnegative 2-D tables$"):
+            empirical_mutual_information(counts)
+
+    @pytest.mark.parametrize("counts", [[["1", "2"], ["3", "4"]], [[True, False], [False, True]],
+                                        [[None, 1], [1, 1]]], ids=["str", "bool", "none"])
+    def test_non_number_counts_refused(self, counts):
+        with pytest.raises(ValueError, match=r"^counts must hold real numbers, got dtype \S+$"):
             empirical_mutual_information(counts)
 
     @pytest.mark.parametrize("counts", [np.zeros((2, 2)), np.zeros((3, 2, 2)), [1.0, 2.0]],
@@ -578,18 +597,29 @@ class TestSweepRows:
             named.add(thetas.index(empty[0]))
         assert named - {0}
 
-    @pytest.mark.parametrize("bad", [1.0, float("nan")], ids=["past-pi-over-4", "nan"])
+    @pytest.mark.parametrize("bad,message", [
+        (1.0, r"^theta must lie in \[0, pi/4\], got "),
+        (float("nan"), r"^theta must lie in \[0, pi/4\], got "),
+        ("0.1", r"^thetas must hold real numbers, got dtype <U"),
+        (None, r"^thetas must hold real numbers, got dtype object$"),
+    ], ids=["past-pi-over-4", "nan", "str", "none"])
     @pytest.mark.parametrize("where", [0, 1, 3])
-    def test_bad_theta_is_rejected_before_any_draw(self, monkeypatch, bad, where):
+    def test_bad_theta_is_rejected_before_any_draw(self, monkeypatch, bad, message, where):
         # [0, 0.5, 0.7] at one photon per point would raise on its empty point
         # were any point drawn first
         thetas = [0, 0.5, 0.7]
         thetas.insert(where, bad)
         draws = []
         monkeypatch.setattr(analysis, "make_rng", lambda seed: draws.append(seed))
-        with pytest.raises(ValueError, match=r"^theta must lie in \[0, pi/4\], got "):
+        with pytest.raises(ValueError, match=message):
             sweep_theta(thetas, 1, 3)
         assert draws == []
+
+    @NON_NUMBERS
+    def test_a_grid_of_non_numbers_is_refused(self, bad):
+        # True beside numbers is promoted to 1.0, which the range check names
+        with pytest.raises(ValueError, match=r"^thetas must hold real numbers, got dtype \S+$"):
+            sweep_theta([bad, bad], 1000, 1)
 
 
 class TestGridTable:
@@ -732,6 +762,11 @@ class TestBoundsCsv:
         with pytest.raises(ValueError, match=r"^a bound table needs a nonempty 1-D d grid, got "
                                              r"shape \("):
             bounds_csv(grid)
+
+    @NON_NUMBERS
+    def test_non_number_grid_refused(self, bad):
+        with pytest.raises(ValueError, match=r"^d_grid must hold real numbers, got dtype \S+$"):
+            bounds_csv([bad, bad])
 
     def test_pole_in_grid_rejected(self):
         with pytest.raises(PoleError):

@@ -165,36 +165,24 @@ class TestRun:
          (IndividualUTB, ["--attack", "utb", "--theta", "0.3"])],
         ids=["intercept-resend", "probe"],
     )
-    def test_attacked_run_builds_the_law_once(self, attack_class, flags, monkeypatch, tmp_path):
-        # the kernel's tables read the law through one cache
-        calls = []
-        law = attack_class.law
-
-        def counting(attack):
-            calls.append(attack)
-            return law(attack)
-
-        monkeypatch.setattr(attack_class, "law", counting)
-        kernels.cell_probabilities.cache_clear()
-        kernels._pair_tables.cache_clear()
+    def test_attacked_run_builds_the_law_once(self, attack_class, flags, law_calls, tmp_path):
+        # the kernel reads the law once, into its cached stacked table
         argv = ["run", "--message-bits", "64", "--samples", "16", *flags, "--known-plaintext",
                 "--threshold", "1", "--insecure-demo", "--out", str(tmp_path / "t.json")]
         assert cli.main(argv) == cli.EXIT_OK
-        assert len(calls) == 1
+        assert [type(attack) for attack in law_calls] == [attack_class]
 
-    def test_known_plaintext_shares_its_attacks_table(self, capsys):
+    def test_known_plaintext_shares_its_attacks_table(self, law_calls, capsys):
         # the session benchmark's five run shapes hold four laws: the
         # known-plaintext probe is the plus-basis probe
         probe = ["--attack", "utb", "--theta-deg", "22.5"]
         shapes = [[], ["--attack", "intercept_resend", "--ir-basis", "random"],
                   [*probe, "--utb-basis", "plus"], [*probe, "--utb-basis", "cross"],
                   [*probe, "--utb-basis", "plus", "--known-plaintext"]]
-        kernels.cell_probabilities.cache_clear()
-        kernels._pair_tables.cache_clear()
-        for flags in shapes:
+        for flags in shapes * 2:
             cli.main(["run", "--message-bits", "48", "--samples", "16", "--seed", "4", *flags])
         capsys.readouterr()
-        assert kernels.cell_probabilities.cache_info().currsize == 4
+        assert len(law_calls) == 4
         assert kernels._pair_tables.cache_info().currsize == 4
 
 
@@ -257,13 +245,13 @@ class TestSweep:
         assert calls == [(5, 1, 1, 1)]
 
     def test_sweeps_leave_the_session_cache_alone(self, capsys):
-        # a sweep builds its own table, so it evicts no slice a session cached
+        # a sweep builds its own table, so it evicts no table a session cached
         cli.main(["run", "--message-bits", "16", "--samples", "4", "--attack", "utb",
                   "--theta", "0.3", "--seed", "3"])
-        before = kernels.cell_probabilities.cache_info()
+        before = kernels._pair_tables.cache_info()
         assert cli.main(["sweep-theta", "--points", "100", "--photons", "1000",
                          "--seed", "3"]) == cli.EXIT_OK
-        assert kernels.cell_probabilities.cache_info() == before
+        assert kernels._pair_tables.cache_info() == before
         capsys.readouterr()
 
 

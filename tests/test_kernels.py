@@ -6,7 +6,7 @@ statistics must match those probabilities."""
 import numpy as np
 import pytest
 
-from qotp import kernels
+from qotp import kernels, protocol
 from qotp.adversary import (
     IndividualUTB,
     InterceptResend,
@@ -14,6 +14,8 @@ from qotp.adversary import (
     record_likelihoods,
 )
 from qotp.kernels import Basis
+from qotp.keystore import generate_pad
+from qotp.protocol import SessionConfig, run_lineage
 from qotp.rng import make_rng
 from oracle import (
     PREP_BASIS,
@@ -140,23 +142,43 @@ def test_edges_are_the_normalised_cumulative_prep_basis_rows(model):
 
 
 @pytest.mark.parametrize("model", CHANNELS, ids=channel_id)
-def test_cell_probabilities_is_the_cached_read_only_prep_basis_slice(model):
+def test_cell_probabilities_is_the_prep_basis_slice(model):
+    # the slice of the law, indexed by hand, bit for bit
     cells = kernels.cell_probabilities(model)
-    assert kernels.cell_probabilities(model) is cells
-    assert not cells.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        cells[0, 0, 0, 0] = 1.0
-    # the slice of a law built afresh, bit for bit
-    uncached = model.law()[np.arange(4), :, kernels.PREP_BASIS_OF_STATE] / 8
-    assert (cells.dtype, cells.shape) == (uncached.dtype, uncached.shape)
-    assert cells.tobytes() == uncached.tobytes()
+    by_hand = model.law()[np.arange(4), :, kernels.PREP_BASIS_OF_STATE] / 8
+    assert (cells.dtype, cells.shape) == (by_hand.dtype, by_hand.shape)
+    assert cells.tobytes() == by_hand.tobytes()
 
 
-def test_the_prep_basis_slice_is_the_only_per_attack_cache():
-    # no second cache keeps each attack's whole law beside its slice
+@pytest.mark.parametrize("model", CHANNELS, ids=channel_id)
+def test_the_stacked_tables_are_cached_and_read_only(model):
+    tables = kernels._pair_tables((model,))
+    assert kernels._pair_tables((model,)) is tables
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] = 0
+
+
+def test_the_stacked_tables_are_the_only_kernel_cache():
+    # no cache keeps an attack's law or its slice beside the stacked tables
     assert not hasattr(kernels, "law_of")
     caches = [name for name, value in vars(kernels).items() if hasattr(value, "cache_info")]
-    assert caches == ["cell_probabilities", "_pair_tables"]
+    assert caches == ["_pair_tables"]
+
+
+def test_a_lineage_builds_each_law_once_per_stacked_table(law_calls, monkeypatch):
+    # blocks of two 8-photon sessions: the first stacks (clean,), the second
+    # (clean, probe), so the clean law is built for two tables and the probe's
+    # for one; the same shapes again build nothing
+    monkeypatch.setattr(protocol, "BLOCK_PHOTONS", 16)
+    clean, probe = NoAttack(), IndividualUTB(theta=np.pi / 8)
+    config = SessionConfig(n_message=4, n_sample=4, seed=5)
+    for _ in range(2):
+        pad = generate_pad(2 * (8 + 3 * 4), make_rng(6))
+        run_lineage(pad, config, [clean, clean, clean, probe])
+        assert law_calls == [clean, clean, probe]
+    assert kernels._pair_tables.cache_info().currsize == 2
 
 
 class TestAgainstExactProjections:

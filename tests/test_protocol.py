@@ -19,7 +19,7 @@ from qotp.adversary import IndividualUTB, InterceptResend, NoAttack
 from qotp.errors import PadExhaustedError
 from qotp.kernels import Basis
 from qotp.keystore import PadKey, generate_pad
-from qotp.protocol import SessionConfig, draw_messages, run_lineage, run_session
+from qotp.protocol import SessionConfig, draw_messages, json_text, run_lineage, run_session
 from qotp.rng import ROLE_MESSAGE, make_rng, role_seed
 from lineage_v1 import lineage_v1
 from oracle import (
@@ -34,6 +34,7 @@ from transcript_v1 import (
     attack_events,
     extracted_message,
     known_bits,
+    known_plaintext_document,
     received_outcomes,
     sample_positions,
     v1_document,
@@ -87,7 +88,7 @@ class TestKnownBits:
         cfg = SessionConfig(n_message=n_message, n_sample=n_sample, seed=seed + 2,
                             abort_threshold=1.0, allow_insecure_demo=True)
         t = run_session(cfg, pad, message, InterceptResend())
-        doc = dataclasses.replace(t, known_plaintext=True).to_json_dict()
+        doc = known_plaintext_document(t)
         known = np.array(known_bits(doc))
         positions = sample_positions(doc)
         assert positions == t.sample_positions.tolist()
@@ -683,15 +684,15 @@ class TestTranscriptExport:
         doc = t.to_json_dict()
         jsonschema.validate(doc, SCHEMA)
 
-    def test_schema_valid_known_plaintext(self):
-        message = make_rng(53).integers(0, 2, 16, dtype=np.uint8)
-        pad = generate_pad(2 * 24, make_rng(54))
-        cfg = SessionConfig(
-            n_message=16, n_sample=8, seed=55,
-            abort_threshold=1.0, allow_insecure_demo=True,
-        )
-        t = run_session(cfg, pad, message, InterceptResend())
-        doc = dataclasses.replace(t, known_plaintext=True).to_json_dict()
+    def test_schema_valid_known_plaintext(self, tmp_path, capsys):
+        # the note is the CLI's: run writes it on the attack entry
+        out = tmp_path / "kp.json"
+        argv = ["run", "--message-bits", "16", "--samples", "8", "--attack", "intercept_resend",
+                "--known-plaintext", "--threshold", "1", "--insecure-demo", "--seed", "55",
+                "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        capsys.readouterr()
+        doc = json.loads(out.read_text())
         assert doc["attack"]["known_plaintext"] is True
         jsonschema.validate(doc, SCHEMA)
 
@@ -705,9 +706,10 @@ class TestTranscriptExport:
         cfg = SessionConfig(n_message=40, n_sample=20, seed=58,
                             abort_threshold=1.0, allow_insecure_demo=True)
         t = run_session(cfg, pad, message, inner)
-        t = dataclasses.replace(t, known_plaintext=known_plaintext)
-        text = t.to_json()
-        assert text == json.dumps(t.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        assert t.to_json() == json_text(t.to_json_dict())
+        doc = known_plaintext_document(t) if known_plaintext else t.to_json_dict()
+        text = json_text(doc)
+        assert text == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
         assert "\n" not in text[:-1]
 
     @pytest.mark.parametrize(
@@ -785,7 +787,7 @@ class TestTranscriptExport:
         cfg = SessionConfig(n_message=16, n_sample=8, seed=73, abort_threshold=1.0,
                             allow_insecure_demo=True)
         t = run_session(cfg, generate_pad(2 * 24, make_rng(74)), message, InterceptResend())
-        doc = dataclasses.replace(t, known_plaintext=True).to_json_dict()
+        doc = known_plaintext_document(t)
         jsonschema.validate(doc, SCHEMA)
         view = doc["secret_view"]
         if key == "posterior_plus":
@@ -811,7 +813,7 @@ class TestTranscriptExport:
         cfg = SessionConfig(n_message=30, n_sample=15, seed=65, abort_threshold=threshold,
                             allow_insecure_demo=True)
         t = run_session(cfg, pad, message, inner)
-        doc = dataclasses.replace(t, known_plaintext=known_plaintext).to_json_dict()
+        doc = known_plaintext_document(t) if known_plaintext else t.to_json_dict()
         jsonschema.validate(doc, SCHEMA)
         n_message, n_sample = doc["config"]["n_message"], doc["config"]["n_sample"]
         n = n_message + n_sample
@@ -832,14 +834,16 @@ class TestTranscriptExport:
         assert len(adversary["records"]) == n
         assert max(map(int, adversary["records"])) < n_records
 
-    def test_known_plaintext_transcript_under_7_bytes_per_photon(self):
-        message = make_rng(66).integers(0, 2, 1536, dtype=np.uint8)
-        pad = generate_pad(2 * 2048, make_rng(67))
-        cfg = SessionConfig(n_message=1536, n_sample=512, seed=68, abort_threshold=1.0,
-                            allow_insecure_demo=True)
-        t = run_session(cfg, pad, message, IndividualUTB(theta=np.pi / 8))
-        text = dataclasses.replace(t, known_plaintext=True).to_json()
-        assert len(text.encode()) < 7 * 2048
+    def test_known_plaintext_transcript_under_7_bytes_per_photon(self, tmp_path, capsys):
+        # the session benchmark's known-plaintext shape, as the CLI writes it
+        out = tmp_path / "kp.json"
+        argv = ["run", "--message-bits", "1536", "--samples", "512", "--attack", "utb",
+                "--theta-deg", "22.5", "--known-plaintext", "--threshold", "1",
+                "--insecure-demo", "--seed", "68", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        capsys.readouterr()
+        assert json.loads(out.read_text())["attack"]["known_plaintext"] is True
+        assert len(out.read_bytes()) < 7 * 2048
 
     def test_json_deterministic(self):
         def once():

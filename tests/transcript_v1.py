@@ -71,6 +71,14 @@ def extracted_message(doc: dict) -> list[int] | None:
     return [int(d) for a, d in zip(announced, doc["secret_view"]["decoded_bits"]) if a == "2"]
 
 
+def known_plaintext_document(transcript) -> dict:
+    """``transcript``'s document as ``run --known-plaintext`` writes it: the
+    attack entry notes that Eve knows the message, and nothing else moves."""
+    doc = transcript.to_json_dict()
+    doc["attack"]["known_plaintext"] = True
+    return doc
+
+
 def sample_positions(doc: dict) -> list[int]:
     """The photons whose decoded bit the receiver announced."""
     return [i for i, c in enumerate(doc["public_view"]["announced"]) if c != "2"]
