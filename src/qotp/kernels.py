@@ -88,10 +88,16 @@ def index_column(name: str, values, hi: int) -> np.ndarray:
 
 def real_array(name: str, values) -> np.ndarray:
     """``values`` as float64, refused unless numpy reads them as integers or
-    floats: a cast would parse a string, read a bool as 0 or 1 and None as NaN."""
+    floats: a cast would parse a string, read a bool as 0 or 1 and None as NaN.
+    A bool among the numbers of a list is refused too, which numpy would
+    promote to 0.0 or 1.0."""
     array = np.asarray(values)
-    if array.dtype.kind not in "iuf":
-        raise ValueError(f"{name} must hold real numbers, got dtype {array.dtype}")
+    dtype = array.dtype
+    if type(values) is not np.ndarray and dtype.kind in "iuf" and any(
+            type(value) in (bool, np.bool_) for value in np.asarray(values, dtype=object).flat):
+        dtype = np.dtype(bool)
+    if dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold real numbers, got dtype {dtype}")
     return array.astype(np.float64, copy=False)
 
 

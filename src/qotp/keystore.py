@@ -3,10 +3,9 @@
 A pad is a value object.  Photon i of a session is keyed by pad bits 2i and
 2i+1, which select its prepared state; reading the states never mutates the
 pad, and recycling after a passed eavesdropping check (in ``protocol``)
-produces a *new* pad with the announced photons' bit pairs removed.  Each
-pad carries a provenance ledger (``origin_indices``, nonnegative and
-strictly increasing) mapping every current bit back to its position in the
-generation-0 pad, which is what the reuse-soundness audit checks against.
+produces a *new* pad with the announced photons' bit pairs removed.  A pad
+is its bits and its generation, the number of passed checks it has been
+recycled through, and nothing else: a pad file holds its whole state.
 
 Pad files are plain text: ``generation=<int>``, then the bits hex-encoded
 (most significant bit of the first hex digit is pad index 0), then
@@ -17,7 +16,7 @@ that are not multiples of 4).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,29 +27,18 @@ from .rng import RandomStream
 
 @dataclass(frozen=True)
 class PadKey:
-    """A one-time-pad bit string with its generation and lineage ledger."""
+    """A one-time-pad bit string and its generation."""
 
     bits: np.ndarray
     generation: int = 0
-    origin_indices: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         bits = kernels.index_column("pad bits", np.reshape(self.bits, -1), 1)
         generation = kernels.index_value("pad generation", self.generation)
         if generation < 0:
             raise ValueError(f"pad generation must be nonnegative, got {generation}")
-        origins = self.origin_indices
-        origins = np.arange(bits.size) if origins is None else np.reshape(origins, -1)
-        if origins.size and origins.dtype.kind not in "biu":  # the cast would truncate 0.5 to 0
-            raise ValueError(f"origin ledger must hold integers, got dtype {origins.dtype}")
-        origins = origins.astype(np.int64, copy=False)
-        if origins.size != bits.size:
-            raise ValueError("origin ledger length must match the bit string")
-        # the reuse audit indexes generation-0 counters by these entries
-        if origins.size and (origins[0] < 0 or np.any(origins[1:] <= origins[:-1])):
-            raise ValueError("origin ledger must be nonnegative and strictly increasing")
-        for name, value in ("bits", bits), ("generation", generation), ("origin_indices", origins):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "generation", generation)
 
     def __len__(self) -> int:
         return int(self.bits.size)

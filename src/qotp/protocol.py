@@ -13,8 +13,8 @@ the photons of a block, whatever its attacks, run as narrow columns through
 one batch-kernel call, which samples each attack's exact law and decodes.
 The transcript keeps the secret view for analysis, each fact once; the
 ``public_view`` projection is exactly what an eavesdropper may read.  A
-lineage audits through the pad's origin ledger that no announced pad bit
-keys a photon again.
+lineage audits that no pad pair one of its sessions announced keys a photon
+of a later one.
 
 The tests check this path against an object-level state-vector oracle with
 per-photon attacks, which ships with the tests and not with the package.
@@ -260,9 +260,9 @@ def _live_pad(pad: PadKey, carried: np.ndarray, fresh: int, sessions: int) -> Pa
     n_pairs = len(pad) // 2
     live = np.concatenate((carried, np.arange(fresh, n_pairs)))
     # the bits of the live pairs, then an odd pad's last bit, which no photon keys
-    bits, origins = (np.append(column[: 2 * n_pairs].reshape(-1, 2).take(live, axis=0),
-                               column[2 * n_pairs :]) for column in (pad.bits, pad.origin_indices))
-    return PadKey(bits, pad.generation + sessions, origins)
+    bits = np.append(pad.bits[: 2 * n_pairs].reshape(-1, 2).take(live, axis=0),
+                     pad.bits[2 * n_pairs :])
+    return PadKey(bits, pad.generation + sessions)
 
 
 def run_session(
@@ -327,9 +327,9 @@ def run_lineage(
     blocks of about ``BLOCK_PHOTONS`` photons, each block one ``_run_block``
     step on a pair-state table built once per lineage, and the lineage stops
     at its first failed check.  The live pad pairs and the reuse audit carry
-    from block to block.  The audit reads the pad's origin ledger, through
-    one view of its bit pairs, not the pair recurrence: it counts keyed bits
-    that an earlier session announced.
+    from block to block.  The audit counts the keyed bits whose pair of the
+    input pad an earlier session announced, from the keyed pair ids, not the
+    pair recurrence.
 
     Raises PadExhaustedError when every session so far has passed and the
     next cannot be keyed.  Returns the report (docs/lineage_schema.json) and
@@ -344,9 +344,8 @@ def run_lineage(
     # each session keys n_sample fresh pairs, after the first's n_message
     keyable = max(0, (n_pairs - n_message) // n_sample)
     carried, fresh = np.arange(min(n_message, n_pairs)), n_message
-    # the first session to announce each generation-0 pad bit, found through the origin ledger
-    first_shown = np.full(int(pad.origin_indices.max(initial=-1)) + 1, np.iinfo(np.int64).max)
-    origin_pairs = pad.origin_indices[: 2 * n_pairs].reshape(-1, 2)
+    # the first session to announce each pair of the input pad
+    first_shown = np.full(n_pairs, np.iinfo(np.int64).max)
     reused, sessions, halted = 0, [], False
     while not halted and (block := list(itertools.islice(attacks, max(1, BLOCK_PHOTONS // n)))):
         done = len(sessions)
@@ -357,13 +356,11 @@ def run_lineage(
                 state_of_pair, carried, fresh, messages, session_rng, keyed, config)
             ran = len(keyed) if accepted.all() else int(np.argmin(accepted)) + 1
             halted = not accepted[ran - 1]
-            # the origins of each keyed pair's two bits, and those of the announced ones
-            drawn = origin_pairs.take(pairs[:ran], axis=0)
-            shown = drawn.reshape(-1, 2).take(checked[:ran].ravel(), axis=0)
             when = done + np.arange(ran)
             # flat, equal-shape operands: numpy 2.4's ufunc.at mishandles a broadcast value
-            np.minimum.at(first_shown, shown.ravel(), when.repeat(2 * n_sample))
-            reused += int(np.count_nonzero(first_shown.take(drawn) < when[:, None, None]))
+            np.minimum.at(first_shown, pairs.take(checked[:ran].ravel()), when.repeat(n_sample))
+            # both bits of each keyed pair that an earlier session announced are reused
+            reused += 2 * int(np.count_nonzero(first_shown.take(pairs[:ran]) < when[:, None]))
             # a session's own facts; its pad lengths and verdict follow from the rest of the report
             columns = zip(keyed, n_errors[:ran].tolist(), (exact & accepted).tolist())
             sessions += [{"attacked": attack.kind != NoAttack.kind, "message_exact": message_exact,

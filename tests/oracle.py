@@ -455,11 +455,7 @@ def recycle_pad(pad: PadKey, n_photons: int, announced_photons) -> PadKey:
     included), and the generation counter goes up by one."""
     keep = np.ones(len(pad), dtype=bool)
     keep[: 2 * n_photons].reshape(-1, 2)[np.fromiter(announced_photons, dtype=np.int64)] = False
-    return PadKey(
-        bits=pad.bits[keep],
-        generation=pad.generation + 1,
-        origin_indices=pad.origin_indices[keep],
-    )
+    return PadKey(bits=pad.bits[keep], generation=pad.generation + 1)
 
 
 def draw_sessions_by_argpartition(messages: np.ndarray, session_rng: RandomStream, n_sample: int):

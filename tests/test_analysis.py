@@ -201,8 +201,9 @@ CLOSED_FORMS = [
 ARGUMENT = {phi: "x", i0_bound: "d", d_of_theta: "theta", epsilon_tilde_min: "d_m",
             i1_bound: "d_m", small_dm_linear_bound: "d_m"}
 # values a float64 cast would parse or read as a number: "0.1" as 0.1, True as
-# 1 and None as NaN
-NON_NUMBERS = pytest.mark.parametrize("bad", ["0.1", True, None], ids=["str", "bool", "none"])
+# 1 and None as NaN; a list promotes a bool beside numbers to 1.0
+NON_NUMBERS = pytest.mark.parametrize("bad", ["0.1", True, np.True_, None],
+                                      ids=["str", "bool", "numpy-bool", "none"])
 
 
 @pytest.mark.parametrize("func,inside,hi,domain", CLOSED_FORMS,
@@ -233,7 +234,7 @@ class TestClosedFormBoundary:
 
     @NON_NUMBERS
     def test_non_numbers_are_refused(self, func, inside, hi, domain, bad):
-        for value in bad, [bad, bad]:
+        for value in bad, [bad, bad], [inside, bad]:
             with pytest.raises(ValueError,
                                match=rf"^{ARGUMENT[func]} must hold real numbers, got dtype \S+$"):
                 func(value)
@@ -322,7 +323,8 @@ class TestMutualInformation:
             empirical_mutual_information(counts)
 
     @pytest.mark.parametrize("counts", [[["1", "2"], ["3", "4"]], [[True, False], [False, True]],
-                                        [[None, 1], [1, 1]]], ids=["str", "bool", "none"])
+                                        [[None, 1], [1, 1]], [[1, 2], [3, True]]],
+                             ids=["str", "bool", "none", "bool-among-ints"])
     def test_non_number_counts_refused(self, counts):
         with pytest.raises(ValueError, match=r"^counts must hold real numbers, got dtype \S+$"):
             empirical_mutual_information(counts)
@@ -602,7 +604,8 @@ class TestSweepRows:
         (float("nan"), r"^theta must lie in \[0, pi/4\], got "),
         ("0.1", r"^thetas must hold real numbers, got dtype <U"),
         (None, r"^thetas must hold real numbers, got dtype object$"),
-    ], ids=["past-pi-over-4", "nan", "str", "none"])
+        (True, r"^thetas must hold real numbers, got dtype bool$"),
+    ], ids=["past-pi-over-4", "nan", "str", "none", "bool"])
     @pytest.mark.parametrize("where", [0, 1, 3])
     def test_bad_theta_is_rejected_before_any_draw(self, monkeypatch, bad, message, where):
         # [0, 0.5, 0.7] at one photon per point would raise on its empty point
@@ -617,9 +620,10 @@ class TestSweepRows:
 
     @NON_NUMBERS
     def test_a_grid_of_non_numbers_is_refused(self, bad):
-        # True beside numbers is promoted to 1.0, which the range check names
-        with pytest.raises(ValueError, match=r"^thetas must hold real numbers, got dtype \S+$"):
-            sweep_theta([bad, bad], 1000, 1)
+        # True beside numbers is refused, not read as 1.0
+        for thetas in [bad, bad], [0.1, bad]:
+            with pytest.raises(ValueError, match=r"^thetas must hold real numbers, got dtype \S+$"):
+                sweep_theta(thetas, 1000, 1)
 
 
 class TestGridTable:
@@ -765,8 +769,9 @@ class TestBoundsCsv:
 
     @NON_NUMBERS
     def test_non_number_grid_refused(self, bad):
-        with pytest.raises(ValueError, match=r"^d_grid must hold real numbers, got dtype \S+$"):
-            bounds_csv([bad, bad])
+        for grid in [bad, bad], [0.01, bad]:
+            with pytest.raises(ValueError, match=r"^d_grid must hold real numbers, got dtype \S+$"):
+                bounds_csv(grid)
 
     def test_pole_in_grid_rejected(self):
         with pytest.raises(PoleError):

@@ -551,6 +551,8 @@ class TestBoundaryErrors:
             (["bounds", "--d-grid", "0,0.0_1"], {},
              "qotp bounds: argument --d-grid: must be comma-separated numbers in [0, 0.25], "
              "got '0.0_1'"),
+            # "--" as a value, which argparse before Python 3.13 reads as an empty list
+            (["bounds", "--d-grid=--"], {}, "qotp bounds: argument --d-grid: expected one argument"),
             # grid flags that a given list would ignore
             (["sweep-theta", "--thetas", "0,0.5", "--points", "9"], {},
              "qotp sweep-theta: argument --points: not allowed with argument --thetas"),
@@ -579,6 +581,7 @@ class TestBoundaryErrors:
              "seed-past-int64", "env-seed-below-int64", "message-not-bits",
              "message-bits-digit-groups", "seed-arabic-indic-digit", "env-seed-arabic-indic-digit",
              "threshold-digit-groups", "theta-deg-arabic-indic-digits", "d-grid-digit-groups",
+             "d-grid-dash-dash",
              "thetas-with-points", "d-grid-with-d-min", "d-grid-with-points",
              "run-unknown-flag", "recycle-extra-argument", "recycle-known-plaintext",
              "no-command"],
@@ -750,6 +753,11 @@ class TestBoundaryErrors:
     @pytest.mark.parametrize("seed", [1.5, "5", None, True], ids=["float", "str", "none", "bool"])
     def test_role_seed_names_a_seed_that_is_not_an_integer(self, seed):
         with pytest.raises(ValueError, match=r"^seed must be an integer, got "):
+            role_seed(seed, ROLE_PAD)
+
+    @pytest.mark.parametrize("seed", [2**63, -(2**63) - 1], ids=["int64-max-plus-1", "int64-min-minus-1"])
+    def test_role_seed_rejects_a_seed_outside_int64(self, seed):
+        with pytest.raises(ValueError, match=f"^seed must be a signed 64-bit integer, got {seed}$"):
             role_seed(seed, ROLE_PAD)
 
     def test_role_seed_reads_a_numpy_seed_as_its_int(self):

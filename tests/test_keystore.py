@@ -1,7 +1,8 @@
 """Pad lifecycle: generation, photon states from pad-bit pairs, recycling
-(the reference recycler, and the session's recycled pad against it), the
-origin ledger, file round-trips."""
+(the reference recycler, and the session's recycled pad against it), file
+round-trips."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -17,7 +18,8 @@ from qotp.keystore import (
     pad_to_text,
     pair_states,
 )
-from qotp.protocol import SessionConfig, run_session
+from qotp.adversary import NoAttack
+from qotp.protocol import SessionConfig, run_lineage, run_session
 from qotp.rng import make_rng
 from oracle import (
     KET_D,
@@ -105,7 +107,6 @@ class TestRecycle:
         pad = pad_of("001110")
         out = recycle_pad(pad, 3, {1})
         assert "".join(map(str, out.bits)) == "0010"
-        assert out.origin_indices.tolist() == [0, 1, 4, 5]
         assert out.generation == 1
 
     def test_no_announcement(self):
@@ -137,20 +138,21 @@ class TestRecycle:
         assert pad2.generation == 2
 
     def test_reuse_soundness_ledger(self):
-        # bits announced in session 1 never key a photon of session 2
+        # bits announced in session 1 never key a photon of session 2: its
+        # first 7 photons are keyed by session 1's 7 unannounced pairs, in
+        # order, and the rest by the pad's untouched tail
         pad = generate_pad(40, make_rng(3))
         announced = [2, 5, 7]
-        announced_origins = set(pad.origin_indices[:20].reshape(-1, 2)[announced].ravel().tolist())
         pad2 = recycle_pad(pad, 10, announced)
-        drawn_origins = set(pad2.origin_indices[: 2 * 7].tolist())
-        assert len(announced_origins) == 6
-        assert announced_origins.isdisjoint(drawn_origins)
+        survivors = [p for p in range(10) if p not in announced]
+        assert np.array_equal(pad2.bits[: 2 * 7], pad.bits[:20].reshape(-1, 2)[survivors].ravel())
+        assert np.array_equal(pad2.bits[2 * 7 :], pad.bits[20:])
 
     @given(st.integers(0, 12), st.integers(1, 6), st.integers(0, 3), st.integers(0, 2**31))
     @settings(max_examples=60, deadline=None)
     def test_session_recycles_like_the_reference(self, n_message, n_sample, extra, seed):
-        # two passed sessions in a row: survivor order, an odd pad's last bit
-        # and the origin ledger all compose as the mask-based reference says
+        # two passed sessions in a row: survivor order and an odd pad's last
+        # bit compose as the mask-based reference says
         n = n_message + n_sample
         pad = generate_pad(2 * (n + n_sample) + extra, make_rng(seed))
         config = SessionConfig(n_message=n_message, n_sample=n_sample, seed=seed)
@@ -159,35 +161,8 @@ class TestRecycle:
             t = run_session(config, pad, message)
             want = recycle_pad(pad, n, t.sample_positions)
             assert np.array_equal(t.recycled_pad.bits, want.bits)
-            assert np.array_equal(t.recycled_pad.origin_indices, want.origin_indices)
             assert t.recycled_pad.generation == want.generation == session + 1
             pad = t.recycled_pad
-
-
-class TestOriginLedger:
-    @pytest.mark.parametrize(
-        "origins",
-        [[0, 0, 0, 0], [-1, 0, 1, 2], [0, 2, 1, 3], [0, 1, 1, 2], [0.2, 1.9, 2.5, 3.1]],
-        ids=["all-zero", "negative", "decreasing", "repeated", "float"],
-    )
-    def test_rejects_a_ledger_that_is_not_increasing_and_nonnegative(self, origins):
-        # the reuse audit counts announcements per origin: a repeated origin
-        # merges two bits, -1 would index the last counter, and an int64 cast
-        # would truncate the float ledger to [0, 1, 2, 3]
-        with pytest.raises(ValueError, match="origin ledger"):
-            PadKey(bits=np.zeros(4, dtype=np.uint8), origin_indices=origins)
-
-    @pytest.mark.parametrize(
-        "bits,origins,want",
-        [([], [], []), ([], np.array([], dtype=np.float64), []), ([], np.array([], "U1"), []),
-         ([1, 0, 1], np.array([2, 5, 9], dtype=np.uint16), [2, 5, 9])],
-        ids=["empty-list", "empty-float64", "empty-str", "uint16"],
-    )
-    def test_an_empty_ledger_of_any_dtype_or_an_integer_one_is_kept_as_int64(self, bits, origins,
-                                                                              want):
-        pad = PadKey(bits=bits, origin_indices=origins)
-        assert pad.origin_indices.dtype == np.int64
-        assert pad.origin_indices.tolist() == want
 
 
 class TestGeneration:
@@ -250,6 +225,26 @@ class TestPadFiles:
         back = load_pad(path)
         assert np.array_equal(back.bits, pad.bits)
 
+    @pytest.mark.parametrize("extra", [0, 1], ids=["even", "odd"])
+    @pytest.mark.parametrize("recycler,sessions",
+                             [(None, 0), ("run_session", 1), ("run_session", 2),
+                              ("run_lineage", 1), ("run_lineage", 2)],
+                             ids=["generation-0", "session-once", "session-twice", "lineage-once",
+                                  "lineage-twice"])
+    def test_a_pads_whole_state_survives_its_file(self, recycler, sessions, extra):
+        config = SessionConfig(n_message=8, n_sample=4, seed=5)
+        pad = generate_pad(2 * 12 + 2 * 4 * sessions + extra, make_rng(10 + extra))
+        if recycler == "run_lineage":
+            pad = run_lineage(pad, config, [NoAttack()] * sessions)[1]
+        for session in range(sessions if recycler == "run_session" else 0):
+            message = make_rng(20 + session).integers(0, 2, 8, dtype=np.uint8)
+            pad = run_session(dataclasses.replace(config, seed=session), pad, message).recycled_pad
+        assert pad.generation == sessions
+        back = pad_from_text(pad_to_text(pad))
+        for field in dataclasses.fields(PadKey):
+            assert np.array_equal(getattr(back, field.name), getattr(pad, field.name)), field.name
+        assert [field.name for field in dataclasses.fields(PadKey)] == ["bits", "generation"]
+
     def test_generation_preserved(self):
         pad = pad_of("0011")
         recycled = recycle_pad(pad, 2, set())
@@ -262,6 +257,17 @@ class TestPadFiles:
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
             pad_from_text("FF\n00\n")
+
+    def test_a_file_without_a_hex_line_rejected(self):
+        with pytest.raises(ValueError, match=r"^pad file must hold a 'generation=<int>' line, "
+                                             r"then hex bits$"):
+            pad_from_text("generation=0\n")
+
+    # two hex digits hold 5 to 8 bits
+    @pytest.mark.parametrize("n_bits", [4, 9], ids=["below", "above"])
+    def test_a_bit_count_the_hex_cannot_hold_rejected(self, n_bits):
+        with pytest.raises(ValueError, match=f"^bit count {n_bits} inconsistent with 2 hex digits$"):
+            pad_from_text(f"generation=0\nFF\nbits={n_bits}\n")
 
     @given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=40, deadline=None)

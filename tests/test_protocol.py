@@ -119,6 +119,19 @@ class TestSessionConfig:
         with pytest.raises(ValueError):
             SessionConfig(n_message=8, n_sample=0)
 
+    def test_rejects_a_negative_message_length(self):
+        with pytest.raises(ValueError, match=r"^n_message must be nonnegative$"):
+            SessionConfig(n_message=-1, n_sample=4)
+
+    @pytest.mark.parametrize("threshold", [1.5, -0.1], ids=["above-1", "below-0"])
+    def test_rejects_a_threshold_outside_0_1_even_in_a_demo(self, threshold):
+        with pytest.raises(ValueError, match=r"^abort_threshold must lie in \[0, 1\]$"):
+            SessionConfig(n_message=8, n_sample=4, abort_threshold=threshold,
+                          allow_insecure_demo=True)
+
+    def test_the_library_default_seed_is_0(self):
+        assert SessionConfig(n_message=4, n_sample=1).seed == 0
+
     def test_noisy_threshold_needs_explicit_flag(self):
         with pytest.raises(ValueError):
             SessionConfig(n_message=8, n_sample=4, abort_threshold=0.1)
@@ -272,7 +285,6 @@ def assert_same_pad(a, b):
     assert (a is None) == (b is None)
     if a is not None:
         assert np.array_equal(a.bits, b.bits)
-        assert np.array_equal(a.origin_indices, b.origin_indices)
         assert a.generation == b.generation
 
 
@@ -355,11 +367,9 @@ class TestRunLineage:
         # the pad each session leaves: the next session's, then the final one
         pads_after = [p for p, *_ in want[1:]] + [want_final]
         for k, (want_pad, want_decoded, want_exact, want_errors) in enumerate(want):
-            # the pad bits (and their origins) the session keyed its photons with
+            # the pad bits the session keyed its photons with
             bit = 2 * pairs[k][:, None] + (0, 1)
             assert np.array_equal(pad.bits[bit].ravel(), want_pad.bits[: bit.size])
-            assert np.array_equal(pad.origin_indices[bit].ravel(),
-                                  want_pad.origin_indices[: bit.size])
             assert np.array_equal(decoded[k], want_decoded)
             assert sessions[k]["pad_bits_before"] == len(want_pad)
             assert sessions[k]["message_exact"] == want_exact
@@ -378,7 +388,7 @@ class TestRunLineage:
             a.kind != NoAttack.kind for a in attacks[: len(want)]
         ]
         if pad_bits % 2:  # the trailing bit is never keyed and survives
-            assert final.origin_indices[-1] == pad.origin_indices[-1]
+            assert final.bits[-1] == pad.bits[-1]
 
     @pytest.mark.parametrize(
         "attack", [NoAttack(), InterceptResend(), IndividualUTB(theta=np.pi / 8)],
@@ -615,16 +625,16 @@ class TestRunLineage:
         n_pairs = len(pad) // 2
         live = np.concatenate((carried, np.arange(fresh, n_pairs)))
         keep = np.append(2 * live[:, None] + (0, 1), np.arange(2 * n_pairs, len(pad)))
-        return pad.bits[keep], pad.generation + sessions, pad.origin_indices[keep]
+        return pad.bits[keep], pad.generation + sessions
 
     @pytest.mark.parametrize("pad_bits", [pad_for(3), pad_for(3, extra=1), pad_for(3, extra=33)])
     @pytest.mark.parametrize("input_sessions", [0, 2])
     def test_live_pad_takes_the_live_pairs_and_an_odd_pads_last_bit(self, pad_bits,
                                                                      input_sessions):
         pad = generate_pad(pad_bits, make_rng(8))
-        if input_sessions:  # a recycled pad, whose ledger has gaps
+        if input_sessions:  # a recycled pad
             pad = run_lineage(pad, self.CONFIG, [NoAttack()] * input_sessions)[1]
-            assert not np.array_equal(pad.origin_indices, np.arange(len(pad)))
+            assert pad.generation == input_sessions
         rng = make_rng(9)
         for fresh in (48, 64, len(pad) // 2):
             carried = np.sort(rng.choice(fresh, size=48, replace=False))
@@ -632,7 +642,6 @@ class TestRunLineage:
             want = self.live_pad_by_flat_index(pad, carried, fresh, 3)
             assert np.array_equal(got.bits, want[0])
             assert got.generation == want[1] == pad.generation + 3
-            assert np.array_equal(got.origin_indices, want[2])
 
     def test_long_lineage_report(self, tmp_path, capsys):
         out = tmp_path / "long.json"
@@ -833,6 +842,14 @@ class TestTranscriptExport:
             return
         assert len(adversary["records"]) == n
         assert max(map(int, adversary["records"])) < n_records
+
+    def test_a_longer_pad_writes_only_the_bits_its_photons_were_keyed_by(self):
+        # a pad of 3n bits, as a --pad-file pad may be: pad bits past 2n key no photon
+        n = 12
+        pad = generate_pad(3 * n + 1, make_rng(66))
+        t = run_session(SessionConfig(n_message=8, n_sample=4, seed=67), pad,
+                        np.zeros(8, dtype=np.uint8))
+        assert t.to_json_dict()["secret_view"]["pad_bits"] == "".join(map(str, pad.bits[: 2 * n]))
 
     def test_known_plaintext_transcript_under_7_bytes_per_photon(self, tmp_path, capsys):
         # the session benchmark's known-plaintext shape, as the CLI writes it
