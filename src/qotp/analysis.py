@@ -179,7 +179,6 @@ def _tally(attack_basis: Basis) -> np.ndarray:
 
 
 _TALLY = {basis: _tally(basis) for basis in Basis}
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @functools.lru_cache(maxsize=8)
@@ -207,13 +206,7 @@ def sweep_theta(
     Each histogram of ``n_photons`` photons is one multinomial draw from its
     point's exact law, so a point costs the same at any photon count.  Every
     theta is checked before the first draw."""
-    n_photons = kernels.index_value("n_photons", n_photons)  # not a float it divides by
-    if n_photons < 1:
-        raise ValueError(f"a sweep needs at least 1 photon per grid point, got {n_photons}")
-    if n_photons > _INT64_MAX:
-        raise ValueError(
-            f"a sweep takes at most {_INT64_MAX} photons per grid point, got {n_photons}"
-        )
+    n_photons = kernels.index_value("n_photons", n_photons, 1)  # not a float it divides by
     thetas = kernels.real_array("thetas", thetas)
     if thetas.ndim != 1:
         raise ValueError(f"a sweep's theta grid must be 1-D, got shape {thetas.shape}")

@@ -33,10 +33,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_REJECTED = 2
 
-_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
-# bounds that a flag's error names in words
-_BOUND_NAMES = {_INT64_MIN: "int64 min", _INT64_MAX: "int64 max", np.pi / 4: "pi/4"}
-
 SEED_HELP = "top-level seed (default: the QOTP_SEED environment variable, then 0)"
 
 
@@ -48,14 +44,14 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
-def _in_range(convert, lo, hi=_INT64_MAX, at_least: int = 0):
+def _in_range(convert, lo, hi=kernels.INT64_MAX, at_least: int = 0):
     """An argparse type: a plain ASCII number (``kernels.read_number``) that
     ``convert`` reads as a value in [lo, hi] (NaN is outside) or, given
     ``at_least``, a comma-separated list of at least that many such values."""
     what = {int: "an integer", float: "a number"}[convert]
     if at_least:
         what = "comma-separated numbers" if at_least == 1 else f"{at_least} or more comma-separated numbers"
-    span = f"[{_BOUND_NAMES.get(lo, lo)}, {_BOUND_NAMES.get(hi, hi)}]"
+    span = kernels.span_text(lo, hi)
 
     def parse(text: str):
         values = []
@@ -74,7 +70,7 @@ def _in_range(convert, lo, hi=_INT64_MAX, at_least: int = 0):
     return parse
 
 
-_seed = _in_range(int, _INT64_MIN)
+_seed = _in_range(int, kernels.INT64_MIN)
 
 
 def _env_seed() -> int:
@@ -155,7 +151,7 @@ def _check_session_flags(args) -> None:
 
 
 def _pad_length(n_bits: int, flags: str) -> int:
-    if n_bits > _INT64_MAX:  # numpy sizes stop there
+    if n_bits > kernels.INT64_MAX:  # numpy sizes stop there
         raise ValueError(f"a pad of {n_bits} bits, set by {flags}, is past the int64 maximum")
     return n_bits
 

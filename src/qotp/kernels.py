@@ -72,12 +72,20 @@ def born(vec):
     return amp * amp
 
 
+# The ends of an integer that numpy sizes and seeds take, and the bounds that
+# a range error names in words.
+INT64_MIN, INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+_BOUND_NAMES = {INT64_MIN: "int64 min", INT64_MAX: "int64 max", np.pi / 4: "pi/4"}
+
+
 def index_column(name: str, values, hi: int) -> np.ndarray:
-    """``values`` as a column of the narrowest unsigned type that holds hi,
+    """``values``, a 1-D column, as the narrowest unsigned type that holds hi,
     checked to lie in 0..hi.  Only integer or boolean input is accepted: a
     float would be truncated to a wrong cell.  An empty column holds no value
     to truncate, so it passes whatever its dtype (``[]`` is float64)."""
     column = np.asarray(values)
+    if column.ndim != 1:
+        raise ValueError(f"{name} must be 1-D, got shape {column.shape}")
     if column.size and column.dtype.kind not in "biu":
         raise ValueError(f"{name} must hold integers, got dtype {column.dtype}")
     if column.size and (column.max() > hi or column.min() < 0):
@@ -101,16 +109,22 @@ def real_array(name: str, values) -> np.ndarray:
     return array.astype(np.float64, copy=False)
 
 
-def index_value(name: str, value) -> int:
-    """``value`` as an int, so that a numpy integer serializes like any other;
-    a float or a string, which a cast would truncate or parse, is refused, and
-    so is a bool, which ``operator.index`` reads as 0 or 1."""
+def span_text(lo, hi) -> str:
+    """The range [lo, hi] as an error names it, the int64 ends and pi/4 in words."""
+    return f"[{_BOUND_NAMES.get(lo, lo)}, {_BOUND_NAMES.get(hi, hi)}]"
+
+
+def index_value(name: str, value, lo: int = 0, hi: int = INT64_MAX) -> int:
+    """``value`` as an int in [lo, hi], so that a numpy integer serializes like
+    any other; a float or a string, which a cast would truncate or parse, is
+    refused, and so is a bool, which ``operator.index`` reads as 0 or 1."""
     try:
-        if type(value) is bool:
-            raise TypeError
-        return operator.index(value)
+        number = None if type(value) is bool else operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        number = None
+    if number is None or not lo <= number <= hi:
+        raise ValueError(f"{name} must be an integer in {span_text(lo, hi)}, got {value!r}")
+    return number
 
 
 def read_number(convert, text: str):

@@ -33,12 +33,9 @@ class PadKey:
     generation: int = 0
 
     def __post_init__(self):
-        bits = kernels.index_column("pad bits", np.reshape(self.bits, -1), 1)
-        generation = kernels.index_value("pad generation", self.generation)
-        if generation < 0:
-            raise ValueError(f"pad generation must be nonnegative, got {generation}")
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "generation", generation)
+        object.__setattr__(self, "bits", kernels.index_column("pad bits", self.bits, 1))
+        object.__setattr__(self, "generation",
+                           kernels.index_value("pad generation", self.generation))
 
     def __len__(self) -> int:
         return int(self.bits.size)
@@ -48,9 +45,7 @@ def generate_pad(length: int, rng: RandomStream) -> PadKey:
     """Uniformly random pad of ``length`` bits (trusted-RNG stand-in for a
     key-agreement step; swap in any shared-secret source that yields uniform
     bits)."""
-    length = kernels.index_value("pad length", length)
-    if length <= 0:
-        raise ValueError(f"pad length must be positive, got {length}")
+    length = kernels.index_value("pad length", length, 1)
     bits = rng.integers(0, 2, size=length, dtype=np.uint8)
     return PadKey(bits=bits)
 

@@ -50,12 +50,8 @@ class SessionConfig:
     allow_insecure_demo: bool = False
 
     def __post_init__(self):
-        for name in ("n_message", "n_sample", "seed"):
-            object.__setattr__(self, name, kernels.index_value(name, getattr(self, name)))
-        if self.n_message < 0:
-            raise ValueError("n_message must be nonnegative")
-        if self.n_sample < 1:
-            raise ValueError("a session needs at least one sampling bit")
+        for name, lo in (("n_message", 0), ("n_sample", 1), ("seed", kernels.INT64_MIN)):
+            object.__setattr__(self, name, kernels.index_value(name, getattr(self, name), lo))
         threshold = self.abort_threshold
         if not isinstance(threshold, numbers.Real) or type(threshold) is bool:
             raise ValueError(f"abort_threshold must be a number, got {threshold!r}")
@@ -150,9 +146,6 @@ class SessionTranscript:
             },
             "public_view": self.public_view(),
         }
-
-    def to_json(self) -> str:
-        return json_text(self.to_json_dict())
 
 
 def json_text(doc: dict) -> str:
@@ -276,7 +269,7 @@ def run_session(
     On acceptance the transcript carries the recycled pad and the extracted
     message; on rejection it carries neither (the process halts and the pad
     lineage is retired)."""
-    message = kernels.index_column("message", message, 1).reshape(-1)
+    message = kernels.index_column("message", message, 1)
     n_message, n_sample = config.n_message, config.n_sample
     if message.size != n_message:
         raise ValueError(f"config says n_message={n_message} but message has {message.size} bits")
@@ -345,7 +338,7 @@ def run_lineage(
     keyable = max(0, (n_pairs - n_message) // n_sample)
     carried, fresh = np.arange(min(n_message, n_pairs)), n_message
     # the first session to announce each pair of the input pad
-    first_shown = np.full(n_pairs, np.iinfo(np.int64).max)
+    first_shown = np.full(n_pairs, kernels.INT64_MAX)
     reused, sessions, halted = 0, [], False
     while not halted and (block := list(itertools.islice(attacks, max(1, BLOCK_PHOTONS // n)))):
         done = len(sessions)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import index_value
+from .kernels import INT64_MIN, index_value
 
 RandomStream = np.random.Generator
 
@@ -34,9 +34,7 @@ def role_seed(seed: int, role: int) -> int:
     stream.  ``seed`` must be a signed 64-bit integer (a negative
     one reads as its two's complement), so no seed aliases another's streams.
     """
-    seed = index_value("seed", seed)
-    if not -(1 << 63) <= seed < 1 << 63:
-        raise ValueError(f"seed must be a signed 64-bit integer, got {seed}")
+    seed = index_value("seed", seed, INT64_MIN)
     # (role, 0), not (role,): every role stream keeps the bytes it had when roles took an index
     sequence = np.random.SeedSequence(seed & _MASK64, spawn_key=(role, 0))
     return int(sequence.generate_state(1, np.uint64)[0])

@@ -752,12 +752,12 @@ class TestBoundaryErrors:
 
     @pytest.mark.parametrize("seed", [1.5, "5", None, True], ids=["float", "str", "none", "bool"])
     def test_role_seed_names_a_seed_that_is_not_an_integer(self, seed):
-        with pytest.raises(ValueError, match=r"^seed must be an integer, got "):
+        with pytest.raises(ValueError, match=r"^seed must be an integer in \[int64 min, int64 max\], got "):
             role_seed(seed, ROLE_PAD)
 
     @pytest.mark.parametrize("seed", [2**63, -(2**63) - 1], ids=["int64-max-plus-1", "int64-min-minus-1"])
     def test_role_seed_rejects_a_seed_outside_int64(self, seed):
-        with pytest.raises(ValueError, match=f"^seed must be a signed 64-bit integer, got {seed}$"):
+        with pytest.raises(ValueError, match=rf"^seed must be an integer in \[int64 min, int64 max\], got {seed}$"):
             role_seed(seed, ROLE_PAD)
 
     def test_role_seed_reads_a_numpy_seed_as_its_int(self):

@@ -6,17 +6,18 @@ statistics must match those probabilities."""
 import numpy as np
 import pytest
 
-from qotp import kernels, protocol
+from qotp import cli, kernels, protocol
 from qotp.adversary import (
     IndividualUTB,
     InterceptResend,
     NoAttack,
     record_likelihoods,
 )
-from qotp.kernels import Basis
-from qotp.keystore import generate_pad
+from qotp.analysis import sweep_theta
+from qotp.kernels import INT64_MAX, INT64_MIN, Basis
+from qotp.keystore import PadKey, generate_pad
 from qotp.protocol import SessionConfig, run_lineage
-from qotp.rng import make_rng
+from qotp.rng import ROLE_SESSION, make_rng, role_seed
 from oracle import (
     PREP_BASIS,
     PREP_STATES,
@@ -337,3 +338,42 @@ class TestValidation:
             make_rng(0).random(2), np.array([False, False]),
         )
         assert decoded.tolist() == [1, 0]
+
+
+# Every integer scalar the library takes: its name in the error, its range
+# as the error words it, its ends, and a call that passes it in.
+INTEGER_BOUNDARIES = {
+    "config-n_message": ("n_message", "[0, int64 max]", 0, INT64_MAX,
+                         lambda value: SessionConfig(n_message=value, n_sample=1)),
+    "config-n_sample": ("n_sample", "[1, int64 max]", 1, INT64_MAX,
+                        lambda value: SessionConfig(n_message=0, n_sample=value)),
+    "config-seed": ("seed", "[int64 min, int64 max]", INT64_MIN, INT64_MAX,
+                    lambda value: SessionConfig(n_message=0, n_sample=1, seed=value)),
+    "pad-generation": ("pad generation", "[0, int64 max]", 0, INT64_MAX,
+                       lambda value: PadKey([0, 1], generation=value)),
+    "pad-length": ("pad length", "[1, int64 max]", 1, INT64_MAX,
+                   lambda value: generate_pad(value, make_rng(0))),
+    "sweep-n_photons": ("n_photons", "[1, int64 max]", 1, INT64_MAX,
+                        lambda value: sweep_theta([0.1], value, 0)),
+    "role_seed-seed": ("seed", "[int64 min, int64 max]", INT64_MIN, INT64_MAX,
+                       lambda value: role_seed(value, ROLE_SESSION)),
+}
+
+
+class TestIntegerRule:
+    @pytest.mark.parametrize("boundary", list(INTEGER_BOUNDARIES))
+    @pytest.mark.parametrize("case", ["below", "above", "float", "bool"])
+    def test_each_boundary_refuses_with_the_one_line(self, boundary, case):
+        name, span, lo, hi, call = INTEGER_BOUNDARIES[boundary]
+        value = {"below": lo - 1, "above": hi + 1, "float": 2.0, "bool": True}[case]
+        with pytest.raises(ValueError) as raised:
+            call(value)
+        assert str(raised.value) == f"{name} must be an integer in {span}, got {value!r}"
+
+    def test_a_config_and_the_cli_word_a_range_alike(self, capsys):
+        with pytest.raises(ValueError) as raised:
+            SessionConfig(n_message=8, n_sample=0)
+        assert cli.main(["run", "--samples", "0"]) == cli.EXIT_ERROR
+        rule = "must be an integer in [1, int64 max], got "
+        assert str(raised.value) == f"n_sample {rule}0"
+        assert capsys.readouterr().err == f"error: qotp run: argument --samples: {rule}'0'\n"

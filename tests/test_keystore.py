@@ -19,7 +19,7 @@ from qotp.keystore import (
     pair_states,
 )
 from qotp.adversary import NoAttack
-from qotp.protocol import SessionConfig, run_lineage, run_session
+from qotp.protocol import SessionConfig, json_text, run_lineage, run_session
 from qotp.rng import make_rng
 from oracle import (
     KET_D,
@@ -170,7 +170,7 @@ class TestGeneration:
         pad = PadKey(bits=generate_pad(64, make_rng(4)).bits, generation=np.int64(2))
         assert type(pad.generation) is int
         transcript = run_session(SessionConfig(n_message=8, n_sample=4), pad, np.zeros(8, np.uint8))
-        recycled = json.loads(transcript.to_json())["secret_view"]["recycled_pad"]
+        recycled = json.loads(json_text(transcript.to_json_dict()))["secret_view"]["recycled_pad"]
         assert recycled["generation"] == 3
 
     @pytest.mark.parametrize("generation", [1.5, -1, "2", None, True],
@@ -192,6 +192,11 @@ class TestPadBits:
     def test_rejects_what_is_not_a_0_1_integer_before_the_cast(self, bits):
         with pytest.raises(ValueError, match=r"^pad bits must (hold integers|lie in 0\.\.1),"):
             PadKey(bits=bits)
+
+    def test_rejects_bits_that_are_not_1d(self):
+        with pytest.raises(ValueError) as raised:
+            PadKey(np.array([[0, 1], [1, 0]]))
+        assert str(raised.value) == "pad bits must be 1-D, got shape (2, 2)"
 
     @pytest.mark.parametrize(
         "bits", [np.array([True, False, True]), [1, 0, 1], np.array([1, 0, 1], dtype=np.int16)],

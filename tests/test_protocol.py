@@ -120,7 +120,7 @@ class TestSessionConfig:
             SessionConfig(n_message=8, n_sample=0)
 
     def test_rejects_a_negative_message_length(self):
-        with pytest.raises(ValueError, match=r"^n_message must be nonnegative$"):
+        with pytest.raises(ValueError, match=r"^n_message must be an integer in \[0, int64 max\], got -1$"):
             SessionConfig(n_message=-1, n_sample=4)
 
     @pytest.mark.parametrize("threshold", [1.5, -0.1], ids=["above-1", "below-0"])
@@ -157,7 +157,7 @@ class TestSessionConfig:
         assert (config.n_message, config.n_sample, config.seed) == (8, 4, 3)
         assert all(type(v) is int for v in (config.n_message, config.n_sample, config.seed))
         t = run_session(config, generate_pad(24, make_rng(0)), np.zeros(8, dtype=np.uint8))
-        assert json.loads(t.to_json())["config"]["seed"] == 3
+        assert json.loads(json_text(t.to_json_dict()))["config"]["seed"] == 3
 
     def test_a_numpy_threshold_is_stored_as_float(self):
         # a numpy float32 is no JSON number, so the transcript could not be written
@@ -165,7 +165,7 @@ class TestSessionConfig:
                                allow_insecure_demo=True)
         assert type(config.abort_threshold) is float and config.abort_threshold == 0.5
         t = run_session(config, generate_pad(24, make_rng(0)), np.zeros(8, dtype=np.uint8))
-        assert json.loads(t.to_json())["config"]["abort_threshold"] == 0.5
+        assert json.loads(json_text(t.to_json_dict()))["config"]["abort_threshold"] == 0.5
 
 
 class TestRunSession:
@@ -249,6 +249,15 @@ class TestRunSession:
         t = run_session(SessionConfig(n_message=2, n_sample=1), generate_pad(6, make_rng(0)),
                         message)
         assert t.extracted_message.tolist() == [1, 0]
+
+    @pytest.mark.parametrize("message,n_message,shape", [([[0, 1], [0, 1]], 4, (2, 2)), (1, 1, ())],
+                             ids=["2-d", "0-d"])
+    def test_message_must_be_1d(self, message, n_message, shape):
+        # a 2-D message would be read row after row, a scalar as one bit
+        with pytest.raises(ValueError) as raised:
+            run_session(SessionConfig(n_message=n_message, n_sample=2),
+                        generate_pad(12, make_rng(0)), message)
+        assert str(raised.value) == f"message must be 1-D, got shape {shape}"
 
     def test_message_length_must_match_config(self):
         with pytest.raises(ValueError):
@@ -715,7 +724,6 @@ class TestTranscriptExport:
         cfg = SessionConfig(n_message=40, n_sample=20, seed=58,
                             abort_threshold=1.0, allow_insecure_demo=True)
         t = run_session(cfg, pad, message, inner)
-        assert t.to_json() == json_text(t.to_json_dict())
         doc = known_plaintext_document(t) if known_plaintext else t.to_json_dict()
         text = json_text(doc)
         assert text == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
@@ -866,9 +874,9 @@ class TestTranscriptExport:
         def once():
             message = make_rng(60).integers(0, 2, 16, dtype=np.uint8)
             pad = generate_pad(2 * 20, make_rng(61))
-            return run_session(
+            return json_text(run_session(
                 SessionConfig(n_message=16, n_sample=4, seed=62), pad, message
-            ).to_json()
+            ).to_json_dict())
 
         assert once() == once()
 
