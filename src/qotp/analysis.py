@@ -21,10 +21,8 @@ histogram, in grid order, from one stream; rows are columns over the stack.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -153,8 +151,7 @@ def _mutual_information(c: np.ndarray) -> np.ndarray:
     return (p * np.log2(ratio)).sum(axis=(-2, -1))
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     theta: float
     d_theory: float
     d_matched_empirical: float
@@ -228,20 +225,22 @@ def sweep_theta(
     mi = _mutual_information(tallies[:, 3:].reshape(-1, 2, 2).astype(np.float64))
     d_matched, d_overall = n_matched_errors / n_matched, n_errors / n_photons
     columns = (thetas, d_theory, d_matched, d_overall, mi, i0)
-    return [SweepPoint(*row) for row in zip(*(column.tolist() for column in columns))]
+    return list(map(SweepPoint._make, zip(*(column.tolist() for column in columns))))
 
 
-SWEEP_CSV_HEADER = ",".join(f.name for f in dataclasses.fields(SweepPoint))
+SWEEP_CSV_HEADER = ",".join(SweepPoint._fields)
 BOUNDS_CSV_HEADER = "d,i0,i1,linear,eps_tilde"
 
 
 def _csv(header: str, rows) -> str:
-    lines = [header, *(",".join(f"{v:.10g}" for v in row) for row in rows)]
-    return "\n".join(lines) + "\n"
+    """The header, then each row of floats through one ``%.10g`` template, which
+    formats every float64 as ``f"{v:.10g}"`` does."""
+    template = ",".join(["%.10g"] * (header.count(",") + 1))
+    return "\n".join([header, *(template % row for row in rows)]) + "\n"
 
 
 def sweep_csv(points: list[SweepPoint]) -> str:
-    return _csv(SWEEP_CSV_HEADER, map(operator.attrgetter(*SWEEP_CSV_HEADER.split(",")), points))
+    return _csv(SWEEP_CSV_HEADER, points)
 
 
 def bounds_csv(d_grid) -> str:

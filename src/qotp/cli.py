@@ -14,7 +14,6 @@ the top-level seed by its own role label, and serves that whole role.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import os
 import sys
@@ -169,31 +168,17 @@ def _session_config(args, n_message: int, n_sample: int) -> SessionConfig:
 
 
 def _write_file(path: str, text: str) -> None:
-    """Write ASCII ``text`` to ``path`` as bytes, replacing any file there.  An
-    existing file is written over in place, with no ``O_TRUNC`` open, and keeps
-    its mode.  A write that fails part-way leaves the bytes written and none of
-    the old ones after them, and its own error is the one raised."""
+    """Write ASCII ``text`` to ``path`` as bytes, replacing any file there: one
+    truncating open, so an existing file keeps its mode and a new one gets
+    0o666 under the umask.  A write that fails part-way leaves only the bytes
+    written, and its own error is the one raised."""
     data = memoryview(text.encode("ascii"))
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
-        try:
-            while data:
-                data = data[os.write(fd, data):]
-        except OSError:
-            with contextlib.suppress(OSError):
-                _cut(fd, len(text) - len(data))
-            raise
-        _cut(fd, len(text))
+        while data:
+            data = data[os.write(fd, data):]
     finally:
         os.close(fd)
-
-
-def _cut(fd: int, size: int) -> None:
-    """Cut the file open at ``fd`` to ``size`` bytes if it is longer; only a
-    regular file can be, so only it is cut (``/dev/null`` and pipes refuse
-    ``ftruncate``)."""
-    if os.fstat(fd).st_size > size:
-        os.ftruncate(fd, size)
 
 
 def _session_pad(args, n_bits_needed: int) -> keystore.PadKey:

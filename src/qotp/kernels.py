@@ -129,10 +129,10 @@ def index_value(name: str, value, lo: int = 0, hi: int = INT64_MAX) -> int:
 
 def read_number(convert, text: str):
     """``convert(text)``, for ``int`` or ``float``, of text in ASCII with no
-    underscore: both would also read digit groups such as ``1_6`` and
-    non-ASCII digits such as the Arabic-Indic ones, which no flag or pad
-    file means."""
-    if not text.isascii() or "_" in text:
+    underscore and no surrounding whitespace: both would also read digit
+    groups such as ``1_6``, non-ASCII digits such as the Arabic-Indic ones and
+    padded text such as ``' 16'``, which no flag or pad file means."""
+    if not text.isascii() or "_" in text or text != text.strip():
         raise ValueError(f"{text!r} is not a plain ASCII number")
     return convert(text)
 

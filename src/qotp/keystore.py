@@ -68,14 +68,17 @@ def pad_to_text(pad: PadKey) -> str:
     return f"generation={pad.generation}\n{pad_hex(pad)}\nbits={len(pad)}\n"
 
 
-def _int_field(line: str, name: str) -> int:
+def _int_field(line: str, name: str, lo: int = 0, hi: int = kernels.INT64_MAX) -> int:
+    """The integer in [lo, hi] of a ``<name>=<int>`` line, worded as every
+    library integer is, with the text quoted when it is not a plain number."""
     key, sep, value = line.partition("=")
     if key != name or not sep:
         raise ValueError(f"pad file line {line[:20]!r} is not '{name}=<int>'")
     try:
-        return kernels.read_number(int, value)
+        number = kernels.read_number(int, value)
     except ValueError:
-        raise ValueError(f"pad file {name} must be an integer, got {value[:20]!r}") from None
+        number = value[:20]
+    return kernels.index_value(f"pad {name}", number, lo, hi)
 
 
 def pad_from_text(text: str) -> PadKey:
@@ -94,9 +97,7 @@ def pad_from_text(text: str) -> PadKey:
         raise ValueError(f"pad bits must be hex digits, got {hexdigits[:20]!r}")
     n_bits = 4 * len(hexdigits)
     if len(lines) == 3:
-        n_bits = _int_field(lines[2], "bits")
-        if not 4 * len(hexdigits) - 3 <= n_bits <= 4 * len(hexdigits):
-            raise ValueError(f"bit count {n_bits} inconsistent with {len(hexdigits)} hex digits")
+        n_bits = _int_field(lines[2], "bits", n_bits - 3, n_bits)
     packed = bytes.fromhex(hexdigits + "0" * (len(hexdigits) % 2))
     bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))[:n_bits]
     return PadKey(bits=bits, generation=generation)

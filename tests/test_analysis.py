@@ -1,7 +1,6 @@
 """Closed-form bound values (frozen from a 30-digit independent evaluation),
 their shape properties, and the empirical estimators."""
 
-import dataclasses
 import types
 
 import numpy as np
@@ -503,7 +502,7 @@ def loop_sweep_rows(thetas, n_photons, seed, basis):
 
 
 def row_values(points):
-    return [dataclasses.astuple(point) for point in points]
+    return [tuple(point) for point in points]
 
 
 class TestSweepRows:
@@ -776,3 +775,26 @@ class TestBoundsCsv:
     def test_pole_in_grid_rejected(self):
         with pytest.raises(PoleError):
             bounds_csv([0.0, POLE_DM, 0.1])
+
+
+class TestCsvRows:
+    """Each table row goes through one ``%.10g`` template, whose bytes are those
+    of formatting each value on its own."""
+
+    @pytest.mark.parametrize("header", [SWEEP_CSV_HEADER, BOUNDS_CSV_HEADER], ids=["sweep", "bounds"])
+    def test_template_rows_equal_the_per_value_format(self, header):
+        width = header.count(",") + 1
+        rng = np.random.default_rng(width)
+        exponents = rng.integers(-320, 300, (2000, width))
+        magnitudes = rng.standard_normal((2000, width)) * 10.0 ** exponents
+        patterns = np.frombuffer(rng.bytes(8 * 2000 * width), np.float64).reshape(-1, width)
+        special = np.resize([-0.0, 1e-05, 5e-324, 1e16, np.nan, np.inf, -np.inf], (2, width))
+        rows = [tuple(row) for row in np.concatenate([magnitudes, patterns, special]).tolist()]
+        reference = "".join(",".join(f"{v:.10g}" for v in row) + "\n" for row in rows)
+        assert analysis._csv(header, rows) == f"{header}\n{reference}"
+
+    def test_sweep_rows_are_tuples_named_by_the_header(self):
+        assert SWEEP_CSV_HEADER == ",".join(analysis.SweepPoint._fields)
+        points = sweep_theta([0.0, 0.3], 1000, 1)
+        assert [type(point) for point in points] == [analysis.SweepPoint] * 2
+        assert all(isinstance(point, tuple) for point in points)

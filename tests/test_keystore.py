@@ -271,7 +271,8 @@ class TestPadFiles:
     # two hex digits hold 5 to 8 bits
     @pytest.mark.parametrize("n_bits", [4, 9], ids=["below", "above"])
     def test_a_bit_count_the_hex_cannot_hold_rejected(self, n_bits):
-        with pytest.raises(ValueError, match=f"^bit count {n_bits} inconsistent with 2 hex digits$"):
+        with pytest.raises(ValueError,
+                           match=rf"^pad bits must be an integer in \[5, 8\], got {n_bits}$"):
             pad_from_text(f"generation=0\nFF\nbits={n_bits}\n")
 
     @given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=2**32))
@@ -282,7 +283,8 @@ class TestPadFiles:
         assert np.array_equal(back.bits, pad.bits)
 
     def test_negative_generation_rejected(self):
-        with pytest.raises(ValueError, match="generation"):
+        with pytest.raises(ValueError,
+                           match=r"^pad generation must be an integer in \[0, int64 max\], got -3$"):
             pad_from_text("generation=-3\nF0\nbits=8\n")
 
     def test_non_hex_digits_rejected(self):
@@ -304,16 +306,20 @@ class TestPadFiles:
         assert "\n" not in str(info.value)
 
     @pytest.mark.parametrize(
-        "text,field,value",
-        [("generation=abc\nFF\n", "generation", "'abc'"),
-         ("generation=0\nFF\nbits=abc\n", "bits", "'abc'"),
-         # int() reads these as generation 10 and 8 bits
-         ("generation=1_0\nFF\n", "generation", "'1_0'"),
-         ("generation=0\nFF\nbits=\u0668\n", "bits", "'\u0668'")],
-        ids=["generation-abc", "bits-abc", "generation-digit-groups", "bits-arabic-indic-digit"],
+        "text,rule,value",
+        [("generation=abc\nFF\n", r"generation must be an integer in \[0, int64 max\]", "'abc'"),
+         ("generation=0\nFF\nbits=abc\n", r"bits must be an integer in \[5, 8\]", "'abc'"),
+         # int() reads these as generation 10, 8 bits and generation 2
+         ("generation=1_0\nFF\n", r"generation must be an integer in \[0, int64 max\]", "'1_0'"),
+         ("generation=0\nFF\nbits=\u0668\n", r"bits must be an integer in \[5, 8\]", "'\u0668'"),
+         ("generation= 2\nFF\n", r"generation must be an integer in \[0, int64 max\]", "' 2'"),
+         # worded as a negative generation is
+         ("generation=1.5\nFF\n", r"generation must be an integer in \[0, int64 max\]", r"'1\.5'")],
+        ids=["generation-abc", "bits-abc", "generation-digit-groups", "bits-arabic-indic-digit",
+             "generation-leading-space", "generation-fraction"],
     )
-    def test_non_integer_field_named(self, text, field, value):
-        with pytest.raises(ValueError, match=f"^pad file {field} must be an integer, got {value}$"):
+    def test_non_integer_field_named(self, text, rule, value):
+        with pytest.raises(ValueError, match=f"^pad {rule}, got {value}$"):
             pad_from_text(text)
 
     @given(
