@@ -374,8 +374,9 @@ class TestOutFile:
         # /dev/null accepts the truncating open
         assert cli.main([*OUT_COMMANDS[command], "--out", os.devnull]) == cli.EXIT_OK
 
+    @pytest.mark.parametrize("truncate_fails", [False, True], ids=["cut", "cut-fails"])
     def test_write_that_fails_part_way_leaves_only_the_written_prefix(
-            self, monkeypatch, tmp_path, capsys):
+            self, truncate_fails, monkeypatch, tmp_path, capsys):
         fresh, out = tmp_path / "fresh", tmp_path / "out"
         assert cli.main([*OUT_COMMANDS["bounds"], "--out", str(fresh)]) == cli.EXIT_OK
         out.write_bytes(b"\xff" * 240)
@@ -391,8 +392,9 @@ class TestOutFile:
             raise OSError(errno.EIO, os.strerror(errno.EIO))
 
         monkeypatch.setattr(os, "write", short_then_full)
-        # the open truncates, so the writer never cuts the file afterwards
-        monkeypatch.setattr(os, "ftruncate", refuse)
+        if truncate_fails:
+            # the open truncates, so the writer never cuts the file afterwards
+            monkeypatch.setattr(os, "ftruncate", refuse)
         capsys.readouterr()
         assert cli.main([*OUT_COMMANDS["bounds"], "--out", str(out)]) == cli.EXIT_ERROR
         err = capsys.readouterr().err
