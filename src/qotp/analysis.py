@@ -31,7 +31,7 @@ from .errors import PoleError
 from .kernels import Basis
 from .rng import ROLE_SWEEP, make_rng, role_seed
 
-_LN2 = np.log(2.0)
+_LINEAR_SLOPE = 4.0 * np.sqrt(2.0) / np.log(2.0)  # of small_dm_linear_bound
 POLE_DM = 1.0 / (8.0 * np.sqrt(2.0))
 _POLE_TOL = 1e-9
 
@@ -126,8 +126,7 @@ def i1_bound(d_m):
 
 def small_dm_linear_bound(d_m):
     """Small-d_m linear ceiling (4 sqrt(2) / ln 2) d_m on [0, 1/4]."""
-    slope = 4.0 * np.sqrt(2.0) / _LN2
-    return _eval(d_m, 0.0, 0.25, lambda arr: slope * arr, "small_dm_linear_bound", "d_m")
+    return _eval(d_m, 0.0, 0.25, lambda arr: _LINEAR_SLOPE * arr, "small_dm_linear_bound", "d_m")
 
 
 def empirical_mutual_information(counts) -> float | np.ndarray:
@@ -244,11 +243,12 @@ def sweep_csv(points: list[SweepPoint]) -> str:
 
 
 def bounds_csv(d_grid) -> str:
-    """Bound curves over a d_m grid in [0, 1/4]; the pole must not be in the
-    grid (PoleError names the offending point)."""
+    """Bound curves over a d_m grid in [0, 1/4], checked once by
+    ``epsilon_tilde_min``; the pole must not be in the grid (PoleError names
+    the offending point)."""
     d = np.atleast_1d(kernels.real_array("d_grid", d_grid))
     if d.ndim != 1 or d.size == 0:
         raise ValueError(f"a bound table needs a nonempty 1-D d grid, got shape {d.shape}")
-    i0, e = i0_bound(d), epsilon_tilde_min(d)
-    columns = [d, i0, _i1(e), small_dm_linear_bound(d), e]
+    e = epsilon_tilde_min(d)
+    columns = [d, _i0(d), _i1(e), _LINEAR_SLOPE * d, e]
     return _csv(BOUNDS_CSV_HEADER, zip(*(c.tolist() for c in columns)))

@@ -7,10 +7,12 @@ produces a *new* pad with the announced photons' bit pairs removed.  A pad
 is its bits and its generation, the number of passed checks it has been
 recycled through, and nothing else: a pad file holds its whole state.
 
-Pad files are plain text: ``generation=<int>``, then the bits hex-encoded
-(most significant bit of the first hex digit is pad index 0), then
+A pad file is exactly the three lines ``pad_to_text`` writes, read as
+written: ``generation=<int>``, then the bits hex-encoded (most significant
+bit of the first hex digit is pad index 0; empty for a 0-bit pad), then
 ``bits=<int>`` giving the exact bit count (hex alone cannot express lengths
-that are not multiples of 4).
+that are not multiples of 4).  A blank line, a missing line or whitespace
+around a field is an error.
 """
 
 from __future__ import annotations
@@ -82,22 +84,16 @@ def _int_field(line: str, name: str, lo: int = 0, hi: int = kernels.INT64_MAX) -
 
 
 def pad_from_text(text: str) -> PadKey:
-    """Parse the pad exchange format: ``generation=<int>``, one hex line, and
-    an optional ``bits=<int>``; blank lines are skipped and any other line is
-    rejected.  A missing ``bits=`` line means the bit count is four times the
-    hex digit count."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2:
-        raise ValueError("pad file must hold a 'generation=<int>' line, then hex bits")
-    if len(lines) > 3:
-        raise ValueError(f"pad file has an extra line {lines[3][:20]!r}")
+    """Parse the pad exchange format, the inverse of ``pad_to_text``."""
+    lines = text.splitlines()
+    if len(lines) != 3:
+        raise ValueError("pad file must hold 3 lines, 'generation=<int>', hex bits and "
+                         f"'bits=<int>', got {len(lines)}")
     generation = _int_field(lines[0], "generation")
     hexdigits = lines[1]
-    if not re.fullmatch(r"[0-9A-Fa-f]+", hexdigits):
+    if not re.fullmatch(r"[0-9A-Fa-f]*", hexdigits):
         raise ValueError(f"pad bits must be hex digits, got {hexdigits[:20]!r}")
-    n_bits = 4 * len(hexdigits)
-    if len(lines) == 3:
-        n_bits = _int_field(lines[2], "bits", n_bits - 3, n_bits)
+    n_bits = _int_field(lines[2], "bits", max(0, 4 * len(hexdigits) - 3), 4 * len(hexdigits))
     packed = bytes.fromhex(hexdigits + "0" * (len(hexdigits) % 2))
     bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))[:n_bits]
     return PadKey(bits=bits, generation=generation)

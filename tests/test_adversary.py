@@ -8,6 +8,7 @@ import inspect
 import numpy as np
 import pytest
 
+from qotp import kernels
 from qotp.adversary import (
     IndividualUTB,
     InterceptResend,
@@ -173,6 +174,47 @@ class TestProbeAttack:
         slack = 0.01
         assert all(b - a > -slack for a, b in zip(errs, errs[1:]))
         assert all(b - a > -slack for a, b in zip(accs, accs[1:]))
+
+
+def error_mass(attack) -> float:
+    """The exact chance that a photon decodes to the wrong bit: the cells of
+    ``cell_probabilities`` whose receiver outcome, read in the prepared basis,
+    is not the encoded bit."""
+    cells = kernels.cell_probabilities(attack)  # [state, encoding, outcome, record]
+    state, encoding, outcome = np.indices(cells.shape[:3])
+    return float(cells[(outcome ^ kernels.PREP_LABEL_OF_STATE[state]) != encoding].sum())
+
+
+def probe_error_mass(theta: float) -> float:
+    """(d + (1 - cos theta)/2)/2 with d = sin^2(theta)/2: half the photons are
+    in the attacked basis and err at d, the other half at (1 - cos theta)/2."""
+    return (0.5 * np.sin(theta) ** 2 + (1 - np.cos(theta)) / 2) / 2
+
+
+class TestExactErrorMass:
+    def test_no_attack_never_errs(self):
+        assert error_mass(NoAttack()) == 0.0
+
+    @pytest.mark.parametrize("basis", [None, Basis.PLUS, Basis.CROSS], ids=["random", "plus", "cross"])
+    def test_intercept_resend_errs_a_quarter(self, basis):
+        assert error_mass(InterceptResend(basis)) == pytest.approx(0.25, abs=1e-12)
+
+    @pytest.mark.parametrize("basis", list(Basis), ids=[basis.value for basis in Basis])
+    def test_probe_error_mass_closed_form(self, basis):
+        for theta in np.linspace(0.0, np.pi / 4, 33):
+            assert error_mass(IndividualUTB(theta, basis)) == pytest.approx(
+                probe_error_mass(theta), abs=1e-12), theta
+
+    # (1 - e)^16: the chance that a 16-bit check at threshold 0 passes
+    @pytest.mark.parametrize(
+        "attack,passes",
+        [(IndividualUTB(np.pi / 16), 0.794), (IndividualUTB(np.pi / 8), 0.400),
+         (IndividualUTB(3 * np.pi / 16), 0.131), (IndividualUTB(np.pi / 4), 0.029),
+         (InterceptResend(), 0.010)],
+        ids=["probe-pi-16", "probe-pi-8", "probe-3pi-16", "probe-pi-4", "intercept-resend"],
+    )
+    def test_a_16_bit_check_passes(self, attack, passes):
+        assert (1 - error_mass(attack)) ** 16 == pytest.approx(passes, abs=1e-3)
 
 
 class TestConstructorValidation:

@@ -178,12 +178,56 @@ class TestI1:
             i1_bound(POLE_DM)
 
     def test_finite_across_numerator_zero(self):
-        # the epsilon expression's numerator crosses zero near d_m ~ 0.0497;
+        # the epsilon expression's numerator crosses zero near d_m ~ 0.0493;
         # the e*log2(e) -> 0 convention keeps i1 finite through the region
         grid = np.linspace(0.048, 0.052, 41)
         vals = i1_bound(grid)
         assert np.all(np.isfinite(vals))
         assert np.all(vals > 0.9) and np.all(vals <= 1.0)
+
+
+def bisect(f, lo, hi):
+    """The point where f changes sign in [lo, hi], to the last float."""
+    sign = f(lo) > 0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if (f(mid) > 0) == sign else (lo, mid)
+    return lo
+
+
+def eps_numerator(d):
+    return 1.0 - 4.0 * np.sqrt(np.sqrt(2.0 - 8.0 * d) * d)
+
+
+class TestI1Shape:
+    """i1 evaluated verbatim is not monotone on [0, 1/4]: it is 1 where
+    epsilon_tilde_min's numerator vanishes and 0 where epsilon_tilde_min is 1."""
+
+    @pytest.mark.parametrize("lo,hi,root", [(0.04, 0.06, 0.0493278), (0.2, 0.25, 0.2416374)],
+                             ids=["below-the-pole", "above-the-pole"])
+    def test_one_where_the_numerator_vanishes(self, lo, hi, root):
+        d = bisect(eps_numerator, lo, hi)
+        assert d == pytest.approx(root, abs=1e-7)
+        assert i1_bound(d) == pytest.approx(1.0, abs=1e-9)
+
+    def test_zero_where_epsilon_tilde_is_one(self):
+        # epsilon_tilde_min is 1 at d = 0 too (TestEpsilonTilde); the pole lies
+        # between the two points below
+        d = bisect(lambda d: epsilon_tilde_min(d) - 1.0, 0.06, 0.08)
+        assert d == pytest.approx(0.0727277, abs=1e-7)
+        assert i1_bound(d) < 1e-12
+        assert epsilon_tilde_min(0.125) == 1.0 and i1_bound(0.125) == 0.0
+
+    def test_values_across_the_domain(self):
+        assert i1_bound(0.25) == pytest.approx(0.2216, abs=1e-4)
+        # the small-d linear ceiling lies below i1 near 0
+        assert small_dm_linear_bound(0.01) == pytest.approx(0.0816, abs=1e-4)
+        assert i1_bound(0.01) == pytest.approx(0.1695, abs=1e-4)
+
+    @pytest.mark.parametrize("d", [1e-6, 1e-8])
+    def test_slope_at_zero_is_twice_the_linear_ceiling(self, d):
+        # i1(d)/d -> 8 sqrt(2)/ln 2 ~ 16.3222
+        assert i1_bound(d) / small_dm_linear_bound(d) == pytest.approx(2.0, abs=1e-5)
+        assert i1_bound(d) / d == pytest.approx(8.0 * np.sqrt(2.0) / np.log(2.0), rel=1e-5)
 
 
 # each closed-form function with a point inside its domain, the domain's
@@ -758,6 +802,24 @@ class TestBoundsCsv:
         grid = [0.0, 0.02, 0.05, 0.1, 0.25]
         bounds_csv(grid)
         assert [arr.tolist() for arr in calls] == [grid]
+
+    def test_one_table_checks_its_grid_once(self, monkeypatch):
+        names = []
+        core = analysis._eval
+
+        def counting(x, domain_lo, domain_hi, func, name, arg):
+            names.append(name)
+            return core(x, domain_lo, domain_hi, func, name, arg)
+
+        monkeypatch.setattr(analysis, "_eval", counting)
+        bounds_csv([0.0, 0.02, 0.05, 0.1, 0.25])
+        assert names == ["epsilon_tilde_min"]
+
+    @pytest.mark.parametrize("bad", [-0.01, 0.3, 1.5], ids=["below-0", "past-a-quarter", "past-1"])
+    def test_grid_outside_the_domain_names_epsilon_tilde_min(self, bad):
+        with pytest.raises(ValueError, match=rf"^epsilon_tilde_min domain is \[0, 0\.25\], "
+                                             rf"got {bad:g}$"):
+            bounds_csv([0.0, bad])
 
     @pytest.mark.parametrize("grid", [[[0.0, 0.01], [0.02, 0.05]], [], [[]]],
                              ids=["2-d", "empty", "2-d-empty"])

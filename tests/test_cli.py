@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from qotp import adversary, analysis, cli, kernels, protocol
 from qotp.adversary import IndividualUTB, InterceptResend, NoAttack
 from qotp.analysis import BOUNDS_CSV_HEADER, SWEEP_CSV_HEADER
-from qotp.keystore import generate_pad, pad_to_text
+from qotp.keystore import PadKey, generate_pad, pad_to_text
 from qotp.rng import ROLE_MESSAGE, ROLE_PAD, ROLE_SESSION, ROLE_SWEEP, make_rng, role_seed
 from lineage_v1 import lineage_v1
 
@@ -122,6 +122,37 @@ class TestRun:
         assert capsys.readouterr().err == (
             "error: pad exhausted at session 1: need 160 bits for 80 photons, have 8\n"
         )
+
+    def test_a_0_bit_recycled_pad_file_is_exhausted(self, tmp_path, capsys):
+        # one sampled photon takes the whole 2-bit pad: its recycled pad is 0 bits
+        out = tmp_path / "t0.json"
+        argv = ["run", "--message-bits", "0", "--samples", "1", "--seed", "1"]
+        assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK
+        recycled = json.loads(out.read_text())["secret_view"]["recycled_pad"]
+        assert recycled == {"generation": 1, "hex": "", "bits": 0}
+        pad_path = tmp_path / "pad.txt"
+        pad_path.write_text(pad_to_text(PadKey(bits=np.zeros(0, np.uint8), generation=1)))
+        capsys.readouterr()
+        assert cli.main([*argv, "--pad-file", str(pad_path)]) == cli.EXIT_ERROR
+        assert capsys.readouterr() == (
+            "", "error: pad exhausted at session 1: need 2 bits for 1 photons, have 0\n")
+
+    # each would key the session if whitespace or a blank line were skipped
+    @pytest.mark.parametrize(
+        "text",
+        ["generation=2 \nF\nbits=4\n", " generation=2\nF\nbits=4\n", "generation=2\nF \nbits=4\n",
+         "generation=2\nF\nbits=4 \n", "\ngeneration=2\nF\nbits=4\n", "generation=2\nF\nbits=4\n\n",
+         "generation=2\nF\n"],
+        ids=["generation-trailing-space", "generation-line-indented", "hex-trailing-space",
+             "bits-trailing-space", "blank-line-before", "blank-line-after", "no-bits-line"],
+    )
+    def test_pad_file_not_as_written_line(self, text, tmp_path, capsys):
+        pad_path = tmp_path / "pad.txt"
+        pad_path.write_text(text)
+        argv = ["run", "--message-bits", "0", "--samples", "1", "--pad-file", str(pad_path)]
+        assert cli.main(argv) == cli.EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: pad ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("seed", [7, -5, 2**63 - 1])
     def test_recorded_seed_replays(self, seed, tmp_path, capsys):

@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qotp.keystore import (
@@ -35,6 +35,9 @@ from oracle import (
 
 def pad_of(bit_string: str) -> PadKey:
     return PadKey(bits=np.array([int(c) for c in bit_string], dtype=np.uint8))
+
+
+THREE_LINES = "pad file must hold 3 lines, 'generation=<int>', hex bits and 'bits=<int>'"
 
 
 class TestGenerate:
@@ -255,18 +258,40 @@ class TestPadFiles:
         recycled = recycle_pad(pad, 2, set())
         assert pad_from_text(pad_to_text(recycled)).generation == 1
 
-    def test_missing_bits_line_means_nibble_multiple(self):
-        back = pad_from_text("generation=0\nF0\n")
-        assert "".join(map(str, back.bits)) == "11110000"
-
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
             pad_from_text("FF\n00\n")
 
     def test_a_file_without_a_hex_line_rejected(self):
-        with pytest.raises(ValueError, match=r"^pad file must hold a 'generation=<int>' line, "
-                                             r"then hex bits$"):
+        with pytest.raises(ValueError, match=rf"^{THREE_LINES}, got 1$"):
             pad_from_text("generation=0\n")
+
+    # a pad file is read as pad_to_text writes it: no whitespace around a field
+    @pytest.mark.parametrize(
+        "text,message",
+        [("generation=2 \nFF\nbits=8\n",
+          r"pad generation must be an integer in \[0, int64 max\], got '2 '"),
+         (" generation=2\nFF\nbits=8\n", r"pad file line ' generation=2' is not 'generation=<int>'"),
+         ("generation=2\nFF \nbits=8\n", r"pad bits must be hex digits, got 'FF '"),
+         ("generation=2\n FF\nbits=8\n", r"pad bits must be hex digits, got ' FF'"),
+         ("generation=2\nFF\nbits=8 \n", r"pad bits must be an integer in \[5, 8\], got '8 '"),
+         ("generation=2\nFF\nbits=8\t\n", r"pad bits must be an integer in \[5, 8\], got '8\\t'")],
+        ids=["generation-trailing-space", "generation-line-indented", "hex-trailing-space",
+             "hex-leading-space", "bits-trailing-space", "bits-trailing-tab"],
+    )
+    def test_whitespace_around_a_field_rejected(self, text, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pad_from_text(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["\ngeneration=2\nFF\nbits=8\n", "generation=2\n\nFF\nbits=8\n",
+         "generation=2\nFF\n\nbits=8\n", "generation=2\nFF\nbits=8\n\n"],
+        ids=["before", "after-generation", "after-hex", "after-bits"],
+    )
+    def test_blank_line_rejected(self, text):
+        with pytest.raises(ValueError, match=rf"^{THREE_LINES}, got 4$"):
+            pad_from_text(text)
 
     # two hex digits hold 5 to 8 bits
     @pytest.mark.parametrize("n_bits", [4, 9], ids=["below", "above"])
@@ -275,10 +300,12 @@ class TestPadFiles:
                            match=rf"^pad bits must be an integer in \[5, 8\], got {n_bits}$"):
             pad_from_text(f"generation=0\nFF\nbits={n_bits}\n")
 
-    @given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=2**32))
+    @given(st.integers(min_value=0, max_value=200), st.integers(min_value=0, max_value=2**32))
+    @example(0, 0)
     @settings(max_examples=40, deadline=None)
     def test_round_trip_any_length(self, length, seed):
-        pad = generate_pad(length, make_rng(seed))
+        # generate_pad refuses 0 bits, the pad a session can recycle down to
+        pad = PadKey(bits=make_rng(seed).integers(0, 2, size=length, dtype=np.uint8))
         back = pad_from_text(pad_to_text(pad))
         assert np.array_equal(back.bits, pad.bits)
 
@@ -288,15 +315,15 @@ class TestPadFiles:
             pad_from_text("generation=-3\nF0\nbits=8\n")
 
     def test_non_hex_digits_rejected(self):
-        with pytest.raises(ValueError):
-            pad_from_text("generation=0\nF G0\n")
+        with pytest.raises(ValueError, match=r"^pad bits must be hex digits, got 'F G0'$"):
+            pad_from_text("generation=0\nF G0\nbits=12\n")
 
     @pytest.mark.parametrize(
         "text,quoted",
         [
             ("generation=0\nFF\n00\n", "'00'"),
             ("generation=0\nFF\nbitz=3\n", "'bitz=3'"),
-            ("generation=0\nFF\nbits=8\n\nFF\n", "'FF'"),
+            ("generation=0\nFF\nbits=8\n\nFF\n", rf"^{THREE_LINES}, got 5$"),
         ],
         ids=["second-hex-line", "misspelt-bits-line", "line-after-bits"],
     )
@@ -307,14 +334,14 @@ class TestPadFiles:
 
     @pytest.mark.parametrize(
         "text,rule,value",
-        [("generation=abc\nFF\n", r"generation must be an integer in \[0, int64 max\]", "'abc'"),
+        [("generation=abc\nFF\nbits=8\n", r"generation must be an integer in \[0, int64 max\]", "'abc'"),
          ("generation=0\nFF\nbits=abc\n", r"bits must be an integer in \[5, 8\]", "'abc'"),
          # int() reads these as generation 10, 8 bits and generation 2
-         ("generation=1_0\nFF\n", r"generation must be an integer in \[0, int64 max\]", "'1_0'"),
+         ("generation=1_0\nFF\nbits=8\n", r"generation must be an integer in \[0, int64 max\]", "'1_0'"),
          ("generation=0\nFF\nbits=\u0668\n", r"bits must be an integer in \[5, 8\]", "'\u0668'"),
-         ("generation= 2\nFF\n", r"generation must be an integer in \[0, int64 max\]", "' 2'"),
+         ("generation= 2\nFF\nbits=8\n", r"generation must be an integer in \[0, int64 max\]", "' 2'"),
          # worded as a negative generation is
-         ("generation=1.5\nFF\n", r"generation must be an integer in \[0, int64 max\]", r"'1\.5'")],
+         ("generation=1.5\nFF\nbits=8\n", r"generation must be an integer in \[0, int64 max\]", r"'1\.5'")],
         ids=["generation-abc", "bits-abc", "generation-digit-groups", "bits-arabic-indic-digit",
              "generation-leading-space", "generation-fraction"],
     )
