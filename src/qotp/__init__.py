@@ -7,6 +7,7 @@ information-theoretic bounds that limit what an individual attack can learn.
 
 from .adversary import AttackModel, IndividualUTB, InterceptResend, NoAttack
 from .analysis import (
+    PoleError,
     d_of_theta,
     empirical_mutual_information,
     epsilon_tilde_min,
@@ -16,11 +17,11 @@ from .analysis import (
     small_dm_linear_bound,
     sweep_theta,
 )
-from .errors import PadExhaustedError, PoleError
 from .kernels import Basis, cell_probabilities
 from .keystore import PadKey, generate_pad, load_pad
 from .protocol import (
     ErrorReport,
+    PadExhaustedError,
     SessionConfig,
     SessionTranscript,
     run_lineage,

@@ -27,13 +27,16 @@ from typing import NamedTuple
 import numpy as np
 
 from . import adversary, kernels
-from .errors import PoleError
 from .kernels import Basis
 from .rng import ROLE_SWEEP, make_rng, role_seed
 
 _LINEAR_SLOPE = 4.0 * np.sqrt(2.0) / np.log(2.0)  # of small_dm_linear_bound
 POLE_DM = 1.0 / (8.0 * np.sqrt(2.0))
 _POLE_TOL = 1e-9
+
+
+class PoleError(ValueError):
+    """Raised when a bound is evaluated at (or too close to) its singular point."""
 
 
 def _listed(values: np.ndarray) -> str:

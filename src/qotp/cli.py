@@ -16,16 +16,16 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 
 import numpy as np
 
 from . import analysis, kernels, keystore
 from .adversary import IndividualUTB, InterceptResend, NoAttack
-from .errors import PadExhaustedError
 from .kernels import Basis
-from .protocol import (SessionConfig, _digits, draw_messages, json_text, message_digest,
-                       run_lineage, run_session)
+from .protocol import (PadExhaustedError, SessionConfig, _digits, draw_messages, json_text,
+                       message_digest, run_lineage, run_session)
 from .rng import ROLE_MESSAGE, ROLE_PAD, make_rng, role_seed
 
 EXIT_OK = 0
@@ -38,6 +38,10 @@ SEED_HELP = "top-level seed (default: the QOTP_SEED environment variable, then 0
 class _Parser(argparse.ArgumentParser):
     """Raises usage errors as ValueError, so ``main`` reports them as one
     ``error:`` line with exit code 1 (exit code 2 means a rejected session)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")  # Python 3.13's: -0.1,0.2 is a value
 
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")

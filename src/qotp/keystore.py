@@ -7,12 +7,12 @@ produces a *new* pad with the announced photons' bit pairs removed.  A pad
 is its bits and its generation, the number of passed checks it has been
 recycled through, and nothing else: a pad file holds its whole state.
 
-A pad file is exactly the three lines ``pad_to_text`` writes, read as
-written: ``generation=<int>``, then the bits hex-encoded (most significant
-bit of the first hex digit is pad index 0; empty for a 0-bit pad), then
-``bits=<int>`` giving the exact bit count (hex alone cannot express lengths
-that are not multiples of 4).  A blank line, a missing line or whitespace
-around a field is an error.
+A pad file is exactly the three lines ``pad_to_text`` writes, one field of
+``pad_record`` a line, read as written: ``generation=<int>``, the bits
+hex-encoded (most significant bit of the first hex digit is pad index 0;
+empty for a 0-bit pad), then ``bits=<int>``, the exact bit count (hex alone
+cannot express lengths that are not multiples of 4).  A blank line, a
+missing line or whitespace around a field is an error.
 """
 
 from __future__ import annotations
@@ -60,14 +60,17 @@ def pair_states(pad: PadKey) -> np.ndarray:
     return key[:, 0] + 2 * (key[:, 0] ^ key[:, 1])
 
 
-def pad_hex(pad: PadKey) -> str:
-    """The pad's bits as upper-case hex, bit 0 the high bit of the first digit."""
-    return np.packbits(pad.bits).tobytes().hex().upper()[: -(-len(pad) // 4)]
+def pad_record(pad: PadKey) -> dict:
+    """The pad's exchange fields: its generation, its bits as upper-case hex
+    (bit 0 the high bit of the first digit) and its bit count."""
+    return {"generation": pad.generation,
+            "hex": np.packbits(pad.bits).tobytes().hex().upper()[: -(-len(pad) // 4)],
+            "bits": len(pad)}
 
 
 def pad_to_text(pad: PadKey) -> str:
-    """Serialize a pad to the exchange format (generation, hex bits, bit count)."""
-    return f"generation={pad.generation}\n{pad_hex(pad)}\nbits={len(pad)}\n"
+    """Serialize a pad to the exchange format: its record, one field a line."""
+    return "generation={generation}\n{hex}\nbits={bits}\n".format(**pad_record(pad))
 
 
 def _int_field(line: str, name: str, lo: int = 0, hi: int = kernels.INT64_MAX) -> int:

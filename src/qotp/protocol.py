@@ -33,9 +33,12 @@ import numpy as np
 
 from . import kernels, keystore
 from .adversary import AttackModel, NoAttack
-from .errors import PadExhaustedError
 from .keystore import PadKey
 from .rng import ROLE_MESSAGE, ROLE_SESSION, RandomStream, make_rng, role_seed
+
+
+class PadExhaustedError(RuntimeError):
+    """Raised when a pad does not hold enough unused bits for the request."""
 
 
 @dataclass(frozen=True)
@@ -136,13 +139,7 @@ class SessionTranscript:
                 "adversary": None
                 if self.attack.kind == NoAttack.kind
                 else {"records": _digits(self.record)},
-                "recycled_pad": None
-                if pad is None
-                else {
-                    "generation": pad.generation,
-                    "hex": keystore.pad_hex(pad),
-                    "bits": len(pad),
-                },
+                "recycled_pad": None if pad is None else keystore.pad_record(pad),
             },
             "public_view": self.public_view(),
         }

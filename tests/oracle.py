@@ -1,5 +1,6 @@
 """Exact state-vector oracle for one polarized photon, optionally joined to a
-one-qubit probe, with the per-photon attacks that act on it; the Pauli
+one-qubit probe, with the per-photon attacks that act on it; the exact
+information that reusing one key gives a known-plaintext Eve; the Pauli
 cloner that attains the ``i0`` ceiling; batched kernel runs over uniformly
 random pads for the statistical tests; a mask-based reference pad
 recycler, which the lineage's pair recurrence is checked against; and the
@@ -32,6 +33,7 @@ Every attacked photon leaves an ``EveRecord``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -342,6 +344,25 @@ def attack_law(model: AttackModel) -> np.ndarray:
                     joint = utb_apply(encoded, model.theta, model.attack_basis)
                     cell[:] = np.abs(receiver @ joint.amps.reshape(2, 2)) ** 2
     return law
+
+
+def reuse_information(likelihoods, k: int) -> tuple[float, float]:
+    """(basis, state) information in bits per surviving key that k attacked
+    uses of the key give an Eve who knows every message bit.
+
+    ``likelihoods`` is L[state, bit, record]: an attack's law summed over the
+    receiver's outcome at the plus basis.  The key's state is uniform over the
+    four, each use's bit is uniform, so one use observes (bit, record) with
+    P = L[state, bit, record] / 2, and uses are independent given the state.
+    Every sequence of k observations is enumerated; the basis information is
+    I(preparation basis; observations) and the state information
+    I(state; observations)."""
+    per_use = np.asarray(likelihoods, dtype=np.float64).reshape(4, -1) / 2
+    observations = itertools.product(range(per_use.shape[1]), repeat=k)
+    joint = np.array([per_use[:, list(seq)].prod(axis=1) for seq in observations]).T / 4
+    by_basis = np.zeros((2, joint.shape[1]))
+    np.add.at(by_basis, kernels.PREP_BASIS_OF_STATE, joint)
+    return empirical_mutual_information(by_basis), empirical_mutual_information(joint)
 
 
 def _record_likelihood(record: EveRecord, encoded: np.ndarray) -> float:

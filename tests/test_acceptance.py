@@ -26,7 +26,7 @@ from qotp.analysis import (
     i1_bound,
     small_dm_linear_bound,
 )
-from qotp.errors import PoleError
+from qotp import PoleError
 from qotp.keystore import generate_pad
 from qotp.kernels import Basis
 from qotp.protocol import SessionConfig, run_session

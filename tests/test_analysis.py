@@ -8,7 +8,7 @@ import pytest
 
 import qotp
 from qotp import analysis, kernels, keystore
-from qotp.adversary import IndividualUTB, InterceptResend, record_likelihoods
+from qotp.adversary import IndividualUTB, InterceptResend, NoAttack, record_likelihoods
 from qotp.analysis import (
     BOUNDS_CSV_HEADER,
     SWEEP_CSV_HEADER,
@@ -23,7 +23,7 @@ from qotp.analysis import (
     sweep_csv,
     sweep_theta,
 )
-from qotp.errors import PoleError
+from qotp import PoleError
 from qotp.kernels import Basis, cell_probabilities
 from qotp.keystore import generate_pad, pair_states
 from qotp.protocol import SessionConfig, run_session
@@ -33,11 +33,13 @@ from oracle import (
     PREP_STATES,
     EncodingOp,
     apply_encoding,
+    attack_law,
     eigenstates,
     key_pairs,
     measure_photon_of_joint,
     pauli_cloner_law,
     probe_information_estimate,
+    reuse_information,
     run_photon_batch,
     utb_apply,
 )
@@ -209,6 +211,12 @@ class TestI1Shape:
         assert d == pytest.approx(root, abs=1e-7)
         assert i1_bound(d) == pytest.approx(1.0, abs=1e-9)
 
+    def test_one_where_epsilon_tilde_is_exactly_zero(self):
+        # e log2 e is taken as 0 at e = 0, with no NaN and no warning
+        d = 0.04932775744005052
+        assert epsilon_tilde_min(d) == 0.0
+        assert i1_bound(d) == 1.0
+
     def test_zero_where_epsilon_tilde_is_one(self):
         # epsilon_tilde_min is 1 at d = 0 too (TestEpsilonTilde); the pole lies
         # between the two points below
@@ -228,6 +236,54 @@ class TestI1Shape:
         # i1(d)/d -> 8 sqrt(2)/ln 2 ~ 16.3222
         assert i1_bound(d) / small_dm_linear_bound(d) == pytest.approx(2.0, abs=1e-5)
         assert i1_bound(d) / d == pytest.approx(8.0 * np.sqrt(2.0) / np.log(2.0), rel=1e-5)
+
+
+REUSE_ATTACKS = [NoAttack(), InterceptResend(None), InterceptResend(Basis.PLUS),
+                 InterceptResend(Basis.CROSS), IndividualUTB(np.pi / 8), IndividualUTB(np.pi / 6),
+                 IndividualUTB(np.pi / 4), IndividualUTB(np.pi / 8, Basis.CROSS)]
+REUSE_IDS = ["none", "ir-random", "ir-plus", "ir-cross", "utb-pi/8", "utb-pi/6", "utb-pi/4",
+             "utb-pi/8-cross"]
+
+
+class TestReuseInformation:
+    """Exact information per surviving key that k known-plaintext uses give
+    Eve.  One use gives no basis information; more uses do, even where i1,
+    which the paper states for one use, is 0."""
+
+    @pytest.mark.parametrize("attack", REUSE_ATTACKS, ids=REUSE_IDS)
+    def test_the_package_law_gives_the_state_vector_values(self, attack):
+        from_oracle = attack_law(attack)[:, :, Basis.PLUS.index].sum(axis=2)
+        for k in (1, 2, 3):
+            assert reuse_information(record_likelihoods(attack), k) == pytest.approx(
+                reuse_information(from_oracle, k), abs=1e-12)
+
+    @pytest.mark.parametrize("attack", REUSE_ATTACKS, ids=REUSE_IDS)
+    def test_one_use_gives_no_basis_information(self, attack):
+        assert reuse_information(record_likelihoods(attack), 1)[0] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("attack,basis_bits", [
+        (IndividualUTB(np.pi / 8), [0.0, 0.0018, 0.0053, 0.0103]),
+        (IndividualUTB(np.pi / 4), [0.0, 0.0285, 0.0741, 0.1294]),
+        (InterceptResend(Basis.PLUS), [0.0, 0.3113, 0.5488, 0.7169]),
+        (InterceptResend(None), [0.0, 0.1556, 0.3707, 0.5515]),
+    ], ids=["utb-pi/8", "utb-pi/4", "ir-plus", "ir-random"])
+    def test_basis_information_after_k_uses(self, attack, basis_bits):
+        got = [reuse_information(record_likelihoods(attack), k)[0] for k in (1, 2, 3, 4)]
+        assert got == pytest.approx(basis_bits, abs=1e-4)
+
+    def test_state_information_of_the_pi_over_8_probe(self):
+        got = [reuse_information(record_likelihoods(IndividualUTB(np.pi / 8)), k)[1]
+               for k in (1, 2, 3, 4)]
+        assert got == pytest.approx([0.0387, 0.0762, 0.1126, 0.1480], abs=1e-4)
+
+    def test_the_probe_where_i1_is_zero_learns_the_basis_over_reuses(self):
+        # a fact beside i1, not a violation of it: the paper states i1 for one use
+        theta = np.pi / 6
+        assert d_of_theta(theta) == pytest.approx(0.125, abs=1e-15)
+        assert i1_bound(0.125) == 0.0
+        likelihoods = record_likelihoods(IndividualUTB(theta))
+        got = [reuse_information(likelihoods, k)[0] for k in (2, 3)]
+        assert got == pytest.approx([0.0057, 0.0162], abs=1e-4)
 
 
 # each closed-form function with a point inside its domain, the domain's

@@ -252,6 +252,14 @@ class TestSweep:
         assert rc == cli.EXIT_OK
         assert len(capsys.readouterr().out.strip().split("\n")) == 6
 
+    def test_a_given_grid_is_swept(self, capsys):
+        argv = ["sweep-theta", "--photons", "1000", "--seed", "3", "--thetas"]
+        assert cli.main([*argv, "0.1,0.2"]) == cli.EXIT_OK
+        rows = capsys.readouterr().out.splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["0.1", "0.2"]
+        assert cli.main([*argv, "0.1,0.2,0.3"]) == cli.EXIT_OK
+        assert capsys.readouterr().out.splitlines()[:3] == rows
+
     def test_needs_two_points(self, capsys):
         rc = cli.main(["sweep-theta", "--thetas", "0.1", "--photons", "100"])
         assert rc == cli.EXIT_ERROR
@@ -370,6 +378,13 @@ class TestRecycleDemo:
         assert session_flags("recycle-demo") == session_flags("run")
         assert all(help_text for help_text, _ in session_flags("run").values())
 
+    def test_the_first_session_can_be_attacked(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        argv = ["recycle-demo", "--sessions", "2", "--attack", "utb", "--theta", "0",
+                "--attack-session", "1", "--seed", "3", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert [s["attacked"] for s in json.loads(out.read_text())["sessions"]] == [True, False]
+
     def test_single_session_matches_run_semantics(self, capsys):
         rc = cli.main(["recycle-demo", "--sessions", "1", "--seed", "4"])
         assert rc == cli.EXIT_OK
@@ -384,6 +399,37 @@ class TestRecycleDemo:
         assert capsys.readouterr().err == (
             "error: pad exhausted at session 3: need 160 bits for 80 photons, have 136\n"
         )
+
+
+class TestDefaults:
+    """What a command does with a flag left out, as its help says."""
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("run", "message_bits", 128), ("sweep-theta", "photons", 10_000),
+        ("recycle-demo", "sessions", 5),
+    ])
+    def test_a_flag_left_out_takes_its_default(self, command, flag, value):
+        assert getattr(cli.build_parser().commands[command].parse_args([]), flag) == value
+
+    @pytest.mark.parametrize("message_bits,n_sample", [(16, 32), (130, 32), (200, 50)])
+    def test_run_samples_a_quarter_of_the_message_and_at_least_32(self, message_bits, n_sample,
+                                                                    tmp_path, capsys):
+        out = tmp_path / "t.json"
+        argv = ["run", "--message-bits", str(message_bits), "--seed", "1", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert json.loads(out.read_text())["config"]["n_sample"] == n_sample
+
+    def test_the_probe_defaults_to_full_strength_in_the_plus_basis(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        cli.main(["run", "--message-bits", "16", "--attack", "utb", "--seed", "1", "--out", str(out)])
+        assert json.loads(out.read_text())["attack"] == {
+            "kind": "utb", "theta": np.pi / 4, "utb_basis": "plus"}
+
+    def test_bounds_defaults_to_17_points_on_0_to_0_08(self, capsys):
+        assert cli.main(["bounds"]) == cli.EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 17
+        assert [row.split(",")[0] for row in (rows[0], rows[1], rows[-1])] == ["0", "0.005", "0.08"]
 
 
 class TestOutFile:
@@ -432,6 +478,25 @@ class TestOutFile:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert os.strerror(errno.ENOSPC) in err
         assert out.read_bytes() == fresh.read_bytes()[:10]
+
+    @pytest.mark.parametrize("write_fails", [False, True], ids=["written", "write-fails"])
+    def test_the_file_is_closed_after_its_write(self, write_fails, monkeypatch, tmp_path, capsys):
+        real_open, real_write, fds = os.open, os.write, []
+
+        def recording_open(*args):
+            fds.append(real_open(*args))
+            return fds[-1]
+
+        def failing_write(fd, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "open", recording_open)
+        monkeypatch.setattr(os, "write", failing_write if write_fails else real_write)
+        rc = cli.main([*OUT_COMMANDS["bounds"], "--out", str(tmp_path / "out")])
+        assert rc == (cli.EXIT_ERROR if write_fails else cli.EXIT_OK)
+        assert len(fds) == 1
+        with pytest.raises(OSError):
+            os.fstat(fds[0])
 
     @pytest.mark.parametrize("command", ["sweep-theta", "bounds"])
     def test_out_file_holds_the_bytes_of_stdout(self, command, tmp_path, capsys):
@@ -567,6 +632,13 @@ class TestBoundaryErrors:
              f"QOTP_SEED: must be an integer in [int64 min, int64 max], got '{-(2**63) - 1}'"),
             (["run", "--message", "01x"], {},
              "qotp run: argument --message: must be a 0/1 string, got '01x'"),
+            (["run", "--message", "012"], {},
+             "qotp run: argument --message: must be a 0/1 string, got '012'"),
+            (["bounds", "--d-min", "-0.01"], {},
+             "qotp bounds: argument --d-min: must be a number in [0, 0.25], got '-0.01'"),
+            (["recycle-demo", "--attack-session", "0"], {},
+             "qotp recycle-demo: argument --attack-session: must be an integer in [1, int64 max], "
+             "got '0'"),
             # numbers that int() and float() read but are not plain ASCII numbers
             (["run", "--message-bits", "1_6"], {},
              "qotp run: argument --message-bits: must be an integer in [0, int64 max], got '1_6'"),
@@ -590,6 +662,13 @@ class TestBoundaryErrors:
              "[0, pi/4], got ' 0.2'"),
             (["run"], {"QOTP_SEED": " 7"},
              "QOTP_SEED: must be an integer in [int64 min, int64 max], got ' 7'"),
+            # a negative first grid value, which argparse before Python 3.13 reads as a flag
+            (["sweep-theta", "--thetas", "-0.1,0.2"], {},
+             "qotp sweep-theta: argument --thetas: must be 2 or more comma-separated numbers in "
+             "[0, pi/4], got '-0.1'"),
+            (["bounds", "--d-grid", "-0.01,0.02"], {},
+             "qotp bounds: argument --d-grid: must be comma-separated numbers in [0, 0.25], "
+             "got '-0.01'"),
             # "--" as a value, which argparse before Python 3.13 reads as an empty list
             (["bounds", "--d-grid=--"], {}, "qotp bounds: argument --d-grid: expected one argument"),
             # grid flags that a given list would ignore
@@ -617,11 +696,12 @@ class TestBoundaryErrors:
              "run-threshold-2", "run-threshold-negative", "run-threshold-nan",
              "recycle-threshold-2", "recycle-threshold-negative", "recycle-threshold-nan",
              "zero-photons", "zero-sessions", "one-sweep-point", "zero-bound-points",
-             "seed-past-int64", "env-seed-below-int64", "message-not-bits",
+             "seed-past-int64", "env-seed-below-int64", "message-not-bits", "message-digit-2",
+             "d-min-negative", "zero-attack-session",
              "message-bits-digit-groups", "seed-arabic-indic-digit", "env-seed-arabic-indic-digit",
              "threshold-digit-groups", "theta-deg-arabic-indic-digits", "d-grid-digit-groups",
              "message-bits-leading-space", "thetas-item-leading-space", "env-seed-leading-space",
-             "d-grid-dash-dash",
+             "thetas-negative-first", "d-grid-negative-first", "d-grid-dash-dash",
              "thetas-with-points", "d-grid-with-d-min", "d-grid-with-points",
              "run-unknown-flag", "recycle-extra-argument", "recycle-known-plaintext",
              "no-command"],
@@ -651,6 +731,19 @@ class TestBoundaryErrors:
         # the list of choices after it is argparse's own, and its quoting varies by Python version
         assert out == "" and err.count("\n") == 1
         assert err.startswith("error: qotp: argument command: invalid choice: 'nosuch' (choose from ")
+
+    @pytest.mark.parametrize("argv,code,start", [
+        (["bounds", "--d-grid", "0,0.01"], cli.EXIT_OK, BOUNDS_CSV_HEADER + "\n"),
+        # the command's own parser names it, as for a given argv
+        (["run", "--bogus", "1"], cli.EXIT_ERROR, "error: qotp run: unrecognized arguments: --bogus 1\n"),
+    ], ids=["table", "unknown-flag"])
+    def test_main_reads_sys_argv_when_given_none(self, argv, code, start, monkeypatch, capsys):
+        assert cli.main(argv) == code
+        given = capsys.readouterr()
+        assert (given.out + given.err).startswith(start)
+        monkeypatch.setattr("sys.argv", ["qotp", *argv])
+        assert cli.main() == code
+        assert capsys.readouterr() == given
 
     @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["recycle-demo", "-h"]])
     def test_help_exits_0(self, argv, capsys):

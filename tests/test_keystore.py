@@ -309,6 +309,18 @@ class TestPadFiles:
         back = pad_from_text(pad_to_text(pad))
         assert np.array_equal(back.bits, pad.bits)
 
+    # no hex holds a negative count, and a long bad value is quoted to 20 characters
+    @pytest.mark.parametrize(
+        "text,message",
+        [("generation=0\n\nbits=-1\n", r"pad bits must be an integer in \[0, 0\], got -1"),
+         (f"generation={'x' * 30}\nFF\nbits=8\n",
+          rf"pad generation must be an integer in \[0, int64 max\], got '{'x' * 20}'")],
+        ids=["empty-hex-negative-bits", "long-generation"],
+    )
+    def test_integer_field_range_and_quote(self, text, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pad_from_text(text)
+
     def test_negative_generation_rejected(self):
         with pytest.raises(ValueError,
                            match=r"^pad generation must be an integer in \[0, int64 max\], got -3$"):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from qotp import cli, kernels, keystore, protocol
 from qotp.adversary import IndividualUTB, InterceptResend, NoAttack
-from qotp.errors import PadExhaustedError
+from qotp import PadExhaustedError
 from qotp.kernels import Basis
 from qotp.keystore import PadKey, generate_pad
 from qotp.protocol import SessionConfig, draw_messages, json_text, run_lineage, run_session
@@ -223,6 +223,15 @@ class TestRunSession:
         assert t.recycled_pad is None
         assert t.extracted_message is None
 
+    def test_a_pad_one_bit_short_is_exhausted(self):
+        with pytest.raises(PadExhaustedError,
+                           match="^pad exhausted at session 1: need 24 bits for 12 photons, have 23$"):
+            run_session(
+                SessionConfig(n_message=8, n_sample=4, seed=0),
+                generate_pad(23, make_rng(0)),
+                bits("10101010"),
+            )
+
     def test_pad_exhaustion(self):
         with pytest.raises(PadExhaustedError):
             run_session(
@@ -260,7 +269,7 @@ class TestRunSession:
         assert str(raised.value) == f"message must be 1-D, got shape {shape}"
 
     def test_message_length_must_match_config(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^config says n_message=4 but message has 2 bits$"):
             run_session(
                 SessionConfig(n_message=4, n_sample=1, seed=0),
                 generate_pad(20, make_rng(0)),
