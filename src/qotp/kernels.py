@@ -6,9 +6,10 @@ holds the sender's pad, so it measures each photon in its preparation basis:
 ``prep_basis_cells`` states that rule.  Sweeps apply it to a grid's stacked
 probe laws; ``cell_probabilities`` applies it to an attack's ``law()`` (see
 ``adversary``) for ``_pair_tables``, the one cache, so a law is built once per
-stacked table.  A photon is one inverse-CDF lookup in its cell's row of
-P(receiver outcome, Eve's record) with one uniform, supplied by the caller,
-then one lookup each of its record and decoded bit, through its own attack.
+stacked table.  A photon is one cell, naming its attack, state and bit (see
+``simulate_photons``), whose range check is its whole validity: one inverse-CDF
+lookup in that cell's row of P(receiver outcome, Eve's record) with one
+uniform, then one lookup each of its record and decoded bit.
 
 All states reachable in this protocol have real amplitudes, so the laws are
 built from the signed float64 amplitude tables below with the elementwise
@@ -150,13 +151,13 @@ def cell_probabilities(attack) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _pair_tables(attacks: tuple) -> tuple[np.ndarray, ...]:
-    """The tables of ``attacks`` stacked, cell ``8 * k + 2 * state + encoding``
-    being that cell of ``attacks[k]``: the cumulative edges [edge, cell] of
-    each cell's row of ``cell_probabilities`` over (outcome, record) pairs,
-    and the record (-1 for a one-record law) and decoded bit of each event
-    ``n_pairs * cell + pair``.  Dividing by the row total makes the implicit
-    last edge exactly 1, so no uniform passes it into the 1s that pad a row
-    to the longest, and an impossible pair repeats the edge before."""
+    """The tables of ``attacks`` stacked, a row per cell as ``simulate_photons``
+    numbers them: the cumulative edges [edge, cell] of each cell's row of
+    ``cell_probabilities`` over (outcome, record) pairs, and the record (-1 for
+    a one-record law) and decoded bit of each event ``n_pairs * cell + pair``.
+    Dividing by the row total makes the implicit last edge exactly 1, so no
+    uniform passes it into the 1s that pad a row to the longest, and an
+    impossible pair repeats the edge before."""
     rows = [cell_probabilities(attack).reshape(8, -1) for attack in attacks]
     pair = np.arange(max(row.shape[1] for row in rows))
     edges = np.ones((len(rows), 8, pair.size))
@@ -175,16 +176,16 @@ def _pair_tables(attacks: tuple) -> tuple[np.ndarray, ...]:
     return tables
 
 
-def simulate_photons(state_idx, enc_bits, attacks, uniforms, attack_idx) -> tuple:
+def simulate_photons(cell, attacks, uniforms) -> tuple:
     """Simulate n independent photons through the channel, each measured in
     its preparation basis.
 
     Args:
-        state_idx: (n,) prepared-state indices, 0..3 = H, V, u, d.
-        enc_bits: (n,) modified-message bits written with the swap encoding.
+        cell: (n,) each photon's cell ``8 * k + 2 * state + encoding``: its
+            adversary ``attacks[k]``, its prepared state 0..3 = H, V, u, d,
+            and its modified-message bit, written with the swap encoding.
         attacks: tuple of the channel adversaries, ``adversary.AttackModel``s.
         uniforms: (n,) uniform draws in [0, 1), one per photon.
-        attack_idx: (n,) each photon's adversary in ``attacks``.
 
     Returns:
         (record int8, decoded uint8): Eve's record per photon, coded as the
@@ -192,17 +193,12 @@ def simulate_photons(state_idx, enc_bits, attacks, uniforms, attack_idx) -> tupl
         bit is 1 where the receiver's outcome is not the label of the prepared
         state, so that outcome is the decoded bit XOR the label.
     """
-    state_idx = index_column("state_idx", state_idx, 3)
-    enc_bits = index_column("enc_bits", enc_bits, 1)
-    attack_idx = index_column("attack_idx", attack_idx, len(attacks) - 1)
-    n = state_idx.shape[0]
-    if enc_bits.shape[0] != n or attack_idx.shape != (n,):
-        raise ValueError("state_idx, enc_bits and attack_idx must have equal length")
+    cell = index_column("cell", cell, 8 * len(attacks) - 1)
     uniforms = np.ascontiguousarray(uniforms, dtype=np.float64)
-    if uniforms.shape != (n,):
-        raise ValueError(f"uniforms must have shape ({n},)")
+    if uniforms.shape != cell.shape:
+        raise ValueError(f"uniforms must have shape {cell.shape}")
     edges, *by_event = _pair_tables(attacks)
-    cell = 8 * attack_idx.astype(np.intp) + (2 * state_idx + enc_bits)
-    # the pair whose interval in its cell's row holds each photon's uniform
-    event = (uniforms >= edges.take(cell, axis=1)).sum(axis=0) + (edges.shape[0] + 1) * cell
+    # the pair holding each uniform in its cell's row, offset by the cell as intp, not to wrap
+    event = ((uniforms >= edges.take(cell, axis=1)).sum(axis=0)
+             + (edges.shape[0] + 1) * cell.astype(np.intp))
     return tuple(table.take(event) for table in by_event)

@@ -9,8 +9,8 @@ and release the message or halt.  Sessions run as rows: a lineage reuses one
 pad until a check fails, running its sessions in blocks, and a single
 session is session 1 of a lineage.  Both draw, key, send and check through
 one block step, ``_run_block``, and recycle through the same live pair list:
-the photons of a block, whatever its attacks, run as narrow columns through
-one batch-kernel call, which samples each attack's exact law and decodes.
+the photons of a block, whatever its attacks, run as one narrow cell column
+through one kernel call, which samples each attack's exact law and decodes.
 The transcript keeps the secret view for analysis, each fact once; the
 ``public_view`` projection is exactly what an eavesdropper may read.  A
 lineage audits that no pad pair one of its sessions announced keys a photon
@@ -224,11 +224,10 @@ def _run_block(state_of_pair, carried, fresh, messages, session_rng, attacks, co
     named below, a row per session, and the head after them if all pass."""
     bits, checked, unchecked, uniforms = _draw_sessions(messages, session_rng, config.n_sample)
     pairs, carried, fresh = _keyed_pairs(carried, fresh, unchecked, bits.shape[1])
-    codes: dict = {}
-    row_codes = [codes.setdefault(attack, len(codes)) for attack in attacks]
-    attack_idx = np.array(row_codes, dtype=np.min_scalar_type(len(codes))).repeat(bits.shape[1])
-    sent = kernels.simulate_photons(state_of_pair.take(pairs).ravel(), bits.ravel(), tuple(codes),
-                                    uniforms.ravel(), attack_idx)
+    distinct = {attack: k for k, attack in enumerate(dict.fromkeys(attacks))}
+    codes = np.array([distinct[a] for a in attacks], np.min_scalar_type(8 * len(distinct) - 1))
+    cell = 8 * codes[:, None] + 2 * state_of_pair.take(pairs) + bits
+    sent = kernels.simulate_photons(cell.ravel(), tuple(distinct), uniforms.ravel())
     record, decoded = (column.reshape(bits.shape) for column in sent)
     wrong = decoded != bits
     n_errors, rates, accepted = _check_rows(wrong.take(checked), config.abort_threshold)

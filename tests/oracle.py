@@ -446,8 +446,7 @@ def simulate_one_attack(state_idx, enc_bits, attack: AttackModel, uniforms) -> t
     receiver's outcome, Eve's record): the outcome is the decoded bit XOR the
     label of the prepared state."""
     state_idx = np.asarray(state_idx)
-    record, decoded = kernels.simulate_photons(state_idx, enc_bits, (attack,), uniforms,
-                                               np.zeros(state_idx.shape, dtype=np.uint8))
+    record, decoded = kernels.simulate_photons(2 * state_idx + enc_bits, (attack,), uniforms)
     return decoded ^ kernels.PREP_LABEL_OF_STATE[state_idx].astype(np.uint8), record
 
 

@@ -2,6 +2,7 @@
 their shape properties, and the empirical estimators."""
 
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,6 +285,65 @@ class TestReuseInformation:
         likelihoods = record_likelihoods(IndividualUTB(theta))
         got = [reuse_information(likelihoods, k)[0] for k in (2, 3)]
         assert got == pytest.approx([0.0057, 0.0162], abs=1e-4)
+
+
+# docs/i1_check.csv: over theta = i * pi/64, i = 0..16, the probe's d, i1 and
+# linear, its exact basis information after k = 1..4 known-plaintext uses, and
+# the first k whose value is over i1 and over linear (0 if none).  Regenerate
+# it with ``PYTHONPATH=src python tests/test_analysis.py``.
+I1_CHECK = Path(__file__).resolve().parent.parent / "docs" / "i1_check.csv"
+I1_CHECK_HEADER = ("theta,d,i1,linear,basis_k1,basis_k2,basis_k3,basis_k4,"
+                   "first_k_over_i1,first_k_over_linear")
+# an exact value is over a ceiling when it exceeds it by more than float noise,
+# and it is written as 0 within that noise of 0: one use's exact 0 evaluates to
+# about 1e-16 of either sign, and three uses' at theta = 0 to 3e-16
+NOISE = 1e-12
+
+
+def reuse_basis_information(theta: float, basis: Basis = Basis.PLUS) -> np.ndarray:
+    likelihoods = record_likelihoods(IndividualUTB(theta, attack_basis=basis))
+    return np.array([reuse_information(likelihoods, k)[0] for k in (1, 2, 3, 4)])
+
+
+def first_over(values: np.ndarray, ceiling: float) -> int:
+    over = np.flatnonzero(values > ceiling + NOISE)
+    return int(over[0]) + 1 if over.size else 0
+
+
+def i1_check_csv() -> str:
+    lines = [I1_CHECK_HEADER]
+    for i in range(17):
+        theta = i * np.pi / 64
+        d = d_of_theta(theta)
+        i1, linear = i1_bound(d), small_dm_linear_bound(d)
+        exact = reuse_basis_information(theta)
+        row = [theta, d, i1, linear, *np.where(np.abs(exact) < NOISE, 0.0, exact),
+               first_over(exact, i1), first_over(exact, linear)]
+        lines.append(",".join("%.10g" % value for value in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestI1Check:
+    """Where the exact basis information of reuses crosses i1: a table that
+    reports it, as a fact beside the closed form, not a verdict on it."""
+
+    def test_the_table_is_regenerated_byte_for_byte(self):
+        assert I1_CHECK.read_bytes() == i1_check_csv().encode("ascii")
+
+    @pytest.mark.parametrize("i", range(17))
+    def test_the_cross_basis_gives_the_same_values(self, i):
+        theta = i * np.pi / 64
+        np.testing.assert_allclose(reuse_basis_information(theta, Basis.CROSS),
+                                   reuse_basis_information(theta), rtol=0, atol=1e-12)
+
+    def test_i1_is_crossed_at_two_points_and_linear_at_none(self):
+        rows = [line.split(",") for line in I1_CHECK.read_text().splitlines()[1:]]
+        over_i1 = {i: int(row[-2]) for i, row in enumerate(rows) if row[-2] != "0"}
+        assert over_i1 == {8: 2, 11: 3}
+        assert all(row[-1] == "0" for row in rows)
+        # at theta = pi/8, d = 0.0732 and two uses give 0.001828 against i1's 0.001796
+        _, d, i1, _, _, two_uses = map(float, rows[8][:6])
+        assert (round(d, 4), round(two_uses, 6), round(i1, 6)) == (0.0732, 0.001828, 0.001796)
 
 
 # each closed-form function with a point inside its domain, the domain's
@@ -916,3 +976,7 @@ class TestCsvRows:
         points = sweep_theta([0.0, 0.3], 1000, 1)
         assert [type(point) for point in points] == [analysis.SweepPoint] * 2
         assert all(isinstance(point, tuple) for point in points)
+
+
+if __name__ == "__main__":
+    I1_CHECK.write_bytes(i1_check_csv().encode("ascii"))

@@ -859,15 +859,27 @@ class TestBoundaryErrors:
             (["recycle-demo", "--samples", str(2**62)], ["--message-bits", "--samples"]),
             (["recycle-demo", "--samples", str(2**60)], ["--samples", "--sessions"]),
             (["recycle-demo", "--pad-bits", str(2**63)], ["--pad-bits"]),
+            # 2 * (2^62 - 1 + 1) = 2^63 pad bits, one past the int64 maximum
+            (["run", "--message-bits", str(2**62 - 1), "--samples", "1"],
+             ["--message-bits", "--samples"]),
         ],
         ids=["run-samples", "run-message-bits", "recycle-message-bits", "recycle-samples", "recycle-sessions",
-             "recycle-pad-bits"],
+             "recycle-pad-bits", "run-one-past-int64"],
     )
     def test_pad_past_int64_names_its_flags(self, argv, flags, capsys):
         assert cli.main(argv) == cli.EXIT_ERROR
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "int64" in err
         assert all(flag in err for flag in flags)
+
+    def test_pad_at_the_int64_edge_passes_the_length_check(self, capsys):
+        # 2 * (2^62 - 2 + 1) = 2^63 - 2 pad bits fit in an int64, so the pad-length
+        # check lets them through and the message draw is what refuses them
+        argv = ["run", "--message-bits", str(2**62 - 2), "--samples", "1"]
+        assert cli.main(argv) == cli.EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "int64 maximum" not in err
 
     @pytest.mark.parametrize(
         "argv,env",

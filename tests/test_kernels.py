@@ -106,8 +106,7 @@ def test_pinned_uniforms_pick_the_pair_beside_each_edge(model):
     oracle = attack_law(model)
     n_records = oracle.shape[-1]
     cells, uniforms, pairs = pinned_photons(oracle)
-    record, decoded = kernels.simulate_photons(cells // 2, cells % 2, (model,), uniforms,
-                                               np.zeros(cells.size, dtype=np.uint8))
+    record, decoded = kernels.simulate_photons(cells, (model,), uniforms)
     # the receiver's outcome is the pair's, and decoded is 1 where it is not the label
     label = kernels.PREP_LABEL_OF_STATE[cells // 2]
     assert decoded.tolist() == ((pairs // n_records) != label).tolist()
@@ -126,10 +125,8 @@ def test_a_stacked_table_gives_each_photon_its_own_attacks_pairs():
     pinned = [pinned_photons(attack_law(model)) for model in CHANNELS]
     cells, uniforms = (np.concatenate([columns[i] for columns in pinned]) for i in (0, 1))
     attack_idx = np.repeat(np.arange(len(CHANNELS)), [columns[0].size for columns in pinned])
-    stacked = kernels.simulate_photons(cells // 2, cells % 2, tuple(CHANNELS), uniforms,
-                                       attack_idx)
-    alone = [kernels.simulate_photons(c // 2, c % 2, (model,), u, np.zeros(c.size, dtype=np.uint8))
-             for model, (c, u, _) in zip(CHANNELS, pinned)]
+    stacked = kernels.simulate_photons(8 * attack_idx + cells, tuple(CHANNELS), uniforms)
+    alone = [kernels.simulate_photons(c, (model,), u) for model, (c, u, _) in zip(CHANNELS, pinned)]
     for got, want in zip(stacked, zip(*alone)):
         assert got.tolist() == np.concatenate(want).tolist()
 
@@ -268,76 +265,62 @@ def test_six_pair_rows_short_of_one_give_only_possible_pairs():
 
 
 class TestValidation:
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            kernels.simulate_photons(
-                np.zeros(4, dtype=np.int64),
-                np.zeros(3, dtype=np.int64),
-                (NoAttack(),),
-                make_rng(0).random(4),
-                np.zeros(4, dtype=np.uint8),
-            )
+    @pytest.fixture
+    def no_lookup(self, monkeypatch):
+        """Each bad input is refused before any table is built or read."""
+        def lookup(attacks):
+            raise AssertionError("a table lookup before the inputs were checked")
 
-    def test_one_uniform_per_photon(self):
-        with pytest.raises(ValueError, match="uniforms"):
-            kernels.simulate_photons([0, 1], [0, 0], (NoAttack(),), np.zeros((2, 3)), [0, 0])
+        monkeypatch.setattr(kernels, "_pair_tables", lookup)
 
-    def test_needs_randomness_source(self):
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (1,)],
+                             ids=["a-row-per-photon", "too-many", "one-for-all"])
+    def test_one_uniform_per_photon(self, shape, no_lookup):
+        # exactly one uniform for each cell: none is broadcast or dropped
+        with pytest.raises(ValueError, match=r"^uniforms must have shape \(2,\)$"):
+            kernels.simulate_photons([0, 9], (NoAttack(), InterceptResend()), np.zeros(shape))
+
+    def test_needs_randomness_source(self, no_lookup):
         with pytest.raises(TypeError, match="uniforms"):
-            kernels.simulate_photons(
-                np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64), (NoAttack(),),
-                attack_idx=np.zeros(4, dtype=np.uint8),
-            )
+            kernels.simulate_photons(np.zeros(4, dtype=np.int64), (NoAttack(),))
 
     @pytest.mark.parametrize(
-        "column,value,name",
-        [(0, -1, "state_idx"), (0, 4, "state_idx"), (1, -1, "enc_bits"), (1, 2, "enc_bits")],
+        "value,dtype,n_attacks",
+        [(-1, np.int64, 2), (16, np.int64, 2), (-1, np.int8, 1), (8, np.uint8, 1),
+         (16, np.uint16, 2), (2**63, np.uint64, 1)],
+        ids=["negative", "past-the-attacks", "narrow-negative", "narrow-past-one-attack",
+             "uint16-past-the-attacks", "uint64-2**63"],
     )
-    def test_out_of_range_column(self, column, value, name):
-        # numpy would wrap a negative index to a valid cell; each column is
-        # range-checked before any lookup
-        columns = [np.zeros(4, dtype=np.int64) for _ in range(2)]
-        columns[column][2] = value
-        with pytest.raises(ValueError, match=name):
-            kernels.simulate_photons(*columns, (NoAttack(),), make_rng(0).random(4), [0] * 4)
+    def test_out_of_range_cell(self, value, dtype, n_attacks, no_lookup):
+        # numpy would wrap a negative index to a valid cell, and a cell past
+        # 8 * len(attacks) - 1 names no attack: the one column is range-checked
+        # before any lookup, at any width
+        cells = np.zeros(4, dtype=dtype)
+        cells[2] = value
+        attacks = (NoAttack(), InterceptResend())[:n_attacks]
+        with pytest.raises(ValueError, match="^cell must lie in "):
+            kernels.simulate_photons(cells, attacks, make_rng(0).random(4))
 
-    @pytest.mark.parametrize(
-        "column,value,dtype,name",
-        [(0, -1, np.int8, "state_idx"), (1, -1, np.int8, "enc_bits"),
-         (0, 4, np.uint8, "state_idx"), (1, 2, np.uint16, "enc_bits"),
-         (0, 2**63, np.uint64, "state_idx"), (1, 2**63, np.uint64, "enc_bits")],
-    )
-    def test_out_of_range_narrow_column(self, column, value, dtype, name):
-        # a narrow signed -1 or a wide unsigned value is caught at any width
-        columns = [np.zeros(4, dtype=dtype) for _ in range(2)]
-        columns[column][2] = value
-        with pytest.raises(ValueError, match=name):
-            kernels.simulate_photons(*columns, (NoAttack(),), make_rng(0).random(4), [0] * 4)
+    def test_float_cell(self, no_lookup):
+        # a float would be truncated to a valid cell (2.7 runs as cell 2)
+        with pytest.raises(ValueError, match="^cell must hold integers"):
+            kernels.simulate_photons([0.9, 1.0], (NoAttack(), InterceptResend()),
+                                     make_rng(0).random(2))
 
-    @pytest.mark.parametrize("attack_idx", [[0, 2], [-1, 0], [0, 0, 0], [0.0, 1.0], [0]],
-                             ids=["past-the-attacks", "negative", "too-long", "float",
-                                  "one-for-all"])
-    def test_bad_attack_idx(self, attack_idx):
-        with pytest.raises(ValueError, match="attack_idx"):
-            kernels.simulate_photons([0, 1], [0, 0], (NoAttack(), InterceptResend()),
-                                     make_rng(0).random(2), attack_idx)
-
-    @pytest.mark.parametrize("column,name", [(0, "state_idx"), (1, "enc_bits")])
-    def test_float_column(self, column, name):
-        # a float would be truncated to a valid cell (2.7 runs as state 2)
-        columns = [[2], [0]]
-        columns[column] = [0.9]
-        with pytest.raises(ValueError, match=name):
-            kernels.simulate_photons(*columns, (NoAttack(),), make_rng(0).random(1), [0])
+    def test_two_dimensional_cell(self, no_lookup):
+        with pytest.raises(ValueError, match="^cell must be 1-D"):
+            kernels.simulate_photons(np.zeros((2, 2), dtype=np.uint8), (NoAttack(),),
+                                     make_rng(0).random((2, 2)))
 
     def test_integer_and_bool_columns_pass(self):
-        # H swapped to -V read in plus, and d kept read in cross: both give
-        # outcome 1, so H decodes to 1 and d, whose label is 1, to 0
-        _, decoded = kernels.simulate_photons(
-            np.array([0, 3], dtype=np.uint8), np.array([True, False]), (NoAttack(),),
-            make_rng(0).random(2), np.array([False, False]),
-        )
+        # cell 1, H swapped to -V read in plus, and cell 6, d kept read in
+        # cross: both give outcome 1, so H decodes to 1 and d, whose label is
+        # 1, to 0; a bool column reads True as cell 1
+        _, decoded = kernels.simulate_photons(np.array([1, 6], dtype=np.uint8), (NoAttack(),),
+                                              make_rng(0).random(2))
         assert decoded.tolist() == [1, 0]
+        _, decoded = kernels.simulate_photons(np.array([True]), (NoAttack(),), [0.5])
+        assert decoded.tolist() == [1]
 
 
 # Every integer scalar the library takes: its name in the error, its range

@@ -288,8 +288,7 @@ def hand_lineage(pad, draws, attacks):
     for k, (attack, (message, sent, positions, uniforms)) in enumerate(zip(attacks, draws)):
         n = sent.size
         state = keystore.pair_states(pad)[:n]
-        _, decoded = kernels.simulate_photons(state, sent, (attack,), uniforms,
-                                              np.zeros(n, dtype=np.uint8))
+        _, decoded = kernels.simulate_photons(2 * state + sent, (attack,), uniforms)
         n_errors = np.count_nonzero(decoded[positions] != sent[positions])
         exact = n_errors == 0 and np.array_equal(np.delete(decoded, positions), message)
         steps.append((pad, decoded, exact, n_errors))
@@ -532,7 +531,7 @@ class TestRunLineage:
         calls = []
 
         def counting(*args):
-            calls.append((args[2], args[4].tolist()))
+            calls.append((args[1], (args[0] // 8).tolist()))
             return simulate_photons(*args)
 
         simulate_photons = kernels.simulate_photons
@@ -543,6 +542,29 @@ class TestRunLineage:
         assert len(report["sessions"]) == 6
         # every photon of a session points at that session's attack
         assert calls == [(distinct, np.repeat(codes, 80).tolist()) for distinct, codes in blocks]
+
+    @pytest.mark.parametrize("n_attacks,dtype", [(32, np.uint8), (33, np.uint16)])
+    def test_a_block_keeps_its_cells_as_narrow_as_its_attacks_allow(self, n_attacks, dtype,
+                                                                    monkeypatch):
+        # 32 distinct attacks fill the 256 cells of uint8 and a 33rd widens the
+        # column; each photon still names its own session's attack
+        cells = []
+        simulate_photons = kernels.simulate_photons
+
+        def recording(cell, attacks, uniforms):
+            cells.append(cell)
+            return simulate_photons(cell, attacks, uniforms)
+
+        monkeypatch.setattr(kernels, "simulate_photons", recording)
+        config = SessionConfig(n_message=4, n_sample=4, seed=13, abort_threshold=1.0,
+                               allow_insecure_demo=True)
+        attacks = [IndividualUTB(theta) for theta in np.linspace(0.0, np.pi / 4, n_attacks)]
+        report, _ = run_lineage(generate_pad(pad_for(n_attacks, 4, 4), make_rng(14)), config,
+                                attacks)
+        assert len(report["sessions"]) == n_attacks
+        [cell] = cells
+        assert cell.dtype == dtype
+        assert (cell // 8).tolist() == np.arange(n_attacks).repeat(8).tolist()
 
     @pytest.mark.parametrize("block_photons", [protocol.BLOCK_PHOTONS, 3 * 80])
     def test_exhaustion_only_after_every_earlier_session_passed(self, block_photons,
@@ -800,8 +822,9 @@ class TestTranscriptExport:
         t = run_session(cfg, generate_pad(2 * 400, make_rng(71)), message, attack)
         doc = t.to_json_dict()
         # the outcome of each photon as sent: its decoded bit XOR its state's label
-        [((state_idx, *_), (_, decoded))] = sent
-        outcomes = decoded ^ kernels.PREP_LABEL_OF_STATE[state_idx]
+        [((cell, attacks, _), (_, decoded))] = sent
+        assert attacks == (attack,) and np.all(cell // 8 == 0)
+        outcomes = decoded ^ kernels.PREP_LABEL_OF_STATE[cell // 2]
         assert received_outcomes(doc) == outcomes.tolist()
         assert (t.extracted_message is None) == (extracted_message(doc) is None)
         if t.extracted_message is not None:
